@@ -450,18 +450,15 @@ fn handle_ampi_msg(st: &mut RankState, msg: &Msg, pe: &mut Pe, ctx: &mut MCtx) {
     }
     accept_msg(st, am, pe, ctx);
     // The gap closed: release consecutively-sequenced stashed envelopes.
-    loop {
-        // Invariant: accept_msg above bumped next_recv_seq[src].
-        let next = *st.next_recv_seq.get(&src).expect("seq just advanced");
-        let Some(i) = st
-            .reorder_stash
-            .iter()
-            .position(|m| m.src_rank == src && m.seq == next)
-        else {
-            break;
-        };
+    let mut next = expected + 1;
+    while let Some(i) = st
+        .reorder_stash
+        .iter()
+        .position(|m| m.src_rank == src && m.seq == next)
+    {
         let held = st.reorder_stash.swap_remove(i);
         accept_msg(st, held, pe, ctx);
+        next += 1;
     }
 }
 

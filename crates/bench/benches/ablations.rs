@@ -17,7 +17,7 @@ use rucx_osu::{bandwidth, latency, Mode, Model, OsuConfig, Placement};
 
 fn main() {
     // `RUCX_ABLATION=<substring>` runs a single ablation (CI smoke runs
-    // gate on `autotune` without paying for the full figure set).
+    // gate on `multipath` without paying for the full figure set).
     let filter = std::env::var("RUCX_ABLATION").unwrap_or_default();
     let want = |name: &str| filter.is_empty() || name.contains(filter.as_str());
     if want("gdrcopy") {
@@ -38,62 +38,46 @@ fn main() {
     if want("active_messages") {
         active_message_ablation();
     }
-    if want("autotune") {
-        autotune_ablation();
+    if want("multipath") {
+        multipath_ablation();
     }
 }
 
-/// The protocol engine's acceptance figure: static thresholds vs the
-/// online autotuner vs striped multi-path rendezvous, intra-node device
-/// latency. Asserts the two bars the engine must clear — autotuning never
-/// loses to the static table at any size, and striping beats the single
-/// NVLink path for 16 MiB transfers.
-fn autotune_ablation() {
+/// Striped multi-path rendezvous vs the single resolved path, intra-node
+/// device latency. Asserts the bar striping must clear: it beats the
+/// single NVLink path for 16 MiB transfers.
+fn multipath_ablation() {
     let sizes: Vec<u64> = vec![4 << 10, 8 << 10, 64 << 10, 1 << 20, 16 << 20];
-    let run = |autotune: bool, multipath: bool| {
+    let run = |single_path: bool| {
         let mut cfg = OsuConfig {
             sizes: sizes.clone(),
             ..OsuConfig::default()
         };
-        cfg.machine.ucp.autotune = autotune;
-        cfg.machine.ucp.multipath = multipath;
+        if single_path {
+            cfg.machine.ucp.multipath_min = u64::MAX;
+        }
         latency(&cfg, Model::Ompi, Mode::Device, Placement::IntraNode)
     };
-    let stat = run(false, false);
-    let tuned = run(true, false);
-    let striped = run(false, true);
+    let single = run(true);
+    let striped = run(false);
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for &s in &sizes {
-        let (a, b, c) = (
-            stat.at(s).unwrap(),
-            tuned.at(s).unwrap(),
-            striped.at(s).unwrap(),
-        );
-        assert!(
-            b <= a + 0.01,
-            "autotune regressed at {}: {b:.2} vs {a:.2} us",
-            fmt_size(s)
-        );
-        rows.push(vec![
-            fmt_size(s),
-            format!("{a:.2}"),
-            format!("{b:.2}"),
-            format!("{c:.2}"),
-        ]);
-        json.push((s, a, b, c));
+        let (a, b) = (single.at(s).unwrap(), striped.at(s).unwrap());
+        rows.push(vec![fmt_size(s), format!("{a:.2}"), format!("{b:.2}")]);
+        json.push((s, a, b));
     }
-    let (a16, c16) = (stat.at(16 << 20).unwrap(), striped.at(16 << 20).unwrap());
+    let (a16, b16) = (single.at(16 << 20).unwrap(), striped.at(16 << 20).unwrap());
     assert!(
-        c16 < a16,
-        "striping must beat single-path NVLink at 16 MiB: {c16:.1} vs {a16:.1} us"
+        b16 < a16,
+        "striping must beat single-path NVLink at 16 MiB: {b16:.1} vs {a16:.1} us"
     );
     print_table(
-        "Ablation: protocol engine (intra-node OpenMPI-D latency, us)",
-        &["size", "static", "autotuned", "multi-path"],
+        "Ablation: multi-path rendezvous (intra-node OpenMPI-D latency, us)",
+        &["size", "single-path", "striped"],
         &rows,
     );
-    write_json("ablation_autotune", &json);
+    write_json("ablation_multipath", &json);
 }
 
 /// §VI: "GPU support in the active messages API of UCX ... could better fit

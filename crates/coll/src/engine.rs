@@ -1,7 +1,6 @@
 //! Algorithm selection: a closed-form integer cost model over the machine.
 //!
-//! Mirrors the protocol engine's style (`rucx_ucp::engine::CostModel`):
-//! pure integer-nanosecond estimates, no floating-point accumulation in
+//! Pure integer-nanosecond estimates, no floating-point accumulation in
 //! the decision path beyond the shared `transfer_time` helper, so the
 //! choice is a deterministic function of (message size, rank placement,
 //! machine parameters, observed RTT). It consults:

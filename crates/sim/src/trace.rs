@@ -13,9 +13,7 @@
 //!    `(seed, config)`. No wall clock, no addresses, no hashing order.
 //! 2. **Zero-cost when disabled.** The sink starts disabled; every emission
 //!    helper first tests one `bool`. The resume hot path
-//!    (`ProcCtx::advance`) does not touch the sink at all. Compiling
-//!    `rucx-sim` with `--no-default-features` removes the `trace` feature
-//!    and turns every helper into an empty `#[inline]` stub.
+//!    (`ProcCtx::advance`) does not touch the sink at all.
 //! 3. **Bounded.** The ring buffer drops the *oldest* events past capacity
 //!    and counts the drops, so long runs cannot exhaust memory and the tail
 //!    of a run (usually what you want to look at) survives.
@@ -25,7 +23,6 @@
 //! [Perfetto](https://ui.perfetto.dev): spans become `"ph": "X"` complete
 //! events, instants `"ph": "i"`, `pid` is always 0 and `tid` is the PE.
 
-#[cfg(feature = "trace")]
 use std::collections::VecDeque;
 
 use rucx_compat::json::{JsonObject, ToJson};
@@ -115,11 +112,9 @@ impl ToJson for TraceEvent {
 /// from every emission site as `sched.trace`.
 #[derive(Debug, Default)]
 pub struct TraceSink {
-    #[cfg(feature = "trace")]
     inner: Option<Box<Ring>>,
 }
 
-#[cfg(feature = "trace")]
 #[derive(Debug)]
 struct Ring {
     events: VecDeque<TraceEvent>,
@@ -135,7 +130,6 @@ impl TraceSink {
 
     /// Enable tracing with the given ring capacity (0 means
     /// [`DEFAULT_CAPACITY`]). Clears any previously recorded events.
-    #[cfg(feature = "trace")]
     pub fn enable(&mut self, capacity: usize) {
         let capacity = if capacity == 0 {
             DEFAULT_CAPACITY
@@ -150,36 +144,22 @@ impl TraceSink {
         }));
     }
 
-    #[cfg(not(feature = "trace"))]
-    pub fn enable(&mut self, _capacity: usize) {}
-
     /// Disable tracing and drop the buffer.
     pub fn disable(&mut self) {
-        #[cfg(feature = "trace")]
-        {
-            self.inner = None;
-        }
+        self.inner = None;
     }
 
     /// Whether events are currently being recorded. Hot paths branch on
     /// this before doing any argument computation.
     #[inline]
     pub fn enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Mint a fresh correlation id (deterministic: a per-sink counter).
     /// Returns 0 when disabled, which emission sites pass through.
     #[inline]
     pub fn mint_id(&mut self) -> u64 {
-        #[cfg(feature = "trace")]
         if let Some(r) = &mut self.inner {
             let id = r.next_id;
             r.next_id += 1;
@@ -191,7 +171,6 @@ impl TraceSink {
     /// Record a point event at `ts`.
     #[inline]
     pub fn instant(&mut self, name: &'static str, ts: Time, pe: u32, id: u64, arg: u64) {
-        #[cfg(feature = "trace")]
         if let Some(r) = &mut self.inner {
             r.push(TraceEvent {
                 name,
@@ -202,16 +181,11 @@ impl TraceSink {
                 arg,
             });
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (name, ts, pe, id, arg);
-        }
     }
 
     /// Record a complete span `[start, end]` (clamped to start if reversed).
     #[inline]
     pub fn span(&mut self, name: &'static str, start: Time, end: Time, pe: u32, id: u64, arg: u64) {
-        #[cfg(feature = "trace")]
         if let Some(r) = &mut self.inner {
             r.push(TraceEvent {
                 name,
@@ -222,34 +196,16 @@ impl TraceSink {
                 arg,
             });
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (name, start, end, pe, id, arg);
-        }
     }
 
     /// Recorded events, oldest first. Empty when disabled.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.iter().flat_map(|r| r.events.iter())
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            std::iter::empty::<&TraceEvent>()
-        }
+        self.inner.iter().flat_map(|r| r.events.iter())
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.as_ref().map_or(0, |r| r.events.len())
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.inner.as_ref().map_or(0, |r| r.events.len())
     }
 
     pub fn is_empty(&self) -> bool {
@@ -258,20 +214,12 @@ impl TraceSink {
 
     /// How many events were evicted from the ring.
     pub fn dropped(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.as_ref().map_or(0, |r| r.dropped)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.inner.as_ref().map_or(0, |r| r.dropped)
     }
 
     /// Forget recorded events (keeps the sink enabled and the id counter —
     /// clearing must not make later ids collide with earlier ones).
     pub fn clear(&mut self) {
-        #[cfg(feature = "trace")]
         if let Some(r) = &mut self.inner {
             r.events.clear();
             r.dropped = 0;
@@ -318,7 +266,6 @@ pub fn merge_chrome_json<'a>(sinks: impl IntoIterator<Item = &'a TraceSink>) -> 
     s
 }
 
-#[cfg(feature = "trace")]
 impl Ring {
     #[inline]
     fn push(&mut self, ev: TraceEvent) {
@@ -330,7 +277,7 @@ impl Ring {
     }
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

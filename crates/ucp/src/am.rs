@@ -186,7 +186,6 @@ pub fn am_send_nb(
                         payload,
                         wire_size: size,
                         sender_done: done,
-                        sent_at: s.now(),
                     },
                 );
                 let wire = header.len() as u64 + w.ucp.config.rts_size;

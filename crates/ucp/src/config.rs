@@ -25,15 +25,10 @@ pub struct UcpConfig {
     /// the pipelined host-staging path (off by default, matching the paper's
     /// observed UCX behaviour on Summit; the ablation bench enables it).
     pub direct_gdr_rndv: bool,
-    /// Let the protocol engine adapt eager thresholds and pipeline chunk
-    /// size per endpoint from observed completions (off by default: the
-    /// static table above then applies verbatim, as in the paper's runs).
-    pub autotune: bool,
-    /// Stripe large intra-node device-to-device rendezvous across NVLink
-    /// and the X-Bus concurrently instead of riding a single resolved path.
-    pub multipath: bool,
-    /// Smallest transfer the multi-path striping applies to; below this the
-    /// per-leg DMA setup outweighs the added bandwidth.
+    /// Intra-node device-to-device rendezvous of at least this size are
+    /// striped across NVLink and the X-Bus concurrently instead of riding a
+    /// single resolved path; below this the per-leg DMA setup outweighs the
+    /// added bandwidth. `u64::MAX` never stripes.
     pub multipath_min: u64,
     /// Intra-node shared-memory transport: per-message latency.
     pub shm_latency: Duration,
@@ -117,8 +112,7 @@ pub struct UcpConfig {
     pub probe_budget: u32,
     /// Times one envelope may be parked-and-released across heal cycles
     /// before exhausting its retransmission budget hard-fails it (0 turns
-    /// the parking layer off: budget exhaustion gives up immediately, the
-    /// pre-health behaviour).
+    /// the parking layer off: budget exhaustion gives up immediately).
     pub heal_retries: u32,
 }
 
@@ -130,8 +124,6 @@ impl Default for UcpConfig {
             gdrcopy_enabled: true,
             pipeline_chunk: 512 * 1024,
             direct_gdr_rndv: false,
-            autotune: false,
-            multipath: true,
             multipath_min: 8 << 20,
             shm_latency: us(0.30),
             shm_gbps: 5.2,

@@ -1,35 +1,24 @@
 //! The protocol engine: every eager/rendezvous/chunk/path decision the UCP
-//! layer makes, in one place, expressed through a [`PathPlan`].
+//! layer makes, in one place.
 //!
 //! The static table in [`crate::UcpConfig`] (eager thresholds, pipeline
-//! chunk, GDR on/off) reproduces the paper's frozen Summit configuration.
-//! This module layers three things on top of it:
+//! chunk, GDR on/off) is the paper's frozen Summit configuration, and it
+//! is the only source of protocol parameters. This module holds:
 //!
-//! 1. **A single decision surface.** Protocol selection used to be smeared
-//!    across `proto.rs` (`tag_send_nb`'s inline threshold check, the
-//!    `fetch_*` family's per-rung branching). All of it now routes through
-//!    here: [`plan_send`] decides eager vs rendezvous, the fetch paths
-//!    decide transport rung, chunking, and striping.
+//! 1. **The decision surface.** [`plan_send`] decides eager vs rendezvous
+//!    from the table; the `fetch_*` family decides transport rung,
+//!    chunking, and striping. `proto.rs` keeps the mechanics and asks here.
 //! 2. **Striped multi-path rendezvous.** Following Sojoodi et al.
-//!    (PAPERS.md), a large intra-node device-to-device fetch is split into
-//!    per-path legs driven concurrently over NVLink and the X-Bus (or the
-//!    X-Bus plus a pinned-host bounce when the peers sit on different
-//!    sockets), with per-chunk completion events merged through a shared
-//!    countdown so the finalizer runs exactly once, at the completion of
-//!    the slowest leg.
-//! 3. **An online autotuner.** Per-endpoint state — RTT observed from
-//!    reliability-ack timing (first transmissions only, per Karn's rule),
-//!    and a signed *lag* EWMA of observed-minus-modeled rendezvous
-//!    completion — feeds an integer closed-form cost model that re-solves
-//!    the eager threshold over a power-of-two ladder at a seeded,
-//!    per-endpoint staggered cadence. The ladder inherently clamps the
-//!    knob, so a noisy signal (chaos runs) cannot oscillate it
-//!    unboundedly. Everything is virtual-time-driven and seeded: results
-//!    are byte-identical across runs, shard counts, and scheduler
-//!    backends.
-//!
-//! With `autotune` and `multipath` off and transfers below
-//! `multipath_min`, the engine reproduces the static table bit-for-bit.
+//!    (PAPERS.md), an intra-node device-to-device fetch of at least
+//!    `multipath_min` bytes is split into per-path legs driven concurrently
+//!    over NVLink and the X-Bus (or the X-Bus plus a pinned-host bounce
+//!    when the peers sit on different sockets), with per-chunk completion
+//!    events merged through a shared countdown so the finalizer runs
+//!    exactly once, at the completion of the slowest leg.
+//! 3. **Observed RTT.** A per-endpoint EWMA of reliability-ack round trips
+//!    (first transmissions only, per Karn's rule) that `reliable.rs` feeds
+//!    and the collective cost model in `rucx-coll` reads. It informs no
+//!    protocol decision in this crate.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use rucx_fabric::{net_transfer, WireKind};
 use rucx_fault::metrics as fm;
 use rucx_gpu::{CopyPath, DeviceId, MemKind};
-use rucx_sim::time::{transfer_time, Duration, Time};
+use rucx_sim::time::{Duration, Time};
 
 use crate::error::Protocol;
 use crate::machine::Machine;
@@ -50,16 +39,6 @@ use crate::worker::MSched;
 /// accounts the concurrent link occupancy).
 pub type Stripe = rucx_gpu::ops::StripedLeg;
 
-/// The engine's decision for one transfer: which protocol carries it, what
-/// chunk size its staged paths use, and (for intra-node device pairs) which
-/// concurrent legs stripe it. `stripes` is empty for single-path transfers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathPlan {
-    pub protocol: Protocol,
-    pub chunk: u64,
-    pub stripes: Vec<Stripe>,
-}
-
 /// NIC rail a process uses by default: its CPU socket (Summit: dual-rail,
 /// one port per socket).
 pub(crate) fn rail(w: &Machine, proc: usize) -> usize {
@@ -67,9 +46,8 @@ pub(crate) fn rail(w: &Machine, proc: usize) -> usize {
 }
 
 /// Least-backlogged TX rail on `node` at `now`, preferring `prefer` on
-/// ties. This is how the autotuned pipeline spreads chunks across both of a
-/// node's rails instead of serializing on the socket rail.
-pub(crate) fn balanced_rail(w: &Machine, node: usize, prefer: usize, now: Time) -> usize {
+/// ties. Pipeline chunks use it to steer off a degraded link.
+fn balanced_rail(w: &Machine, node: usize, prefer: usize, now: Time) -> usize {
     let rails = w.net.params.rails_per_node.max(1);
     let mut best = prefer % rails;
     let mut best_backlog = w.net.tx_backlog(node, best, now);
@@ -109,94 +87,30 @@ pub(crate) fn gpu_direct_ok(
 }
 
 // ---------------------------------------------------------------------------
-// Per-endpoint tuning state
+// Per-endpoint observed RTT
 // ---------------------------------------------------------------------------
 
-/// Traffic class index: host payloads vs device payloads (their eager
-/// thresholds tune independently).
-fn class_idx(device: bool) -> usize {
-    usize::from(device)
-}
-
-/// Per-(sender, receiver) adaptive state.
-struct EndpointTune {
-    /// EWMA of clean ack round trips (ns); Karn-filtered.
-    rtt_ewma: u64,
-    rtt_samples: u64,
-    /// Signed EWMA (α = 1/8) of observed-minus-modeled rendezvous
-    /// completion per class, clamped so one pathological sample (a
-    /// late-posted receive, a chaos retry storm) cannot swing the solver.
-    lag: [i64; 2],
-    /// Rendezvous completions observed per class.
-    obs: [u64; 2],
-    /// Tuned eager threshold per class; `None` until the first re-solve.
-    eager: [Option<u64>; 2],
-    /// Re-solve cadence in observations, staggered per endpoint from the
-    /// seed so a fleet of endpoints does not re-solve in lockstep.
-    period: u64,
-}
-
-/// Per-endpoint protocol state: observed RTTs, rendezvous lag, and the
-/// autotuned knobs derived from them. Keyed, never iterated — map order
-/// cannot leak into the schedule.
+/// Per-(sender, receiver) EWMA (α = 1/8) of clean ack round trips in ns,
+/// Karn-filtered. Keyed lookups plus one order-independent minimum — map
+/// order cannot leak into the schedule.
+#[derive(Default)]
 pub struct ProtocolEngine {
-    seed: u64,
-    eps: HashMap<(u32, u32), EndpointTune>,
+    rtt: HashMap<(u32, u32), u64>,
 }
-
-/// splitmix64-style finalizer for deterministic per-endpoint staggering.
-fn mix(seed: u64, a: u32, b: u32) -> u64 {
-    let mut z = seed ^ ((a as u64) << 32 | b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Bounds on any lag sample fed into the EWMA (ns). The lower bound keeps a
-/// model overestimate from inflating eagerness; the upper keeps one stalled
-/// completion from collapsing it.
-const LAG_CLAMP: (i64, i64) = (-5_000, 100_000);
 
 impl ProtocolEngine {
-    pub(crate) fn new(seed: u64) -> Self {
-        ProtocolEngine {
-            seed,
-            eps: HashMap::new(),
-        }
-    }
-
-    fn ep_mut(&mut self, key: (u32, u32)) -> &mut EndpointTune {
-        let seed = self.seed;
-        self.eps.entry(key).or_insert_with(|| EndpointTune {
-            rtt_ewma: 0,
-            rtt_samples: 0,
-            lag: [0; 2],
-            obs: [0; 2],
-            eager: [None; 2],
-            period: 4 + (mix(seed, key.0, key.1) & 3),
-        })
-    }
-
     /// Feed one clean (first-transmission) ack round trip for `key`.
-    /// Public so model layers (and their tests) can prime the tuner with
+    /// Public so model layers (and their tests) can prime it with
     /// out-of-band measurements.
     pub fn observe_rtt(&mut self, key: (u32, u32), rtt: u64) {
-        let ep = self.ep_mut(key);
-        ep.rtt_ewma = if ep.rtt_samples == 0 {
-            rtt
-        } else {
-            ep.rtt_ewma + (rtt.max(ep.rtt_ewma) - ep.rtt_ewma) / 8
-                - (ep.rtt_ewma.saturating_sub(rtt)) / 8
-        };
-        ep.rtt_samples += 1;
+        // The first sample seeds the EWMA (the update below is then a no-op).
+        let ewma = self.rtt.entry(key).or_insert(rtt);
+        *ewma = *ewma + (rtt.max(*ewma) - *ewma) / 8 - ewma.saturating_sub(rtt) / 8;
     }
 
     /// Karn-filtered RTT EWMA for an endpoint; `None` before any sample.
     pub fn rtt(&self, key: (u32, u32)) -> Option<u64> {
-        self.eps
-            .get(&key)
-            .filter(|ep| ep.rtt_samples > 0)
-            .map(|ep| ep.rtt_ewma)
+        self.rtt.get(&key).copied()
     }
 
     /// Best observed RTT EWMA across *cross-node* endpoint pairs whose both
@@ -205,269 +119,45 @@ impl ProtocolEngine {
     /// rank 0's — refreshes the inter-node alpha. Taking the minimum over a
     /// `HashMap` iteration is order-independent, so determinism holds.
     pub fn cross_node_rtt(&self, topo: &rucx_fabric::Topology, n: usize) -> Option<u64> {
-        self.eps
+        self.rtt
             .iter()
-            .filter(|&(&(a, b), ep)| {
-                ep.rtt_samples > 0
-                    && (a as usize) < n
-                    && (b as usize) < n
-                    && !topo.same_node(a as usize, b as usize)
+            .filter(|&(&(a, b), _)| {
+                (a as usize) < n && (b as usize) < n && !topo.same_node(a as usize, b as usize)
             })
-            .min_by_key(|&(&k, ep)| (ep.rtt_ewma, k))
-            .map(|(_, ep)| ep.rtt_ewma)
+            .map(|(_, &ewma)| ewma)
+            .min()
     }
-
-    /// The tuned eager threshold for an endpoint and class, if one has been
-    /// solved.
-    pub fn tuned_eager(&self, key: (u32, u32), device: bool) -> Option<u64> {
-        self.eps
-            .get(&key)
-            .and_then(|ep| ep.eager[class_idx(device)])
-    }
-
-    fn lag(&self, key: (u32, u32), device: bool) -> i64 {
-        self.eps.get(&key).map_or(0, |ep| ep.lag[class_idx(device)])
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Closed-form cost model
-// ---------------------------------------------------------------------------
-
-/// Where the two endpoints sit relative to each other.
-#[derive(Debug, Clone, Copy)]
-struct Placement {
-    intra: bool,
-    same_socket: bool,
-}
-
-impl Placement {
-    fn of(topo: &rucx_fabric::Topology, a: usize, b: usize) -> Placement {
-        Placement {
-            intra: topo.same_node(a, b),
-            same_socket: topo.same_socket(a, b),
-        }
-    }
-}
-
-/// Snapshot of every calibrated parameter the solver needs, copied out of
-/// the live config so solving borrows nothing from the machine. All costs
-/// are integer nanoseconds, mirroring the simulator's arithmetic exactly —
-/// the solver is only trustworthy near a crossover if it computes the same
-/// numbers the event paths do.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CostModel {
-    proto: Duration,
-    shm_latency: Duration,
-    shm_gbps: f64,
-    gdrcopy_base: Duration,
-    gdrcopy_gbps: f64,
-    eager_copy_base: Duration,
-    eager_copy_gbps: f64,
-    ipc_sync: Duration,
-    dma_setup: Duration,
-    cpu_gpu_gbps: f64,
-    nvlink_gbps: f64,
-    xbus_gbps: f64,
-    alpha: Duration,
-    nic_gbps: f64,
-    rts_size: u64,
-    pipeline_chunk: u64,
-}
-
-impl CostModel {
-    pub(crate) fn of(w: &Machine) -> CostModel {
-        let u = &w.ucp.config;
-        let g = &w.gpu.params;
-        let n = &w.net.params;
-        CostModel {
-            proto: u.proto_overhead,
-            shm_latency: u.shm_latency,
-            shm_gbps: u.shm_gbps,
-            gdrcopy_base: u.gdrcopy_base,
-            gdrcopy_gbps: u.gdrcopy_gbps,
-            eager_copy_base: u.eager_copy_base,
-            eager_copy_gbps: u.eager_copy_gbps,
-            ipc_sync: u.ipc_sync,
-            dma_setup: g.dma_setup,
-            cpu_gpu_gbps: g.cpu_gpu_gbps,
-            nvlink_gbps: g.nvlink_gbps,
-            xbus_gbps: g.xbus_gbps,
-            alpha: n.min_latency(),
-            nic_gbps: n.nic_gbps,
-            rts_size: u.rts_size,
-            pipeline_chunk: u.pipeline_chunk,
-        }
-    }
-
-    /// Modeled one-way latency of an eager send of `size` bytes: sender
-    /// staging, wire, receiver copy-out.
-    fn eager_cost(&self, device: bool, p: Placement, size: u64) -> u64 {
-        let stage = if device {
-            // GDRCopy read on the sender plus write on the receiver.
-            2 * (self.gdrcopy_base + transfer_time(size, self.gdrcopy_gbps))
-        } else {
-            self.eager_copy_base + transfer_time(size, self.eager_copy_gbps)
-        };
-        self.proto + stage + self.wire(p, size)
-    }
-
-    /// Modeled one-way latency of a rendezvous of `size` bytes with the
-    /// receive already posted: RTS leg plus the data fetch.
-    fn rndv_cost(&self, device: bool, p: Placement, size: u64) -> u64 {
-        let rts = self.proto + self.wire(p, self.rts_size);
-        let fetch = match (device, p.intra) {
-            (true, true) => {
-                let gbps = if p.same_socket {
-                    self.nvlink_gbps
-                } else {
-                    self.xbus_gbps
-                };
-                self.ipc_sync + self.dma_setup + transfer_time(size, gbps)
-            }
-            (true, false) => self.pipeline_total(size, self.pipeline_chunk),
-            (false, true) => self.shm_latency + transfer_time(size, self.shm_gbps),
-            (false, false) => self.alpha + transfer_time(size, self.nic_gbps),
-        };
-        rts + fetch
-    }
-
-    fn wire(&self, p: Placement, size: u64) -> u64 {
-        if p.intra {
-            self.shm_latency + transfer_time(size, self.shm_gbps)
-        } else {
-            self.alpha + transfer_time(size, self.nic_gbps)
-        }
-    }
-
-    /// Modeled total of the pipelined host-staging inter-node device path:
-    /// D2H staging serializes on the sender stream, the wire streams behind
-    /// the first chunk (TX ports serialize transfer time only; injection is
-    /// cut-through), and the last chunk pays its H2D drain after arrival.
-    fn pipeline_total(&self, size: u64, chunk: u64) -> u64 {
-        let chunk = chunk.clamp(1, size.max(1));
-        let n = size.div_ceil(chunk);
-        let last = size - (n - 1) * chunk;
-        let fill = self.dma_setup + transfer_time(chunk, self.cpu_gpu_gbps);
-        let staged = n * self.dma_setup + transfer_time(size, self.cpu_gpu_gbps);
-        let wire = transfer_time(size, self.nic_gbps);
-        let drain = self.dma_setup + transfer_time(last, self.cpu_gpu_gbps);
-        self.alpha + staged.max(fill + wire) + drain
-    }
-}
-
-/// Candidate eager thresholds: a power-of-two ladder. Solving over a fixed
-/// ladder (instead of an unconstrained optimum) is what bounds oscillation
-/// under noisy feedback — the knob can only ever sit on one of these rungs.
-const EAGER_LADDER: [u64; 7] = [1024, 2048, 4096, 8192, 16384, 32768, 65536];
-
-/// Candidate pipeline chunk sizes.
-const CHUNK_LADDER: [u64; 8] = [
-    32 << 10,
-    64 << 10,
-    128 << 10,
-    256 << 10,
-    512 << 10,
-    1 << 20,
-    2 << 20,
-    4 << 20,
-];
-
-/// Largest ladder rung at which eager still beats the (lag-corrected)
-/// rendezvous model; the smallest rung when none qualifies.
-fn solve_eager(model: &CostModel, p: Placement, device: bool, lag: i64) -> u64 {
-    let mut best = EAGER_LADDER[0];
-    for &t in &EAGER_LADDER {
-        let eager = model.eager_cost(device, p, t) as i64;
-        let rndv = model.rndv_cost(device, p, t) as i64 + lag;
-        if eager <= rndv {
-            best = t;
-        }
-    }
-    best
-}
-
-/// Chunk size minimizing the modeled pipeline total for `size`; ties go to
-/// the larger chunk (fewer events, same time).
-fn solve_chunk(model: &CostModel, size: u64) -> u64 {
-    let mut best = CHUNK_LADDER[CHUNK_LADDER.len() - 1];
-    let mut best_t = model.pipeline_total(size, best);
-    for &c in CHUNK_LADDER.iter().rev() {
-        let t = model.pipeline_total(size, c);
-        if t < best_t {
-            best = c;
-            best_t = t;
-        }
-    }
-    best
 }
 
 // ---------------------------------------------------------------------------
 // Decision surface
 // ---------------------------------------------------------------------------
 
-/// Effective eager threshold for a send from `src` to `dst`: the static
-/// table, unless autotuning is on — then the endpoint's tuned value, or a
-/// lag-free model solve before the first observation.
-pub(crate) fn effective_eager_thresh(w: &Machine, src: usize, dst: usize, device: bool) -> u64 {
-    let cfg = &w.ucp.config;
-    if !cfg.autotune {
-        return if device {
-            cfg.eager_thresh_device
-        } else {
-            cfg.eager_thresh_host
-        };
-    }
-    let key = (src as u32, dst as u32);
-    if let Some(t) = w.ucp.engine.tuned_eager(key, device) {
-        return t;
-    }
-    let model = CostModel::of(w);
-    let p = Placement::of(&w.topo, src, dst);
-    solve_eager(&model, p, device, w.ucp.engine.lag(key, device))
-}
-
-/// Effective pipeline chunk for a transfer of `size` bytes: static, or the
-/// model's size-aware optimum under autotuning (stateless, so it needs no
-/// warm-up and is identical on every shard).
-pub(crate) fn effective_chunk(w: &Machine, size: u64) -> u64 {
-    let cfg = &w.ucp.config;
-    if !cfg.autotune {
-        return cfg.pipeline_chunk;
-    }
-    solve_chunk(&CostModel::of(w), size)
-}
-
-/// Decide how a send of `size` bytes of `kind` memory from `src` to `dst`
-/// travels. Mirrors the historical inline decision exactly, including the
-/// short-circuit order: `gpu_direct_ok` (which bumps fallback counters) is
-/// only consulted for device payloads already under the eager threshold.
+/// Decide which protocol carries a send of `size` bytes of `kind` memory
+/// from `src`. The short-circuit order matters: `gpu_direct_ok` (which bumps
+/// fallback counters) is only consulted for device payloads already under
+/// the eager threshold.
 pub(crate) fn plan_send(
     w: &mut Machine,
     s: &mut MSched,
     src: usize,
-    dst: usize,
     kind: MemKind,
     size: u64,
-) -> PathPlan {
+) -> Protocol {
     let eager = if let MemKind::Device(dev) = kind {
         // The GDRCopy bounce needs the sender's copy engine; a failed one
         // degrades the message to rendezvous, whose fetch paths re-check
         // per device and land on host staging.
         w.ucp.config.gdrcopy_enabled
-            && size <= effective_eager_thresh(w, src, dst, true)
+            && size <= w.ucp.config.eager_thresh_device
             && gpu_direct_ok(w, s, dev, src, size)
     } else {
-        size <= effective_eager_thresh(w, src, dst, false)
+        size <= w.ucp.config.eager_thresh_host
     };
-    PathPlan {
-        protocol: if eager {
-            Protocol::Eager
-        } else {
-            Protocol::Rndv
-        },
-        chunk: effective_chunk(w, size),
-        stripes: Vec::new(),
+    if eager {
+        Protocol::Eager
+    } else {
+        Protocol::Rndv
     }
 }
 
@@ -477,7 +167,8 @@ pub(crate) fn plan_send(
 /// X-Bus with a pinned-host bounce (which pays the CPU-GPU link twice).
 fn plan_stripes(w: &Machine, sd: DeviceId, dd: DeviceId, size: u64) -> Vec<Stripe> {
     let cfg = &w.ucp.config;
-    if !cfg.multipath || size < cfg.multipath_min || sd == dd {
+    // A stripe needs at least one byte per leg.
+    if size < cfg.multipath_min.max(2) || sd == dd {
         return Vec::new();
     }
     let g = &w.gpu.params;
@@ -505,49 +196,6 @@ fn plan_stripes(w: &Machine, sd: DeviceId, dd: DeviceId, size: u64) -> Vec<Strip
 }
 
 // ---------------------------------------------------------------------------
-// Observation hooks
-// ---------------------------------------------------------------------------
-
-/// Record a completed rendezvous: `sent_at` is when the sender posted it.
-/// Updates the endpoint's lag EWMA and, at the endpoint's seeded cadence,
-/// re-solves its eager threshold. No-op unless autotuning is on.
-pub(crate) fn observe_rndv(
-    w: &mut Machine,
-    s: &mut MSched,
-    src: usize,
-    dst: usize,
-    device: bool,
-    size: u64,
-    sent_at: Time,
-) {
-    if !w.ucp.config.autotune {
-        return;
-    }
-    let elapsed = s.now().saturating_sub(sent_at);
-    let model = CostModel::of(w);
-    let p = Placement::of(&w.topo, src, dst);
-    let predicted = model.rndv_cost(device, p, size);
-    let sample = (elapsed as i64 - predicted as i64).clamp(LAG_CLAMP.0, LAG_CLAMP.1);
-    let key = (src as u32, dst as u32);
-    let c = class_idx(device);
-    let ep = w.ucp.engine.ep_mut(key);
-    ep.lag[c] += (sample - ep.lag[c]) / 8;
-    ep.obs[c] += 1;
-    let mut adjusted = None;
-    if ep.obs[c] % ep.period == 1 {
-        let tuned = solve_eager(&model, p, device, ep.lag[c]);
-        if ep.eager[c] != Some(tuned) {
-            ep.eager[c] = Some(tuned);
-            adjusted = Some(tuned);
-        }
-    }
-    if let Some(tuned) = adjusted {
-        w.ucp.counters.bump(m::TUNE_ADJUST);
-        s.trace_instant("ucp.tune.adjust", src as u32, dst as u64, tuned);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Rendezvous fetch paths
 // ---------------------------------------------------------------------------
 
@@ -572,7 +220,7 @@ pub(crate) fn fetch_intra<F>(
             if gpu_direct_ok(w, s, sd, src_proc, size) && gpu_direct_ok(w, s, dd, recv_proc, size) {
                 let stripes = plan_stripes(w, sd, dd, size);
                 if !stripes.is_empty() {
-                    fetch_intra_striped(w, s, sd, dd, size, recv_proc, stripes, finalize);
+                    fetch_intra_striped(w, s, sd, dd, recv_proc, stripes, finalize);
                     return;
                 }
                 // CUDA IPC: receiver-driven peer-to-peer DMA on the
@@ -615,13 +263,11 @@ pub(crate) fn fetch_intra<F>(
 /// leg's own duration, so the completion order is a pure function of the
 /// plan (the property the determinism suite pins across shard counts and
 /// backends).
-#[allow(clippy::too_many_arguments)]
 fn fetch_intra_striped<F>(
     w: &mut Machine,
     s: &mut MSched,
     sd: DeviceId,
     dd: DeviceId,
-    size: u64,
     recv_proc: usize,
     stripes: Vec<Stripe>,
     finalize: F,
@@ -635,7 +281,7 @@ fn fetch_intra_striped<F>(
             w.gpu.counters.bump(rucx_gpu::metrics::PATH_HOST_STAGED);
         }
     }
-    let chunk = effective_chunk(w, size).max(1);
+    let chunk = w.ucp.config.pipeline_chunk.max(1);
     let setup = w.ucp.config.ipc_sync;
     let stream = w.ucp.ucx_streams[recv_proc];
     // Leg durations mirror `occupy_striped`'s accounting (the bounce leg
@@ -782,12 +428,10 @@ fn link_degraded(w: &Machine, a: usize, b: usize, now: Time) -> bool {
 
 /// The pipelined host-staging path for large inter-node device transfers:
 /// chunks are staged D2H on the sender, sent over the wire, and staged H2D
-/// on the receiver, all overlapped (§IV-B1). Chunk size comes from the
-/// engine; under autotuning each chunk additionally picks the
-/// least-backlogged TX rail at wire-entry time, spreading a large transfer
-/// across both of the node's rails. A link-degrade window forces the same
-/// balanced pick even without autotuning, and every chunk steered off the
-/// default socket rail during such a window counts as a `ucp.reroute`.
+/// on the receiver, all overlapped (§IV-B1). Chunks ride the sender's
+/// socket rail; during a link-degrade window each chunk instead picks the
+/// least-backlogged TX rail at wire-entry time, and every chunk steered off
+/// the socket rail counts as a `ucp.reroute`.
 fn pipeline_fetch<F>(
     w: &mut Machine,
     s: &mut MSched,
@@ -798,12 +442,11 @@ fn pipeline_fetch<F>(
 ) where
     F: FnOnce(&mut Machine, &mut MSched) + Send + 'static,
 {
-    let chunk = effective_chunk(w, size).max(1);
+    let chunk = w.ucp.config.pipeline_chunk.max(1);
     let nchunks = size.div_ceil(chunk);
     w.ucp.counters.add(m::PIPELINE_CHUNKS, nchunks);
     w.ucp.counters.bump(m::RNDV_PIPELINE);
     w.gpu.counters.bump(rucx_gpu::metrics::PATH_HOST_STAGED);
-    let balance = w.ucp.config.autotune;
     let src_port = (w.topo.node_of(src_proc), rail(w, src_proc));
     let dst_port = (w.topo.node_of(recv_proc), rail(w, recv_proc));
     let src_dev = w.topo.device_of(src_proc);
@@ -835,10 +478,9 @@ fn pipeline_fetch<F>(
         let finalize = finalize.clone();
         s.schedule_at(d2h_end, move |w, s| {
             let now = s.now();
-            let degraded = link_degraded(w, src_port.0, dst_port.0, now);
-            let (sp, dp) = if balance || degraded {
+            let (sp, dp) = if link_degraded(w, src_port.0, dst_port.0, now) {
                 let r = balanced_rail(w, src_port.0, src_port.1, now);
-                if degraded && r != src_port.1 {
+                if r != src_port.1 {
                     w.ucp.counters.bump(m::REROUTE);
                     s.trace_instant("ucp.reroute", src_proc as u32, i, len);
                 }
@@ -867,58 +509,6 @@ mod tests {
     use crate::machine::{build_sim, MachineConfig};
     use rucx_fabric::Topology;
 
-    fn model() -> CostModel {
-        let sim = build_sim(Topology::summit(2), MachineConfig::default());
-        CostModel::of(sim.world())
-    }
-
-    const INTRA_SOCKET: Placement = Placement {
-        intra: true,
-        same_socket: true,
-    };
-    const INTER: Placement = Placement {
-        intra: false,
-        same_socket: false,
-    };
-
-    #[test]
-    fn solver_stays_on_the_ladder() {
-        let m = model();
-        for device in [false, true] {
-            for p in [INTRA_SOCKET, INTER] {
-                for lag in [-100_000i64, -5_000, 0, 5_000, 100_000, 10_000_000] {
-                    let t = solve_eager(&m, p, device, lag);
-                    assert!(EAGER_LADDER.contains(&t), "t={t}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lag_shifts_the_threshold_monotonically() {
-        let m = model();
-        // Positive lag (rendezvous observed slower than modeled) can only
-        // raise the eager threshold; negative lag can only lower it.
-        let base = solve_eager(&m, INTRA_SOCKET, true, 0);
-        assert!(solve_eager(&m, INTRA_SOCKET, true, 50_000) >= base);
-        assert!(solve_eager(&m, INTRA_SOCKET, true, -50_000) <= base);
-    }
-
-    #[test]
-    fn chunk_solver_prefers_smaller_chunks_for_large_transfers() {
-        let m = model();
-        // The TX port serializes only transfer time (injection is
-        // cut-through), so staging in smaller chunks overlaps more of the
-        // D2H fill with the wire — down to where per-chunk DMA setup bites.
-        let c = solve_chunk(&m, 4 << 20);
-        assert!(c < m.pipeline_chunk, "c={c}");
-        assert!(CHUNK_LADDER.contains(&c));
-        // And the choice really is the argmin.
-        for &cand in &CHUNK_LADDER {
-            assert!(m.pipeline_total(4 << 20, c) <= m.pipeline_total(4 << 20, cand));
-        }
-    }
-
     #[test]
     fn stripes_split_proportionally_and_cover_the_bytes() {
         let sim = build_sim(Topology::summit(1), MachineConfig::default());
@@ -938,29 +528,62 @@ mod tests {
         assert_eq!(legs[1].path, CopyPath::HostPinnedLink);
         assert_eq!(legs[0].bytes + legs[1].bytes, size);
 
-        // Below the floor, on-device, or striping off: single path.
+        // Below the floor or on-device: single path.
         assert!(plan_stripes(w, DeviceId(0), DeviceId(1), 1 << 20).is_empty());
         assert!(plan_stripes(w, DeviceId(0), DeviceId(0), size).is_empty());
     }
 
     #[test]
-    fn engine_defaults_to_the_static_table() {
-        let sim = build_sim(Topology::summit(2), MachineConfig::default());
+    fn stripes_need_a_byte_per_leg() {
+        let mut cfg = MachineConfig::default();
+        cfg.ucp.multipath_min = 0;
+        let sim = build_sim(Topology::summit(1), cfg);
         let w = sim.world();
-        assert_eq!(
-            effective_eager_thresh(w, 0, 1, false),
-            w.ucp.config.eager_thresh_host
-        );
-        assert_eq!(
-            effective_eager_thresh(w, 0, 6, true),
-            w.ucp.config.eager_thresh_device
-        );
-        assert_eq!(effective_chunk(w, 4 << 20), w.ucp.config.pipeline_chunk);
+        for size in [0u64, 1] {
+            assert!(plan_stripes(w, DeviceId(0), DeviceId(1), size).is_empty());
+        }
+        for size in [2u64, 3] {
+            let legs = plan_stripes(w, DeviceId(0), DeviceId(1), size);
+            assert_eq!(legs.len(), 2, "size={size}");
+            assert!(legs.iter().all(|l| l.bytes >= 1), "size={size}");
+            assert_eq!(legs[0].bytes + legs[1].bytes, size);
+        }
+    }
+
+    #[test]
+    fn plan_send_follows_the_static_table() {
+        let host_mem = MemKind::Host { node: 0 };
+        let dev = MemKind::Device(DeviceId(0));
+        for gdrcopy in [true, false] {
+            let mut cfg = MachineConfig::default();
+            cfg.ucp.gdrcopy_enabled = gdrcopy;
+            let (host, device) = (cfg.ucp.eager_thresh_host, cfg.ucp.eager_thresh_device);
+            // Without GDRCopy every device payload is a rendezvous.
+            let device_at_thresh = if gdrcopy {
+                Protocol::Eager
+            } else {
+                Protocol::Rndv
+            };
+            let table = [
+                (host_mem, host, Protocol::Eager),
+                (host_mem, host + 1, Protocol::Rndv),
+                (dev, device, device_at_thresh),
+                (dev, device + 1, Protocol::Rndv),
+            ];
+            let mut sim = build_sim(Topology::summit(1), cfg);
+            sim.scheduler().schedule_at(0, move |w, s| {
+                for (kind, size, want) in table {
+                    let got = plan_send(w, s, 0, kind, size);
+                    assert_eq!(got, want, "gdrcopy={gdrcopy} {kind:?} size={size}");
+                }
+            });
+            sim.run();
+        }
     }
 
     #[test]
     fn rtt_ewma_is_karn_fed_and_converges() {
-        let mut e = ProtocolEngine::new(7);
+        let mut e = ProtocolEngine::default();
         let key = (0, 6);
         assert_eq!(e.rtt(key), None);
         e.observe_rtt(key, 8_000);
@@ -975,18 +598,5 @@ mod tests {
         }
         let r = e.rtt(key).unwrap();
         assert!(r >= 4_000 && r < 6_000, "r={r}");
-    }
-
-    #[test]
-    fn endpoint_periods_are_seeded_and_staggered() {
-        let mut e = ProtocolEngine::new(42);
-        let periods: Vec<u64> = (0..16u32).map(|d| e.ep_mut((0, d)).period).collect();
-        assert!(periods.iter().all(|p| (4..=7).contains(p)));
-        // The mix actually staggers endpoints (not all identical).
-        assert!(periods.iter().any(|p| *p != periods[0]));
-        // And is reproducible from the seed.
-        let mut e2 = ProtocolEngine::new(42);
-        let periods2: Vec<u64> = (0..16u32).map(|d| e2.ep_mut((0, d)).period).collect();
-        assert_eq!(periods, periods2);
     }
 }

@@ -174,9 +174,6 @@ pub(crate) fn try_park(w: &mut Machine, s: &mut MSched, id: u64) -> bool {
         let c = &w.ucp.config;
         (c.heal_retries, c.keepalive_interval)
     };
-    if heal_retries == 0 {
-        return false;
-    }
     let Some(p) = w.ucp.reliable.inflight_mut(id) else {
         return false;
     };

@@ -25,7 +25,7 @@ pub mod worker;
 
 pub use am::{am_register, am_send_nb, AmHandler, AmId, AmMsg, AmPayload};
 pub use config::UcpConfig;
-pub use engine::{PathPlan, ProtocolEngine, Stripe};
+pub use engine::{ProtocolEngine, Stripe};
 pub use error::{Protocol, UcpError};
 pub use health::{EpState, HealthState};
 pub use machine::{build_sim, build_sim_with, MCtx, MSim, Machine, MachineConfig, UcpSubsystem};

@@ -28,9 +28,6 @@ pub(crate) struct RtsState {
     pub payload: SendPayload,
     pub wire_size: u64,
     pub sender_done: Completion,
-    /// When the sender posted the rendezvous — the protocol engine measures
-    /// observed completion latency against this.
-    pub sent_at: Time,
 }
 
 /// World component: UCP framework state.
@@ -58,9 +55,8 @@ pub struct UcpSubsystem {
     /// directed pair, parked envelopes, keepalive probe loops). Driven by
     /// the reliability layer, so likewise inert on clean runs.
     pub health: crate::health::HealthState,
-    /// The protocol engine: per-endpoint observed state (RTT, rendezvous
-    /// lag) and the autotuned knobs derived from it. Pure bookkeeping
-    /// unless [`UcpConfig::autotune`] is set.
+    /// Per-endpoint Karn-filtered RTT, fed by the reliability layer and
+    /// read by collective cost estimators.
     pub engine: crate::engine::ProtocolEngine,
     /// Model-layer context register: set immediately before a send (only
     /// when faults are enabled) and consumed by the reliability layer into
@@ -214,7 +210,7 @@ pub fn build_sim_with(topo: Topology, cfg: MachineConfig, sim_cfg: SimConfig) ->
         staging,
         reliable,
         health: crate::health::HealthState::default(),
-        engine: crate::engine::ProtocolEngine::new(seed),
+        engine: crate::engine::ProtocolEngine::default(),
         send_ctx: 0,
         reg,
     };

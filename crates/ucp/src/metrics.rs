@@ -52,8 +52,6 @@ pub const RTT_SAMPLE: Metric = Metric::counter("ucp.rtt_sample");
 /// Acks excluded from RTT estimation by Karn's rule (the envelope had been
 /// retransmitted, so the sample would be ambiguous).
 pub const RTT_SKIPPED: Metric = Metric::counter("ucp.rtt_skipped");
-/// Autotuner re-solves that changed at least one endpoint knob.
-pub const TUNE_ADJUST: Metric = Metric::counter("ucp.tune_adjust");
 
 // ---- Reliability protocol (active only under a loaded fault spec) --------
 

@@ -418,7 +418,7 @@ pub fn tag_send_nb(
     let Some(kind) = payload_kind(w, &buf, src) else {
         return reject_bad_handle(w, s, src, "tag_send_nb", done);
     };
-    let plan = engine::plan_send(w, s, src, dst, kind, size);
+    let protocol = engine::plan_send(w, s, src, kind, size);
     // First touch of the endpoint / the source buffer pays wireup and
     // registration latency (zero when `reg_model` is off or on cache hits).
     let reg_delay = reg_charge_ep(w, src, dst)
@@ -427,7 +427,7 @@ pub fn tag_send_nb(
             _ => 0,
         };
 
-    if plan.protocol == Protocol::Eager {
+    if protocol == Protocol::Eager {
         // Sender-side staging: GDRCopy read for device payloads.
         let local_delay = cfg_proto
             + reg_delay
@@ -480,7 +480,6 @@ pub fn tag_send_nb(
                 payload,
                 wire_size: size,
                 sender_done: done,
-                sent_at: s.now(),
             },
         );
         w.ucp.counters.bump(m::RNDV);
@@ -823,14 +822,11 @@ fn start_fetch(
     };
     let sender_done = rts.sender_done;
     let payload = rts.payload;
-    let sent_at = rts.sent_at;
-    let device_class = src_kind.is_device();
 
     // After the data is in place: deliver bytes / run receive completion,
     // then ack the sender (ATS) so its request completes. Under a loaded
     // fault spec the inter-node ATS is itself a tracked envelope.
     let finalize = move |w: &mut Machine, s: &mut MSched| {
-        engine::observe_rndv(w, s, src_proc, recv_proc, device_class, size, sent_at);
         let bytes = match finalize_data(w, &payload, &dst) {
             Ok(b) => b,
             Err(_) => {

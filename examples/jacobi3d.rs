@@ -15,11 +15,7 @@ fn main() {
     let mut nodes: usize = 2;
     let mut fault: Option<FaultSpec> = None;
     let mut shards: Option<usize> = None;
-    let mut tune = false;
     let mut args = std::env::args().skip(1);
-    if std::env::var("RUCX_AUTOTUNE").as_deref() == Ok("1") {
-        tune = true;
-    }
     while let Some(a) = args.next() {
         if a == "--fault-spec" {
             let spec = args.next().unwrap_or_else(|| {
@@ -30,8 +26,6 @@ fn main() {
                 eprintln!("bad --fault-spec: {e}");
                 std::process::exit(2);
             }));
-        } else if a == "--tune" {
-            tune = true;
         } else if a == "--shards" {
             let v = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                 eprintln!("--shards needs a positive integer");
@@ -41,7 +35,7 @@ fn main() {
         } else if let Ok(n) = a.parse() {
             nodes = n;
         } else {
-            eprintln!("usage: jacobi3d [nodes] [--fault-spec SPEC] [--shards N] [--tune]");
+            eprintln!("usage: jacobi3d [nodes] [--fault-spec SPEC] [--shards N]");
             std::process::exit(2);
         }
     }
@@ -72,8 +66,6 @@ fn main() {
         cd.iters = 3;
         ch.machine.fault = fault.clone();
         cd.machine.fault = fault.clone();
-        ch.machine.ucp.autotune = tune;
-        cd.machine.ucp.autotune = tune;
         let (h, d) = match shards {
             Some(s) => {
                 let opts = ShardedOpts {

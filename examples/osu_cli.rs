@@ -28,7 +28,7 @@ fn usage() -> ! {
         "usage: osu_cli <latency|bw|bibw|coll> [--model charm|ampi|openmpi|charm4py] \
          [--mode d|h] [--place intra|inter] [--coll allreduce|bcast] \
          [--algo auto|tree|rd|ring|hier] [--no-gdrcopy] [--quick] [--fault-spec SPEC] \
-         [--shards N] [--tune] [--json]"
+         [--shards N] [--json]"
     );
     std::process::exit(2)
 }
@@ -124,7 +124,6 @@ fn main() {
                 }
             }
             "--no-gdrcopy" => cfg.machine.ucp.gdrcopy_enabled = false,
-            "--tune" => cfg.machine.ucp.autotune = true,
             "--json" => json = true,
             "--shards" => {
                 shards = it
@@ -147,12 +146,6 @@ fn main() {
             }
             _ => usage(),
         }
-    }
-
-    // `RUCX_AUTOTUNE=1` turns the protocol engine's autotuner on without
-    // touching the invocation (CI determinism gates flip it per run).
-    if std::env::var("RUCX_AUTOTUNE").as_deref() == Ok("1") {
-        cfg.machine.ucp.autotune = true;
     }
 
     let series: Series = match bench.as_str() {

@@ -328,10 +328,8 @@ fn sharded_trace_is_byte_identical_across_shard_counts() {
         json
     };
     let oracle = trace(1);
-    if cfg!(feature = "trace") {
-        assert!(oracle.contains("jacobi.halo.recv"), "{oracle}");
-        assert!(oracle.contains("jacobi.iter.comm"));
-    }
+    assert!(oracle.contains("jacobi.halo.recv"), "{oracle}");
+    assert!(oracle.contains("jacobi.iter.comm"));
     for shards in [2usize, 8] {
         assert_eq!(trace(shards), oracle, "shards={shards} trace diverged");
     }
@@ -397,9 +395,7 @@ fn sharded_style_multipath_chunk_trace_is_backend_invariant() {
         sim.scheduler().trace.to_chrome_json()
     };
     let a = traced_run(Backend::Calendar);
-    if cfg!(feature = "trace") {
-        assert!(a.contains("ucp.mp.chunk"), "chunk completions traced");
-    }
+    assert!(a.contains("ucp.mp.chunk"), "chunk completions traced");
     assert_eq!(traced_run(Backend::Calendar), a, "rerun diverged");
     assert_eq!(traced_run(Backend::Oracle), a, "oracle backend diverged");
 }

@@ -106,27 +106,22 @@ fn chaos_run_has_zero_unsurfaced_losses() {
     }
 }
 
-/// Satellite: the online autotuner under a lossy wire. Karn's rule must
-/// keep retransmitted envelopes out of the RTT estimate (the sample /
-/// skipped counters exactly partition the acks), and the tuned eager
-/// thresholds must stay on the candidate ladder — lossy lag samples may
-/// move the knob, never drive it unbounded.
+/// Satellite: the RTT estimator under a lossy wire. Karn's rule must keep
+/// retransmitted envelopes out of the estimate: the sample / skipped
+/// counters exactly partition the acks.
 #[test]
-fn chaos_autotune_is_karn_disciplined_and_bounded() {
+fn chaos_rtt_is_karn_disciplined() {
     let mut spec = FaultSpec::canned_one_percent_drop();
     spec.seed = 23;
     spec.drop_p = 0.05;
-    let mut cfg = chaos_machine(spec);
-    cfg.ucp.autotune = true;
-
-    let mut sim = build_sim(Topology::summit(2), cfg);
+    let mut sim = build_sim(Topology::summit(2), chaos_machine(spec));
     let n = 48u64;
     let mut bufs = Vec::new();
     {
         let m = sim.world_mut();
         for i in 0..n {
-            // Mixed sizes straddling the eager threshold, so both eager
-            // acks and rendezvous lag observations feed the engine.
+            // Mixed sizes straddling the eager threshold, so eager, RTS
+            // and ATS envelopes all feed the estimator.
             let size = [512u64, 8 * 1024, 256 * 1024][i as usize % 3];
             let src = m.gpu.pool.alloc_host(0, size, true, true);
             m.gpu.pool.write(src, &pattern(size, i as u8)).unwrap();
@@ -159,21 +154,6 @@ fn chaos_autotune_is_karn_disciplined_and_bounded() {
         "retransmitted envelopes must be excluded (Karn)"
     );
     assert!(sampled > 0, "clean acks must still feed the estimator");
-    // Bounded oscillation: whatever the lossy lag samples did, the solved
-    // thresholds stay on the candidate ladder. The host class saw 16
-    // rendezvous completions, so its knob must actually have been solved.
-    let host = m
-        .ucp
-        .engine
-        .tuned_eager((0, 6), false)
-        .expect("host-class threshold solved after rndv observations");
-    assert!(
-        (1024..=65536).contains(&host),
-        "threshold {host} off the ladder"
-    );
-    if let Some(t) = m.ucp.engine.tuned_eager((0, 6), true) {
-        assert!((1024..=65536).contains(&t), "threshold {t} off the ladder");
-    }
     assert_eq!(m.ucp.counters.get("ucp.unreachable"), 0);
     assert_eq!(m.ucp.inflight_tracked(), 0, "tracked sends must drain");
 }
