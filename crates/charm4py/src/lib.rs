@@ -148,6 +148,9 @@ struct ChanState {
     /// Communication failures mapped into Python exceptions, awaiting
     /// [`PyProc::take_exception`].
     exceptions: VecDeque<PyExceptionRecord>,
+    /// Where a remote invocation ships its result (registered after the
+    /// invoke entry method that needs it, hence carried here).
+    ep_fulfil: EpId,
 }
 
 /// A channel endpoint (paired with `peer`'s endpoint back to us).
@@ -169,11 +172,6 @@ pub struct PyProc {
     /// Next per-peer channel sequence number on the send side.
     chan_seq: HashMap<usize, u64>,
     pub params: PyParams,
-}
-
-thread_local! {
-    static PY_IDS: std::cell::Cell<Option<(Collection, EpId)>> =
-        const { std::cell::Cell::new(None) };
 }
 
 /// A Charm4py future: redeem with [`PyProc::future_get`] (the coroutine
@@ -256,7 +254,7 @@ impl PyProc {
         let ep_invoke = pe.register_ep(
             col,
             None,
-            Box::new(|chare, msg: &Msg, pe, ctx| {
+            Box::new(move |chare, msg: &Msg, pe, ctx| {
                 let st = chare.downcast_mut::<ChanState>().expect("chan state");
                 let mut r = marshal::Reader(&msg.params);
                 let method = r.u64() as u16;
@@ -278,7 +276,7 @@ impl PyProc {
                         }
                         None => marshal::put_u8(&mut p, 0),
                     }
-                    let (col, ep_fulfil) = PY_IDS.with(|c| c.get()).unwrap();
+                    let ep_fulfil = st.ep_fulfil;
                     pe.send(
                         ctx,
                         ChareRef {
@@ -308,7 +306,6 @@ impl PyProc {
                 st.futures.insert(fut, bytes);
             }),
         );
-        PY_IDS.with(|c| c.set(Some((col, ep_fulfil))));
         pe.insert_chare(
             col,
             rank as u64,
@@ -318,6 +315,7 @@ impl PyProc {
                 methods: HashMap::new(),
                 futures: HashMap::new(),
                 exceptions: VecDeque::new(),
+                ep_fulfil,
             }),
         );
         // Reliability give-ups become Python exception records awaiting

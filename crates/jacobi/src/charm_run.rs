@@ -39,13 +39,18 @@ struct JacobiChare {
     t0: Time,
     /// Root only: reduction results received so far.
     reports: Vec<f64>,
+    ids: Ids,
     result: Arc<rucx_compat::sync::Mutex<JacobiResult>>,
 }
 
-thread_local! {
-    #[allow(clippy::type_complexity)]
-    static IDS: std::cell::Cell<Option<(Collection, EpId, EpId, EpId, EpId)>> =
-        const { std::cell::Cell::new(None) };
+/// The collection and the entry methods the chares send to.
+#[derive(Clone, Copy)]
+struct Ids {
+    col: Collection,
+    ep_halo: EpId,
+    ep_comm: EpId,
+    ep_overall: EpId,
+    ep_kdone: EpId,
 }
 
 impl JacobiChare {
@@ -55,7 +60,13 @@ impl JacobiChare {
     }
 
     fn start_iter(&mut self, pe: &mut Pe, ctx: &mut MCtx) {
-        let (col, _ep_halo, ep_comm, ep_overall, ep_kdone) = IDS.with(|c| c.get()).unwrap();
+        let Ids {
+            col,
+            ep_comm,
+            ep_overall,
+            ep_kdone,
+            ..
+        } = self.ids;
         if self.iter == self.warmup {
             self.comm_ns = 0;
             self.t0 = ctx.now();
@@ -105,7 +116,7 @@ impl JacobiChare {
 
     /// The stencil kernel finished: exchange halos.
     fn after_compute(&mut self, pe: &mut Pe, ctx: &mut MCtx) {
-        let (col, ep_halo, ..) = IDS.with(|c| c.get()).unwrap();
+        let Ids { col, ep_halo, .. } = self.ids;
         self.computing = false;
         self.tc = ctx.now();
         let stream = Self::stream_of(pe, ctx);
@@ -276,7 +287,13 @@ pub fn run_charm_on(sim: &mut rucx_ucp::MSim, cfg: &JacobiConfig) -> JacobiResul
                 c.after_compute(pe, ctx);
             }),
         );
-        IDS.with(|c| c.set(Some((col, ep_halo, ep_comm, ep_overall, ep_kdone))));
+        let ids = Ids {
+            col,
+            ep_halo,
+            ep_comm,
+            ep_overall,
+            ep_kdone,
+        };
 
         let local: Vec<u64> = pe.local_indices(col).to_vec();
         for &i in &local {
@@ -302,6 +319,7 @@ pub fn run_charm_on(sim: &mut rucx_ucp::MSim, cfg: &JacobiConfig) -> JacobiResul
                     tc: 0,
                     t0: 0,
                     reports: Vec::new(),
+                    ids,
                     result: result2.clone(),
                 }),
             );

@@ -25,13 +25,17 @@ struct LatChare {
     warmup: u32,
     count: u32,
     t0: Time,
+    /// The collection and entry method this chare pings through.
+    col: rucx_charm::Collection,
+    ep: u16,
     result: Arc<rucx_compat::sync::Mutex<f64>>,
 }
 
 impl LatChare {
-    fn send_ping(&mut self, pe: &mut Pe, ctx: &mut MCtx, col: rucx_charm::Collection, ep: u16) {
+    fn send_ping(&mut self, pe: &mut Pe, ctx: &mut MCtx) {
+        let ep = self.ep;
         let to = ChareRef {
-            col,
+            col: self.col,
             index: self.peer,
         };
         match self.mode {
@@ -54,7 +58,7 @@ impl LatChare {
         }
     }
 
-    fn on_msg(&mut self, pe: &mut Pe, ctx: &mut MCtx, col: rucx_charm::Collection, ep: u16) {
+    fn on_msg(&mut self, pe: &mut Pe, ctx: &mut MCtx) {
         if self.mode == Mode::HostStaging {
             // Unpack: stage received host data to the device.
             let dev = pe.index;
@@ -77,9 +81,9 @@ impl LatChare {
                 pe.exit_all(ctx);
                 return;
             }
-            self.send_ping(pe, ctx, col, ep);
+            self.send_ping(pe, ctx);
         } else {
-            self.send_ping(pe, ctx, col, ep);
+            self.send_ping(pe, ctx);
         }
     }
 }
@@ -104,9 +108,7 @@ pub fn latency_point(cfg: &OsuConfig, size: u64, place: Placement, mode: Mode) -
             })),
             Box::new(move |chare, _msg: &Msg, pe, ctx| {
                 let c = chare.downcast_mut::<LatChare>().unwrap();
-                // Take the state out to appease the borrow checker: the
-                // chare is already detached from the PE table during exec.
-                c_on_msg(c, pe, ctx);
+                c.on_msg(pe, ctx);
             }),
         );
         for &i in pe.local_indices(col).to_vec().iter() {
@@ -125,16 +127,16 @@ pub fn latency_point(cfg: &OsuConfig, size: u64, place: Placement, mode: Mode) -
                     warmup,
                     count: 0,
                     t0: 0,
+                    col,
+                    ep,
                     result: result2.clone(),
                 }),
             );
         }
-        // Stash ids so the entry method can re-send (see c_on_msg).
-        COL_EP.with(|ce| ce.set(Some((col, ep))));
         if pe.index == 0 {
             // Kick off the first ping from the driver (main chare role).
             pe.with_chare::<LatChare, _>(ctx, col, 0, |c, pe, ctx| {
-                c.send_ping(pe, ctx, col, ep);
+                c.send_ping(pe, ctx);
             });
         }
         pe.run(ctx);
@@ -142,16 +144,6 @@ pub fn latency_point(cfg: &OsuConfig, size: u64, place: Placement, mode: Mode) -
     assert_eq!(s.sim.run(), RunOutcome::Completed);
     let r = *result.lock();
     r
-}
-
-thread_local! {
-    static COL_EP: std::cell::Cell<Option<(rucx_charm::Collection, u16)>> =
-        const { std::cell::Cell::new(None) };
-}
-
-fn c_on_msg(c: &mut LatChare, pe: &mut Pe, ctx: &mut MCtx) {
-    let (col, ep) = COL_EP.with(|ce| ce.get()).expect("collection ids");
-    c.on_msg(pe, ctx, col, ep);
 }
 
 struct BwChare {
@@ -166,12 +158,16 @@ struct BwChare {
     iter: u32,
     recvd: u32,
     t0: Time,
+    /// The collection and the data / ack entry methods of this benchmark.
+    col: rucx_charm::Collection,
+    ep_data: u16,
+    ep_ack: u16,
     result: Arc<rucx_compat::sync::Mutex<f64>>,
 }
 
 impl BwChare {
     fn start_iteration(&mut self, pe: &mut Pe, ctx: &mut MCtx) {
-        let (col, ep_data, _) = BW_IDS.with(|c| c.get()).unwrap();
+        let (col, ep_data) = (self.col, self.ep_data);
         if self.iter == self.warmup {
             self.t0 = ctx.now();
         }
@@ -216,7 +212,7 @@ impl BwChare {
     }
 
     fn on_data(&mut self, pe: &mut Pe, ctx: &mut MCtx) {
-        let (col, _, ep_ack) = BW_IDS.with(|c| c.get()).unwrap();
+        let (col, ep_ack) = (self.col, self.ep_ack);
         if self.mode == Mode::HostStaging {
             let dev = pe.index;
             let stream = ctx.with_world_ref(|w, _| w.gpu.default_stream(w.topo.device_of(dev)));
@@ -243,11 +239,6 @@ impl BwChare {
             );
         }
     }
-}
-
-thread_local! {
-    static BW_IDS: std::cell::Cell<Option<(rucx_charm::Collection, u16, u16)>> =
-        const { std::cell::Cell::new(None) };
 }
 
 /// One Charm++ bandwidth measurement (MB/s).
@@ -281,7 +272,6 @@ pub fn bandwidth_point(cfg: &OsuConfig, size: u64, place: Placement, mode: Mode)
                 c.start_iteration(pe, ctx);
             }),
         );
-        BW_IDS.with(|c| c.set(Some((col, ep_data, ep_ack))));
         for &i in pe.local_indices(col).to_vec().iter() {
             pe.insert_chare(
                 col,
@@ -298,6 +288,9 @@ pub fn bandwidth_point(cfg: &OsuConfig, size: u64, place: Placement, mode: Mode)
                     iter: 0,
                     recvd: 0,
                     t0: 0,
+                    col,
+                    ep_data,
+                    ep_ack,
                     result: result2.clone(),
                 }),
             );

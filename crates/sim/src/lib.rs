@@ -4,13 +4,15 @@
 //! UCX in Parallel Programming Models* (IPDPSW 2021). All hardware the paper
 //! evaluates on (Summit's GPUs, NVLink, X-Bus, EDR InfiniBand) is simulated;
 //! this crate provides the virtual clock, the event queue, and *simulated
-//! processes* — bodies hosted on pooled OS threads that execute strictly one
-//! at a time: all run state travels between threads as a single baton (a
-//! boxed core handed through one-slot rendezvous cells), so runtime layers
-//! above can write natural blocking code (an `MPI_Recv` that simply does
-//! not return until virtual time reaches message arrival) while the whole
-//! simulation stays deterministic — and a process resuming from its own
-//! wakeup never pays a context switch at all.
+//! processes* — stackful coroutines that all run on the thread that called
+//! [`Simulation::run_until`] and execute strictly one at a time: all run
+//! state travels between them as a single baton (a boxed core that is the
+//! payload of each user-level context switch), so runtime layers above can
+//! write natural blocking code (an `MPI_Recv` that simply does not return
+//! until virtual time reaches message arrival) while the whole simulation
+//! stays deterministic — and a process resuming from its own wakeup never
+//! switches at all. No OS thread, futex or channel is involved: a hop
+//! between two processes costs tens of nanoseconds whatever their number.
 //!
 //! ## Architecture
 //!
@@ -22,21 +24,21 @@
 //! - [`ProcCtx`] — handed to each process body; `advance` models local
 //!   compute, `with_world` gives synchronous mutating access to model
 //!   state, `with_world_ref` is the read-only fast path — both direct
-//!   calls against the core this thread holds — and
+//!   calls against the core this context holds — and
 //!   `wait`/`wait_notify`/`wait_until` park the process.
-//! - [`ProcessPool`] — reusable OS threads backing the processes.
-//!   [`Simulation::spawn`] leases a worker instead of spawning a fresh
-//!   thread, and teardown returns workers to the pool, so workloads that
-//!   build many simulations back to back don't pay thread creation each
-//!   time.
+//! - [`coro`] — all the foreign and architecture-specific code in the
+//!   crate: the context switch, the first-activation trampoline, and
+//!   guard-paged `mmap`ed stacks recycled through a free list, so
+//!   workloads that build many simulations back to back map their stacks
+//!   once. The only `unsafe` outside it is the baton hand-off that calls
+//!   the switch (`sim::hand_off` and its three callers).
 //!
 //! Determinism: events are dispatched in `(time, insertion order)`; processes
-//! woken at the same instant run in wake order; exactly one thread holds the
-//! core at any moment, so the world is only ever touched by the running
-//! context. Dispatch order is independent of which OS thread executes it,
-//! and worker reuse carries no state between processes, so neither pooling
-//! nor the baton handoffs perturb traces.
-
+//! woken at the same instant run in wake order; exactly one context holds
+//! the core at any moment, so the world is only ever touched by the running
+//! one. Dispatch order is independent of whose stack executes it, and a
+//! recycled stack carries no state between processes, so neither stack
+//! reuse nor the baton hand-offs perturb traces.
 //!
 //! ## Scale
 //!
@@ -45,12 +47,13 @@
 //! `BinaryHeap` stays behind the same [`calendar::SchedulerBackend`] trait
 //! as the determinism oracle, selectable via [`SimConfig::backend`] or
 //! `RUCX_SCHED_BACKEND=oracle`). And [`shard::ShardedEngine`] advances
-//! several independent simulations on OS threads under conservative
-//! lookahead windows, exchanging cross-shard envelopes at barriers —
-//! deterministic for any shard count.
+//! several independent simulations on OS threads — the one place threads
+//! remain, one per active shard per window — under conservative lookahead
+//! windows, exchanging cross-shard envelopes at barriers; deterministic for
+//! any shard count.
 
 pub mod calendar;
-pub mod pool;
+pub mod coro;
 pub mod process;
 pub mod rng;
 pub mod sched;
@@ -61,7 +64,6 @@ pub mod time;
 pub mod trace;
 
 pub use calendar::{Backend, SchedulerBackend};
-pub use pool::ProcessPool;
 pub use process::ProcCtx;
 pub use rng::SimRng;
 pub use sched::{EventKey, Notify, ProcId, Scheduler, Trigger};

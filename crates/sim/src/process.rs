@@ -1,36 +1,49 @@
-//! Thread-backed simulated processes and the execution baton.
+//! Simulated processes as stackful coroutines, and the execution baton.
 //!
-//! Each simulated process (one per PE in the runtime layers above) runs on
-//! an OS thread **leased from a [`crate::ProcessPool`]**, and processes
+//! Each simulated process (one per PE in the runtime layers above) is a
+//! coroutine on its own [`crate::coro::Stack`], and every coroutine of a
+//! simulation runs on the OS thread that called
+//! [`Simulation::run_until`](crate::Simulation::run_until). Processes
 //! execute strictly one at a time: a single *baton* — the boxed
 //! [`Core`](crate::sim::Core) holding the world, the scheduler, and the
-//! process table — is owned by exactly one thread at any moment, and only
-//! the thread holding it may run. This gives process code natural
+//! process table — is owned by exactly one context at any moment, and only
+//! the context holding it may run. This gives process code natural
 //! *blocking* semantics (`MPI_Recv` can simply not return until virtual
 //! time has advanced to the message arrival) while keeping the whole
-//! simulation deterministic and data-race free.
+//! simulation deterministic and data-race free, and it keeps every world
+//! access safe code: it goes through a `Box` the running context owns,
+//! never through a pointer shared between stacks. The only `unsafe` here is
+//! the switch itself ([`hand_off`]'s two callers and the first unboxing in
+//! `proc_entry`).
 //!
-//! The baton is also what makes the resume hot path fast: a thread that
-//! holds it dispatches events **inline**. When a process calls
-//! [`ProcCtx::advance`] and the next relevant event is its own wakeup (the
-//! overwhelmingly common case), control never leaves the thread — no
-//! context switch, no allocation, no syscall. Only when a *different*
-//! process must run is the baton handed over, through a one-slot
-//! [`rucx_compat::rendezvous`] cell (no queue, no per-message allocation).
-//! World access is direct for the same reason: [`ProcCtx::with_world`]
-//! (mutating) and [`ProcCtx::with_world_ref`] (read-only) call the closure
-//! against the core this thread already holds.
+//! A context that holds the baton dispatches events **inline**. When a
+//! process calls [`ProcCtx::advance`] and the next relevant event is its
+//! own wakeup (the overwhelmingly common case), control never leaves its
+//! stack — no switch, no allocation. Only when a *different* process must
+//! run does [`dispatch`] return [`Dispatch::Switch`], and the caller makes
+//! one user-level context switch ([`hand_off`]) with the baton as the
+//! payload. A run that ends while a process is dispatching switches back
+//! to the driver's stack the same way, the verdict riding in the core.
+//!
+//! ## Teardown
+//!
+//! [`Simulation`](crate::Simulation)'s `Drop` runs on the driver's stack
+//! and owns the core, which owns every stack. A process that never started
+//! is just a boxed closure in its slot and is dropped as one. A suspended
+//! process is resumed once more with [`Core::shutdown`] set; it unwinds
+//! with [`SimShutdown`] (through `resume_unwind`, so the panic hook stays
+//! silent), which runs the destructors of everything live on its stack, is
+//! caught in [`run_body`], and switches back. Nothing here depends on the
+//! dropping thread's own state, so it also works while that thread is
+//! itself unwinding.
 
 #![allow(clippy::type_complexity)]
 
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use rucx_compat::channel::Sender;
-use rucx_compat::rendezvous::{rendezvous, RendezvousReceiver, RendezvousSender};
-
-use crate::pool::{Job, ProcessPool};
+use crate::coro::{Stack, StackPtr};
 use crate::sched::{Notify, ProcId, Scheduler, Trigger};
-use crate::sim::{dispatch, Core, Dispatch, Verdict, VerdictKind};
+use crate::sim::{dispatch, hand_off, Core, Dispatch, VerdictKind};
 use crate::time::{Duration, Time};
 
 /// A process body as stored until its first wakeup.
@@ -49,26 +62,24 @@ pub(crate) enum YieldKind {
     YieldNow,
 }
 
-/// Internal marker unwound through process bodies when the simulation is
-/// dropped while the process is still parked; the wrapper swallows it and
-/// the pooled worker returns to its pool.
+/// Marker unwound through a suspended process body when its simulation is
+/// dropped; [`run_body`] swallows it.
 pub(crate) struct SimShutdown;
 
 /// Handle a process body uses to interact with the simulation.
 ///
 /// Obtained as the argument to the closure passed to
-/// [`crate::Simulation::spawn`]. All methods may block (in wall-clock terms)
-/// while other parts of the simulation run; in virtual-time terms,
+/// [`crate::Simulation::spawn`]. All methods may suspend the process while
+/// other parts of the simulation run; in virtual-time terms,
 /// [`ProcCtx::with_world`] is instantaneous while [`ProcCtx::advance`] and
 /// the wait methods let virtual time pass.
+///
+/// A suspended process may be resumed on a different OS thread than the one
+/// it last ran on, so a body must not keep state in thread-local storage (or
+/// hold an OS mutex guard) across any of these calls.
 pub struct ProcCtx<W> {
     pub(crate) id: ProcId,
-    pub(crate) name: String,
     pub(crate) now: Time,
-    /// Wakeup channel: the baton arrives here when this process is resumed.
-    pub(crate) resume_rx: RendezvousReceiver<Box<Core<W>>>,
-    /// Verdict channel back to the driver (run completion, panics).
-    pub(crate) done_tx: Sender<Verdict<W>>,
     /// The baton. `Some` exactly while this process is the running one.
     pub(crate) core: Option<Box<Core<W>>>,
 }
@@ -81,7 +92,8 @@ impl<W: Send + 'static> ProcCtx<W> {
 
     /// This process's name (for traces and deadlock reports).
     pub fn name(&self) -> &str {
-        &self.name
+        let core = self.core.as_ref().expect("name read while parked");
+        &core.procs[self.id.index()].name
     }
 
     /// Current virtual time as of the last resume.
@@ -90,24 +102,32 @@ impl<W: Send + 'static> ProcCtx<W> {
         self.now
     }
 
-    /// Park until the baton comes back; unwinds with [`SimShutdown`] if the
-    /// simulation is dropped instead.
-    fn recv_core(&self) -> Box<Core<W>> {
-        match self.resume_rx.recv() {
-            Ok(core) => core,
-            Err(_) => std::panic::panic_any(SimShutdown),
+    /// Give the baton to `to` (`None`: the driver) and suspend until it
+    /// comes back; unwinds with [`SimShutdown`] if it comes back only
+    /// because the simulation is being dropped.
+    fn park(&mut self, to: Option<ProcId>, core: Box<Core<W>>) -> Box<Core<W>> {
+        // SAFETY: we are process `self.id`, running on its stack, and own
+        // the baton; `to` was just popped off the runnable queue by
+        // `dispatch` (a started-or-startable, unfinished process other than
+        // us) or is the driver, which is suspended in `run_until`.
+        let core = unsafe { hand_off(core, Some(self.id), to) };
+        if core.shutdown {
+            // Keep the baton where `run_body` finds it after the unwind.
+            self.core = Some(core);
+            resume_unwind(Box::new(SimShutdown));
         }
+        core
     }
 
     /// Register the wakeup condition for `kind`, then dispatch inline until
-    /// this process is woken again (possibly without ever handing the baton
-    /// to another thread).
+    /// this process is woken again (possibly without ever leaving its
+    /// stack).
     fn yield_and_wait(&mut self, kind: YieldKind) {
         let mut core = self.core.take().expect("yield while parked");
         let id = self.id;
         match kind {
             YieldKind::AdvanceTo(t) => {
-                core.procs[id.index()].state = blocked_sleep(t);
+                core.procs[id.index()].state = ProcState::Sleep(t);
                 core.sched.schedule_wake(t, id);
             }
             YieldKind::YieldNow => {
@@ -116,37 +136,33 @@ impl<W: Send + 'static> ProcCtx<W> {
             }
             YieldKind::WaitTrigger(t) => {
                 if core.sched.add_trigger_waiter(t, id) {
-                    core.procs[id.index()].state = blocked_trigger(t.0);
+                    core.procs[id.index()].state = ProcState::OnTrigger(t.0);
                 } else {
                     core.sched.runnable.push_back(id);
                 }
             }
             YieldKind::WaitNotify(n, seen) => {
                 if core.sched.add_notify_waiter(n, seen, id) {
-                    core.procs[id.index()].state = blocked_notify(n.0);
+                    core.procs[id.index()].state = ProcState::OnNotify(n.0);
                 } else {
                     core.sched.runnable.push_back(id);
                 }
             }
         }
-        let core = loop {
-            match dispatch(core, Some(id)) {
-                // Our own wakeup was the next thing to run: zero-switch
-                // resume, we still hold the baton.
-                Dispatch::Resumed(core) => break core,
-                // The baton went to another process; park until our wakeup
-                // is dispatched and the baton is handed back to us.
-                Dispatch::HandedOff => break self.recv_core(),
-                // The run ended while we were parked (deadlock, stop, time
-                // limit): return the baton to the driver and park. A later
-                // `run` call may still resume us.
-                Dispatch::Ended(kind, core) => {
-                    let _ = self.done_tx.send(Verdict {
-                        kind,
-                        core: Some(core),
-                    });
-                    break self.recv_core();
-                }
+        let (step, mut core) = dispatch(core, Some(id));
+        let core = match step {
+            // Our own wakeup was the next thing to run: zero-switch
+            // resume, we still hold the baton.
+            Dispatch::Resumed => core,
+            // Another process runs next; we are resumed when our wakeup
+            // is dispatched and the baton is switched back to us.
+            Dispatch::Switch(q) => self.park(Some(q), core),
+            // The run ended while we were dispatching (deadlock, stop,
+            // time limit, event panic): take the baton home to the driver.
+            // A later `run` call may still resume us.
+            Dispatch::Ended(kind) => {
+                core.verdict = Some(kind);
+                self.park(None, core)
             }
         };
         self.now = core.sched.now();
@@ -190,9 +206,9 @@ impl<W: Send + 'static> ProcCtx<W> {
     ///
     /// This is the *mutating* world call: the closure may change model
     /// state, schedule events, fire triggers, or spawn processes. It runs
-    /// directly against the core this thread holds — no boxing, no
-    /// cross-thread handoff, no `Send`/`'static` bounds. Read-only lookups
-    /// should prefer [`ProcCtx::with_world_ref`], which documents (and
+    /// directly against the core this context holds — no boxing, no
+    /// hand-off, no `Send`/`'static` bounds. Read-only lookups should
+    /// prefer [`ProcCtx::with_world_ref`], which documents (and
     /// type-enforces) that nothing is mutated.
     pub fn with_world<R>(&mut self, f: impl FnOnce(&mut W, &mut Scheduler<W>) -> R) -> R {
         let core = self.core.as_mut().expect("world call while parked");
@@ -235,131 +251,135 @@ impl<W: Send + 'static> ProcCtx<W> {
 /// Driver-side record of one process.
 pub(crate) struct ProcSlot<W> {
     pub name: String,
-    /// Shared handle to the process's wakeup cell. `Arc` so the dispatch
-    /// loop can clone a sender and then move the core *through* it (the
-    /// original lives inside the core being sent).
-    pub resume_tx: Arc<RendezvousSender<Box<Core<W>>>>,
     pub state: ProcState,
+    /// The body, until the first resume moves it onto the stack. A slot
+    /// with `body: None` that is not `Finished` has live frames on `stack`.
+    pub body: Option<Body<W>>,
+    /// Where to resume this process: the frame `Stack::prepare` built until
+    /// it first runs, then whatever its last `hand_off` saved.
+    pub sp: StackPtr,
+    /// The mapping `sp` points into; held only to be released on drop.
+    _stack: Stack,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ProcState {
-    /// Not yet started or currently runnable/running.
-    Active,
-    /// Parked on a wait primitive (description for deadlock reports).
-    Blocked(String),
-    Finished,
-}
-
-pub(crate) fn blocked_sleep(t: Time) -> ProcState {
-    ProcState::Blocked(format!("sleep until t={t}"))
-}
-pub(crate) fn blocked_trigger(id: u32) -> ProcState {
-    ProcState::Blocked(format!("trigger #{id}"))
-}
-pub(crate) fn blocked_notify(id: u32) -> ProcState {
-    ProcState::Blocked(format!("notify #{id}"))
-}
-
-/// Lease a pooled worker thread to back a simulated process.
-///
-/// The job spans the process's entire lifetime: it parks until the first
-/// resume delivers the baton, runs the body under `catch_unwind`, and ends
-/// by either dispatching onward (normal completion) or reporting a verdict
-/// to the driver (panic) — after which the worker re-registers with the
-/// pool. A simulation dropped mid-run disconnects the rendezvous cell,
-/// which unwinds the body with [`SimShutdown`] — also returning the worker
-/// to the pool.
-pub(crate) fn lease_process<W: Send + 'static>(
-    pool: &Arc<ProcessPool>,
-    id: ProcId,
-    name: String,
-    stack_size: usize,
-    done_tx: Sender<Verdict<W>>,
-    body: Body<W>,
-) -> ProcSlot<W> {
-    let (resume_tx, resume_rx) = rendezvous::<Box<Core<W>>>();
-    let pname = name.clone();
-    let job: Job = Box::new(move || {
-        // Wait for the first resume before running the body. A simulation
-        // torn down before this process ever ran lands in the `Err` arm.
-        let core = match resume_rx.recv() {
-            Ok(core) => core,
-            Err(_) => return,
-        };
-        let mut ctx = ProcCtx {
-            id,
-            name: pname,
-            now: core.sched.now(),
-            resume_rx,
-            done_tx,
-            core: Some(core),
-        };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
-        match result {
-            Ok(()) => {
-                // Body finished while holding the baton: mark ourselves
-                // done and keep dispatching inline until the baton moves on
-                // or the run ends.
-                let mut core = ctx.core.take().expect("process finished while parked");
-                core.procs[id.index()].state = ProcState::Finished;
-                match dispatch(core, None) {
-                    Dispatch::HandedOff => {}
-                    Dispatch::Ended(kind, core) => {
-                        let _ = ctx.done_tx.send(Verdict {
-                            kind,
-                            core: Some(core),
-                        });
-                    }
-                    Dispatch::Resumed(_) => unreachable!("resumed a finished process"),
-                }
-            }
-            Err(payload) => {
-                if payload.downcast_ref::<SimShutdown>().is_some() {
-                    // Simulation dropped while we were parked: finish the
-                    // job quietly; the worker returns to the pool.
-                    return;
-                }
-                let msg = panic_message(payload.as_ref());
-                match ctx.core.take() {
-                    // The body itself panicked (it held the baton): fail
-                    // the run with process name, virtual time, and payload.
-                    Some(mut core) => {
-                        core.procs[id.index()].state = ProcState::Finished;
-                        let at = core.sched.now();
-                        let _ = ctx.done_tx.send(Verdict {
-                            kind: VerdictKind::ProcPanicked {
-                                name: ctx.name.clone(),
-                                at,
-                                msg,
-                            },
-                            core: Some(core),
-                        });
-                    }
-                    // The panic came from inside the dispatch loop (an
-                    // event closure blew up) and took the core with it;
-                    // report what we know so the driver can re-panic.
-                    None => {
-                        let _ = ctx.done_tx.send(Verdict {
-                            kind: VerdictKind::EventPanicked { msg },
-                            core: None,
-                        });
-                    }
-                }
-            }
+impl<W: Send + 'static> ProcSlot<W> {
+    pub(crate) fn new(id: ProcId, name: String, stack_size: usize, body: Body<W>) -> Self {
+        let mut stack = Stack::new(stack_size);
+        let sp = stack.prepare(proc_entry::<W>, id.index());
+        ProcSlot {
+            name,
+            state: ProcState::Active,
+            body: Some(body),
+            sp,
+            _stack: stack,
         }
-    });
-    pool.lease(stack_size)
-        .send(job)
-        .unwrap_or_else(|_| panic!("pooled worker for process '{name}' vanished"));
-    ProcSlot {
-        name,
-        resume_tx: Arc::new(resume_tx),
-        state: ProcState::Active,
     }
 }
 
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+impl<W> ProcSlot<W> {
+    /// True when the process has started and not run to its end, i.e. its
+    /// stack holds frames whose destructors have not run.
+    pub(crate) fn is_suspended(&self) -> bool {
+        self.body.is_none() && self.state != ProcState::Finished
+    }
+}
+
+/// What a process is doing, as the deadlock report needs it. `Copy` so the
+/// per-yield update is a store, not an allocation; the report strings are
+/// rendered only when a report is asked for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ProcState {
+    /// Not yet started or currently runnable/running.
+    Active,
+    /// Sleeping until this virtual time.
+    Sleep(Time),
+    /// Parked on this trigger id.
+    OnTrigger(u32),
+    /// Parked on this notify id.
+    OnNotify(u32),
+    Finished,
+}
+
+impl ProcState {
+    /// The `blocked-on` half of a deadlock report line; `None` once
+    /// finished.
+    pub(crate) fn describe(self) -> Option<String> {
+        match self {
+            ProcState::Active => Some("runnable?".to_string()),
+            ProcState::Sleep(t) => Some(format!("sleep until t={t}")),
+            ProcState::OnTrigger(id) => Some(format!("trigger #{id}")),
+            ProcState::OnNotify(id) => Some(format!("notify #{id}")),
+            ProcState::Finished => None,
+        }
+    }
+}
+
+/// Where a new process's stack starts executing: `id` is the slot index
+/// given to `Stack::prepare`, `payload` the baton of the first resume. All
+/// the work — and every local with a destructor — lives in [`run_body`];
+/// this frame only makes the last switch, from which nothing returns.
+extern "C" fn proc_entry<W: Send + 'static>(id: usize, payload: *mut ()) -> ! {
+    // SAFETY: a process is only ever resumed by `hand_off`, whose payload
+    // is `Box::<Core<W>>::into_raw` of the baton, now ours.
+    let core = unsafe { Box::from_raw(payload.cast::<Core<W>>()) };
+    let id = ProcId(id as u32);
+    let (to, core) = run_body(id, core);
+    // SAFETY: we are process `id` on its own stack and own the baton; `to`
+    // is as in `ProcCtx::park`. The process is marked `Finished`, so no
+    // dispatch ever names it again and this context is never resumed.
+    unsafe { hand_off(core, Some(id), to) };
+    unreachable!("finished process resumed")
+}
+
+/// Run process `id`'s body to its end — normal return, panic, or the
+/// [`SimShutdown`] unwind — and work out who gets the baton next (`None`:
+/// the driver). By the time this returns, the `ProcCtx`, the body closure
+/// and any panic payload are gone; the stack holds nothing that needs
+/// dropping, which is what lets the simulation free it later.
+fn run_body<W: Send + 'static>(
+    id: ProcId,
+    mut core: Box<Core<W>>,
+) -> (Option<ProcId>, Box<Core<W>>) {
+    let body = core.procs[id.index()]
+        .body
+        .take()
+        .expect("process started twice");
+    let mut ctx = ProcCtx {
+        id,
+        now: core.sched.now(),
+        core: Some(core),
+    };
+    let result = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
+    // The body runs and unwinds only while holding the baton: `dispatch`
+    // never unwinds, and `park` puts the baton back before raising
+    // `SimShutdown`.
+    let mut core = ctx.core.take().expect("process ended while parked");
+    core.procs[id.index()].state = ProcState::Finished;
+    let verdict = match result {
+        // Keep dispatching inline until the baton moves on or the run ends.
+        Ok(()) => {
+            let (step, back) = dispatch(core, None);
+            core = back;
+            match step {
+                Dispatch::Switch(q) => return (Some(q), core),
+                Dispatch::Ended(kind) => kind,
+                Dispatch::Resumed => unreachable!("resumed a finished process"),
+            }
+        }
+        // `Simulation::drop` is collecting us: straight back, no verdict.
+        Err(payload) if payload.is::<SimShutdown>() => return (None, core),
+        // Fail the run with process name, virtual time, and payload.
+        Err(payload) => VerdictKind::ProcPanicked {
+            name: core.procs[id.index()].name.clone(),
+            at: core.sched.now(),
+            msg: panic_message(payload.as_ref()),
+        },
+    };
+    core.verdict = Some(verdict);
+    (None, core)
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -82,6 +82,62 @@ fi
 echo "ok: crates/ucp surfaces errors as values"
 
 # ---------------------------------------------------------------------------
+# Gate: one process representation, one home for unsafe code.
+#
+# Simulated processes are coroutines on the caller's thread (DESIGN §3).
+# Nothing of the thread-backed design may creep back; no model code may key
+# state by OS thread (a suspended process can be resumed by another one, and
+# two simulations can interleave on one); and unsafe code stays where it is
+# reviewed: `crates/sim/src/coro.rs`, plus the baton hand-off sites in
+# `process.rs` / `sim.rs`, each under a `// SAFETY:` comment.
+# ---------------------------------------------------------------------------
+echo "== coroutine gates =="
+bad=$(grep -rnE 'ProcessPool|lease_process|sim-pool|rendezvous::' crates/sim || true)
+if [ -n "$bad" ]; then
+    echo "thread-backed process machinery referenced in crates/sim:"
+    echo "$bad"
+    exit 1
+fi
+bad=$(grep -rn 'thread_local!' crates/*/src --include='*.rs' \
+    | grep -v '^crates/sim/src/coro\.rs:' || true)
+if [ -n "$bad" ]; then
+    echo "thread_local! in model code (carry the state in the process instead):"
+    echo "$bad"
+    exit 1
+fi
+bad=$(awk '
+    /#\[cfg\(test\)\]/ { intest[FILENAME] = 1 }
+    !intest[FILENAME] && /std::thread::/ { print FILENAME ": " $0 }
+' $(ls crates/sim/src/*.rs | grep -v '/shard\.rs$'))
+if [ -n "$bad" ]; then
+    echo "std::thread:: in crates/sim/src outside shard.rs and test modules:"
+    echo "$bad"
+    exit 1
+fi
+bad=$(grep -rnE '(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)' crates/*/src src --include='*.rs' \
+    | grep -vE '^crates/sim/src/(coro|process|sim)\.rs:' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$bad" ]; then
+    echo "unsafe outside crates/sim/src/{coro,process,sim}.rs:"
+    echo "$bad"
+    exit 1
+fi
+bad=$(awk '
+    FNR == 1 { safety = -100 }
+    /SAFETY:/ { safety = FNR }
+    /#\[cfg\(test\)\]/ { intest[FILENAME] = 1 }
+    !intest[FILENAME] && $0 !~ /^[[:space:]]*\/\// && /unsafe (\{|impl)/ && FNR - safety > 12 {
+        print FILENAME ":" FNR ": " $0
+    }
+' crates/sim/src/coro.rs crates/sim/src/process.rs crates/sim/src/sim.rs)
+if [ -n "$bad" ]; then
+    echo "unsafe block without a // SAFETY: comment above it:"
+    echo "$bad"
+    exit 1
+fi
+echo "ok: coroutines only; no thread-keyed state; unsafe confined and justified"
+
+# ---------------------------------------------------------------------------
 # Formatting gate.
 # ---------------------------------------------------------------------------
 echo "== cargo fmt --check =="
@@ -278,11 +334,18 @@ echo "ok: fault machinery is free when unused"
 # ---------------------------------------------------------------------------
 # The benchmark package is frozen and compiles against the `rucx` facade
 # from outside the workspace, so a facade removal that breaks it would
-# otherwise only fail in the pipeline.
+# otherwise only fail in the pipeline. Its six `virt_digest`s at seed 1
+# fold every simulated output's bit pattern, so comparing them with the
+# committed golden gates "the paper's figures did not move" on every
+# change; a change that moves them on purpose (a recalibration) updates
+# scripts/golden_virt_digests.txt once and says why.
 # ---------------------------------------------------------------------------
-echo "== frozen benchmark package builds and runs =="
+echo "== frozen benchmark package builds, runs, and matches the golden digests =="
 cargo run --release --offline --quiet --manifest-path examples/benchmark/Cargo.toml -- \
-    --workload pingpong --passes 3 >/dev/null
-echo "ok: examples/benchmark builds against the facade and completes a run"
+    --workload all --seed 1 --passes 3 \
+    | awk '/^== / { w = $2 } /virt_digest/ { print w, $NF }' \
+    | diff -u scripts/golden_virt_digests.txt - \
+    || { echo "FAIL: virt_digests differ from scripts/golden_virt_digests.txt"; exit 1; }
+echo "ok: examples/benchmark builds against the facade; all six virt_digests match"
 
 echo "ALL CHECKS PASSED"
