@@ -3,9 +3,8 @@
 //! device buffers can be passed to `send`/`recv` directly, like any
 //! CUDA-aware MPI implementation (§III-C).
 
-use std::collections::{HashMap, HashSet};
-
 use rucx_charm::{ChareRef, Collection, EpId, Msg, Pe};
+use rucx_compat::idmap::{IdMap, IdSet};
 use rucx_gpu::MemRef;
 use rucx_sim::sched::Trigger;
 use rucx_ucp::MCtx;
@@ -34,10 +33,10 @@ pub struct MpiRank {
     next_slot: u64,
     params: AmpiParams,
     /// Software cache of addresses known to be on the GPU (§III-C1).
-    gpu_cache: HashSet<u64>,
+    gpu_cache: IdSet<u64>,
     /// Next send-sequence number per destination rank (stamped into every
     /// outgoing message so the receiver can restore send order).
-    send_seq: HashMap<usize, u64>,
+    send_seq: IdMap<usize, u64>,
 }
 
 impl MpiRank {
@@ -105,8 +104,8 @@ impl MpiRank {
             ep_barrier,
             next_slot: 1,
             params,
-            gpu_cache: HashSet::new(),
-            send_seq: HashMap::new(),
+            gpu_cache: IdSet::default(),
+            send_seq: IdMap::default(),
         }
     }
 

@@ -1,8 +1,9 @@
 //! Per-rank state: the chare behind each AMPI rank, with the unexpected
 //! message queue and posted-receive (request) queue of §III-C2.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use rucx_compat::idmap::IdMap;
 use rucx_gpu::MemRef;
 use rucx_sim::sched::Trigger;
 use rucx_sim::time::{transfer_time, us, Duration};
@@ -73,10 +74,10 @@ pub struct RankState {
     pub params: AmpiParams,
     pub unexpected: VecDeque<AmpiMsg>,
     pub posted: Vec<PostedRecv>,
-    pub slots: HashMap<u64, SlotState>,
+    pub slots: IdMap<u64, SlotState>,
     pub barrier_epoch: u64,
     /// Next expected send-sequence number per source rank.
-    pub next_recv_seq: HashMap<u32, u64>,
+    pub next_recv_seq: IdMap<u32, u64>,
     /// Envelopes that arrived ahead of an earlier, still-in-flight envelope
     /// from the same source (the machine layer completes large rendezvous
     /// envelopes out of order); released once the gap closes.
@@ -93,9 +94,9 @@ impl RankState {
             params,
             unexpected: VecDeque::new(),
             posted: Vec::new(),
-            slots: HashMap::new(),
+            slots: IdMap::default(),
             barrier_epoch: 0,
-            next_recv_seq: HashMap::new(),
+            next_recv_seq: IdMap::default(),
             reorder_stash: Vec::new(),
             comm_errors: VecDeque::new(),
         }

@@ -9,7 +9,7 @@
 
 use rucx_compat::timer::Runner;
 use rucx_fabric::Topology;
-use rucx_sim::{Backend, SimConfig, Simulation};
+use rucx_sim::Simulation;
 use rucx_ucp::{
     blocking, build_sim, probe_pop, tag_send_nb, Completion, MachineConfig, SendBuf, MASK_FULL,
 };
@@ -19,30 +19,6 @@ fn bench_event_throughput(r: &mut Runner) {
         "sim_dispatch_100k_events",
         || {
             let mut sim = Simulation::new(0u64);
-            for i in 0..100_000u64 {
-                sim.scheduler().schedule_at(i, |w, _| *w += 1);
-            }
-            sim
-        },
-        |mut sim| {
-            sim.run();
-            assert_eq!(*sim.world(), 100_000);
-        },
-    );
-}
-
-/// The same 100k-event drain on the `BinaryHeap` determinism oracle —
-/// the before/after pair the calendar queue's speedup claim rests on
-/// (`sim_dispatch_100k_events` runs on the default calendar backend).
-fn bench_event_throughput_oracle(r: &mut Runner) {
-    r.bench_with_setup(
-        "sim_dispatch_100k_events_oracle",
-        || {
-            let cfg = SimConfig {
-                backend: Backend::Oracle,
-                ..Default::default()
-            };
-            let mut sim = Simulation::with_config(0u64, cfg);
             for i in 0..100_000u64 {
                 sim.scheduler().schedule_at(i, |w, _| *w += 1);
             }
@@ -178,7 +154,6 @@ fn bench_tag_matching_depth(r: &mut Runner) {
 fn main() {
     let mut r = Runner::from_env();
     bench_event_throughput(&mut r);
-    bench_event_throughput_oracle(&mut r);
     bench_process_switching(&mut r);
     bench_resume_hop(&mut r);
     bench_resume_world_read(&mut r);

@@ -8,10 +8,11 @@
 //! machine layer.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use rucx_coll::Tree;
+use rucx_compat::idmap::IdMap;
 use rucx_gpu::MemRef;
 use rucx_sim::sched::Trigger;
 use rucx_ucp::{
@@ -115,17 +116,17 @@ struct RedEntry {
 }
 
 struct RedMgr {
-    entries: HashMap<u64, RedEntry>,
+    entries: IdMap<u64, RedEntry>,
     /// Per-element next sequence number (each element contributes once per
     /// reduction, in the same order everywhere).
-    elem_seq: HashMap<u64, u64>,
+    elem_seq: IdMap<u64, u64>,
 }
 
 impl RedMgr {
     fn new() -> Self {
         RedMgr {
-            entries: HashMap::new(),
-            elem_seq: HashMap::new(),
+            entries: IdMap::default(),
+            elem_seq: IdMap::default(),
         }
     }
 }
@@ -144,7 +145,7 @@ struct CollectionData {
     factory: Option<Box<dyn Fn(&[u8]) -> Box<dyn Any>>>,
     /// Known element locations overriding the home map (updated by
     /// migrations this PE learns about).
-    location: HashMap<u64, usize>,
+    location: IdMap<u64, usize>,
 }
 
 struct PendingDevice {
@@ -167,12 +168,12 @@ pub struct Pe {
     red_tree: Rc<Tree>,
     device_cnt: u64,
     collections: Vec<CollectionData>,
-    chares: HashMap<(u16, u64), Box<dyn Any>>,
+    chares: IdMap<(u16, u64), Box<dyn Any>>,
     local_q: VecDeque<Envelope>,
     pending_device: Vec<PendingDevice>,
     /// Receives posted *before* their metadata arrived, keyed by full
     /// machine-layer tag (user-provided tag path, §VI improvement).
-    pre_posted: HashMap<u64, Trigger>,
+    pre_posted: IdMap<u64, Trigger>,
     exit: bool,
     /// Messages dispatched (diagnostics).
     pub msgs_processed: u64,
@@ -183,7 +184,7 @@ pub struct Pe {
     /// Root-side state of an active quiescence detection.
     qd: Option<QdState>,
     /// Per-chare communication-error handlers ([`Pe::set_error_handler`]).
-    error_handlers: HashMap<(u16, u64), Rc<ErrorFn>>,
+    error_handlers: IdMap<(u16, u64), Rc<ErrorFn>>,
     /// PE-wide fallback error handler.
     default_error_handler: Option<Rc<DefaultErrorFn>>,
     /// Chare whose entry method is currently executing (stamped into
@@ -241,16 +242,16 @@ impl Pe {
             red_tree: Rc::new(Tree::binary(n_pes)),
             device_cnt: 0,
             collections: Vec::new(),
-            chares: HashMap::new(),
+            chares: IdMap::default(),
             local_q: VecDeque::new(),
             pending_device: Vec::new(),
-            pre_posted: HashMap::new(),
+            pre_posted: IdMap::default(),
             exit: false,
             msgs_processed: 0,
             qd_created: 0,
             qd_processed: 0,
             qd: None,
-            error_handlers: HashMap::new(),
+            error_handlers: IdMap::default(),
             default_error_handler: None,
             current_chare: None,
             unhandled_errors: Vec::new(),
@@ -301,7 +302,7 @@ impl Pe {
             subtree_elems: Rc::new(subtree),
             red: RedMgr::new(),
             factory: None,
-            location: HashMap::new(),
+            location: IdMap::default(),
         });
         id
     }

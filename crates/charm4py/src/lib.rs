@@ -19,9 +19,10 @@
 pub mod coll;
 pub use coll::ReduceOp;
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use rucx_charm::{marshal, ChareRef, Collection, EpId, Msg, Pe};
+use rucx_compat::idmap::IdMap;
 use rucx_gpu::{copy_async, stream_sync_trigger, MemRef, StreamId};
 use rucx_sim::time::{transfer_time, us, Duration};
 use rucx_ucp::{MCtx, MSim, UcpError};
@@ -141,10 +142,10 @@ impl PeerInbox {
 /// The chare behind one Charm4py process: per-peer channel inboxes,
 /// registered methods, and fulfilled futures.
 struct ChanState {
-    inbox: HashMap<u32, PeerInbox>,
+    inbox: IdMap<u32, PeerInbox>,
     barrier_epoch: u64,
-    methods: HashMap<u16, PyMethod>,
-    futures: HashMap<u64, Option<Vec<u8>>>,
+    methods: IdMap<u16, PyMethod>,
+    futures: IdMap<u64, Option<Vec<u8>>>,
     /// Communication failures mapped into Python exceptions, awaiting
     /// [`PyProc::take_exception`].
     exceptions: VecDeque<PyExceptionRecord>,
@@ -170,7 +171,7 @@ pub struct PyProc {
     ep_invoke: EpId,
     next_future: u64,
     /// Next per-peer channel sequence number on the send side.
-    chan_seq: HashMap<usize, u64>,
+    chan_seq: IdMap<usize, u64>,
     pub params: PyParams,
 }
 
@@ -310,10 +311,10 @@ impl PyProc {
             col,
             rank as u64,
             Box::new(ChanState {
-                inbox: HashMap::new(),
+                inbox: IdMap::default(),
                 barrier_epoch: 0,
-                methods: HashMap::new(),
-                futures: HashMap::new(),
+                methods: IdMap::default(),
+                futures: IdMap::default(),
                 exceptions: VecDeque::new(),
                 ep_fulfil,
             }),
@@ -343,7 +344,7 @@ impl PyProc {
             ep_barrier,
             ep_invoke,
             next_future: 1,
-            chan_seq: HashMap::new(),
+            chan_seq: IdMap::default(),
             params,
         }
     }

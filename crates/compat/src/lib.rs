@@ -26,6 +26,9 @@
 //! - [`buf`] — `Buf`/`BufMut` byte-order helpers for wire formats.
 //! - [`json`] — a [`json::ToJson`] trait plus impls for the result types
 //!   benchmarks serialize.
+//! - [`idmap`] — [`idmap::IdMap`] / [`idmap::IdSet`]: `HashMap`/`HashSet`
+//!   with a fixed-seed multiplicative hasher, for tables keyed by ids the
+//!   simulator mints itself.
 //!
 //! Determinism is a design constraint, not an accident: the PRNG is
 //! explicitly seeded everywhere, the property harness derives each case
@@ -36,6 +39,7 @@
 pub mod buf;
 pub mod channel;
 pub mod check;
+pub mod idmap;
 pub mod json;
 pub mod rendezvous;
 pub mod rng;

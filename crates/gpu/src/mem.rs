@@ -6,7 +6,7 @@
 //! — or **phantom** — size-only, for at-scale runs (a 4.8 GB Jacobi block
 //! per simulated GPU cannot be backed by real memory for 1536 GPUs).
 
-use std::collections::HashMap;
+use rucx_compat::idmap::IdMap;
 
 use crate::device::DeviceId;
 
@@ -121,7 +121,7 @@ impl std::error::Error for MemError {}
 
 /// Cluster-wide memory registry.
 pub struct MemPool {
-    allocs: HashMap<u64, Allocation>,
+    allocs: IdMap<u64, Allocation>,
     next_id: u64,
     device_capacity: Vec<u64>,
     device_used: Vec<u64>,
@@ -136,7 +136,7 @@ impl MemPool {
     /// and `nodes` host memories (unbounded; accounting only).
     pub fn new(devices: usize, device_capacity: u64, nodes: usize) -> Self {
         MemPool {
-            allocs: HashMap::new(),
+            allocs: IdMap::default(),
             next_id: 1,
             device_capacity: vec![device_capacity; devices],
             device_used: vec![0; devices],

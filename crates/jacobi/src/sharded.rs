@@ -39,8 +39,7 @@ use rucx_gpu::GpuParams;
 use rucx_sim::time::{as_ms, transfer_time, us, Duration, Time};
 use rucx_sim::trace::merge_chrome_json;
 use rucx_sim::{
-    Backend, Outbox, RouteDecision, RouteInfo, Scheduler, ShardStats, ShardedEngine, SimConfig,
-    Simulation,
+    Outbox, RouteDecision, RouteInfo, Scheduler, ShardStats, ShardedEngine, Simulation,
 };
 
 use crate::config::{pack_cost, stencil_cost, JacobiConfig, JacobiResult, Mode};
@@ -379,8 +378,6 @@ fn route_fault(
 pub struct ShardedOpts {
     /// Requested shard count (clamped to `[1, nodes]` by the plan).
     pub shards: usize,
-    /// Event-queue backend for every shard.
-    pub backend: Backend,
     /// Record per-shard traces and return the merged Chrome JSON.
     pub trace: bool,
     /// Ring capacity per shard (0 = default).
@@ -391,7 +388,6 @@ impl Default for ShardedOpts {
     fn default() -> Self {
         ShardedOpts {
             shards: 1,
-            backend: Backend::from_env(),
             trace: false,
             trace_capacity: 0,
         }
@@ -506,13 +502,7 @@ pub fn run_sharded_full(model: JacobiModel, cfg: &JacobiConfig, opts: &ShardedOp
             dup_suppressed: 0,
             done: Vec::new(),
         };
-        let mut sim = Simulation::with_config(
-            world,
-            SimConfig {
-                backend: opts.backend,
-                ..Default::default()
-            },
-        );
+        let mut sim = Simulation::new(world);
         if opts.trace {
             sim.scheduler().trace.enable(opts.trace_capacity);
         }
@@ -638,26 +628,6 @@ mod tests {
                 assert_eq!(r, base, "shards={shards} mode={mode:?}");
             }
         }
-    }
-
-    #[test]
-    fn backends_agree_bitwise() {
-        let cfg = JacobiConfig::strong(2, Mode::Device);
-        let mk = |backend| {
-            run_sharded_full(
-                JacobiModel::Ompi,
-                &cfg,
-                &ShardedOpts {
-                    shards: 2,
-                    backend,
-                    ..Default::default()
-                },
-            )
-        };
-        let a = mk(Backend::Calendar);
-        let b = mk(Backend::Oracle);
-        assert_eq!(a.result, b.result);
-        assert_eq!(a.stats.envelopes, b.stats.envelopes);
     }
 
     #[test]

@@ -42,19 +42,21 @@
 //!
 //! ## Scale
 //!
-//! Two mechanisms keep 1536-PE sweeps tractable. The event queue is a
-//! [`calendar::CalendarQueue`] (amortized O(1) push/pop; the original
-//! `BinaryHeap` stays behind the same [`calendar::SchedulerBackend`] trait
-//! as the determinism oracle, selectable via [`SimConfig::backend`] or
-//! `RUCX_SCHED_BACKEND=oracle`). And [`shard::ShardedEngine`] advances
-//! several independent simulations on OS threads — the one place threads
-//! remain, one per active shard per window — under conservative lookahead
-//! windows, exchanging cross-shard envelopes at barriers; deterministic for
-//! any shard count.
+//! Two mechanisms keep 1536-PE sweeps tractable. The event queue is one
+//! concrete structure the [`Scheduler`] owns directly — a binary min-heap
+//! of 24-byte `(time, seq, slot)` keys over a slab of payloads, with O(1)
+//! cancellation by tombstone — sized to what the workloads put in it (a
+//! few to a few hundred events at a time, never above ~2 000, at time
+//! scales from ns to ms in one run); there is no second backend and no
+//! switch. And [`shard::ShardedEngine`] advances several independent
+//! simulations on OS threads — the one place threads remain, one per
+//! active shard per window — under conservative lookahead windows,
+//! exchanging cross-shard envelopes at barriers; deterministic for any
+//! shard count.
 
-pub mod calendar;
 pub mod coro;
 pub mod process;
+mod queue;
 pub mod rng;
 pub mod sched;
 pub mod shard;
@@ -63,8 +65,8 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use calendar::{Backend, SchedulerBackend};
 pub use process::ProcCtx;
+pub use queue::Backend;
 pub use rng::SimRng;
 pub use sched::{EventKey, Notify, ProcId, Scheduler, Trigger};
 pub use shard::{

@@ -7,11 +7,11 @@
 
 #![allow(clippy::type_complexity)]
 
-use std::cmp::Ordering;
 use std::collections::VecDeque;
 
-use crate::calendar::{Backend, QueueImpl};
 use crate::process::ProcCtx;
+pub use crate::queue::EventKey;
+use crate::queue::{Due, EventQueue};
 use crate::time::{Duration, Time};
 use crate::trace::TraceSink;
 
@@ -64,61 +64,6 @@ pub(crate) enum EventPayload<W> {
     WakeProc(ProcId),
 }
 
-/// A queued event: a `(time, seq)` key (unique; `seq` breaks timestamp
-/// ties FIFO) plus its payload. Public so queue backends
-/// ([`crate::calendar::SchedulerBackend`]) can be implemented; the payload
-/// itself stays crate-private.
-pub struct EventEntry<W> {
-    pub time: Time,
-    pub seq: u64,
-    pub(crate) payload: EventPayload<W>,
-}
-
-/// Opaque handle for a cancellable event, returned by
-/// [`Scheduler::schedule_cancellable_at`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventKey {
-    time: Time,
-    seq: u64,
-}
-
-impl EventKey {
-    /// The virtual time the event will run at (unless cancelled).
-    pub fn time(&self) -> Time {
-        self.time
-    }
-}
-
-/// Result of [`Scheduler::pop_due`]: one queue probe answers "is there an
-/// event at or before `limit`, and if so hand it over" — the dispatch loop
-/// shape that replaces the old peek-then-pop double heap access.
-pub(crate) enum Due<W> {
-    /// Minimum event was at or before the limit; it has been popped.
-    Event(EventEntry<W>),
-    /// The queue is non-empty but its minimum lies after the limit.
-    Later(#[allow(dead_code)] Time),
-    /// The queue is empty.
-    Empty,
-}
-
-impl<W> PartialEq for EventEntry<W> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<W> Eq for EventEntry<W> {}
-impl<W> PartialOrd for EventEntry<W> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<W> Ord for EventEntry<W> {
-    // Reversed: BinaryHeap is a max-heap, we want earliest (time, seq) first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
 struct TriggerState {
     fired: bool,
     waiters: Vec<ProcId>,
@@ -144,7 +89,7 @@ pub struct Scheduler<W> {
     now: Time,
     seq: u64,
     events_executed: u64,
-    queue: QueueImpl<W>,
+    queue: EventQueue<W>,
     triggers: Vec<TriggerState>,
     free_triggers: Vec<u32>,
     notifies: Vec<NotifyState>,
@@ -164,19 +109,13 @@ impl<W> Default for Scheduler<W> {
 }
 
 impl<W> Scheduler<W> {
-    /// Scheduler on the default queue backend (the calendar queue, unless
-    /// `RUCX_SCHED_BACKEND=oracle` selects the heap oracle).
+    /// An empty scheduler at virtual time zero.
     pub fn new() -> Self {
-        Self::with_backend(Backend::from_env())
-    }
-
-    /// Scheduler on an explicit queue backend.
-    pub fn with_backend(backend: Backend) -> Self {
         Scheduler {
             now: 0,
             seq: 0,
             events_executed: 0,
-            queue: QueueImpl::new(backend),
+            queue: EventQueue::new(),
             triggers: Vec::new(),
             free_triggers: Vec::new(),
             notifies: Vec::new(),
@@ -185,11 +124,6 @@ impl<W> Scheduler<W> {
             stopped: false,
             trace: TraceSink::new(),
         }
-    }
-
-    /// Which queue backend this scheduler runs on.
-    pub fn backend(&self) -> Backend {
-        self.queue.backend()
     }
 
     /// Current virtual time.
@@ -257,6 +191,17 @@ impl<W> Scheduler<W> {
         }
     }
 
+    /// The one way into the queue. The clamp to the present and the FIFO
+    /// `seq` tie-break are the whole ordering contract.
+    #[inline]
+    fn push(&mut self, t: Time, payload: EventPayload<W>) -> EventKey {
+        let time = t.max(self.now);
+        let seq = self.seq;
+        self.seq += 1;
+        let slot = self.queue.push(time, seq, payload);
+        EventKey { time, seq, slot }
+    }
+
     /// Schedule `f` to run on the world at absolute time `t` (clamped to the
     /// present: scheduling in the past runs at the current time).
     pub fn schedule_at(
@@ -264,14 +209,7 @@ impl<W> Scheduler<W> {
         t: Time,
         f: impl FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
     ) {
-        let t = t.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(EventEntry {
-            time: t,
-            seq,
-            payload: EventPayload::Closure(Box::new(f)),
-        });
+        self.push(t, EventPayload::Closure(Box::new(f)));
     }
 
     /// Schedule `f` to run `dt` after the current time.
@@ -291,59 +229,34 @@ impl<W> Scheduler<W> {
         t: Time,
         f: impl FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
     ) -> EventKey {
-        let t = t.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(EventEntry {
-            time: t,
-            seq,
-            payload: EventPayload::Closure(Box::new(f)),
-        });
-        EventKey { time: t, seq }
+        self.push(t, EventPayload::Closure(Box::new(f)))
     }
 
     /// Withdraw a previously scheduled cancellable event. Returns `true` if
     /// the event was still queued (and is now dropped), `false` if it
     /// already ran or was already cancelled.
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        self.queue.cancel(key.time, key.seq).is_some()
+        self.queue.cancel(key)
     }
 
+    #[inline]
     pub(crate) fn schedule_wake(&mut self, t: Time, p: ProcId) {
-        let t = t.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(EventEntry {
-            time: t,
-            seq,
-            payload: EventPayload::WakeProc(p),
-        });
-    }
-
-    #[cfg(test)]
-    pub(crate) fn pop_event(&mut self) -> Option<EventEntry<W>> {
-        let e = self.queue.pop();
-        if e.is_some() {
-            self.events_executed += 1;
-        }
-        e
+        self.push(t, EventPayload::WakeProc(p));
     }
 
     /// Pop the minimum event only if it is due at or before `limit`; one
     /// queue probe for the whole dispatch decision.
+    #[inline]
     pub(crate) fn pop_due(&mut self, limit: Time) -> Due<W> {
-        match self.queue.pop_le(limit) {
-            Ok(e) => {
-                self.events_executed += 1;
-                Due::Event(e)
-            }
-            Err(Some(t)) => Due::Later(t),
-            Err(None) => Due::Empty,
+        let due = self.queue.pop_le(limit);
+        if matches!(due, Due::Event(..)) {
+            self.events_executed += 1;
         }
+        due
     }
 
     pub(crate) fn peek_time(&mut self) -> Option<Time> {
-        self.queue.min_key().map(|(t, _)| t)
+        self.queue.min_time()
     }
 
     pub(crate) fn set_now(&mut self, t: Time) {
@@ -407,8 +320,8 @@ impl<W> Scheduler<W> {
             return;
         }
         st.fired = true;
-        let waiters = std::mem::take(&mut st.waiters);
-        self.runnable.extend(waiters);
+        // `drain` keeps the vector's capacity for the next wait.
+        self.runnable.extend(st.waiters.drain(..));
     }
 
     /// Whether the trigger has fired.
@@ -442,8 +355,7 @@ impl<W> Scheduler<W> {
     pub fn notify(&mut self, n: Notify) {
         let st = &mut self.notifies[n.0 as usize];
         st.epoch += 1;
-        let waiters = std::mem::take(&mut st.waiters);
-        self.runnable.extend(waiters);
+        self.runnable.extend(st.waiters.drain(..));
     }
 
     /// Current epoch of a notify source.
@@ -463,7 +375,8 @@ impl<W> Scheduler<W> {
         }
     }
 
-    /// Number of events currently queued (for tests/diagnostics).
+    /// Number of events currently queued, cancelled ones excluded (for
+    /// tests/diagnostics).
     pub fn queued_events(&self) -> usize {
         self.queue.len()
     }
@@ -475,6 +388,17 @@ mod tests {
 
     type S = Scheduler<Vec<u32>>;
 
+    /// Manual mini-loop (the real one lives in `Simulation`).
+    fn drain(s: &mut S, world: &mut Vec<u32>) {
+        while let Due::Event(t, payload) = s.pop_due(Time::MAX) {
+            s.set_now(t);
+            match payload {
+                EventPayload::Closure(f) => f(world, s),
+                EventPayload::WakeProc(_) => unreachable!(),
+            }
+        }
+    }
+
     #[test]
     fn event_order_is_time_then_fifo() {
         let mut s = S::new();
@@ -482,14 +406,7 @@ mod tests {
         s.schedule_at(5, |w, _| w.push(2));
         s.schedule_at(10, |w, _| w.push(3));
         let mut world = Vec::new();
-        // Manual mini-loop (the real one lives in Simulation).
-        while let Some(e) = s.pop_event() {
-            s.set_now(e.time);
-            match e.payload {
-                EventPayload::Closure(f) => f(&mut world, &mut s),
-                EventPayload::WakeProc(_) => unreachable!(),
-            }
-        }
+        drain(&mut s, &mut world);
         assert_eq!(world, vec![2, 1, 3]);
         assert_eq!(s.now(), 10);
         assert_eq!(s.events_executed(), 3);
@@ -500,8 +417,7 @@ mod tests {
         let mut s = S::new();
         s.set_now(100);
         s.schedule_at(50, |w, _| w.push(1));
-        let e = s.pop_event().unwrap();
-        assert_eq!(e.time, 100);
+        assert!(matches!(s.pop_due(Time::MAX), Due::Event(100, _)));
     }
 
     #[test]
@@ -513,13 +429,7 @@ mod tests {
         assert!(s.cancel(k));
         assert!(!s.cancel(k), "second cancel is a no-op");
         let mut world = Vec::new();
-        while let Some(e) = s.pop_event() {
-            s.set_now(e.time);
-            match e.payload {
-                EventPayload::Closure(f) => f(&mut world, &mut s),
-                EventPayload::WakeProc(_) => unreachable!(),
-            }
-        }
+        drain(&mut s, &mut world);
         assert_eq!(world, vec![1, 3], "cancelled event must not run");
         assert!(!s.cancel(k2), "cancel after execution reports false");
     }
@@ -530,7 +440,7 @@ mod tests {
         s.schedule_at(5, |w, _| w.push(1));
         s.schedule_at(20, |w, _| w.push(2));
         match s.pop_due(10) {
-            Due::Event(e) => assert_eq!(e.time, 5),
+            Due::Event(t, _) => assert_eq!(t, 5),
             _ => panic!("event at 5 is due by 10"),
         }
         match s.pop_due(10) {
@@ -538,7 +448,7 @@ mod tests {
             _ => panic!("event at 20 is beyond 10"),
         }
         match s.pop_due(20) {
-            Due::Event(e) => assert_eq!(e.time, 20),
+            Due::Event(t, _) => assert_eq!(t, 20),
             _ => panic!("event at 20 is due by 20"),
         }
         assert!(matches!(s.pop_due(u64::MAX), Due::Empty));
@@ -580,13 +490,7 @@ mod tests {
             s.schedule_in(4, |w, _| w.push(2));
         });
         let mut world = Vec::new();
-        while let Some(e) = s.pop_event() {
-            s.set_now(e.time);
-            match e.payload {
-                EventPayload::Closure(f) => f(&mut world, &mut s),
-                EventPayload::WakeProc(_) => unreachable!(),
-            }
-        }
+        drain(&mut s, &mut world);
         assert_eq!(world, vec![1, 2]);
         assert_eq!(s.now(), 5);
     }

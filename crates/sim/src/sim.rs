@@ -11,10 +11,10 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use crate::calendar::Backend;
 use crate::coro::{self, StackPtr};
 use crate::process::{Body, ProcCtx, ProcSlot, ProcState};
-use crate::sched::{Due, EventPayload, ProcId, Scheduler};
+use crate::queue::Due;
+use crate::sched::{EventPayload, ProcId, Scheduler};
 use crate::time::Time;
 
 /// Why [`Simulation::run_until`] returned.
@@ -38,16 +38,12 @@ pub struct SimConfig {
     /// one guard page sits below it, so an overrun faults. Simulated PEs
     /// are shallow; the default keeps 1000+ PE simulations cheap.
     pub stack_size: usize,
-    /// Event-queue backend: the calendar queue, or the `BinaryHeap`
-    /// determinism oracle. Defaults to [`Backend::from_env`].
-    pub backend: Backend,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             stack_size: 512 * 1024,
-            backend: Backend::from_env(),
         }
     }
 }
@@ -151,9 +147,9 @@ fn dispatch_loop<W: Send + 'static>(core: &mut Core<W>, me: Option<ProcId>) -> D
                 });
             }
             Due::Later(_) => return Dispatch::Ended(VerdictKind::TimeLimit),
-            Due::Event(ev) => {
-                core.sched.set_now(ev.time);
-                match ev.payload {
+            Due::Event(time, payload) => {
+                core.sched.set_now(time);
+                match payload {
                     EventPayload::Closure(f) => {
                         f(&mut core.world, &mut core.sched);
                         core.drain_pending_spawns();
@@ -277,11 +273,10 @@ impl<W: Send + 'static> Simulation<W> {
 
     /// Create a simulation with an explicit driver configuration.
     pub fn with_config(world: W, config: SimConfig) -> Self {
-        let sched = Scheduler::with_backend(config.backend);
         Simulation {
             core: Some(Box::new(Core {
                 world,
-                sched,
+                sched: Scheduler::new(),
                 procs: Vec::new(),
                 config,
                 limit: Time::MAX,
@@ -577,7 +572,6 @@ mod tests {
         // running in parallel.
         let config = SimConfig {
             stack_size: 196 * 1024,
-            ..SimConfig::default()
         };
         let mut sim = Simulation::with_config((), config.clone());
         sim.spawn("victim", 0, |ctx| {

@@ -190,7 +190,6 @@ fn stack_overrun_faults_on_the_guard_page() {
     let Some(out) = in_child("stack_overrun_faults_on_the_guard_page") else {
         let cfg = SimConfig {
             stack_size: 64 * 1024,
-            ..SimConfig::default()
         };
         let mut sim = Simulation::with_config(0u64, cfg);
         // ~0.5 KiB a frame: far more than 64 KiB, far less than any OS

@@ -25,10 +25,7 @@ impl Drop for Unwound {
 }
 
 fn run_lifetime(unwound: &Arc<AtomicUsize>) {
-    let cfg = SimConfig {
-        stack_size: STACK,
-        ..SimConfig::default()
-    };
+    let cfg = SimConfig { stack_size: STACK };
     let mut sim = Simulation::with_config(0u64, cfg);
     for i in 0..PROCS {
         sim.spawn(format!("p{i}"), (i % 7) as u64, |ctx| {

@@ -23,11 +23,11 @@
 //! — only the timing may differ. That is the correctness contract the
 //! property tests pin down.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use rucx_charm::marshal;
 use rucx_charm4py::{launch_with, PyParams, PyProc};
+use rucx_compat::idmap::{IdMap, IdSet};
 use rucx_compat::rng::{splitmix64, Rng};
 use rucx_compat::sync::Mutex;
 use rucx_fabric::Topology;
@@ -167,7 +167,7 @@ fn bump(ctx: &mut MCtx, m: rucx_sim::Metric) {
 /// computes the same answer.
 pub struct Frontend {
     workers: Vec<usize>,
-    pending: HashMap<u64, Pending>,
+    pending: IdMap<u64, Pending>,
     /// Per-task deadline; 0 keeps the legacy blocking drain path.
     pub deadline: Duration,
     /// Resubmissions allowed per task before it is declared failed.
@@ -175,15 +175,15 @@ pub struct Frontend {
     /// Consecutive timeouts before a worker's breaker opens.
     pub breaker_threshold: u32,
     /// Consecutive timeout count per worker (reset by any result).
-    fail_count: HashMap<usize, u32>,
+    fail_count: IdMap<usize, u32>,
     /// Workers with an open breaker. Never reused: an endpoint give-up
     /// tears down the ordered channel's sequence state, so a fresh send to
     /// the same peer would desynchronize delivery.
-    tripped: HashSet<usize>,
+    tripped: IdSet<usize>,
     /// `(client, worker)` pairs that hold the client's dataset.
-    placed: HashSet<(u64, usize)>,
+    placed: IdSet<(u64, usize)>,
     /// Scatter buffer per client, for on-demand re-scatter at resubmission.
-    bufs: HashMap<u64, MemRef>,
+    bufs: IdMap<u64, MemRef>,
     /// `(task id, checksum)` for every gathered task.
     pub results: Vec<(u64, u64)>,
     /// `(task id, submit-to-result latency)` for every gathered task.
@@ -196,14 +196,14 @@ impl Frontend {
     pub fn new(workers: Vec<usize>) -> Self {
         Frontend {
             workers,
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             deadline: 0,
             max_resubmit: 3,
             breaker_threshold: 2,
-            fail_count: HashMap::new(),
-            tripped: HashSet::new(),
-            placed: HashSet::new(),
-            bufs: HashMap::new(),
+            fail_count: IdMap::default(),
+            tripped: IdSet::default(),
+            placed: IdSet::default(),
+            bufs: IdMap::default(),
             results: Vec::new(),
             latencies: Vec::new(),
             failed: Vec::new(),
@@ -796,7 +796,7 @@ fn worker_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg) {
         Some((wi, at)) if CLIENT_RANKS + wi == rank => Some(us(at)),
         _ => None,
     };
-    let mut datasets: HashMap<u64, Vec<u8>> = HashMap::new();
+    let mut datasets: IdMap<u64, Vec<u8>> = IdMap::default();
     let mut done = 0usize;
     while done < CLIENT_RANKS {
         let (peer, bytes) = match kill_at {

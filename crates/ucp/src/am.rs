@@ -13,7 +13,7 @@
 //! device memory), large ones are announced and fetched with
 //! [`crate::rndv_fetch`].
 
-use std::collections::HashMap;
+use rucx_compat::idmap::IdMap;
 
 use rucx_gpu::MemKind;
 
@@ -49,9 +49,9 @@ pub type AmHandler = Box<dyn Fn(&mut Machine, &mut MSched, AmMsg) + Send>;
 /// Per-worker active-message state.
 #[derive(Default)]
 pub struct AmState {
-    handlers: HashMap<AmId, AmHandler>,
+    handlers: IdMap<AmId, AmHandler>,
     /// Arrivals for ids with no handler yet (registration races at t=0).
-    pending: HashMap<AmId, Vec<AmMsg>>,
+    pending: IdMap<AmId, Vec<AmMsg>>,
 }
 
 impl AmState {

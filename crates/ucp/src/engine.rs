@@ -20,7 +20,7 @@
 //!    and the collective cost model in `rucx-coll` reads. It informs no
 //!    protocol decision in this crate.
 
-use std::collections::HashMap;
+use rucx_compat::idmap::IdMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -95,7 +95,7 @@ pub(crate) fn gpu_direct_ok(
 /// order cannot leak into the schedule.
 #[derive(Default)]
 pub struct ProtocolEngine {
-    rtt: HashMap<(u32, u32), u64>,
+    rtt: IdMap<(u32, u32), u64>,
 }
 
 impl ProtocolEngine {
@@ -117,7 +117,7 @@ impl ProtocolEngine {
     /// ends are communicator participants (`rank < n`). Collective cost
     /// estimators use this so any participating pair's traffic — not just
     /// rank 0's — refreshes the inter-node alpha. Taking the minimum over a
-    /// `HashMap` iteration is order-independent, so determinism holds.
+    /// map iteration is order-independent, so determinism holds.
     pub fn cross_node_rtt(&self, topo: &rucx_fabric::Topology, n: usize) -> Option<u64> {
         self.rtt
             .iter()

@@ -32,7 +32,7 @@
 //! Everything here runs only under a loaded fault spec (the only way a
 //! retransmission timer exists); clean runs pay nothing.
 
-use std::collections::HashMap;
+use rucx_compat::idmap::IdMap;
 
 use rucx_fabric::{net_transfer, WireKind};
 use rucx_fault::{metrics as fm, WireFault};
@@ -98,7 +98,7 @@ impl Default for EpHealth {
 /// ordering cannot leak into the deterministic schedule.
 #[derive(Default)]
 pub struct HealthState {
-    eps: HashMap<(u32, u32), EpHealth>,
+    eps: IdMap<(u32, u32), EpHealth>,
 }
 
 impl HealthState {

@@ -1,7 +1,7 @@
 //! The concrete simulated-world type: GPU subsystem + network + UCP state,
 //! plus the builder that assembles a ready-to-run simulation.
 
-use std::collections::HashMap;
+use rucx_compat::idmap::IdMap;
 
 use rucx_fabric::{HasNet, NetParams, NetSubsystem, Topology};
 use rucx_fault::{FaultSpec, FaultState};
@@ -35,13 +35,13 @@ pub struct UcpSubsystem {
     pub config: UcpConfig,
     pub counters: Counters,
     pub(crate) workers: Vec<Worker>,
-    pub(crate) rts_table: HashMap<u64, RtsState>,
+    pub(crate) rts_table: IdMap<u64, RtsState>,
     pub(crate) next_rts: u64,
     /// Per (src, dst) pair: the shared-memory channel's busy-until time.
     /// Serializes intra-node transfers between a pair (the CPU-driven
     /// copies cannot overlap), which both enforces per-connection ordering
     /// and bounds windowed throughput to the CMA copy bandwidth.
-    pub(crate) pair_busy: HashMap<(u32, u32), Time>,
+    pub(crate) pair_busy: IdMap<(u32, u32), Time>,
     /// One internal stream per device for UCX-driven DMA (IPC reads,
     /// pipeline staging), so user streams are unaffected.
     pub(crate) ucx_streams: Vec<StreamId>,
@@ -203,9 +203,9 @@ pub fn build_sim_with(topo: Topology, cfg: MachineConfig, sim_cfg: SimConfig) ->
         config: cfg.ucp,
         counters: Counters::new(),
         workers: Vec::new(),
-        rts_table: HashMap::new(),
+        rts_table: IdMap::default(),
         next_rts: 1,
-        pair_busy: HashMap::new(),
+        pair_busy: IdMap::default(),
         ucx_streams,
         staging,
         reliable,

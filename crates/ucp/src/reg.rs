@@ -14,7 +14,9 @@
 //! `BTreeMap`s keyed by tick, and the maps are keyed, never iterated for
 //! decisions — the same event sequence always evicts the same entries.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+use rucx_compat::idmap::IdMap;
 
 /// What one cache touch cost: how many mapping operations were paid and
 /// how many cached entries were torn down to make room.
@@ -33,11 +35,11 @@ pub struct RegCache {
     cache: bool,
     tick: u64,
     /// (src,dst) -> last-use tick.
-    eps: HashMap<(u32, u32), u64>,
+    eps: IdMap<(u32, u32), u64>,
     /// last-use tick -> (src,dst); the `BTreeMap` front is the LRU victim.
     ep_order: BTreeMap<u64, (u32, u32)>,
     /// buffer id -> (mapped bytes, last-use tick).
-    regs: HashMap<u64, (u64, u64)>,
+    regs: IdMap<u64, (u64, u64)>,
     /// last-use tick -> buffer id.
     reg_order: BTreeMap<u64, u64>,
     /// Total mapped bytes currently cached.
@@ -49,9 +51,9 @@ impl RegCache {
         RegCache {
             cache,
             tick: 0,
-            eps: HashMap::new(),
+            eps: IdMap::default(),
             ep_order: BTreeMap::new(),
-            regs: HashMap::new(),
+            regs: IdMap::default(),
             reg_order: BTreeMap::new(),
             reg_bytes: 0,
         }

@@ -28,8 +28,9 @@
 //! dedicated [`SimRng`] stream derived from the fault-spec seed, so a chaos
 //! run replays byte-identically.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
+use rucx_compat::idmap::IdMap;
 use rucx_fabric::{net_transfer, WireKind};
 use rucx_fault::{metrics as fm, WireFault};
 use rucx_sim::time::{Duration, Time};
@@ -118,11 +119,11 @@ pub(crate) struct ReliableState {
     /// it does not correlate with the injection lottery.
     rng: SimRng,
     next_id: u64,
-    next_seq: HashMap<(u32, u32), u64>,
-    seen: HashMap<(u32, u32), SeqSeen>,
-    inflight: HashMap<u64, PendingSend>,
+    next_seq: IdMap<(u32, u32), u64>,
+    seen: IdMap<(u32, u32), SeqSeen>,
+    inflight: IdMap<u64, PendingSend>,
     /// Rendezvous-sender completions parked until the tracked ATS arrives.
-    ats_table: HashMap<u64, Completion>,
+    ats_table: IdMap<u64, Completion>,
 }
 
 impl ReliableState {
@@ -130,10 +131,10 @@ impl ReliableState {
         ReliableState {
             rng: SimRng::new(seed ^ 0x9E37_79B9_7F4A_7C15),
             next_id: 1,
-            next_seq: HashMap::new(),
-            seen: HashMap::new(),
-            inflight: HashMap::new(),
-            ats_table: HashMap::new(),
+            next_seq: IdMap::default(),
+            seen: IdMap::default(),
+            inflight: IdMap::default(),
+            ats_table: IdMap::default(),
         }
     }
 

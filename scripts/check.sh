@@ -138,6 +138,49 @@ fi
 echo "ok: coroutines only; no thread-keyed state; unsafe confined and justified"
 
 # ---------------------------------------------------------------------------
+# Gate: one event queue, one map type for simulator-internal ids.
+#
+# The scheduler owns one concrete queue (crates/sim/src/queue.rs, DESIGN
+# §11); the calendar queue, the backend trait, its dispatch enum and the
+# environment switch are gone and must not come back under any name.
+# `BinaryHeap` survives in crates/sim only as the reference the queue's
+# property test compares against. Tables keyed by ids the simulator mints
+# itself use `rucx_compat::idmap::IdMap` (no SipHash on the message path);
+# a table that genuinely takes keys from outside the program keeps the
+# default hasher, says so in a comment, and has its file dropped from the
+# list below (none does today).
+# ---------------------------------------------------------------------------
+echo "== event-core gates =="
+bad=$(grep -rnE 'CalendarQueue|OracleQueue|SchedulerBackend|QueueImpl|with_backend|RUCX_SCHED_BACKEND' \
+    crates src tests examples/*.rs || true)
+if [ -n "$bad" ]; then
+    echo "a second event-queue backend (or its switch) is referenced:"
+    echo "$bad"
+    exit 1
+fi
+bad=$(awk '
+    /#\[cfg\(test\)\]/ { intest[FILENAME] = 1 }
+    !intest[FILENAME] && /BinaryHeap/ { print FILENAME ": " $0 }
+' crates/sim/src/*.rs)
+if [ -n "$bad" ]; then
+    echo "BinaryHeap in crates/sim/src outside a test module:"
+    echo "$bad"
+    exit 1
+fi
+bad=$(awk '
+    /#\[cfg\(test\)\]/ { intest[FILENAME] = 1 }
+    !intest[FILENAME] && $0 !~ /^[[:space:]]*\/\// && /Hash(Map|Set)::new\(\)/ {
+        print FILENAME ": " $0
+    }
+' crates/{gpu,ucp,charm,ampi,charm4py,svc}/src/*.rs)
+if [ -n "$bad" ]; then
+    echo "default-hasher table in model code (use rucx_compat::idmap::IdMap::default()):"
+    echo "$bad"
+    exit 1
+fi
+echo "ok: one queue, no backend switch; id-keyed tables use IdMap"
+
+# ---------------------------------------------------------------------------
 # Formatting gate.
 # ---------------------------------------------------------------------------
 echo "== cargo fmt --check =="
@@ -158,13 +201,10 @@ cargo test -q --offline --workspace
 # ---------------------------------------------------------------------------
 # Engine microbenchmarks + perf regression gate. Run at reduced (but real)
 # iteration counts, then parse BENCH_engine.json and fail on a regression
-# of either gated median:
-#   - resume_hop: the advance(1) round trip, budget 90 ns (baseline ~76);
-#   - sim_dispatch_100k_events: the calendar-queue drain, budget 6 ms
-#     (measures ~2 ms; the heap oracle is ~9.7 ms, and the calendar's
-#     acceptance bar is >=2.5x over that baseline, i.e. <=3.9 ms, so 6 ms
-#     still catches any fall-back-to-heap-class regression through CI
-#     noise on a shared vCPU).
+# of the gated median: resume_hop, the advance(1) round trip, budget 90 ns
+# (measures ~45). The 100k-event drain is reported but not gated: no
+# workload holds more than ~2 000 events at once (DESIGN §11), and gating
+# that shape is what once selected the wrong queue.
 # ---------------------------------------------------------------------------
 echo "== engine bench + perf regression gate =="
 RUCX_BENCH_ITERS=15 RUCX_BENCH_WARMUP=2 \
@@ -172,27 +212,21 @@ RUCX_BENCH_ITERS=15 RUCX_BENCH_WARMUP=2 \
 test -s BENCH_engine.json || { echo "FAIL: BENCH_engine.json not written"; exit 1; }
 hop=$(grep -o '"name": "resume_hop"[^}]*' BENCH_engine.json \
     | grep -o '"median_ns": [0-9]*' | awk '{print $2}')
-disp=$(grep -o '"name": "sim_dispatch_100k_events"[^}]*' BENCH_engine.json \
-    | grep -o '"median_ns": [0-9]*' | awk '{print $2}')
-[ -n "$hop" ] && [ -n "$disp" ] \
-    || { echo "FAIL: BENCH_engine.json is missing a gated benchmark"; exit 1; }
-echo "   resume_hop median ${hop} ns (budget 90), dispatch median ${disp} ns (budget 6000000)"
+[ -n "$hop" ] || { echo "FAIL: BENCH_engine.json is missing resume_hop"; exit 1; }
+echo "   resume_hop median ${hop} ns (budget 90)"
 [ "$hop" -le 90 ] \
     || { echo "FAIL: resume_hop median ${hop} ns exceeds the 90 ns budget"; exit 1; }
-[ "$disp" -le 6000000 ] \
-    || { echo "FAIL: sim_dispatch_100k_events median ${disp} ns exceeds the 6 ms budget"; exit 1; }
-echo "ok: resume hot path and calendar dispatch within budget"
+echo "ok: resume hot path within budget"
 
 # ---------------------------------------------------------------------------
 # Sharded engine: the conformance contract. Results and traces must be
-# byte-identical across shard counts {1,2,8} and across the calendar /
-# heap-oracle backends (tests/determinism.rs), and the full-size scaling
-# sweep must run end to end (capped at 8 nodes for CI wall-clock; unset
-# RUCX_MAX_NODES for the paper-scale 256-node curves).
+# byte-identical across shard counts {1,2,8} (tests/determinism.rs), and
+# the full-size scaling sweep must run end to end (capped at 8 nodes for CI
+# wall-clock; unset RUCX_MAX_NODES for the paper-scale 256-node curves).
 # ---------------------------------------------------------------------------
 echo "== sharded engine: sequential-oracle conformance =="
 cargo test -q --offline --test determinism sharded
-echo "ok: sharded runs byte-identical across shard counts and backends"
+echo "ok: sharded runs byte-identical across shard counts"
 
 echo "== sharded scaling bench smoke (RUCX_MAX_NODES=8) =="
 RUCX_MAX_NODES=8 RUCX_BENCH_ITERS=2 RUCX_BENCH_WARMUP=0 \

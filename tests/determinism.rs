@@ -339,20 +339,16 @@ fn sharded_trace_is_byte_identical_across_shard_counts() {
 /// NVLink and X-Bus legs driven concurrently) completes deterministically.
 /// The Chrome trace pins the full interleaving — every per-leg chunk
 /// completion (`ucp.mp.chunk`) and the merged finalize — and must be
-/// byte-identical across reruns and across the calendar / heap-oracle
-/// scheduler backends, the same invariance the sharded suite pins for the
-/// jacobi engine.
+/// byte-identical across reruns.
 #[test]
-fn sharded_style_multipath_chunk_trace_is_backend_invariant() {
+fn multipath_chunk_trace_is_byte_identical_across_runs() {
     use rucx::fabric::Topology;
     use rucx::gpu::DeviceId;
-    use rucx::sim::{Backend, RunOutcome, SimConfig};
-    use rucx::ucp::{blocking, build_sim_with, MachineConfig, SendBuf, MASK_FULL};
+    use rucx::sim::RunOutcome;
+    use rucx::ucp::{blocking, build_sim, MachineConfig, SendBuf, MASK_FULL};
 
-    let traced_run = |backend| {
-        let mut sim_cfg = SimConfig::default();
-        sim_cfg.backend = backend;
-        let mut sim = build_sim_with(Topology::summit(1), MachineConfig::default(), sim_cfg);
+    let traced_run = || {
+        let mut sim = build_sim(Topology::summit(1), MachineConfig::default());
         sim.scheduler().trace.enable(0);
         // Concurrent 16 MiB device-to-device fetches over several pairs:
         // same-socket (NVLink + X-Bus stripes) and cross-socket (X-Bus +
@@ -394,35 +390,7 @@ fn sharded_style_multipath_chunk_trace_is_backend_invariant() {
         assert!(c.get("ucp.multipath_chunks") > 0);
         sim.scheduler().trace.to_chrome_json()
     };
-    let a = traced_run(Backend::Calendar);
+    let a = traced_run();
     assert!(a.contains("ucp.mp.chunk"), "chunk completions traced");
-    assert_eq!(traced_run(Backend::Calendar), a, "rerun diverged");
-    assert_eq!(traced_run(Backend::Oracle), a, "oracle backend diverged");
-}
-
-/// Satellite: both event-queue backends (calendar queue vs the BinaryHeap
-/// oracle) drive the sharded model to bitwise-equal results.
-#[test]
-fn sharded_backends_agree_with_heap_oracle() {
-    use rucx::jacobi::{run_sharded_full, ShardedOpts};
-    use rucx::sim::Backend;
-
-    let mut cfg = JacobiConfig::strong(4, Mode::HostStaging);
-    cfg.iters = 2;
-    let mk = |backend| {
-        run_sharded_full(
-            JacobiModel::Ompi,
-            &cfg,
-            &ShardedOpts {
-                shards: 4,
-                backend,
-                ..Default::default()
-            },
-        )
-    };
-    let cal = mk(Backend::Calendar);
-    let heap = mk(Backend::Oracle);
-    assert_eq!(cal.result, heap.result);
-    assert_eq!(cal.stats.envelopes, heap.stats.envelopes);
-    assert_eq!(cal.stats.windows, heap.stats.windows);
+    assert_eq!(traced_run(), a, "rerun diverged");
 }
