@@ -7,6 +7,7 @@
 //! Run with `cargo bench --bench engine`. `RUCX_BENCH_ITERS` /
 //! `RUCX_BENCH_WARMUP` control iteration counts.
 
+use rucx_compat::json::ToJson;
 use rucx_compat::timer::Runner;
 use rucx_fabric::Topology;
 use rucx_sim::Simulation;
@@ -161,7 +162,9 @@ fn main() {
     bench_tag_matching_depth(&mut r);
     rucx_bench::write_json("engine_microbench", r.results());
     // The perf-trajectory file tracked at the repo root: one JSON array of
-    // {name, iters, min/mean/median/p99/max ns} per benchmark, shared
-    // with the parallel_scaling target (merge, don't clobber).
-    rucx_bench::merge_bench_engine(r.results());
+    // {name, iters, min/mean/median/p99/max ns} per benchmark. This bench
+    // is its only writer.
+    let tracked = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
+    std::fs::write(tracked, r.results().to_json()).expect("write BENCH_engine.json");
+    println!("  [results written to BENCH_engine.json]");
 }

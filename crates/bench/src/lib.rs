@@ -40,68 +40,6 @@ pub fn write_text(name: &str, contents: &str) {
     println!("  [results written to {}]", path.display());
 }
 
-/// Path of the perf-trajectory file tracked at the repo root.
-fn bench_engine_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_engine.json"
-    ))
-}
-
-/// Split a flat JSON array of benchmark objects (the only shape
-/// `BENCH_engine.json` ever holds — no nesting, no braces in strings)
-/// into its object substrings.
-fn split_bench_objects(doc: &str) -> Vec<String> {
-    let body = doc
-        .trim()
-        .trim_start_matches('[')
-        .trim_end_matches(']')
-        .trim();
-    if body.is_empty() {
-        return Vec::new();
-    }
-    body.split("}, {")
-        .map(|part| {
-            let mut o = part.trim().to_string();
-            if !o.starts_with('{') {
-                o.insert(0, '{');
-            }
-            if !o.ends_with('}') {
-                o.push('}');
-            }
-            o
-        })
-        .collect()
-}
-
-/// `"name"` field of one serialized benchmark object.
-fn bench_object_name(obj: &str) -> Option<&str> {
-    obj.split("\"name\": \"").nth(1)?.split('"').next()
-}
-
-/// Merge `results` into `BENCH_engine.json` at the repo root: entries are
-/// replaced by name, new names appended, and entries produced by *other*
-/// bench targets left untouched — so `engine` and `parallel_scaling` can
-/// share one perf-trajectory file without clobbering each other.
-pub fn merge_bench_engine(results: &[rucx_compat::timer::BenchResult]) {
-    let path = bench_engine_path();
-    let mut objects = fs::read_to_string(&path)
-        .map(|doc| split_bench_objects(&doc))
-        .unwrap_or_default();
-    for r in results {
-        let fresh = r.to_json();
-        match objects
-            .iter_mut()
-            .find(|o| bench_object_name(o) == Some(r.name.as_str()))
-        {
-            Some(slot) => *slot = fresh,
-            None => objects.push(fresh),
-        }
-    }
-    fs::write(&path, format!("[{}]", objects.join(", "))).expect("write BENCH_engine.json");
-    println!("  [results merged into BENCH_engine.json]");
-}
-
 /// The chaos knob shared by every driver: `RUCX_FAULT_SPEC` holds a fault
 /// specification (see [`rucx_fault::FaultSpec::parse`] for the grammar,
 /// e.g. `seed=7,drop=0.01,delay=0.05:20`), parsed once per run into

@@ -8,8 +8,7 @@
 //! rebuilt from the trace, and which recovery mechanism paid for the
 //! degradation (retransmission, endpoint park+probe, pipeline-chunk
 //! reroute, host-staged fallback, or service-layer resubmission). Cells
-//! are fully independent, so the matrix can be sharded across threads
-//! with byte-identical merged output.
+//! are fully independent simulations.
 
 use std::sync::Arc;
 
@@ -277,7 +276,8 @@ fn jacobi_cell(scenario: &'static str, quick: bool) -> Cell {
     cfg.iters = if quick { 2 } else { 4 };
     cfg.warmup = 1;
     let mut sim = traced_sim(scenario);
-    let r = run_charm_on(&mut sim, &cfg);
+    let r = run_charm_on(&mut sim, &cfg)
+        .unwrap_or_else(|s| panic!("jacobi cell under {scenario}: {s}"));
     let (attr, recovery) = harvest(&sim);
     Cell {
         scenario,

@@ -10,8 +10,6 @@
 //! - [`sync`] — poison-free [`sync::Mutex`] / [`sync::RwLock`] /
 //!   [`sync::Condvar`] wrappers over `std::sync` with the `parking_lot` API
 //!   shape (no `.unwrap()` plumbing at call sites).
-//! - [`channel`] — unbounded MPSC channels with the `crossbeam::channel`
-//!   surface, used wherever messages can queue (pool job handoff, tests).
 //! - [`rendezvous`] — a one-slot, spin-then-park handoff cell for strictly
 //!   alternating handshakes; the allocation-free primitive under the
 //!   simulation's driver ⇄ process hot path.
@@ -37,7 +35,6 @@
 //! never simulated results).
 
 pub mod buf;
-pub mod channel;
 pub mod check;
 pub mod idmap;
 pub mod json;

@@ -2,9 +2,9 @@
 //!
 //! The simulation's process-wakeup path is a pure handoff: at most one
 //! message (the execution baton) is ever in flight toward a given
-//! receiver, which parks until it arrives. A general MPSC channel (see
-//! [`crate::channel`]) pays a `VecDeque` plus queue bookkeeping per hop
-//! for capacity it never uses. This cell is the purpose-built alternative:
+//! receiver, which parks until it arrives. A general MPSC channel pays a
+//! `VecDeque` plus queue bookkeeping per hop for capacity it never uses.
+//! This cell is the purpose-built alternative:
 //! a single `Mutex<Option<T>>` slot, a `Condvar`, and an atomic
 //! availability hint that lets the receiver wait adaptively before parking
 //! — on an immediate handoff the hop completes without any futex round
@@ -19,16 +19,28 @@
 //! present on the next check.
 //!
 //! Contract: **at most one message outstanding per direction**. Sending
-//! into an occupied slot is a protocol violation and panics. Disconnect
-//! semantics match [`crate::channel`]: dropping the sender makes `recv`
-//! return `Err(RecvError)` (so a dropped simulation unwinds parked process
-//! threads), dropping the receiver makes `send` fail with the value.
+//! into an occupied slot is a protocol violation and panics. Disconnects
+//! surface on both ends: dropping the sender makes `recv` return
+//! `Err(RecvError)`, dropping the receiver makes `send` fail with the value.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-pub use crate::channel::{RecvError, SendError};
 use crate::sync::{Condvar, Mutex};
+
+/// The receiver was dropped; the unsent value is returned.
+pub struct SendError<T>(pub T);
+
+impl<T> fmt::Debug for SendError<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("SendError(..)")
+    }
+}
+
+/// The sender was dropped with nothing in the slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecvError;
 
 /// Nothing to take; keep spinning or park.
 const HINT_EMPTY: u32 = 0;

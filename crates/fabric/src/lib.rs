@@ -10,4 +10,4 @@ pub mod net;
 pub mod topology;
 
 pub use net::{net_transfer, HasNet, NetParams, NetSubsystem, WireKind};
-pub use topology::{ProcIndex, ShardPlan, Topology};
+pub use topology::{ProcIndex, Topology};

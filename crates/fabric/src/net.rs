@@ -65,15 +65,6 @@ impl NetParams {
             + self.hop_latency as Duration * self.hops as Duration
             + transfer_time(size, bw)
     }
-
-    /// Minimum virtual time any inter-node message spends on the wire — the
-    /// α term alone (injection plus switch traversal), the floor under every
-    /// `wire_time`. A conservative parallel driver that shards the cluster
-    /// along node boundaries may use this as its lookahead: no cross-node
-    /// interaction can complete faster.
-    pub fn min_latency(&self) -> Duration {
-        (self.injection + self.hop_latency as Duration * self.hops as Duration).max(1)
-    }
 }
 
 /// World component: network state for the cluster.

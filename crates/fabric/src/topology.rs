@@ -57,117 +57,11 @@ impl Topology {
     pub fn same_socket(&self, a: ProcIndex, b: ProcIndex) -> bool {
         self.same_node(a, b) && self.socket_of(a) == self.socket_of(b)
     }
-
-    /// Partition the cluster into at most `shards` contiguous node ranges
-    /// (balanced to within one node; the shard count is clamped to
-    /// `[1, nodes]`). Contiguity along node boundaries is what lets a
-    /// conservative parallel driver use the *inter-node* minimum latency
-    /// ([`crate::NetParams::min_latency`]) as its lookahead: every
-    /// cross-shard message necessarily crosses a node boundary. That floor
-    /// is computed once here and cached on the plan — the sharded runner
-    /// consults it per envelope exchange.
-    pub fn shard_plan(&self, shards: usize, net: &crate::NetParams) -> ShardPlan {
-        ShardPlan {
-            shards: shards.clamp(1, self.nodes),
-            nodes: self.nodes,
-            gpus_per_node: self.gpus_per_node,
-            min_latency: net.min_latency(),
-        }
-    }
-
-    /// Conservative lookahead for a node-contiguous sharding under `net`:
-    /// the fabric is a uniform fat tree, so the minimum over all inter-node
-    /// links is the α term itself.
-    pub fn lookahead(&self, net: &crate::NetParams) -> rucx_sim::time::Duration {
-        net.min_latency()
-    }
-}
-
-/// Balanced contiguous assignment of nodes (and their processes) to
-/// shards, from [`Topology::shard_plan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPlan {
-    pub shards: usize,
-    pub nodes: usize,
-    pub gpus_per_node: usize,
-    /// Conservative lookahead floor ([`crate::NetParams::min_latency`]),
-    /// cached at plan construction so the per-envelope hot path never
-    /// recomputes it.
-    pub min_latency: rucx_sim::time::Duration,
-}
-
-impl ShardPlan {
-    /// Shard owning `node` (balanced: `⌊node·shards/nodes⌋`).
-    pub fn shard_of_node(&self, node: usize) -> usize {
-        node * self.shards / self.nodes
-    }
-
-    /// Shard owning process `p`.
-    pub fn shard_of_proc(&self, p: ProcIndex) -> usize {
-        self.shard_of_node(p / self.gpus_per_node)
-    }
-
-    /// Node range owned by `shard` (contiguous, exactly inverts
-    /// [`ShardPlan::shard_of_node`]).
-    pub fn nodes_of(&self, shard: usize) -> std::ops::Range<usize> {
-        let lo = (shard * self.nodes).div_ceil(self.shards);
-        let hi = ((shard + 1) * self.nodes).div_ceil(self.shards);
-        lo..hi
-    }
-
-    /// Process range owned by `shard`.
-    pub fn procs_of(&self, shard: usize) -> std::ops::Range<ProcIndex> {
-        let n = self.nodes_of(shard);
-        n.start * self.gpus_per_node..n.end * self.gpus_per_node
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_plan_partitions_nodes_contiguously() {
-        for nodes in [1usize, 2, 3, 7, 8, 256] {
-            for shards in [1usize, 2, 3, 8, 300] {
-                let t = Topology::summit(nodes);
-                let net = crate::NetParams::default();
-                let plan = t.shard_plan(shards, &net);
-                assert!(plan.shards >= 1 && plan.shards <= nodes);
-                assert_eq!(plan.min_latency, net.min_latency());
-                // Ranges tile the node set exactly, in order.
-                let mut next = 0;
-                for s in 0..plan.shards {
-                    let r = plan.nodes_of(s);
-                    assert_eq!(r.start, next, "gap before shard {s}");
-                    assert!(!r.is_empty(), "empty shard {s} ({nodes}n/{shards}s)");
-                    for node in r.clone() {
-                        assert_eq!(plan.shard_of_node(node), s);
-                    }
-                    next = r.end;
-                }
-                assert_eq!(next, nodes);
-                // Process mapping agrees with node mapping.
-                for p in 0..t.procs() {
-                    assert_eq!(plan.shard_of_proc(p), plan.shard_of_node(t.node_of(p)));
-                    assert!(plan.procs_of(plan.shard_of_proc(p)).contains(&p));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lookahead_is_the_alpha_term() {
-        use crate::NetParams;
-        let t = Topology::summit(4);
-        let net = NetParams::default();
-        let l = t.lookahead(&net);
-        assert_eq!(l, net.min_latency());
-        assert!(l > 0);
-        // Strictly below any actual wire time.
-        assert!(l <= net.wire_time(0, crate::WireKind::Host));
-        assert!(l <= net.wire_time(0, crate::WireKind::Gdr));
-    }
 
     #[test]
     fn summit_mapping() {

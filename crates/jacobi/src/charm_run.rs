@@ -10,11 +10,12 @@ use rucx_fabric::Topology;
 use rucx_gpu::MemRef;
 use rucx_osu::cuda;
 use rucx_sim::time::{as_ms, Time};
-use rucx_sim::RunOutcome;
 use rucx_ucp::{build_sim, MCtx};
 
 use crate::bufs::alloc_mapped;
-use crate::config::{pack_cost, stencil_cost, JacobiConfig, JacobiResult, Mode};
+use crate::config::{
+    drain, pack_cost, stencil_cost, JacobiConfig, JacobiResult, JacobiStall, Mode,
+};
 use crate::decomp::{decompose, opposite, Block};
 
 struct JacobiChare {
@@ -211,7 +212,7 @@ impl JacobiChare {
 /// blocks), letting the message-driven scheduler overlap one chare's halo
 /// wait with another's stencil compute — the paper's planned
 /// computation-communication-overlap extension.
-pub fn run_charm(cfg: &JacobiConfig) -> JacobiResult {
+pub fn run_charm(cfg: &JacobiConfig) -> Result<JacobiResult, JacobiStall> {
     let topo = Topology::summit(cfg.nodes);
     let mut sim = build_sim(topo, cfg.machine.clone());
     run_charm_on(&mut sim, cfg)
@@ -221,7 +222,10 @@ pub fn run_charm(cfg: &JacobiConfig) -> JacobiResult {
 /// runner arms fault injection and the trace sink on the sim before
 /// handing it over, then harvests counters and trace afterwards. The sim
 /// must model `cfg.nodes` Summit-like nodes and not have been run yet.
-pub fn run_charm_on(sim: &mut rucx_ucp::MSim, cfg: &JacobiConfig) -> JacobiResult {
+pub fn run_charm_on(
+    sim: &mut rucx_ucp::MSim,
+    cfg: &JacobiConfig,
+) -> Result<JacobiResult, JacobiStall> {
     assert_eq!(
         sim.world().topo.procs(),
         cfg.ranks(),
@@ -331,11 +335,5 @@ pub fn run_charm_on(sim: &mut rucx_ucp::MSim, cfg: &JacobiConfig) -> JacobiResul
         }
         pe.run(ctx);
     });
-    assert_eq!(
-        sim.run(),
-        RunOutcome::Completed,
-        "jacobi (charm) did not drain"
-    );
-    let r = *result.lock();
-    r
+    drain(sim, &result)
 }

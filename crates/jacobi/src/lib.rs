@@ -5,7 +5,9 @@
 //! to six neighbors each iteration — either GPU-direct through the
 //! communication layer or staged through host memory. Implemented for all
 //! four models (Charm++, AMPI, OpenMPI, Charm4py) with weak- and
-//! strong-scaling drivers reproducing Figures 14–16.
+//! strong-scaling drivers reproducing Figures 14–16. There is one path:
+//! [`try_run`] executes the real UCP/runtime stack — every rank a coroutine
+//! of one `Simulation` — at every size from 1 to 256 nodes.
 
 pub mod bufs;
 pub mod charm_run;
@@ -13,14 +15,9 @@ pub mod config;
 pub mod decomp;
 pub mod mpi_run;
 pub mod py_run;
-pub mod sharded;
 
-pub use config::{JacobiConfig, JacobiResult, Mode};
+pub use config::{JacobiConfig, JacobiResult, JacobiStall, Mode};
 pub use decomp::{decompose, Block, BlockGrid, Domain};
-pub use sharded::{
-    run_sharded, run_sharded_full, sharded_strong_series, sharded_weak_series, ShardedOpts,
-    ShardedRun,
-};
 
 use rucx_osu::mpi_like::{AmpiFactory, OmpiFactory};
 
@@ -44,14 +41,22 @@ impl JacobiModel {
     }
 }
 
-/// Run one Jacobi3D configuration.
-pub fn run(model: JacobiModel, cfg: &JacobiConfig) -> JacobiResult {
+/// Run one Jacobi3D configuration; `Err` when the run stalls (a lossy
+/// `cfg.machine.fault` spec made the reliability layer give up on a halo
+/// and the ranks waiting for it never finish).
+pub fn try_run(model: JacobiModel, cfg: &JacobiConfig) -> Result<JacobiResult, JacobiStall> {
     match model {
         JacobiModel::Charm => charm_run::run_charm(cfg),
         JacobiModel::Ampi => mpi_run::run_mpi(cfg, AmpiFactory),
         JacobiModel::Ompi => mpi_run::run_mpi(cfg, OmpiFactory),
         JacobiModel::Charm4py => py_run::run_charm4py(cfg),
     }
+}
+
+/// [`try_run`] for configurations that must drain: panics on a stall.
+pub fn run(model: JacobiModel, cfg: &JacobiConfig) -> JacobiResult {
+    try_run(model, cfg)
+        .unwrap_or_else(|s| panic!("jacobi ({}) did not drain: {s:?}", model.label()))
 }
 
 /// Weak-scaling sweep over `node_counts` (powers of two).
@@ -161,6 +166,31 @@ mod tests {
             r4.overall_ms < r1.overall_ms * 1.5,
             "odf=4 {r4:?} vs odf=1 {r1:?}"
         );
+    }
+
+    /// Under 60 % drop the reliability layer gives up on some halo and the
+    /// ranks waiting for it never finish: `try_run` reports that as a value
+    /// naming the give-ups and the parked ranks, identically on every run.
+    #[test]
+    fn stalled_run_is_a_value_and_replays_identically() {
+        let mut cfg = quick(2, Mode::HostStaging);
+        cfg.machine.fault = Some(rucx_fault::FaultSpec::parse("seed=7,drop=0.6").unwrap());
+        let mut stalls = 0;
+        for model in [
+            JacobiModel::Charm,
+            JacobiModel::Ampi,
+            JacobiModel::Ompi,
+            JacobiModel::Charm4py,
+        ] {
+            let first = try_run(model, &cfg);
+            assert_eq!(first, try_run(model, &cfg), "{model:?} must replay");
+            if let Err(stall) = first {
+                assert!(stall.unreachable > 0, "{model:?}: {stall:?}");
+                assert!(!stall.blocked.is_empty(), "{model:?}: {stall:?}");
+                stalls += 1;
+            }
+        }
+        assert!(stalls > 0, "60 % drop must strand at least one model");
     }
 
     #[test]

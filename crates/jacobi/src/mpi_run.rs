@@ -7,16 +7,20 @@ use rucx_fabric::Topology;
 use rucx_osu::cuda;
 use rucx_osu::mpi_like::{P2p, RankFactory};
 use rucx_sim::time::as_ms;
-use rucx_sim::RunOutcome;
 use rucx_ucp::build_sim;
 
 use crate::bufs::alloc_all;
-use crate::config::{pack_cost, stencil_cost, JacobiConfig, JacobiResult, Mode};
+use crate::config::{
+    drain, pack_cost, stencil_cost, JacobiConfig, JacobiResult, JacobiStall, Mode,
+};
 use crate::decomp::{decompose, opposite};
 
 /// Run Jacobi3D under an MPI-style model; returns per-iteration timings
 /// (max over ranks).
-pub fn run_mpi<F: RankFactory>(cfg: &JacobiConfig, factory: F) -> JacobiResult {
+pub fn run_mpi<F: RankFactory>(
+    cfg: &JacobiConfig,
+    factory: F,
+) -> Result<JacobiResult, JacobiStall> {
     let topo = Topology::summit(cfg.nodes);
     let mut sim = build_sim(topo, cfg.machine.clone());
     let grid = decompose(cfg.domain, cfg.ranks() as u64);
@@ -122,11 +126,5 @@ pub fn run_mpi<F: RankFactory>(cfg: &JacobiConfig, factory: F) -> JacobiResult {
             mpi.send(ctx, res, 0, 1000);
         }
     });
-    assert_eq!(
-        sim.run(),
-        RunOutcome::Completed,
-        "jacobi (mpi) did not drain"
-    );
-    let r = *result.lock();
-    r
+    drain(&mut sim, &result)
 }

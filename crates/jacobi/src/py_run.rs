@@ -7,15 +7,16 @@ use rucx_charm4py::{launch_with, PyParams};
 use rucx_fabric::Topology;
 use rucx_osu::cuda;
 use rucx_sim::time::as_ms;
-use rucx_sim::RunOutcome;
 use rucx_ucp::build_sim;
 
 use crate::bufs::alloc_all;
-use crate::config::{pack_cost, stencil_cost, JacobiConfig, JacobiResult, Mode};
+use crate::config::{
+    drain, pack_cost, stencil_cost, JacobiConfig, JacobiResult, JacobiStall, Mode,
+};
 use crate::decomp::decompose;
 
 /// Run Jacobi3D on Charm4py; returns per-iteration timings (max over ranks).
-pub fn run_charm4py(cfg: &JacobiConfig) -> JacobiResult {
+pub fn run_charm4py(cfg: &JacobiConfig) -> Result<JacobiResult, JacobiStall> {
     let topo = Topology::summit(cfg.nodes);
     let mut sim = build_sim(topo, cfg.machine.clone());
     let grid = decompose(cfg.domain, cfg.ranks() as u64);
@@ -115,11 +116,5 @@ pub fn run_charm4py(cfg: &JacobiConfig) -> JacobiResult {
             py.send_host(ctx, ch, payload);
         }
     });
-    assert_eq!(
-        sim.run(),
-        RunOutcome::Completed,
-        "jacobi (charm4py) did not drain"
-    );
-    let r = *result.lock();
-    r
+    drain(&mut sim, &result)
 }

@@ -22,10 +22,11 @@
 //! ## What a context may rely on
 //!
 //! A suspended context may be resumed by a different OS thread than the one
-//! it last ran on (`ShardedEngine` advances each shard from a scoped worker
-//! per window). Code running on a coroutine must therefore keep nothing in
-//! `thread_local!` storage across a yield, and must not hold an OS mutex
-//! guard across one.
+//! it last ran on: a `Simulation` is `Send`, so a caller may move it between
+//! `run_until` calls (`run_until_from_alternating_threads_matches_a_single_thread`
+//! in `tests/coroutines.rs` pins that). Code running on a coroutine must
+//! therefore keep nothing in `thread_local!` storage across a yield, and
+//! must not hold an OS mutex guard across one.
 
 use std::collections::BTreeMap;
 use std::ffi::c_void;

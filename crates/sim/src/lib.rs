@@ -42,24 +42,20 @@
 //!
 //! ## Scale
 //!
-//! Two mechanisms keep 1536-PE sweeps tractable. The event queue is one
+//! One mechanism keeps 1536-PE sweeps tractable. The event queue is one
 //! concrete structure the [`Scheduler`] owns directly — a binary min-heap
 //! of 24-byte `(time, seq, slot)` keys over a slab of payloads, with O(1)
 //! cancellation by tombstone — sized to what the workloads put in it (a
 //! few to a few hundred events at a time, never above ~2 000, at time
 //! scales from ns to ms in one run); there is no second backend and no
-//! switch. And [`shard::ShardedEngine`] advances several independent
-//! simulations on OS threads — the one place threads remain, one per
-//! active shard per window — under conservative lookahead windows,
-//! exchanging cross-shard envelopes at barriers; deterministic for any
-//! shard count.
+//! switch. A [`Simulation`] is the only engine: the full stack at 256
+//! nodes (1 536 coroutines) runs in seconds on the calling thread.
 
 pub mod coro;
 pub mod process;
 mod queue;
 pub mod rng;
 pub mod sched;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod time;
@@ -69,10 +65,6 @@ pub use process::ProcCtx;
 pub use queue::Backend;
 pub use rng::SimRng;
 pub use sched::{EventKey, Notify, ProcId, Scheduler, Trigger};
-pub use shard::{
-    Envelope, EnvelopeLease, EnvelopePool, Outbox, RouteDecision, RouteHook, RouteInfo, ShardStats,
-    ShardedEngine, ShardedOutcome,
-};
 pub use sim::{RunOutcome, SimConfig, Simulation};
 pub use stats::{Counters, DurationStats, Metric, MetricKind};
 pub use time::{Duration, Time};

@@ -15,7 +15,7 @@
 //! slot remembers the `seq` it was filled under (so a stale key whose
 //! slot was recycled cannot cancel the newcomer), and a cancelled entry
 //! stays in the heap as a tombstone — its payload already dropped — until
-//! it surfaces, where `pop_le`/`min_time` discard it.
+//! it surfaces, where `pop_le` discards it.
 
 use crate::sched::EventPayload;
 use crate::time::Time;
@@ -149,12 +149,6 @@ impl<W> EventQueue<W> {
         slot
     }
 
-    /// Time of the earliest live event.
-    pub(crate) fn min_time(&mut self) -> Option<Time> {
-        self.purge();
-        self.heap.first().map(|k| k.time)
-    }
-
     /// Pop the earliest live event if its time is at or before `limit`.
     #[inline]
     pub(crate) fn pop_le(&mut self, limit: Time) -> Due<W> {
@@ -259,6 +253,15 @@ mod tests {
 
     type W = Vec<u64>;
 
+    impl EventQueue<W> {
+        /// Time of the earliest live event: what `pop_le` compares with its
+        /// limit, without popping.
+        fn min_time(&mut self) -> Option<Time> {
+            self.purge();
+            self.heap.first().map(|k| k.time)
+        }
+    }
+
     /// Payload that records `seq` in the world when run, so a pop can be
     /// checked against the key it was pushed under.
     fn tag(seq: u64) -> EventPayload<W> {
@@ -362,11 +365,12 @@ mod tests {
         s.schedule_at(30, |w, _| w.push(30));
         let k = s.schedule_cancellable_at(10, |w, _| w.push(10));
         assert_eq!(s.queued_events(), 2);
-        assert_eq!(s.peek_time(), Some(10));
         assert!(s.cancel(k));
         assert_eq!(s.queued_events(), 1, "cancelled entries are not queued");
-        assert_eq!(s.peek_time(), Some(30), "window bound skips tombstones");
-        assert!(matches!(s.pop_due(20), Due::Later(30)));
+        assert!(
+            matches!(s.pop_due(20), Due::Later(30)),
+            "the tombstone at 10 is neither due nor the minimum"
+        );
         assert_eq!(s.events_executed(), 0);
     }
 

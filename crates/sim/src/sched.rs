@@ -255,10 +255,6 @@ impl<W> Scheduler<W> {
         due
     }
 
-    pub(crate) fn peek_time(&mut self) -> Option<Time> {
-        self.queue.min_time()
-    }
-
     pub(crate) fn set_now(&mut self, t: Time) {
         debug_assert!(t >= self.now, "virtual time must be monotone");
         self.now = t;

@@ -315,13 +315,6 @@ impl<W: Send + 'static> Simulation<W> {
         &self.core().sched
     }
 
-    /// Virtual time of the earliest queued event, if any — what a
-    /// conservative parallel driver needs to compute the global window
-    /// bound (see [`crate::shard`]).
-    pub fn next_event_time(&mut self) -> Option<Time> {
-        self.core_mut().sched.peek_time()
-    }
-
     /// True when every spawned process has finished (vacuously true for
     /// pure event-closure simulations).
     pub fn all_processes_finished(&self) -> bool {

@@ -241,31 +241,6 @@ impl TraceSink {
     }
 }
 
-/// Merge several sinks' buffers into one deterministic Chrome trace
-/// document. Events are sorted by `(ts, pe, name, id, arg, dur)`, so the
-/// output is a pure function of the *multiset* of recorded events — not
-/// of how they were distributed across sinks or of intra-sink order. The
-/// sharded driver uses this to produce shard-count-invariant traces from
-/// its per-shard sinks.
-pub fn merge_chrome_json<'a>(sinks: impl IntoIterator<Item = &'a TraceSink>) -> String {
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let mut dropped = 0u64;
-    for sink in sinks {
-        events.extend(sink.events().copied());
-        dropped += sink.dropped();
-    }
-    events.sort_by(|x, y| {
-        (x.ts, x.pe, x.name, x.id, x.arg, x.dur()).cmp(&(y.ts, y.pe, y.name, y.id, y.arg, y.dur()))
-    });
-    let mut s = String::new();
-    JsonObject::new(&mut s)
-        .field("traceEvents", &events)
-        .field("displayTimeUnit", "ns")
-        .field("dropped", &dropped)
-        .finish();
-    s
-}
-
 impl Ring {
     #[inline]
     fn push(&mut self, ev: TraceEvent) {

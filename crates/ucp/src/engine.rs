@@ -261,8 +261,7 @@ pub(crate) fn fetch_intra<F>(
 /// countdown — the finalizer runs exactly once, when the last chunk of the
 /// slowest leg lands. Chunk times are a deterministic interpolation of each
 /// leg's own duration, so the completion order is a pure function of the
-/// plan (the property the determinism suite pins across shard counts and
-/// backends).
+/// plan (the property the determinism suite pins across runs).
 fn fetch_intra_striped<F>(
     w: &mut Machine,
     s: &mut MSched,

@@ -8,15 +8,9 @@
 //! cargo run --release --example osu_cli -- latency  --model openmpi --mode d --no-gdrcopy
 //! cargo run --release --example osu_cli -- latency  --model ampi --place inter \
 //!     --fault-spec seed=7,drop=0.01
-//! cargo run --release --example osu_cli -- bw       --model charm --shards 4
 //! cargo run --release --example osu_cli -- coll     --coll allreduce --algo hier
 //! cargo run --release --example osu_cli -- coll     --coll bcast --model charm4py
 //! ```
-//!
-//! `--shards N` splits the message-size sweep across N OS threads (each
-//! size is an independent deterministic simulation), merging the points
-//! back in size order — byte-identical output, a fraction of the wall
-//! clock.
 
 use rucx::coll::Algo;
 use rucx::fault::FaultSpec;
@@ -28,45 +22,9 @@ fn usage() -> ! {
         "usage: osu_cli <latency|bw|bibw|coll> [--model charm|ampi|openmpi|charm4py] \
          [--mode d|h] [--place intra|inter] [--coll allreduce|bcast] \
          [--algo auto|tree|rd|ring|hier] [--no-gdrcopy] [--quick] [--fault-spec SPEC] \
-         [--shards N] [--json]"
+         [--json]"
     );
     std::process::exit(2)
-}
-
-/// Run one full sweep: `sweep(cfg)` over all of `cfg.sizes`, or — with
-/// `shards > 1` — over per-thread strided slices of it, reassembled in
-/// size order. Every size is its own simulation, so the merged series is
-/// byte-identical to the sequential one.
-fn run_sharded_sweep(
-    cfg: &OsuConfig,
-    shards: usize,
-    sweep: impl Fn(&OsuConfig) -> Series + Sync,
-) -> Series {
-    let shards = shards.clamp(1, cfg.sizes.len().max(1));
-    if shards == 1 {
-        return sweep(cfg);
-    }
-    let mut slices: Vec<Series> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|k| {
-                let mut sub = cfg.clone();
-                sub.sizes = cfg.sizes.iter().copied().skip(k).step_by(shards).collect();
-                let sweep = &sweep;
-                scope.spawn(move || sweep(&sub))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let mut merged = Series {
-        label: slices[0].label.clone(),
-        unit: slices[0].unit,
-        points: Vec::new(),
-    };
-    for s in &mut slices {
-        merged.points.append(&mut s.points);
-    }
-    merged.points.sort_by_key(|&(size, _)| size);
-    merged
 }
 
 fn main() {
@@ -79,7 +37,6 @@ fn main() {
     let mut mode = Mode::Device;
     let mut place = Placement::IntraNode;
     let mut cfg = OsuConfig::default();
-    let mut shards = 1usize;
     let mut json = false;
     let mut coll_kind = CollKind::Allreduce;
     let mut algo: Option<Algo> = None;
@@ -125,13 +82,6 @@ fn main() {
             }
             "--no-gdrcopy" => cfg.machine.ucp.gdrcopy_enabled = false,
             "--json" => json = true,
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage());
-            }
             "--fault-spec" => {
                 let spec = it.next().unwrap_or_else(|| usage());
                 cfg.machine.fault = Some(FaultSpec::parse(spec).unwrap_or_else(|e| {
@@ -149,15 +99,11 @@ fn main() {
     }
 
     let series: Series = match bench.as_str() {
-        "latency" => run_sharded_sweep(&cfg, shards, |c| latency(c, model, mode, place)),
-        "bw" => run_sharded_sweep(&cfg, shards, |c| bandwidth(c, model, mode, place)),
+        "latency" => latency(&cfg, model, mode, place),
+        "bw" => bandwidth(&cfg, model, mode, place),
         "bibw" => match model {
-            Model::Ampi => run_sharded_sweep(&cfg, shards, |c| {
-                bibw::bibw_series(c, "AMPI", place, mpi_like::AmpiFactory)
-            }),
-            Model::Ompi => run_sharded_sweep(&cfg, shards, |c| {
-                bibw::bibw_series(c, "OpenMPI", place, mpi_like::OmpiFactory)
-            }),
+            Model::Ampi => bibw::bibw_series(&cfg, "AMPI", place, mpi_like::AmpiFactory),
+            Model::Ompi => bibw::bibw_series(&cfg, "OpenMPI", place, mpi_like::OmpiFactory),
             _ => {
                 eprintln!("bibw supports --model ampi|openmpi");
                 std::process::exit(2);
@@ -168,7 +114,7 @@ fn main() {
                 eprintln!("coll supports --model ampi|openmpi|charm4py");
                 std::process::exit(2);
             }
-            run_sharded_sweep(&cfg, shards, |c| coll_latency(c, model, coll_kind, algo))
+            coll_latency(&cfg, model, coll_kind, algo)
         }
         _ => usage(),
     };

@@ -4,56 +4,16 @@
 //! recovery mechanism that paid for the degradation.
 //!
 //!     cargo run --release --example scenario_matrix -- [--quick] [--json]
-//!         [--markdown] [--shards N]
+//!         [--markdown]
 //!
-//! Cells are independent simulations, so `--shards N` farms them out
-//! round-robin over N threads; the merged, sorted output is byte-identical
-//! to a single-threaded run (`scripts/check.sh` gates on this).
+//! Cells run in canonical (scenario-major) order; the output is
+//! byte-identical across runs (`scripts/check.sh` gates on this).
 
 use rucx::bench::scenario::{all_cells, run_cell, Cell};
 
 fn usage() -> ! {
-    eprintln!("usage: scenario_matrix [--quick] [--json] [--markdown] [--shards N]");
+    eprintln!("usage: scenario_matrix [--quick] [--json] [--markdown]");
     std::process::exit(2);
-}
-
-/// Run every cell, optionally sharded. Cells keep their canonical
-/// (scenario-major) order regardless of shard interleaving.
-fn sweep(quick: bool, shards: usize) -> Vec<Cell> {
-    let cells = all_cells();
-    let shards = shards.clamp(1, cells.len());
-    let mut done: Vec<(usize, Cell)> = if shards == 1 {
-        cells
-            .into_iter()
-            .enumerate()
-            .map(|(i, (s, w))| (i, run_cell(s, w, quick)))
-            .collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|k| {
-                    let mine: Vec<(usize, (&str, &str))> = cells
-                        .iter()
-                        .copied()
-                        .enumerate()
-                        .skip(k)
-                        .step_by(shards)
-                        .collect();
-                    scope.spawn(move || {
-                        mine.into_iter()
-                            .map(|(i, (s, w))| (i, run_cell(s, w, quick)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        })
-    };
-    done.sort_by_key(|(i, _)| *i);
-    done.into_iter().map(|(_, c)| c).collect()
 }
 
 fn recovery_summary(c: &Cell) -> String {
@@ -84,25 +44,19 @@ fn main() {
     let mut quick = false;
     let mut json = false;
     let mut markdown = false;
-    let mut shards = 1usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    for a in &args {
         match a.as_str() {
             "--quick" => quick = true,
             "--json" => json = true,
             "--markdown" => markdown = true,
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage());
-            }
             _ => usage(),
         }
     }
 
-    let cells = sweep(quick, shards);
+    let cells: Vec<Cell> = all_cells()
+        .into_iter()
+        .map(|(s, w)| run_cell(s, w, quick))
+        .collect();
 
     if json {
         let body: Vec<String> = cells.iter().map(Cell::to_json).collect();

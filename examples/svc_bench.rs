@@ -11,13 +11,7 @@
 //! cargo run --release --example svc_bench
 //! cargo run --release --example svc_bench -- --clients 512 --tasks 32
 //! cargo run --release --example svc_bench -- --quick --json
-//! cargo run --release --example svc_bench -- --quick --shards 4
 //! ```
-//!
-//! `--shards N` splits the client-count sweep across N OS threads (each
-//! point is an independent deterministic simulation) with byte-identical
-//! output — the determinism gate in `scripts/check.sh` compares runs and
-//! shard counts.
 
 use rucx::svc::{run_load, LoadCfg, LoadResult};
 
@@ -52,7 +46,7 @@ struct Point {
 fn usage() -> ! {
     eprintln!(
         "usage: svc_bench [--clients N[,N...]] [--tasks N] [--data BYTES] \
-         [--window N] [--seed N] [--quick] [--shards N] [--json]"
+         [--window N] [--seed N] [--quick] [--json]"
     );
     std::process::exit(2)
 }
@@ -77,31 +71,9 @@ fn run_point(cfg: &BenchConfig, clients: usize) -> Point {
     }
 }
 
-/// The sweep, optionally sharded across threads by client count (each
-/// point is an independent simulation — merged output is byte-identical).
-fn sweep(cfg: &BenchConfig, shards: usize) -> Vec<Point> {
-    let shards = shards.clamp(1, cfg.sweep.len().max(1));
-    let mut points: Vec<Point> = if shards == 1 {
-        cfg.sweep.iter().map(|&c| run_point(cfg, c)).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|k| {
-                    let mine: Vec<usize> =
-                        cfg.sweep.iter().copied().skip(k).step_by(shards).collect();
-                    scope.spawn(move || {
-                        mine.into_iter()
-                            .map(|c| run_point(cfg, c))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        })
-    };
+/// The sweep, in ascending client count.
+fn sweep(cfg: &BenchConfig) -> Vec<Point> {
+    let mut points: Vec<Point> = cfg.sweep.iter().map(|&c| run_point(cfg, c)).collect();
     points.sort_by_key(|p| p.clients);
     points
 }
@@ -126,7 +98,6 @@ fn mode_json(r: &LoadResult) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = BenchConfig::default();
-    let mut shards = 1usize;
     let mut json = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -172,19 +143,12 @@ fn main() {
                 cfg.sweep = vec![16, 64];
                 cfg.tasks_per_client = 8;
             }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage());
-            }
             "--json" => json = true,
             _ => usage(),
         }
     }
 
-    let points = sweep(&cfg, shards);
+    let points = sweep(&cfg);
     if json {
         let body: Vec<String> = points
             .iter()

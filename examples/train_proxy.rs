@@ -10,12 +10,7 @@
 //! cargo run --release --example train_proxy
 //! cargo run --release --example train_proxy -- --algo ring --buckets 8
 //! cargo run --release --example train_proxy -- --no-overlap --json
-//! cargo run --release --example train_proxy -- --quick --shards 4
 //! ```
-//!
-//! `--shards N` splits the model-size sweep across N OS threads (each
-//! size is an independent deterministic simulation) with byte-identical
-//! output.
 
 use std::sync::Arc;
 
@@ -63,8 +58,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: train_proxy [--model ampi|openmpi] [--algo auto|rd|ring|hier] \
          [--buckets N] [--steps N] [--intensity BYTES_PER_GRAD_BYTE] [--no-overlap] \
-         [--quick] [--fault-spec SPEC] \
-         [--shards N] [--json]"
+         [--quick] [--fault-spec SPEC] [--json]"
     );
     std::process::exit(2)
 }
@@ -210,43 +204,22 @@ fn step_time<F: RankFactory>(cfg: &TrainConfig, size: u64, factory: F) -> f64 {
     r
 }
 
-/// The sweep, optionally sharded across threads by model size (each size
-/// is an independent simulation — merged output is byte-identical).
-fn sweep(cfg: &TrainConfig, ampi: bool, shards: usize) -> Series {
-    let shards = shards.clamp(1, cfg.sizes.len().max(1));
-    let run_one = |c: &TrainConfig| -> Vec<(u64, f64)> {
-        c.sizes
-            .iter()
-            .map(|&s| {
-                let size = (s / (8 * c.buckets)).max(16) * 8 * c.buckets;
-                let v = if ampi {
-                    step_time(c, size, AmpiFactory)
-                } else {
-                    step_time(c, size, OmpiFactory)
-                };
-                (size, v)
-            })
-            .collect()
-    };
-    let mut points: Vec<(u64, f64)> = if shards == 1 {
-        run_one(cfg)
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|k| {
-                    let mut sub = cfg.clone();
-                    sub.sizes = cfg.sizes.iter().copied().skip(k).step_by(shards).collect();
-                    let run_one = &run_one;
-                    scope.spawn(move || run_one(&sub))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
+/// The sweep over `cfg.sizes` (ascending), each rounded to a whole number
+/// of 8-byte elements per bucket.
+fn sweep(cfg: &TrainConfig, ampi: bool) -> Series {
+    let points = cfg
+        .sizes
+        .iter()
+        .map(|&s| {
+            let size = (s / (8 * cfg.buckets)).max(16) * 8 * cfg.buckets;
+            let v = if ampi {
+                step_time(cfg, size, AmpiFactory)
+            } else {
+                step_time(cfg, size, OmpiFactory)
+            };
+            (size, v)
         })
-    };
-    points.sort_by_key(|&(size, _)| size);
+        .collect();
     Series {
         label: format!(
             "train-proxy {} [{}] {}x{} step time",
@@ -264,7 +237,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = TrainConfig::default();
     let mut ampi = false;
-    let mut shards = 1usize;
     let mut json = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -315,19 +287,12 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 1)
-                    .unwrap_or_else(|| usage());
-            }
             "--json" => json = true,
             _ => usage(),
         }
     }
 
-    let series = sweep(&cfg, ampi, shards);
+    let series = sweep(&cfg, ampi);
     if json {
         use rucx::compat::json::ToJson;
         println!("{}", series.to_json());

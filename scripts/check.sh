@@ -108,9 +108,9 @@ fi
 bad=$(awk '
     /#\[cfg\(test\)\]/ { intest[FILENAME] = 1 }
     !intest[FILENAME] && /std::thread::/ { print FILENAME ": " $0 }
-' $(ls crates/sim/src/*.rs | grep -v '/shard\.rs$'))
+' crates/sim/src/*.rs examples/*.rs)
 if [ -n "$bad" ]; then
-    echo "std::thread:: in crates/sim/src outside shard.rs and test modules:"
+    echo "std::thread:: in crates/sim/src or examples/*.rs outside test modules:"
     echo "$bad"
     exit 1
 fi
@@ -181,6 +181,27 @@ fi
 echo "ok: one queue, no backend switch; id-keyed tables use IdMap"
 
 # ---------------------------------------------------------------------------
+# Gate: one engine, one Jacobi.
+#
+# A `Simulation` is the only engine and `jacobi::try_run` (the real stack)
+# the only Jacobi, at every size; the threaded conservative-window engine,
+# its closed-form Jacobi timing model, the per-driver thread farms and the
+# MPSC channel that served the thread-backed processes are gone and must
+# not come back under their old names (EXPERIMENTS.md "Why the closed-form
+# twin was deleted"). The pattern's own line below is the one exemption.
+# ---------------------------------------------------------------------------
+echo "== one-engine gate =="
+one_engine='ShardedEngine|EnvelopePool|EnvelopeLease|Outbox|RouteHook|ShardPlan|shard_plan|run_sharded|ShardedOpts|ShardedRun|merge_chrome_json|next_event_time|RUCX_SHARDS|--shards|compat::channel'
+bad=$(grep -rnE -e "$one_engine" crates src tests examples/*.rs scripts README.md \
+    | grep -v '^scripts/check\.sh:[0-9]*:one_engine=' || true)
+if [ -n "$bad" ]; then
+    echo "a deleted second engine, Jacobi model or thread farm is referenced:"
+    echo "$bad"
+    exit 1
+fi
+echo "ok: one engine, one Jacobi, no sweep-driver thread farms"
+
+# ---------------------------------------------------------------------------
 # Formatting gate.
 # ---------------------------------------------------------------------------
 echo "== cargo fmt --check =="
@@ -219,75 +240,58 @@ echo "   resume_hop median ${hop} ns (budget 90)"
 echo "ok: resume hot path within budget"
 
 # ---------------------------------------------------------------------------
-# Sharded engine: the conformance contract. Results and traces must be
-# byte-identical across shard counts {1,2,8} (tests/determinism.rs), and
-# the full-size scaling sweep must run end to end (capped at 8 nodes for CI
-# wall-clock; unset RUCX_MAX_NODES for the paper-scale 256-node curves).
+# Figures 14-16 come from one place: the real stack under `jacobi_figures`.
+# The sweep must run end to end and write all eight figure files (capped at
+# 32 nodes for CI wall-clock; unset RUCX_MAX_NODES for the paper-scale
+# 256-node curves, ~17 s).
 # ---------------------------------------------------------------------------
-echo "== sharded engine: sequential-oracle conformance =="
-cargo test -q --offline --test determinism sharded
-echo "ok: sharded runs byte-identical across shard counts"
-
-echo "== sharded scaling bench smoke (RUCX_MAX_NODES=8) =="
-RUCX_MAX_NODES=8 RUCX_BENCH_ITERS=2 RUCX_BENCH_WARMUP=0 \
-    cargo bench -q --offline -p rucx-bench --bench parallel_scaling >/dev/null
-echo "ok: sharded weak/strong sweep runs end to end"
+echo "== jacobi figures smoke (RUCX_MAX_NODES=32) =="
+rm -f target/rucx-results/fig1[4-6]_*.json
+RUCX_MAX_NODES=32 cargo bench -q --offline -p rucx-bench --bench jacobi_figures >/dev/null
+n=$(find target/rucx-results -name 'fig1[4-6]_*.json' -size +0c | wc -l)
+[ "$n" -eq 8 ] || { echo "FAIL: jacobi_figures wrote $n of 8 figure files"; exit 1; }
+echo "ok: weak/strong sweep of all four models runs end to end on the real stack"
 
 # ---------------------------------------------------------------------------
-# Collective engine: determinism + acceptance. The collective benchmark and
-# the training-step proxy must be byte-identical across repeated runs and
-# across shard counts {1,2,8} (every size point is an independent seeded
-# simulation), and the cross-model/chaos suite must hold: AMPI, OpenMPI and
-# Charm4py produce byte-identical reductions, and no fault mix yields a
+# Sweep drivers: every point of every driver is an independent seeded
+# simulation, so the JSON each prints must be byte-identical across
+# repeated runs. One harness, a driver x args table.
+# ---------------------------------------------------------------------------
+echo "== sweep drivers: run-twice determinism gate =="
+cargo build -q --offline --release \
+    --example osu_cli --example train_proxy --example svc_bench --example scenario_matrix
+declare -A out
+while read -r driver args; do
+    # $args is a word list: unquoted on purpose.
+    a=$(./target/release/examples/"$driver" $args)
+    b=$(./target/release/examples/"$driver" $args)
+    [ -n "$a" ] && [ "$a" = "$b" ] \
+        || { echo "FAIL: $driver $args: JSON empty or differs across runs"; exit 1; }
+    out[$driver]=$a
+done <<'TABLE'
+osu_cli coll --quick --json
+train_proxy --quick --json
+svc_bench --quick --json
+scenario_matrix --quick --json
+TABLE
+echo "ok: collective bench, train proxy, svc_bench and scenario matrix byte-identical across runs"
+
+# ---------------------------------------------------------------------------
+# Collective engine: the cross-model/chaos suite must hold: AMPI, OpenMPI
+# and Charm4py produce byte-identical reductions, and no fault mix yields a
 # silently wrong sum (tests/coll_chaos.rs).
 # ---------------------------------------------------------------------------
-echo "== collective engine: determinism gate =="
-cargo build -q --offline --release --example osu_cli --example train_proxy
-osu=./target/release/examples/osu_cli
-tp=./target/release/examples/train_proxy
-a=$("$osu" coll --quick --json)
-b=$("$osu" coll --quick --json)
-c=$("$osu" coll --quick --json --shards 2)
-d=$("$osu" coll --quick --json --shards 8)
-[ "$a" = "$b" ] || { echo "FAIL: collective OSU JSON differs across runs"; exit 1; }
-[ "$a" = "$c" ] && [ "$a" = "$d" ] \
-    || { echo "FAIL: collective OSU JSON differs across shard counts"; exit 1; }
-a=$("$tp" --quick --json)
-b=$("$tp" --quick --json)
-c=$("$tp" --quick --json --shards 2)
-d=$("$tp" --quick --json --shards 8)
-[ "$a" = "$b" ] || { echo "FAIL: train_proxy JSON differs across runs"; exit 1; }
-[ "$a" = "$c" ] && [ "$a" = "$d" ] \
-    || { echo "FAIL: train_proxy JSON differs across shard counts"; exit 1; }
-echo "ok: collective bench and train proxy byte-identical across runs and shards"
-
 echo "== collective engine: cross-model conformance + chaos =="
 cargo test -q --offline --test coll_chaos
 echo "ok: models agree byte-for-byte; no silent wrong sums under faults"
 
 # ---------------------------------------------------------------------------
-# Service layer: determinism + registration-leak gates. The many-client
-# scatter/submit/gather benchmark must be byte-identical across repeated
-# runs and across shard counts {1,2,8} (each sweep point is an independent
-# seeded simulation), and the rucx-svc suite must hold: cache-on and
-# cache-off runs compute identical task results, cache-on wins at
-# small-task scale, and every load run's shutdown asserts the
-# registration-leak invariant (`ucp.reg.miss - ucp.reg.evict` equals live
-# mappings, which is zero once every buffer is freed, and all pre-mapped
-# pool allocations are returned).
+# Service layer: the rucx-svc suite must hold: cache-on and cache-off runs
+# compute identical task results, cache-on wins at small-task scale, and
+# every load run's shutdown asserts the registration-leak invariant
+# (`ucp.reg.miss - ucp.reg.evict` equals live mappings, which is zero once
+# every buffer is freed, and all pre-mapped pool allocations are returned).
 # ---------------------------------------------------------------------------
-echo "== service layer: svc_bench determinism gate =="
-cargo build -q --offline --release --example svc_bench
-svc=./target/release/examples/svc_bench
-a=$("$svc" --quick --json)
-b=$("$svc" --quick --json)
-c=$("$svc" --quick --json --shards 2)
-d=$("$svc" --quick --json --shards 8)
-[ "$a" = "$b" ] || { echo "FAIL: svc_bench JSON differs across runs"; exit 1; }
-[ "$a" = "$c" ] && [ "$a" = "$d" ] \
-    || { echo "FAIL: svc_bench JSON differs across shard counts"; exit 1; }
-echo "ok: svc_bench byte-identical across runs and shard counts"
-
 echo "== service layer: cache-on/off conformance + registration-leak asserts =="
 cargo test -q --offline --release -p rucx-svc
 echo "ok: identical results with caching on/off; no registration leaks"
@@ -327,22 +331,13 @@ cargo test -q --offline --test determinism chaos
 echo "ok: chaos runs complete, lose nothing silently, replay identically"
 
 # ---------------------------------------------------------------------------
-# Chaos scenario matrix: every workload x fault-scenario cell completes,
-# merged output is byte-identical across repeated runs and shard counts
-# {1,2,8}, the clean column's recovery counters are all zero (the recovery
-# machinery costs nothing on a clean path), and each degraded-mode cell
-# attributes its recovery to the expected mechanism.
+# Chaos scenario matrix (its JSON is from the determinism gate above): the
+# clean column's recovery counters are all zero (the recovery machinery
+# costs nothing on a clean path), and each degraded-mode cell attributes
+# its recovery to the expected mechanism.
 # ---------------------------------------------------------------------------
-echo "== chaos scenario matrix: determinism + clean-path gate =="
-cargo build -q --offline --release --example scenario_matrix
-sm=./target/release/examples/scenario_matrix
-a=$("$sm" --quick --json)
-b=$("$sm" --quick --json)
-c=$("$sm" --quick --json --shards 2)
-d=$("$sm" --quick --json --shards 8)
-[ "$a" = "$b" ] || { echo "FAIL: scenario matrix JSON differs across runs"; exit 1; }
-[ "$a" = "$c" ] && [ "$a" = "$d" ] \
-    || { echo "FAIL: scenario matrix JSON differs across shard counts"; exit 1; }
+echo "== chaos scenario matrix: clean-path + recovery-attribution gate =="
+a=${out[scenario_matrix]}
 clean=$(grep -o '"scenario":"clean","workload":"[a-z_0-9]*","headline":[0-9.]*,"unit":"[^"]*","dominant":"none","recovery":{"retry":0,"parked":0,"healed":0,"reroute":0,"host_staged":0,"giveup":0,"resubmit":0}' \
     <<<"$a" | wc -l)
 [ "$clean" -eq 4 ] \

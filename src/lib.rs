@@ -7,7 +7,7 @@
 //!
 //! | layer | crate |
 //! |---|---|
-//! | Hermetic std-only substrate (sync, channels, PRNG, test/bench harness) | [`compat`] |
+//! | Hermetic std-only substrate (sync, PRNG, test/bench harness) | [`compat`] |
 //! | Discrete-event engine (virtual time, simulated processes) | [`sim`] |
 //! | CUDA-like GPU substrate (memory, streams, copies, kernels) | [`gpu`] |
 //! | Cluster fabric (topology, EDR InfiniBand model) | [`fabric`] |

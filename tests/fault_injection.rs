@@ -324,136 +324,3 @@ fn chaos_scales_to_1536_endpoints() {
         );
     }
 }
-
-// ---------------------------------------------------------------------------
-// Sharded-scheduler chaos: the same invariants (no silent loss, no hang,
-// give-up iff unreachable), ported to the conservative parallel engine —
-// faults hit envelopes *crossing shard boundaries* at window barriers.
-// ---------------------------------------------------------------------------
-
-fn sharded_chaos_cfg(spec: FaultSpec) -> rucx::jacobi::JacobiConfig {
-    use rucx::jacobi::{JacobiConfig, Mode};
-    let mut cfg = JacobiConfig::weak(4, Mode::Device);
-    cfg.iters = 2;
-    cfg.machine.fault = Some(spec);
-    cfg
-}
-
-/// Duplicates and delays are survivable: the run completes, nothing is
-/// lost, and every duplicate is detected and discarded (visibly counted,
-/// never silently applied twice).
-#[test]
-fn sharded_chaos_dup_delay_completes_without_loss() {
-    use rucx::jacobi::{run_sharded_full, JacobiModel, ShardedOpts};
-
-    let mut spec = FaultSpec::default();
-    spec.seed = 11;
-    spec.dup_p = 0.30;
-    spec.delay_p = 0.30;
-    spec.delay = us(40.0);
-    let cfg = sharded_chaos_cfg(spec);
-    let run = run_sharded_full(
-        JacobiModel::Charm,
-        &cfg,
-        &ShardedOpts {
-            shards: 4,
-            ..Default::default()
-        },
-    );
-    assert!(run.completed, "dup/delay-only chaos must complete: {run:?}");
-    assert_eq!(run.lost, 0);
-    assert!(run.stats.duplicated > 0, "{:?}", run.stats);
-    assert!(run.stats.delayed > 0, "{:?}", run.stats);
-    assert_eq!(run.dup_suppressed, run.stats.duplicated);
-}
-
-/// Drops strand receivers: the run gives up (no hang), and *every* loss
-/// is surfaced — `lost` and the stranded-rank report agree with the fact
-/// that progress became impossible.
-#[test]
-fn sharded_chaos_drop_gives_up_iff_unreachable() {
-    use rucx::jacobi::{run_sharded_full, JacobiModel, ShardedOpts};
-
-    let mut spec = FaultSpec::default();
-    spec.seed = 5;
-    spec.drop_p = 0.25;
-    let cfg = sharded_chaos_cfg(spec);
-    let run = run_sharded_full(
-        JacobiModel::Ampi,
-        &cfg,
-        &ShardedOpts {
-            shards: 4,
-            ..Default::default()
-        },
-    );
-    // At drop_p = 0.25 over hundreds of cross-shard halos a loss is
-    // certain (seeded, so this is a fixed fact, not a flake).
-    assert!(run.lost > 0, "{:?}", run.stats);
-    assert!(!run.completed, "losses must strand ranks");
-    assert!(!run.blocked.is_empty());
-    // No silent loss: a stalled run names what it is waiting for.
-    assert!(
-        run.blocked[0].1.contains("waiting for"),
-        "{:?}",
-        run.blocked
-    );
-}
-
-/// 64-case seeded property over random fault mixes, node counts, shard
-/// counts, and models: the sharded run always returns (the window loop
-/// cannot hang), completion is equivalent to zero losses, and a replay
-/// with the same inputs is bitwise identical.
-#[test]
-fn sharded_chaos_property_no_silent_loss_no_hang() {
-    use rucx::jacobi::{run_sharded_full, JacobiConfig, JacobiModel, Mode, ShardedOpts};
-
-    rucx::compat::check::check_with("sharded_chaos_no_silent_loss", 64, |g| {
-        let mut spec = FaultSpec::default();
-        spec.seed = g.any_u64();
-        spec.drop_p = g.f64(0.0..0.30);
-        spec.dup_p = g.f64(0.0..0.20);
-        spec.corrupt_p = g.f64(0.0..0.10);
-        spec.delay_p = g.f64(0.0..0.20);
-        spec.delay = us(g.f64(1.0..80.0));
-        let nodes = g.pick(&[2usize, 4]);
-        let shards = g.pick(&[2usize, 4]);
-        let model = g.pick(&[JacobiModel::Charm, JacobiModel::Ompi]);
-        let mode = g.pick(&[Mode::Device, Mode::HostStaging]);
-
-        let mut cfg = JacobiConfig::weak(nodes, mode);
-        cfg.iters = 2;
-        cfg.machine.fault = Some(spec);
-        let opts = ShardedOpts {
-            shards,
-            ..Default::default()
-        };
-        // Returning at all is the no-hang half: the conservative window
-        // loop terminates once queues drain, dropped halos included.
-        let run = run_sharded_full(model, &cfg, &opts);
-
-        // No silent loss: a run is incomplete exactly when halos were
-        // dropped (delay/duplicate alone can never strand a rank)…
-        assert_eq!(
-            run.completed,
-            run.lost == 0,
-            "completed={} lost={} stats={:?}",
-            run.completed,
-            run.lost,
-            run.stats
-        );
-        // …and every stranded rank is reported.
-        assert_eq!(run.completed, run.blocked.is_empty());
-        if run.completed {
-            assert!(run.result.overall_ms > 0.0);
-        }
-
-        // Give-up verdicts and figures replay bitwise.
-        let again = run_sharded_full(model, &cfg, &opts);
-        assert_eq!(run.result, again.result);
-        assert_eq!(run.completed, again.completed);
-        assert_eq!(run.lost, again.lost);
-        assert_eq!(run.dup_suppressed, again.dup_suppressed);
-        assert_eq!(run.stats, again.stats);
-        assert_eq!(run.blocked, again.blocked);
-    });
-}
