@@ -22,7 +22,7 @@ pub use mpi::{MpiRank, Request};
 pub use msg::{
     AmpiMsg, AmpiPayload, Status, ANY_SOURCE, ANY_TAG, MPI_ERR_OTHER, MPI_ERR_TRUNCATE, MPI_SUCCESS,
 };
-pub use rank::{AmpiParams, RankState};
+pub use rank::RankState;
 
 use rucx_ucp::{MCtx, MSim};
 
@@ -31,20 +31,11 @@ pub fn launch<F>(sim: &mut MSim, body: F)
 where
     F: Fn(&mut MpiRank, &mut MCtx) + Send + Sync + Clone + 'static,
 {
-    launch_with(sim, AmpiParams::default(), body)
-}
-
-/// [`launch`] with explicit AMPI cost parameters.
-pub fn launch_with<F>(sim: &mut MSim, params: AmpiParams, body: F)
-where
-    F: Fn(&mut MpiRank, &mut MCtx) + Send + Sync + Clone + 'static,
-{
     let n = sim.world().topo.procs();
     for p in 0..n {
         let body = body.clone();
-        let params = params.clone();
         sim.spawn(format!("rank{p}"), 0, move |ctx| {
-            let mut rank = MpiRank::create(p, n, params);
+            let mut rank = MpiRank::create(p, n);
             body(&mut rank, ctx);
         });
     }

@@ -10,7 +10,10 @@ use rucx_sim::sched::Trigger;
 use rucx_ucp::MCtx;
 
 use crate::msg::{AmpiMsg, AmpiPayload, Status};
-use crate::rank::{status_into, status_of, AmpiParams, PostedRecv, RankState, SlotState};
+use crate::rank::{
+    copy_cost, status_into, status_of, PostedRecv, RankState, SlotState, CACHE_HIT, CACHE_MISS,
+    INLINE_MAX, RECV_OVERHEAD, SEND_OVERHEAD,
+};
 
 /// A non-blocking communication request.
 #[derive(Debug, Clone, Copy)]
@@ -31,7 +34,6 @@ pub struct MpiRank {
     ep_msg: EpId,
     ep_barrier: EpId,
     next_slot: u64,
-    params: AmpiParams,
     /// Software cache of addresses known to be on the GPU (§III-C1).
     gpu_cache: IdSet<u64>,
     /// Next send-sequence number per destination rank (stamped into every
@@ -57,7 +59,7 @@ impl MpiRank {
 
     /// Set up the AMPI runtime on one PE. Used by [`crate::launch`]; direct
     /// use is for custom harnesses.
-    pub fn create(pe_index: usize, n_pes: usize, params: AmpiParams) -> Self {
+    pub fn create(pe_index: usize, n_pes: usize) -> Self {
         let mut pe = Pe::new(pe_index, n_pes);
         let n = n_pes as u64;
         let col = pe.register_collection(n, move |i| i as usize);
@@ -82,11 +84,7 @@ impl MpiRank {
                 st.barrier_epoch += 1;
             }),
         );
-        pe.insert_chare(
-            col,
-            pe_index as u64,
-            Box::new(RankState::new(params.clone())),
-        );
+        pe.insert_chare(col, pe_index as u64, Box::new(RankState::default()));
         // Reliability give-ups surface as MPI_ERR_OTHER statuses: queue
         // them at the rank and let MPI_Wait report them.
         let idx = pe_index as u64;
@@ -103,7 +101,6 @@ impl MpiRank {
             ep_msg,
             ep_barrier,
             next_slot: 1,
-            params,
             gpu_cache: IdSet::default(),
             send_seq: IdMap::default(),
         }
@@ -121,9 +118,9 @@ impl MpiRank {
             .with_world_ref(|w, _| w.gpu.pool.kind(buf.id).map(|k| k.is_device()))
             .ok()?;
         if is_dev && self.gpu_cache.contains(&buf.id.0) {
-            ctx.advance(self.params.cache_hit);
+            ctx.advance(CACHE_HIT);
         } else {
-            ctx.advance(self.params.cache_miss);
+            ctx.advance(CACHE_MISS);
             if is_dev {
                 self.gpu_cache.insert(buf.id.0);
             }
@@ -133,7 +130,7 @@ impl MpiRank {
 
     /// `MPI_Isend`: non-blocking standard send.
     pub fn isend(&mut self, ctx: &mut MCtx, buf: MemRef, dst: usize, tag: i32) -> Request {
-        ctx.advance(self.params.send_overhead);
+        ctx.advance(SEND_OVERHEAD);
         let Some(is_dev) = self.detect_device(ctx, buf) else {
             // Freed-before-send is a caller error, not a crash: MPI_Wait
             // on this request reports MPI_ERR_OTHER.
@@ -146,9 +143,9 @@ impl MpiRank {
                 });
             return Request::Send(None);
         };
-        let payload_inline = !is_dev && buf.len <= self.params.inline_max;
+        let payload_inline = !is_dev && buf.len <= INLINE_MAX;
         let (payload, trig) = if payload_inline {
-            let copy = self.params.copy_cost(buf.len);
+            let copy = copy_cost(buf.len);
             ctx.advance(copy);
             let bytes = ctx.with_world_ref(|w, _| {
                 w.gpu
@@ -212,7 +209,7 @@ impl MpiRank {
 
     /// `MPI_Irecv`: non-blocking receive.
     pub fn irecv(&mut self, ctx: &mut MCtx, buf: MemRef, src: i32, tag: i32) -> Request {
-        ctx.advance(self.params.recv_overhead);
+        ctx.advance(RECV_OVERHEAD);
         let slot = self.next_slot;
         self.next_slot += 1;
         // Fast path: already in the unexpected queue?
@@ -228,7 +225,7 @@ impl MpiRank {
                 let status = status_into(&msg, &buf);
                 match msg.payload {
                     AmpiPayload::Inline { bytes, size } => {
-                        deliver_inline(ctx, &self.params, buf, bytes, size);
+                        deliver_inline(ctx, buf, bytes, size);
                         self.state().slots.insert(slot, SlotState::Done { status });
                     }
                     AmpiPayload::ZeroCopy { ml_tag, size } => {
@@ -406,14 +403,8 @@ impl MpiRank {
 }
 
 /// Copy an inline payload into the receive buffer.
-fn deliver_inline(
-    ctx: &mut MCtx,
-    params: &AmpiParams,
-    buf: MemRef,
-    bytes: Option<Vec<u8>>,
-    size: u64,
-) {
-    ctx.advance(params.copy_cost(size));
+fn deliver_inline(ctx: &mut MCtx, buf: MemRef, bytes: Option<Vec<u8>>, size: u64) {
+    ctx.advance(copy_cost(size));
     if let Some(b) = bytes {
         let n = (buf.len as usize).min(b.len());
         ctx.with_world(move |w, _| {
@@ -438,7 +429,7 @@ fn deliver_inline(
 /// earlier envelope from `s` has been matched; early arrivals wait in the
 /// reorder stash.
 fn handle_ampi_msg(st: &mut RankState, msg: &Msg, pe: &mut Pe, ctx: &mut MCtx) {
-    ctx.advance(st.params.recv_overhead);
+    ctx.advance(RECV_OVERHEAD);
     let am = AmpiMsg::decode(&msg.params);
     let src = am.src_rank;
     let expected = *st.next_recv_seq.get(&src).unwrap_or(&0);
@@ -471,7 +462,7 @@ fn accept_msg(st: &mut RankState, am: AmpiMsg, pe: &mut Pe, ctx: &mut MCtx) {
             let status = status_into(&am, &p.buf);
             match am.payload {
                 AmpiPayload::Inline { bytes, size } => {
-                    deliver_inline(ctx, &st.params, p.buf, bytes, size);
+                    deliver_inline(ctx, p.buf, bytes, size);
                     st.slots.insert(p.slot, SlotState::Done { status });
                 }
                 AmpiPayload::ZeroCopy { ml_tag, size } => {

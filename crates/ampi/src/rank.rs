@@ -10,44 +10,27 @@ use rucx_sim::time::{transfer_time, us, Duration};
 
 use crate::msg::{recv_matches, AmpiMsg, Status, MPI_ERR_TRUNCATE, MPI_SUCCESS};
 
-/// Calibration constants of the AMPI layer (costs *above* Charm++ and UCX —
-/// the "about 8 µs outside of UCX" the paper attributes to AMPI specifics:
-/// message packing/unpacking, the extra metadata message bookkeeping,
-/// callback invocations, and heap allocations).
-#[derive(Debug, Clone)]
-pub struct AmpiParams {
-    /// Sender-side AMPI processing per message.
-    pub send_overhead: Duration,
-    /// Receiver-side AMPI processing per message (matching, callbacks).
-    pub recv_overhead: Duration,
-    /// Host buffers at or below this size are packed inline (eager).
-    pub inline_max: u64,
-    /// Bandwidth for packing/unpacking inline payloads.
-    pub copy_gbps: f64,
-    /// Cost of a GPU-pointer query answered by the software cache.
-    pub cache_hit: Duration,
-    /// Cost of a GPU-pointer query missing the cache (driver call).
-    pub cache_miss: Duration,
-}
+// Calibration constants of the AMPI layer (costs *above* Charm++ and UCX —
+// the "about 8 µs outside of UCX" the paper attributes to AMPI specifics:
+// message packing/unpacking, the extra metadata message bookkeeping,
+// callback invocations, and heap allocations).
 
-impl Default for AmpiParams {
-    fn default() -> Self {
-        AmpiParams {
-            send_overhead: us(1.35),
-            recv_overhead: us(1.15),
-            inline_max: 16 * 1024,
-            copy_gbps: 9.5,
-            cache_hit: us(0.04),
-            cache_miss: us(0.30),
-        }
-    }
-}
+/// Sender-side AMPI processing per message.
+pub const SEND_OVERHEAD: Duration = us(1.35);
+/// Receiver-side AMPI processing per message (matching, callbacks).
+pub const RECV_OVERHEAD: Duration = us(1.15);
+/// Host buffers at or below this size are packed inline (eager).
+pub const INLINE_MAX: u64 = 16 * 1024;
+/// Bandwidth for packing/unpacking inline payloads.
+pub const COPY_GBPS: f64 = 9.5;
+/// Cost of a GPU-pointer query answered by the software cache.
+pub const CACHE_HIT: Duration = us(0.04);
+/// Cost of a GPU-pointer query missing the cache (driver call).
+pub const CACHE_MISS: Duration = us(0.30);
 
-impl AmpiParams {
-    /// Cost of copying `size` bytes of inline payload.
-    pub fn copy_cost(&self, size: u64) -> Duration {
-        transfer_time(size, self.copy_gbps)
-    }
+/// Cost of copying `size` bytes of inline payload.
+pub fn copy_cost(size: u64) -> Duration {
+    transfer_time(size, COPY_GBPS)
 }
 
 /// A receive posted before its message arrived.
@@ -70,8 +53,8 @@ pub enum SlotState {
 }
 
 /// The chare backing one AMPI rank.
+#[derive(Default)]
 pub struct RankState {
-    pub params: AmpiParams,
     pub unexpected: VecDeque<AmpiMsg>,
     pub posted: Vec<PostedRecv>,
     pub slots: IdMap<u64, SlotState>,
@@ -89,19 +72,6 @@ pub struct RankState {
 }
 
 impl RankState {
-    pub fn new(params: AmpiParams) -> Self {
-        RankState {
-            params,
-            unexpected: VecDeque::new(),
-            posted: Vec::new(),
-            slots: IdMap::default(),
-            barrier_epoch: 0,
-            next_recv_seq: IdMap::default(),
-            reorder_stash: Vec::new(),
-            comm_errors: VecDeque::new(),
-        }
-    }
-
     /// Find the first posted receive matching `msg`, in post order.
     pub fn match_posted(&self, msg: &AmpiMsg) -> Option<usize> {
         self.posted
@@ -172,7 +142,7 @@ mod tests {
 
     #[test]
     fn posted_matching_is_post_order_with_wildcards() {
-        let mut st = RankState::new(AmpiParams::default());
+        let mut st = RankState::default();
         st.posted.push(PostedRecv {
             slot: 1,
             src: 5,
@@ -193,7 +163,7 @@ mod tests {
 
     #[test]
     fn unexpected_matching_is_arrival_order() {
-        let mut st = RankState::new(AmpiParams::default());
+        let mut st = RankState::default();
         st.unexpected.push_back(msg(1, 10));
         st.unexpected.push_back(msg(2, 10));
         assert_eq!(st.match_unexpected(ANY_SOURCE, 10), Some(0));
@@ -203,8 +173,7 @@ mod tests {
 
     #[test]
     fn copy_cost_scales() {
-        let p = AmpiParams::default();
-        assert!(p.copy_cost(1 << 20) > p.copy_cost(1 << 10));
-        assert_eq!(p.copy_cost(0), 0);
+        assert!(copy_cost(1 << 20) > copy_cost(1 << 10));
+        assert_eq!(copy_cost(0), 0);
     }
 }

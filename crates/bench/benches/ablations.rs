@@ -35,9 +35,6 @@ fn main() {
     if want("overdecomposition") {
         overdecomposition_ablation();
     }
-    if want("active_messages") {
-        active_message_ablation();
-    }
     if want("multipath") {
         multipath_ablation();
     }
@@ -78,156 +75,6 @@ fn multipath_ablation() {
         &rows,
     );
     write_json("ablation_multipath", &json);
-}
-
-/// §VI: "GPU support in the active messages API of UCX ... could better fit
-/// the message-driven execution model". One AM carrying envelope (header) +
-/// GPU payload vs the current two-message flow (tagged GPU data + separate
-/// metadata message, receive posted after metadata dispatch).
-fn active_message_ablation() {
-    use rucx_fabric::Topology;
-    use rucx_gpu::DeviceId;
-    use rucx_sim::time::{as_us, us};
-    use rucx_ucp::{
-        am_register, am_send_nb, build_sim, rndv_fetch, AmPayload, Completion, FetchDst,
-        MachineConfig, RecvCompletion, SendBuf,
-    };
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    let mut rows = Vec::new();
-    for size_exp in [12u32, 16, 20, 22] {
-        let size = 1u64 << size_exp;
-        let run = |am: bool| -> u64 {
-            let mut sim = build_sim(Topology::summit(1), MachineConfig::default());
-            let src = sim
-                .world_mut()
-                .gpu
-                .pool
-                .alloc_device(DeviceId(0), size, false)
-                .unwrap();
-            let dst = sim
-                .world_mut()
-                .gpu
-                .pool
-                .alloc_device(DeviceId(1), size, false)
-                .unwrap();
-            let done_at = Arc::new(AtomicU64::new(0));
-            let done2 = done_at.clone();
-            if am {
-                sim.scheduler().schedule_at(0, move |w, s| {
-                    am_register(
-                        w,
-                        s,
-                        1,
-                        1,
-                        Box::new(move |w, s, msg| match msg.payload {
-                            AmPayload::Rndv { rts_id, size } => {
-                                let d3 = done2.clone();
-                                let _ = rndv_fetch(
-                                    w,
-                                    s,
-                                    1,
-                                    1,
-                                    rts_id,
-                                    FetchDst::Mem(dst.slice(0, size)),
-                                    RecvCompletion::Callback(Box::new(move |_, s, _| {
-                                        d3.store(s.now(), Ordering::SeqCst);
-                                    })),
-                                );
-                            }
-                            AmPayload::Eager { size, .. } => {
-                                done2.store(
-                                    s.now() + w.ucp.config.gdrcopy_cost(size),
-                                    Ordering::SeqCst,
-                                );
-                            }
-                            AmPayload::None => unreachable!(),
-                        }),
-                    );
-                    am_send_nb(
-                        w,
-                        s,
-                        0,
-                        1,
-                        1,
-                        vec![0; 64],
-                        Some(SendBuf::Mem(src)),
-                        Completion::None,
-                    );
-                });
-            } else {
-                sim.scheduler().schedule_at(0, move |w, s| {
-                    rucx_ucp::tag_send_nb(
-                        w,
-                        s,
-                        0,
-                        1,
-                        SendBuf::Mem(src),
-                        0x2000_0000_0000_0001,
-                        Completion::None,
-                    );
-                    rucx_ucp::tag_send_nb(
-                        w,
-                        s,
-                        0,
-                        1,
-                        SendBuf::bytes(vec![0; 64]),
-                        0x1000_0000_0000_0000,
-                        Completion::None,
-                    );
-                });
-                let d3 = done2.clone();
-                sim.spawn("pe1", 0, move |ctx| {
-                    let n = ctx.with_world_ref(|w, _| w.ucp.worker(1).notify);
-                    loop {
-                        let (popped, seen) = ctx.with_world(move |w, s| {
-                            (
-                                rucx_ucp::probe_pop(w, 1, 0x1000_0000_0000_0000, 0xF << 60)
-                                    .is_some(),
-                                s.notify_epoch(n),
-                            )
-                        });
-                        if popped {
-                            break;
-                        }
-                        ctx.wait_notify(n, seen);
-                    }
-                    ctx.advance(us(1.2));
-                    let d4 = d3.clone();
-                    ctx.with_world(move |w, s| {
-                        rucx_ucp::tag_recv_nb(
-                            w,
-                            s,
-                            1,
-                            dst,
-                            0x2000_0000_0000_0001,
-                            u64::MAX,
-                            RecvCompletion::Callback(Box::new(move |_, s, _| {
-                                d4.store(s.now(), Ordering::SeqCst);
-                            })),
-                        );
-                    });
-                });
-            }
-            sim.run();
-            done_at.load(Ordering::SeqCst)
-        };
-        let t_tagged = run(false);
-        let t_am = run(true);
-        rows.push(vec![
-            fmt_size(size),
-            format!("{:.2}", as_us(t_tagged)),
-            format!("{:.2}", as_us(t_am)),
-            format!("{:.2}", as_us(t_tagged.saturating_sub(t_am))),
-        ]);
-    }
-    print_table(
-        "Ablation: active-message flow vs two-message tagged flow (us to data-complete)",
-        &["size", "tagged (2 msgs)", "AM (1 msg)", "saved"],
-        &rows,
-    );
-    write_json("ablation_active_messages", &rows);
 }
 
 /// The paper's stated future work (§VI, their ref [23]): overdecomposition

@@ -24,9 +24,10 @@ use rucx_fault::FaultSpec;
 use rucx_ucp::{blocking, build_sim, MachineConfig, SendBuf, MASK_FULL};
 
 /// Resume-hop samples through a full fault-capable machine world (the
-/// engine bench measures a bare `Simulation<()>`; this one carries the
-/// whole `Machine` with its `FaultState`, so any fat added to the world
-/// struct's hot path shows up here).
+/// frozen benchmark's `sim.self_resume_ns` rung measures a bare
+/// `Simulation`; this one carries the whole `Machine` with its
+/// `FaultState`, so any fat added to the world struct's hot path shows up
+/// here).
 fn bench_resume_hop_nofault(r: &mut Runner) {
     let hops = (r.iters() as usize) * 100;
     let warmup = (r.warmup() as usize) * 100;

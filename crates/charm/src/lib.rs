@@ -25,7 +25,6 @@ pub mod pe;
 pub mod wire;
 
 pub use mltags::{MsgType, TagScheme, MSG_BITS};
-pub use params::CharmParams;
 pub use pe::{ChareRef, Collection, EpEntry, EpId, ExecFn, Msg, Pe, PostFn, RedOp, RedTarget};
 pub use wire::{marshal, DeviceMeta, Envelope};
 

@@ -1,61 +1,42 @@
 //! Calibration constants of the Charm++ runtime layer.
+//!
+//! Per-message CPU costs of the Charm++ runtime (Converse + Charm++ core +
+//! code generation layers), above whatever UCX itself costs. These reproduce
+//! the layer-attribution the paper measures in §IV-B1: an entry-method
+//! invocation costs a few microseconds of runtime processing on each side,
+//! and host-side payloads are packed into (and unpacked out of) the Charm++
+//! message, which is what makes the host-staging path so much slower than
+//! GPU-direct for large buffers.
 
 use rucx_sim::time::{us, Duration};
 
-/// Per-message CPU costs of the Charm++ runtime (Converse + Charm++ core +
-/// code generation layers), above whatever UCX itself costs.
-///
-/// These reproduce the layer-attribution the paper measures in §IV-B1: an
-/// entry-method invocation costs a few microseconds of runtime processing on
-/// each side, and host-side payloads are packed into (and unpacked out of)
-/// the Charm++ message, which is what makes the host-staging path so much
-/// slower than GPU-direct for large buffers.
-#[derive(Debug, Clone)]
-pub struct CharmParams {
-    /// Sender-side cost of an entry-method invocation (message allocation,
-    /// marshalling, Converse + machine-layer call path).
-    pub send_overhead: Duration,
-    /// Receiver-side cost (scheduler pop, envelope decode, handler dispatch).
-    pub recv_overhead: Duration,
-    /// Extra cost to run a post entry method (Zero Copy API receive setup).
-    pub post_overhead: Duration,
-    /// Extra CPU cost per device buffer descriptor (CkDeviceBuffer setup,
-    /// tag generation, metadata bookkeeping — includes the heap allocations
-    /// the paper calls out).
-    pub device_meta_overhead: Duration,
-    /// Bandwidth at which host payloads are packed into / unpacked from
-    /// Charm++ messages (single-core memcpy).
-    pub pack_gbps: f64,
-    /// Payloads at or below this size ride in the envelope without a
-    /// separate packing pass.
-    pub pack_free_below: u64,
-    /// Cost of one trip through the scheduler when the queue was empty
-    /// (polling the machine layer).
-    pub idle_poll: Duration,
-}
+/// Sender-side cost of an entry-method invocation (message allocation,
+/// marshalling, Converse + machine-layer call path).
+pub const SEND_OVERHEAD: Duration = us(0.85);
+/// Receiver-side cost (scheduler pop, envelope decode, handler dispatch).
+pub const RECV_OVERHEAD: Duration = us(0.85);
+/// Extra cost to run a post entry method (Zero Copy API receive setup).
+pub const POST_OVERHEAD: Duration = us(0.35);
+/// Extra CPU cost per device buffer descriptor (CkDeviceBuffer setup, tag
+/// generation, metadata bookkeeping — includes the heap allocations the
+/// paper calls out).
+pub const DEVICE_META_OVERHEAD: Duration = us(0.40);
+/// Bandwidth at which host payloads are packed into / unpacked from
+/// Charm++ messages (single-core memcpy).
+pub const PACK_GBPS: f64 = 18.0;
+/// Payloads at or below this size ride in the envelope without a separate
+/// packing pass.
+pub const PACK_FREE_BELOW: u64 = 1024;
+/// Cost of one trip through the scheduler when the queue was empty (polling
+/// the machine layer).
+pub const IDLE_POLL: Duration = us(0.10);
 
-impl Default for CharmParams {
-    fn default() -> Self {
-        CharmParams {
-            send_overhead: us(0.85),
-            recv_overhead: us(0.85),
-            post_overhead: us(0.35),
-            device_meta_overhead: us(0.40),
-            pack_gbps: 18.0,
-            pack_free_below: 1024,
-            idle_poll: us(0.10),
-        }
-    }
-}
-
-impl CharmParams {
-    /// Packing (or unpacking) cost for `size` bytes of host payload.
-    pub fn pack_cost(&self, size: u64) -> Duration {
-        if size <= self.pack_free_below {
-            0
-        } else {
-            rucx_sim::time::transfer_time(size, self.pack_gbps)
-        }
+/// Packing (or unpacking) cost for `size` bytes of host payload.
+pub fn pack_cost(size: u64) -> Duration {
+    if size <= PACK_FREE_BELOW {
+        0
+    } else {
+        rucx_sim::time::transfer_time(size, PACK_GBPS)
     }
 }
 
@@ -65,17 +46,15 @@ mod tests {
 
     #[test]
     fn small_payloads_pack_free() {
-        let p = CharmParams::default();
-        assert_eq!(p.pack_cost(64), 0);
-        assert_eq!(p.pack_cost(1024), 0);
-        assert!(p.pack_cost(1 << 20) > 0);
+        assert_eq!(pack_cost(64), 0);
+        assert_eq!(pack_cost(1024), 0);
+        assert!(pack_cost(1 << 20) > 0);
     }
 
     #[test]
     fn pack_cost_linear() {
-        let p = CharmParams::default();
-        let c1 = p.pack_cost(1 << 20);
-        let c4 = p.pack_cost(4 << 20);
+        let c1 = pack_cost(1 << 20);
+        let c4 = pack_cost(4 << 20);
         assert!((c4 as f64 / c1 as f64 - 4.0).abs() < 0.01);
     }
 }

@@ -15,13 +15,16 @@ use rucx_coll::Tree;
 use rucx_compat::idmap::IdMap;
 use rucx_gpu::MemRef;
 use rucx_sim::sched::Trigger;
+use rucx_ucp::config::CPU_CALL;
 use rucx_ucp::{
     probe_pop, rndv_fetch, tag_recv_nb, tag_send_nb, Completion, FetchDst, MCtx, PoppedMsg,
     RecvCompletion, SendBuf, UcpError,
 };
 
 use crate::mltags::TagScheme;
-use crate::params::CharmParams;
+use crate::params::{
+    pack_cost, DEVICE_META_OVERHEAD, IDLE_POLL, POST_OVERHEAD, RECV_OVERHEAD, SEND_OVERHEAD,
+};
 use crate::wire::{DeviceMeta, Envelope};
 
 /// Identifier of a chare collection (array) registered on a PE.
@@ -161,8 +164,6 @@ pub struct Pe {
     pub n_pes: usize,
     /// Machine-layer tag scheme.
     pub scheme: TagScheme,
-    /// Runtime cost model.
-    pub params: CharmParams,
     /// The PE tree reductions climb. Defaults to the historical binary
     /// tree; [`Pe::set_reduction_tree`] swaps in a topology-aware one.
     red_tree: Rc<Tree>,
@@ -229,16 +230,10 @@ struct QdState {
 impl Pe {
     /// Create the runtime for one PE. Call inside the PE's process body.
     pub fn new(index: usize, n_pes: usize) -> Self {
-        Pe::with_config(index, n_pes, TagScheme::default(), CharmParams::default())
-    }
-
-    /// Create with explicit tag scheme and cost parameters.
-    pub fn with_config(index: usize, n_pes: usize, scheme: TagScheme, params: CharmParams) -> Self {
         Pe {
             index,
             n_pes,
-            scheme,
-            params,
+            scheme: TagScheme::default(),
             red_tree: Rc::new(Tree::binary(n_pes)),
             device_cnt: 0,
             collections: Vec::new(),
@@ -381,11 +376,6 @@ impl Pe {
             .expect("chare not present on this PE")
             .downcast_mut::<T>()
             .expect("chare type mismatch")
-    }
-
-    /// Whether the exit flag has been raised (via [`Pe::exit_all`]).
-    pub fn exiting(&self) -> bool {
-        self.exit
     }
 
     /// Run `f` with a local chare detached from the PE table, so the chare
@@ -536,12 +526,9 @@ impl Pe {
         let ndev = device_bufs.len();
         // CPU cost: runtime send path + payload packing + per-device
         // metadata handling + the UCP calls themselves.
-        let ucp_call = ctx.with_world_ref(|w, _| w.ucp.config.cpu_call);
-        let pack = self.params.pack_cost(params.len() as u64 + phantom);
-        let cost = self.params.send_overhead
-            + pack
-            + ndev as u64 * (self.params.device_meta_overhead + ucp_call)
-            + ucp_call;
+        let pack = pack_cost(params.len() as u64 + phantom);
+        let cost =
+            SEND_OVERHEAD + pack + ndev as u64 * (DEVICE_META_OVERHEAD + CPU_CALL) + CPU_CALL;
         ctx.advance(cost);
 
         // 1) Send GPU buffers through the machine layer (LrtsSendDevice),
@@ -673,7 +660,7 @@ impl Pe {
 
     /// Broadcast entry method `ep` to every element of `col`.
     pub fn broadcast(&mut self, ctx: &mut MCtx, col: Collection, ep: EpId, params: Vec<u8>) {
-        let cost = self.params.send_overhead;
+        let cost = SEND_OVERHEAD;
         ctx.advance(cost);
         for pe in 0..self.n_pes {
             let env = Envelope {
@@ -928,8 +915,7 @@ impl Pe {
         let tag = self.scheme.device_tag(self.index, self.device_cnt);
         self.device_cnt += 1;
         let src_pe = self.index;
-        let ucp_call = ctx.with_world_ref(|w, _| w.ucp.config.cpu_call);
-        ctx.advance(self.params.device_meta_overhead + ucp_call);
+        ctx.advance(DEVICE_META_OVERHEAD + CPU_CALL);
         let sctx = self.send_ctx_stamp();
         let trig = ctx.with_world(move |w, s| {
             stamp_ctx(w, sctx);
@@ -985,11 +971,10 @@ impl Pe {
     ) {
         let dst_pe = self.route_pe(to.col, to.index);
         let ndev = device_bufs.len();
-        let ucp_call = ctx.with_world_ref(|w, _| w.ucp.config.cpu_call);
-        let cost = self.params.send_overhead
-            + self.params.pack_cost(params.len() as u64)
-            + ndev as u64 * (self.params.device_meta_overhead + ucp_call)
-            + ucp_call;
+        let cost = SEND_OVERHEAD
+            + pack_cost(params.len() as u64)
+            + ndev as u64 * (DEVICE_META_OVERHEAD + CPU_CALL)
+            + CPU_CALL;
         ctx.advance(cost);
         let src_pe = self.index;
         let mut metas = Vec::with_capacity(ndev);
@@ -1030,8 +1015,7 @@ impl Pe {
     /// returns a trigger fired when the data is in `dst`.
     pub fn ml_recv_device(&mut self, ctx: &mut MCtx, tag: u64, dst: MemRef) -> Trigger {
         let me = self.index;
-        let ucp_call = ctx.with_world_ref(|w, _| w.ucp.config.cpu_call);
-        ctx.advance(ucp_call);
+        ctx.advance(CPU_CALL);
         ctx.with_world(move |w, s| {
             let t = s.new_trigger();
             tag_recv_nb(
@@ -1172,7 +1156,7 @@ impl Pe {
         });
         ctx.wait_notify(n, seen);
         // Account the scheduler's wake-from-idle poll cost.
-        ctx.advance(self.params.idle_poll);
+        ctx.advance(IDLE_POLL);
     }
 
     /// Dispatch one envelope: system handling, post entry methods for
@@ -1190,10 +1174,8 @@ impl Pe {
         if env.collection != SYS_COLLECTION || !matches!(env.ep, SYS_QD_PING | SYS_QD_REPLY) {
             self.qd_processed += 1;
         }
-        let unpack = self
-            .params
-            .pack_cost(env.params.len() as u64 + env.phantom_payload);
-        ctx.advance(self.params.recv_overhead + unpack);
+        let unpack = pack_cost(env.params.len() as u64 + env.phantom_payload);
+        ctx.advance(RECV_OVERHEAD + unpack);
 
         if env.collection == SYS_COLLECTION {
             self.handle_sys(ctx, env);
@@ -1222,7 +1204,7 @@ impl Pe {
         }
         // Post entry method: obtain destination GPU buffers, then post the
         // machine-layer receives (LrtsRecvDevice) for each incoming buffer.
-        ctx.advance(self.params.post_overhead);
+        ctx.advance(POST_OVERHEAD);
         let key = (env.collection, env.index);
         let col = &self.collections[env.collection as usize];
         let entry = col.eps[env.ep as usize].clone();
@@ -1248,8 +1230,7 @@ impl Pe {
             "post entry method must supply one buffer per device parameter"
         );
         let me = self.index;
-        let ucp_call = ctx.with_world_ref(|w, _| w.ucp.config.cpu_call);
-        ctx.advance(ucp_call * env.device.len() as u64);
+        ctx.advance(CPU_CALL * env.device.len() as u64);
         let metas: Vec<DeviceMeta> = env.device.clone();
         let pairs: Vec<(DeviceMeta, MemRef)> = metas.into_iter().zip(bufs).collect();
         let triggers = ctx.with_world(move |w, s| {

@@ -5,10 +5,11 @@
 //! sufficient here: the engine's schedules are deterministic SPMD programs,
 //! so between any (src, dst) pair the receive order equals the send order
 //! and the adapter can ignore the engine's tag argument. Every hop pays the
-//! Python/Cython costs ([`crate::PyParams`]) — `channel.send` argument
-//! handling and buffer-protocol traversal on the way out, coroutine
-//! suspension and wake on the way in — which is what keeps Charm4py's
-//! collectives measurably above AMPI/OpenMPI at small sizes.
+//! Python/Cython costs ([`crate::PY_SEND`] and the constants beside it) —
+//! `channel.send` argument handling and buffer-protocol traversal on the
+//! way out, coroutine suspension and wake on the way in — which is what
+//! keeps Charm4py's collectives measurably above AMPI/OpenMPI at small
+//! sizes.
 
 use rucx_coll::CollComm;
 use rucx_gpu::MemRef;

@@ -5,9 +5,10 @@
 //! implemented with futures and coroutine suspension, while the heavy
 //! lifting happens in the C++ (here: Rust) Charm++ runtime reached through
 //! a Cython layer. The Python and Cython costs are modeled explicitly as
-//! per-call overheads ([`PyParams`]), which is what produces Charm4py's
-//! characteristic gap from Charm++/AMPI in the paper's figures (higher
-//! small-message latency, bandwidth plateau well under NVLink).
+//! per-call overheads ([`PY_SEND`] and the constants beside it), which is
+//! what produces Charm4py's characteristic gap from Charm++/AMPI in the
+//! paper's figures (higher small-message latency, bandwidth plateau well
+//! under NVLink).
 //!
 //! GPU-aware path (Fig. 8, `gpu_direct`): buffer address and size go
 //! straight through Cython into a `CkDeviceBuffer`, the data moves via the
@@ -23,57 +24,37 @@ use std::collections::{BTreeMap, VecDeque};
 
 use rucx_charm::{marshal, ChareRef, Collection, EpId, Msg, Pe};
 use rucx_compat::idmap::IdMap;
+use rucx_gpu::device::{COPY_LAUNCH, SYNC_OVERHEAD};
 use rucx_gpu::{copy_async, stream_sync_trigger, MemRef, StreamId};
 use rucx_sim::time::{transfer_time, us, Duration};
 use rucx_ucp::{MCtx, MSim, UcpError};
 
-/// Calibration constants for the Python/Cython layers.
-#[derive(Debug, Clone)]
-pub struct PyParams {
-    /// Python-side cost of a `channel.send` call (argument handling,
-    /// Cython transition, future bookkeeping).
-    pub py_send: Duration,
-    /// Python-side cost of a `channel.recv` call until the coroutine
-    /// suspends.
-    pub py_recv: Duration,
-    /// Cost of resuming a suspended coroutine when its future is fulfilled.
-    pub py_wake: Duration,
-    /// Overhead of one CUDA call made from Python through the Cython layer
-    /// (used by the host-staging path of Fig. 8).
-    pub py_cuda_call: Duration,
-    /// Python/Cython per-byte buffer-handling cost on the GPU-direct data
-    /// path (GB/s) — buffer-protocol traversal, future payload handling.
-    pub py_buffer_gbps: f64,
-    /// Host objects at or below this size are pickled into the message.
-    pub inline_max: u64,
-    /// Pickle/unpickle bandwidth for host objects.
-    pub pickle_gbps: f64,
+// Calibration constants of the Python/Cython layers.
+
+/// Python-side cost of a `channel.send` call (argument handling, Cython
+/// transition, future bookkeeping).
+pub const PY_SEND: Duration = us(6.0);
+/// Python-side cost of a `channel.recv` call until the coroutine suspends.
+pub const PY_RECV: Duration = us(6.5);
+/// Cost of resuming a suspended coroutine when its future is fulfilled.
+pub const PY_WAKE: Duration = us(3.0);
+/// Overhead of one CUDA call made from Python through the Cython layer
+/// (used by the host-staging path of Fig. 8).
+pub const PY_CUDA_CALL: Duration = us(1.8);
+/// Python/Cython per-byte buffer-handling cost on the GPU-direct data path
+/// (GB/s) — buffer-protocol traversal, future payload handling.
+pub const PY_BUFFER_GBPS: f64 = 150.0;
+/// Pickle/unpickle bandwidth for host objects.
+pub const PICKLE_GBPS: f64 = 12.0;
+
+/// Pickling cost for `size` bytes.
+pub fn pickle_cost(size: u64) -> Duration {
+    transfer_time(size, PICKLE_GBPS)
 }
 
-impl Default for PyParams {
-    fn default() -> Self {
-        PyParams {
-            py_send: us(6.0),
-            py_recv: us(6.5),
-            py_wake: us(3.0),
-            py_cuda_call: us(1.8),
-            py_buffer_gbps: 150.0,
-            inline_max: 4 * 1024,
-            pickle_gbps: 12.0,
-        }
-    }
-}
-
-impl PyParams {
-    /// Pickling cost for `size` bytes.
-    pub fn pickle_cost(&self, size: u64) -> Duration {
-        transfer_time(size, self.pickle_gbps)
-    }
-
-    /// Per-byte Python-side handling cost of a GPU-direct payload.
-    pub fn buffer_cost(&self, size: u64) -> Duration {
-        transfer_time(size, self.py_buffer_gbps)
-    }
+/// Per-byte Python-side handling cost of a GPU-direct payload.
+pub fn buffer_cost(size: u64) -> Duration {
+    transfer_time(size, PY_BUFFER_GBPS)
 }
 
 /// A channel message as delivered to the receiving chare.
@@ -172,7 +153,6 @@ pub struct PyProc {
     next_future: u64,
     /// Next per-peer channel sequence number on the send side.
     chan_seq: IdMap<usize, u64>,
-    pub params: PyParams,
 }
 
 /// A Charm4py future: redeem with [`PyProc::future_get`] (the coroutine
@@ -229,7 +209,7 @@ fn decode_chan(params: &[u8]) -> (u32, u64, ChanPayload) {
 
 impl PyProc {
     /// Build the Charm4py runtime on one PE.
-    pub fn create(rank: usize, nranks: usize, params: PyParams) -> Self {
+    pub fn create(rank: usize, nranks: usize) -> Self {
         let mut pe = Pe::new(rank, nranks);
         let n = nranks as u64;
         let col = pe.register_collection(n, move |i| i as usize);
@@ -345,7 +325,6 @@ impl PyProc {
             ep_invoke,
             next_future: 1,
             chan_seq: IdMap::default(),
-            params,
         }
     }
 
@@ -399,7 +378,7 @@ impl PyProc {
     }
 
     fn invoke_inner(&mut self, ctx: &mut MCtx, target: usize, id: u16, args: Vec<u8>, fut: u64) {
-        let dur = self.params.py_send + self.params.pickle_cost(args.len() as u64);
+        let dur = PY_SEND + pickle_cost(args.len() as u64);
         self.py_overhead(ctx, dur, 0);
         let mut p = Vec::new();
         marshal::put_u64(&mut p, id as u64);
@@ -428,7 +407,7 @@ impl PyProc {
                 .futures
                 .contains_key(&fut.0)
         });
-        self.py_overhead(ctx, self.params.py_wake, 2);
+        self.py_overhead(ctx, PY_WAKE, 2);
         self.pe
             .chare_mut::<ChanState>(col, idx)
             .futures
@@ -481,7 +460,7 @@ impl PyProc {
             !pe.chare_mut::<ChanState>(col, idx).exceptions.is_empty()
                 || ctx.with_world_ref(|w, _| w.ucp.worker(me).has_errors())
         });
-        self.py_overhead(ctx, self.params.py_wake, 2);
+        self.py_overhead(ctx, PY_WAKE, 2);
         self.take_exception(ctx).expect("exception present")
     }
 
@@ -502,7 +481,7 @@ impl PyProc {
     /// `channel.send(d_buf, size)` — GPU-direct send (Fig. 8 `gpu_direct`).
     /// Asynchronous: returns once the runtime has taken over the buffer.
     pub fn send(&mut self, ctx: &mut MCtx, ch: Channel, buf: MemRef) {
-        let dur = self.params.py_send + self.params.buffer_cost(buf.len);
+        let dur = PY_SEND + buffer_cost(buf.len);
         self.py_overhead(ctx, dur, 0);
         let (ml_tag, _trig) = self.pe.ml_send_device(ctx, ch.peer, buf, false);
         let payload = ChanPayload::ZeroCopy {
@@ -540,7 +519,7 @@ impl PyProc {
         bytes: Option<Vec<u8>>,
         size: u64,
     ) {
-        let dur = self.params.py_send + self.params.pickle_cost(size);
+        let dur = PY_SEND + pickle_cost(size);
         self.py_overhead(ctx, dur, 0);
         // Unmaterialized payloads still occupy `size` bytes on the wire.
         let phantom = if bytes.is_none() { size } else { 0 };
@@ -565,21 +544,21 @@ impl PyProc {
     /// post the device receive, and resume when the data lands. Returns the
     /// received size.
     pub fn recv(&mut self, ctx: &mut MCtx, ch: Channel, buf: MemRef) -> u64 {
-        self.py_overhead(ctx, self.params.py_recv, 1);
+        self.py_overhead(ctx, PY_RECV, 1);
         let payload = self.pop_inbox(ctx, ch.peer);
         match payload {
             ChanPayload::ZeroCopy { ml_tag, size } => {
-                self.py_overhead(ctx, self.params.buffer_cost(size), 1);
+                self.py_overhead(ctx, buffer_cost(size), 1);
                 let trigger = self.pe.ml_recv_device(ctx, ml_tag, buf.slice(0, size));
                 self.pe.pump_until(ctx, move |_, ctx| {
                     ctx.with_world_ref(|_, s| s.fired(trigger))
                 });
                 ctx.with_world(move |_, s| s.recycle_trigger(trigger));
-                self.py_overhead(ctx, self.params.py_wake, 2);
+                self.py_overhead(ctx, PY_WAKE, 2);
                 size
             }
             ChanPayload::Inline { bytes, size } => {
-                let dur = self.params.pickle_cost(size) + self.params.py_wake;
+                let dur = pickle_cost(size) + PY_WAKE;
                 self.py_overhead(ctx, dur, 2);
                 if let Some(b) = bytes {
                     let n = (buf.len as usize).min(b.len());
@@ -597,10 +576,10 @@ impl PyProc {
 
     /// `channel.recv()` of a pickled host object.
     pub fn recv_host(&mut self, ctx: &mut MCtx, ch: Channel) -> Option<Vec<u8>> {
-        self.py_overhead(ctx, self.params.py_recv, 1);
+        self.py_overhead(ctx, PY_RECV, 1);
         match self.pop_inbox(ctx, ch.peer) {
             ChanPayload::Inline { bytes, size } => {
-                let dur = self.params.pickle_cost(size) + self.params.py_wake;
+                let dur = pickle_cost(size) + PY_WAKE;
                 self.py_overhead(ctx, dur, 2);
                 bytes
             }
@@ -614,7 +593,7 @@ impl PyProc {
     /// ready pickled host object, and return `(peer, bytes)`. Ties are
     /// broken by `peers` order, so the choice is deterministic.
     pub fn recv_host_any(&mut self, ctx: &mut MCtx, peers: &[usize]) -> (usize, Option<Vec<u8>>) {
-        self.py_overhead(ctx, self.params.py_recv, 1);
+        self.py_overhead(ctx, PY_RECV, 1);
         let (col, idx) = (self.col, self.rank as u64);
         let scan: Vec<u32> = peers.iter().map(|&p| p as u32).collect();
         let scan2 = scan.clone();
@@ -636,7 +615,7 @@ impl PyProc {
         }
         match hit {
             Some((peer, ChanPayload::Inline { bytes, size })) => {
-                let dur = self.params.pickle_cost(size) + self.params.py_wake;
+                let dur = pickle_cost(size) + PY_WAKE;
                 self.py_overhead(ctx, dur, 2);
                 (peer, bytes)
             }
@@ -663,7 +642,7 @@ impl PyProc {
         peers: &[usize],
         deadline: rucx_sim::time::Time,
     ) -> Option<(usize, Option<Vec<u8>>)> {
-        self.py_overhead(ctx, self.params.py_recv, 1);
+        self.py_overhead(ctx, PY_RECV, 1);
         let me = self.rank;
         if ctx.now() < deadline {
             ctx.with_world(move |w, s| {
@@ -693,7 +672,7 @@ impl PyProc {
         }
         match hit {
             Some((peer, ChanPayload::Inline { bytes, size })) => {
-                let dur = self.params.pickle_cost(size) + self.params.py_wake;
+                let dur = pickle_cost(size) + PY_WAKE;
                 self.py_overhead(ctx, dur, 2);
                 Some((peer, bytes))
             }
@@ -702,7 +681,7 @@ impl PyProc {
             }
             None => {
                 // Deadline expired with every scanned inbox empty.
-                self.py_overhead(ctx, self.params.py_wake, 2);
+                self.py_overhead(ctx, PY_WAKE, 2);
                 None
             }
         }
@@ -748,9 +727,8 @@ impl PyProc {
 
     /// `charm.lib.CudaDtoH` / `CudaHtoD`: async copy issued from Python.
     pub fn cuda_copy(&mut self, ctx: &mut MCtx, src: MemRef, dst: MemRef, stream: StreamId) {
-        let launch = ctx.with_world_ref(|w, _| w.gpu.params.copy_launch);
-        self.py_overhead(ctx, self.params.py_cuda_call, 3);
-        ctx.advance(launch);
+        self.py_overhead(ctx, PY_CUDA_CALL, 3);
+        ctx.advance(COPY_LAUNCH);
         ctx.with_world(move |w, s| {
             copy_async(w, s, src, dst, stream, None);
         });
@@ -758,12 +736,11 @@ impl PyProc {
 
     /// `charm.lib.CudaStreamSynchronize` from Python.
     pub fn cuda_stream_sync(&mut self, ctx: &mut MCtx, stream: StreamId) {
-        let sync_cost = ctx.with_world_ref(|w, _| w.gpu.params.sync_overhead);
-        self.py_overhead(ctx, self.params.py_cuda_call, 3);
+        self.py_overhead(ctx, PY_CUDA_CALL, 3);
         let t = ctx.with_world(move |w, s| stream_sync_trigger(w, s, stream));
         ctx.wait(t);
         ctx.with_world(move |_, s| s.recycle_trigger(t));
-        ctx.advance(sync_cost);
+        ctx.advance(SYNC_OVERHEAD);
     }
 
     /// Virtual time in seconds (`time.perf_counter()`).
@@ -777,20 +754,11 @@ pub fn launch<F>(sim: &mut MSim, body: F)
 where
     F: Fn(&mut PyProc, &mut MCtx) + Send + Sync + Clone + 'static,
 {
-    launch_with(sim, PyParams::default(), body)
-}
-
-/// [`launch`] with explicit Python-layer parameters.
-pub fn launch_with<F>(sim: &mut MSim, params: PyParams, body: F)
-where
-    F: Fn(&mut PyProc, &mut MCtx) + Send + Sync + Clone + 'static,
-{
     let n = sim.world().topo.procs();
     for p in 0..n {
         let body = body.clone();
-        let params = params.clone();
         sim.spawn(format!("py{p}"), 0, move |ctx| {
-            let mut proc = PyProc::create(p, n, params);
+            let mut proc = PyProc::create(p, n);
             body(&mut proc, ctx);
         });
     }

@@ -351,8 +351,7 @@ pub fn alltoall_pairwise<C: CollComm>(c: &mut C, ctx: &mut MCtx, sbuf: MemRef, r
     // Own block: a local device copy.
     let stream = stream_of(ctx, me as usize);
     let (src, dst) = (sbuf.slice(me * block, block), rbuf.slice(me * block, block));
-    let launch = ctx.with_world_ref(|w, _| w.gpu.params.copy_launch);
-    ctx.advance(launch);
+    ctx.advance(rucx_gpu::device::COPY_LAUNCH);
     let t = ctx.with_world(move |w, s| {
         let t = s.new_trigger();
         rucx_gpu::copy_async(w, s, src, dst, stream, Some(t));

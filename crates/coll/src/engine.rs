@@ -13,6 +13,8 @@
 //! - GPU/NIC bandwidth parameters for the wire terms and the HBM-bound
 //!   combine-kernel term.
 
+use rucx_fabric::net::{NIC_GBPS, PIPE_LATENCY, RAILS_PER_NODE};
+use rucx_gpu::device::{COPY_LAUNCH, DMA_SETUP, KERNEL_LAUNCH, NVLINK_GBPS, SYNC_OVERHEAD};
 use rucx_gpu::KernelCost;
 use rucx_sim::time::{transfer_time, us};
 use rucx_ucp::{MCtx, Machine};
@@ -66,14 +68,13 @@ struct Estimator {
     nodes: usize,
     /// Largest rank count sharing one node (and its NIC rails).
     per_node: usize,
-    rails: usize,
-    alpha_intra: u64,
     alpha_inter: u64,
-    nvlink_gbps: f64,
-    nic_gbps: f64,
-    combine_fixed: u64,
-    hbm_gbps: f64,
 }
+
+/// Intra-node alpha: one staged device copy, launched and synchronized.
+const ALPHA_INTRA: u64 = COPY_LAUNCH + DMA_SETUP + SYNC_OVERHEAD;
+/// CPU side of one combine kernel: launch plus the sync that follows it.
+const COMBINE_FIXED: u64 = KERNEL_LAUNCH + SYNC_OVERHEAD;
 
 impl Estimator {
     fn of(w: &Machine, n: usize) -> Estimator {
@@ -87,57 +88,47 @@ impl Estimator {
         }
         let nodes = per_node_counts.iter().filter(|&&c| c > 0).count();
         let per_node = per_node_counts.iter().copied().max().unwrap_or(1);
-        let g = &w.gpu.params;
-        let np = &w.net.params;
         // Static inter-node alpha: injection + switch transit; replaced by
         // half the best measured RTT across any participating cross-node
         // pair once the protocol engine has observed one. Probing only
         // (0, peer) here used to miss fresh samples whenever rank 0 had no
         // cross-node traffic (e.g. a sub-communicator without rank 0).
-        let static_inter = np.injection + np.hop_latency * np.hops as u64;
         let alpha_inter = if nodes > 1 {
             w.ucp
                 .engine
                 .cross_node_rtt(&w.topo, n)
                 .map(|rtt| rtt / 2)
-                .unwrap_or(static_inter)
+                .unwrap_or(PIPE_LATENCY)
         } else {
-            static_inter
+            PIPE_LATENCY
         };
         Estimator {
             n,
             nodes,
             per_node,
-            rails: np.rails_per_node.max(1),
-            alpha_intra: g.copy_launch + g.dma_setup + g.sync_overhead,
             alpha_inter,
-            nvlink_gbps: g.nvlink_gbps,
-            nic_gbps: np.nic_gbps,
-            combine_fixed: g.kernel_launch + g.sync_overhead,
-            hbm_gbps: g.hbm_gbps,
         }
     }
 
     /// The combine-kernel model: launch + memory-bound kernel + sync.
     fn combine(&self, size: u64) -> u64 {
-        self.combine_fixed
+        COMBINE_FIXED
             + KernelCost {
                 fixed: us(3.0),
                 bytes: size * 3,
             }
-            .fixed
-            + transfer_time(size * 3, self.hbm_gbps)
+            .duration()
     }
 
     fn t_intra(&self, size: u64) -> u64 {
-        transfer_time(size, self.nvlink_gbps)
+        transfer_time(size, NVLINK_GBPS)
     }
 
     /// Inter-node wire time for one flow, accounting for the NIC-rail
     /// serialization a flat multi-node round suffers when `flows` ranks of
     /// one node all cross at once.
     fn t_inter(&self, size: u64, flows: usize) -> u64 {
-        transfer_time(size, self.nic_gbps) * flows.div_ceil(self.rails) as u64
+        transfer_time(size, NIC_GBPS) * flows.div_ceil(RAILS_PER_NODE) as u64
     }
 
     fn rd_rounds(&self) -> u64 {
@@ -149,7 +140,7 @@ impl Estimator {
         let (alpha, wire) = if self.nodes > 1 {
             (self.alpha_inter, self.t_inter(size, self.per_node))
         } else {
-            (self.alpha_intra, self.t_intra(size))
+            (ALPHA_INTRA, self.t_intra(size))
         };
         self.rd_rounds() * (alpha + wire + self.combine(size))
     }
@@ -162,7 +153,7 @@ impl Estimator {
         let (alpha, wire) = if self.nodes > 1 {
             (self.alpha_inter, self.t_inter(seg, 1))
         } else {
-            (self.alpha_intra, self.t_intra(seg))
+            (ALPHA_INTRA, self.t_intra(seg))
         };
         // Every step is a full sendrecv of a fresh message: a GPU-direct
         // rendezvous per hop (DMA setup, copy launch, stream sync) plus
@@ -170,17 +161,17 @@ impl Estimator {
         // steps are where a ring loses to fewer, fatter rounds; omitting
         // this term makes the ring look latency-free (calibrated against
         // the simulated OSU allreduce sweep).
-        let step_sw = self.alpha_intra + self.combine_fixed;
+        let step_sw = ALPHA_INTRA + COMBINE_FIXED;
         2 * (n - 1) * (alpha + wire + step_sw) + (n - 1) * self.combine(seg)
     }
 
     fn est_hier(&self, size: u64) -> u64 {
         let g = self.per_node as u64;
         let nn = self.nodes;
-        let gather = (g - 1) * (self.alpha_intra + self.t_intra(size) + self.combine(size));
+        let gather = (g - 1) * (ALPHA_INTRA + self.t_intra(size) + self.combine(size));
         let leader_rounds = ceil_log2(nn) + if nn.is_power_of_two() { 0 } else { 2 };
         let inter = leader_rounds * (self.alpha_inter + self.t_inter(size, 1) + self.combine(size));
-        let fan_out = ceil_log2(self.per_node) * (self.alpha_intra + self.t_intra(size));
+        let fan_out = ceil_log2(self.per_node) * (ALPHA_INTRA + self.t_intra(size));
         gather + inter + fan_out
     }
 
@@ -188,15 +179,15 @@ impl Estimator {
         let (alpha, wire) = if self.nodes > 1 {
             (self.alpha_inter, self.t_inter(size, self.per_node))
         } else {
-            (self.alpha_intra, self.t_intra(size))
+            (ALPHA_INTRA, self.t_intra(size))
         };
         ceil_log2(self.n) * (alpha + wire)
     }
 
     fn est_bcast_hier(&self, size: u64) -> u64 {
-        let handoff = self.alpha_intra + self.t_intra(size);
+        let handoff = ALPHA_INTRA + self.t_intra(size);
         let leaders = ceil_log2(self.nodes) * (self.alpha_inter + self.t_inter(size, 1));
-        let fan_out = ceil_log2(self.per_node) * (self.alpha_intra + self.t_intra(size));
+        let fan_out = ceil_log2(self.per_node) * (ALPHA_INTRA + self.t_intra(size));
         handoff + leaders + fan_out
     }
 }

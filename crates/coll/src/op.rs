@@ -6,6 +6,7 @@
 //! payload HBM traffic + sync) plus the actual element-wise math on the
 //! backing bytes, so reduced results stay verifiable.
 
+use rucx_gpu::device::{KERNEL_LAUNCH, SYNC_OVERHEAD};
 use rucx_gpu::{KernelCost, MemRef, StreamId};
 use rucx_sim::time::us;
 use rucx_ucp::MCtx;
@@ -46,9 +47,7 @@ pub fn combine(ctx: &mut MCtx, mine: MemRef, other: MemRef, op: ReduceOp, stream
     assert_eq!(mine.len, other.len, "combine length mismatch");
     // Launch + kernel + sync, like any small CUDA reduction. Memory-bound:
     // read both inputs, write one output.
-    let (launch, sync) =
-        ctx.with_world_ref(|w, _| (w.gpu.params.kernel_launch, w.gpu.params.sync_overhead));
-    ctx.advance(launch);
+    ctx.advance(KERNEL_LAUNCH);
     let done = ctx.with_world(move |w, s| {
         let t = s.new_trigger();
         rucx_gpu::kernel_async(
@@ -65,7 +64,7 @@ pub fn combine(ctx: &mut MCtx, mine: MemRef, other: MemRef, op: ReduceOp, stream
     });
     ctx.wait(done);
     ctx.with_world(move |_, s| s.recycle_trigger(done));
-    ctx.advance(sync);
+    ctx.advance(SYNC_OVERHEAD);
     ctx.with_world(move |w, _| {
         if !w.gpu.pool.is_materialized(mine.id).unwrap_or(false)
             || !w.gpu.pool.is_materialized(other.id).unwrap_or(false)

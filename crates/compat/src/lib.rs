@@ -11,8 +11,9 @@
 //!   [`sync::Condvar`] wrappers over `std::sync` with the `parking_lot` API
 //!   shape (no `.unwrap()` plumbing at call sites).
 //! - [`rendezvous`] — a one-slot, spin-then-park handoff cell for strictly
-//!   alternating handshakes; the allocation-free primitive under the
-//!   simulation's driver ⇄ process hot path.
+//!   alternating handshakes between two OS threads. Not on the simulator's
+//!   path (its processes are coroutines on one thread); kept as the subject
+//!   of the frozen benchmark's `compat.rendezvous_ns_per_handoff` rung.
 //! - [`rng`] — splitmix64-seeded xoshiro256++ PRNG with a
 //!   `gen_range`/`fill`-style surface; the single source of randomness for
 //!   workload synthesis and the property harness.

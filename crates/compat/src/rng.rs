@@ -117,12 +117,6 @@ impl Rng {
         range.start + self.gen_f64() * (range.end - range.start)
     }
 
-    /// Bernoulli draw with probability `p` of `true`.
-    #[inline]
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.gen_f64() < p
-    }
-
     /// Fill a byte slice with random data (message payload integrity
     /// checks, fuzz inputs).
     pub fn fill(&mut self, buf: &mut [u8]) {
@@ -154,6 +148,24 @@ mod tests {
         let mut b = Rng::new(42);
         for _ in 0..256 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn different_seeds_diverge() {
+        let mut a = Rng::new(1);
+        let mut b = Rng::new(2);
+        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
+        assert!(same < 4);
+    }
+
+    #[test]
+    fn gen_f64_in_unit_interval() {
+        // The fault lottery compares this against probabilities summing to
+        // at most 1, so 1.0 itself must never come out.
+        let mut r = Rng::new(9);
+        for _ in 0..1000 {
+            assert!((0.0..1.0).contains(&r.gen_f64()));
         }
     }
 

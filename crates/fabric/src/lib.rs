@@ -9,5 +9,5 @@ pub mod metrics;
 pub mod net;
 pub mod topology;
 
-pub use net::{net_transfer, HasNet, NetParams, NetSubsystem, WireKind};
+pub use net::{net_transfer, wire_time, HasNet, NetSubsystem, WireKind};
 pub use topology::{ProcIndex, Topology};

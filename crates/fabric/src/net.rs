@@ -22,54 +22,45 @@ pub enum WireKind {
     Gdr,
 }
 
-/// Calibration constants for the network (defaults: Summit EDR InfiniBand).
-#[derive(Debug, Clone)]
-pub struct NetParams {
-    /// Peak per-NIC bandwidth, host path (paper: 12.5 GB/s).
-    pub nic_gbps: f64,
-    /// Effective bandwidth for GPUDirect RDMA transfers.
-    pub gdr_gbps: f64,
-    /// Per-message software injection overhead (post WQE, doorbell).
-    pub injection: Duration,
-    /// Per-hop switch latency.
-    pub hop_latency: Duration,
-    /// Number of switch hops between any two nodes (fat tree, uniform).
-    pub hops: u32,
-    /// Independent NIC rails per node (Summit: dual-rail EDR, one port per
-    /// CPU socket). A single point-to-point stream uses one rail; a full
-    /// node of processes can drive all of them.
-    pub rails_per_node: usize,
-}
+// Calibration constants of the network: Summit EDR InfiniBand.
 
-impl Default for NetParams {
-    fn default() -> Self {
-        NetParams {
-            nic_gbps: 12.2,
-            gdr_gbps: 11.0,
-            injection: us(0.35),
-            hop_latency: us(0.30),
-            hops: 3,
-            rails_per_node: 2,
-        }
+/// Peak per-NIC bandwidth, host path (paper: 12.5 GB/s).
+pub const NIC_GBPS: f64 = 12.2;
+/// Effective bandwidth for GPUDirect RDMA transfers.
+pub const GDR_GBPS: f64 = 11.0;
+/// Per-message software injection overhead (post WQE, doorbell).
+pub const INJECTION: Duration = us(0.35);
+/// Per-hop switch latency.
+pub const HOP_LATENCY: Duration = us(0.30);
+/// Number of switch hops between any two nodes (fat tree, uniform).
+pub const HOPS: u32 = 3;
+/// Independent NIC rails per node (Summit: dual-rail EDR, one port per
+/// CPU socket). A single point-to-point stream uses one rail; a full
+/// node of processes can drive all of them.
+pub const RAILS_PER_NODE: usize = 2;
+
+/// Latency of the unloaded pipe: injection plus every switch hop.
+pub const PIPE_LATENCY: Duration = INJECTION + HOP_LATENCY * HOPS as Duration;
+
+fn wire_gbps(kind: WireKind) -> f64 {
+    match kind {
+        WireKind::Host => NIC_GBPS,
+        WireKind::Gdr => GDR_GBPS,
     }
 }
 
-impl NetParams {
-    /// Unloaded one-way wire time for `size` bytes.
-    pub fn wire_time(&self, size: u64, kind: WireKind) -> Duration {
-        let bw = match kind {
-            WireKind::Host => self.nic_gbps,
-            WireKind::Gdr => self.gdr_gbps,
-        };
-        self.injection
-            + self.hop_latency as Duration * self.hops as Duration
-            + transfer_time(size, bw)
-    }
+/// Index of `(node, rail)` in the per-port busy tables.
+fn port(node: usize, rail: usize) -> usize {
+    node * RAILS_PER_NODE + rail % RAILS_PER_NODE
+}
+
+/// Unloaded one-way wire time for `size` bytes.
+pub fn wire_time(size: u64, kind: WireKind) -> Duration {
+    PIPE_LATENCY + transfer_time(size, wire_gbps(kind))
 }
 
 /// World component: network state for the cluster.
 pub struct NetSubsystem {
-    pub params: NetParams,
     pub counters: Counters,
     /// Link bandwidth-degradation schedule from a loaded fault spec; `None`
     /// on clean runs (the common case pays one `Option` check).
@@ -82,15 +73,13 @@ pub struct NetSubsystem {
 }
 
 impl NetSubsystem {
-    pub fn new(nodes: usize, params: NetParams) -> Self {
-        let rails = params.rails_per_node.max(1);
+    pub fn new(nodes: usize) -> Self {
         NetSubsystem {
-            params,
             counters: Counters::new(),
             link_faults: None,
             nodes,
-            tx_busy: vec![0; nodes * rails],
-            rx_busy: vec![0; nodes * rails],
+            tx_busy: vec![0; nodes * RAILS_PER_NODE],
+            rx_busy: vec![0; nodes * RAILS_PER_NODE],
             bytes_sent: 0,
             messages_sent: 0,
         }
@@ -100,23 +89,13 @@ impl NetSubsystem {
         self.nodes
     }
 
-    fn port(&self, node: usize, rail: usize) -> usize {
-        let rails = self.params.rails_per_node.max(1);
-        node * rails + rail % rails
-    }
-
     /// How long the TX port of `(node, rail)` is already committed past
     /// `now` — the serialization backlog a new injection on that rail would
     /// queue behind. Zero when the rail is idle. This is the link-occupancy
     /// signal the protocol engine reads when balancing pipeline chunks
     /// across a node's rails.
     pub fn tx_backlog(&self, node: usize, rail: usize, now: Time) -> Duration {
-        self.tx_busy[self.port(node, rail)].saturating_sub(now)
-    }
-
-    /// RX-side analogue of [`Self::tx_backlog`].
-    pub fn rx_backlog(&self, node: usize, rail: usize, now: Time) -> Duration {
-        self.rx_busy[self.port(node, rail)].saturating_sub(now)
+        self.tx_busy[port(node, rail)].saturating_sub(now)
     }
 
     /// Total payload bytes ever injected.
@@ -170,26 +149,21 @@ where
     assert_ne!(src_node, dst_node, "net_transfer is inter-node only");
     let now = s.now();
     let net = w.net();
-    let p = &net.params;
-    let mut bw = match kind {
-        WireKind::Host => p.nic_gbps,
-        WireKind::Gdr => p.gdr_gbps,
-    };
+    let mut bw = wire_gbps(kind);
     if let Some(lf) = &net.link_faults {
         bw *= lf.bw_factor(src_node, dst_node, now);
     }
     let serialize = transfer_time(size, bw);
-    let pipe_latency = p.injection + p.hop_latency as Duration * p.hops as Duration;
     // TX and RX ports are decoupled (switches buffer in between): the
     // sender serializes onto its link as soon as that link is free; the
     // receiver's port serializes deliveries independently. Uncontended,
     // this reduces to cut-through: arrival = start + serialize + latency.
-    let tx_port = net.port(src_node, src_rail);
-    let rx_port = net.port(dst_node, dst_rail);
+    let tx_port = port(src_node, src_rail);
+    let rx_port = port(dst_node, dst_rail);
     let tx_start = now.max(net.tx_busy[tx_port]);
     let tx_end = tx_start + serialize;
     net.tx_busy[tx_port] = tx_end;
-    let rx_start = (tx_start + pipe_latency).max(net.rx_busy[rx_port]);
+    let rx_start = (tx_start + PIPE_LATENCY).max(net.rx_busy[rx_port]);
     let arrival = rx_start + serialize;
     net.rx_busy[rx_port] = arrival;
     net.bytes_sent += size;
@@ -214,37 +188,34 @@ mod tests {
     use rucx_sim::{RunOutcome, Simulation};
 
     fn sys(nodes: usize) -> NetSubsystem {
-        NetSubsystem::new(nodes, NetParams::default())
+        NetSubsystem::new(nodes)
     }
 
     #[test]
     fn small_message_latency_is_alpha() {
-        let p = NetParams::default();
-        let t = p.wire_time(8, WireKind::Host);
+        let t = wire_time(8, WireKind::Host);
         // ~1.25 us + ~1 ns wire: small messages are latency-bound.
         assert!(t >= us(1.2) && t <= us(1.4), "t={t}");
     }
 
     #[test]
     fn large_message_bandwidth_bound() {
-        let p = NetParams::default();
         let size = 4u64 << 20;
-        let t = p.wire_time(size, WireKind::Host);
+        let t = wire_time(size, WireKind::Host);
         let bw = rucx_sim::time::bandwidth_mbps(size, t);
         assert!((bw - 12_200.0).abs() / 12_200.0 < 0.02, "bw={bw}");
     }
 
     #[test]
     fn gdr_slower_than_host_path() {
-        let p = NetParams::default();
         let size = 1u64 << 20;
-        assert!(p.wire_time(size, WireKind::Gdr) > p.wire_time(size, WireKind::Host));
+        assert!(wire_time(size, WireKind::Gdr) > wire_time(size, WireKind::Host));
     }
 
     #[test]
     fn transfer_schedules_completion() {
         let mut sim = Simulation::new(sys(2));
-        let expected = NetParams::default().wire_time(1 << 20, WireKind::Host);
+        let expected = wire_time(1 << 20, WireKind::Host);
         sim.scheduler().schedule_at(0, move |w, s| {
             net_transfer(
                 w,
@@ -273,7 +244,7 @@ mod tests {
         sim.scheduler().schedule_at(0, move |w, s| {
             let a1 = net_transfer(w, s, (0, 0), (1, 0), size, WireKind::Host, |_, _| {});
             let a2 = net_transfer(w, s, (0, 0), (2, 0), size, WireKind::Host, |_, _| {});
-            let serialize = transfer_time(size, w.net().params.nic_gbps);
+            let serialize = transfer_time(size, NIC_GBPS);
             assert!(a2 >= a1 + serialize - 1, "a1={a1} a2={a2}");
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
@@ -286,7 +257,7 @@ mod tests {
         sim.scheduler().schedule_at(0, move |w, s| {
             let a1 = net_transfer(w, s, (0, 0), (2, 0), size, WireKind::Host, |_, _| {});
             let a2 = net_transfer(w, s, (1, 0), (2, 0), size, WireKind::Host, |_, _| {});
-            let serialize = transfer_time(size, w.net().params.nic_gbps);
+            let serialize = transfer_time(size, NIC_GBPS);
             assert!(a2 >= a1 + serialize - 1, "a1={a1} a2={a2}");
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
@@ -321,11 +292,8 @@ mod tests {
         let size = 4u64 << 20;
         sim.scheduler().schedule_at(0, move |w, s| {
             let arrival = net_transfer(w, s, (0, 0), (1, 0), size, WireKind::Host, |_, _| {});
-            let p = &w.net().params;
-            let clean = p.wire_time(size, WireKind::Host);
-            let degraded = p.injection
-                + p.hop_latency as Duration * p.hops as Duration
-                + transfer_time(size, p.nic_gbps * 0.5);
+            let clean = wire_time(size, WireKind::Host);
+            let degraded = PIPE_LATENCY + transfer_time(size, NIC_GBPS * 0.5);
             assert!(arrival > clean, "degradation must slow the wire");
             // Allow 1 ns of integer rounding.
             assert!(

@@ -7,7 +7,7 @@
 //! inject (envelope drop / duplicate / delay / corrupt, link bandwidth
 //! degradation and partition windows, GPU copy-engine failures), and a
 //! [`FaultState`] turns the spec into per-event decisions driven by a
-//! seeded [`SimRng`].
+//! seeded [`Rng`].
 //!
 //! Every decision is a pure function of `(spec, seed, query sequence)`, and
 //! the query sequence is itself a pure function of the deterministic
@@ -25,8 +25,8 @@ pub mod spec;
 
 pub use spec::{DegradeWindow, FaultSpec, GpuFail, HealEvent, LinkFilter, PartitionWindow};
 
+use rucx_compat::rng::Rng;
 use rucx_sim::time::Time;
-use rucx_sim::SimRng;
 
 /// Outcome of the per-envelope fault lottery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +92,7 @@ impl LinkFaults {
 #[derive(Debug)]
 pub struct FaultState {
     spec: Option<FaultSpec>,
-    rng: SimRng,
+    rng: Rng,
     injected: u64,
 }
 
@@ -108,14 +108,14 @@ impl FaultState {
     pub fn disabled() -> Self {
         FaultState {
             spec: None,
-            rng: SimRng::new(0),
+            rng: Rng::new(0),
             injected: 0,
         }
     }
 
     /// Activate injection under `spec`.
     pub fn from_spec(spec: FaultSpec) -> Self {
-        let rng = SimRng::new(spec.seed);
+        let rng = Rng::new(spec.seed);
         FaultState {
             spec: Some(spec),
             rng,
@@ -182,7 +182,7 @@ impl FaultState {
         if lottery <= 0.0 {
             return WireFault::None;
         }
-        let r = self.rng.next_f64();
+        let r = self.rng.gen_f64();
         let fault = if r < spec.drop_p {
             WireFault::Drop
         } else if r < spec.drop_p + spec.dup_p {
@@ -190,7 +190,7 @@ impl FaultState {
         } else if r < spec.drop_p + spec.dup_p + spec.delay_p {
             // Extra delay uniform in (half, full] of the configured bound,
             // so delayed envelopes spread instead of synchronizing.
-            let frac = 0.5 + self.rng.next_f64() * 0.5;
+            let frac = 0.5 + self.rng.gen_f64() * 0.5;
             WireFault::Delay((spec.delay as f64 * frac) as rucx_sim::time::Duration)
         } else if r < lottery {
             WireFault::Corrupt

@@ -1,6 +1,6 @@
 //! Simulated GPU devices and the intra-node cost model.
 //!
-//! The parameters default to a Summit-like node: 2 CPU sockets, 3 NVIDIA
+//! The constants describe a Summit-like node: 2 CPU sockets, 3 NVIDIA
 //! V100-class GPUs per socket, GPUs and their socket's CPU fully connected
 //! by NVLink (50 GB/s theoretical per direction), sockets bridged by the
 //! X-Bus (64 GB/s). Effective bandwidths are derated to what microbenchmarks
@@ -31,68 +31,44 @@ pub struct Device {
     pub mem_capacity: u64,
 }
 
-/// Calibration constants for the intra-node GPU cost model.
-///
-/// All bandwidths are in GB/s (bytes per nanosecond); all latencies are
-/// virtual-time durations. Defaults are calibrated against published V100 /
-/// Summit microbenchmark behaviour; see EXPERIMENTS.md for the mapping from
-/// these constants to reproduced figures.
-#[derive(Debug, Clone)]
-pub struct GpuParams {
-    /// CPU-side cost to launch an async copy (driver + runtime).
-    pub copy_launch: Duration,
-    /// CPU-side cost of a stream synchronization call (beyond waiting).
-    pub sync_overhead: Duration,
-    /// CPU-side cost to launch a kernel.
-    pub kernel_launch: Duration,
-    /// DMA engine setup time per copy (added to the transfer itself).
-    pub dma_setup: Duration,
-    /// GPU<->GPU same-socket NVLink effective bandwidth.
-    pub nvlink_gbps: f64,
-    /// GPU<->GPU cross-socket (X-Bus) effective per-flow bandwidth.
-    pub xbus_gbps: f64,
-    /// Aggregate X-Bus bandwidth shared by all concurrent cross-socket
-    /// flows of a node (the bus itself is faster than any single staged
-    /// flow).
-    pub xbus_aggregate_gbps: f64,
-    /// CPU<->GPU NVLink effective bandwidth (host staging path).
-    pub cpu_gpu_gbps: f64,
-    /// On-device (HBM2) copy bandwidth for D2D on the same device.
-    pub hbm_gbps: f64,
-    /// Host-to-host single-core memcpy bandwidth.
-    pub host_memcpy_gbps: f64,
-    /// Bandwidth derate factor when the host buffer is pageable (the driver
-    /// must bounce through an internal pinned buffer).
-    pub pageable_factor: f64,
-    /// Extra fixed latency for copies involving pageable host memory.
-    pub pageable_overhead: Duration,
-    /// Cost of opening a CUDA IPC memory handle (first touch; callers are
-    /// expected to cache handles, as the paper notes).
-    pub ipc_open: Duration,
-}
+// Calibration constants of the intra-node GPU cost model.
+//
+// All bandwidths are in GB/s (bytes per nanosecond); all latencies are
+// virtual-time durations. Values are calibrated against published V100 /
+// Summit microbenchmark behaviour; see EXPERIMENTS.md for the mapping from
+// these constants to reproduced figures.
 
-impl Default for GpuParams {
-    fn default() -> Self {
-        GpuParams {
-            copy_launch: us(3.2),
-            sync_overhead: us(2.4),
-            kernel_launch: us(7.0),
-            dma_setup: us(1.1),
-            nvlink_gbps: 44.0,
-            // Cross-socket P2P is staged GPU->NVLink->CPU->X-Bus->CPU->NVLink->GPU;
-            // despite the X-Bus's 64 GB/s headline rate the effective
-            // device-to-device bandwidth is far below same-socket NVLink.
-            xbus_gbps: 28.0,
-            xbus_aggregate_gbps: 52.0,
-            cpu_gpu_gbps: 42.0,
-            hbm_gbps: 780.0,
-            host_memcpy_gbps: 9.5,
-            pageable_factor: 0.17,
-            pageable_overhead: us(4.0),
-            ipc_open: us(95.0),
-        }
-    }
-}
+/// Device memory capacity per GPU (V100, 16 GiB).
+pub const DEVICE_MEM: u64 = 16 << 30;
+/// CPU-side cost to launch an async copy (driver + runtime).
+pub const COPY_LAUNCH: Duration = us(3.2);
+/// CPU-side cost of a stream synchronization call (beyond waiting).
+pub const SYNC_OVERHEAD: Duration = us(2.4);
+/// CPU-side cost to launch a kernel.
+pub const KERNEL_LAUNCH: Duration = us(7.0);
+/// DMA engine setup time per copy (added to the transfer itself).
+pub const DMA_SETUP: Duration = us(1.1);
+/// GPU<->GPU same-socket NVLink effective bandwidth.
+pub const NVLINK_GBPS: f64 = 44.0;
+/// GPU<->GPU cross-socket (X-Bus) effective per-flow bandwidth.
+/// Cross-socket P2P is staged GPU->NVLink->CPU->X-Bus->CPU->NVLink->GPU;
+/// despite the X-Bus's 64 GB/s headline rate the effective
+/// device-to-device bandwidth is far below same-socket NVLink.
+pub const XBUS_GBPS: f64 = 28.0;
+/// Aggregate X-Bus bandwidth shared by all concurrent cross-socket flows
+/// of a node (the bus itself is faster than any single staged flow).
+pub const XBUS_AGGREGATE_GBPS: f64 = 52.0;
+/// CPU<->GPU NVLink effective bandwidth (host staging path).
+pub const CPU_GPU_GBPS: f64 = 42.0;
+/// On-device (HBM2) copy bandwidth for D2D on the same device.
+pub const HBM_GBPS: f64 = 780.0;
+/// Host-to-host single-core memcpy bandwidth.
+pub const HOST_MEMCPY_GBPS: f64 = 9.5;
+/// Bandwidth derate factor when the host buffer is pageable (the driver
+/// must bounce through an internal pinned buffer).
+pub const PAGEABLE_FACTOR: f64 = 0.17;
+/// Extra fixed latency for copies involving pageable host memory.
+pub const PAGEABLE_OVERHEAD: Duration = us(4.0);
 
 /// The physical route a copy takes inside one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,27 +87,25 @@ pub enum CopyPath {
     HostMem,
 }
 
-impl GpuParams {
-    /// Effective bandwidth of a path in GB/s.
-    pub fn path_gbps(&self, path: CopyPath) -> f64 {
-        match path {
-            CopyPath::OnDevice => self.hbm_gbps,
-            CopyPath::NvLink => self.nvlink_gbps,
-            CopyPath::XBus => self.xbus_gbps,
-            CopyPath::HostPinnedLink => self.cpu_gpu_gbps,
-            CopyPath::HostPageableLink => self.cpu_gpu_gbps * self.pageable_factor,
-            CopyPath::HostMem => self.host_memcpy_gbps,
-        }
+/// Effective bandwidth of a path in GB/s.
+pub fn path_gbps(path: CopyPath) -> f64 {
+    match path {
+        CopyPath::OnDevice => HBM_GBPS,
+        CopyPath::NvLink => NVLINK_GBPS,
+        CopyPath::XBus => XBUS_GBPS,
+        CopyPath::HostPinnedLink => CPU_GPU_GBPS,
+        CopyPath::HostPageableLink => CPU_GPU_GBPS * PAGEABLE_FACTOR,
+        CopyPath::HostMem => HOST_MEMCPY_GBPS,
     }
+}
 
-    /// Pure wire time for `size` bytes along `path` (no launch overheads).
-    pub fn wire_time(&self, path: CopyPath, size: u64) -> Duration {
-        let extra = match path {
-            CopyPath::HostPageableLink => self.pageable_overhead,
-            _ => 0,
-        };
-        self.dma_setup + extra + transfer_time(size, self.path_gbps(path))
-    }
+/// Pure wire time for `size` bytes along `path` (no launch overheads).
+pub fn wire_time(path: CopyPath, size: u64) -> Duration {
+    let extra = match path {
+        CopyPath::HostPageableLink => PAGEABLE_OVERHEAD,
+        _ => 0,
+    };
+    DMA_SETUP + extra + transfer_time(size, path_gbps(path))
 }
 
 /// Cost model of a GPU kernel: `fixed + bytes/hbm_bw` (memory-bound roofline,
@@ -145,9 +119,9 @@ pub struct KernelCost {
 }
 
 impl KernelCost {
-    /// On-GPU execution time under `params`.
-    pub fn duration(&self, params: &GpuParams) -> Duration {
-        self.fixed + transfer_time(self.bytes, params.hbm_gbps)
+    /// On-GPU execution time.
+    pub fn duration(&self) -> Duration {
+        self.fixed + transfer_time(self.bytes, HBM_GBPS)
     }
 }
 
@@ -157,45 +131,40 @@ mod tests {
 
     #[test]
     fn path_bandwidth_ordering_matches_hardware() {
-        let p = GpuParams::default();
         // HBM > NVLink >= CPU-GPU > X-Bus (staged) > host memcpy.
-        assert!(p.path_gbps(CopyPath::OnDevice) > p.path_gbps(CopyPath::NvLink));
-        assert!(p.path_gbps(CopyPath::NvLink) > p.path_gbps(CopyPath::XBus));
-        assert!(p.path_gbps(CopyPath::NvLink) >= p.path_gbps(CopyPath::HostPinnedLink));
-        assert!(p.path_gbps(CopyPath::XBus) > p.path_gbps(CopyPath::HostMem));
-        assert!(p.path_gbps(CopyPath::HostPinnedLink) > p.path_gbps(CopyPath::HostMem));
-        assert!(p.path_gbps(CopyPath::HostPageableLink) < p.path_gbps(CopyPath::HostPinnedLink));
+        assert!(path_gbps(CopyPath::OnDevice) > path_gbps(CopyPath::NvLink));
+        assert!(path_gbps(CopyPath::NvLink) > path_gbps(CopyPath::XBus));
+        assert!(path_gbps(CopyPath::NvLink) >= path_gbps(CopyPath::HostPinnedLink));
+        assert!(path_gbps(CopyPath::XBus) > path_gbps(CopyPath::HostMem));
+        assert!(path_gbps(CopyPath::HostPinnedLink) > path_gbps(CopyPath::HostMem));
+        assert!(path_gbps(CopyPath::HostPageableLink) < path_gbps(CopyPath::HostPinnedLink));
     }
 
     #[test]
     fn wire_time_scales_linearly() {
-        let p = GpuParams::default();
-        let t1 = p.wire_time(CopyPath::NvLink, 1 << 20);
-        let t4 = p.wire_time(CopyPath::NvLink, 4 << 20);
-        // Subtract the fixed dma_setup to check the slope.
-        let s1 = t1 - p.dma_setup;
-        let s4 = t4 - p.dma_setup;
+        let t1 = wire_time(CopyPath::NvLink, 1 << 20);
+        let t4 = wire_time(CopyPath::NvLink, 4 << 20);
+        // Subtract the fixed DMA setup to check the slope.
+        let s1 = t1 - DMA_SETUP;
+        let s4 = t4 - DMA_SETUP;
         assert!((s4 as f64 / s1 as f64 - 4.0).abs() < 0.01);
     }
 
     #[test]
     fn pageable_copies_slower_than_pinned() {
-        let p = GpuParams::default();
         let size = 1 << 20;
         assert!(
-            p.wire_time(CopyPath::HostPageableLink, size)
-                > p.wire_time(CopyPath::HostPinnedLink, size)
+            wire_time(CopyPath::HostPageableLink, size) > wire_time(CopyPath::HostPinnedLink, size)
         );
     }
 
     #[test]
     fn kernel_cost_memory_bound() {
-        let p = GpuParams::default();
         let k = KernelCost {
             fixed: us(2.0),
             bytes: 780_000_000, // exactly 1 ms of HBM traffic at 780 GB/s
         };
-        let d = k.duration(&p);
+        let d = k.duration();
         assert!((d as i64 - (us(2.0) + 1_000_000) as i64).abs() < 1_000);
     }
 }

@@ -20,7 +20,7 @@ pub mod metrics;
 pub mod ops;
 pub mod subsystem;
 
-pub use device::{CopyPath, Device, DeviceId, GpuParams, KernelCost};
+pub use device::{CopyPath, Device, DeviceId, KernelCost};
 pub use mem::{MemError, MemId, MemKind, MemPool, MemRef};
 pub use ops::{copy_async, kernel_async, resolve_path, stream_sync_trigger};
 pub use subsystem::{GpuSubsystem, HasGpu, StreamId};
@@ -32,12 +32,12 @@ mod tests {
     use rucx_sim::{RunOutcome, Simulation};
 
     fn summit_node() -> GpuSubsystem {
-        GpuSubsystem::new(1, 6, 3, 16 << 30, GpuParams::default())
+        GpuSubsystem::new(1, 6, 3)
     }
 
     #[test]
     fn topology_layout() {
-        let g = GpuSubsystem::new(2, 6, 3, 16 << 30, GpuParams::default());
+        let g = GpuSubsystem::new(2, 6, 3);
         assert_eq!(g.device_count(), 12);
         assert_eq!(g.device(DeviceId(0)).socket, 0);
         assert_eq!(g.device(DeviceId(2)).socket, 0);
@@ -66,7 +66,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "same node")]
     fn cross_node_copy_rejected() {
-        let g = GpuSubsystem::new(2, 6, 3, 16 << 30, GpuParams::default());
+        let g = GpuSubsystem::new(2, 6, 3);
         resolve_path(
             &g,
             MemKind::Device(DeviceId(0)),
@@ -97,7 +97,7 @@ mod tests {
             ctx.wait(done);
             let after = ctx.with_world_ref(|w, _| w.pool.read(b).unwrap());
             assert_eq!(after, vec![0x5A; 1024]);
-            // NVLink 1 KiB: dma_setup + ~23ns wire.
+            // NVLink 1 KiB: DMA_SETUP + ~23ns wire.
             assert!(
                 ctx.now() >= us(1.1) && ctx.now() < us(2.0),
                 "t={}",

@@ -3,14 +3,14 @@
 //! These mirror the CUDA calls the paper's software stack uses
 //! (`cudaMemcpyAsync`, kernel launches, `cudaStreamSynchronize`), with
 //! explicit virtual-time costs. CPU-side launch overhead is modeled by the
-//! *caller* advancing its process clock by [`GpuParams::copy_launch`] /
-//! [`GpuParams::kernel_launch`] — the functions here model the device side
-//! only (queueing, DMA, link occupancy).
+//! *caller* advancing its process clock by [`crate::device::COPY_LAUNCH`] /
+//! [`crate::device::KERNEL_LAUNCH`] — the functions here model the device
+//! side only (queueing, DMA, link occupancy).
 
 use rucx_sim::sched::{Scheduler, Trigger};
 use rucx_sim::time::Time;
 
-use crate::device::{CopyPath, KernelCost};
+use crate::device::{wire_time, CopyPath, KernelCost, XBUS_AGGREGATE_GBPS};
 use crate::mem::{MemKind, MemRef};
 use crate::subsystem::{GpuSubsystem, HasGpu, StreamId};
 
@@ -69,7 +69,7 @@ pub fn copy_async<W: HasGpu>(
     let src_kind = gpu.pool.kind(src.id).expect("copy from bad handle");
     let dst_kind = gpu.pool.kind(dst.id).expect("copy to bad handle");
     let path = resolve_path(gpu, src_kind, dst_kind);
-    let dur = gpu.params.wire_time(path, src.len);
+    let dur = wire_time(path, src.len);
 
     // Gather contention constraints.
     let mut start = now.max(gpu.stream_busy(stream));
@@ -97,7 +97,7 @@ pub fn copy_async<W: HasGpu>(
         // for size/aggregate_bw even though the flow itself runs at the
         // (lower) per-flow rate.
         let busy_until = if matches!(p, PortRef::XBus(_)) {
-            start + rucx_sim::time::transfer_time(src.len, gpu.params.xbus_aggregate_gbps)
+            start + rucx_sim::time::transfer_time(src.len, XBUS_AGGREGATE_GBPS)
         } else {
             end
         };
@@ -136,7 +136,7 @@ pub fn kernel_async<W: HasGpu>(
     let now = s.now();
     let gpu = w.gpu();
     let start = now.max(gpu.stream_busy(stream));
-    let end = start + cost.duration(&gpu.params);
+    let end = start + cost.duration();
     gpu.set_stream_busy(stream, end);
     gpu.counters.bump(crate::metrics::KERNEL);
     if let Some(t) = done {
@@ -186,7 +186,7 @@ pub fn occupy_transfer<W: HasGpu>(
     gpu.set_port_busy(PortRef::Ingress(dst_dev), end);
     if cross {
         // Shared aggregate resource (see `copy_async`).
-        let occ = start + rucx_sim::time::transfer_time(size, gpu.params.xbus_aggregate_gbps);
+        let occ = start + rucx_sim::time::transfer_time(size, XBUS_AGGREGATE_GBPS);
         gpu.set_port_busy(PortRef::XBus(node), occ);
     }
     end
@@ -241,13 +241,12 @@ pub fn occupy_striped<W: HasGpu>(
         let dur = match leg.path {
             // Degraded secondary leg: a pinned-host bounce pays the
             // CPU-GPU link twice (D2H then H2D).
-            CopyPath::HostPinnedLink => 2 * gpu.params.wire_time(leg.path, leg.bytes),
-            _ => gpu.params.wire_time(leg.path, leg.bytes),
+            CopyPath::HostPinnedLink => 2 * wire_time(leg.path, leg.bytes),
+            _ => wire_time(leg.path, leg.bytes),
         };
         let leg_end = start + dur;
         if leg.path == CopyPath::XBus {
-            let occ =
-                start + rucx_sim::time::transfer_time(leg.bytes, gpu.params.xbus_aggregate_gbps);
+            let occ = start + rucx_sim::time::transfer_time(leg.bytes, XBUS_AGGREGATE_GBPS);
             gpu.set_port_busy(PortRef::XBus(node), occ);
         }
         if let Some(m) = crate::metrics::transfer_path(leg.path) {

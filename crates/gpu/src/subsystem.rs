@@ -3,7 +3,7 @@
 use rucx_sim::stats::Counters;
 use rucx_sim::time::Time;
 
-use crate::device::{Device, DeviceId, GpuParams};
+use crate::device::{Device, DeviceId, DEVICE_MEM};
 use crate::mem::MemPool;
 use crate::ops::PortRef;
 
@@ -18,7 +18,6 @@ struct StreamState {
 
 /// World component: all simulated-GPU state for the cluster.
 pub struct GpuSubsystem {
-    pub params: GpuParams,
     pub pool: MemPool,
     pub counters: Counters,
     devices: Vec<Device>,
@@ -30,18 +29,13 @@ pub struct GpuSubsystem {
 }
 
 impl GpuSubsystem {
-    /// Build a cluster of `nodes`, each with `gpus_per_node` devices split
-    /// evenly into sockets of `gpus_per_socket` (Summit: 6 and 3).
+    /// Build a cluster of `nodes`, each with `gpus_per_node` devices of
+    /// [`DEVICE_MEM`] bytes split evenly into sockets of `gpus_per_socket`
+    /// (Summit: 6 and 3).
     ///
     /// Each device gets a *default stream* whose `StreamId` equals the
     /// device id; extra streams come from [`GpuSubsystem::create_stream`].
-    pub fn new(
-        nodes: usize,
-        gpus_per_node: usize,
-        gpus_per_socket: usize,
-        device_capacity: u64,
-        params: GpuParams,
-    ) -> Self {
+    pub fn new(nodes: usize, gpus_per_node: usize, gpus_per_socket: usize) -> Self {
         assert!(gpus_per_socket > 0 && gpus_per_node.is_multiple_of(gpus_per_socket));
         let total = nodes * gpus_per_node;
         let mut devices = Vec::with_capacity(total);
@@ -53,7 +47,7 @@ impl GpuSubsystem {
                     id,
                     node,
                     socket: i / gpus_per_socket,
-                    mem_capacity: device_capacity,
+                    mem_capacity: DEVICE_MEM,
                 });
                 streams.push(StreamState {
                     device: id,
@@ -62,8 +56,7 @@ impl GpuSubsystem {
             }
         }
         GpuSubsystem {
-            params,
-            pool: MemPool::new(total, device_capacity, nodes),
+            pool: MemPool::new(total, DEVICE_MEM, nodes),
             counters: Counters::new(),
             devices,
             gpus_per_node,

@@ -108,8 +108,7 @@ impl JacobiChare {
         // computation-communication-overlap mechanism).
         let stream = Self::stream_of(pe, ctx);
         let cost = stencil_cost(&self.block);
-        let launch = ctx.with_world_ref(|w, _| w.gpu.params.kernel_launch);
-        ctx.advance(launch);
+        ctx.advance(rucx_gpu::device::KERNEL_LAUNCH);
         let end = ctx.with_world(move |w, s| rucx_gpu::kernel_async(w, s, stream, cost, None));
         let me = self.block.index;
         pe.send_local_at(ctx, ChareRef { col, index: me }, ep_kdone, vec![], end);

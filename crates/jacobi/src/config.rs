@@ -175,7 +175,7 @@ mod tests {
         let c = stencil_cost(&b);
         assert_eq!(c.bytes, d.cells() / 6 * 16);
         // ~12 ms of HBM traffic at 780 GB/s.
-        let dur = c.duration(&rucx_gpu::GpuParams::default());
+        let dur = c.duration();
         assert!(dur > rucx_sim::time::ms(10.0) && dur < rucx_sim::time::ms(15.0));
     }
 }

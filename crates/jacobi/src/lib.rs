@@ -59,30 +59,6 @@ pub fn run(model: JacobiModel, cfg: &JacobiConfig) -> JacobiResult {
         .unwrap_or_else(|s| panic!("jacobi ({}) did not drain: {s:?}", model.label()))
 }
 
-/// Weak-scaling sweep over `node_counts` (powers of two).
-pub fn weak_series(
-    model: JacobiModel,
-    mode: Mode,
-    node_counts: &[usize],
-) -> Vec<(usize, JacobiResult)> {
-    node_counts
-        .iter()
-        .map(|&n| (n, run(model, &JacobiConfig::weak(n, mode))))
-        .collect()
-}
-
-/// Strong-scaling sweep (fixed 3072³ domain).
-pub fn strong_series(
-    model: JacobiModel,
-    mode: Mode,
-    node_counts: &[usize],
-) -> Vec<(usize, JacobiResult)> {
-    node_counts
-        .iter()
-        .map(|&n| (n, run(model, &JacobiConfig::strong(n, mode))))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use rucx_charm4py::{launch_with, PyParams};
+use rucx_charm4py::{launch, PY_CUDA_CALL};
 use rucx_fabric::Topology;
 use rucx_osu::cuda;
 use rucx_sim::time::as_ms;
@@ -29,13 +29,12 @@ pub fn run_charm4py(cfg: &JacobiConfig) -> Result<JacobiResult, JacobiStall> {
     let (iters, warmup, mode) = (cfg.iters, cfg.warmup, cfg.mode);
     let ranks = cfg.ranks();
 
-    launch_with(&mut sim, PyParams::default(), move |py, ctx| {
+    launch(&mut sim, move |py, ctx| {
         let me = py.rank();
         let b = &bufs[me];
         let dev = ctx.with_world_ref(|w, _| w.topo.device_of(me));
         let stream = ctx.with_world_ref(|w, _| w.gpu.default_stream(dev));
         let stencil = stencil_cost(&b.block);
-        let py_cuda = py.params.py_cuda_call;
 
         // One channel per neighbor.
         let channels: Vec<(usize, rucx_charm4py::Channel)> = (0..6)
@@ -52,13 +51,13 @@ pub fn run_charm4py(cfg: &JacobiConfig) -> Result<JacobiResult, JacobiStall> {
                 t0 = ctx.now();
             }
             // Compute: kernel launched from Python.
-            ctx.advance(py_cuda);
+            ctx.advance(PY_CUDA_CALL);
             cuda::kernel_sync(ctx, stencil, stream);
             let tc = ctx.now();
             // Send all halos (asynchronous channel sends).
             for &(dir, ch) in &channels {
                 let fb = b.block.face_bytes(dir);
-                ctx.advance(py_cuda);
+                ctx.advance(PY_CUDA_CALL);
                 cuda::kernel_sync(ctx, pack_cost(fb), stream);
                 match mode {
                     Mode::Device => py.send(ctx, ch, b.dsend[dir].unwrap()),
@@ -84,7 +83,7 @@ pub fn run_charm4py(cfg: &JacobiConfig) -> Result<JacobiResult, JacobiStall> {
                         py.cuda_stream_sync(ctx, stream);
                     }
                 }
-                ctx.advance(py_cuda);
+                ctx.advance(PY_CUDA_CALL);
                 cuda::kernel_sync(ctx, pack_cost(fb), stream);
             }
             if i >= warmup {

@@ -12,6 +12,7 @@
 use rucx_gpu::MemRef;
 use rucx_sim::sched::Trigger;
 use rucx_sim::time::{us, Duration};
+use rucx_ucp::config::CPU_CALL;
 use rucx_ucp::{
     tag_recv_nb, tag_send_nb, Completion, MCtx, MSim, RecvCompletion, SendBuf, Tag, TagMask,
 };
@@ -77,41 +78,26 @@ pub struct Request {
     status: Option<std::sync::Arc<rucx_compat::sync::Mutex<Option<Status>>>>,
 }
 
-/// Cost model of the (thin) MPI layer above UCX.
-#[derive(Debug, Clone)]
-pub struct OmpiParams {
-    /// Per-call overhead of `MPI_Send`/`MPI_Isend` above the UCP call.
-    pub send_overhead: Duration,
-    /// Per-call overhead of `MPI_Recv`/`MPI_Irecv` above the UCP call.
-    pub recv_overhead: Duration,
-}
+// Cost model of the (thin) MPI layer above UCX.
 
-impl Default for OmpiParams {
-    fn default() -> Self {
-        OmpiParams {
-            send_overhead: us(0.40),
-            recv_overhead: us(0.40),
-        }
-    }
-}
+/// Per-call overhead of `MPI_Send`/`MPI_Isend` above the UCP call.
+pub const SEND_OVERHEAD: Duration = us(0.40);
+/// Per-call overhead of `MPI_Recv`/`MPI_Irecv` above the UCP call.
+pub const RECV_OVERHEAD: Duration = us(0.40);
 
 /// One MPI process (rank == simulated process index).
 pub struct OmpiRank {
     rank: usize,
     nranks: usize,
-    params: OmpiParams,
-    ucp_call: Duration,
     /// Scratch host buffer for zero-byte control messages (barrier).
     scratch: Option<MemRef>,
 }
 
 impl OmpiRank {
-    pub fn create(rank: usize, nranks: usize, params: OmpiParams) -> Self {
+    pub fn create(rank: usize, nranks: usize) -> Self {
         OmpiRank {
             rank,
             nranks,
-            params,
-            ucp_call: 0,
             scratch: None,
         }
     }
@@ -129,17 +115,9 @@ impl OmpiRank {
         rucx_sim::time::as_secs(ctx.now())
     }
 
-    fn ucp_call(&mut self, ctx: &mut MCtx) -> Duration {
-        if self.ucp_call == 0 {
-            self.ucp_call = ctx.with_world_ref(|w, _| w.ucp.config.cpu_call);
-        }
-        self.ucp_call
-    }
-
     /// `MPI_Isend`.
     pub fn isend(&mut self, ctx: &mut MCtx, buf: MemRef, dst: usize, tag: i32) -> Request {
-        let call = self.ucp_call(ctx);
-        ctx.advance(self.params.send_overhead + call);
+        ctx.advance(SEND_OVERHEAD + CPU_CALL);
         let me = self.rank;
         let t = encode_tag(USER_COMM, me, tag);
         let trigger = ctx.with_world(move |w, s| {
@@ -170,8 +148,7 @@ impl OmpiRank {
     /// `MPI_Irecv`: the receive is posted into UCX immediately (this is the
     /// key structural advantage over AMPI's metadata-first flow).
     pub fn irecv(&mut self, ctx: &mut MCtx, buf: MemRef, src: i32, tag: i32) -> Request {
-        let call = self.ucp_call(ctx);
-        ctx.advance(self.params.recv_overhead + call);
+        ctx.advance(RECV_OVERHEAD + CPU_CALL);
         let me = self.rank;
         let (want, mask) = match_spec(USER_COMM, src, tag);
         let slot = std::sync::Arc::new(rucx_compat::sync::Mutex::new(None::<Status>));
@@ -255,8 +232,7 @@ impl OmpiRank {
             let to = (me + dist) % n;
             let from = (me + n - dist % n) % n;
             let tag = encode_tag(COLL_COMM, me, round as i32);
-            let call = self.ucp_call(ctx);
-            ctx.advance(call);
+            ctx.advance(CPU_CALL);
             ctx.with_world(move |w, s| {
                 tag_send_nb(
                     w,
@@ -287,20 +263,11 @@ pub fn launch<F>(sim: &mut MSim, body: F)
 where
     F: Fn(&mut OmpiRank, &mut MCtx) + Send + Sync + Clone + 'static,
 {
-    launch_with(sim, OmpiParams::default(), body)
-}
-
-/// [`launch`] with explicit cost parameters.
-pub fn launch_with<F>(sim: &mut MSim, params: OmpiParams, body: F)
-where
-    F: Fn(&mut OmpiRank, &mut MCtx) + Send + Sync + Clone + 'static,
-{
     let n = sim.world().topo.procs();
     for p in 0..n {
         let body = body.clone();
-        let params = params.clone();
         sim.spawn(format!("ompi{p}"), 0, move |ctx| {
-            let mut rank = OmpiRank::create(p, n, params);
+            let mut rank = OmpiRank::create(p, n);
             body(&mut rank, ctx);
         });
     }

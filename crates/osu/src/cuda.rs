@@ -2,39 +2,26 @@
 //! benchmark variants: `cudaMemcpyAsync` + `cudaStreamSynchronize` with
 //! their CPU-side costs, as plain (non-Python) runtime calls.
 
+use rucx_gpu::device::{COPY_LAUNCH, KERNEL_LAUNCH, SYNC_OVERHEAD};
 use rucx_gpu::{copy_async, stream_sync_trigger, MemRef, StreamId};
 use rucx_ucp::MCtx;
 
 /// Issue an async copy and wait for it (memcpy + stream synchronize),
 /// charging the CPU-side launch and sync costs.
 pub fn copy_sync(ctx: &mut MCtx, src: MemRef, dst: MemRef, stream: StreamId) {
-    let (launch, sync) =
-        ctx.with_world(|w, _| (w.gpu.params.copy_launch, w.gpu.params.sync_overhead));
-    ctx.advance(launch);
+    ctx.advance(COPY_LAUNCH);
     let t = ctx.with_world(move |w, s| {
         copy_async(w, s, src, dst, stream, None);
         stream_sync_trigger(w, s, stream)
     });
     ctx.wait(t);
     ctx.with_world(move |_, s| s.recycle_trigger(t));
-    ctx.advance(sync);
-}
-
-/// Issue an async copy without waiting (returns immediately after the
-/// launch cost).
-pub fn copy_nosync(ctx: &mut MCtx, src: MemRef, dst: MemRef, stream: StreamId) {
-    let launch = ctx.with_world_ref(|w, _| w.gpu.params.copy_launch);
-    ctx.advance(launch);
-    ctx.with_world(move |w, s| {
-        copy_async(w, s, src, dst, stream, None);
-    });
+    ctx.advance(SYNC_OVERHEAD);
 }
 
 /// Launch a kernel and wait for it (launch cost + device time + sync cost).
 pub fn kernel_sync(ctx: &mut MCtx, cost: rucx_gpu::KernelCost, stream: StreamId) {
-    let (launch, sync) =
-        ctx.with_world(|w, _| (w.gpu.params.kernel_launch, w.gpu.params.sync_overhead));
-    ctx.advance(launch);
+    ctx.advance(KERNEL_LAUNCH);
     let t = ctx.with_world(move |w, s| {
         let done = s.new_trigger();
         rucx_gpu::kernel_async(w, s, stream, cost, Some(done));
@@ -42,23 +29,5 @@ pub fn kernel_sync(ctx: &mut MCtx, cost: rucx_gpu::KernelCost, stream: StreamId)
     });
     ctx.wait(t);
     ctx.with_world(move |_, s| s.recycle_trigger(t));
-    ctx.advance(sync);
-}
-
-/// Launch a kernel without waiting.
-pub fn kernel_nosync(ctx: &mut MCtx, cost: rucx_gpu::KernelCost, stream: StreamId) {
-    let launch = ctx.with_world_ref(|w, _| w.gpu.params.kernel_launch);
-    ctx.advance(launch);
-    ctx.with_world(move |w, s| {
-        rucx_gpu::kernel_async(w, s, stream, cost, None);
-    });
-}
-
-/// Wait for everything enqueued on `stream`.
-pub fn stream_sync(ctx: &mut MCtx, stream: StreamId) {
-    let sync = ctx.with_world_ref(|w, _| w.gpu.params.sync_overhead);
-    let t = ctx.with_world(move |w, s| stream_sync_trigger(w, s, stream));
-    ctx.wait(t);
-    ctx.with_world(move |_, s| s.recycle_trigger(t));
-    ctx.advance(sync);
+    ctx.advance(SYNC_OVERHEAD);
 }

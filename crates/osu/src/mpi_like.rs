@@ -2,9 +2,9 @@
 //! benchmarks are written once (the OSU sources are likewise shared between
 //! MPI implementations).
 
-use rucx_ampi::{AmpiParams, MpiRank};
+use rucx_ampi::MpiRank;
 use rucx_gpu::MemRef;
-use rucx_ompi::{OmpiParams, OmpiRank};
+use rucx_ompi::OmpiRank;
 use rucx_ucp::{MCtx, MSim};
 
 /// Minimal MPI-ish p2p surface used by the benchmarks.
@@ -95,7 +95,7 @@ impl RankFactory for AmpiFactory {
     where
         F: Fn(&mut Self::Rank, &mut MCtx) + Send + Sync + Clone + 'static,
     {
-        rucx_ampi::launch_with(sim, AmpiParams::default(), body);
+        rucx_ampi::launch(sim, body);
     }
 }
 
@@ -109,6 +109,6 @@ impl RankFactory for OmpiFactory {
     where
         F: Fn(&mut Self::Rank, &mut MCtx) + Send + Sync + Clone + 'static,
     {
-        rucx_ompi::launch_with(sim, OmpiParams::default(), body);
+        rucx_ompi::launch(sim, body);
     }
 }

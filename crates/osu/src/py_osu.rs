@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use rucx_charm4py::{launch_with, PyParams};
+use rucx_charm4py::launch;
 use rucx_sim::time::{as_us, bandwidth_mbps};
 use rucx_sim::RunOutcome;
 
@@ -18,7 +18,7 @@ pub fn latency_point(cfg: &OsuConfig, size: u64, place: Placement, mode: Mode) -
     let result2 = result.clone();
     let (iters, warmup) = (cfg.lat_iters, cfg.lat_warmup);
 
-    launch_with(&mut s.sim, PyParams::default(), move |py, ctx| {
+    launch(&mut s.sim, move |py, ctx| {
         let me = py.rank();
         if me != 0 && me != peer {
             return;
@@ -81,7 +81,7 @@ pub fn bandwidth_point(cfg: &OsuConfig, size: u64, place: Placement, mode: Mode)
     let result2 = result.clone();
     let (iters, warmup, window) = (cfg.bw_iters, cfg.bw_warmup, cfg.bw_window);
 
-    launch_with(&mut s.sim, PyParams::default(), move |py, ctx| {
+    launch(&mut s.sim, move |py, ctx| {
         let me = py.rank();
         if me != 0 && me != peer {
             return;

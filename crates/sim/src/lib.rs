@@ -54,7 +54,6 @@
 pub mod coro;
 pub mod process;
 mod queue;
-pub mod rng;
 pub mod sched;
 pub mod sim;
 pub mod stats;
@@ -63,7 +62,6 @@ pub mod trace;
 
 pub use process::ProcCtx;
 pub use queue::Backend;
-pub use rng::SimRng;
 pub use sched::{EventKey, Notify, ProcId, Scheduler, Trigger};
 pub use sim::{RunOutcome, SimConfig, Simulation};
 pub use stats::{Counters, DurationStats, Metric, MetricKind};

@@ -205,22 +205,20 @@ impl<W: Send + 'static> ProcCtx<W> {
     /// and return its result. Virtual time does not advance.
     ///
     /// This is the *mutating* world call: the closure may change model
-    /// state, schedule events, fire triggers, or spawn processes. It runs
-    /// directly against the core this context holds — no boxing, no
-    /// hand-off, no `Send`/`'static` bounds. Read-only lookups should
-    /// prefer [`ProcCtx::with_world_ref`], which documents (and
-    /// type-enforces) that nothing is mutated.
+    /// state, schedule events or fire triggers. It runs directly against
+    /// the core this context holds — no boxing, no hand-off, no
+    /// `Send`/`'static` bounds. Read-only lookups should prefer
+    /// [`ProcCtx::with_world_ref`], which documents (and type-enforces)
+    /// that nothing is mutated.
     pub fn with_world<R>(&mut self, f: impl FnOnce(&mut W, &mut Scheduler<W>) -> R) -> R {
         let core = self.core.as_mut().expect("world call while parked");
-        let r = f(&mut core.world, &mut core.sched);
-        core.drain_pending_spawns();
-        r
+        f(&mut core.world, &mut core.sched)
     }
 
     /// Run a **read-only** access against the world and scheduler and
     /// return its result — the fast path for clock/config/state queries on
-    /// the hot resume path. The shared borrow makes "cannot mutate, cannot
-    /// spawn" part of the signature, so no spawn-drain bookkeeping runs.
+    /// the hot resume path. The shared borrow makes "cannot mutate" part of
+    /// the signature.
     pub fn with_world_ref<R>(&mut self, f: impl FnOnce(&W, &Scheduler<W>) -> R) -> R {
         let core = self.core.as_ref().expect("world call while parked");
         f(&core.world, &core.sched)

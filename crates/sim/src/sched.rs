@@ -9,7 +9,6 @@
 
 use std::collections::VecDeque;
 
-use crate::process::ProcCtx;
 pub use crate::queue::EventKey;
 use crate::queue::{Due, EventQueue};
 use crate::time::{Duration, Time};
@@ -74,12 +73,6 @@ struct NotifyState {
     waiters: Vec<ProcId>,
 }
 
-pub(crate) struct PendingSpawn<W> {
-    pub name: String,
-    pub start: Time,
-    pub body: Box<dyn FnOnce(&mut ProcCtx<W>) + Send + 'static>,
-}
-
 /// Event scheduler and wait-primitive registry.
 ///
 /// `W` is the *world* type: the single-threaded, mutable model state (GPUs,
@@ -95,7 +88,6 @@ pub struct Scheduler<W> {
     notifies: Vec<NotifyState>,
     /// Processes runnable at the current virtual time, in wake order.
     pub(crate) runnable: VecDeque<ProcId>,
-    pub(crate) pending_spawns: Vec<PendingSpawn<W>>,
     stopped: bool,
     /// Structured trace sink (see [`crate::trace`]): ring-buffered typed
     /// events stamped with virtual time, disabled (and free) by default.
@@ -120,7 +112,6 @@ impl<W> Scheduler<W> {
             free_triggers: Vec::new(),
             notifies: Vec::new(),
             runnable: VecDeque::new(),
-            pending_spawns: Vec::new(),
             stopped: false,
             trace: TraceSink::new(),
         }
@@ -258,22 +249,6 @@ impl<W> Scheduler<W> {
     pub(crate) fn set_now(&mut self, t: Time) {
         debug_assert!(t >= self.now, "virtual time must be monotone");
         self.now = t;
-    }
-
-    /// Queue a new simulated process for creation; the simulation driver
-    /// drains these. Usable from world calls and event closures, so runtimes
-    /// can create workers dynamically.
-    pub fn spawn_process(
-        &mut self,
-        name: impl Into<String>,
-        start: Time,
-        body: impl FnOnce(&mut ProcCtx<W>) + Send + 'static,
-    ) {
-        self.pending_spawns.push(PendingSpawn {
-            name: name.into(),
-            start: start.max(self.now),
-            body: Box::new(body),
-        });
     }
 
     // ---- Triggers ----------------------------------------------------

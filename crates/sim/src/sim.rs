@@ -150,10 +150,7 @@ fn dispatch_loop<W: Send + 'static>(core: &mut Core<W>, me: Option<ProcId>) -> D
             Due::Event(time, payload) => {
                 core.sched.set_now(time);
                 match payload {
-                    EventPayload::Closure(f) => {
-                        f(&mut core.world, &mut core.sched);
-                        core.drain_pending_spawns();
-                    }
+                    EventPayload::Closure(f) => f(&mut core.world, &mut core.sched),
                     EventPayload::WakeProc(p) => {
                         // A sleeping process may have been woken earlier
                         // by a trigger only if it yielded again since;
@@ -220,12 +217,6 @@ impl<W: Send + 'static> Core<W> {
             .push(ProcSlot::new(id, name, self.config.stack_size, body));
         self.sched.schedule_wake(start, id);
         id
-    }
-
-    pub(crate) fn drain_pending_spawns(&mut self) {
-        while let Some(p) = self.sched.pending_spawns.pop() {
-            self.add_process(p.name, p.start, p.body);
-        }
     }
 
     pub(crate) fn all_finished(&self) -> bool {
@@ -315,18 +306,6 @@ impl<W: Send + 'static> Simulation<W> {
         &self.core().sched
     }
 
-    /// True when every spawned process has finished (vacuously true for
-    /// pure event-closure simulations).
-    pub fn all_processes_finished(&self) -> bool {
-        self.core().all_finished()
-    }
-
-    /// `(process name, blocked-on)` pairs for every unfinished process —
-    /// the same report [`RunOutcome::Deadlock`] carries.
-    pub fn blocked_processes(&self) -> Vec<(String, String)> {
-        self.core().blocked_report()
-    }
-
     /// Spawn a simulated process whose body starts at virtual time `start`.
     ///
     /// The process gets a stack of [`SimConfig::stack_size`] bytes (reused
@@ -388,18 +367,10 @@ impl<W: Send + 'static> Simulation<W> {
     }
 
     /// Run `f` with simultaneous access to the world and the scheduler
-    /// (between runs). Virtual time does not advance; spawns queued by the
-    /// closure are created immediately.
+    /// (between runs). Virtual time does not advance.
     pub fn with_parts<R>(&mut self, f: impl FnOnce(&mut W, &mut Scheduler<W>) -> R) -> R {
         let core = self.core_mut();
-        let r = f(&mut core.world, &mut core.sched);
-        core.drain_pending_spawns();
-        r
-    }
-
-    /// Number of processes ever spawned.
-    pub fn process_count(&self) -> usize {
-        self.core().procs.len()
+        f(&mut core.world, &mut core.sched)
     }
 }
 
@@ -649,22 +620,6 @@ mod tests {
             }
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-    }
-
-    #[test]
-    fn dynamic_spawn_from_world_call() {
-        let mut sim = Simulation::new(0u32);
-        sim.spawn("parent", 0, |ctx| {
-            ctx.with_world(|_, s| {
-                s.spawn_process("child", 10, |ctx| {
-                    assert_eq!(ctx.now(), 10);
-                    ctx.with_world(|w, _| *w += 7);
-                });
-            });
-        });
-        assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(*sim.world(), 7);
-        assert_eq!(sim.process_count(), 2);
     }
 
     #[test]

@@ -21,13 +21,13 @@ pub const SEC: Duration = 1_000_000_000;
 
 /// Convert a duration in (possibly fractional) microseconds to virtual time.
 #[inline]
-pub fn us(v: f64) -> Duration {
+pub const fn us(v: f64) -> Duration {
     (v * MICRO as f64).round() as Duration
 }
 
 /// Convert a duration in (possibly fractional) milliseconds to virtual time.
 #[inline]
-pub fn ms(v: f64) -> Duration {
+pub const fn ms(v: f64) -> Duration {
     (v * MILLI as f64).round() as Duration
 }
 

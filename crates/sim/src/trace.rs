@@ -144,11 +144,6 @@ impl TraceSink {
         }));
     }
 
-    /// Disable tracing and drop the buffer.
-    pub fn disable(&mut self) {
-        self.inner = None;
-    }
-
     /// Whether events are currently being recorded. Hot paths branch on
     /// this before doing any argument computation.
     #[inline]

@@ -26,7 +26,7 @@
 use std::sync::Arc;
 
 use rucx_charm::marshal;
-use rucx_charm4py::{launch_with, PyParams, PyProc};
+use rucx_charm4py::{launch, PyProc};
 use rucx_compat::idmap::{IdMap, IdSet};
 use rucx_compat::rng::{splitmix64, Rng};
 use rucx_compat::sync::Mutex;
@@ -621,7 +621,7 @@ pub fn run_load(cfg: &LoadCfg) -> LoadResult {
     let cfg2 = cfg.clone();
     let workers2 = workers.clone();
 
-    launch_with(&mut sim, PyParams::default(), move |py, ctx| {
+    launch(&mut sim, move |py, ctx| {
         let rank = py.rank();
         if rank < CLIENT_RANKS {
             client_body(py, ctx, &cfg2, &workers2, &out2);

@@ -1,9 +1,10 @@
 //! The protocol engine: every eager/rendezvous/chunk/path decision the UCP
 //! layer makes, in one place.
 //!
-//! The static table in [`crate::UcpConfig`] (eager thresholds, pipeline
-//! chunk, GDR on/off) is the paper's frozen Summit configuration, and it
-//! is the only source of protocol parameters. This module holds:
+//! The static table — [`crate::UcpConfig`] (device eager threshold, pipeline
+//! chunk, GDR on/off) plus the constants beside it in [`crate::config`] — is
+//! the paper's frozen Summit configuration, and it is the only source of
+//! protocol parameters. This module holds:
 //!
 //! 1. **The decision surface.** [`plan_send`] decides eager vs rendezvous
 //!    from the table; the `fetch_*` family decides transport rung,
@@ -20,15 +21,18 @@
 //!    and the collective cost model in `rucx-coll` reads. It informs no
 //!    protocol decision in this crate.
 
-use rucx_compat::idmap::IdMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use rucx_compat::idmap::IdMap;
+use rucx_compat::sync::Mutex;
+use rucx_fabric::net::RAILS_PER_NODE;
 use rucx_fabric::{net_transfer, WireKind};
 use rucx_fault::metrics as fm;
+use rucx_gpu::device::{wire_time, CPU_GPU_GBPS, NVLINK_GBPS, XBUS_GBPS};
 use rucx_gpu::{CopyPath, DeviceId, MemKind};
 use rucx_sim::time::{Duration, Time};
 
+use crate::config::{EAGER_THRESH_HOST, IPC_SYNC};
 use crate::error::Protocol;
 use crate::machine::Machine;
 use crate::metrics as m;
@@ -41,17 +45,25 @@ pub type Stripe = rucx_gpu::ops::StripedLeg;
 
 /// NIC rail a process uses by default: its CPU socket (Summit: dual-rail,
 /// one port per socket).
-pub(crate) fn rail(w: &Machine, proc: usize) -> usize {
+fn rail(w: &Machine, proc: usize) -> usize {
     w.topo.socket_of(proc)
+}
+
+/// The `(node, rail)` NIC ports an inter-node transfer from process `src`
+/// to process `dst` leaves and enters through.
+pub(crate) fn ports(w: &Machine, src: usize, dst: usize) -> ((usize, usize), (usize, usize)) {
+    (
+        (w.topo.node_of(src), rail(w, src)),
+        (w.topo.node_of(dst), rail(w, dst)),
+    )
 }
 
 /// Least-backlogged TX rail on `node` at `now`, preferring `prefer` on
 /// ties. Pipeline chunks use it to steer off a degraded link.
 fn balanced_rail(w: &Machine, node: usize, prefer: usize, now: Time) -> usize {
-    let rails = w.net.params.rails_per_node.max(1);
-    let mut best = prefer % rails;
+    let mut best = prefer % RAILS_PER_NODE;
     let mut best_backlog = w.net.tx_backlog(node, best, now);
-    for r in 0..rails {
+    for r in 0..RAILS_PER_NODE {
         let b = w.net.tx_backlog(node, r, now);
         if b < best_backlog {
             best = r;
@@ -152,7 +164,7 @@ pub(crate) fn plan_send(
             && size <= w.ucp.config.eager_thresh_device
             && gpu_direct_ok(w, s, dev, src, size)
     } else {
-        size <= w.ucp.config.eager_thresh_host
+        size <= EAGER_THRESH_HOST
     };
     if eager {
         Protocol::Eager
@@ -166,23 +178,21 @@ pub(crate) fn plan_send(
 /// legs' bandwidths so both finish together; cross-socket pairs pair the
 /// X-Bus with a pinned-host bounce (which pays the CPU-GPU link twice).
 fn plan_stripes(w: &Machine, sd: DeviceId, dd: DeviceId, size: u64) -> Vec<Stripe> {
-    let cfg = &w.ucp.config;
     // A stripe needs at least one byte per leg.
-    if size < cfg.multipath_min.max(2) || sd == dd {
+    if size < w.ucp.config.multipath_min.max(2) || sd == dd {
         return Vec::new();
     }
-    let g = &w.gpu.params;
     let same_socket = w.gpu.device(sd).socket == w.gpu.device(dd).socket;
     let (pa, ga, pb, gb) = if same_socket {
-        (CopyPath::NvLink, g.nvlink_gbps, CopyPath::XBus, g.xbus_gbps)
+        (CopyPath::NvLink, NVLINK_GBPS, CopyPath::XBus, XBUS_GBPS)
     } else {
         // The bounce moves every byte twice over the CPU-GPU link, so its
         // effective rate is half that link.
         (
             CopyPath::XBus,
-            g.xbus_gbps,
+            XBUS_GBPS,
             CopyPath::HostPinnedLink,
-            g.cpu_gpu_gbps / 2.0,
+            CPU_GPU_GBPS / 2.0,
         )
     };
     let a = ((size as f64 * ga / (ga + gb)) as u64).clamp(1, size - 1);
@@ -235,7 +245,7 @@ pub(crate) fn fetch_intra<F>(
                 } else {
                     CopyPath::XBus
                 };
-                let dur = w.ucp.config.ipc_sync + w.gpu.params.wire_time(path, size);
+                let dur = IPC_SYNC + wire_time(path, size);
                 let end = rucx_gpu::ops::occupy_transfer(w, s, sd, dd, stream, dur, size);
                 s.schedule_at(end, finalize);
             } else {
@@ -281,14 +291,13 @@ fn fetch_intra_striped<F>(
         }
     }
     let chunk = w.ucp.config.pipeline_chunk.max(1);
-    let setup = w.ucp.config.ipc_sync;
     let stream = w.ucp.ucx_streams[recv_proc];
     // Leg durations mirror `occupy_striped`'s accounting (the bounce leg
-    // pays the CPU-GPU link twice); capture them before the mutable borrow.
+    // pays the CPU-GPU link twice).
     let durs: Vec<Duration> = stripes
         .iter()
         .map(|leg| {
-            let t = w.gpu.params.wire_time(leg.path, leg.bytes);
+            let t = wire_time(leg.path, leg.bytes);
             if leg.path == CopyPath::HostPinnedLink {
                 2 * t
             } else {
@@ -296,7 +305,7 @@ fn fetch_intra_striped<F>(
             }
         })
         .collect();
-    let (starts, _end) = rucx_gpu::ops::occupy_striped(w, s, sd, dd, stream, setup, &stripes);
+    let (starts, _end) = rucx_gpu::ops::occupy_striped(w, s, sd, dd, stream, IPC_SYNC, &stripes);
 
     let mut events: Vec<(Time, u64)> = Vec::new();
     for (li, leg) in stripes.iter().enumerate() {
@@ -311,20 +320,38 @@ fn fetch_intra_striped<F>(
     }
     w.ucp.counters.add(m::MULTIPATH_CHUNKS, events.len() as u64);
 
-    let remaining = Arc::new(AtomicU64::new(events.len() as u64));
-    let finalize = Arc::new(Mutex::new(Some(finalize)));
+    let landed = last_of(events.len() as u64, finalize);
     for (i, (t, len)) in events.into_iter().enumerate() {
-        let remaining = remaining.clone();
-        let finalize = finalize.clone();
+        let landed = landed.clone();
         let idx = i as u64;
         s.schedule_at(t, move |w, s| {
             s.trace_instant("ucp.mp.chunk", recv_proc as u32, idx, len);
-            if remaining.fetch_sub(1, Ordering::Relaxed) == 1 {
-                if let Some(f) = finalize.lock().unwrap().take() {
-                    f(w, s);
-                }
-            }
+            landed(w, s);
         });
+    }
+}
+
+/// A countdown over `n` chunk completions: each of them calls a clone of
+/// the returned closure, and the `n`-th call runs `finalize` — exactly
+/// once. Event closures must be `Send`, hence `Arc` and a lock, not `Rc`.
+fn last_of<F>(n: u64, finalize: F) -> impl Fn(&mut Machine, &mut MSched) + Clone + Send + 'static
+where
+    F: FnOnce(&mut Machine, &mut MSched) + Send + 'static,
+{
+    let state = Arc::new(Mutex::new((n, Some(finalize))));
+    move |w, s| {
+        let last = {
+            let mut st = state.lock();
+            st.0 -= 1;
+            if st.0 == 0 {
+                st.1.take()
+            } else {
+                None
+            }
+        };
+        if let Some(f) = last {
+            f(w, s);
+        }
     }
 }
 
@@ -340,7 +367,7 @@ pub(crate) fn fetch_intra_staged<F>(
 ) where
     F: FnOnce(&mut Machine, &mut MSched) + Send + 'static,
 {
-    let leg = w.gpu.params.wire_time(CopyPath::HostPinnedLink, size);
+    let leg = wire_time(CopyPath::HostPinnedLink, size);
     w.ucp.counters.bump(m::RNDV_STAGED_INTRA);
     w.gpu.counters.bump(rucx_gpu::metrics::PATH_HOST_STAGED);
     let end = shm_occupy(w, src_proc, recv_proc, s.now(), size) + leg;
@@ -361,8 +388,7 @@ pub(crate) fn fetch_inter<F>(
 ) where
     F: FnOnce(&mut Machine, &mut MSched) + Send + 'static,
 {
-    let src_port = (w.topo.node_of(src_proc), rail(w, src_proc));
-    let dst_port = (w.topo.node_of(recv_proc), rail(w, recv_proc));
+    let (src_port, dst_port) = ports(w, src_proc, recv_proc);
     match (src_kind, dst_kind) {
         (MemKind::Device(sd), MemKind::Device(dd)) => {
             // Direct GPUDirect RDMA needs working copy engines on both
@@ -381,7 +407,7 @@ pub(crate) fn fetch_inter<F>(
         }
         (MemKind::Device(_), _) => {
             // D2H on the sender, then RDMA.
-            let leg = w.gpu.params.wire_time(CopyPath::HostPinnedLink, size);
+            let leg = wire_time(CopyPath::HostPinnedLink, size);
             w.ucp.counters.bump(m::RNDV_STAGED_INTER);
             w.gpu.counters.bump(rucx_gpu::metrics::PATH_HOST_STAGED);
             s.schedule_in(leg, move |w, s| {
@@ -392,7 +418,7 @@ pub(crate) fn fetch_inter<F>(
             // RDMA, then H2D on the receiver.
             w.ucp.counters.bump(m::RNDV_STAGED_INTER);
             w.gpu.counters.bump(rucx_gpu::metrics::PATH_HOST_STAGED);
-            let leg = w.gpu.params.wire_time(CopyPath::HostPinnedLink, size);
+            let leg = wire_time(CopyPath::HostPinnedLink, size);
             net_transfer(
                 w,
                 s,
@@ -446,23 +472,19 @@ fn pipeline_fetch<F>(
     w.ucp.counters.add(m::PIPELINE_CHUNKS, nchunks);
     w.ucp.counters.bump(m::RNDV_PIPELINE);
     w.gpu.counters.bump(rucx_gpu::metrics::PATH_HOST_STAGED);
-    let src_port = (w.topo.node_of(src_proc), rail(w, src_proc));
-    let dst_port = (w.topo.node_of(recv_proc), rail(w, recv_proc));
+    let (src_port, dst_port) = ports(w, src_proc, recv_proc);
     let src_dev = w.topo.device_of(src_proc);
     let dst_dev = w.topo.device_of(recv_proc);
     let src_stream = w.ucp.ucx_streams[src_proc];
     let dst_stream = w.ucp.ucx_streams[recv_proc];
 
-    // Shared across chunk completions, which may run on whichever thread
-    // holds the execution core at the time — hence Arc, not Rc.
-    let remaining = Arc::new(AtomicU64::new(nchunks));
-    let finalize = Arc::new(Mutex::new(Some(finalize)));
+    let landed = last_of(nchunks, finalize);
 
     for i in 0..nchunks {
         let len = chunk.min(size - i * chunk);
         // Sender-side D2H staging (serializes on the sender's UCX stream).
         let path = CopyPath::HostPinnedLink;
-        let dur = w.gpu.params.wire_time(path, len);
+        let dur = wire_time(path, len);
         let d2h_end = rucx_gpu::ops::occupy_egress(w, s, src_dev, src_stream, dur);
         // The sender-side D2H staging window of this chunk.
         s.trace_span(
@@ -473,8 +495,7 @@ fn pipeline_fetch<F>(
             i,
             len,
         );
-        let remaining = remaining.clone();
-        let finalize = finalize.clone();
+        let landed = landed.clone();
         s.schedule_at(d2h_end, move |w, s| {
             let now = s.now();
             let (sp, dp) = if link_degraded(w, src_port.0, dst_port.0, now) {
@@ -488,15 +509,9 @@ fn pipeline_fetch<F>(
                 (src_port, dst_port)
             };
             net_transfer(w, s, sp, dp, len, WireKind::Host, move |w, s| {
-                let h2d_dur = w.gpu.params.wire_time(CopyPath::HostPinnedLink, len);
+                let h2d_dur = wire_time(CopyPath::HostPinnedLink, len);
                 let h2d_end = rucx_gpu::ops::occupy_ingress(w, s, dst_dev, dst_stream, h2d_dur);
-                s.schedule_at(h2d_end, move |w, s| {
-                    if remaining.fetch_sub(1, Ordering::Relaxed) == 1 {
-                        if let Some(f) = finalize.lock().unwrap().take() {
-                            f(w, s);
-                        }
-                    }
-                });
+                s.schedule_at(h2d_end, landed);
             });
         });
     }
@@ -556,7 +571,7 @@ mod tests {
         for gdrcopy in [true, false] {
             let mut cfg = MachineConfig::default();
             cfg.ucp.gdrcopy_enabled = gdrcopy;
-            let (host, device) = (cfg.ucp.eager_thresh_host, cfg.ucp.eager_thresh_device);
+            let (host, device) = (EAGER_THRESH_HOST, cfg.ucp.eager_thresh_device);
             // Without GDRCopy every device payload is a rendezvous.
             let device_at_thresh = if gdrcopy {
                 Protocol::Eager

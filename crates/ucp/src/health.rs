@@ -3,25 +3,23 @@
 //! The reliability layer ([`crate::reliable`]) can only retransmit-then-
 //! give-up; this module adds the recovery layer above it. Per directed
 //! (src, dst) pair the sender tracks an [`EpState`] driven by ack timing:
-//! consecutive retransmission timeouts past [`crate::UcpConfig::
-//! suspect_after`] mark the endpoint *Suspect*; an envelope exhausting its
-//! whole retransmission budget marks it *Dead* — but instead of abandoning
-//! the envelope immediately, the health layer *parks* it (up to
-//! [`crate::UcpConfig::heal_retries`] times per envelope) and starts a
-//! deterministic keepalive probe loop at [`crate::UcpConfig::
-//! keepalive_interval`]. Probes are unsequenced control envelopes (like
+//! [`SUSPECT_AFTER`] consecutive retransmission timeouts mark the endpoint
+//! *Suspect*; an envelope exhausting its whole retransmission budget marks
+//! it *Dead* — but instead of abandoning the envelope immediately, the
+//! health layer *parks* it (up to [`HEAL_RETRIES`] times per envelope) and
+//! starts a deterministic keepalive probe loop at
+//! [`KEEPALIVE_INTERVAL`]. Probes are unsequenced control envelopes (like
 //! acks): they consume no sequence number, travel through the same fault
 //! lottery, and an answered probe — or any data ack — heals the endpoint,
 //! releasing every parked envelope in park order (= sequence order, so the
 //! receiver's delivery window sees no reordering) with a fresh attempt
-//! budget. If [`crate::UcpConfig::probe_budget`] consecutive probe ticks
-//! go unanswered, every parked envelope is flushed through the hard
-//! give-up path: the operation completes, `ucp.unreachable`/`ucp.giveup`
-//! count it, and a typed [`crate::UcpError::EndpointTimeout`] carrying the
-//! original attempt count and end-to-end elapsed time surfaces at the
-//! owning worker. Termination is therefore bounded: each envelope survives
-//! at most `heal_retries` park cycles, and each Dead activation at most
-//! `probe_budget` ticks.
+//! budget. If [`PROBE_BUDGET`] consecutive probe ticks go unanswered, every
+//! parked envelope is flushed through the hard give-up path: the operation
+//! completes, `ucp.unreachable`/`ucp.giveup` count it, and a typed
+//! [`crate::UcpError::EndpointTimeout`] carrying the original attempt count
+//! and end-to-end elapsed time surfaces at the owning worker. Termination
+//! is therefore bounded: each envelope survives at most `HEAL_RETRIES` park
+//! cycles, and each Dead activation at most `PROBE_BUDGET` ticks.
 //!
 //! Exactly-once in-order across partition-heal falls out of parking: a
 //! parked envelope keeps its sequence number, the receiver's per-(src,dst)
@@ -34,13 +32,10 @@
 
 use rucx_compat::idmap::IdMap;
 
-use rucx_fabric::{net_transfer, WireKind};
-use rucx_fault::{metrics as fm, WireFault};
-
-use crate::engine::rail;
+use crate::config::{ACK_SIZE, HEAL_RETRIES, KEEPALIVE_INTERVAL, PROBE_BUDGET, SUSPECT_AFTER};
 use crate::machine::Machine;
 use crate::metrics as m;
-use crate::reliable;
+use crate::reliable::{self, lossy_transfer};
 use crate::worker::MSched;
 
 /// Health of one directed (src, dst) endpoint, as seen by the sender.
@@ -48,7 +43,7 @@ use crate::worker::MSched;
 pub enum EpState {
     /// Acks arriving normally.
     Healthy,
-    /// `suspect_after` consecutive retransmission timeouts and counting.
+    /// [`SUSPECT_AFTER`] consecutive retransmission timeouts and counting.
     Suspect,
     /// An envelope exhausted its retransmission budget; parked envelopes
     /// wait while keepalive probes test the link.
@@ -120,7 +115,6 @@ impl HealthState {
 /// A retransmission timer fired for an envelope that still has budget:
 /// count it against the endpoint and mark Suspect past the threshold.
 pub(crate) fn note_timeout(w: &mut Machine, s: &mut MSched, src: usize, dst: usize) {
-    let suspect_after = w.ucp.config.suspect_after;
     let ep = w
         .ucp
         .health
@@ -129,7 +123,7 @@ pub(crate) fn note_timeout(w: &mut Machine, s: &mut MSched, src: usize, dst: usi
         .or_default();
     ep.consecutive_timeouts += 1;
     if matches!(ep.state, EpState::Healthy | EpState::Healed)
-        && ep.consecutive_timeouts >= suspect_after
+        && ep.consecutive_timeouts >= SUSPECT_AFTER
     {
         ep.state = EpState::Suspect;
         w.ucp.counters.bump(m::EP_SUSPECT);
@@ -170,22 +164,26 @@ pub(crate) fn note_alive(w: &mut Machine, s: &mut MSched, src: usize, dst: usize
 /// the health layer parked it (caller must not give up); `false` sends the
 /// caller to the hard give-up path.
 pub(crate) fn try_park(w: &mut Machine, s: &mut MSched, id: u64) -> bool {
-    let (heal_retries, interval) = {
-        let c = &w.ucp.config;
-        (c.heal_retries, c.keepalive_interval)
-    };
     let Some(p) = w.ucp.reliable.inflight_mut(id) else {
         return false;
     };
-    if p.parks >= heal_retries {
+    if p.parks >= HEAL_RETRIES {
         return false;
     }
     p.parks += 1;
     let (src, dst) = (p.src, p.dst);
-    let key = (src as u32, dst as u32);
-    let ep = w.ucp.health.eps.entry(key).or_default();
+    let ep = w
+        .ucp
+        .health
+        .eps
+        .entry((src as u32, dst as u32))
+        .or_default();
     ep.parked.push(id);
     let activate = !ep.probing;
+    if activate {
+        ep.probing = true;
+        ep.probe_failures = 0;
+    }
     if ep.state != EpState::Dead {
         ep.state = EpState::Dead;
         w.ucp.counters.bump(m::EP_DEAD);
@@ -194,11 +192,8 @@ pub(crate) fn try_park(w: &mut Machine, s: &mut MSched, id: u64) -> bool {
     w.ucp.counters.bump(m::PARKED);
     s.trace_instant("ucp.parked", src as u32, id, dst as u64);
     if activate {
-        let ep = w.ucp.health.eps.get_mut(&key).unwrap();
-        ep.probing = true;
-        ep.probe_failures = 0;
         send_probe(w, s, src, dst);
-        s.schedule_in(interval, move |w, s| probe_tick(w, s, src, dst));
+        s.schedule_in(KEEPALIVE_INTERVAL, move |w, s| probe_tick(w, s, src, dst));
     }
     true
 }
@@ -207,12 +202,7 @@ pub(crate) fn try_park(w: &mut Machine, s: &mut MSched, id: u64) -> bool {
 /// envelopes, count the silence, flush everything through give-up once the
 /// probe budget is spent, otherwise probe again.
 fn probe_tick(w: &mut Machine, s: &mut MSched, src: usize, dst: usize) {
-    let (budget, interval) = {
-        let c = &w.ucp.config;
-        (c.probe_budget, c.keepalive_interval)
-    };
-    let key = (src as u32, dst as u32);
-    let Some(ep) = w.ucp.health.eps.get_mut(&key) else {
+    let Some(ep) = w.ucp.health.eps.get_mut(&(src as u32, dst as u32)) else {
         return;
     };
     if !ep.probing {
@@ -223,7 +213,7 @@ fn probe_tick(w: &mut Machine, s: &mut MSched, src: usize, dst: usize) {
         return;
     }
     ep.probe_failures += 1;
-    if ep.probe_failures >= budget {
+    if ep.probe_failures >= PROBE_BUDGET {
         ep.probing = false;
         let parked = std::mem::take(&mut ep.parked);
         for id in parked {
@@ -232,7 +222,7 @@ fn probe_tick(w: &mut Machine, s: &mut MSched, src: usize, dst: usize) {
         return;
     }
     send_probe(w, s, src, dst);
-    s.schedule_in(interval, move |w, s| probe_tick(w, s, src, dst));
+    s.schedule_in(KEEPALIVE_INTERVAL, move |w, s| probe_tick(w, s, src, dst));
 }
 
 /// Put one keepalive probe on the wire toward `dst`. Probes are
@@ -241,97 +231,17 @@ fn probe_tick(w: &mut Machine, s: &mut MSched, src: usize, dst: usize) {
 fn send_probe(w: &mut Machine, s: &mut MSched, src: usize, dst: usize) {
     w.ucp.counters.bump(m::PROBE);
     s.trace_instant("ucp.probe", src as u32, dst as u64, 0);
-    let size = w.ucp.config.ack_size;
-    let (src_node, dst_node) = (w.topo.node_of(src), w.topo.node_of(dst));
-    let src_port = (src_node, rail(w, src));
-    let dst_port = (dst_node, rail(w, dst));
-    let arrive = move |w: &mut Machine, s: &mut MSched| probe_arrive(w, s, src, dst);
-    match w.faults.wire_fault(src_node, dst_node, s.now()) {
-        WireFault::None => {
-            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, arrive);
-        }
-        WireFault::Drop => {
-            w.ucp.counters.bump(fm::DROP);
-            s.trace_instant("fault.drop", src as u32, 0, size);
-            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, |_, _| {});
-        }
-        WireFault::Corrupt => {
-            net_transfer(
-                w,
-                s,
-                src_port,
-                dst_port,
-                size,
-                WireKind::Host,
-                move |w, s| {
-                    w.ucp.counters.bump(fm::CORRUPT);
-                    s.trace_instant("fault.corrupt", dst as u32, 0, size);
-                },
-            );
-        }
-        WireFault::Duplicate => {
-            w.ucp.counters.bump(fm::DUPLICATE);
-            s.trace_instant("fault.duplicate", src as u32, 0, size);
-            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, arrive);
-            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, arrive);
-        }
-        WireFault::Delay(d) => {
-            w.ucp.counters.bump(fm::DELAY);
-            s.trace_instant("fault.delay", src as u32, 0, d);
-            s.schedule_in(d, move |w, s| {
-                net_transfer(w, s, src_port, dst_port, size, WireKind::Host, arrive);
-            });
-        }
-    }
+    lossy_transfer(w, s, src, dst, ACK_SIZE, 0, move |w, s| {
+        probe_arrive(w, s, src, dst)
+    });
 }
 
 /// A probe reached `dst`: answer it. The reply is idempotent and rides the
 /// same lottery back.
 fn probe_arrive(w: &mut Machine, s: &mut MSched, src: usize, dst: usize) {
-    let size = w.ucp.config.ack_size;
-    let (src_node, dst_node) = (w.topo.node_of(dst), w.topo.node_of(src));
-    let src_port = (src_node, rail(w, dst));
-    let dst_port = (dst_node, rail(w, src));
-    let arrive = move |w: &mut Machine, s: &mut MSched| {
+    lossy_transfer(w, s, dst, src, ACK_SIZE, 0, move |w, s| {
         w.ucp.counters.bump(m::PROBE_ACK);
         s.trace_instant("ucp.probe_ack", src as u32, dst as u64, 0);
         note_alive(w, s, src, dst);
-    };
-    match w.faults.wire_fault(src_node, dst_node, s.now()) {
-        WireFault::None => {
-            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, arrive);
-        }
-        WireFault::Drop => {
-            w.ucp.counters.bump(fm::DROP);
-            s.trace_instant("fault.drop", dst as u32, 0, size);
-            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, |_, _| {});
-        }
-        WireFault::Corrupt => {
-            net_transfer(
-                w,
-                s,
-                src_port,
-                dst_port,
-                size,
-                WireKind::Host,
-                move |w, s| {
-                    w.ucp.counters.bump(fm::CORRUPT);
-                    s.trace_instant("fault.corrupt", src as u32, 0, size);
-                },
-            );
-        }
-        WireFault::Duplicate => {
-            w.ucp.counters.bump(fm::DUPLICATE);
-            s.trace_instant("fault.duplicate", dst as u32, 0, size);
-            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, arrive);
-            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, arrive);
-        }
-        WireFault::Delay(d) => {
-            w.ucp.counters.bump(fm::DELAY);
-            s.trace_instant("fault.delay", dst as u32, 0, d);
-            s.schedule_in(d, move |w, s| {
-                net_transfer(w, s, src_port, dst_port, size, WireKind::Host, arrive);
-            });
-        }
-    }
+    });
 }

@@ -10,7 +10,6 @@
 //! (GPU subsystem + network + UCP state), that every programming-model layer
 //! above (Charm++, AMPI, Charm4py, OpenMPI) runs on.
 
-pub mod am;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -23,12 +22,11 @@ pub(crate) mod reliable;
 pub mod tag;
 pub mod worker;
 
-pub use am::{am_register, am_send_nb, AmHandler, AmId, AmMsg, AmPayload};
 pub use config::UcpConfig;
 pub use engine::{ProtocolEngine, Stripe};
 pub use error::{Protocol, UcpError};
 pub use health::{EpState, HealthState};
-pub use machine::{build_sim, build_sim_with, MCtx, MSim, Machine, MachineConfig, UcpSubsystem};
+pub use machine::{build_sim, MCtx, MSim, Machine, MachineConfig, UcpSubsystem};
 pub use proto::{
     inject_local, probe_pop, reg_invalidate, rndv_fetch, tag_recv_nb, tag_send_nb, FetchDst,
     PoppedMsg, SendBuf,
@@ -51,8 +49,7 @@ pub mod blocking {
             tag_send_nb(w, s, src, dst, buf, tag, Completion::Trigger(t));
             t
         });
-        let cost = cpu_call_cost(ctx);
-        ctx.advance(cost);
+        ctx.advance(config::CPU_CALL);
         ctx.wait(done);
         ctx.with_world(move |_, s| s.recycle_trigger(done));
     }
@@ -77,8 +74,7 @@ pub mod blocking {
             );
             t
         });
-        let cost = cpu_call_cost(ctx);
-        ctx.advance(cost);
+        ctx.advance(config::CPU_CALL);
         ctx.wait(done);
         ctx.with_world(move |_, s| s.recycle_trigger(done));
         // The recv completion callback stores `info` before firing the
@@ -91,10 +87,6 @@ pub mod blocking {
             size: 0,
             truncated: false,
         })
-    }
-
-    fn cpu_call_cost(ctx: &mut MCtx) -> rucx_sim::Duration {
-        ctx.with_world_ref(|w, _| w.ucp.config.cpu_call)
     }
 }
 
@@ -238,9 +230,8 @@ mod tests {
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
         let d = durs.lock().clone();
-        let ep_setup = sim.world().ucp.config.ep_setup;
         assert!(
-            d[0] >= d[1] + ep_setup,
+            d[0] >= d[1] + config::EP_SETUP,
             "first send must pay wireup: {} vs {}",
             as_us(d[0]),
             as_us(d[1])

@@ -3,13 +3,13 @@
 
 use rucx_compat::idmap::IdMap;
 
-use rucx_fabric::{HasNet, NetParams, NetSubsystem, Topology};
+use rucx_fabric::{HasNet, NetSubsystem, Topology};
 use rucx_fault::{FaultSpec, FaultState};
-use rucx_gpu::{GpuParams, GpuSubsystem, HasGpu, MemRef, StreamId};
+use rucx_gpu::{GpuSubsystem, HasGpu, MemRef, StreamId};
 use rucx_sim::sched::Scheduler;
 use rucx_sim::stats::Counters;
 use rucx_sim::time::Time;
-use rucx_sim::{ProcCtx, SimConfig, Simulation};
+use rucx_sim::{ProcCtx, Simulation};
 
 use crate::config::UcpConfig;
 use crate::worker::{Completion, Worker};
@@ -136,24 +136,15 @@ pub type MSim = Simulation<Machine>;
 /// Process context over the concrete world.
 pub type MCtx = ProcCtx<Machine>;
 
-/// All calibration knobs in one place.
+/// What varies between machines: the UCP protocol settings and the fault
+/// spec. Calibration is constants in each layer's own file
+/// (`rucx_gpu::device`, `rucx_fabric::net`, [`crate::config`]).
 #[derive(Debug, Clone, Default)]
 pub struct MachineConfig {
-    pub gpu: GpuParams,
-    pub net: NetParams,
     pub ucp: UcpConfig,
-    /// Device memory capacity per GPU (default 16 GiB, V100).
-    pub device_mem: Option<u64>,
     /// Fault-injection spec for chaos runs (`None` = clean run; the
     /// `--fault-spec` driver knob parses into this).
     pub fault: Option<FaultSpec>,
-}
-
-impl Machine {
-    /// UCX-internal DMA stream of a device.
-    pub fn ucx_stream(&self, device: rucx_gpu::DeviceId) -> StreamId {
-        self.ucp.ucx_streams[device.index()]
-    }
 }
 
 /// Build a ready-to-run simulation of `topo` under `cfg`.
@@ -163,24 +154,12 @@ impl Machine {
 /// UCX stream per device, and a pinned staging buffer per process for the
 /// pipelined host-staging rendezvous path.
 pub fn build_sim(topo: Topology, cfg: MachineConfig) -> MSim {
-    build_sim_with(topo, cfg, SimConfig::default())
-}
-
-/// [`build_sim`] with an explicit driver configuration.
-pub fn build_sim_with(topo: Topology, cfg: MachineConfig, sim_cfg: SimConfig) -> MSim {
-    let device_mem = cfg.device_mem.unwrap_or(16 << 30);
-    let mut gpu = GpuSubsystem::new(
-        topo.nodes,
-        topo.gpus_per_node,
-        topo.gpus_per_socket,
-        device_mem,
-        cfg.gpu,
-    );
+    let mut gpu = GpuSubsystem::new(topo.nodes, topo.gpus_per_node, topo.gpus_per_socket);
     let faults = match &cfg.fault {
         Some(spec) => FaultState::from_spec(spec.clone()),
         None => FaultState::disabled(),
     };
-    let mut net = NetSubsystem::new(topo.nodes, cfg.net);
+    let mut net = NetSubsystem::new(topo.nodes);
     net.link_faults = faults.link_faults();
     let procs = topo.procs();
 
@@ -222,7 +201,7 @@ pub fn build_sim_with(topo: Topology, cfg: MachineConfig, sim_cfg: SimConfig) ->
         ucp,
         faults,
     };
-    let mut sim = Simulation::with_config(machine, sim_cfg);
+    let mut sim = Simulation::new(machine);
     // Workers need Notify handles, which only the scheduler can mint.
     let notifies: Vec<_> = (0..procs).map(|_| sim.scheduler().new_notify()).collect();
     let workers = notifies.into_iter().map(Worker::new).collect();

@@ -112,9 +112,3 @@ pub const EP_HIT: Metric = Metric::counter("ucp.ep.hit");
 pub const EP_MISS: Metric = Metric::counter("ucp.ep.miss");
 /// Endpoint wireups evicted by the LRU cap.
 pub const EP_EVICT: Metric = Metric::counter("ucp.ep.evict");
-
-// ---- Active messages -----------------------------------------------------
-
-pub const AM_HEADER_ONLY: Metric = Metric::counter("ucp.am.header_only");
-pub const AM_EAGER: Metric = Metric::counter("ucp.am.eager");
-pub const AM_RNDV: Metric = Metric::counter("ucp.am.rndv");

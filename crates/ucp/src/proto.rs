@@ -7,7 +7,7 @@
 //!
 //! | memory   | size                | path |
 //! |----------|---------------------|------|
-//! | host     | ≤ eager_thresh_host | eager via shm (intra) / IB (inter) |
+//! | host     | ≤ EAGER_THRESH_HOST | eager via shm (intra) / IB (inter) |
 //! | host     | larger              | rendezvous, CMA (intra) / RDMA get (inter) |
 //! | device   | ≤ eager_thresh_device, GDRCopy on | eager via GDRCopy bounce |
 //! | device   | larger or GDRCopy off | rendezvous: CUDA IPC (intra), pipelined host-staging (inter) |
@@ -16,7 +16,11 @@ use rucx_fabric::{net_transfer, WireKind};
 use rucx_gpu::{CopyPath, MemKind, MemRef};
 use rucx_sim::time::Duration;
 
-use crate::engine::{self, gpu_direct_ok, rail};
+use crate::config::{
+    eager_copy_cost, gdrcopy_cost, reg_cost, shm_time, ATS_SIZE, EP_CACHE_MAX, EP_SETUP,
+    PROTO_OVERHEAD, REG_CACHE_BYTES, RTS_SIZE, SHM_GBPS, SHM_LATENCY,
+};
+use crate::engine::{self, gpu_direct_ok, ports};
 use crate::error::{Protocol, UcpError};
 use crate::machine::{Machine, RtsState, SendPayload};
 use crate::metrics as m;
@@ -151,17 +155,14 @@ pub(crate) fn reg_charge_ep(w: &mut Machine, src: usize, dst: usize) -> Duration
     if !w.ucp.config.reg_model {
         return 0;
     }
-    let out = w
-        .ucp
-        .reg
-        .touch_ep((src as u32, dst as u32), w.ucp.config.ep_cache_max);
+    let out = w.ucp.reg.touch_ep((src as u32, dst as u32), EP_CACHE_MAX);
     w.ucp.counters.add(m::EP_EVICT, out.evicted);
     if out.hit {
         w.ucp.counters.bump(m::EP_HIT);
         0
     } else {
         w.ucp.counters.bump(m::EP_MISS);
-        w.ucp.config.ep_setup
+        EP_SETUP
     }
 }
 
@@ -179,17 +180,14 @@ pub(crate) fn reg_charge_buf(w: &mut Machine, r: &MemRef) -> Duration {
     }
     // Registration maps whole allocations, not slices.
     let bytes = w.gpu.pool.size(r.id).unwrap_or(r.len);
-    let out = w
-        .ucp
-        .reg
-        .register(r.id.0, bytes, w.ucp.config.reg_cache_bytes);
+    let out = w.ucp.reg.register(r.id.0, bytes, REG_CACHE_BYTES);
     w.ucp.counters.add(m::REG_EVICT, out.evicted);
     if out.hit {
         w.ucp.counters.bump(m::REG_HIT);
         0
     } else {
         w.ucp.counters.bump(m::REG_MISS);
-        w.ucp.config.reg_cost(bytes)
+        reg_cost(bytes)
     }
 }
 
@@ -294,8 +292,7 @@ fn send_wire(
         crate::reliable::send_tracked(w, s, src, dst, wire_size, local_delay, tag, body);
     } else {
         let msg = ArrivedMsg { tag, src, body };
-        let src_port = (w.topo.node_of(src), rail(w, src));
-        let dst_port = (w.topo.node_of(dst), rail(w, dst));
+        let (src_port, dst_port) = ports(w, src, dst);
         s.schedule_at(now + local_delay, move |w, s| {
             net_transfer(
                 w,
@@ -322,88 +319,31 @@ pub(crate) fn shm_occupy(
     ready: rucx_sim::time::Time,
     size: u64,
 ) -> rucx_sim::time::Time {
-    let lat = w.ucp.config.shm_latency;
-    let gbps = w.ucp.config.shm_gbps;
     let key = (src as u32, dst as u32);
     let busy = w.ucp.pair_busy.get(&key).copied().unwrap_or(0);
-    let start = (ready + lat).max(busy);
-    let arrival = start + rucx_sim::time::transfer_time(size, gbps);
+    let start = (ready + SHM_LATENCY).max(busy);
+    let arrival = start + rucx_sim::time::transfer_time(size, SHM_GBPS);
     w.ucp.pair_busy.insert(key, arrival);
     arrival
 }
 
-/// Wire transport for active messages: same paths and costs as tagged
-/// traffic, but arrival dispatches the registered handler instead of the
-/// matching engine. The sender completes locally after `local_delay`
-/// (eager semantics; rendezvous senders complete via the ATS instead).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn deliver_am_wire(
-    w: &mut Machine,
-    s: &mut MSched,
-    src: usize,
-    dst: usize,
-    id: crate::am::AmId,
-    header: Vec<u8>,
-    wire: crate::am::AmWire,
-    wire_size: u64,
-    local_delay: Duration,
-    sender_done: Completion,
-) {
-    let now = s.now();
-    let deliver_it = move |w: &mut Machine, s: &mut MSched| {
-        let msg = crate::am::AmMsg {
-            src,
-            header,
-            payload: wire.into_payload(),
-        };
-        crate::am::dispatch_am(w, s, dst, id, msg);
-    };
-    if w.topo.same_node(src, dst) {
-        let arrival = shm_occupy(w, src, dst, now + local_delay, wire_size);
-        s.schedule_at(arrival, deliver_it);
-    } else {
-        let src_port = (w.topo.node_of(src), rail(w, src));
-        let dst_port = (w.topo.node_of(dst), rail(w, dst));
-        s.schedule_at(now + local_delay, move |w, s| {
-            net_transfer(
-                w,
-                s,
-                src_port,
-                dst_port,
-                wire_size,
-                WireKind::Host,
-                deliver_it,
-            );
-        });
-    }
-    if !matches!(sender_done, Completion::None) {
-        s.schedule_at(now + local_delay, move |w, s| {
-            complete(w, s, src, sender_done)
-        });
-    }
-}
-
-/// Schedule a non-matched control message (ATS) and run `f` at arrival.
-fn send_control<F>(w: &mut Machine, s: &mut MSched, src: usize, dst: usize, size: u64, f: F)
+/// Schedule an untracked ATS control message and run `f` at arrival.
+fn send_ats<F>(w: &mut Machine, s: &mut MSched, src: usize, dst: usize, f: F)
 where
     F: FnOnce(&mut Machine, &mut MSched) + Send + 'static,
 {
-    let now = s.now();
     if w.topo.same_node(src, dst) {
-        let arrival = now + w.ucp.config.shm_time(size);
-        s.schedule_at(arrival, f);
+        s.schedule_in(shm_time(ATS_SIZE), f);
     } else {
-        let src_port = (w.topo.node_of(src), rail(w, src));
-        let dst_port = (w.topo.node_of(dst), rail(w, dst));
-        net_transfer(w, s, src_port, dst_port, size, WireKind::Host, f);
+        let (src_port, dst_port) = ports(w, src, dst);
+        net_transfer(w, s, src_port, dst_port, ATS_SIZE, WireKind::Host, f);
     }
 }
 
 /// `ucp_tag_send_nb`: non-blocking tagged send from `src` to `dst`.
 ///
-/// CPU call cost is modeled by the calling layer
-/// (`advance(ucp.config.cpu_call)`); this function models everything from
-/// protocol selection onward.
+/// CPU call cost is modeled by the calling layer (`advance(CPU_CALL)`); this
+/// function models everything from protocol selection onward.
 pub fn tag_send_nb(
     w: &mut Machine,
     s: &mut MSched,
@@ -413,7 +353,6 @@ pub fn tag_send_nb(
     tag: Tag,
     done: Completion,
 ) {
-    let cfg_proto = w.ucp.config.proto_overhead;
     let size = buf.wire_size();
     let Some(kind) = payload_kind(w, &buf, src) else {
         return reject_bad_handle(w, s, src, "tag_send_nb", done);
@@ -429,11 +368,11 @@ pub fn tag_send_nb(
 
     if protocol == Protocol::Eager {
         // Sender-side staging: GDRCopy read for device payloads.
-        let local_delay = cfg_proto
+        let local_delay = PROTO_OVERHEAD
             + reg_delay
             + if kind.is_device() {
                 w.ucp.counters.bump(m::EAGER_GDRCOPY_READ);
-                w.ucp.config.gdrcopy_cost(size)
+                gdrcopy_cost(size)
             } else {
                 0
             };
@@ -484,14 +423,13 @@ pub fn tag_send_nb(
         );
         w.ucp.counters.bump(m::RNDV);
         s.trace_instant("ucp.rndv.rts", src as u32, rts_id, size);
-        let rts_size = w.ucp.config.rts_size;
         send_wire(
             w,
             s,
             src,
             dst,
-            rts_size,
-            cfg_proto + reg_delay,
+            RTS_SIZE,
+            PROTO_OVERHEAD + reg_delay,
             tag,
             ArrivedBody::Rts { rts_id, size },
         );
@@ -533,16 +471,16 @@ fn process_match(
             let delay = if let MemKind::Device(dev) = dst_kind {
                 if gpu_direct_ok(w, s, dev, dst_proc, wire_size) {
                     w.ucp.counters.bump(m::EAGER_GDRCOPY_WRITE);
-                    w.ucp.config.gdrcopy_cost(wire_size)
+                    gdrcopy_cost(wire_size)
                 } else {
                     // GDRCopy window gone on the receiver: land in pinned
                     // host memory, then one staged CPU-GPU leg.
                     w.gpu.counters.bump(rucx_gpu::metrics::PATH_HOST_STAGED);
-                    w.ucp.config.eager_copy_cost(wire_size)
-                        + w.gpu.params.wire_time(CopyPath::HostPinnedLink, wire_size)
+                    eager_copy_cost(wire_size)
+                        + rucx_gpu::device::wire_time(CopyPath::HostPinnedLink, wire_size)
                 }
             } else {
-                w.ucp.config.eager_copy_cost(wire_size)
+                eager_copy_cost(wire_size)
             };
             // Receive-side buffer registration (zero unless `reg_model`).
             let delay = delay + reg_charge_buf(w, &exp.buf);
@@ -787,8 +725,7 @@ fn start_fetch(
                         sender_done,
                     );
                 } else {
-                    let ats = w.ucp.config.ats_size;
-                    send_control(w, s, recv_proc, src_proc, ats, move |w, s| {
+                    send_ats(w, s, recv_proc, src_proc, move |w, s| {
                         complete(w, s, src_proc, sender_done);
                     });
                 }
@@ -850,8 +787,7 @@ fn start_fetch(
         if !intra && w.faults.enabled() {
             crate::reliable::send_tracked_ats(w, s, recv_proc, src_proc, rts_id, sender_done);
         } else {
-            let ats = w.ucp.config.ats_size;
-            send_control(w, s, recv_proc, src_proc, ats, move |w, s| {
+            send_ats(w, s, recv_proc, src_proc, move |w, s| {
                 complete(w, s, src_proc, sender_done);
             });
         }

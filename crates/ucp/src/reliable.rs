@@ -25,18 +25,19 @@
 //! [`UcpError::EndpointTimeout`] is queued at the owning worker.
 //!
 //! Determinism. All timers live in virtual time; jitter comes from a
-//! dedicated [`SimRng`] stream derived from the fault-spec seed, so a chaos
+//! dedicated [`Rng`] stream derived from the fault-spec seed, so a chaos
 //! run replays byte-identically.
 
 use std::collections::BTreeMap;
 
 use rucx_compat::idmap::IdMap;
-use rucx_fabric::{net_transfer, WireKind};
+use rucx_compat::rng::Rng;
+use rucx_fabric::{net_transfer, wire_time, WireKind};
 use rucx_fault::{metrics as fm, WireFault};
 use rucx_sim::time::{Duration, Time};
-use rucx_sim::SimRng;
 
-use crate::engine::rail;
+use crate::config::{ACK_SIZE, ATS_SIZE, RTO_BACKOFF, RTO_BASE, RTO_JITTER, RTO_MAX, RTO_MIN};
+use crate::engine::ports;
 use crate::error::UcpError;
 use crate::machine::Machine;
 use crate::metrics as m;
@@ -72,7 +73,7 @@ pub(crate) struct PendingSend {
     /// `elapsed` stamped on a give-up error measures the whole ordeal.
     pub first_sent: Time,
     /// Times the health layer has parked this envelope on a Dead endpoint
-    /// (bounded by [`crate::UcpConfig::heal_retries`]).
+    /// (bounded by [`crate::config::HEAL_RETRIES`]).
     pub parks: u32,
     pub body: TrackedBody,
     /// Model-layer context stamped at send time (routes give-up errors to
@@ -117,7 +118,7 @@ impl SeqSeen {
 pub(crate) struct ReliableState {
     /// Backoff-jitter stream, derived from the fault-spec seed but salted so
     /// it does not correlate with the injection lottery.
-    rng: SimRng,
+    rng: Rng,
     next_id: u64,
     next_seq: IdMap<(u32, u32), u64>,
     seen: IdMap<(u32, u32), SeqSeen>,
@@ -129,7 +130,7 @@ pub(crate) struct ReliableState {
 impl ReliableState {
     pub(crate) fn new(seed: u64) -> Self {
         ReliableState {
-            rng: SimRng::new(seed ^ 0x9E37_79B9_7F4A_7C15),
+            rng: Rng::new(seed ^ 0x9E37_79B9_7F4A_7C15),
             next_id: 1,
             next_seq: IdMap::default(),
             seen: IdMap::default(),
@@ -195,7 +196,7 @@ pub(crate) fn send_tracked_ats(
     rts_id: u64,
     sender_done: Completion,
 ) {
-    let size = w.ucp.config.ack_size.max(w.ucp.config.ats_size);
+    let size = ACK_SIZE.max(ATS_SIZE);
     w.ucp.reliable.ats_table.insert(rts_id, sender_done);
     enqueue(w, s, src, dst, size, 0, 0, TrackedBody::Ats { rts_id }, 0);
 }
@@ -241,8 +242,8 @@ fn enqueue(
     }
 }
 
-/// One transmission attempt: run the fault lottery, put the envelope on the
-/// wire accordingly, and arm the retransmission timer for this attempt.
+/// One transmission attempt: arm the retransmission timer for this attempt,
+/// then put the envelope on the lossy wire.
 pub(crate) fn transmit(w: &mut Machine, s: &mut MSched, id: u64) {
     let now = s.now();
     let Some(p) = w.ucp.reliable.inflight.get_mut(&id) else {
@@ -259,83 +260,78 @@ pub(crate) fn transmit(w: &mut Machine, s: &mut MSched, id: u64) {
     let body = p.body.clone();
     let rto = rto_for(w, wire_size, attempt);
     s.schedule_in(rto, move |w, s| on_timeout(w, s, id, attempt));
-    let (src_node, dst_node) = (w.topo.node_of(src), w.topo.node_of(dst));
-    let src_port = (src_node, rail(w, src));
-    let dst_port = (dst_node, rail(w, dst));
-    match w.faults.wire_fault(src_node, dst_node, now) {
+    lossy_transfer(w, s, src, dst, wire_size, id, move |w, s| {
+        arrive(w, s, id, src, dst, seq, tag, body)
+    });
+}
+
+/// Put one `size`-byte envelope on the inter-node wire from process `from`
+/// to process `to` through the fault lottery
+/// ([`rucx_fault::FaultState::wire_fault`]): `arrive` runs once per copy
+/// that reaches `to` intact — never for a drop or a corruption, twice for
+/// a duplicate. A lost envelope still occupies the TX port. Every fault is
+/// observable: a `fault.*` counter plus a trace instant carrying `id`
+/// (0 for unsequenced probes), stamped at `from` except corruption, which
+/// only the receiver's checksum sees.
+pub(crate) fn lossy_transfer(
+    w: &mut Machine,
+    s: &mut MSched,
+    from: usize,
+    to: usize,
+    size: u64,
+    id: u64,
+    arrive: impl FnOnce(&mut Machine, &mut MSched) + Clone + Send + 'static,
+) {
+    let (src_port, dst_port) = ports(w, from, to);
+    match w.faults.wire_fault(src_port.0, dst_port.0, s.now()) {
         WireFault::None => {
-            net_transfer(w, s, src_port, dst_port, wire_size, WireKind::Host, {
-                move |w, s| arrive(w, s, id, src, dst, seq, tag, body)
-            });
+            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, arrive);
         }
         WireFault::Drop => {
-            // Lost in the fabric: the TX port is still occupied, nothing
-            // arrives; the timer recovers it.
             w.ucp.counters.bump(fm::DROP);
-            s.trace_instant("fault.drop", src as u32, id, wire_size);
-            net_transfer(
-                w,
-                s,
-                src_port,
-                dst_port,
-                wire_size,
-                WireKind::Host,
-                |_, _| {},
-            );
+            s.trace_instant("fault.drop", from as u32, id, size);
+            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, |_, _| {});
         }
         WireFault::Corrupt => {
-            // Delivered, but the receiver's checksum rejects it: observable
-            // at arrival (unlike a drop), recovered by retransmission.
             net_transfer(
                 w,
                 s,
                 src_port,
                 dst_port,
-                wire_size,
+                size,
                 WireKind::Host,
                 move |w, s| {
                     w.ucp.counters.bump(fm::CORRUPT);
-                    s.trace_instant("fault.corrupt", dst as u32, id, wire_size);
+                    s.trace_instant("fault.corrupt", to as u32, id, size);
                 },
             );
         }
         WireFault::Duplicate => {
             w.ucp.counters.bump(fm::DUPLICATE);
-            s.trace_instant("fault.duplicate", src as u32, id, wire_size);
-            let twin = body.clone();
-            net_transfer(w, s, src_port, dst_port, wire_size, WireKind::Host, {
-                move |w, s| arrive(w, s, id, src, dst, seq, tag, body)
-            });
-            net_transfer(w, s, src_port, dst_port, wire_size, WireKind::Host, {
-                move |w, s| arrive(w, s, id, src, dst, seq, tag, twin)
-            });
+            s.trace_instant("fault.duplicate", from as u32, id, size);
+            let twin = arrive.clone();
+            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, arrive);
+            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, twin);
         }
         WireFault::Delay(d) => {
             w.ucp.counters.bump(fm::DELAY);
-            s.trace_instant("fault.delay", src as u32, id, d);
+            s.trace_instant("fault.delay", from as u32, id, d);
             s.schedule_in(d, move |w, s| {
-                net_transfer(w, s, src_port, dst_port, wire_size, WireKind::Host, {
-                    move |w, s| arrive(w, s, id, src, dst, seq, tag, body)
-                });
+                net_transfer(w, s, src_port, dst_port, size, WireKind::Host, arrive);
             });
         }
     }
 }
 
 /// Retransmission timeout for transmission number `attempt` (1-based):
-/// `(rto_base + 2·wire-RTT-estimate) · backoff^(attempt-1) · (1 + jitter)`,
-/// clamped to `[rto_min, rto_max]`.
+/// `(RTO_BASE + 2·wire-RTT-estimate) · RTO_BACKOFF^(attempt-1) · (1 + jitter)`,
+/// clamped to `[RTO_MIN, RTO_MAX]`.
 fn rto_for(w: &mut Machine, wire_size: u64, attempt: u32) -> Duration {
-    let rtt_est = w.net.params.wire_time(wire_size, WireKind::Host)
-        + w.net
-            .params
-            .wire_time(w.ucp.config.ack_size, WireKind::Host);
-    let cfg = &w.ucp.config;
-    let base = (cfg.rto_base + 2 * rtt_est) as f64;
-    let (backoff, jitter, floor, cap) = (cfg.rto_backoff, cfg.rto_jitter, cfg.rto_min, cfg.rto_max);
-    let scaled = base * backoff.powi(attempt.saturating_sub(1) as i32);
-    let jittered = scaled * (1.0 + jitter * w.ucp.reliable.rng.next_f64());
-    (jittered as Duration).clamp(floor.min(cap), cap)
+    let rtt_est = wire_time(wire_size, WireKind::Host) + wire_time(ACK_SIZE, WireKind::Host);
+    let base = (RTO_BASE + 2 * rtt_est) as f64;
+    let scaled = base * RTO_BACKOFF.powi(attempt.saturating_sub(1) as i32);
+    let jittered = scaled * (1.0 + RTO_JITTER * w.ucp.reliable.rng.gen_f64());
+    (jittered as Duration).clamp(RTO_MIN, RTO_MAX)
 }
 
 /// A tracked envelope reached `dst`: always (re-)ack — the sender may be
@@ -383,13 +379,7 @@ fn arrive(
 /// they are subject to the same fault lottery, and a lost ack is recovered
 /// by the data retransmission triggering a fresh one.
 fn send_ack(w: &mut Machine, s: &mut MSched, from: usize, to: usize, id: u64) {
-    let size = w.ucp.config.ack_size;
-    let (src_node, dst_node) = (w.topo.node_of(from), w.topo.node_of(to));
-    let src_port = (src_node, rail(w, from));
-    let dst_port = (dst_node, rail(w, to));
-    // Captures only `id`, so the closure is `Copy` and one definition serves
-    // the duplicate branch.
-    let deliver_ack = move |w: &mut Machine, s: &mut MSched| {
+    lossy_transfer(w, s, from, to, ACK_SIZE, id, move |w, s| {
         if let Some(p) = w.ucp.reliable.inflight.remove(&id) {
             w.ucp.counters.bump(m::ACKED);
             if p.attempts == 1 {
@@ -405,44 +395,7 @@ fn send_ack(w: &mut Machine, s: &mut MSched, from: usize, to: usize, id: u64) {
             }
             crate::health::note_alive(w, s, p.src, p.dst);
         }
-    };
-    match w.faults.wire_fault(src_node, dst_node, s.now()) {
-        WireFault::None => {
-            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, deliver_ack);
-        }
-        WireFault::Drop => {
-            w.ucp.counters.bump(fm::DROP);
-            s.trace_instant("fault.drop", from as u32, id, size);
-            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, |_, _| {});
-        }
-        WireFault::Corrupt => {
-            net_transfer(
-                w,
-                s,
-                src_port,
-                dst_port,
-                size,
-                WireKind::Host,
-                move |w, s| {
-                    w.ucp.counters.bump(fm::CORRUPT);
-                    s.trace_instant("fault.corrupt", to as u32, id, size);
-                },
-            );
-        }
-        WireFault::Duplicate => {
-            w.ucp.counters.bump(fm::DUPLICATE);
-            s.trace_instant("fault.duplicate", from as u32, id, size);
-            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, deliver_ack);
-            net_transfer(w, s, src_port, dst_port, size, WireKind::Host, deliver_ack);
-        }
-        WireFault::Delay(d) => {
-            w.ucp.counters.bump(fm::DELAY);
-            s.trace_instant("fault.delay", from as u32, id, d);
-            s.schedule_in(d, move |w, s| {
-                net_transfer(w, s, src_port, dst_port, size, WireKind::Host, deliver_ack);
-            });
-        }
-    }
+    });
 }
 
 /// The retransmission timer for transmission `attempt` of envelope `id`
@@ -519,4 +472,73 @@ pub(crate) fn give_up(w: &mut Machine, s: &mut MSched, id: u64) {
         }
     }
     push_error(w, s, p.src, err);
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use rucx_compat::sync::Mutex;
+    use rucx_fabric::Topology;
+    use rucx_fault::FaultSpec;
+    use rucx_sim::time::us;
+    use rucx_sim::RunOutcome;
+
+    use super::*;
+    use crate::machine::{build_sim, MSim, MachineConfig};
+
+    const FAULT_COUNTERS: [&str; 4] = [
+        "fault.drop",
+        "fault.duplicate",
+        "fault.corrupt",
+        "fault.delay",
+    ];
+
+    /// One `lossy_transfer` 0 → 6 (inter-node) under `spec`: the times
+    /// `arrive` ran at, and the simulation for its counters.
+    fn one_transfer(spec: &str) -> (Vec<Time>, MSim) {
+        let cfg = MachineConfig {
+            fault: Some(FaultSpec::parse(spec).expect("spec")),
+            ..MachineConfig::default()
+        };
+        let mut sim = build_sim(Topology::summit(2), cfg);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = seen.clone();
+        sim.with_parts(move |w, s| {
+            lossy_transfer(w, s, 0, 6, ACK_SIZE, 7, move |_, s| {
+                seen2.lock().push(s.now())
+            });
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        let seen = seen.lock().clone();
+        (seen, sim)
+    }
+
+    #[test]
+    fn lossy_transfer_delivers_what_the_lottery_lets_through() {
+        let mut clean_at = 0;
+        for (spec, copies, counter) in [
+            ("seed=1,drop=0", 1, "none"),
+            ("seed=1,drop=1", 0, "fault.drop"),
+            ("seed=1,dup=1", 2, "fault.duplicate"),
+            ("seed=1,corrupt=1", 0, "fault.corrupt"),
+            ("seed=1,delay=1:20", 1, "fault.delay"),
+        ] {
+            let (seen, sim) = one_transfer(spec);
+            assert_eq!(seen.len(), copies, "{spec}");
+            for name in FAULT_COUNTERS {
+                let want = u64::from(name == counter);
+                assert_eq!(sim.world().ucp.counters.get(name), want, "{spec}: {name}");
+            }
+            match counter {
+                "none" => clean_at = seen[0],
+                "fault.delay" => {
+                    // The extra delay is drawn from the upper half of the bound.
+                    let extra = seen[0] - clean_at;
+                    assert!(extra >= us(10.0) && extra <= us(20.0), "extra={extra}");
+                }
+                _ => {}
+            }
+        }
+    }
 }

@@ -81,8 +81,6 @@ pub(crate) struct ArrivedMsg {
 pub struct Worker {
     pub(crate) expected: VecDeque<ExpectedRecv>,
     pub(crate) unexpected: VecDeque<ArrivedMsg>,
-    /// Active-message handlers and pending arrivals.
-    pub(crate) am: crate::am::AmState,
     /// Asynchronous errors surfaced by the reliability layer (endpoint
     /// timeouts, failed rendezvous), in occurrence order. Model layers
     /// drain this via [`Worker::take_error`] and map each record onto
@@ -98,7 +96,6 @@ impl Worker {
         Worker {
             expected: VecDeque::new(),
             unexpected: VecDeque::new(),
-            am: crate::am::AmState::new(),
             errors: VecDeque::new(),
             notify,
         }

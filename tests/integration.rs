@@ -204,17 +204,13 @@ fn gdrcopy_toggle_changes_protocol_choice() {
 
 #[test]
 fn device_oom_is_reported() {
-    let mut sim = build_sim(
-        Topology::summit(1),
-        MachineConfig {
-            device_mem: Some(1 << 20),
-            ..Default::default()
-        },
-    );
+    let mut sim = build_sim(Topology::summit(1), MachineConfig::default());
+    // Phantom (size-only), so 17 GiB costs the host nothing.
+    let size = rucx::gpu::device::DEVICE_MEM + (1 << 30);
     let r = sim
         .world_mut()
         .gpu
         .pool
-        .alloc_device(DeviceId(0), 2 << 20, false);
+        .alloc_device(DeviceId(0), size, false);
     assert!(matches!(r, Err(rucx::gpu::MemError::DeviceOom { .. })));
 }
