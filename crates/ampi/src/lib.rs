@@ -13,6 +13,7 @@
 //! per GPU (virtualization = 1).
 
 pub mod coll;
+pub mod metrics;
 pub mod mpi;
 pub mod msg;
 pub mod rank;
@@ -86,7 +87,7 @@ mod tests {
         assert_eq!(sim.run(), RunOutcome::Completed);
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), vec![7u8; 64]);
         // No zero-copy rendezvous should have happened for the payload.
-        assert_eq!(sim.world().ucp.counters.get("ucp.rndv.ipc"), 0);
+        assert_eq!(sim.metrics().get("ucp.rndv.ipc"), 0);
     }
 
     #[test]
@@ -107,7 +108,7 @@ mod tests {
         assert_eq!(sim.run(), RunOutcome::Completed);
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data);
         // CMA path for the intra-node host zero-copy payload.
-        assert!(sim.world().ucp.counters.get("ucp.rndv.cma") >= 1);
+        assert!(sim.metrics().get("ucp.rndv.cma") >= 1);
     }
 
     #[test]
@@ -128,7 +129,7 @@ mod tests {
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data);
-        assert_eq!(sim.world().ucp.counters.get("ucp.rndv.pipeline"), 1);
+        assert_eq!(sim.metrics().get("ucp.rndv.pipeline"), 1);
     }
 
     #[test]
@@ -224,10 +225,7 @@ mod tests {
             mpi.waitall(ctx, &reqs);
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(
-            sim.world().ucp.counters.get("ucp.rndv.ipc"),
-            2 * window as u64
-        );
+        assert_eq!(sim.metrics().get("ucp.rndv.ipc"), 2 * window as u64);
     }
 
     #[test]
@@ -271,6 +269,11 @@ mod tests {
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
         assert_eq!(sim.world().gpu.pool.read(rb2).unwrap()[..8], [0xCD; 8]);
+        assert_eq!(
+            sim.metrics().get("ampi.reorder.held"),
+            1,
+            "the small envelope waits in the stash for the large one"
+        );
     }
 
     #[test]
@@ -311,7 +314,7 @@ mod tests {
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
         // The UCP layer saw (and counted) the same truncation.
-        assert_eq!(sim.world().ucp.counters.get("ucp.truncated"), 1);
+        assert_eq!(sim.metrics().get("ucp.truncated"), 1);
     }
 
     #[test]
@@ -403,7 +406,7 @@ mod tests {
         assert_eq!(st.error, MPI_ERR_OTHER);
         assert_eq!(st.src, 6, "status names the unreachable peer");
         assert_eq!(st.size, 0);
-        assert!(sim.world().ucp.counters.get("ucp.unreachable") >= 1);
+        assert!(sim.metrics().get("ucp.unreachable") >= 1);
     }
 
     #[test]
@@ -441,8 +444,8 @@ mod tests {
         assert_eq!(sim.run(), RunOutcome::Completed);
         assert_eq!(sim.world().gpu.pool.read(rb_small).unwrap(), vec![0x5A; 64]);
         assert_eq!(sim.world().gpu.pool.read(rb_big).unwrap(), data);
-        assert!(sim.world().ucp.counters.get("fault.drop") > 0);
-        assert_eq!(sim.world().ucp.counters.get("ucp.unreachable"), 0);
+        assert!(sim.metrics().get("fault.drop") > 0);
+        assert_eq!(sim.metrics().get("ucp.unreachable"), 0);
     }
 
     #[test]

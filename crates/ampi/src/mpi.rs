@@ -9,6 +9,7 @@ use rucx_gpu::MemRef;
 use rucx_sim::sched::Trigger;
 use rucx_ucp::MCtx;
 
+use crate::metrics;
 use crate::msg::{AmpiMsg, AmpiPayload, Status};
 use crate::rank::{
     copy_cost, status_into, status_of, PostedRecv, RankState, SlotState, CACHE_HIT, CACHE_MISS,
@@ -435,6 +436,7 @@ fn handle_ampi_msg(st: &mut RankState, msg: &Msg, pe: &mut Pe, ctx: &mut MCtx) {
     let expected = *st.next_recv_seq.get(&src).unwrap_or(&0);
     if am.seq != expected {
         debug_assert!(am.seq > expected, "duplicate AMPI envelope");
+        ctx.with_world(|_, s| s.count(metrics::REORDER_HELD));
         st.reorder_stash.push(am);
         return;
     }
@@ -479,7 +481,9 @@ fn accept_msg(st: &mut RankState, am: AmpiMsg, pe: &mut Pe, ctx: &mut MCtx) {
         }
         None => {
             let (me, seq, size) = (pe.index as u32, am.seq, am.payload.size());
-            ctx.with_world(move |_, s| s.trace_instant("ampi.unexpected.enqueue", me, seq, size));
+            ctx.with_world(move |_, s| {
+                s.trace_instant(metrics::TRACE_UNEXPECTED_ENQUEUE, me, seq, size)
+            });
             st.unexpected.push_back(am);
         }
     }

@@ -74,9 +74,9 @@ fn send_run(fault: Option<FaultSpec>, rounds: u32) -> (u64, u64, u64, u64) {
     let m = sim.world();
     (
         end,
-        m.ucp.counters.get("ucp.retry"),
+        sim.metrics().get("ucp.retry"),
         m.faults.injected(),
-        m.ucp.counters.get("ucp.dup_drop"),
+        sim.metrics().get("ucp.dup_drop"),
     )
 }
 

@@ -187,7 +187,7 @@ fn traced_sim(scenario: &str) -> MSim {
 fn harvest(sim: &MSim) -> (Attribution, RecoveryCounts) {
     (
         Attribution::from_sink(&sim.scheduler_ref().trace),
-        RecoveryCounts::from_counters(&sim.world().ucp.counters),
+        RecoveryCounts::from_counters(sim.metrics()),
     )
 }
 
@@ -373,15 +373,7 @@ fn svc_cell(scenario: &'static str, quick: bool) -> Cell {
         "svc_load abandoned tasks under `{scenario}`"
     );
     let attr = Attribution::from_events(r.trace_events.iter());
-    let recovery = RecoveryCounts {
-        retry: r.ucp_retry,
-        parked: r.ucp_parked,
-        healed: r.ucp_healed,
-        reroute: r.ucp_reroute,
-        host_staged: r.ucp_host_staged,
-        giveup: r.ucp_giveup,
-        resubmit: r.resubmits,
-    };
+    let recovery = RecoveryCounts::from_counters(&r.metrics);
     Cell {
         scenario,
         workload: "svc_load",

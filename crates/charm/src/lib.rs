@@ -19,6 +19,7 @@
 //! - Converse scheduler + message queue → [`Pe::run`]/[`Pe::try_step`]
 //!   pumping the UCP worker.
 
+pub mod metrics;
 pub mod mltags;
 pub mod params;
 pub mod pe;
@@ -193,7 +194,7 @@ mod tests {
         assert_eq!(sim.world().gpu.pool.read(dst).unwrap(), data);
         // The GPU payload must have used the device path (rendezvous IPC),
         // not ridden inside the envelope.
-        assert_eq!(sim.world().ucp.counters.get("ucp.rndv.ipc"), 1);
+        assert_eq!(sim.metrics().get("ucp.rndv.ipc"), 1);
     }
 
     #[test]
@@ -348,7 +349,7 @@ mod tests {
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
         assert_eq!(hits.load(Ordering::SeqCst), 1);
-        assert!(sim.world().ucp.counters.get("ucp.rndv") >= 1);
+        assert!(sim.metrics().get("ucp.rndv") >= 1);
     }
 
     #[test]
@@ -571,6 +572,6 @@ mod tests {
                 other => panic!("want endpoint timeout, got {other:?}"),
             }
         }
-        assert!(sim.world().ucp.counters.get("ucp.unreachable") >= 1);
+        assert!(sim.metrics().get("ucp.unreachable") >= 1);
     }
 }

@@ -21,6 +21,7 @@ use rucx_ucp::{
     RecvCompletion, SendBuf, UcpError,
 };
 
+use crate::metrics;
 use crate::mltags::TagScheme;
 use crate::params::{
     pack_cost, DEVICE_META_OVERHEAD, IDLE_POLL, POST_OVERHEAD, RECV_OVERHEAD, SEND_OVERHEAD,
@@ -1057,7 +1058,7 @@ impl Pe {
             return;
         }
         let me = self.index as u32;
-        ctx.with_world(move |_, s| s.trace_instant("charm.error.unhandled", me, 0, 0));
+        ctx.with_world(move |_, s| s.trace_instant(metrics::TRACE_ERROR_UNHANDLED, me, 0, 0));
         self.unhandled_errors.push(err);
     }
 
@@ -1169,7 +1170,7 @@ impl Pe {
             let me = self.index as u32;
             let id = ((env.collection as u64) << 16) | env.ep as u64;
             let src = env.src_pe as u64;
-            ctx.with_world(move |_, s| s.trace_instant("charm.sched.deliver", me, id, src));
+            ctx.with_world(move |_, s| s.trace_instant(metrics::TRACE_SCHED_DELIVER, me, id, src));
         }
         if env.collection != SYS_COLLECTION || !matches!(env.ep, SYS_QD_PING | SYS_QD_REPLY) {
             self.qd_processed += 1;

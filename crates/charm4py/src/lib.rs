@@ -18,6 +18,7 @@
 //! the Python call overhead on top of the simulated CUDA costs.
 
 pub mod coll;
+pub mod metrics;
 pub use coll::ReduceOp;
 
 use std::collections::{BTreeMap, VecDeque};
@@ -26,7 +27,7 @@ use rucx_charm::{marshal, ChareRef, Collection, EpId, Msg, Pe};
 use rucx_compat::idmap::IdMap;
 use rucx_gpu::device::{COPY_LAUNCH, SYNC_OVERHEAD};
 use rucx_gpu::{copy_async, stream_sync_trigger, MemRef, StreamId};
-use rucx_sim::time::{transfer_time, us, Duration};
+use rucx_sim::time::{transfer_time, us, Duration, Time};
 use rucx_ucp::{MCtx, MSim, UcpError};
 
 // Calibration constants of the Python/Cython layers.
@@ -106,17 +107,20 @@ struct PeerInbox {
 }
 
 impl PeerInbox {
-    fn deliver(&mut self, seq: u64, payload: ChanPayload) {
-        if seq == self.next_seq {
+    /// Returns whether the message arrived out of turn and was stashed.
+    fn deliver(&mut self, seq: u64, payload: ChanPayload) -> bool {
+        let held = seq != self.next_seq;
+        if held {
+            self.stashed.insert(seq, payload);
+        } else {
             self.next_seq += 1;
             self.ready.push_back(payload);
             while let Some(p) = self.stashed.remove(&self.next_seq) {
                 self.next_seq += 1;
                 self.ready.push_back(p);
             }
-        } else {
-            self.stashed.insert(seq, payload);
         }
+        held
     }
 }
 
@@ -216,10 +220,12 @@ impl PyProc {
         let ep_chan = pe.register_ep(
             col,
             None,
-            Box::new(|chare, msg: &Msg, _pe, _ctx| {
+            Box::new(|chare, msg: &Msg, _pe, ctx| {
                 let st = chare.downcast_mut::<ChanState>().expect("chan state");
                 let (src, seq, payload) = decode_chan(&msg.params);
-                st.inbox.entry(src).or_default().deliver(seq, payload);
+                if st.inbox.entry(src).or_default().deliver(seq, payload) {
+                    ctx.with_world(|_, s| s.count(metrics::REORDER_HELD));
+                }
             }),
         );
         let ep_barrier = pe.register_ep(
@@ -373,7 +379,9 @@ impl PyProc {
     /// spans without re-deriving them.
     fn py_overhead(&self, ctx: &mut MCtx, dur: Duration, site: u64) {
         let me = self.rank as u32;
-        ctx.with_world(move |_, s| s.trace_span_in("charm4py.call_overhead", dur, me, site, dur));
+        ctx.with_world(move |_, s| {
+            s.trace_span_in(metrics::TRACE_CALL_OVERHEAD, dur, me, site, dur)
+        });
         ctx.advance(dur);
     }
 
@@ -590,64 +598,28 @@ impl PyProc {
     }
 
     /// `charm.iwait`-style select: suspend until any of `peers` has a
-    /// ready pickled host object, and return `(peer, bytes)`. Ties are
-    /// broken by `peers` order, so the choice is deterministic.
-    pub fn recv_host_any(&mut self, ctx: &mut MCtx, peers: &[usize]) -> (usize, Option<Vec<u8>>) {
-        self.py_overhead(ctx, PY_RECV, 1);
-        let (col, idx) = (self.col, self.rank as u64);
-        let scan: Vec<u32> = peers.iter().map(|&p| p as u32).collect();
-        let scan2 = scan.clone();
-        self.pe.pump_until(ctx, move |pe, _| {
-            let st = pe.chare_mut::<ChanState>(col, idx);
-            scan2
-                .iter()
-                .any(|p| st.inbox.get(p).is_some_and(|q| !q.ready.is_empty()))
-        });
-        let st = self.pe.chare_mut::<ChanState>(col, idx);
-        let mut hit = None;
-        for &p in &scan {
-            if let Some(q) = st.inbox.get_mut(&p) {
-                if let Some(payload) = q.ready.pop_front() {
-                    hit = Some((p as usize, payload));
-                    break;
-                }
-            }
-        }
-        match hit {
-            Some((peer, ChanPayload::Inline { bytes, size })) => {
-                let dur = pickle_cost(size) + PY_WAKE;
-                self.py_overhead(ctx, dur, 2);
-                (peer, bytes)
-            }
-            Some((_, ChanPayload::ZeroCopy { .. })) => {
-                panic!("recv_host_any on a channel carrying a GPU buffer")
-            }
-            // Unreachable in practice: pump_until returned with a ready
-            // queue and nothing runs in between.
-            None => (self.rank, None),
-        }
-    }
-
-    /// [`PyProc::recv_host_any`] with a virtual-time deadline: suspend
-    /// until any of `peers` has a ready pickled host object *or* the
-    /// deadline passes with nothing ready, in which case `None` is
-    /// returned. A wakeup is scheduled at the deadline so a blocked
-    /// receiver cannot sleep through it; the ready-vs-deadline decision is
-    /// made in virtual time, so it is deterministic. This is what lets the
-    /// service layer's futures frontend detect dead workers instead of
-    /// hanging in `gather_all`.
-    pub fn recv_host_any_deadline(
+    /// ready pickled host object and return `Some((peer, bytes))`. Ties
+    /// are broken by `peers` order, so the choice is deterministic.
+    ///
+    /// With a `deadline` the wait is bounded: `None` is returned once it
+    /// passes with nothing ready. A wakeup is scheduled at the deadline so
+    /// a blocked receiver cannot sleep through it, and the
+    /// ready-vs-deadline decision is made in virtual time — this is what
+    /// lets the service layer's futures frontend detect dead workers
+    /// instead of hanging in `gather_all`. Without one, no wakeup is
+    /// scheduled and the result is never `None`.
+    pub fn recv_host_any(
         &mut self,
         ctx: &mut MCtx,
         peers: &[usize],
-        deadline: rucx_sim::time::Time,
+        deadline: Option<Time>,
     ) -> Option<(usize, Option<Vec<u8>>)> {
         self.py_overhead(ctx, PY_RECV, 1);
         let me = self.rank;
-        if ctx.now() < deadline {
+        if let Some(dl) = deadline.filter(|&dl| ctx.now() < dl) {
             ctx.with_world(move |w, s| {
                 let n = w.ucp.worker(me).notify;
-                s.schedule_at(deadline, move |_, s| s.notify(n));
+                s.schedule_at(dl, move |_, s| s.notify(n));
             });
         }
         let (col, idx) = (self.col, self.rank as u64);
@@ -658,18 +630,13 @@ impl PyProc {
             scan2
                 .iter()
                 .any(|p| st.inbox.get(p).is_some_and(|q| !q.ready.is_empty()))
-                || ctx.now() >= deadline
+                || deadline.is_some_and(|dl| ctx.now() >= dl)
         });
         let st = self.pe.chare_mut::<ChanState>(col, idx);
-        let mut hit = None;
-        for &p in &scan {
-            if let Some(q) = st.inbox.get_mut(&p) {
-                if let Some(payload) = q.ready.pop_front() {
-                    hit = Some((p as usize, payload));
-                    break;
-                }
-            }
-        }
+        let hit = scan.iter().find_map(|&p| {
+            let payload = st.inbox.get_mut(&p)?.ready.pop_front()?;
+            Some((p as usize, payload))
+        });
         match hit {
             Some((peer, ChanPayload::Inline { bytes, size })) => {
                 let dur = pickle_cost(size) + PY_WAKE;
@@ -677,7 +644,7 @@ impl PyProc {
                 Some((peer, bytes))
             }
             Some((_, ChanPayload::ZeroCopy { .. })) => {
-                panic!("recv_host_any_deadline on a channel carrying a GPU buffer")
+                panic!("recv_host_any on a channel carrying a GPU buffer")
             }
             None => {
                 // Deadline expired with every scanned inbox empty.
@@ -810,15 +777,16 @@ mod tests {
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data);
-        assert_eq!(sim.world().ucp.counters.get("ucp.rndv.ipc"), 1);
+        assert_eq!(sim.metrics().get("ucp.rndv.ipc"), 1);
     }
 
     #[test]
-    fn recv_host_any_deadline_times_out_and_delivers() {
+    fn recv_host_any_times_out_and_delivers() {
         // Rank 1 sends immediately; rank 2 never sends. A select on
         // {1, 2} with a generous deadline returns rank 1's object; a
         // second select on {2} alone expires at its deadline (virtual time
         // reaches it exactly — no busy wait, no hang) and returns None.
+        // Without a deadline the select simply blocks until rank 3 sends.
         let mut sim = sim(1);
         let done = Arc::new(rucx_compat::sync::Mutex::new((false, false)));
         let done2 = done.clone();
@@ -827,13 +795,21 @@ mod tests {
                 let ch = py.channel(0);
                 py.send_host(ctx, ch, vec![7, 7]);
             }
+            3 => {
+                ctx.advance(us(1_000.0));
+                let ch = py.channel(0);
+                py.send_host(ctx, ch, vec![9]);
+            }
             0 => {
-                let hit = py.recv_host_any_deadline(ctx, &[1, 2], us(5_000.0));
+                let hit = py.recv_host_any(ctx, &[1, 2], Some(us(5_000.0)));
                 assert_eq!(hit, Some((1, Some(vec![7, 7]))));
                 let deadline = ctx.now() + us(300.0);
-                let miss = py.recv_host_any_deadline(ctx, &[2], deadline);
+                let miss = py.recv_host_any(ctx, &[2], Some(deadline));
                 assert_eq!(miss, None);
                 assert!(ctx.now() >= deadline, "must sleep to the deadline");
+                let late = py.recv_host_any(ctx, &[2, 3], None);
+                assert_eq!(late, Some((3, Some(vec![9]))));
+                assert!(ctx.now() >= us(1_000.0), "must block until the send");
                 *done2.lock() = (true, true);
             }
             _ => {}

@@ -147,7 +147,7 @@ pub fn alltoall<C: CollComm>(c: &mut C, ctx: &mut MCtx, sbuf: MemRef, rbuf: MemR
 }
 
 fn record_algo(ctx: &mut MCtx, a: Algo) {
-    ctx.with_world(move |w, _| w.ucp.counters.bump(metrics::algo(a)));
+    ctx.with_world(move |_, s| s.count(metrics::algo(a)));
 }
 
 /// The default stream of the device that process `me` drives.
@@ -189,7 +189,7 @@ pub(crate) fn sendrecv_counted<C: CollComm + ?Sized>(
 }
 
 fn account_hop(ctx: &mut MCtx, src: usize, dst: usize, bytes: u64) {
-    ctx.with_world(move |w, _| {
+    ctx.with_world(move |w, s| {
         let m = if w.topo.same_socket(src, dst) {
             metrics::BYTES_NVLINK
         } else if w.topo.same_node(src, dst) {
@@ -197,6 +197,6 @@ fn account_hop(ctx: &mut MCtx, src: usize, dst: usize, bytes: u64) {
         } else {
             metrics::BYTES_INTER
         };
-        w.ucp.counters.add(m, bytes);
+        s.count_n(m, bytes);
     });
 }

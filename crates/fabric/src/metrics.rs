@@ -1,4 +1,5 @@
-//! Fabric-layer metrics registry (typed handles; see `rucx_sim::Metric`).
+//! Fabric-layer registry: every counter and trace name the fabric emits
+//! (typed handles; see `rucx_sim::Metric`).
 
 use rucx_sim::Metric;
 
@@ -16,3 +17,6 @@ pub const fn msg(kind: WireKind) -> Metric {
         WireKind::Gdr => MSG_GDR,
     }
 }
+
+/// Trace span: the window one message holds a NIC TX port.
+pub const TRACE_LINK_BUSY: &str = "fabric.link.busy";

@@ -8,7 +8,6 @@
 //! the Jacobi3D scaling experiments).
 
 use rucx_sim::sched::Scheduler;
-use rucx_sim::stats::Counters;
 use rucx_sim::time::{transfer_time, us, Duration, Time};
 
 /// What kind of memory the wire transfer touches on its endpoints; selects
@@ -61,7 +60,6 @@ pub fn wire_time(size: u64, kind: WireKind) -> Duration {
 
 /// World component: network state for the cluster.
 pub struct NetSubsystem {
-    pub counters: Counters,
     /// Link bandwidth-degradation schedule from a loaded fault spec; `None`
     /// on clean runs (the common case pays one `Option` check).
     pub link_faults: Option<rucx_fault::LinkFaults>,
@@ -75,7 +73,6 @@ pub struct NetSubsystem {
 impl NetSubsystem {
     pub fn new(nodes: usize) -> Self {
         NetSubsystem {
-            counters: Counters::new(),
             link_faults: None,
             nodes,
             tx_busy: vec![0; nodes * RAILS_PER_NODE],
@@ -168,10 +165,10 @@ where
     net.rx_busy[rx_port] = arrival;
     net.bytes_sent += size;
     net.messages_sent += 1;
-    net.counters.bump(crate::metrics::msg(kind));
+    s.count(crate::metrics::msg(kind));
     // Link occupancy span: the window this message holds the TX port.
     s.trace_span(
-        "fabric.link.busy",
+        crate::metrics::TRACE_LINK_BUSY,
         tx_start,
         tx_end,
         src_node as u32,
@@ -224,15 +221,16 @@ mod tests {
                 (1, 0),
                 1 << 20,
                 WireKind::Host,
-                move |w, s| {
+                move |_, s| {
                     const ARRIVED: rucx_sim::Metric = rucx_sim::Metric::counter("arrived");
                     assert_eq!(s.now(), expected);
-                    w.net().counters.bump(ARRIVED);
+                    s.count(ARRIVED);
                 },
             );
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(sim.world().counters.get("arrived"), 1);
+        assert_eq!(sim.metrics().get("arrived"), 1);
+        assert_eq!(sim.metrics().get("net.msg.host"), 1);
         assert_eq!(sim.world().messages_sent(), 1);
         assert_eq!(sim.world().bytes_sent(), 1 << 20);
     }

@@ -1,7 +1,7 @@
-//! Fault-injection metrics registry: counters bumped by the layers that
-//! consult [`crate::FaultState`] (the injection decisions happen in the
-//! communication layer, so the counters land on its `Counters` sink). Names
-//! follow the `fault.*` namespace the trace attribution table groups on.
+//! Fault-injection metrics registry: events counted (and traced) by the
+//! layers that consult [`crate::FaultState`] — the injection decisions
+//! happen in the communication layer. Names follow the `fault.*` namespace
+//! the trace attribution table groups on.
 
 use rucx_sim::Metric;
 

@@ -105,7 +105,7 @@ mod tests {
             );
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(sim.world().counters.get("gpu.copy.nvlink"), 1);
+        assert_eq!(sim.metrics().get("gpu.copy.nvlink"), 1);
     }
 
     // Helper so the test above can grab a default stream without fighting

@@ -103,7 +103,7 @@ pub fn copy_async<W: HasGpu>(
         };
         gpu.set_port_busy(*p, busy_until);
     }
-    gpu.counters.bump(crate::metrics::copy_path(path));
+    s.count(crate::metrics::copy_path(path));
 
     s.schedule_at(end, move |w, s| {
         w.gpu()
@@ -138,7 +138,7 @@ pub fn kernel_async<W: HasGpu>(
     let start = now.max(gpu.stream_busy(stream));
     let end = start + cost.duration();
     gpu.set_stream_busy(stream, end);
-    gpu.counters.bump(crate::metrics::KERNEL);
+    s.count(crate::metrics::KERNEL);
     if let Some(t) = done {
         s.schedule_at(end, move |_, s| s.fire(t));
     }
@@ -170,7 +170,7 @@ pub fn occupy_transfer<W: HasGpu>(
             CopyPath::NvLink
         };
         if let Some(m) = crate::metrics::transfer_path(path) {
-            gpu.counters.bump(m);
+            s.count(m);
         }
     }
     let mut start = now
@@ -250,7 +250,7 @@ pub fn occupy_striped<W: HasGpu>(
             gpu.set_port_busy(PortRef::XBus(node), occ);
         }
         if let Some(m) = crate::metrics::transfer_path(leg.path) {
-            gpu.counters.bump(m);
+            s.count(m);
         }
         starts.push(start);
         end = end.max(leg_end);

@@ -1,6 +1,5 @@
 //! The GPU subsystem: devices, streams, link-port occupancy, memory pool.
 
-use rucx_sim::stats::Counters;
 use rucx_sim::time::Time;
 
 use crate::device::{Device, DeviceId, DEVICE_MEM};
@@ -19,7 +18,6 @@ struct StreamState {
 /// World component: all simulated-GPU state for the cluster.
 pub struct GpuSubsystem {
     pub pool: MemPool,
-    pub counters: Counters,
     devices: Vec<Device>,
     gpus_per_node: usize,
     streams: Vec<StreamState>,
@@ -57,7 +55,6 @@ impl GpuSubsystem {
         }
         GpuSubsystem {
             pool: MemPool::new(total, DEVICE_MEM, nodes),
-            counters: Counters::new(),
             devices,
             gpus_per_node,
             streams,

@@ -6,11 +6,10 @@
 use std::sync::Arc;
 
 use rucx_charm::{launch, marshal, ChareRef, Collection, EpId, Msg, Pe, RedOp, RedTarget};
-use rucx_fabric::Topology;
 use rucx_gpu::MemRef;
 use rucx_osu::cuda;
 use rucx_sim::time::{as_ms, Time};
-use rucx_ucp::{build_sim, MCtx};
+use rucx_ucp::MCtx;
 
 use crate::bufs::alloc_mapped;
 use crate::config::{
@@ -205,22 +204,16 @@ impl JacobiChare {
     }
 }
 
-/// Run Jacobi3D on Charm++; returns per-iteration timings (max over chares).
+/// Run Jacobi3D on Charm++ against a freshly built simulation of
+/// `cfg.nodes` Summit-like nodes; returns per-iteration timings (max over
+/// chares). The caller keeps the simulation: the scenario-matrix runner
+/// arms fault injection and the trace sink on it first and harvests
+/// counters and trace afterwards.
 ///
 /// With `cfg.overdecomp > 1`, each PE hosts that many chares (consecutive
 /// blocks), letting the message-driven scheduler overlap one chare's halo
 /// wait with another's stencil compute — the paper's planned
 /// computation-communication-overlap extension.
-pub fn run_charm(cfg: &JacobiConfig) -> Result<JacobiResult, JacobiStall> {
-    let topo = Topology::summit(cfg.nodes);
-    let mut sim = build_sim(topo, cfg.machine.clone());
-    run_charm_on(&mut sim, cfg)
-}
-
-/// [`run_charm`] against a pre-built simulation — the scenario-matrix
-/// runner arms fault injection and the trace sink on the sim before
-/// handing it over, then harvests counters and trace afterwards. The sim
-/// must model `cfg.nodes` Summit-like nodes and not have been run yet.
 pub fn run_charm_on(
     sim: &mut rucx_ucp::MSim,
     cfg: &JacobiConfig,

@@ -107,7 +107,7 @@ pub(crate) fn drain(
         RunOutcome::Completed => Ok(*result.lock()),
         RunOutcome::Deadlock(blocked) => Err(JacobiStall {
             blocked,
-            unreachable: sim.world().ucp.counters.get(UNREACHABLE.name),
+            unreachable: sim.metrics().get(UNREACHABLE.name),
         }),
         other => panic!("jacobi run ended with {other:?}"),
     }

@@ -19,7 +19,9 @@ pub mod py_run;
 pub use config::{JacobiConfig, JacobiResult, JacobiStall, Mode};
 pub use decomp::{decompose, Block, BlockGrid, Domain};
 
+use rucx_fabric::Topology;
 use rucx_osu::mpi_like::{AmpiFactory, OmpiFactory};
+use rucx_ucp::build_sim;
 
 /// Which model runs the proxy app.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,11 +47,12 @@ impl JacobiModel {
 /// `cfg.machine.fault` spec made the reliability layer give up on a halo
 /// and the ranks waiting for it never finish).
 pub fn try_run(model: JacobiModel, cfg: &JacobiConfig) -> Result<JacobiResult, JacobiStall> {
+    let sim = &mut build_sim(Topology::summit(cfg.nodes), cfg.machine.clone());
     match model {
-        JacobiModel::Charm => charm_run::run_charm(cfg),
-        JacobiModel::Ampi => mpi_run::run_mpi(cfg, AmpiFactory),
-        JacobiModel::Ompi => mpi_run::run_mpi(cfg, OmpiFactory),
-        JacobiModel::Charm4py => py_run::run_charm4py(cfg),
+        JacobiModel::Charm => charm_run::run_charm_on(sim, cfg),
+        JacobiModel::Ampi => mpi_run::run_mpi_on(sim, cfg, AmpiFactory),
+        JacobiModel::Ompi => mpi_run::run_mpi_on(sim, cfg, OmpiFactory),
+        JacobiModel::Charm4py => py_run::run_charm4py_on(sim, cfg),
     }
 }
 

@@ -3,11 +3,9 @@
 
 use std::sync::Arc;
 
-use rucx_fabric::Topology;
 use rucx_osu::cuda;
 use rucx_osu::mpi_like::{P2p, RankFactory};
 use rucx_sim::time::as_ms;
-use rucx_ucp::build_sim;
 
 use crate::bufs::alloc_all;
 use crate::config::{
@@ -15,16 +13,17 @@ use crate::config::{
 };
 use crate::decomp::{decompose, opposite};
 
-/// Run Jacobi3D under an MPI-style model; returns per-iteration timings
-/// (max over ranks).
-pub fn run_mpi<F: RankFactory>(
+/// Run Jacobi3D under an MPI-style model against a freshly built
+/// simulation of `cfg.nodes` Summit-like nodes (the caller keeps it, and can
+/// read its counters afterwards); returns per-iteration timings (max over
+/// ranks).
+pub fn run_mpi_on<F: RankFactory>(
+    sim: &mut rucx_ucp::MSim,
     cfg: &JacobiConfig,
     factory: F,
 ) -> Result<JacobiResult, JacobiStall> {
-    let topo = Topology::summit(cfg.nodes);
-    let mut sim = build_sim(topo, cfg.machine.clone());
     let grid = decompose(cfg.domain, cfg.ranks() as u64);
-    let bufs = Arc::new(alloc_all(&mut sim, cfg.domain, grid));
+    let bufs = Arc::new(alloc_all(sim, cfg.domain, grid));
     let result = Arc::new(rucx_compat::sync::Mutex::new(JacobiResult {
         overall_ms: 0.0,
         comm_ms: 0.0,
@@ -33,7 +32,7 @@ pub fn run_mpi<F: RankFactory>(
     let (iters, warmup, mode) = (cfg.iters, cfg.warmup, cfg.mode);
     let ranks = cfg.ranks();
 
-    factory.launch(&mut sim, move |mpi, ctx| {
+    factory.launch(sim, move |mpi, ctx| {
         let me = mpi.rank();
         let b = &bufs[me];
         let dev = ctx.with_world_ref(|w, _| w.topo.device_of(me));
@@ -126,5 +125,5 @@ pub fn run_mpi<F: RankFactory>(
             mpi.send(ctx, res, 0, 1000);
         }
     });
-    drain(&mut sim, &result)
+    drain(sim, &result)
 }

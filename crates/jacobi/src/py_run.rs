@@ -4,10 +4,8 @@
 use std::sync::Arc;
 
 use rucx_charm4py::{launch, PY_CUDA_CALL};
-use rucx_fabric::Topology;
 use rucx_osu::cuda;
 use rucx_sim::time::as_ms;
-use rucx_ucp::build_sim;
 
 use crate::bufs::alloc_all;
 use crate::config::{
@@ -15,12 +13,15 @@ use crate::config::{
 };
 use crate::decomp::decompose;
 
-/// Run Jacobi3D on Charm4py; returns per-iteration timings (max over ranks).
-pub fn run_charm4py(cfg: &JacobiConfig) -> Result<JacobiResult, JacobiStall> {
-    let topo = Topology::summit(cfg.nodes);
-    let mut sim = build_sim(topo, cfg.machine.clone());
+/// Run Jacobi3D on Charm4py against a freshly built simulation of
+/// `cfg.nodes` Summit-like nodes (the caller keeps it, and can read its
+/// counters afterwards); returns per-iteration timings (max over ranks).
+pub fn run_charm4py_on(
+    sim: &mut rucx_ucp::MSim,
+    cfg: &JacobiConfig,
+) -> Result<JacobiResult, JacobiStall> {
     let grid = decompose(cfg.domain, cfg.ranks() as u64);
-    let bufs = Arc::new(alloc_all(&mut sim, cfg.domain, grid));
+    let bufs = Arc::new(alloc_all(sim, cfg.domain, grid));
     let result = Arc::new(rucx_compat::sync::Mutex::new(JacobiResult {
         overall_ms: 0.0,
         comm_ms: 0.0,
@@ -29,7 +30,7 @@ pub fn run_charm4py(cfg: &JacobiConfig) -> Result<JacobiResult, JacobiStall> {
     let (iters, warmup, mode) = (cfg.iters, cfg.warmup, cfg.mode);
     let ranks = cfg.ranks();
 
-    launch(&mut sim, move |py, ctx| {
+    launch(sim, move |py, ctx| {
         let me = py.rank();
         let b = &bufs[me];
         let dev = ctx.with_world_ref(|w, _| w.topo.device_of(me));
@@ -115,5 +116,5 @@ pub fn run_charm4py(cfg: &JacobiConfig) -> Result<JacobiResult, JacobiStall> {
             py.send_host(ctx, ch, payload);
         }
     });
-    drain(&mut sim, &result)
+    drain(sim, &result)
 }

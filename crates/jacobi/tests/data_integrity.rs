@@ -108,8 +108,8 @@ fn verify(sim: &MSim, blocks: &[Block], bufs: &[FaceBufs]) {
     // no tracked send is left behind.
     let m = sim.world();
     let lossy = m.faults.enabled();
-    assert_eq!(m.ucp.counters.get("ucp.retry") > 0, lossy);
-    assert_eq!(m.ucp.counters.get("ucp.unreachable"), 0);
+    assert_eq!(sim.metrics().get("ucp.retry") > 0, lossy);
+    assert_eq!(sim.metrics().get("ucp.unreachable"), 0);
     assert_eq!(m.ucp.inflight_tracked(), 0, "tracked sends must drain");
 }
 

@@ -450,10 +450,7 @@ mod tests {
             mpi.waitall(ctx, reqs);
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(
-            sim.world().ucp.counters.get("ucp.rndv.pipeline"),
-            2 * window as u64
-        );
+        assert_eq!(sim.metrics().get("ucp.rndv.pipeline"), 2 * window as u64);
     }
 
     #[test]
@@ -483,6 +480,6 @@ mod tests {
         // Only the buffer-sized prefix was delivered.
         let got = sim.world().gpu.pool.read(small).unwrap();
         assert_eq!(got, vec![0xCD; 32]);
-        assert_eq!(sim.world().ucp.counters.get("ucp.truncated"), 1);
+        assert_eq!(sim.metrics().get("ucp.truncated"), 1);
     }
 }

@@ -11,17 +11,18 @@ use rucx_sim::RunOutcome;
 
 use crate::cuda;
 use crate::mpi_like::{P2p, RankFactory};
-use crate::{setup, Mode, OsuConfig, Placement};
+use crate::{BenchSetup, Mode, OsuConfig, Placement};
 
-/// One bandwidth measurement (MB/s) for an MPI-style model.
+/// One bandwidth measurement (MB/s) for an MPI-style model; `s` as for
+/// [`crate::latency::mpi_latency_point`].
 pub fn mpi_bw_point<F: RankFactory>(
+    s: &mut BenchSetup,
     cfg: &OsuConfig,
-    size: u64,
     place: Placement,
     mode: Mode,
     factory: F,
 ) -> f64 {
-    let mut s = setup(&cfg.machine, size);
+    let size = s.size;
     let peer = place.peer();
     let (d, h, ack) = (
         Arc::new(s.d.clone()),

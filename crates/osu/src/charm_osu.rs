@@ -12,7 +12,7 @@ use rucx_sim::RunOutcome;
 use rucx_ucp::MCtx;
 
 use crate::cuda;
-use crate::{setup, Mode, OsuConfig, Placement};
+use crate::{BenchSetup, Mode, OsuConfig, Placement};
 
 struct LatChare {
     d: MemRef,
@@ -88,9 +88,10 @@ impl LatChare {
     }
 }
 
-/// One Charm++ latency measurement (µs).
-pub fn latency_point(cfg: &OsuConfig, size: u64, place: Placement, mode: Mode) -> f64 {
-    let mut s = setup(&cfg.machine, size);
+/// One Charm++ latency measurement (µs); `s` as for
+/// [`crate::latency::mpi_latency_point`].
+pub fn latency_point(s: &mut BenchSetup, cfg: &OsuConfig, place: Placement, mode: Mode) -> f64 {
+    let size = s.size;
     let peer = place.peer() as u64;
     let (d, h) = (Arc::new(s.d.clone()), Arc::new(s.h.clone()));
     let result = Arc::new(rucx_compat::sync::Mutex::new(0.0f64));
@@ -241,9 +242,10 @@ impl BwChare {
     }
 }
 
-/// One Charm++ bandwidth measurement (MB/s).
-pub fn bandwidth_point(cfg: &OsuConfig, size: u64, place: Placement, mode: Mode) -> f64 {
-    let mut s = setup(&cfg.machine, size);
+/// One Charm++ bandwidth measurement (MB/s); `s` as for
+/// [`crate::latency::mpi_latency_point`].
+pub fn bandwidth_point(s: &mut BenchSetup, cfg: &OsuConfig, place: Placement, mode: Mode) -> f64 {
+    let size = s.size;
     let peer = place.peer() as u64;
     let (d, h) = (Arc::new(s.d.clone()), Arc::new(s.h.clone()));
     let result = Arc::new(rucx_compat::sync::Mutex::new(0.0f64));

@@ -12,17 +12,18 @@ use rucx_sim::RunOutcome;
 
 use crate::cuda;
 use crate::mpi_like::{P2p, RankFactory};
-use crate::{setup, Mode, OsuConfig, Placement};
+use crate::{BenchSetup, Mode, OsuConfig, Placement};
 
-/// One latency measurement (µs) for an MPI-style model.
+/// One latency measurement (µs) for an MPI-style model, on a fresh
+/// [`crate::setup`] (the caller keeps it, and can read its counters after).
 pub fn mpi_latency_point<F: RankFactory>(
+    s: &mut BenchSetup,
     cfg: &OsuConfig,
-    size: u64,
     place: Placement,
     mode: Mode,
     factory: F,
 ) -> f64 {
-    let mut s = setup(&cfg.machine, size);
+    let size = s.size;
     let peer = place.peer();
     let (d, h) = (Arc::new(s.d.clone()), Arc::new(s.h.clone()));
     let result = Arc::new(rucx_compat::sync::Mutex::new(0.0f64));

@@ -15,6 +15,7 @@ pub mod latency;
 pub mod mpi_like;
 pub mod py_osu;
 
+use mpi_like::{AmpiFactory, OmpiFactory};
 use rucx_compat::json::{JsonObject, ToJson};
 use rucx_fabric::Topology;
 use rucx_gpu::MemRef;
@@ -182,6 +183,8 @@ pub fn ratio_range(r: &[(u64, f64)]) -> (f64, f64) {
 /// microbenchmark timing never depends on payload content).
 pub struct BenchSetup {
     pub sim: MSim,
+    /// The message size the buffers were allocated for.
+    pub size: u64,
     pub d: Vec<MemRef>,
     pub h: Vec<MemRef>,
     pub ack: Vec<MemRef>,
@@ -211,7 +214,13 @@ pub fn setup(machine: &MachineConfig, size: u64) -> BenchSetup {
             ack.push(m.gpu.pool.alloc_host(topo.node_of(p), 8, true, false));
         }
     }
-    BenchSetup { sim, d, h, ack }
+    BenchSetup {
+        sim,
+        size,
+        d,
+        h,
+        ack,
+    }
 }
 
 /// Run the latency benchmark for one model/mode/placement.
@@ -220,15 +229,12 @@ pub fn latency(cfg: &OsuConfig, model: Model, mode: Mode, place: Placement) -> S
         .sizes
         .iter()
         .map(|&size| {
+            let s = &mut setup(&cfg.machine, size);
             let us = match model {
-                Model::Ampi => {
-                    latency::mpi_latency_point(cfg, size, place, mode, mpi_like::AmpiFactory)
-                }
-                Model::Ompi => {
-                    latency::mpi_latency_point(cfg, size, place, mode, mpi_like::OmpiFactory)
-                }
-                Model::Charm => charm_osu::latency_point(cfg, size, place, mode),
-                Model::Charm4py => py_osu::latency_point(cfg, size, place, mode),
+                Model::Ampi => latency::mpi_latency_point(s, cfg, place, mode, AmpiFactory),
+                Model::Ompi => latency::mpi_latency_point(s, cfg, place, mode, OmpiFactory),
+                Model::Charm => charm_osu::latency_point(s, cfg, place, mode),
+                Model::Charm4py => py_osu::latency_point(s, cfg, place, mode),
             };
             (size, us)
         })
@@ -251,15 +257,12 @@ pub fn bandwidth(cfg: &OsuConfig, model: Model, mode: Mode, place: Placement) ->
         .sizes
         .iter()
         .map(|&size| {
+            let s = &mut setup(&cfg.machine, size);
             let mbps = match model {
-                Model::Ampi => {
-                    bandwidth::mpi_bw_point(cfg, size, place, mode, mpi_like::AmpiFactory)
-                }
-                Model::Ompi => {
-                    bandwidth::mpi_bw_point(cfg, size, place, mode, mpi_like::OmpiFactory)
-                }
-                Model::Charm => charm_osu::bandwidth_point(cfg, size, place, mode),
-                Model::Charm4py => py_osu::bandwidth_point(cfg, size, place, mode),
+                Model::Ampi => bandwidth::mpi_bw_point(s, cfg, place, mode, AmpiFactory),
+                Model::Ompi => bandwidth::mpi_bw_point(s, cfg, place, mode, OmpiFactory),
+                Model::Charm => charm_osu::bandwidth_point(s, cfg, place, mode),
+                Model::Charm4py => py_osu::bandwidth_point(s, cfg, place, mode),
             };
             (size, mbps)
         })

@@ -7,11 +7,12 @@ use rucx_charm4py::launch;
 use rucx_sim::time::{as_us, bandwidth_mbps};
 use rucx_sim::RunOutcome;
 
-use crate::{setup, Mode, OsuConfig, Placement};
+use crate::{BenchSetup, Mode, OsuConfig, Placement};
 
-/// One Charm4py latency measurement (µs).
-pub fn latency_point(cfg: &OsuConfig, size: u64, place: Placement, mode: Mode) -> f64 {
-    let mut s = setup(&cfg.machine, size);
+/// One Charm4py latency measurement (µs); `s` as for
+/// [`crate::latency::mpi_latency_point`].
+pub fn latency_point(s: &mut BenchSetup, cfg: &OsuConfig, place: Placement, mode: Mode) -> f64 {
+    let size = s.size;
     let peer = place.peer();
     let (d, h) = (Arc::new(s.d.clone()), Arc::new(s.h.clone()));
     let result = Arc::new(rucx_compat::sync::Mutex::new(0.0f64));
@@ -72,9 +73,10 @@ pub fn latency_point(cfg: &OsuConfig, size: u64, place: Placement, mode: Mode) -
     r
 }
 
-/// One Charm4py bandwidth measurement (MB/s).
-pub fn bandwidth_point(cfg: &OsuConfig, size: u64, place: Placement, mode: Mode) -> f64 {
-    let mut s = setup(&cfg.machine, size);
+/// One Charm4py bandwidth measurement (MB/s); `s` as for
+/// [`crate::latency::mpi_latency_point`].
+pub fn bandwidth_point(s: &mut BenchSetup, cfg: &OsuConfig, place: Placement, mode: Mode) -> f64 {
+    let size = s.size;
     let peer = place.peer();
     let (d, h) = (Arc::new(s.d.clone()), Arc::new(s.h.clone()));
     let result = Arc::new(rucx_compat::sync::Mutex::new(0.0f64));

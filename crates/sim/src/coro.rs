@@ -13,11 +13,11 @@
 //!
 //! ## Supported targets
 //!
-//! Linux on x86_64 (System V ABI; built and tested) and on aarch64
-//! (AAPCS64; written against the ABI document but **not compiled in this
-//! environment**, which has no aarch64 target installed). Anything else is
-//! a `compile_error!` naming the two functions to port: [`transfer`] and
+//! Linux on x86_64 (System V ABI; built and tested). Anything else is a
+//! `compile_error!` naming the two functions to port: [`transfer`] and
 //! `trampoline`, plus the initial frame `Stack::prepare` lays out for them.
+//! An AAPCS64 port was written but never assembled, so it is not carried:
+//! `git show cb997ad:crates/sim/src/coro.rs` has it.
 //!
 //! ## What a context may rely on
 //!
@@ -33,10 +33,11 @@ use std::ffi::c_void;
 
 use rucx_compat::sync::Mutex;
 
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "x86_64"))]
 compile_error!(
-    "rucx-sim's coroutines support x86_64 and aarch64 only: port `transfer` and \
-     `trampoline` (and the initial frame in `Stack::prepare`) in crates/sim/src/coro.rs"
+    "rucx-sim's coroutines support x86_64 only: port `transfer` and `trampoline` (and the \
+     initial frame in `Stack::prepare`) in crates/sim/src/coro.rs; a never-assembled aarch64 \
+     draft is in `git show cb997ad:crates/sim/src/coro.rs`"
 );
 
 #[cfg(not(target_os = "linux"))]
@@ -151,59 +152,6 @@ unsafe extern "C" fn trampoline() -> ! {
         "call r13",     // entry(arg, payload) -> !
         "ud2",
     )
-}
-
-/// AAPCS64: x0 = save, x1 = to, x2 = payload. Callee-saved state is
-/// x19-x28, x29 (fp), x30 (lr), d8-d15 and FPCR. Not compiled in the
-/// environment this was written in; see the module docs.
-#[cfg(target_arch = "aarch64")]
-#[unsafe(naked)]
-pub(crate) unsafe extern "C" fn transfer(
-    save: *mut StackPtr,
-    to: StackPtr,
-    payload: *mut (),
-) -> *mut () {
-    std::arch::naked_asm!(
-        "sub sp, sp, #176",
-        "stp x19, x20, [sp, #0]",
-        "stp x21, x22, [sp, #16]",
-        "stp x23, x24, [sp, #32]",
-        "stp x25, x26, [sp, #48]",
-        "stp x27, x28, [sp, #64]",
-        "stp x29, x30, [sp, #80]",
-        "stp d8, d9, [sp, #96]",
-        "stp d10, d11, [sp, #112]",
-        "stp d12, d13, [sp, #128]",
-        "stp d14, d15, [sp, #144]",
-        "mrs x9, fpcr",
-        "str x9, [sp, #160]",
-        "mov x9, sp",
-        "str x9, [x0]",
-        "mov sp, x1",
-        "ldp x19, x20, [sp, #0]",
-        "ldp x21, x22, [sp, #16]",
-        "ldp x23, x24, [sp, #32]",
-        "ldp x25, x26, [sp, #48]",
-        "ldp x27, x28, [sp, #64]",
-        "ldp x29, x30, [sp, #80]",
-        "ldp d8, d9, [sp, #96]",
-        "ldp d10, d11, [sp, #112]",
-        "ldp d12, d13, [sp, #128]",
-        "ldp d14, d15, [sp, #144]",
-        "ldr x9, [sp, #160]",
-        "msr fpcr, x9",
-        "add sp, sp, #176",
-        "mov x0, x2",
-        "ret",
-    )
-}
-
-/// First activation on aarch64: payload arrives in x0, arg in x19, entry
-/// in x20.
-#[cfg(target_arch = "aarch64")]
-#[unsafe(naked)]
-unsafe extern "C" fn trampoline() -> ! {
-    std::arch::naked_asm!("mov x1, x0", "mov x0, x19", "blr x20", "brk #1")
 }
 
 /// A private stack: `usable` writable bytes above one `PROT_NONE` guard
@@ -361,18 +309,6 @@ fn initial_frame(entry: Entry, arg: usize) -> [u64; 10] {
     frame[3] = entry as usize as u64;
     frame[4] = arg as u64;
     frame[7] = trampoline as *const () as usize as u64;
-    frame
-}
-
-/// The 176 bytes `transfer` loads, in its store order: x19 = arg,
-/// x20 = entry, x29 = 0, x30 = trampoline, d8-d15 = 0, FPCR = 0 (round to
-/// nearest, no traps). `sp` stays 16-byte aligned throughout.
-#[cfg(target_arch = "aarch64")]
-fn initial_frame(entry: Entry, arg: usize) -> [u64; 22] {
-    let mut frame = [0u64; 22];
-    frame[0] = arg as u64;
-    frame[1] = entry as usize as u64;
-    frame[11] = trampoline as *const () as usize as u64;
     frame
 }
 

@@ -32,6 +32,12 @@
 //!   workloads that build many simulations back to back map their stacks
 //!   once. The only `unsafe` outside it is the baton hand-off that calls
 //!   the switch (`sim::hand_off` and its three callers).
+//! - [`trace`] and [`stats`] — the one observability sink: a ring of typed
+//!   trace events and a table of named counters, both owned by the
+//!   [`Scheduler`] so every model layer records through the handle it
+//!   already holds (`count`, `count_n`, `mark`, `trace_instant`,
+//!   `trace_span`, `trace_span_in`) and a run is read back from one place
+//!   ([`Simulation::metrics`], `scheduler_ref().trace`).
 //!
 //! Determinism: events are dispatched in `(time, insertion order)`; processes
 //! woken at the same instant run in wake order; exactly one context holds
@@ -64,6 +70,6 @@ pub use process::ProcCtx;
 pub use queue::Backend;
 pub use sched::{EventKey, Notify, ProcId, Scheduler, Trigger};
 pub use sim::{RunOutcome, SimConfig, Simulation};
-pub use stats::{Counters, DurationStats, Metric, MetricKind};
+pub use stats::{Counters, Metric};
 pub use time::{Duration, Time};
 pub use trace::{Phase, TraceEvent, TraceSink};

@@ -11,6 +11,7 @@ use std::collections::VecDeque;
 
 pub use crate::queue::EventKey;
 use crate::queue::{Due, EventQueue};
+use crate::stats::{Counters, Metric};
 use crate::time::{Duration, Time};
 use crate::trace::TraceSink;
 
@@ -92,6 +93,10 @@ pub struct Scheduler<W> {
     /// Structured trace sink (see [`crate::trace`]): ring-buffered typed
     /// events stamped with virtual time, disabled (and free) by default.
     pub trace: TraceSink,
+    /// The simulation's one counter namespace (see [`crate::stats`]):
+    /// every layer counts here through [`Scheduler::count`],
+    /// [`Scheduler::count_n`] and [`Scheduler::mark`]; read by name.
+    pub metrics: Counters,
 }
 
 impl<W> Default for Scheduler<W> {
@@ -114,6 +119,7 @@ impl<W> Scheduler<W> {
             runnable: VecDeque::new(),
             stopped: false,
             trace: TraceSink::new(),
+            metrics: Counters::default(),
         }
     }
 
@@ -148,12 +154,32 @@ impl<W> Scheduler<W> {
         self.trace.enabled()
     }
 
+    /// Count one occurrence of `m`.
+    #[inline]
+    pub fn count(&mut self, m: Metric) {
+        self.metrics.add(m, 1);
+    }
+
+    /// Add `v` to `m`; adding zero does not register the name.
+    #[inline]
+    pub fn count_n(&mut self, m: Metric, v: u64) {
+        if v != 0 {
+            self.metrics.add(m, v);
+        }
+    }
+
+    /// A counted event: count `m` and, when tracing, record an instant of
+    /// the same name at the current virtual time.
+    #[inline]
+    pub fn mark(&mut self, m: Metric, pe: u32, id: u64, arg: u64) {
+        self.count(m);
+        self.trace_instant(m.name, pe, id, arg);
+    }
+
     /// Record a trace instant at the current virtual time.
     #[inline]
     pub fn trace_instant(&mut self, name: &'static str, pe: u32, id: u64, arg: u64) {
-        if self.trace.enabled() {
-            self.trace.instant(name, self.now, pe, id, arg);
-        }
+        self.trace.instant(name, self.now, pe, id, arg);
     }
 
     /// Record a trace span `[start, end]` (virtual times).
@@ -167,19 +193,15 @@ impl<W> Scheduler<W> {
         id: u64,
         arg: u64,
     ) {
-        if self.trace.enabled() {
-            self.trace.span(name, start, end, pe, id, arg);
-        }
+        self.trace.span(name, start, end, pe, id, arg);
     }
 
     /// Record a trace span starting at the current time and lasting `dur` —
     /// the shape protocol code uses when it schedules work `dur` ahead.
     #[inline]
     pub fn trace_span_in(&mut self, name: &'static str, dur: Duration, pe: u32, id: u64, arg: u64) {
-        if self.trace.enabled() {
-            self.trace
-                .span(name, self.now, self.now.saturating_add(dur), pe, id, arg);
-        }
+        self.trace
+            .span(name, self.now, self.now.saturating_add(dur), pe, id, arg);
     }
 
     /// The one way into the queue. The clamp to the present and the FIFO
@@ -451,6 +473,31 @@ mod tests {
         assert!(s.add_notify_waiter(n, seen2, ProcId(2)));
         s.notify(n);
         assert_eq!(s.runnable.pop_front(), Some(ProcId(2)));
+    }
+
+    #[test]
+    fn mark_counts_always_and_traces_when_enabled() {
+        const HELD: Metric = Metric::counter("test.held");
+        const NEVER: Metric = Metric::counter("test.never");
+        let mut s = S::new();
+        s.mark(HELD, 1, 2, 3);
+        assert_eq!(s.metrics.get("test.held"), 1);
+        assert_eq!(s.trace.len(), 0, "tracing is off");
+
+        s.trace.enable(16);
+        s.set_now(40);
+        s.mark(HELD, 1, 2, 3);
+        assert_eq!(s.metrics.get("test.held"), 2);
+        let ev: Vec<_> = s.trace.events().collect();
+        assert_eq!(ev.len(), 1, "one instant per traced mark");
+        let e = ev[0];
+        assert_eq!((e.name, e.ts, e.dur()), ("test.held", 40, 0));
+        assert_eq!((e.pe, e.id, e.arg), (1, 2, 3));
+
+        s.count_n(NEVER, 0);
+        s.count_n(HELD, 5);
+        let all: Vec<_> = s.metrics.iter().collect();
+        assert_eq!(all, [("test.held", 7)], "adding zero registers nothing");
     }
 
     #[test]

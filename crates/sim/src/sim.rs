@@ -15,6 +15,7 @@ use crate::coro::{self, StackPtr};
 use crate::process::{Body, ProcCtx, ProcSlot, ProcState};
 use crate::queue::Due;
 use crate::sched::{EventPayload, ProcId, Scheduler};
+use crate::stats::Counters;
 use crate::time::Time;
 
 /// Why [`Simulation::run_until`] returned.
@@ -304,6 +305,11 @@ impl<W: Send + 'static> Simulation<W> {
     /// Immutable access to the scheduler (between runs).
     pub fn scheduler_ref(&self) -> &Scheduler<W> {
         &self.core().sched
+    }
+
+    /// The simulation's counters (between runs): `sim.metrics().get(name)`.
+    pub fn metrics(&self) -> &Counters {
+        &self.core().sched.metrics
     }
 
     /// Spawn a simulated process whose body starts at virtual time `start`.

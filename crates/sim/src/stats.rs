@@ -1,224 +1,49 @@
-//! Lightweight measurement helpers shared by the benchmark harnesses.
+//! The counter half of the observability sink.
+//!
+//! One [`Counters`] lives in the [`crate::Scheduler`] (`sched.metrics`)
+//! beside the trace sink, so a simulation has exactly one namespace of
+//! counted events and every model layer records into it through the
+//! scheduler it already holds ([`crate::Scheduler::count`],
+//! [`crate::Scheduler::count_n`], [`crate::Scheduler::mark`]).
 
-use rucx_compat::rng::splitmix64;
-
-use crate::time::Duration;
-
-/// Cap on retained percentile samples: below it [`DurationStats`] keeps
-/// every sample (exact percentiles), above it a deterministic reservoir.
-pub const RESERVOIR_CAP: usize = 4096;
-
-/// Online accumulator for a series of duration samples.
+/// A typed handle into the metrics namespace: a static name.
 ///
-/// Count/sum/min/max are exact regardless of volume. Percentiles come from
-/// a retained sample set: exact while `count <= RESERVOIR_CAP`, and a
-/// deterministic Algorithm-R reservoir beyond that (replacement indices are
-/// drawn from a fixed-seed splitmix64 stream, so two identical runs keep
-/// identical reservoirs).
-#[derive(Debug, Clone)]
-pub struct DurationStats {
-    count: u64,
-    sum: u128,
-    min: Option<Duration>,
-    max: Option<Duration>,
-    samples: Vec<Duration>,
-    rng_state: u64,
-}
-
-impl Default for DurationStats {
-    fn default() -> Self {
-        DurationStats {
-            count: 0,
-            sum: 0,
-            min: None,
-            max: None,
-            samples: Vec::new(),
-            rng_state: 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-}
-
-impl DurationStats {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, d: Duration) {
-        self.count += 1;
-        self.sum += d as u128;
-        self.min = Some(self.min.map_or(d, |m| m.min(d)));
-        self.max = Some(self.max.map_or(d, |m| m.max(d)));
-        if self.samples.len() < RESERVOIR_CAP {
-            self.samples.push(d);
-        } else {
-            // Algorithm R with a deterministic stream: each arrival takes a
-            // reservoir slot with probability CAP/count.
-            let j = splitmix64(&mut self.rng_state) % self.count;
-            if (j as usize) < RESERVOIR_CAP {
-                self.samples[j as usize] = d;
-            }
-        }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean sample in nanoseconds (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    pub fn min(&self) -> Option<Duration> {
-        self.min
-    }
-
-    pub fn max(&self) -> Option<Duration> {
-        self.max
-    }
-
-    pub fn total(&self) -> u128 {
-        self.sum
-    }
-
-    /// True while the retained sample set contains *every* recorded sample
-    /// (percentiles are exact, not estimated).
-    pub fn exact(&self) -> bool {
-        self.count as usize == self.samples.len()
-    }
-
-    /// The `p`-th percentile (0..=100) by nearest rank over the retained
-    /// samples. `None` if no samples were recorded.
-    pub fn percentile(&self, p: f64) -> Option<Duration> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = (p.clamp(0.0, 100.0) / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-        Some(sorted[rank])
-    }
-
-    /// Median (50th percentile).
-    pub fn median(&self) -> Option<Duration> {
-        self.percentile(50.0)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> Option<Duration> {
-        self.percentile(99.0)
-    }
-
-    /// Merge another accumulator into this one. Exact fields combine
-    /// exactly; the percentile reservoirs concatenate, and if the result
-    /// overflows [`RESERVOIR_CAP`] it is thinned by a deterministic stride
-    /// so both inputs stay represented proportionally.
-    pub fn merge(&mut self, other: &DurationStats) {
-        self.count += other.count;
-        self.sum += other.sum;
-        if let Some(m) = other.min {
-            self.min = Some(self.min.map_or(m, |x| x.min(m)));
-        }
-        if let Some(m) = other.max {
-            self.max = Some(self.max.map_or(m, |x| x.max(m)));
-        }
-        self.samples.extend_from_slice(&other.samples);
-        if self.samples.len() > RESERVOIR_CAP {
-            let n = self.samples.len();
-            let thinned: Vec<Duration> = (0..RESERVOIR_CAP)
-                .map(|i| self.samples[i * n / RESERVOIR_CAP])
-                .collect();
-            self.samples = thinned;
-        }
-    }
-}
-
-/// What a [`Metric`] measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Monotonically increasing count (protocol choices, cache hits…).
-    Counter,
-    /// Last-write-wins level (queue depth, in-flight operations…).
-    Gauge,
-}
-
-/// A typed handle into the metrics registry: a static name plus a kind.
-///
-/// Model layers declare their metrics as `const`s in a per-crate
-/// `metrics` module (e.g. `rucx_ucp::metrics::RNDV_IPC`) and pass the
-/// handle to [`Counters`]; ad-hoc string literals at call sites are
-/// rejected by `scripts/check.sh`. The name is still the stable external
+/// Model layers declare every name they emit — counters and trace events
+/// alike — as `const`s in a per-crate `metrics` module (e.g.
+/// `rucx_ucp::metrics::RNDV_IPC`) and pass the handle to the scheduler;
+/// string literals at call sites are rejected by `scripts/check.sh`, and
+/// so is the same literal declared twice. The name is the stable external
 /// identity — tests and JSON output read by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Metric {
     pub name: &'static str,
-    pub kind: MetricKind,
 }
 
 impl Metric {
-    /// Declare a counter metric.
+    /// Declare a counter: a monotonically increasing count (protocol
+    /// choices, cache hits, bytes…).
     pub const fn counter(name: &'static str) -> Self {
-        Metric {
-            name,
-            kind: MetricKind::Counter,
-        }
-    }
-
-    /// Declare a gauge metric.
-    pub const fn gauge(name: &'static str) -> Self {
-        Metric {
-            name,
-            kind: MetricKind::Gauge,
-        }
+        Metric { name }
     }
 }
 
-/// The unified metrics registry: named counter/gauge values with
-/// deterministic iteration order (insertion order). Updates go through
-/// typed [`Metric`] handles; reads are by name (0 if never touched).
+/// Named counter values with deterministic (insertion) iteration order.
+/// Updates go through typed [`Metric`] handles; reads are by name.
 #[derive(Debug, Clone, Default)]
 pub struct Counters {
     entries: Vec<(&'static str, u64)>,
 }
 
 impl Counters {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn entry(&mut self, name: &'static str) -> &mut u64 {
-        if let Some(i) = self.entries.iter().position(|(n, _)| *n == name) {
-            &mut self.entries[i].1
-        } else {
-            self.entries.push((name, 0));
-            let last = self.entries.len() - 1;
-            &mut self.entries[last].1
+    /// Add `v` to counter `m`, creating it at zero if absent.
+    pub fn add(&mut self, m: Metric, v: u64) {
+        match self.entries.iter_mut().find(|(n, _)| *n == m.name) {
+            Some((_, c)) => *c += v,
+            None => self.entries.push((m.name, v)),
         }
     }
 
-    /// Add `v` to counter `m`, creating it at zero if absent.
-    pub fn add(&mut self, m: Metric, v: u64) {
-        debug_assert_eq!(m.kind, MetricKind::Counter, "add() on gauge {}", m.name);
-        *self.entry(m.name) += v;
-    }
-
-    /// Increment counter `m` by one.
-    pub fn bump(&mut self, m: Metric) {
-        self.add(m, 1);
-    }
-
-    /// Set gauge `m` to `v` (last write wins).
-    pub fn set(&mut self, m: Metric, v: u64) {
-        debug_assert_eq!(m.kind, MetricKind::Gauge, "set() on counter {}", m.name);
-        *self.entry(m.name) = v;
-    }
-
-    /// Read a metric by name (0 if never touched).
+    /// Read a counter by name (0 if never touched).
     pub fn get(&self, name: &str) -> u64 {
         self.entries
             .iter()
@@ -237,120 +62,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_accumulate() {
-        let mut s = DurationStats::new();
-        assert_eq!(s.mean(), 0.0);
-        for d in [10, 20, 30] {
-            s.record(d);
-        }
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.mean(), 20.0);
-        assert_eq!(s.min(), Some(10));
-        assert_eq!(s.max(), Some(30));
-    }
-
-    #[test]
-    fn stats_merge() {
-        let mut a = DurationStats::new();
-        a.record(5);
-        let mut b = DurationStats::new();
-        b.record(15);
-        b.record(25);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), Some(5));
-        assert_eq!(a.max(), Some(25));
-        assert_eq!(a.mean(), 15.0);
-    }
-
-    #[test]
-    fn percentiles_are_exact_below_cap() {
-        let mut s = DurationStats::new();
-        assert_eq!(s.median(), None);
-        for d in 1..=100u64 {
-            s.record(d);
-        }
-        assert!(s.exact());
-        // Nearest-rank on an even count resolves upward: rank 50 of 0..=99.
-        assert_eq!(s.median(), Some(51));
-        assert_eq!(s.p99(), Some(99));
-        assert_eq!(s.percentile(0.0), Some(1));
-        assert_eq!(s.percentile(100.0), Some(100));
-    }
-
-    #[test]
-    fn merge_preserves_percentiles() {
-        let mut a = DurationStats::new();
-        let mut b = DurationStats::new();
-        for d in 1..=50u64 {
-            a.record(d);
-        }
-        for d in 51..=100u64 {
-            b.record(d);
-        }
-        a.merge(&b);
-        assert!(a.exact());
-        assert_eq!(a.median(), Some(51));
-        assert_eq!(a.p99(), Some(99));
-    }
-
-    #[test]
-    fn reservoir_is_deterministic_and_bounded() {
-        let run = || {
-            let mut s = DurationStats::new();
-            for d in 0..(3 * RESERVOIR_CAP as u64) {
-                s.record(d * 7 % 50_000);
-            }
-            (s.median(), s.p99(), s.count())
-        };
-        let (m, p, c) = run();
-        assert_eq!((m, p, c), run());
-        assert_eq!(c, 3 * RESERVOIR_CAP as u64);
-        // The reservoir estimate of a ~uniform [0, 50k) stream must land
-        // near the true median/p99.
-        let med = m.unwrap() as f64;
-        assert!((20_000.0..30_000.0).contains(&med), "median {med}");
-        let p99 = p.unwrap() as f64;
-        assert!(p99 > 45_000.0, "p99 {p99}");
-    }
-
-    #[test]
-    fn merged_overflow_reservoir_stays_bounded_and_representative() {
-        let mut a = DurationStats::new();
-        let mut b = DurationStats::new();
-        for d in 0..RESERVOIR_CAP as u64 {
-            a.record(10); // low half
-            b.record(1_000); // high half
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 2 * RESERVOIR_CAP as u64);
-        // Median of an even low/high mix must be one of the two modes, and
-        // both modes must survive the thinning.
-        assert!(a.percentile(25.0) == Some(10));
-        assert!(a.percentile(75.0) == Some(1_000));
-    }
-
-    #[test]
-    fn counters_bump_and_get() {
+    fn counters_add_and_get() {
         const EAGER: Metric = Metric::counter("eager");
         const RNDV: Metric = Metric::counter("rndv");
-        let mut c = Counters::new();
-        c.bump(EAGER);
-        c.bump(EAGER);
+        let mut c = Counters::default();
+        c.add(EAGER, 1);
+        c.add(EAGER, 1);
         c.add(RNDV, 5);
         assert_eq!(c.get("eager"), 2);
         assert_eq!(c.get("rndv"), 5);
         assert_eq!(c.get("missing"), 0);
         let names: Vec<_> = c.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["eager", "rndv"]);
-    }
-
-    #[test]
-    fn gauges_are_last_write_wins() {
-        const DEPTH: Metric = Metric::gauge("queue.depth");
-        let mut c = Counters::new();
-        c.set(DEPTH, 4);
-        c.set(DEPTH, 2);
-        assert_eq!(c.get("queue.depth"), 2);
     }
 }

@@ -1,10 +1,13 @@
 //! Structured, deterministic event tracing (`rucx-trace`).
 //!
-//! A per-world ring-buffered sink records typed spans and instants stamped
-//! with virtual time, PE, and a message id, across every layer of the stack
-//! (`ucp.*`, `fabric.*`, `charm.*`, `ampi.*`, `charm4py.*`). The sink lives
-//! inside the [`crate::Scheduler`] so every emission site — event closures,
-//! world calls, protocol state machines — already has it in hand.
+//! A per-simulation ring-buffered sink records typed spans and instants
+//! stamped with virtual time, PE, and a message id, across every layer of
+//! the stack (`ucp.*`, `fault.*`, `fabric.*`, `charm.*`, `ampi.*`,
+//! `charm4py.*`). The sink lives inside the [`crate::Scheduler`], beside
+//! the counters ([`crate::stats`]), so every emission site — event
+//! closures, world calls, protocol state machines — already has it in
+//! hand; an event that is also counted is recorded with
+//! [`crate::Scheduler::mark`], which names it once.
 //!
 //! Design constraints, in order:
 //!
@@ -42,9 +45,9 @@ pub enum Phase {
     Complete(Duration),
 }
 
-/// One trace record. `name` is a `&'static str` from the emitting layer's
-/// event taxonomy (e.g. `"ucp.rndv.rts"`), never a formatted string — both
-/// for cost and so the set of names is greppable.
+/// One trace record. `name` is a `&'static str` constant from the emitting
+/// crate's `metrics.rs` (e.g. `rucx_ucp::metrics::TRACE_RNDV_RTS`), never a
+/// formatted string — both for cost and so the set of names is closed.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceEvent {
     pub name: &'static str,

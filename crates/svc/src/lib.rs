@@ -34,10 +34,15 @@ use rucx_fabric::Topology;
 use rucx_fault::FaultSpec;
 use rucx_gpu::MemRef;
 use rucx_sim::time::{as_us, us, Duration, Time};
-use rucx_sim::{RunOutcome, TraceEvent};
+use rucx_sim::{Counters, RunOutcome, TraceEvent};
 use rucx_ucp::{build_sim, reg_invalidate, MCtx, MachineConfig};
 
 pub mod metrics;
+
+/// Resubmissions allowed per task before it is declared failed.
+pub const MAX_RESUBMIT: u32 = 3;
+/// Consecutive per-worker timeouts before its circuit breaker opens.
+pub const BREAKER_THRESHOLD: u32 = 2;
 
 /// Client ranks (node 0 plus two ranks of node 1 on `summit(2)`).
 pub const CLIENT_RANKS: usize = 8;
@@ -142,38 +147,30 @@ struct Pending {
     client: u64,
     arg: u64,
     worker: usize,
-    /// Virtual-time deadline (0 in legacy mode, which never reads it).
+    /// Virtual-time deadline (`Time::MAX` when the frontend has none).
     deadline: Time,
     resubmits: u32,
-}
-
-/// Bump a service-layer counter in the world's shared counter map.
-fn bump(ctx: &mut MCtx, m: rucx_sim::Metric) {
-    ctx.with_world(move |w, _| w.ucp.counters.bump(m));
 }
 
 /// Client-side futures frontend (the `distributed.Client` analogue):
 /// scatter a dataset once, submit many tasks against it, gather results.
 /// One frontend serves every logical client multiplexed on its rank.
 ///
-/// With [`Frontend::deadline`] set (the recovery mode; [`LoadCfg`]'s
-/// `deadline_us`), the frontend survives worker failure: tasks that miss
-/// their deadline are resubmitted to a surviving worker (re-scattering the
-/// dataset on demand), each worker carries a circuit breaker that opens
-/// after `breaker_threshold` consecutive timeouts (or immediately on a UCP
+/// With [`Frontend::deadline`] set ([`LoadCfg`]'s `deadline_us`), the
+/// frontend survives worker failure: tasks that miss their deadline are
+/// resubmitted to a surviving worker (re-scattering the dataset on
+/// demand), each worker carries a circuit breaker that opens after
+/// [`BREAKER_THRESHOLD`] consecutive timeouts (or immediately on a UCP
 /// endpoint give-up), and a late result for an already-gathered task is
 /// counted as a duplicate — never twice. Results stay byte-identical to a
 /// clean run because [`task_checksum`] is content-pure: any worker
-/// computes the same answer.
+/// computes the same answer. Without a deadline the same drain path simply
+/// never times out: it is the blocking wait.
 pub struct Frontend {
     workers: Vec<usize>,
     pending: IdMap<u64, Pending>,
-    /// Per-task deadline; 0 keeps the legacy blocking drain path.
-    pub deadline: Duration,
-    /// Resubmissions allowed per task before it is declared failed.
-    pub max_resubmit: u32,
-    /// Consecutive timeouts before a worker's breaker opens.
-    pub breaker_threshold: u32,
+    /// Per-task deadline; `None` waits for every result indefinitely.
+    pub deadline: Option<Duration>,
     /// Consecutive timeout count per worker (reset by any result).
     fail_count: IdMap<usize, u32>,
     /// Workers with an open breaker. Never reused: an endpoint give-up
@@ -188,7 +185,7 @@ pub struct Frontend {
     pub results: Vec<(u64, u64)>,
     /// `(task id, submit-to-result latency)` for every gathered task.
     pub latencies: Vec<(u64, Time)>,
-    /// Tasks abandoned after `max_resubmit` or with no eligible worker.
+    /// Tasks abandoned after [`MAX_RESUBMIT`] or with no eligible worker.
     pub failed: Vec<u64>,
 }
 
@@ -197,9 +194,7 @@ impl Frontend {
         Frontend {
             workers,
             pending: IdMap::default(),
-            deadline: 0,
-            max_resubmit: 3,
-            breaker_threshold: 2,
+            deadline: None,
             fail_count: IdMap::default(),
             tripped: IdSet::default(),
             placed: IdSet::default(),
@@ -260,11 +255,7 @@ impl Frontend {
                 client: data.client,
                 arg,
                 worker: data.worker,
-                deadline: if self.deadline > 0 {
-                    now + self.deadline
-                } else {
-                    0
-                },
+                deadline: self.deadline_from(now),
                 resubmits: 0,
             },
         );
@@ -284,72 +275,50 @@ impl Frontend {
         self.pending.len()
     }
 
-    /// Block until one result arrives from any worker; record its latency
-    /// and verify the checksum against the client-side expectation. In
-    /// recovery mode ([`Frontend::deadline`] set) the wait is bounded: an
-    /// expired deadline resubmits or fails the overdue tasks instead.
-    pub fn drain_one(&mut self, py: &mut PyProc, ctx: &mut MCtx) {
-        if self.deadline > 0 {
-            self.drain_one_recover(py, ctx);
-            return;
-        }
-        let workers = self.workers.clone();
-        let (_, bytes) = py.recv_host_any(ctx, &workers);
-        let msg = decode(&bytes.expect("svc result payload"));
-        match msg {
-            SvcMsg::Result { task, checksum } => {
-                let p = self.pending.remove(&task).expect("result for known task");
-                assert_eq!(
-                    checksum, p.expected,
-                    "task {task} computed a wrong checksum"
-                );
-                self.results.push((task, checksum));
-                self.latencies.push((task, ctx.now() - p.submitted));
-            }
-            _ => panic!("unexpected message on client rank"),
-        }
+    /// The deadline of a task (re)submitted at `now`.
+    fn deadline_from(&self, now: Time) -> Time {
+        self.deadline.map_or(Time::MAX, |d| now + d)
     }
 
-    /// One recovery-mode drain step: surface endpoint give-ups, then wait
-    /// for a result until the earliest outstanding deadline. Every call
-    /// either gathers a result, absorbs a duplicate, or expires at least
+    /// One drain step: surface endpoint give-ups, then wait for a result
+    /// from any worker — with [`Frontend::deadline`] set, only until the
+    /// earliest outstanding deadline. Every call either gathers a result
+    /// (recording its latency and verifying the checksum against the
+    /// client-side expectation), absorbs a duplicate, or expires at least
     /// one overdue task — so `gather_all` terminates even with every
-    /// worker dead (tasks drain into `failed` once `max_resubmit` and the
-    /// eligible-worker pool are exhausted).
-    fn drain_one_recover(&mut self, py: &mut PyProc, ctx: &mut MCtx) {
+    /// worker dead (tasks drain into `failed` once [`MAX_RESUBMIT`] and
+    /// the eligible-worker pool are exhausted).
+    pub fn drain_one(&mut self, py: &mut PyProc, ctx: &mut MCtx) {
         self.reap_exceptions(py, ctx);
         if self.pending.is_empty() {
             return;
         }
         let dl = self
-            .pending
-            .values()
-            .map(|p| p.deadline)
-            .min()
-            .expect("pending non-empty");
+            .deadline
+            .and_then(|_| self.pending.values().map(|p| p.deadline).min());
         let workers = self.workers.clone();
-        match py.recv_host_any_deadline(ctx, &workers, dl) {
-            Some((peer, bytes)) => {
-                let msg = decode(&bytes.expect("svc result payload"));
-                match msg {
-                    SvcMsg::Result { task, checksum } => match self.pending.remove(&task) {
-                        Some(p) => {
-                            assert_eq!(
-                                checksum, p.expected,
-                                "task {task} computed a wrong checksum"
-                            );
-                            self.fail_count.insert(peer, 0);
-                            self.results.push((task, checksum));
-                            self.latencies.push((task, ctx.now() - p.submitted));
-                        }
-                        // The original worker answered after the task was
-                        // resubmitted and gathered: absorb, never count twice.
-                        None => bump(ctx, metrics::DUP_RESULT),
-                    },
-                    _ => panic!("unexpected message on client rank"),
+        let Some((peer, bytes)) = py.recv_host_any(ctx, &workers, dl) else {
+            return self.expire_overdue(py, ctx);
+        };
+        match decode(&bytes.expect("svc result payload")) {
+            SvcMsg::Result { task, checksum } => match self.pending.remove(&task) {
+                Some(p) => {
+                    assert_eq!(
+                        checksum, p.expected,
+                        "task {task} computed a wrong checksum"
+                    );
+                    self.fail_count.insert(peer, 0);
+                    self.results.push((task, checksum));
+                    self.latencies.push((task, ctx.now() - p.submitted));
                 }
-            }
-            None => self.expire_overdue(py, ctx),
+                // The original worker answered after the task was
+                // resubmitted and gathered: absorb, never count twice.
+                None => {
+                    assert!(self.deadline.is_some(), "result for unknown task {task}");
+                    ctx.with_world(|_, s| s.count(metrics::DUP_RESULT))
+                }
+            },
+            _ => panic!("unexpected message on client rank"),
         }
     }
 
@@ -372,7 +341,7 @@ impl Frontend {
 
     fn trip(&mut self, ctx: &mut MCtx, worker: usize) {
         if self.tripped.insert(worker) {
-            bump(ctx, metrics::BREAKER_OPEN);
+            ctx.with_world(|_, s| s.count(metrics::BREAKER_OPEN));
         }
     }
 
@@ -388,14 +357,14 @@ impl Frontend {
             .collect();
         due.sort_unstable();
         for task in due {
-            bump(ctx, metrics::TASK_TIMEOUT);
+            ctx.with_world(|_, s| s.count(metrics::TASK_TIMEOUT));
             let worker = self.pending[&task].worker;
             let failures = {
                 let n = self.fail_count.entry(worker).or_insert(0);
                 *n += 1;
                 *n
             };
-            if failures >= self.breaker_threshold {
+            if failures >= BREAKER_THRESHOLD {
                 self.trip(ctx, worker);
             }
             self.requeue(py, ctx, task);
@@ -425,8 +394,8 @@ impl Frontend {
                 .filter(|w| !self.tripped.contains(w))
                 .collect();
         }
-        if p.resubmits >= self.max_resubmit || eligible.is_empty() {
-            bump(ctx, metrics::TASK_FAILED);
+        if p.resubmits >= MAX_RESUBMIT || eligible.is_empty() {
+            ctx.with_world(|_, s| s.count(metrics::TASK_FAILED));
             self.failed.push(task);
             return;
         }
@@ -436,7 +405,7 @@ impl Frontend {
             let buf = self.bufs[&p.client];
             self.scatter(py, ctx, pick, p.client, buf);
         }
-        bump(ctx, metrics::RESUBMIT);
+        ctx.with_world(|_, s| s.count(metrics::RESUBMIT));
         let ch = py.channel(pick);
         py.send_host(
             ctx,
@@ -447,7 +416,7 @@ impl Frontend {
                 arg: p.arg,
             }),
         );
-        let deadline = ctx.now() + self.deadline;
+        let deadline = self.deadline_from(ctx.now());
         self.pending.insert(
             task,
             Pending {
@@ -487,13 +456,9 @@ pub struct LoadCfg {
     /// Fault-injection spec for chaos runs (`None` = clean).
     pub fault: Option<FaultSpec>,
     /// Per-task deadline in µs arming the recovery layer (resubmission,
-    /// circuit breakers). 0 keeps the legacy blocking drain path — clean
-    /// runs are byte-identical to the pre-recovery code.
+    /// circuit breakers); 0 = none, every result is waited for. A clean
+    /// run is the same with or without one.
     pub deadline_us: f64,
-    /// Resubmissions allowed per task before it is declared failed.
-    pub max_resubmit: u32,
-    /// Consecutive per-worker timeouts before its circuit breaker opens.
-    pub breaker_threshold: u32,
     /// Simulated worker crash: `(worker index, crash time µs)` — that
     /// worker stops serving at the given virtual time. The crash time must
     /// fall after the scatter phase completes, or the in-flight zero-copy
@@ -521,8 +486,6 @@ impl Default for LoadCfg {
             seed: 1,
             fault: None,
             deadline_us: 0.0,
-            max_resubmit: 3,
-            breaker_threshold: 2,
             fail_worker: None,
             trace: false,
             ucp_max_retries: None,
@@ -555,13 +518,10 @@ pub struct LoadResult {
     pub breaker_opens: u64,
     pub dup_results: u64,
     pub tasks_failed: u64,
-    /// UCP-layer recovery counters, for scenario attribution.
     pub ucp_retry: u64,
-    pub ucp_reroute: u64,
-    pub ucp_giveup: u64,
-    pub ucp_host_staged: u64,
-    pub ucp_parked: u64,
-    pub ucp_healed: u64,
+    /// Every counter of the run, all layers (scenario attribution and the
+    /// ordering table read theirs from here).
+    pub metrics: Counters,
     /// Structured trace (empty unless [`LoadCfg::trace`] was set).
     pub trace_events: Vec<TraceEvent>,
 }
@@ -633,8 +593,8 @@ pub fn run_load(cfg: &LoadCfg) -> LoadResult {
 
     let trace_events: Vec<TraceEvent> = sim.scheduler_ref().trace.events().copied().collect();
     let w = sim.world();
-    let reg_miss = w.ucp.counters.get("ucp.reg.miss");
-    let reg_evict = w.ucp.counters.get("ucp.reg.evict");
+    let reg_miss = sim.metrics().get("ucp.reg.miss");
+    let reg_evict = sim.metrics().get("ucp.reg.evict");
     // The leak gate: every mapping paid for was either evicted or is still
     // live, and at shutdown (all buffers freed) nothing is live — and all
     // pre-mapped pool allocations were returned.
@@ -685,23 +645,19 @@ pub fn run_load(cfg: &LoadCfg) -> LoadResult {
         p99_us: percentile(&lats, 0.99),
         results,
         digest,
-        reg_hit: w.ucp.counters.get("ucp.reg.hit"),
+        reg_hit: sim.metrics().get("ucp.reg.hit"),
         reg_miss,
         reg_evict,
-        ep_hit: w.ucp.counters.get("ucp.ep.hit"),
-        ep_miss: w.ucp.counters.get("ucp.ep.miss"),
-        premapped_hit: w.gpu.counters.get("gpu.pool.premapped_hit"),
-        resubmits: w.ucp.counters.get("svc.resubmit"),
-        task_timeouts: w.ucp.counters.get("svc.task_timeout"),
-        breaker_opens: w.ucp.counters.get("svc.breaker_open"),
-        dup_results: w.ucp.counters.get("svc.dup_result"),
-        tasks_failed: w.ucp.counters.get("svc.task_failed"),
-        ucp_retry: w.ucp.counters.get("ucp.retry"),
-        ucp_reroute: w.ucp.counters.get("ucp.reroute"),
-        ucp_giveup: w.ucp.counters.get("ucp.giveup"),
-        ucp_host_staged: w.ucp.counters.get("ucp.fallback.host_staged"),
-        ucp_parked: w.ucp.counters.get("ucp.parked"),
-        ucp_healed: w.ucp.counters.get("ucp.ep.healed"),
+        ep_hit: sim.metrics().get("ucp.ep.hit"),
+        ep_miss: sim.metrics().get("ucp.ep.miss"),
+        premapped_hit: sim.metrics().get("gpu.pool.premapped_hit"),
+        resubmits: sim.metrics().get("svc.resubmit"),
+        task_timeouts: sim.metrics().get("svc.task_timeout"),
+        breaker_opens: sim.metrics().get("svc.breaker_open"),
+        dup_results: sim.metrics().get("svc.dup_result"),
+        tasks_failed: sim.metrics().get("svc.task_failed"),
+        ucp_retry: sim.metrics().get("ucp.retry"),
+        metrics: sim.metrics().clone(),
         trace_events,
     }
 }
@@ -715,9 +671,7 @@ fn client_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg, workers: &[usize]
         .filter(|c| (*c as usize) % CLIENT_RANKS == rank)
         .collect();
     let mut fe = Frontend::new(workers.to_vec());
-    fe.deadline = us(cfg.deadline_us);
-    fe.max_resubmit = cfg.max_resubmit;
-    fe.breaker_threshold = cfg.breaker_threshold;
+    fe.deadline = (cfg.deadline_us > 0.0).then(|| us(cfg.deadline_us));
 
     // Scatter phase: every logical client ships its dataset to its worker.
     // One send buffer per client — the payload must stay valid until the
@@ -764,8 +718,8 @@ fn client_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg, workers: &[usize]
         py.send_host(ctx, ch, encode(&SvcMsg::Done));
     }
     for buf in bufs {
-        ctx.with_world(move |w, _| {
-            reg_invalidate(w, buf.id);
+        ctx.with_world(move |w, s| {
+            reg_invalidate(w, s, buf.id);
             w.gpu.pool.free(buf.id).expect("free scatter buffer");
         });
     }
@@ -799,12 +753,8 @@ fn worker_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg) {
     let mut datasets: IdMap<u64, Vec<u8>> = IdMap::default();
     let mut done = 0usize;
     while done < CLIENT_RANKS {
-        let (peer, bytes) = match kill_at {
-            Some(t) => match py.recv_host_any_deadline(ctx, &clients, t) {
-                Some(msg) => msg,
-                None => break,
-            },
-            None => py.recv_host_any(ctx, &clients),
+        let Some((peer, bytes)) = py.recv_host_any(ctx, &clients, kill_at) else {
+            break;
         };
         match decode(&bytes.expect("svc control payload")) {
             SvcMsg::Scatter { client, size } => {
@@ -828,8 +778,8 @@ fn worker_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg) {
             SvcMsg::Result { .. } => panic!("unexpected result on worker rank"),
         }
     }
-    ctx.with_world(move |w, _| {
-        reg_invalidate(w, staging.id);
+    ctx.with_world(move |w, s| {
+        reg_invalidate(w, s, staging.id);
         w.gpu.pool.free(staging.id).expect("free staging buffer");
     });
 }
@@ -1031,23 +981,37 @@ mod tests {
         assert_eq!(crashed.resubmits, again.resubmits);
     }
 
-    /// The recovery knobs default off: a clean run reports zero recovery
-    /// activity on every counter.
+    /// The recovery path with no deadline *is* the blocking path: a clean
+    /// run is the same with and without a (never-reached) deadline, and
+    /// reports zero recovery activity on every counter.
     #[test]
-    fn clean_run_has_zero_recovery_counters() {
-        let r = run_load(&small(true, 3));
+    fn clean_run_ignores_the_deadline_and_has_zero_recovery_counters() {
+        let blocking = run_load(&small(true, 3));
+        let armed = run_load(&LoadCfg {
+            deadline_us: 1e9,
+            ..small(true, 3)
+        });
+        for r in [&blocking, &armed] {
+            assert_eq!(
+                (
+                    r.resubmits,
+                    r.task_timeouts,
+                    r.breaker_opens,
+                    r.dup_results,
+                    r.tasks_failed
+                ),
+                (0, 0, 0, 0, 0)
+            );
+            let ucp = ["ucp.retry", "ucp.reroute", "ucp.giveup"].map(|n| r.metrics.get(n));
+            assert_eq!(ucp, [0, 0, 0]);
+            assert!(r.trace_events.is_empty());
+        }
+        assert_eq!(blocking.digest, armed.digest);
+        assert_eq!(blocking.results, armed.results);
         assert_eq!(
-            (
-                r.resubmits,
-                r.task_timeouts,
-                r.breaker_opens,
-                r.dup_results,
-                r.tasks_failed
-            ),
-            (0, 0, 0, 0, 0)
+            (blocking.p50_us, blocking.p99_us, blocking.wall_us),
+            (armed.p50_us, armed.p99_us, armed.wall_us)
         );
-        assert_eq!((r.ucp_retry, r.ucp_reroute, r.ucp_giveup), (0, 0, 0));
-        assert!(r.trace_events.is_empty());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Service-layer metrics registry: every counter the futures frontend's
 //! recovery machinery emits, declared once as typed [`Metric`] handles.
 //! Call sites pass these handles; ad-hoc string literals are rejected by
-//! `scripts/check.sh`. The counters live in the world's UCP counter map
-//! (`w.ucp.counters`) so one sweep reads every layer's recovery activity.
+//! `scripts/check.sh`.
 
 use rucx_sim::Metric;
 
@@ -20,6 +19,6 @@ pub const BREAKER_OPEN: Metric = Metric::counter("svc.breaker_open");
 /// Results that arrived for a task already gathered (the original worker
 /// answered late, after a resubmission was counted). Never double-counted.
 pub const DUP_RESULT: Metric = Metric::counter("svc.dup_result");
-/// Tasks abandoned after exhausting `max_resubmit` or running out of
+/// Tasks abandoned after exhausting `MAX_RESUBMIT` or running out of
 /// eligible workers.
 pub const TASK_FAILED: Metric = Metric::counter("svc.task_failed");

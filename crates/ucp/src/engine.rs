@@ -85,10 +85,9 @@ pub(crate) fn gpu_direct_ok(
     size: u64,
 ) -> bool {
     if w.faults.enabled() && w.faults.gpudirect_lost(dev.index() as u32, s.now()) {
-        w.ucp.counters.bump(fm::GPU_DEGRADED);
-        w.ucp.counters.bump(m::FALLBACK_HOST_STAGED);
-        s.trace_instant(
-            "ucp.fallback.host_staged",
+        s.count(fm::GPU_DEGRADED);
+        s.mark(
+            m::FALLBACK_HOST_STAGED,
             proc as u32,
             dev.index() as u64,
             size,
@@ -236,7 +235,7 @@ pub(crate) fn fetch_intra<F>(
                 // CUDA IPC: receiver-driven peer-to-peer DMA on the
                 // receiver's UCX-internal stream, contending on device
                 // ports / X-Bus.
-                w.ucp.counters.bump(m::RNDV_IPC);
+                s.count(m::RNDV_IPC);
                 let stream = w.ucp.ucx_streams[recv_proc];
                 let path = if sd == dd {
                     CopyPath::OnDevice
@@ -259,7 +258,7 @@ pub(crate) fn fetch_intra<F>(
         }
         _ => {
             // Host-to-host: CMA single copy (serial per pair).
-            w.ucp.counters.bump(m::RNDV_CMA);
+            s.count(m::RNDV_CMA);
             let end = shm_occupy(w, src_proc, recv_proc, s.now(), size);
             s.schedule_at(end, finalize);
         }
@@ -283,11 +282,11 @@ fn fetch_intra_striped<F>(
 ) where
     F: FnOnce(&mut Machine, &mut MSched) + Send + 'static,
 {
-    w.ucp.counters.bump(m::RNDV_MULTIPATH);
+    s.count(m::RNDV_MULTIPATH);
     for leg in &stripes {
         if leg.path == CopyPath::HostPinnedLink {
             // The degraded secondary leg stages through pinned host memory.
-            w.gpu.counters.bump(rucx_gpu::metrics::PATH_HOST_STAGED);
+            s.count(rucx_gpu::metrics::PATH_HOST_STAGED);
         }
     }
     let chunk = w.ucp.config.pipeline_chunk.max(1);
@@ -318,14 +317,14 @@ fn fetch_intra_striped<F>(
             events.push((t, len));
         }
     }
-    w.ucp.counters.add(m::MULTIPATH_CHUNKS, events.len() as u64);
+    s.count_n(m::MULTIPATH_CHUNKS, events.len() as u64);
 
     let landed = last_of(events.len() as u64, finalize);
     for (i, (t, len)) in events.into_iter().enumerate() {
         let landed = landed.clone();
         let idx = i as u64;
         s.schedule_at(t, move |w, s| {
-            s.trace_instant("ucp.mp.chunk", recv_proc as u32, idx, len);
+            s.trace_instant(m::TRACE_MP_CHUNK, recv_proc as u32, idx, len);
             landed(w, s);
         });
     }
@@ -368,8 +367,8 @@ pub(crate) fn fetch_intra_staged<F>(
     F: FnOnce(&mut Machine, &mut MSched) + Send + 'static,
 {
     let leg = wire_time(CopyPath::HostPinnedLink, size);
-    w.ucp.counters.bump(m::RNDV_STAGED_INTRA);
-    w.gpu.counters.bump(rucx_gpu::metrics::PATH_HOST_STAGED);
+    s.count(m::RNDV_STAGED_INTRA);
+    s.count(rucx_gpu::metrics::PATH_HOST_STAGED);
     let end = shm_occupy(w, src_proc, recv_proc, s.now(), size) + leg;
     s.schedule_at(end, finalize);
 }
@@ -399,7 +398,7 @@ pub(crate) fn fetch_inter<F>(
                 && gpu_direct_ok(w, s, sd, src_proc, size)
                 && gpu_direct_ok(w, s, dd, recv_proc, size)
             {
-                w.ucp.counters.bump(m::RNDV_GDR_DIRECT);
+                s.count(m::RNDV_GDR_DIRECT);
                 net_transfer(w, s, src_port, dst_port, size, WireKind::Gdr, finalize);
             } else {
                 pipeline_fetch(w, s, src_proc, recv_proc, size, finalize);
@@ -408,16 +407,16 @@ pub(crate) fn fetch_inter<F>(
         (MemKind::Device(_), _) => {
             // D2H on the sender, then RDMA.
             let leg = wire_time(CopyPath::HostPinnedLink, size);
-            w.ucp.counters.bump(m::RNDV_STAGED_INTER);
-            w.gpu.counters.bump(rucx_gpu::metrics::PATH_HOST_STAGED);
+            s.count(m::RNDV_STAGED_INTER);
+            s.count(rucx_gpu::metrics::PATH_HOST_STAGED);
             s.schedule_in(leg, move |w, s| {
                 let _ = net_transfer(w, s, src_port, dst_port, size, WireKind::Host, finalize);
             });
         }
         (_, MemKind::Device(_)) => {
             // RDMA, then H2D on the receiver.
-            w.ucp.counters.bump(m::RNDV_STAGED_INTER);
-            w.gpu.counters.bump(rucx_gpu::metrics::PATH_HOST_STAGED);
+            s.count(m::RNDV_STAGED_INTER);
+            s.count(rucx_gpu::metrics::PATH_HOST_STAGED);
             let leg = wire_time(CopyPath::HostPinnedLink, size);
             net_transfer(
                 w,
@@ -434,7 +433,7 @@ pub(crate) fn fetch_inter<F>(
         }
         _ => {
             // Zero-copy RDMA get.
-            w.ucp.counters.bump(m::RNDV_RDMA);
+            s.count(m::RNDV_RDMA);
             net_transfer(w, s, src_port, dst_port, size, WireKind::Host, finalize);
         }
     }
@@ -469,9 +468,9 @@ fn pipeline_fetch<F>(
 {
     let chunk = w.ucp.config.pipeline_chunk.max(1);
     let nchunks = size.div_ceil(chunk);
-    w.ucp.counters.add(m::PIPELINE_CHUNKS, nchunks);
-    w.ucp.counters.bump(m::RNDV_PIPELINE);
-    w.gpu.counters.bump(rucx_gpu::metrics::PATH_HOST_STAGED);
+    s.count_n(m::PIPELINE_CHUNKS, nchunks);
+    s.count(m::RNDV_PIPELINE);
+    s.count(rucx_gpu::metrics::PATH_HOST_STAGED);
     let (src_port, dst_port) = ports(w, src_proc, recv_proc);
     let src_dev = w.topo.device_of(src_proc);
     let dst_dev = w.topo.device_of(recv_proc);
@@ -488,7 +487,7 @@ fn pipeline_fetch<F>(
         let d2h_end = rucx_gpu::ops::occupy_egress(w, s, src_dev, src_stream, dur);
         // The sender-side D2H staging window of this chunk.
         s.trace_span(
-            "ucp.pipeline.chunk",
+            m::TRACE_PIPELINE_CHUNK,
             d2h_end.saturating_sub(dur),
             d2h_end,
             src_proc as u32,
@@ -501,8 +500,7 @@ fn pipeline_fetch<F>(
             let (sp, dp) = if link_degraded(w, src_port.0, dst_port.0, now) {
                 let r = balanced_rail(w, src_port.0, src_port.1, now);
                 if r != src_port.1 {
-                    w.ucp.counters.bump(m::REROUTE);
-                    s.trace_instant("ucp.reroute", src_proc as u32, i, len);
+                    s.mark(m::REROUTE, src_proc as u32, i, len);
                 }
                 ((src_port.0, r), (dst_port.0, r))
             } else {

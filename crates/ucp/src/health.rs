@@ -126,8 +126,7 @@ pub(crate) fn note_timeout(w: &mut Machine, s: &mut MSched, src: usize, dst: usi
         && ep.consecutive_timeouts >= SUSPECT_AFTER
     {
         ep.state = EpState::Suspect;
-        w.ucp.counters.bump(m::EP_SUSPECT);
-        s.trace_instant("ucp.ep.suspect", src as u32, dst as u64, 0);
+        s.mark(m::EP_SUSPECT, src as u32, dst as u64, 0);
     }
 }
 
@@ -146,8 +145,7 @@ pub(crate) fn note_alive(w: &mut Machine, s: &mut MSched, src: usize, dst: usize
             ep.state = EpState::Healed;
             ep.probing = false;
             let parked = std::mem::take(&mut ep.parked);
-            w.ucp.counters.bump(m::EP_HEALED);
-            s.trace_instant("ucp.ep.healed", src as u32, dst as u64, parked.len() as u64);
+            s.mark(m::EP_HEALED, src as u32, dst as u64, parked.len() as u64);
             // Release in park order (= sequence order) with a fresh attempt
             // budget; ids acked while parked are no-ops inside `transmit`.
             for id in parked {
@@ -186,11 +184,9 @@ pub(crate) fn try_park(w: &mut Machine, s: &mut MSched, id: u64) -> bool {
     }
     if ep.state != EpState::Dead {
         ep.state = EpState::Dead;
-        w.ucp.counters.bump(m::EP_DEAD);
-        s.trace_instant("ucp.ep.dead", src as u32, dst as u64, 0);
+        s.mark(m::EP_DEAD, src as u32, dst as u64, 0);
     }
-    w.ucp.counters.bump(m::PARKED);
-    s.trace_instant("ucp.parked", src as u32, id, dst as u64);
+    s.mark(m::PARKED, src as u32, id, dst as u64);
     if activate {
         send_probe(w, s, src, dst);
         s.schedule_in(KEEPALIVE_INTERVAL, move |w, s| probe_tick(w, s, src, dst));
@@ -229,8 +225,7 @@ fn probe_tick(w: &mut Machine, s: &mut MSched, src: usize, dst: usize) {
 /// unsequenced and unreliable — the same fault lottery applies, and a lost
 /// probe is simply a failed tick.
 fn send_probe(w: &mut Machine, s: &mut MSched, src: usize, dst: usize) {
-    w.ucp.counters.bump(m::PROBE);
-    s.trace_instant("ucp.probe", src as u32, dst as u64, 0);
+    s.mark(m::PROBE, src as u32, dst as u64, 0);
     lossy_transfer(w, s, src, dst, ACK_SIZE, 0, move |w, s| {
         probe_arrive(w, s, src, dst)
     });
@@ -240,8 +235,7 @@ fn send_probe(w: &mut Machine, s: &mut MSched, src: usize, dst: usize) {
 /// same lottery back.
 fn probe_arrive(w: &mut Machine, s: &mut MSched, src: usize, dst: usize) {
     lossy_transfer(w, s, dst, src, ACK_SIZE, 0, move |w, s| {
-        w.ucp.counters.bump(m::PROBE_ACK);
-        s.trace_instant("ucp.probe_ack", src as u32, dst as u64, 0);
+        s.mark(m::PROBE_ACK, src as u32, dst as u64, 0);
         note_alive(w, s, src, dst);
     });
 }

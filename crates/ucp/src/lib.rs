@@ -148,7 +148,7 @@ mod tests {
         sim.world_mut().gpu.pool.write(a, &data).unwrap();
         let t = p2p_roundtrip(&mut sim, a, b, 0, 1);
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data);
-        assert_eq!(sim.world().ucp.counters.get("ucp.eager"), 1);
+        assert_eq!(sim.metrics().get("ucp.eager"), 1);
         // Small host message: ~1 us including call costs.
         assert!(t < us(3.0), "latency {}us", as_us(t));
     }
@@ -163,8 +163,8 @@ mod tests {
         sim.world_mut().gpu.pool.write(a, &data).unwrap();
         let t = p2p_roundtrip(&mut sim, a, b, 0, 6);
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data);
-        assert_eq!(sim.world().ucp.counters.get("ucp.rndv"), 1);
-        assert_eq!(sim.world().ucp.counters.get("ucp.rndv.rdma"), 1);
+        assert_eq!(sim.metrics().get("ucp.rndv"), 1);
+        assert_eq!(sim.metrics().get("ucp.rndv.rdma"), 1);
         // 1 MiB at 12.2 GB/s ≈ 86 us + control.
         assert!(t > us(80.0) && t < us(120.0), "latency {}us", as_us(t));
         assert_eq!(sim.world().ucp.inflight_rndv(), 0);
@@ -194,8 +194,8 @@ mod tests {
             assert_eq!(info.size, 0, "failed rendezvous must deliver nothing");
         });
         assert_eq!(sim.run(), RunOutcome::Completed, "no hang, no panic");
+        assert!(sim.metrics().get("ucp.bad_handle") >= 1);
         let w = sim.world_mut();
-        assert!(w.ucp.counters.get("ucp.bad_handle") >= 1);
         for p in [0usize, 6] {
             match w.ucp.take_worker_error(p) {
                 Some(UcpError::InvalidHandle { op, .. }) => assert_eq!(op, "rndv src"),
@@ -236,20 +236,21 @@ mod tests {
             as_us(d[0]),
             as_us(d[1])
         );
-        let w = sim.world_mut();
-        assert_eq!(w.ucp.counters.get("ucp.ep.miss"), 1);
-        assert_eq!(w.ucp.counters.get("ucp.ep.hit"), 1);
-        assert_eq!(w.ucp.counters.get("ucp.reg.miss"), 2); // bufs a and b
-        assert_eq!(w.ucp.counters.get("ucp.reg.hit"), 2);
-        assert_eq!(w.ucp.counters.get("ucp.reg.evict"), 0);
-        assert_eq!(w.ucp.reg.live_mappings(), 2);
+        assert_eq!(sim.metrics().get("ucp.ep.miss"), 1);
+        assert_eq!(sim.metrics().get("ucp.ep.hit"), 1);
+        assert_eq!(sim.metrics().get("ucp.reg.miss"), 2); // bufs a and b
+        assert_eq!(sim.metrics().get("ucp.reg.hit"), 2);
+        assert_eq!(sim.metrics().get("ucp.reg.evict"), 0);
+        assert_eq!(sim.world().ucp.reg.live_mappings(), 2);
         // Freeing a mapped buffer tears down its registration.
-        reg_invalidate(w, a.id);
-        reg_invalidate(w, b.id);
-        let miss = w.ucp.counters.get("ucp.reg.miss");
-        let evict = w.ucp.counters.get("ucp.reg.evict");
-        assert_eq!(miss - evict, w.ucp.reg.live_mappings() as u64);
-        assert_eq!(w.ucp.reg.live_mappings(), 0);
+        sim.with_parts(|w, s| {
+            reg_invalidate(w, s, a.id);
+            reg_invalidate(w, s, b.id);
+        });
+        let miss = sim.metrics().get("ucp.reg.miss");
+        let evict = sim.metrics().get("ucp.reg.evict");
+        assert_eq!(miss - evict, 0);
+        assert_eq!(sim.world().ucp.reg.live_mappings(), 0);
     }
 
     /// Pre-mapped pool allocations never pay registration latency and are
@@ -270,11 +271,10 @@ mod tests {
             blocking::recv(ctx, 1, b, 5, MASK_FULL);
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        let w = sim.world();
-        assert_eq!(w.ucp.counters.get("ucp.reg.miss"), 0);
-        assert_eq!(w.ucp.counters.get("ucp.reg.hit"), 2);
-        assert_eq!(w.gpu.counters.get("gpu.pool.premapped_hit"), 2);
-        assert_eq!(w.ucp.reg.live_mappings(), 0);
+        assert_eq!(sim.metrics().get("ucp.reg.miss"), 0);
+        assert_eq!(sim.metrics().get("ucp.reg.hit"), 2);
+        assert_eq!(sim.metrics().get("gpu.pool.premapped_hit"), 2);
+        assert_eq!(sim.world().ucp.reg.live_mappings(), 0);
     }
 
     #[test]
@@ -285,9 +285,9 @@ mod tests {
         sim.world_mut().gpu.pool.write(a, &[5u8; 8]).unwrap();
         let t = p2p_roundtrip(&mut sim, a, b, 0, 1);
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), vec![5u8; 8]);
-        assert_eq!(sim.world().ucp.counters.get("ucp.eager"), 1);
-        assert_eq!(sim.world().ucp.counters.get("ucp.eager.gdrcopy_read"), 1);
-        assert_eq!(sim.world().ucp.counters.get("ucp.eager.gdrcopy_write"), 1);
+        assert_eq!(sim.metrics().get("ucp.eager"), 1);
+        assert_eq!(sim.metrics().get("ucp.eager.gdrcopy_read"), 1);
+        assert_eq!(sim.metrics().get("ucp.eager.gdrcopy_write"), 1);
         // Small device message with GDRCopy: a few microseconds.
         assert!(t < us(4.0), "latency {}us", as_us(t));
     }
@@ -302,7 +302,7 @@ mod tests {
         sim.world_mut().gpu.pool.write(a, &data).unwrap();
         let t = p2p_roundtrip(&mut sim, a, b, 0, 1);
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data);
-        assert_eq!(sim.world().ucp.counters.get("ucp.rndv.ipc"), 1);
+        assert_eq!(sim.metrics().get("ucp.rndv.ipc"), 1);
         // 4 MiB over NVLink at 44 GB/s ≈ 95 us.
         assert!(t > us(90.0) && t < us(120.0), "latency {}us", as_us(t));
     }
@@ -317,8 +317,8 @@ mod tests {
         sim.world_mut().gpu.pool.write(a, &data).unwrap();
         let t = p2p_roundtrip(&mut sim, a, b, 0, 6);
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data);
-        assert_eq!(sim.world().ucp.counters.get("ucp.rndv.pipeline"), 1);
-        assert_eq!(sim.world().ucp.counters.get("ucp.pipeline_chunks"), 8);
+        assert_eq!(sim.metrics().get("ucp.rndv.pipeline"), 1);
+        assert_eq!(sim.metrics().get("ucp.pipeline_chunks"), 8);
         // Net-bound pipeline: ≈ size/12.2 GB/s + one chunk fill/drain
         // (~355 us), well below the unpipelined ~550 us.
         assert!(t > us(330.0) && t < us(460.0), "latency {}us", as_us(t));
@@ -332,8 +332,8 @@ mod tests {
         let a = alloc_dev(&mut sim, 0, 8);
         let b = alloc_dev(&mut sim, 1, 8);
         let t = p2p_roundtrip(&mut sim, a, b, 0, 1);
-        assert_eq!(sim.world().ucp.counters.get("ucp.eager"), 0);
-        assert_eq!(sim.world().ucp.counters.get("ucp.rndv.ipc"), 1);
+        assert_eq!(sim.metrics().get("ucp.eager"), 0);
+        assert_eq!(sim.metrics().get("ucp.rndv.ipc"), 1);
         // Without GDRCopy even 8-byte messages pay RTS + DMA setup.
         assert!(t > us(2.5), "latency {}us", as_us(t));
     }
@@ -482,7 +482,7 @@ mod tests {
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data[..32]);
-        assert_eq!(sim.world().ucp.counters.get("ucp.truncated"), 1);
+        assert_eq!(sim.metrics().get("ucp.truncated"), 1);
     }
 
     #[test]
@@ -506,7 +506,7 @@ mod tests {
             sim.world().gpu.pool.read(b).unwrap(),
             data[..size as usize / 2]
         );
-        assert_eq!(sim.world().ucp.counters.get("ucp.truncated"), 1);
+        assert_eq!(sim.metrics().get("ucp.truncated"), 1);
     }
 
     #[test]
@@ -528,8 +528,8 @@ mod tests {
             assert!(info.truncated);
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(sim.world().ucp.counters.get("ucp.rndv.pipeline"), 1);
-        assert_eq!(sim.world().ucp.counters.get("ucp.truncated"), 1);
+        assert_eq!(sim.metrics().get("ucp.rndv.pipeline"), 1);
+        assert_eq!(sim.metrics().get("ucp.truncated"), 1);
     }
 
     #[test]
@@ -546,7 +546,7 @@ mod tests {
             assert!(!info.truncated);
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(sim.world().ucp.counters.get("ucp.truncated"), 0);
+        assert_eq!(sim.metrics().get("ucp.truncated"), 0);
     }
 
     #[test]
@@ -797,11 +797,11 @@ mod tests {
         for (i, (b, data)) in dsts.iter().enumerate() {
             assert_eq!(&m.gpu.pool.read(*b).unwrap(), data, "message {i} corrupted");
         }
-        let drops = m.ucp.counters.get("fault.drop");
-        let retries = m.ucp.counters.get("ucp.retry");
+        let drops = sim.metrics().get("fault.drop");
+        let retries = sim.metrics().get("ucp.retry");
         assert!(drops > 0, "seeded spec must actually drop");
         assert!(retries > 0, "drops must be recovered by retries");
-        assert_eq!(m.ucp.counters.get("ucp.unreachable"), 0);
+        assert_eq!(sim.metrics().get("ucp.unreachable"), 0);
         assert_eq!(m.ucp.inflight_tracked(), 0, "tracked envelopes leaked");
         assert_eq!(m.ucp.inflight_rndv(), 0);
         assert_eq!(n_msgs, n_eager + 1);
@@ -841,9 +841,9 @@ mod tests {
         for (i, (_, b, data)) in bufs.iter().enumerate() {
             assert_eq!(&m.gpu.pool.read(*b).unwrap(), data, "message {i}");
         }
-        assert!(m.ucp.counters.get("fault.duplicate") > 0);
+        assert!(sim.metrics().get("fault.duplicate") > 0);
         assert!(
-            m.ucp.counters.get("ucp.dup_drop") > 0,
+            sim.metrics().get("ucp.dup_drop") > 0,
             "duplicated envelopes must be sequence-suppressed"
         );
         assert_eq!(m.ucp.inflight_tracked(), 0);
@@ -869,8 +869,8 @@ mod tests {
             blocking::send(ctx, 0, 6, SendBuf::Mem(a), 1);
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
+        assert!(sim.metrics().get("ucp.unreachable") >= 1);
         let m = sim.world_mut();
-        assert!(m.ucp.counters.get("ucp.unreachable") >= 1);
         assert_eq!(m.ucp.inflight_rndv(), 0, "failed rendezvous must retire");
         assert_eq!(m.ucp.inflight_tracked(), 0);
         match m.ucp.worker_mut(0).take_error() {
@@ -940,13 +940,13 @@ mod tests {
             (0..n).collect::<Vec<_>>(),
             "post-heal delivery must preserve send order"
         );
-        assert_eq!(m.ucp.counters.get("ucp.unreachable"), 0);
-        assert_eq!(m.ucp.counters.get("ucp.giveup"), 0);
-        assert!(m.ucp.counters.get("ucp.parked") >= 1, "budget must exhaust");
-        assert!(m.ucp.counters.get("ucp.ep.dead") >= 1);
-        assert!(m.ucp.counters.get("ucp.ep.healed") >= 1);
-        assert!(m.ucp.counters.get("ucp.probe") >= 1);
-        assert!(m.ucp.counters.get("ucp.probe_ack") >= 1);
+        assert_eq!(sim.metrics().get("ucp.unreachable"), 0);
+        assert_eq!(sim.metrics().get("ucp.giveup"), 0);
+        assert!(sim.metrics().get("ucp.parked") >= 1, "budget must exhaust");
+        assert!(sim.metrics().get("ucp.ep.dead") >= 1);
+        assert!(sim.metrics().get("ucp.ep.healed") >= 1);
+        assert!(sim.metrics().get("ucp.probe") >= 1);
+        assert!(sim.metrics().get("ucp.probe_ack") >= 1);
         assert_eq!(m.ucp.inflight_tracked(), 0);
         assert_eq!(m.ucp.health.state(0, 6), EpState::Healthy);
     }
@@ -973,7 +973,7 @@ mod tests {
         assert_eq!(sim.run(), RunOutcome::Completed);
         let m = sim.world();
         assert_eq!(m.gpu.pool.read(b).unwrap(), data);
-        assert_eq!(m.ucp.counters.get("ucp.unreachable"), 0);
+        assert_eq!(sim.metrics().get("ucp.unreachable"), 0);
         assert_eq!(m.ucp.health.state(0, 6), EpState::Healthy);
     }
 
@@ -1005,9 +1005,8 @@ mod tests {
                 blocking::recv(ctx, 6, b, 1, MASK_FULL);
             });
             assert_eq!(sim.run(), RunOutcome::Completed);
-            let m = sim.world();
-            assert!(m.ucp.counters.get("ucp.pipeline_chunks") >= 2);
-            m.ucp.counters.get("ucp.reroute")
+            assert!(sim.metrics().get("ucp.pipeline_chunks") >= 2);
+            sim.metrics().get("ucp.reroute")
         };
         assert_eq!(run(false), 0, "clean runs must never reroute");
         assert!(run(true) >= 1, "degraded link must steer chunks");
@@ -1034,11 +1033,11 @@ mod tests {
         assert_eq!(sim.run(), RunOutcome::Completed);
         let m = sim.world();
         assert_eq!(m.gpu.pool.read(b).unwrap(), data);
-        assert_eq!(m.ucp.counters.get("ucp.eager"), 0, "eager GDRCopy refused");
-        assert!(m.ucp.counters.get("ucp.fallback.host_staged") >= 1);
-        assert!(m.ucp.counters.get("fault.gpu_degraded") >= 1);
+        assert_eq!(sim.metrics().get("ucp.eager"), 0, "eager GDRCopy refused");
+        assert!(sim.metrics().get("ucp.fallback.host_staged") >= 1);
+        assert!(sim.metrics().get("fault.gpu_degraded") >= 1);
         assert_eq!(
-            m.ucp.counters.get("ucp.rndv.staged_intra"),
+            sim.metrics().get("ucp.rndv.staged_intra"),
             1,
             "degraded device-device intra transfer takes the staged rung"
         );
@@ -1084,12 +1083,12 @@ mod tests {
             let end_at = *end.lock();
             (
                 end_at,
-                m.ucp.counters.get("fault.drop"),
-                m.ucp.counters.get("fault.duplicate"),
-                m.ucp.counters.get("fault.delay"),
-                m.ucp.counters.get("fault.corrupt"),
-                m.ucp.counters.get("ucp.retry"),
-                m.ucp.counters.get("ucp.timeout"),
+                sim.metrics().get("fault.drop"),
+                sim.metrics().get("fault.duplicate"),
+                sim.metrics().get("fault.delay"),
+                sim.metrics().get("fault.corrupt"),
+                sim.metrics().get("ucp.retry"),
+                sim.metrics().get("ucp.timeout"),
                 m.faults.injected(),
             )
         };
@@ -1109,8 +1108,8 @@ mod tests {
             blocking::send(ctx, 0, 6, SendBuf::Mem(a), 1);
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!(sim.metrics().get("ucp.bad_handle"), 1);
         let m = sim.world_mut();
-        assert_eq!(m.ucp.counters.get("ucp.bad_handle"), 1);
         match m.ucp.take_worker_error(0) {
             Some(UcpError::InvalidHandle { op, proc }) => {
                 assert_eq!(op, "tag_send_nb");

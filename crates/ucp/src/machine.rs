@@ -7,7 +7,6 @@ use rucx_fabric::{HasNet, NetSubsystem, Topology};
 use rucx_fault::{FaultSpec, FaultState};
 use rucx_gpu::{GpuSubsystem, HasGpu, MemRef, StreamId};
 use rucx_sim::sched::Scheduler;
-use rucx_sim::stats::Counters;
 use rucx_sim::time::Time;
 use rucx_sim::{ProcCtx, Simulation};
 
@@ -33,7 +32,6 @@ pub(crate) struct RtsState {
 /// World component: UCP framework state.
 pub struct UcpSubsystem {
     pub config: UcpConfig,
-    pub counters: Counters,
     pub(crate) workers: Vec<Worker>,
     pub(crate) rts_table: IdMap<u64, RtsState>,
     pub(crate) next_rts: u64,
@@ -180,7 +178,6 @@ pub fn build_sim(topo: Topology, cfg: MachineConfig) -> MSim {
     let reg = crate::reg::RegCache::new(cfg.ucp.reg_cache);
     let ucp = UcpSubsystem {
         config: cfg.ucp,
-        counters: Counters::new(),
         workers: Vec::new(),
         rts_table: IdMap::default(),
         next_rts: 1,

@@ -1,7 +1,9 @@
-//! UCP-layer metrics registry: every counter the protocol layer emits,
-//! declared once as typed [`Metric`] handles. Call sites pass these
-//! handles; ad-hoc string literals are rejected by `scripts/check.sh`.
-//! Names are the stable external identity (tests and JSON read by name).
+//! UCP-layer registry: every name the protocol layer emits, declared once.
+//! Counters (and the counted events `Scheduler::mark` also traces) are typed
+//! [`Metric`] handles; names that only ever reach the trace are the
+//! `TRACE_*` strings at the end. Call sites pass these; string literals are
+//! rejected by `scripts/check.sh`. Names are the stable external identity
+//! (tests and JSON read by name).
 
 use rucx_sim::Metric;
 
@@ -63,6 +65,9 @@ pub const TIMEOUT: Metric = Metric::counter("ucp.timeout");
 pub const ACKED: Metric = Metric::counter("ucp.acked");
 /// Duplicate tracked envelopes suppressed by sequence numbers.
 pub const DUP_DROP: Metric = Metric::counter("ucp.dup_drop");
+/// Tracked envelopes that arrived ahead of a sequence gap and were held
+/// back by the receiver's delivery window until the gap filled.
+pub const REORDER_HELD: Metric = Metric::counter("ucp.reorder.held");
 /// Envelopes abandoned after exhausting the retransmission budget; each one
 /// surfaces a typed `UcpError` at the owning worker.
 pub const UNREACHABLE: Metric = Metric::counter("ucp.unreachable");
@@ -112,3 +117,15 @@ pub const EP_HIT: Metric = Metric::counter("ucp.ep.hit");
 pub const EP_MISS: Metric = Metric::counter("ucp.ep.miss");
 /// Endpoint wireups evicted by the LRU cap.
 pub const EP_EVICT: Metric = Metric::counter("ucp.ep.evict");
+
+// ---- Trace-only names (never counted) --------------------------------------
+// The eager receive span is named by [`EAGER`]`.name`.
+
+/// Instant: a rendezvous RTS left the sender.
+pub const TRACE_RNDV_RTS: &str = "ucp.rndv.rts";
+/// Instant: the receiver matched an RTS and starts the fetch.
+pub const TRACE_RNDV_CTS: &str = "ucp.rndv.cts";
+/// Span: sender-side D2H staging window of one pipeline chunk.
+pub const TRACE_PIPELINE_CHUNK: &str = "ucp.pipeline.chunk";
+/// Instant: one chunk of a striped multi-path transfer landed.
+pub const TRACE_MP_CHUNK: &str = "ucp.mp.chunk";

@@ -151,17 +151,17 @@ fn payload_kind(w: &Machine, buf: &SendBuf, src_proc: usize) -> Option<MemKind> 
 /// Registration-model charge for the first message on a (src,dst) pair:
 /// endpoint wireup latency on a cache miss, zero on a hit. Always zero
 /// when the cost model is off (the legacy timing contract).
-pub(crate) fn reg_charge_ep(w: &mut Machine, src: usize, dst: usize) -> Duration {
+pub(crate) fn reg_charge_ep(w: &mut Machine, s: &mut MSched, src: usize, dst: usize) -> Duration {
     if !w.ucp.config.reg_model {
         return 0;
     }
     let out = w.ucp.reg.touch_ep((src as u32, dst as u32), EP_CACHE_MAX);
-    w.ucp.counters.add(m::EP_EVICT, out.evicted);
+    s.count_n(m::EP_EVICT, out.evicted);
     if out.hit {
-        w.ucp.counters.bump(m::EP_HIT);
+        s.count(m::EP_HIT);
         0
     } else {
-        w.ucp.counters.bump(m::EP_MISS);
+        s.count(m::EP_MISS);
         EP_SETUP
     }
 }
@@ -169,24 +169,24 @@ pub(crate) fn reg_charge_ep(w: &mut Machine, src: usize, dst: usize) -> Duration
 /// Registration-model charge for handing a pool buffer to the transport:
 /// mapping latency on a cache miss, zero on a hit. Pool-backed pre-mapped
 /// allocations were registered once at pool-build time and always hit.
-pub(crate) fn reg_charge_buf(w: &mut Machine, r: &MemRef) -> Duration {
+pub(crate) fn reg_charge_buf(w: &mut Machine, s: &mut MSched, r: &MemRef) -> Duration {
     if !w.ucp.config.reg_model {
         return 0;
     }
     if w.gpu.pool.is_premapped(r.id).unwrap_or(false) {
-        w.ucp.counters.bump(m::REG_HIT);
-        w.gpu.counters.bump(rucx_gpu::metrics::POOL_PREMAPPED_HIT);
+        s.count(m::REG_HIT);
+        s.count(rucx_gpu::metrics::POOL_PREMAPPED_HIT);
         return 0;
     }
     // Registration maps whole allocations, not slices.
     let bytes = w.gpu.pool.size(r.id).unwrap_or(r.len);
     let out = w.ucp.reg.register(r.id.0, bytes, REG_CACHE_BYTES);
-    w.ucp.counters.add(m::REG_EVICT, out.evicted);
+    s.count_n(m::REG_EVICT, out.evicted);
     if out.hit {
-        w.ucp.counters.bump(m::REG_HIT);
+        s.count(m::REG_HIT);
         0
     } else {
-        w.ucp.counters.bump(m::REG_MISS);
+        s.count(m::REG_MISS);
         reg_cost(bytes)
     }
 }
@@ -194,9 +194,9 @@ pub(crate) fn reg_charge_buf(w: &mut Machine, r: &MemRef) -> Duration {
 /// Drop a buffer's cached registration when the allocation is freed, and
 /// account the teardown as an eviction so `miss - evict == live` holds.
 /// Call before `MemPool::free` on buffers that traveled through UCP.
-pub fn reg_invalidate(w: &mut Machine, id: rucx_gpu::MemId) {
+pub fn reg_invalidate(w: &mut Machine, s: &mut MSched, id: rucx_gpu::MemId) {
     if w.ucp.reg.invalidate(id.0) {
-        w.ucp.counters.bump(m::REG_EVICT);
+        s.count(m::REG_EVICT);
     }
 }
 
@@ -210,14 +210,14 @@ pub(crate) fn reject_bad_handle(
     op: &'static str,
     done: Completion,
 ) {
-    w.ucp.counters.bump(m::BAD_HANDLE);
+    s.count(m::BAD_HANDLE);
     crate::reliable::push_error(w, s, src, crate::UcpError::InvalidHandle { op, proc: src });
     complete(w, s, src, done);
 }
 
 /// Reject a receive whose buffer handle is stale (freed before or during
 /// the transfer): count it, queue a typed error at the receiver's worker,
-/// and complete the receive with a zero-size status so no waiter hangs.
+/// and fail the receive.
 fn reject_bad_recv(
     w: &mut Machine,
     s: &mut MSched,
@@ -227,15 +227,29 @@ fn reject_bad_recv(
     tag: Tag,
     done: RecvCompletion,
 ) {
-    w.ucp.counters.bump(m::BAD_HANDLE);
+    s.count(m::BAD_HANDLE);
     crate::reliable::push_error(w, s, proc, UcpError::InvalidHandle { op, proc });
+    fail_fetch(w, s, proc, src, tag, done);
+}
+
+/// A receive cannot get its data: complete it with a zero-size status from
+/// `src` so no waiter hangs. The caller queues the typed error first (who
+/// learns of it, and in which order the workers wake, differs per failure).
+fn fail_fetch(
+    w: &mut Machine,
+    s: &mut MSched,
+    recv_proc: usize,
+    src: usize,
+    tag: Tag,
+    done: RecvCompletion,
+) {
     let info = RecvInfo {
         src,
         tag,
         size: 0,
         truncated: false,
     };
-    complete_recv(w, s, proc, done, None, info);
+    complete_recv(w, s, recv_proc, done, None, info);
 }
 
 /// Run a completion action for process `proc` and wake its worker.
@@ -327,16 +341,28 @@ pub(crate) fn shm_occupy(
     arrival
 }
 
-/// Schedule an untracked ATS control message and run `f` at arrival.
-fn send_ats<F>(w: &mut Machine, s: &mut MSched, src: usize, dst: usize, f: F)
-where
-    F: FnOnce(&mut Machine, &mut MSched) + Send + 'static,
-{
-    if w.topo.same_node(src, dst) {
-        s.schedule_in(shm_time(ATS_SIZE), f);
+/// Ack the rendezvous sender (ATS) from `recv_proc` so the request parked
+/// in `sender_done` completes at `src_proc`. Under a loaded fault spec the
+/// inter-node ATS is itself a tracked envelope.
+fn ack_sender(
+    w: &mut Machine,
+    s: &mut MSched,
+    recv_proc: usize,
+    src_proc: usize,
+    rts_id: u64,
+    sender_done: Completion,
+) {
+    if w.topo.same_node(recv_proc, src_proc) {
+        s.schedule_in(shm_time(ATS_SIZE), move |w, s| {
+            complete(w, s, src_proc, sender_done)
+        });
+    } else if w.faults.enabled() {
+        crate::reliable::send_tracked_ats(w, s, recv_proc, src_proc, rts_id, sender_done);
     } else {
-        let (src_port, dst_port) = ports(w, src, dst);
-        net_transfer(w, s, src_port, dst_port, ATS_SIZE, WireKind::Host, f);
+        let (from, to) = ports(w, recv_proc, src_proc);
+        net_transfer(w, s, from, to, ATS_SIZE, WireKind::Host, move |w, s| {
+            complete(w, s, src_proc, sender_done)
+        });
     }
 }
 
@@ -360,9 +386,9 @@ pub fn tag_send_nb(
     let protocol = engine::plan_send(w, s, src, kind, size);
     // First touch of the endpoint / the source buffer pays wireup and
     // registration latency (zero when `reg_model` is off or on cache hits).
-    let reg_delay = reg_charge_ep(w, src, dst)
+    let reg_delay = reg_charge_ep(w, s, src, dst)
         + match &buf {
-            SendBuf::Mem(r) => reg_charge_buf(w, r),
+            SendBuf::Mem(r) => reg_charge_buf(w, s, r),
             _ => 0,
         };
 
@@ -371,7 +397,7 @@ pub fn tag_send_nb(
         let local_delay = PROTO_OVERHEAD
             + reg_delay
             + if kind.is_device() {
-                w.ucp.counters.bump(m::EAGER_GDRCOPY_READ);
+                s.count(m::EAGER_GDRCOPY_READ);
                 gdrcopy_cost(size)
             } else {
                 0
@@ -387,7 +413,7 @@ pub fn tag_send_nb(
             SendBuf::Inline { bytes, .. } => Some(bytes.clone()),
             SendBuf::Phantom { .. } => None,
         };
-        w.ucp.counters.bump(m::EAGER);
+        s.count(m::EAGER);
         send_wire(
             w,
             s,
@@ -421,8 +447,8 @@ pub fn tag_send_nb(
                 sender_done: done,
             },
         );
-        w.ucp.counters.bump(m::RNDV);
-        s.trace_instant("ucp.rndv.rts", src as u32, rts_id, size);
+        s.count(m::RNDV);
+        s.trace_instant(m::TRACE_RNDV_RTS, src as u32, rts_id, size);
         send_wire(
             w,
             s,
@@ -448,7 +474,7 @@ pub(crate) fn deliver(w: &mut Machine, s: &mut MSched, dst: usize, msg: ArrivedM
     } else {
         worker.unexpected.push_back(msg);
         let n = worker.notify;
-        w.ucp.counters.bump(m::UNEXPECTED);
+        s.count(m::UNEXPECTED);
         s.notify(n);
     }
 }
@@ -470,12 +496,12 @@ fn process_match(
             };
             let delay = if let MemKind::Device(dev) = dst_kind {
                 if gpu_direct_ok(w, s, dev, dst_proc, wire_size) {
-                    w.ucp.counters.bump(m::EAGER_GDRCOPY_WRITE);
+                    s.count(m::EAGER_GDRCOPY_WRITE);
                     gdrcopy_cost(wire_size)
                 } else {
                     // GDRCopy window gone on the receiver: land in pinned
                     // host memory, then one staged CPU-GPU leg.
-                    w.gpu.counters.bump(rucx_gpu::metrics::PATH_HOST_STAGED);
+                    s.count(rucx_gpu::metrics::PATH_HOST_STAGED);
                     eager_copy_cost(wire_size)
                         + rucx_gpu::device::wire_time(CopyPath::HostPinnedLink, wire_size)
                 }
@@ -483,14 +509,14 @@ fn process_match(
                 eager_copy_cost(wire_size)
             };
             // Receive-side buffer registration (zero unless `reg_model`).
-            let delay = delay + reg_charge_buf(w, &exp.buf);
+            let delay = delay + reg_charge_buf(w, s, &exp.buf);
             // The message is larger than the posted buffer: deliver the
             // prefix (the wire already carried the full payload) but flag
             // the truncation so the request surfaces an error status
             // instead of silently succeeding.
             let truncated = wire_size > exp.buf.len;
             if truncated {
-                w.ucp.counters.bump(m::TRUNCATED);
+                s.count(m::TRUNCATED);
             }
             let info = RecvInfo {
                 src: msg.src,
@@ -498,7 +524,7 @@ fn process_match(
                 size: wire_size,
                 truncated,
             };
-            s.trace_span_in("ucp.eager", delay, dst_proc as u32, 0, wire_size);
+            s.trace_span_in(m::EAGER.name, delay, dst_proc as u32, 0, wire_size);
             let buf = exp.buf;
             let done = exp.done;
             s.schedule_in(delay, move |w, s| {
@@ -646,18 +672,10 @@ fn start_fetch(
     done: RecvCompletion,
 ) -> Result<(), UcpError> {
     let Some(rts) = w.ucp.rts_table.remove(&rts_id) else {
-        // Fail the receive visibly instead of panicking or hanging: the
-        // completion fires with a zero-size status and the typed error is
-        // queued at the receiver's worker.
+        // Fail the receive visibly instead of panicking or hanging.
         let err = UcpError::UnknownRendezvous { rts_id };
         crate::reliable::push_error(w, s, recv_proc, err.clone());
-        let info = RecvInfo {
-            src: recv_proc,
-            tag,
-            size: 0,
-            truncated: false,
-        };
-        complete_recv(w, s, recv_proc, done, None, info);
+        fail_fetch(w, s, recv_proc, recv_proc, tag, done);
         return Err(err);
     };
     let src_proc = rts.src_proc;
@@ -669,23 +687,16 @@ fn start_fetch(
             Err(_) => {
                 // The sender freed its source buffer while the rendezvous
                 // was in flight: the data can never be fetched, so fail
-                // both sides with a typed error. The receive completes
-                // with a zero-size status; the sender's request completes
-                // too, since nothing else ever will.
+                // both sides with a typed error. The sender's request
+                // completes too, since nothing else ever will.
                 let err = UcpError::InvalidHandle {
                     op: "rndv src",
                     proc: src_proc,
                 };
-                w.ucp.counters.bump(m::BAD_HANDLE);
+                s.count(m::BAD_HANDLE);
                 crate::reliable::push_error(w, s, recv_proc, err.clone());
                 crate::reliable::push_error(w, s, src_proc, err.clone());
-                let info = RecvInfo {
-                    src: src_proc,
-                    tag,
-                    size: 0,
-                    truncated: false,
-                };
-                complete_recv(w, s, recv_proc, done, None, info);
+                fail_fetch(w, s, recv_proc, src_proc, tag, done);
                 complete(w, s, src_proc, rts.sender_done);
                 return Err(err);
             }
@@ -705,30 +716,10 @@ fn start_fetch(
                     op: "rndv dst",
                     proc: recv_proc,
                 };
-                w.ucp.counters.bump(m::BAD_HANDLE);
+                s.count(m::BAD_HANDLE);
                 crate::reliable::push_error(w, s, recv_proc, err.clone());
-                let info = RecvInfo {
-                    src: src_proc,
-                    tag,
-                    size: 0,
-                    truncated: false,
-                };
-                complete_recv(w, s, recv_proc, done, None, info);
-                let sender_done = rts.sender_done;
-                if !intra && w.faults.enabled() {
-                    crate::reliable::send_tracked_ats(
-                        w,
-                        s,
-                        recv_proc,
-                        src_proc,
-                        rts_id,
-                        sender_done,
-                    );
-                } else {
-                    send_ats(w, s, recv_proc, src_proc, move |w, s| {
-                        complete(w, s, src_proc, sender_done);
-                    });
-                }
+                fail_fetch(w, s, recv_proc, src_proc, tag, done);
+                ack_sender(w, s, recv_proc, src_proc, rts_id, rts.sender_done);
                 return Err(err);
             }
         },
@@ -741,7 +732,7 @@ fn start_fetch(
         FetchDst::Bytes => false,
     };
     if truncated {
-        w.ucp.counters.bump(m::TRUNCATED);
+        s.count(m::TRUNCATED);
     }
     let info = RecvInfo {
         src: src_proc,
@@ -749,12 +740,12 @@ fn start_fetch(
         size,
         truncated,
     };
-    s.trace_instant("ucp.rndv.cts", recv_proc as u32, rts_id, size);
+    s.trace_instant(m::TRACE_RNDV_CTS, recv_proc as u32, rts_id, size);
     // Receive-side buffer registration: the fetch cannot start until the
     // destination is mapped. Zero (and the legacy direct dispatch, with no
     // extra event) unless `reg_model` charged a miss.
     let reg_delay = match &dst {
-        FetchDst::Mem(r) => reg_charge_buf(w, r),
+        FetchDst::Mem(r) => reg_charge_buf(w, s, r),
         FetchDst::Bytes => 0,
     };
     let sender_done = rts.sender_done;
@@ -770,7 +761,7 @@ fn start_fetch(
                 // A buffer was freed while the fetch was in flight:
                 // surface a typed error; the receive still completes
                 // (with no bytes) and the sender is still acked below.
-                w.ucp.counters.bump(m::BAD_HANDLE);
+                s.count(m::BAD_HANDLE);
                 crate::reliable::push_error(
                     w,
                     s,
@@ -784,13 +775,7 @@ fn start_fetch(
             }
         };
         complete_recv(w, s, recv_proc, done, bytes, info);
-        if !intra && w.faults.enabled() {
-            crate::reliable::send_tracked_ats(w, s, recv_proc, src_proc, rts_id, sender_done);
-        } else {
-            send_ats(w, s, recv_proc, src_proc, move |w, s| {
-                complete(w, s, src_proc, sender_done);
-            });
-        }
+        ack_sender(w, s, recv_proc, src_proc, rts_id, sender_done);
     };
 
     if reg_delay > 0 {

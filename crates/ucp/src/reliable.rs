@@ -288,8 +288,7 @@ pub(crate) fn lossy_transfer(
             net_transfer(w, s, src_port, dst_port, size, WireKind::Host, arrive);
         }
         WireFault::Drop => {
-            w.ucp.counters.bump(fm::DROP);
-            s.trace_instant("fault.drop", from as u32, id, size);
+            s.mark(fm::DROP, from as u32, id, size);
             net_transfer(w, s, src_port, dst_port, size, WireKind::Host, |_, _| {});
         }
         WireFault::Corrupt => {
@@ -300,22 +299,17 @@ pub(crate) fn lossy_transfer(
                 dst_port,
                 size,
                 WireKind::Host,
-                move |w, s| {
-                    w.ucp.counters.bump(fm::CORRUPT);
-                    s.trace_instant("fault.corrupt", to as u32, id, size);
-                },
+                move |_, s| s.mark(fm::CORRUPT, to as u32, id, size),
             );
         }
         WireFault::Duplicate => {
-            w.ucp.counters.bump(fm::DUPLICATE);
-            s.trace_instant("fault.duplicate", from as u32, id, size);
+            s.mark(fm::DUPLICATE, from as u32, id, size);
             let twin = arrive.clone();
             net_transfer(w, s, src_port, dst_port, size, WireKind::Host, arrive);
             net_transfer(w, s, src_port, dst_port, size, WireKind::Host, twin);
         }
         WireFault::Delay(d) => {
-            w.ucp.counters.bump(fm::DELAY);
-            s.trace_instant("fault.delay", from as u32, id, d);
+            s.mark(fm::DELAY, from as u32, id, d);
             s.schedule_in(d, move |w, s| {
                 net_transfer(w, s, src_port, dst_port, size, WireKind::Host, arrive);
             });
@@ -360,9 +354,13 @@ fn arrive(
         .or_default()
         .arrive(seq, tag, body)
     else {
-        w.ucp.counters.bump(m::DUP_DROP);
+        s.count(m::DUP_DROP);
         return;
     };
+    if due.is_empty() {
+        // Ahead of a gap: held back until the envelopes below it arrive.
+        s.count(m::REORDER_HELD);
+    }
     for (tag, body) in due {
         match body {
             TrackedBody::Tagged(b) => deliver(w, s, dst, ArrivedMsg { tag, src, body: b }),
@@ -381,17 +379,17 @@ fn arrive(
 fn send_ack(w: &mut Machine, s: &mut MSched, from: usize, to: usize, id: u64) {
     lossy_transfer(w, s, from, to, ACK_SIZE, id, move |w, s| {
         if let Some(p) = w.ucp.reliable.inflight.remove(&id) {
-            w.ucp.counters.bump(m::ACKED);
+            s.count(m::ACKED);
             if p.attempts == 1 {
                 // Clean sample: the ack unambiguously answers the original
                 // transmission.
-                w.ucp.counters.bump(m::RTT_SAMPLE);
+                s.count(m::RTT_SAMPLE);
                 let rtt = s.now().saturating_sub(p.sent_at);
                 w.ucp.engine.observe_rtt((p.src as u32, p.dst as u32), rtt);
             } else {
                 // Karn's rule: a retransmitted envelope's ack could answer
                 // any attempt — never feed it to the estimator.
-                w.ucp.counters.bump(m::RTT_SKIPPED);
+                s.count(m::RTT_SKIPPED);
             }
             crate::health::note_alive(w, s, p.src, p.dst);
         }
@@ -413,8 +411,7 @@ fn on_timeout(w: &mut Machine, s: &mut MSched, id: u64, attempt: u32) {
     }
     let src = p.src as u32;
     let (psrc, pdst) = (p.src, p.dst);
-    w.ucp.counters.bump(m::TIMEOUT);
-    s.trace_instant("ucp.timeout", src, id, attempt as u64);
+    s.mark(m::TIMEOUT, src, id, attempt as u64);
     if p.attempts > max_retries {
         // Budget exhausted: the health layer may park the envelope on the
         // now-Dead endpoint and probe for a heal instead of abandoning it.
@@ -425,8 +422,7 @@ fn on_timeout(w: &mut Machine, s: &mut MSched, id: u64, attempt: u32) {
     }
     p.attempts += 1;
     let n = p.attempts;
-    w.ucp.counters.bump(m::RETRY);
-    s.trace_instant("ucp.retry", src, id, n as u64);
+    s.mark(m::RETRY, src, id, n as u64);
     crate::health::note_timeout(w, s, psrc, pdst);
     transmit(w, s, id);
 }
@@ -438,9 +434,8 @@ pub(crate) fn give_up(w: &mut Machine, s: &mut MSched, id: u64) {
     let Some(p) = w.ucp.reliable.inflight.remove(&id) else {
         return;
     };
-    w.ucp.counters.bump(m::UNREACHABLE);
-    w.ucp.counters.bump(m::GIVEUP);
-    s.trace_instant("ucp.unreachable", p.src as u32, id, p.attempts as u64);
+    s.mark(m::UNREACHABLE, p.src as u32, id, p.attempts as u64);
+    s.count(m::GIVEUP);
     let err = UcpError::EndpointTimeout {
         src: p.src,
         dst: p.dst,
@@ -528,7 +523,7 @@ mod tests {
             assert_eq!(seen.len(), copies, "{spec}");
             for name in FAULT_COUNTERS {
                 let want = u64::from(name == counter);
-                assert_eq!(sim.world().ucp.counters.get(name), want, "{spec}: {name}");
+                assert_eq!(sim.metrics().get(name), want, "{spec}: {name}");
             }
             match counter {
                 "none" => clean_at = seen[0],

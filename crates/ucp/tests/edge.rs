@@ -86,12 +86,12 @@ fn eager_threshold_boundary_is_inclusive() {
             blocking::recv(ctx, 1, b, 4, MASK_FULL);
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        let eager = sim.world().ucp.counters.get("ucp.eager");
+        let eager = sim.metrics().get("ucp.eager");
         if expect_eager {
             assert_eq!(eager, 1, "size {size} must be eager");
         } else {
             assert_eq!(eager, 0, "size {size} must rendezvous");
-            assert_eq!(sim.world().ucp.counters.get("ucp.rndv"), 1);
+            assert_eq!(sim.metrics().get("ucp.rndv"), 1);
         }
     }
 }

@@ -114,6 +114,6 @@ fn main() {
     }
     println!(
         "\nall {n} GPU buffers verified; device-path rendezvous count = {}",
-        sim.world().ucp.counters.get("ucp.rndv.ipc")
+        sim.metrics().get("ucp.rndv.ipc")
     );
 }

@@ -70,7 +70,7 @@ fn main() {
     println!(
         "virtual time: {:.1} us; device-path rendezvous: {} intra-node (IPC), {} inter-node (pipeline)",
         as_us(*done_at.lock()),
-        sim.world().ucp.counters.get("ucp.rndv.ipc"),
-        sim.world().ucp.counters.get("ucp.rndv.pipeline"),
+        sim.metrics().get("ucp.rndv.ipc"),
+        sim.metrics().get("ucp.rndv.pipeline"),
     );
 }

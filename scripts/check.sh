@@ -8,6 +8,22 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# A grep gate: fail with message $1 when its findings $2 are not empty.
+gate() {
+    [ -z "$2" ] || { echo "$1"; echo "$2"; exit 1; }
+}
+
+# Lines matching regex $1 in the files that follow, comments and everything
+# from a file's first `#[cfg(test)]` down left out.
+nontest() {
+    local re=$1
+    shift
+    re=$re awk '
+        /#\[cfg\(test\)\]/ { intest[FILENAME] = 1 }
+        !intest[FILENAME] && $0 !~ /^[[:space:]]*\/\// && $0 ~ ENVIRON["re"] { print FILENAME ": " $0 }
+    ' "$@"
+}
+
 # ---------------------------------------------------------------------------
 # Gate: zero registry dependencies anywhere in the workspace.
 #
@@ -41,23 +57,29 @@ fi
 echo "ok: no registry dependencies"
 
 # ---------------------------------------------------------------------------
-# Gate: no stringly-typed metric call sites.
+# Gate: every emitted name is declared once, in a typed place.
 #
-# Counter names live as `Metric` constants in per-crate `metrics.rs`
-# registries (plus the engine's own stats module); call sites must go
-# through those constants. A string literal fed straight into
-# `.add("...")` / `.bump("...")` / `.set("...")` forks the namespace and
-# dodges both the registry and the trace attribution table.
+# Counters and trace events share one sink in the `Scheduler` and one
+# namespace (DESIGN §9). Each crate declares the names it emits in its
+# `metrics.rs`; a string literal handed straight to a recording call forks
+# the namespace, and the same literal declared twice merges two counters
+# silently. (rustfmt puts a first argument either on the call's line or
+# alone on the next one; both are checked. `crates/sim/src` is the sink
+# itself and its unit tests.)
 # ---------------------------------------------------------------------------
-echo "== typed-metrics gate =="
-bad=$(grep -rnE '\.(add|bump|set)\("' crates/*/src --include='*.rs' \
-    | grep -v '/metrics\.rs:' | grep -v '/stats\.rs:' || true)
-if [ -n "$bad" ]; then
-    echo "stringly-typed metric call site detected (use the metrics registry):"
-    echo "$bad"
-    exit 1
-fi
-echo "ok: all metric call sites use typed registries"
+echo "== typed-names gate =="
+emitters=$(find crates/*/src -name '*.rs' | grep -v -e '/metrics\.rs$' -e '^crates/sim/src/')
+bad=$(awk '
+    wrapped && /^[[:space:]]*"/ { print FILENAME ":" FNR ": " $0 }
+    { wrapped = ($0 ~ /\.(count|count_n|mark|trace_instant|trace_span|trace_span_in)\($/) }
+    /\.(count|count_n|mark|trace_instant|trace_span|trace_span_in)\("/ { print FILENAME ":" FNR ": " $0 }
+' $emitters)
+gate "string literal recorded as a metric or trace name (declare it in the crate's metrics.rs):" "$bad"
+gate "Metric::counter(\"...\") outside a metrics.rs (an inline name escapes the uniqueness check):" \
+    "$(nontest 'Metric::counter\("' $emitters)"
+bad=$(grep -ho 'Metric::counter("[^"]*")' crates/*/src/metrics.rs | sort | uniq -d)
+gate "metric name declared twice (one namespace: the two would merge):" "$bad"
+echo "ok: names come from the per-crate registries, each declared once"
 
 # ---------------------------------------------------------------------------
 # Gate: no panics on the UCP communication paths.
@@ -68,60 +90,32 @@ echo "ok: all metric call sites use typed registries"
 # `#[cfg(test)]` down) and comments are exempt.
 # ---------------------------------------------------------------------------
 echo "== ucp panic-free gate =="
-bad=$(awk '
-    /#\[cfg\(test\)\]/ { intest[FILENAME] = 1 }
-    !intest[FILENAME] && $0 !~ /^[[:space:]]*\/\// && /panic!|unreachable!|\.expect\(|\.unwrap\(\)/ {
-        print FILENAME ": " $0
-    }
-' crates/ucp/src/*.rs)
-if [ -n "$bad" ]; then
-    echo "panic!/unreachable!/.expect(/.unwrap() on a UCP communication path (use UcpError):"
-    echo "$bad"
-    exit 1
-fi
+gate "panic!/unreachable!/.expect(/.unwrap() on a UCP communication path (use UcpError):" \
+    "$(nontest 'panic!|unreachable!|\.expect\(|\.unwrap\(\)' crates/ucp/src/*.rs)"
 echo "ok: crates/ucp surfaces errors as values"
 
 # ---------------------------------------------------------------------------
 # Gate: one process representation, one home for unsafe code.
 #
 # Simulated processes are coroutines on the caller's thread (DESIGN §3).
-# Nothing of the thread-backed design may creep back; no model code may key
+# The thread handoff cell stays out of crates/sim; no model code may key
 # state by OS thread (a suspended process can be resumed by another one, and
 # two simulations can interleave on one); and unsafe code stays where it is
 # reviewed: `crates/sim/src/coro.rs`, plus the baton hand-off sites in
 # `process.rs` / `sim.rs`, each under a `// SAFETY:` comment.
 # ---------------------------------------------------------------------------
 echo "== coroutine gates =="
-bad=$(grep -rnE 'ProcessPool|lease_process|sim-pool|rendezvous::' crates/sim || true)
-if [ -n "$bad" ]; then
-    echo "thread-backed process machinery referenced in crates/sim:"
-    echo "$bad"
-    exit 1
-fi
+bad=$(grep -rn 'rendezvous::' crates/sim || true)
+gate "the thread handoff cell is referenced in crates/sim:" "$bad"
 bad=$(grep -rn 'thread_local!' crates/*/src --include='*.rs' \
     | grep -v '^crates/sim/src/coro\.rs:' || true)
-if [ -n "$bad" ]; then
-    echo "thread_local! in model code (carry the state in the process instead):"
-    echo "$bad"
-    exit 1
-fi
-bad=$(awk '
-    /#\[cfg\(test\)\]/ { intest[FILENAME] = 1 }
-    !intest[FILENAME] && /std::thread::/ { print FILENAME ": " $0 }
-' crates/sim/src/*.rs examples/*.rs)
-if [ -n "$bad" ]; then
-    echo "std::thread:: in crates/sim/src or examples/*.rs outside test modules:"
-    echo "$bad"
-    exit 1
-fi
+gate "thread_local! in model code (carry the state in the process instead):" "$bad"
+gate "std::thread:: in crates/sim/src or examples/*.rs outside test modules:" \
+    "$(nontest 'std::thread::' crates/sim/src/*.rs examples/*.rs)"
 bad=$(grep -rnE '(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)' crates/*/src src --include='*.rs' \
     | grep -vE '^crates/sim/src/(coro|process|sim)\.rs:' \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
-if [ -n "$bad" ]; then
-    echo "unsafe outside crates/sim/src/{coro,process,sim}.rs:"
-    echo "$bad"
-    exit 1
-fi
+gate "unsafe outside crates/sim/src/{coro,process,sim}.rs:" "$bad"
 bad=$(awk '
     FNR == 1 { safety = -100 }
     /SAFETY:/ { safety = FNR }
@@ -130,20 +124,14 @@ bad=$(awk '
         print FILENAME ":" FNR ": " $0
     }
 ' crates/sim/src/coro.rs crates/sim/src/process.rs crates/sim/src/sim.rs)
-if [ -n "$bad" ]; then
-    echo "unsafe block without a // SAFETY: comment above it:"
-    echo "$bad"
-    exit 1
-fi
+gate "unsafe block without a // SAFETY: comment above it:" "$bad"
 echo "ok: coroutines only; no thread-keyed state; unsafe confined and justified"
 
 # ---------------------------------------------------------------------------
 # Gate: one event queue, one map type for simulator-internal ids.
 #
 # The scheduler owns one concrete queue (crates/sim/src/queue.rs, DESIGN
-# §11); the calendar queue, the backend trait, its dispatch enum and the
-# environment switch are gone and must not come back under any name.
-# `BinaryHeap` survives in crates/sim only as the reference the queue's
+# §11). `BinaryHeap` survives in crates/sim only as the reference the queue's
 # property test compares against. Tables keyed by ids the simulator mints
 # itself use `rucx_compat::idmap::IdMap` (no SipHash on the message path);
 # a table that genuinely takes keys from outside the program keeps the
@@ -151,79 +139,33 @@ echo "ok: coroutines only; no thread-keyed state; unsafe confined and justified"
 # list below (none does today).
 # ---------------------------------------------------------------------------
 echo "== event-core gates =="
-bad=$(grep -rnE 'CalendarQueue|OracleQueue|SchedulerBackend|QueueImpl|with_backend|RUCX_SCHED_BACKEND' \
-    crates src tests examples/*.rs || true)
-if [ -n "$bad" ]; then
-    echo "a second event-queue backend (or its switch) is referenced:"
-    echo "$bad"
-    exit 1
-fi
-bad=$(awk '
-    /#\[cfg\(test\)\]/ { intest[FILENAME] = 1 }
-    !intest[FILENAME] && /BinaryHeap/ { print FILENAME ": " $0 }
-' crates/sim/src/*.rs)
-if [ -n "$bad" ]; then
-    echo "BinaryHeap in crates/sim/src outside a test module:"
-    echo "$bad"
-    exit 1
-fi
-bad=$(awk '
-    /#\[cfg\(test\)\]/ { intest[FILENAME] = 1 }
-    !intest[FILENAME] && $0 !~ /^[[:space:]]*\/\// && /Hash(Map|Set)::new\(\)/ {
-        print FILENAME ": " $0
-    }
-' crates/{gpu,ucp,charm,ampi,charm4py,svc}/src/*.rs)
-if [ -n "$bad" ]; then
-    echo "default-hasher table in model code (use rucx_compat::idmap::IdMap::default()):"
-    echo "$bad"
-    exit 1
-fi
+gate "BinaryHeap in crates/sim/src outside a test module:" \
+    "$(nontest 'BinaryHeap' crates/sim/src/*.rs)"
+gate "default-hasher table in model code (use rucx_compat::idmap::IdMap::default()):" \
+    "$(nontest 'Hash(Map|Set)::new\(\)' crates/{gpu,ucp,charm,ampi,charm4py,svc}/src/*.rs)"
 echo "ok: one queue, no backend switch; id-keyed tables use IdMap"
 
 # ---------------------------------------------------------------------------
-# Gate: one engine, one Jacobi.
+# Gate: what was deleted stays deleted.
 #
-# A `Simulation` is the only engine and `jacobi::try_run` (the real stack)
-# the only Jacobi, at every size; the threaded conservative-window engine,
-# its closed-form Jacobi timing model, the per-driver thread farms and the
-# MPSC channel that served the thread-backed processes are gone and must
-# not come back under their old names (EXPERIMENTS.md "Why the closed-form
-# twin was deleted"). The pattern's own line below is the one exemption.
+# Each "one of" decision removed its loser by name; none may come back
+# under that name. One row per decision: names (regexes, space-separated),
+# the PR that removed them, and why — the rule itself is in DESIGN and
+# EXPERIMENTS.md under the same words. (The table's own rows are exempt.)
 # ---------------------------------------------------------------------------
-echo "== one-engine gate =="
-one_engine='ShardedEngine|EnvelopePool|EnvelopeLease|Outbox|RouteHook|ShardPlan|shard_plan|run_sharded|ShardedOpts|ShardedRun|merge_chrome_json|next_event_time|RUCX_SHARDS|--shards|compat::channel'
-bad=$(grep -rnE -e "$one_engine" crates src tests examples/*.rs scripts README.md \
-    | grep -v '^scripts/check\.sh:[0-9]*:one_engine=' || true)
-if [ -n "$bad" ]; then
-    echo "a deleted second engine, Jacobi model or thread farm is referenced:"
-    echo "$bad"
-    exit 1
-fi
-echo "ok: one engine, one Jacobi, no sweep-driver thread farms"
-
-# ---------------------------------------------------------------------------
-# Gate: configuration is what varies.
-#
-# A value with one setting in the tree is a `pub const` in its layer's own
-# file, not a field: the per-layer parameter structs, the launch/build
-# variants that existed to carry them, the device-capacity override, the
-# caller-less active-message module, in-world process spawning, the RNG
-# veneer in rucx-sim and the second perf ledger are gone and must not come
-# back under their old names. `UcpConfig` keeps the eight fields two
-# non-test callers set differently (its exhaustive-destructure test states
-# the rule for a ninth). The pattern's own line below is the one exemption.
-# ---------------------------------------------------------------------------
-echo "== configuration-is-what-varies gate =="
-one_valued='GpuParams|NetParams|CharmParams|AmpiParams|OmpiParams|PyParams|launch_with|build_sim_with|device_mem|am_register|am_send_nb|deliver_am_wire|spawn_process|SimRng|BENCH_engine'
-bad=$(grep -rnE -e "$one_valued" crates src tests examples/*.rs scripts README.md \
-        .claude/skills/verify/SKILL.md \
-    | grep -v '^scripts/check\.sh:[0-9]*:one_valued=' || true)
-if [ -n "$bad" ]; then
-    echo "a deleted one-valued setting (or the code that carried it) is referenced:"
-    echo "$bad"
-    exit 1
-fi
-echo "ok: calibration is constants; no params structs, no caller-less API"
+echo "== deleted-names gate =="
+while IFS='|' read -r names pr reason; do
+    bad=$(grep -rnE -e "${names// /|}" crates src tests examples/*.rs scripts README.md \
+        .claude/skills/verify/SKILL.md | grep -vE '^scripts/check\.sh:[0-9]+:[^|]*\|[0-9]+\|' || true)
+    gate "deleted in PR $pr ($reason) and referenced again:" "$bad"
+done <<'TABLE'
+ProcessPool lease_process sim-pool|17|processes are coroutines on the caller's thread, DESIGN §3
+CalendarQueue OracleQueue SchedulerBackend QueueImpl with_backend RUCX_SCHED_BACKEND|18|one event queue, no backend switch, DESIGN §11
+ShardedEngine EnvelopePool EnvelopeLease Outbox RouteHook ShardPlan shard_plan run_sharded ShardedOpts ShardedRun merge_chrome_json next_event_time RUCX_SHARDS --shards compat::channel|19|one engine, one Jacobi, no sweep-driver thread farms
+GpuParams NetParams CharmParams AmpiParams OmpiParams PyParams launch_with build_sim_with device_mem am_register am_send_nb deliver_am_wire spawn_process SimRng BENCH_engine|20|a value with one setting is a pub const; UcpConfig keeps the eight fields two callers set differently
+DurationStats MetricKind Metric::gauge pub.counters: recv_host_any_deadline drain_one_recover|22|one counter sink in the Scheduler, one drain path with an optional deadline, DESIGN §9
+TABLE
+echo "ok: no deleted engine, queue, params struct, sink or twin path is back"
 
 # ---------------------------------------------------------------------------
 # Formatting gate.

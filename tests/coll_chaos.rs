@@ -150,7 +150,7 @@ fn chaos_reduced_sum_never_silently_wrong() {
         let (bufs, scratch) = (Arc::new(bufs), Arc::new(scratch));
         let outcome = run_allreduce(&mut sim, front, &bufs, &scratch, algo);
 
-        let unreachable = sim.world().ucp.counters.get("ucp.unreachable");
+        let unreachable = sim.metrics().get("ucp.unreachable");
         match &outcome {
             RunOutcome::Completed => {}
             RunOutcome::Deadlock(_) if unreachable > 0 => {}
@@ -161,11 +161,11 @@ fn chaos_reduced_sum_never_silently_wrong() {
             ),
         }
 
+        let drops = sim.metrics().get("fault.drop");
+        let corrupt = sim.metrics().get("fault.corrupt");
+        let dups = sim.metrics().get("fault.duplicate");
+        let retries = sim.metrics().get("ucp.retry");
         let m = sim.world_mut();
-        let drops = m.ucp.counters.get("fault.drop");
-        let corrupt = m.ucp.counters.get("fault.corrupt");
-        let dups = m.ucp.counters.get("fault.duplicate");
-        let retries = m.ucp.counters.get("ucp.retry");
         if drops + corrupt > 0 && dups == 0 {
             // Every non-duplicate lost fragment is either retransmitted or
             // gave up with a typed error — never silently swallowed.

@@ -239,8 +239,7 @@ fn chaos_trace_is_byte_identical() {
         }
         assert_eq!(sim.run(), RunOutcome::Completed);
         assert!(
-            sim.world().ucp.counters.get("fault.drop") > 0
-                || sim.world().ucp.counters.get("fault.delay") > 0,
+            sim.metrics().get("fault.drop") > 0 || sim.metrics().get("fault.delay") > 0,
             "spec must inject something for this test to mean anything"
         );
         sim.scheduler().trace.to_chrome_json()
@@ -321,7 +320,7 @@ fn multipath_chunk_trace_is_byte_identical_across_runs() {
             });
         }
         assert_eq!(sim.run(), RunOutcome::Completed);
-        let c = &sim.world().ucp.counters;
+        let c = sim.metrics();
         assert_eq!(
             c.get("ucp.rndv.multipath"),
             pairs.len() as u64,

@@ -88,14 +88,14 @@ fn chaos_run_has_zero_unsurfaced_losses() {
     assert_eq!(sim.run(), RunOutcome::Completed);
 
     let m = sim.world();
-    let drops = m.ucp.counters.get("fault.drop");
-    let retries = m.ucp.counters.get("ucp.retry");
+    let drops = sim.metrics().get("fault.drop");
+    let retries = sim.metrics().get("ucp.retry");
     assert!(
         drops > 0,
         "10% drop over {n} messages must inject something"
     );
     assert!(retries > 0, "drops must be recovered by retransmission");
-    assert_eq!(m.ucp.counters.get("ucp.unreachable"), 0);
+    assert_eq!(sim.metrics().get("ucp.unreachable"), 0);
     assert_eq!(m.ucp.inflight_tracked(), 0, "tracked sends must drain");
     for (i, d) in dsts.iter().enumerate() {
         assert_eq!(
@@ -141,11 +141,11 @@ fn chaos_rtt_is_karn_disciplined() {
     assert_eq!(sim.run(), RunOutcome::Completed);
 
     let m = sim.world();
-    let acked = m.ucp.counters.get("ucp.acked");
-    let sampled = m.ucp.counters.get("ucp.rtt_sample");
-    let skipped = m.ucp.counters.get("ucp.rtt_skipped");
+    let acked = sim.metrics().get("ucp.acked");
+    let sampled = sim.metrics().get("ucp.rtt_sample");
+    let skipped = sim.metrics().get("ucp.rtt_skipped");
     assert!(
-        m.ucp.counters.get("ucp.retry") > 0,
+        sim.metrics().get("ucp.retry") > 0,
         "5% drop over {n} messages must retransmit"
     );
     assert_eq!(sampled + skipped, acked, "every ack is sampled xor skipped");
@@ -154,7 +154,7 @@ fn chaos_rtt_is_karn_disciplined() {
         "retransmitted envelopes must be excluded (Karn)"
     );
     assert!(sampled > 0, "clean acks must still feed the estimator");
-    assert_eq!(m.ucp.counters.get("ucp.unreachable"), 0);
+    assert_eq!(sim.metrics().get("ucp.unreachable"), 0);
     assert_eq!(m.ucp.inflight_tracked(), 0, "tracked sends must drain");
 }
 
@@ -207,7 +207,7 @@ fn chaos_property_no_silent_loss_no_hang() {
         // (10 retries, 5 ms RTO cap, 6 messages) by two orders of
         // magnitude; hitting it means a hang, not slowness.
         let outcome = sim.run_until(us(10_000_000.0));
-        let unreachable = sim.world().ucp.counters.get("ucp.unreachable");
+        let unreachable = sim.metrics().get("ucp.unreachable");
         match &outcome {
             RunOutcome::Completed => {}
             RunOutcome::Deadlock(_) if unreachable > 0 => {}
@@ -217,11 +217,11 @@ fn chaos_property_no_silent_loss_no_hang() {
             ),
         }
 
+        let drops = sim.metrics().get("fault.drop");
+        let corrupt = sim.metrics().get("fault.corrupt");
+        let dups = sim.metrics().get("fault.duplicate");
+        let retries = sim.metrics().get("ucp.retry");
         let m = sim.world_mut();
-        let drops = m.ucp.counters.get("fault.drop");
-        let corrupt = m.ucp.counters.get("fault.corrupt");
-        let dups = m.ucp.counters.get("fault.duplicate");
-        let retries = m.ucp.counters.get("ucp.retry");
         if drops + corrupt > 0 && dups == 0 {
             // Every non-duplicate loss is either retransmitted or gave up.
             assert!(
@@ -303,18 +303,15 @@ fn chaos_scales_to_1536_endpoints() {
     );
     let m = sim.world();
     assert!(
-        m.ucp.counters.get("fault.drop") > 0,
+        sim.metrics().get("fault.drop") > 0,
         "5% drop over 1536 messages must inject losses"
     );
-    assert!(
-        m.ucp.counters.get("ucp.retry") > 0,
-        "losses must be retried"
-    );
-    assert_eq!(m.ucp.counters.get("ucp.unreachable"), 0);
-    assert_eq!(m.ucp.counters.get("ucp.giveup"), 0);
+    assert!(sim.metrics().get("ucp.retry") > 0, "losses must be retried");
+    assert_eq!(sim.metrics().get("ucp.unreachable"), 0);
+    assert_eq!(sim.metrics().get("ucp.giveup"), 0);
     // One ack per delivery at minimum: per-pair ack state exists for every
     // one of the 1536 endpoints.
-    assert!(m.ucp.counters.get("ucp.acked") >= procs as u64);
+    assert!(sim.metrics().get("ucp.acked") >= procs as u64);
     assert_eq!(m.ucp.inflight_tracked(), 0, "tracked sends must drain");
     for (p, d) in dsts.iter().enumerate() {
         assert_eq!(

@@ -188,16 +188,16 @@ fn gdrcopy_toggle_changes_protocol_choice() {
             _ => {}
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        let eager = sim.world().ucp.counters.get("ucp.eager");
+        let eager = sim.metrics().get("ucp.eager");
         if expect_eager {
             assert!(eager >= 1, "expected eager path with GDRCopy");
         } else {
             assert_eq!(
-                sim.world().ucp.counters.get("ucp.eager.gdrcopy_read"),
+                sim.metrics().get("ucp.eager.gdrcopy_read"),
                 0,
                 "no GDRCopy reads when disabled"
             );
-            assert!(sim.world().ucp.counters.get("ucp.rndv.ipc") >= 1);
+            assert!(sim.metrics().get("ucp.rndv.ipc") >= 1);
         }
     }
 }
