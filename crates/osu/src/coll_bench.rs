@@ -164,23 +164,20 @@ fn py_coll_point(cfg: &OsuConfig, size: u64, kind: CollKind, algo: Option<Algo>)
 /// Latency-vs-size sweep for one model/collective/algorithm. Sizes are
 /// rounded up to one `f64` (the engine's payload unit).
 pub fn coll_latency(cfg: &OsuConfig, model: Model, kind: CollKind, algo: Option<Algo>) -> Series {
-    let points = cfg
+    let sizes: Vec<u64> = cfg
         .sizes
         .iter()
-        .map(|&raw| {
-            let size = raw.max(8).next_multiple_of(8);
-            let us = match model {
-                Model::Ampi => mpi_coll_point(cfg, size, kind, algo, crate::mpi_like::AmpiFactory),
-                Model::Ompi => mpi_coll_point(cfg, size, kind, algo, crate::mpi_like::OmpiFactory),
-                Model::Charm4py => py_coll_point(cfg, size, kind, algo),
-                Model::Charm => panic!(
-                    "collective benchmark supports AMPI/OpenMPI/Charm4py \
-                     (Charm++ reductions are scalar contributions)"
-                ),
-            };
-            (size, us)
-        })
+        .map(|&raw| raw.max(8).next_multiple_of(8))
         .collect();
+    let points = crate::sweep::sweep(&sizes, |size| match model {
+        Model::Ampi => mpi_coll_point(cfg, size, kind, algo, crate::mpi_like::AmpiFactory),
+        Model::Ompi => mpi_coll_point(cfg, size, kind, algo, crate::mpi_like::OmpiFactory),
+        Model::Charm4py => py_coll_point(cfg, size, kind, algo),
+        Model::Charm => panic!(
+            "collective benchmark supports AMPI/OpenMPI/Charm4py \
+             (Charm++ reductions are scalar contributions)"
+        ),
+    });
     Series {
         label: format!(
             "{}-D {} [{}] latency",
@@ -232,6 +229,14 @@ mod tests {
             hier.points[0].1,
             rd.points[0].1
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "collective benchmark supports AMPI/OpenMPI/Charm4py")]
+    fn a_failing_point_reraises_its_own_message() {
+        let mut cfg = OsuConfig::quick();
+        cfg.sizes = vec![8, 4096, 1 << 20];
+        coll_latency(&cfg, Model::Charm, CollKind::Allreduce, None);
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //! suite (paper §IV-B), each in a GPU-direct (`-D`) and a host-staging
 //! (`-H`) variant, for Charm++, AMPI, OpenMPI, and Charm4py, intra-node and
 //! inter-node. These generate the series behind Figures 10–13 and Table I.
+//! Every point of a series is its own simulation; a sweep runs them on every
+//! core (`sweep.rs`) and returns them in size order, bit-identical to
+//! running them one at a time.
 
 pub mod bandwidth;
 pub mod bibw;
@@ -14,6 +17,7 @@ pub mod cuda;
 pub mod latency;
 pub mod mpi_like;
 pub mod py_osu;
+mod sweep;
 
 use mpi_like::{AmpiFactory, OmpiFactory};
 use rucx_compat::json::{JsonObject, ToJson};
@@ -225,20 +229,15 @@ pub fn setup(machine: &MachineConfig, size: u64) -> BenchSetup {
 
 /// Run the latency benchmark for one model/mode/placement.
 pub fn latency(cfg: &OsuConfig, model: Model, mode: Mode, place: Placement) -> Series {
-    let points = cfg
-        .sizes
-        .iter()
-        .map(|&size| {
-            let s = &mut setup(&cfg.machine, size);
-            let us = match model {
-                Model::Ampi => latency::mpi_latency_point(s, cfg, place, mode, AmpiFactory),
-                Model::Ompi => latency::mpi_latency_point(s, cfg, place, mode, OmpiFactory),
-                Model::Charm => charm_osu::latency_point(s, cfg, place, mode),
-                Model::Charm4py => py_osu::latency_point(s, cfg, place, mode),
-            };
-            (size, us)
-        })
-        .collect();
+    let points = sweep::sweep(&cfg.sizes, |size| {
+        let s = &mut setup(&cfg.machine, size);
+        match model {
+            Model::Ampi => latency::mpi_latency_point(s, cfg, place, mode, AmpiFactory),
+            Model::Ompi => latency::mpi_latency_point(s, cfg, place, mode, OmpiFactory),
+            Model::Charm => charm_osu::latency_point(s, cfg, place, mode),
+            Model::Charm4py => py_osu::latency_point(s, cfg, place, mode),
+        }
+    });
     Series {
         label: format!(
             "{}-{} {} latency",
@@ -253,20 +252,15 @@ pub fn latency(cfg: &OsuConfig, model: Model, mode: Mode, place: Placement) -> S
 
 /// Run the bandwidth benchmark for one model/mode/placement.
 pub fn bandwidth(cfg: &OsuConfig, model: Model, mode: Mode, place: Placement) -> Series {
-    let points = cfg
-        .sizes
-        .iter()
-        .map(|&size| {
-            let s = &mut setup(&cfg.machine, size);
-            let mbps = match model {
-                Model::Ampi => bandwidth::mpi_bw_point(s, cfg, place, mode, AmpiFactory),
-                Model::Ompi => bandwidth::mpi_bw_point(s, cfg, place, mode, OmpiFactory),
-                Model::Charm => charm_osu::bandwidth_point(s, cfg, place, mode),
-                Model::Charm4py => py_osu::bandwidth_point(s, cfg, place, mode),
-            };
-            (size, mbps)
-        })
-        .collect();
+    let points = sweep::sweep(&cfg.sizes, |size| {
+        let s = &mut setup(&cfg.machine, size);
+        match model {
+            Model::Ampi => bandwidth::mpi_bw_point(s, cfg, place, mode, AmpiFactory),
+            Model::Ompi => bandwidth::mpi_bw_point(s, cfg, place, mode, OmpiFactory),
+            Model::Charm => charm_osu::bandwidth_point(s, cfg, place, mode),
+            Model::Charm4py => py_osu::bandwidth_point(s, cfg, place, mode),
+        }
+    });
     Series {
         label: format!(
             "{}-{} {} bandwidth",

@@ -19,7 +19,9 @@
 //! A context that holds the baton dispatches events **inline**. When a
 //! process calls [`ProcCtx::advance`] and the next relevant event is its
 //! own wakeup (the overwhelmingly common case), control never leaves its
-//! stack — no switch, no allocation. Only when a *different* process must
+//! stack — no switch, no allocation — and when nothing at all could run
+//! before that wakeup it is not even queued (`Scheduler::advance_inline`,
+//! DESIGN §11). Only when a *different* process must
 //! run does [`dispatch`] return [`Dispatch::Switch`], and the caller makes
 //! one user-level context switch ([`hand_off`]) with the baton as the
 //! payload. A run that ends while a process is dispatching switches back
@@ -128,6 +130,13 @@ impl<W: Send + 'static> ProcCtx<W> {
         match kind {
             YieldKind::AdvanceTo(t) => {
                 core.procs[id.index()].state = ProcState::Sleep(t);
+                if core.sched.advance_inline(t, core.limit) {
+                    // Nothing could run before our wake: skip its round
+                    // trip through the queue.
+                    self.now = t;
+                    self.core = Some(core);
+                    return;
+                }
                 core.sched.schedule_wake(t, id);
             }
             YieldKind::YieldNow => {

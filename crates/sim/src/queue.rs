@@ -164,6 +164,14 @@ impl<W> EventQueue<W> {
         }
     }
 
+    /// Time of the earliest live event: what `pop_le` compares with its
+    /// limit, without popping.
+    #[inline]
+    pub(crate) fn min_time(&mut self) -> Option<Time> {
+        self.purge();
+        self.heap.first().map(|k| k.time)
+    }
+
     /// Withdraw the event `key` names. False when it already ran, was
     /// already cancelled, or its slot has since been reused.
     pub(crate) fn cancel(&mut self, key: EventKey) -> bool {
@@ -252,15 +260,6 @@ mod tests {
     use crate::{Scheduler, Simulation};
 
     type W = Vec<u64>;
-
-    impl EventQueue<W> {
-        /// Time of the earliest live event: what `pop_le` compares with its
-        /// limit, without popping.
-        fn min_time(&mut self) -> Option<Time> {
-            self.purge();
-            self.heap.first().map(|k| k.time)
-        }
-    }
 
     /// Payload that records `seq` in the world when run, so a pop can be
     /// checked against the key it was pushed under.

@@ -268,6 +268,27 @@ impl<W> Scheduler<W> {
         due
     }
 
+    /// The advance fast path (DESIGN §11). A process about to sleep until
+    /// `t` would be the next thing dispatched when the run is not stopped,
+    /// nothing is runnable, `t` is within `limit` and every live event lies
+    /// strictly after `t`. Then do exactly what queueing and dispatching
+    /// its wake would do — consume one `seq`, count one executed event,
+    /// move the clock to `t` — and return true; otherwise change nothing.
+    #[inline]
+    pub(crate) fn advance_inline(&mut self, t: Time, limit: Time) -> bool {
+        if self.stopped
+            || !self.runnable.is_empty()
+            || t > limit
+            || self.queue.min_time().is_some_and(|m| m <= t)
+        {
+            return false;
+        }
+        self.seq += 1;
+        self.events_executed += 1;
+        self.set_now(t);
+        true
+    }
+
     pub(crate) fn set_now(&mut self, t: Time) {
         debug_assert!(t >= self.now, "virtual time must be monotone");
         self.now = t;

@@ -516,6 +516,83 @@ mod tests {
         assert_eq!(sim.scheduler().now(), 1_000);
     }
 
+    // The advance fast path (`Scheduler::advance_inline`): one test per
+    // condition under which a wake must still go through the queue, and
+    // one for the bookkeeping an elided wake keeps.
+
+    #[test]
+    fn advance_fast_path_lets_an_event_at_the_same_time_run_first() {
+        let mut sim = Simulation::new(Vec::<&'static str>::new());
+        sim.spawn("p", 0, |ctx| {
+            ctx.with_world(|_, s| s.schedule_at(10, |w, _| w.push("event")));
+            ctx.advance(10);
+            ctx.with_world(|w, _| w.push("process"));
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!(sim.world(), &vec!["event", "process"]);
+    }
+
+    #[test]
+    fn advance_fast_path_lets_a_runnable_process_run_first() {
+        let mut sim = Simulation::new(Vec::<&'static str>::new());
+        let t = sim.scheduler().new_trigger();
+        sim.spawn("waiter", 0, move |ctx| {
+            ctx.wait(t);
+            ctx.with_world(|w, _| w.push("waiter"));
+        });
+        sim.spawn("firer", 0, move |ctx| {
+            ctx.with_world(|_, s| s.fire(t));
+            ctx.advance(10);
+            ctx.with_world(|w, _| w.push("firer"));
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!(sim.world(), &vec!["waiter", "firer"]);
+    }
+
+    #[test]
+    fn advance_fast_path_respects_the_time_limit() {
+        let mut sim = Simulation::new(0u32);
+        sim.spawn("p", 0, |ctx| {
+            ctx.advance(1_000);
+            ctx.with_world(|w, _| *w += 1);
+        });
+        assert_eq!(sim.run_until(500), RunOutcome::TimeLimit);
+        assert_eq!((*sim.world(), sim.scheduler().now()), (0, 0));
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!((*sim.world(), sim.scheduler().now()), (1, 1_000));
+    }
+
+    #[test]
+    fn advance_fast_path_respects_a_pending_stop() {
+        let mut sim = Simulation::new(0u32);
+        sim.spawn("p", 0, |ctx| {
+            ctx.with_world(|_, s| s.stop());
+            ctx.advance(10);
+            ctx.with_world(|w, _| *w += 1);
+        });
+        assert_eq!(sim.run(), RunOutcome::Stopped);
+        assert_eq!(*sim.world(), 0);
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!((*sim.world(), sim.scheduler().now()), (1, 10));
+    }
+
+    #[test]
+    fn elided_advance_consumes_a_seq_and_counts_an_event() {
+        let mut sim = Simulation::new(());
+        sim.spawn("p", 0, |ctx| {
+            let seq = |ctx: &mut ProcCtx<()>| {
+                ctx.with_world(|_, s| s.schedule_cancellable_at(1_000, |_, _| {}).seq)
+            };
+            let before = seq(ctx);
+            // The only queued event lies after 10: this wake is elided.
+            ctx.advance(10);
+            assert_eq!(seq(ctx), before + 2, "the elided wake took one seq");
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        // The start wake, the elided wake and the two events at 1 000.
+        assert_eq!(sim.scheduler().events_executed(), 4);
+    }
+
     #[test]
     fn stop_from_event() {
         let mut sim = Simulation::new(());

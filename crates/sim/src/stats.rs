@@ -75,4 +75,13 @@ mod tests {
         let names: Vec<_> = c.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["eager", "rndv"]);
     }
+
+    #[test]
+    fn equal_names_at_different_addresses_merge() {
+        let elsewhere: &'static str = Box::leak(String::from("eager").into_boxed_str());
+        let mut c = Counters::default();
+        c.add(Metric::counter("eager"), 1);
+        c.add(Metric::counter(elsewhere), 2);
+        assert_eq!(c.iter().collect::<Vec<_>>(), [("eager", 3)]);
+    }
 }

@@ -47,7 +47,8 @@ fn overdecomposed_run_is_reproducible() {
 /// pattern, every label, every unit. The second run executes on a spawned
 /// thread while the first runs on the test thread: simulations advancing
 /// concurrently in one process share the coroutine-stack free list and
-/// must keep no thread-keyed state, so neither may perturb the other.
+/// must keep no thread-keyed state, so neither may perturb the other. The
+/// same holds inside one sweep, whose points run concurrently.
 #[test]
 fn osu_latency_is_byte_identical_across_runs() {
     use rucx::osu::{latency, Mode, Model, OsuConfig, Placement};
@@ -74,6 +75,43 @@ fn osu_latency_is_byte_identical_across_runs() {
     // And the serialized form (what benchmark figures persist) is stable.
     use rucx_compat::json::ToJson;
     assert_eq!(a.to_json(), b.to_json());
+
+    // One more input: a sweep runs its points concurrently, one simulation
+    // per point on every core. Each entry point's `Series` must equal, bit
+    // for bit, the same points run one at a time on this thread.
+    use rucx::osu::coll_bench::{coll_latency, CollKind};
+    use rucx::osu::{bandwidth, charm_osu, mpi_like::OmpiFactory, setup};
+    let mut cfg = OsuConfig::quick();
+    cfg.sizes = vec![8, 1024, 4096, 65536, 1 << 20];
+    let (mode, place) = (Mode::Device, Placement::InterNode);
+    let one_at_a_time = |point: &dyn Fn(u64) -> f64| -> Vec<(u64, u64)> {
+        let sizes = cfg.sizes.iter();
+        sizes.map(|&size| (size, point(size).to_bits())).collect()
+    };
+    assert_eq!(
+        bits(&latency(&cfg, Model::Charm, mode, place)),
+        one_at_a_time(&|size| {
+            charm_osu::latency_point(&mut setup(&cfg.machine, size), &cfg, place, mode)
+        })
+    );
+    assert_eq!(
+        bits(&bandwidth(&cfg, Model::Ompi, mode, place)),
+        one_at_a_time(&|size| {
+            let s = &mut setup(&cfg.machine, size);
+            bandwidth::mpi_bw_point(s, &cfg, place, mode, OmpiFactory)
+        })
+    );
+    let allreduce = |cfg: &OsuConfig| coll_latency(cfg, Model::Ampi, CollKind::Allreduce, None);
+    assert_eq!(
+        bits(&allreduce(&cfg)),
+        one_at_a_time(&|size| {
+            let one = OsuConfig {
+                sizes: vec![size],
+                ..cfg.clone()
+            };
+            allreduce(&one).points[0].1
+        })
+    );
 }
 
 /// A slice of the `jacobi_figures` bench (weak scaling, nodes 1–2, both
