@@ -58,7 +58,13 @@ pub struct AmpiMsg {
 impl AmpiMsg {
     /// Serialize into entry-method parameter bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
+        // src + tag + seq + kind, then two `u64`s (zero-copy) or size +
+        // presence byte + length prefix (13 bytes) and the inline bytes.
+        let inline = match &self.payload {
+            AmpiPayload::Inline { bytes, .. } => bytes.as_ref().map_or(0, Vec::len),
+            AmpiPayload::ZeroCopy { .. } => 0,
+        };
+        let mut b = Vec::with_capacity(4 + 8 + 8 + 1 + 16 + inline);
         marshal::put_u32(&mut b, self.src_rank);
         marshal::put_i64(&mut b, self.tag as i64);
         marshal::put_u64(&mut b, self.seq);

@@ -165,7 +165,13 @@ pub struct PyProc {
 pub struct PyFuture(u64);
 
 fn encode_chan(src: u32, seq: u64, payload: &ChanPayload) -> Vec<u8> {
-    let mut b = Vec::new();
+    // src + seq + kind, then two `u64`s (zero-copy) or size + presence
+    // byte + length prefix (13 bytes) and the inline bytes.
+    let inline = match payload {
+        ChanPayload::Inline { bytes, .. } => bytes.as_ref().map_or(0, Vec::len),
+        ChanPayload::ZeroCopy { .. } => 0,
+    };
+    let mut b = Vec::with_capacity(4 + 8 + 1 + 16 + inline);
     marshal::put_u32(&mut b, src);
     marshal::put_u64(&mut b, seq);
     match payload {
@@ -623,19 +629,18 @@ impl PyProc {
             });
         }
         let (col, idx) = (self.col, self.rank as u64);
-        let scan: Vec<u32> = peers.iter().map(|&p| p as u32).collect();
-        let scan2 = scan.clone();
-        self.pe.pump_until(ctx, move |pe, ctx| {
+        self.pe.pump_until(ctx, |pe, ctx| {
             let st = pe.chare_mut::<ChanState>(col, idx);
-            scan2
-                .iter()
-                .any(|p| st.inbox.get(p).is_some_and(|q| !q.ready.is_empty()))
-                || deadline.is_some_and(|dl| ctx.now() >= dl)
+            peers.iter().any(|&p| {
+                st.inbox
+                    .get(&(p as u32))
+                    .is_some_and(|q| !q.ready.is_empty())
+            }) || deadline.is_some_and(|dl| ctx.now() >= dl)
         });
         let st = self.pe.chare_mut::<ChanState>(col, idx);
-        let hit = scan.iter().find_map(|&p| {
-            let payload = st.inbox.get_mut(&p)?.ready.pop_front()?;
-            Some((p as usize, payload))
+        let hit = peers.iter().find_map(|&p| {
+            let payload = st.inbox.get_mut(&(p as u32))?.ready.pop_front()?;
+            Some((p, payload))
         });
         match hit {
             Some((peer, ChanPayload::Inline { bytes, size })) => {

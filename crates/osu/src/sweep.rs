@@ -11,7 +11,7 @@
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// `point(size)` for every size, as `(size, result)` in the order of
@@ -19,29 +19,27 @@ use std::thread;
 ///
 /// `min(cores, sizes)` workers, the calling thread among them, take points
 /// from a shared cursor: a point's cost varies ~100× across 1 B – 4 MiB, so
-/// a fixed split would leave cores idle. With one size or one core no thread
-/// is spawned: the caller runs every point. A panicking point stops the dealing; once every worker is
-/// back, the panic of the first failing point in size order is resumed — the
-/// payload a one-at-a-time sweep would have raised. (Every point below a
-/// dealt one was dealt before it, so that point has run.)
+/// a fixed split would leave cores idle. The cursor deals from the end of
+/// `sizes` (the largest sizes, which cost the most) down, so the sweep does
+/// not end on one large point running alone. With one size or one core no
+/// thread is spawned: the caller runs every point. Every point runs; once
+/// every worker is back, the panic of the first failing point in size order
+/// is resumed — the payload a one-at-a-time sweep would have raised.
 pub(crate) fn sweep<T: Send>(sizes: &[u64], point: impl Fn(u64) -> T + Sync) -> Vec<(u64, T)> {
     let workers = thread::available_parallelism()
         .map_or(1, NonZeroUsize::get)
         .min(sizes.len());
-    // Both atomics publish no data (results come back through `join`), so
+    // The cursor publishes no data (results come back through `join`), so
     // `Relaxed` suffices.
     let cursor = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
     let work = || {
         let mut done = Vec::new();
-        while !failed.load(Ordering::Relaxed) {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&size) = sizes.get(i) else { break };
-            let r = catch_unwind(AssertUnwindSafe(|| point(size)));
-            if r.is_err() {
-                failed.store(true, Ordering::Relaxed);
-            }
-            done.push((i, r));
+        loop {
+            let dealt = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(i) = sizes.len().checked_sub(dealt + 1) else {
+                break;
+            };
+            done.push((i, catch_unwind(AssertUnwindSafe(|| point(sizes[i])))));
         }
         done
     };
@@ -57,7 +55,7 @@ pub(crate) fn sweep<T: Send>(sizes: &[u64], point: impl Fn(u64) -> T + Sync) -> 
         }
     });
     let results = slots.into_iter().map(|slot| {
-        slot.expect("every point below the first failure ran")
+        slot.expect("every point ran")
             .unwrap_or_else(|payload| resume_unwind(payload))
     });
     sizes.iter().copied().zip(results).collect()
@@ -66,6 +64,8 @@ pub(crate) fn sweep<T: Send>(sizes: &[u64], point: impl Fn(u64) -> T + Sync) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Mutex;
 
     fn message(payload: Box<dyn std::any::Any + Send>) -> String {
         payload
@@ -90,8 +90,10 @@ mod tests {
         // has begun to fail, so the later point fails first in time.
         let concurrent = thread::available_parallelism().map_or(1, NonZeroUsize::get) > 1;
         let twenty_failing = AtomicBool::new(false);
+        let ran = AtomicUsize::new(0);
         let err = catch_unwind(|| {
             sweep(&sizes, |s| {
+                ran.fetch_add(1, Ordering::SeqCst);
                 if s == 9 {
                     while concurrent && !twenty_failing.load(Ordering::SeqCst) {
                         thread::yield_now();
@@ -107,6 +109,29 @@ mod tests {
         })
         .expect_err("the sweep must fail");
         assert_eq!(message(err), "point 9 failed");
+        assert_eq!(ran.into_inner(), sizes.len(), "a failure stops no point");
+    }
+
+    #[test]
+    fn the_largest_sizes_are_dealt_first() {
+        let sizes: Vec<u64> = (0..16).collect();
+        let workers = thread::available_parallelism()
+            .map_or(1, NonZeroUsize::get)
+            .min(sizes.len());
+        // Each point waits until every worker holds one, so the first
+        // `workers` points started are exactly the first ones dealt.
+        let started = Mutex::new(Vec::new());
+        sweep(&sizes, |s| {
+            started.lock().unwrap().push(s);
+            while started.lock().unwrap().len() < workers {
+                thread::yield_now();
+            }
+        });
+        let mut first = started.into_inner().unwrap();
+        first.truncate(workers.max(2));
+        first.sort_unstable();
+        let want: Vec<u64> = (16 - workers.max(2) as u64..16).collect();
+        assert_eq!(first, want);
     }
 
     #[test]

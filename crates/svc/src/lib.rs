@@ -67,8 +67,11 @@ enum SvcMsg {
     Done,
 }
 
+/// Bytes in the largest encoding (`Submit`: a kind byte and three `u64`s).
+const MAX_MSG_BYTES: usize = 1 + 3 * 8;
+
 fn encode(msg: &SvcMsg) -> Vec<u8> {
-    let mut b = Vec::new();
+    let mut b = Vec::with_capacity(MAX_MSG_BYTES);
     match msg {
         SvcMsg::Scatter { client, size } => {
             marshal::put_u8(&mut b, MSG_SCATTER);
@@ -117,17 +120,39 @@ fn decode(bytes: &[u8]) -> SvcMsg {
 /// caching, and timing, which is what makes cache-on/cache-off runs
 /// comparable byte-for-byte.
 pub fn task_checksum(client: u64, task: u64, arg: u64, data: &[u8]) -> u64 {
-    let mut h = client
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .rotate_left(17)
-        .wrapping_add(task)
-        .rotate_left(13)
-        .wrapping_add(arg);
+    let [h] = checksum_lanes(client, [(task, arg)], data);
+    h
+}
+
+/// [`task_checksum`] of every `(task, arg)` in `tasks` against one client's
+/// dataset, in order. Four tasks go through the hash together, so a client
+/// that knows its tasks up front pays about one chain's latency for four.
+fn task_checksums(client: u64, tasks: &[(u64, u64)], data: &[u8]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(tasks.len());
+    let mut quads = tasks.chunks_exact(4);
+    for q in &mut quads {
+        out.extend(checksum_lanes(client, [q[0], q[1], q[2], q[3]], data));
+    }
+    for &t in quads.remainder() {
+        out.push(task_checksum(client, t.0, t.1, data));
+    }
+    out
+}
+
+/// The one hash loop: `L` independent `(task, arg)` chains over the same
+/// data words, in lock-step. Each word costs a chain two dependent
+/// multiplies; running `L` chains side by side overlaps their latencies.
+fn checksum_lanes<const L: usize>(client: u64, tasks: [(u64, u64); L], data: &[u8]) -> [u64; L] {
+    let seed = client.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17);
+    let mut h = tasks.map(|(task, arg)| seed.wrapping_add(task).rotate_left(13).wrapping_add(arg));
     for chunk in data.chunks(8) {
         let mut word = [0u8; 8];
         word[..chunk.len()].copy_from_slice(chunk);
-        h ^= u64::from_le_bytes(word);
-        h = splitmix64(&mut h);
+        let word = u64::from_le_bytes(word);
+        for h in &mut h {
+            *h ^= word;
+            *h = splitmix64(h);
+        }
     }
     h
 }
@@ -296,8 +321,7 @@ impl Frontend {
         let dl = self
             .deadline
             .and_then(|_| self.pending.values().map(|p| p.deadline).min());
-        let workers = self.workers.clone();
-        let Some((peer, bytes)) = py.recv_host_any(ctx, &workers, dl) else {
+        let Some((peer, bytes)) = py.recv_host_any(ctx, &self.workers, dl) else {
             return self.expire_overdue(py, ctx);
         };
         match decode(&bytes.expect("svc result payload")) {
@@ -311,12 +335,10 @@ impl Frontend {
                     self.results.push((task, checksum));
                     self.latencies.push((task, ctx.now() - p.submitted));
                 }
-                // The original worker answered after the task was
-                // resubmitted and gathered: absorb, never count twice.
-                None => {
-                    assert!(self.deadline.is_some(), "result for unknown task {task}");
-                    ctx.with_world(|_, s| s.count(metrics::DUP_RESULT))
-                }
+                // A result for a task that is no longer pending (the
+                // original worker answered after the task was resubmitted
+                // and gathered): absorb, never count twice.
+                None => ctx.with_world(|_, s| s.count(metrics::DUP_RESULT)),
             },
             _ => panic!("unexpected message on client rank"),
         }
@@ -675,37 +697,41 @@ fn client_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg, workers: &[usize]
 
     // Scatter phase: every logical client ships its dataset to its worker.
     // One send buffer per client — the payload must stay valid until the
-    // transfer lands, and the spread of buffers exercises the LRU.
+    // transfer lands, and the spread of buffers exercises the LRU. The
+    // client knows all its tasks now, so it computes their expected
+    // checksums here, four at a time (`task_checksums`).
+    let per_client = cfg.tasks_per_client as u64;
     let mut bufs = Vec::with_capacity(mine.len());
-    let mut datas = Vec::with_capacity(mine.len());
-    let mut refs = Vec::with_capacity(mine.len());
+    // Per client: its dataset's handle, its `(task, arg)`s, their checksums.
+    let mut plans = Vec::with_capacity(mine.len());
     for &c in &mine {
         let data = client_data(cfg.seed, c, cfg.data_size);
-        let bytes = data.clone();
         let size = cfg.data_size;
-        let buf = ctx.with_world(move |w, _| {
+        let buf = ctx.with_world(|w, _| {
             let b = w.gpu.pool.alloc_host(node, size, true, true);
-            w.gpu.pool.write(b, &bytes).expect("stage scatter payload");
+            w.gpu.pool.write(b, &data).expect("stage scatter payload");
             b
         });
         let worker = client_worker(cfg.seed, c, workers);
-        refs.push(fe.scatter(py, ctx, worker, c, buf));
+        let data_ref = fe.scatter(py, ctx, worker, c, buf);
         bufs.push(buf);
-        datas.push(data);
+        let tasks: Vec<(u64, u64)> = (0..per_client)
+            .map(|t| (c * per_client + t, task_arg(cfg.seed, c, t)))
+            .collect();
+        let expected = task_checksums(c, &tasks, &data);
+        plans.push((data_ref, tasks, expected));
     }
 
     // Submit phase: round-robin across this rank's clients so their task
     // streams interleave (many concurrent clients per rank), windowed so
     // the rank never floods the workers.
-    for t in 0..cfg.tasks_per_client as u64 {
-        for (i, &c) in mine.iter().enumerate() {
-            let task = c * cfg.tasks_per_client as u64 + t;
-            let arg = task_arg(cfg.seed, c, t);
-            let expected = task_checksum(c, task, arg, &datas[i]);
+    for t in 0..cfg.tasks_per_client {
+        for (data_ref, tasks, expected) in &plans {
+            let (task, arg) = tasks[t];
             while fe.outstanding() >= cfg.window {
                 fe.drain_one(py, ctx);
             }
-            fe.submit(py, ctx, refs[i], task, arg, expected);
+            fe.submit(py, ctx, *data_ref, task, arg, expected[t]);
         }
     }
     fe.gather_all(py, ctx);
@@ -845,6 +871,9 @@ mod tests {
             (a.reg_hit, a.reg_miss, a.reg_evict, a.ep_hit, a.ep_miss),
             (b.reg_hit, b.reg_miss, b.reg_evict, b.ep_hit, b.ep_miss)
         );
+        // Pinned, so a checksum that drifts fails here and not only in the
+        // benchmark's golden digests.
+        assert_eq!(a.digest, 0x28e9_f366_2591_cc77);
     }
 
     #[test]
@@ -1014,6 +1043,45 @@ mod tests {
         );
     }
 
+    /// Without a deadline too, a result for a task that is not pending is
+    /// absorbed and counted, and the pending task is still gathered.
+    #[test]
+    fn a_result_for_no_pending_task_is_absorbed_without_a_deadline() {
+        let mut sim = build_sim(Topology::summit(1), MachineConfig::default());
+        let gathered = Arc::new(Mutex::new(Vec::new()));
+        let out = gathered.clone();
+        launch(&mut sim, move |py, ctx| match py.rank() {
+            0 => {
+                let mut fe = Frontend::new(vec![1]);
+                fe.submit(
+                    py,
+                    ctx,
+                    DataRef {
+                        worker: 1,
+                        client: 0,
+                    },
+                    7,
+                    0,
+                    42,
+                );
+                fe.gather_all(py, ctx);
+                *out.lock() = fe.results;
+            }
+            1 => {
+                let ch = py.channel(0);
+                for task in [5, 7] {
+                    let msg = SvcMsg::Result { task, checksum: 42 };
+                    py.send_host(ctx, ch, encode(&msg));
+                }
+                py.recv_host(ctx, ch);
+            }
+            _ => {}
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!(*gathered.lock(), vec![(7, 42)]);
+        assert_eq!(sim.metrics().get("svc.dup_result"), 1);
+    }
+
     #[test]
     fn checksum_is_content_pure() {
         let data = client_data(3, 17, 512);
@@ -1023,5 +1091,25 @@ mod tests {
         assert_ne!(a, task_checksum(17, 100, 0xabcd, &data));
         assert_ne!(a, task_checksum(18, 99, 0xabcd, &data));
         assert_ne!(a, task_checksum(17, 99, 0xabce, &data));
+        // The values themselves are part of every result digest.
+        assert_eq!(a, 0xa8cf_03fd_1978_29b1);
+        assert_eq!(
+            task_checksum(5, 7, 11, &client_data(1, 5, 2049)),
+            0xc26e_5a26_dbf5_17be
+        );
+        // Each lane of the four-lane form is the one-lane checksum, across
+        // word-boundary lengths and every remainder of tasks mod 4.
+        let data = client_data(9, 4, 2049);
+        for len in [0, 1, 7, 8, 9, 2047, 2048, 2049] {
+            let data = &data[..len];
+            for n in 1..=9u64 {
+                let tasks: Vec<(u64, u64)> = (0..n).map(|t| (100 + t, t * 0x1234_5678)).collect();
+                let one: Vec<u64> = tasks
+                    .iter()
+                    .map(|&(task, arg)| task_checksum(4, task, arg, data))
+                    .collect();
+                assert_eq!(task_checksums(4, &tasks, data), one, "len {len}, {n} tasks");
+            }
+        }
     }
 }

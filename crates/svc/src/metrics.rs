@@ -16,8 +16,9 @@ pub const TASK_TIMEOUT: Metric = Metric::counter("svc.task_timeout");
 /// worker). An open breaker removes the worker from resubmission targets
 /// permanently — its channel sequence state may be torn down.
 pub const BREAKER_OPEN: Metric = Metric::counter("svc.breaker_open");
-/// Results that arrived for a task already gathered (the original worker
-/// answered late, after a resubmission was counted). Never double-counted.
+/// Results that arrived for a task no longer pending (the original worker
+/// answered late, after a resubmission was gathered). Absorbed with or
+/// without a deadline, and never double-counted.
 pub const DUP_RESULT: Metric = Metric::counter("svc.dup_result");
 /// Tasks abandoned after exhausting `MAX_RESUBMIT` or running out of
 /// eligible workers.

@@ -402,15 +402,15 @@ pub fn tag_send_nb(
             } else {
                 0
             };
-        let bytes = match &buf {
+        let bytes = match buf {
             SendBuf::Mem(r) => {
                 if w.gpu.pool.is_materialized(r.id).unwrap_or(false) {
-                    w.gpu.pool.read(*r).ok()
+                    w.gpu.pool.read(r).ok()
                 } else {
                     None
                 }
             }
-            SendBuf::Inline { bytes, .. } => Some(bytes.clone()),
+            SendBuf::Inline { bytes, .. } => Some(bytes),
             SendBuf::Phantom { .. } => None,
         };
         s.count(m::EAGER);
