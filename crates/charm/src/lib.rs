@@ -15,7 +15,7 @@
 //! - `CkDeviceBuffer` → [`wire::DeviceMeta`] + machine-layer tag generation
 //!   ([`mltags::TagScheme`], Fig. 3).
 //! - `LrtsSendDevice`/`LrtsRecvDevice` → the UCP calls issued in
-//!   [`Pe::send_ext`] and envelope dispatch.
+//!   [`Pe::send`] and envelope dispatch.
 //! - Converse scheduler + message queue → [`Pe::run`]/[`Pe::try_step`]
 //!   pumping the UCP worker.
 
@@ -260,49 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn reduction_over_topology_tree() {
-        // Same reduction, but climbing the NVLink-aware spanning tree from
-        // the collective engine (one leader per node crosses the network).
-        let mut sim = sim(2);
-        let result = Arc::new(AtomicU64::new(0));
-        let result2 = result.clone();
-        launch(&mut sim, move |pe, ctx| {
-            let tree = ctx.with_world_ref(|w, _| rucx_coll::Tree::topology(&w.topo, 12));
-            pe.set_reduction_tree(tree);
-            let n = pe.n_pes as u64;
-            let col = pe.register_collection(n, move |i| i as usize % n as usize);
-            let result3 = result2.clone();
-            let ep_done = pe.register_ep(
-                col,
-                None,
-                Box::new(move |_chare, msg: &Msg, pe, ctx| {
-                    let mut r = marshal::Reader(&msg.params);
-                    let sum = r.f64();
-                    assert_eq!(r.u64(), pe.n_pes as u64);
-                    result3.store(sum as u64, Ordering::SeqCst);
-                    pe.exit_all(ctx);
-                }),
-            );
-            struct Unit;
-            for &i in pe.local_indices(col).to_vec().iter() {
-                pe.insert_chare(col, i, Box::new(Unit));
-            }
-            let me = pe.index as f64;
-            pe.contribute(
-                ctx,
-                col,
-                pe.index as u64,
-                RedOp::Sum,
-                me,
-                RedTarget::Chare(ChareRef { col, index: 0 }, ep_done),
-            );
-            pe.run(ctx);
-        });
-        assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(result.load(Ordering::SeqCst), 66);
-    }
-
-    #[test]
     fn self_send_via_local_queue() {
         let mut sim = sim(1);
         let hits = Arc::new(AtomicU64::new(0));
@@ -350,86 +307,6 @@ mod tests {
         assert_eq!(sim.run(), RunOutcome::Completed);
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert!(sim.metrics().get("ucp.rndv") >= 1);
-    }
-
-    #[test]
-    fn pre_posted_user_tag_receives_skip_metadata_delay() {
-        // Same 1 MiB transfer twice: once through the regular
-        // metadata-then-post flow, once with a user tag pre-posted by the
-        // receiver. The pre-posted variant must deliver the same data and
-        // complete no later (it starts the fetch when the RTS arrives).
-        fn run_once(pre_post: bool) -> (u64, Vec<u8>) {
-            let mut sim = sim(1);
-            let size = 1u64 << 20;
-            let src = sim
-                .world_mut()
-                .gpu
-                .pool
-                .alloc_device(DeviceId(0), size, true)
-                .unwrap();
-            let dst = sim
-                .world_mut()
-                .gpu
-                .pool
-                .alloc_device(DeviceId(1), size, true)
-                .unwrap();
-            let data: Vec<u8> = (0..size).map(|i| (i % 239) as u8).collect();
-            sim.world_mut().gpu.pool.write(src, &data).unwrap();
-            let done_at = Arc::new(AtomicU64::new(0));
-            let done2 = done_at.clone();
-            launch(&mut sim, move |pe, ctx| {
-                let n = pe.n_pes as u64;
-                let col = pe.register_collection(n, move |i| i as usize);
-                let done3 = done2.clone();
-                let ep = pe.register_ep(
-                    col,
-                    Some(Box::new(move |_c, _m| vec![dst])),
-                    Box::new(move |_c, msg: &Msg, pe, ctx| {
-                        assert_eq!(msg.device_sizes, vec![1u64 << 20]);
-                        done3.store(ctx.now(), Ordering::SeqCst);
-                        pe.exit_all(ctx);
-                    }),
-                );
-                struct Unit;
-                for &i in pe.local_indices(col).to_vec().iter() {
-                    pe.insert_chare(col, i, Box::new(Unit));
-                }
-                if pe.index == 1 && pre_post {
-                    pe.pre_post_device(ctx, 0xABCD, dst);
-                }
-                if pe.index == 0 {
-                    // Give the receiver a moment to pre-post.
-                    ctx.advance(us(5.0));
-                    if pre_post {
-                        pe.send_user_tagged(
-                            ctx,
-                            ChareRef { col, index: 1 },
-                            ep,
-                            vec![],
-                            vec![(src, 0xABCD)],
-                        );
-                    } else {
-                        pe.send(ctx, ChareRef { col, index: 1 }, ep, vec![], 0, vec![src]);
-                    }
-                }
-                pe.run(ctx);
-            });
-            assert_eq!(sim.run(), RunOutcome::Completed);
-            (
-                done_at.load(Ordering::SeqCst),
-                sim.world().gpu.pool.read(dst).unwrap(),
-            )
-        }
-        let size = 1usize << 20;
-        let data: Vec<u8> = (0..size).map(|i| (i % 239) as u8).collect();
-        let (t_regular, d_regular) = run_once(false);
-        let (t_pre, d_pre) = run_once(true);
-        assert_eq!(d_regular, data);
-        assert_eq!(d_pre, data);
-        assert!(
-            t_pre < t_regular,
-            "pre-posted {t_pre}ns should beat metadata-delayed {t_regular}ns"
-        );
     }
 
     #[test]

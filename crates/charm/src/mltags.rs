@@ -3,19 +3,24 @@
 //! The 64-bit UCP tag is split into three fields:
 //!
 //! ```text
-//! | MSG_BITS (4) | PE_BITS (default 32) | CNT_BITS (default 28) |
+//! | MSG_BITS (4) | PE_BITS (32) | CNT_BITS (28) |
 //! ```
 //!
 //! `MSG_BITS` distinguishes message types — host-side Converse messages vs
 //! the `UCX_MSG_TAG_DEVICE` type added by this work for inter-GPU
-//! communication. The remainder holds the source PE and a per-PE counter.
-//! The PE/CNT split is user-configurable to accommodate different scaling
-//! configurations, exactly as the paper describes.
+//! communication. The remainder holds the source PE and a per-PE counter,
+//! at the paper's 32/28 split.
 
 use rucx_ucp::{Tag, TagMask};
 
 /// Number of bits reserved for the message type.
 pub const MSG_BITS: u32 = 4;
+/// Number of bits holding the source PE.
+pub const PE_BITS: u32 = 32;
+/// Number of bits holding the per-PE device-send counter.
+pub const CNT_BITS: u32 = 28;
+
+const _: () = assert!(MSG_BITS + PE_BITS + CNT_BITS == 64);
 
 /// Message types carried in the top `MSG_BITS` bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,60 +30,22 @@ pub enum MsgType {
     Host = 1,
     /// Direct GPU-GPU transfer (`UCX_MSG_TAG_DEVICE`).
     Device = 2,
-    /// GPU-GPU transfer under a *user-provided* tag, which both endpoints
-    /// can derive independently — the receive can be posted before the
-    /// metadata message arrives (the paper's §VI "user-provided tags"
-    /// improvement).
-    UserDevice = 3,
 }
 
-/// A configurable PE/counter split of the tag space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TagScheme {
-    pe_bits: u32,
-    cnt_bits: u32,
-}
-
-impl Default for TagScheme {
-    fn default() -> Self {
-        TagScheme::new(32, 28).expect("default split is valid")
-    }
-}
+/// The machine layer's tag format: builds and parses tags at the fixed
+/// MSG/PE/CNT split.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TagScheme;
 
 impl TagScheme {
-    /// Create a scheme with the given split. `pe_bits + cnt_bits` must equal
-    /// `64 - MSG_BITS`.
-    pub fn new(pe_bits: u32, cnt_bits: u32) -> Result<Self, String> {
-        if pe_bits == 0 || cnt_bits == 0 {
-            return Err("pe_bits and cnt_bits must be positive".into());
-        }
-        if pe_bits + cnt_bits != 64 - MSG_BITS {
-            return Err(format!(
-                "pe_bits ({pe_bits}) + cnt_bits ({cnt_bits}) must equal {}",
-                64 - MSG_BITS
-            ));
-        }
-        Ok(TagScheme { pe_bits, cnt_bits })
-    }
-
-    /// Bits allocated to the source PE field.
-    pub fn pe_bits(&self) -> u32 {
-        self.pe_bits
-    }
-
-    /// Bits allocated to the per-PE counter field.
-    pub fn cnt_bits(&self) -> u32 {
-        self.cnt_bits
-    }
-
     /// Largest PE index representable.
     pub fn max_pe(&self) -> u64 {
-        (1u64 << self.pe_bits) - 1
+        (1u64 << PE_BITS) - 1
     }
 
     /// Counter wraps at this value.
     pub fn cnt_period(&self) -> u64 {
-        1u64 << self.cnt_bits
+        1u64 << CNT_BITS
     }
 
     /// Tag for a device (GPU-GPU) transfer from `src_pe` with counter value
@@ -86,26 +53,17 @@ impl TagScheme {
     pub fn device_tag(&self, src_pe: usize, cnt: u64) -> Tag {
         assert!(
             (src_pe as u64) <= self.max_pe(),
-            "PE {src_pe} exceeds tag scheme capacity {} — rebalance PE_BITS/CNT_BITS",
-            self.max_pe()
+            "PE {src_pe} exceeds the tag's {PE_BITS}-bit PE field"
         );
         ((MsgType::Device as u64) << (64 - MSG_BITS))
-            | ((src_pe as u64) << self.cnt_bits)
+            | ((src_pe as u64) << CNT_BITS)
             | (cnt & (self.cnt_period() - 1))
-    }
-
-    /// Tag for a device transfer under a user-provided tag. Unlike
-    /// [`TagScheme::device_tag`], both sides can compute this without any
-    /// exchange, so the receiver can pre-post.
-    pub fn user_device_tag(&self, user_tag: u64) -> Tag {
-        ((MsgType::UserDevice as u64) << (64 - MSG_BITS))
-            | (user_tag & ((1u64 << (64 - MSG_BITS)) - 1))
     }
 
     /// Tag for host-side Converse messages from `src_pe`.
     pub fn host_tag(&self, src_pe: usize) -> Tag {
         assert!((src_pe as u64) <= self.max_pe());
-        ((MsgType::Host as u64) << (64 - MSG_BITS)) | ((src_pe as u64) << self.cnt_bits)
+        ((MsgType::Host as u64) << (64 - MSG_BITS)) | ((src_pe as u64) << CNT_BITS)
     }
 
     /// `(tag, mask)` pair matching *any* host-side Converse message.
@@ -121,14 +79,13 @@ impl TagScheme {
         match tag >> (64 - MSG_BITS) {
             1 => Some(MsgType::Host),
             2 => Some(MsgType::Device),
-            3 => Some(MsgType::UserDevice),
             _ => None,
         }
     }
 
     /// Extract the source PE field.
     pub fn src_pe(&self, tag: Tag) -> usize {
-        ((tag << MSG_BITS) >> (MSG_BITS + self.cnt_bits)) as usize
+        ((tag << MSG_BITS) >> (MSG_BITS + CNT_BITS)) as usize
     }
 
     /// Extract the counter field.
@@ -143,23 +100,15 @@ mod tests {
 
     #[test]
     fn default_split_is_4_32_28() {
-        let s = TagScheme::default();
-        assert_eq!(s.pe_bits(), 32);
-        assert_eq!(s.cnt_bits(), 28);
+        let s = TagScheme;
+        assert_eq!((MSG_BITS, PE_BITS, CNT_BITS), (4, 32, 28));
+        assert_eq!(s.max_pe(), u32::MAX as u64);
         assert_eq!(s.cnt_period(), 1 << 28);
     }
 
     #[test]
-    fn invalid_splits_rejected() {
-        assert!(TagScheme::new(0, 60).is_err());
-        assert!(TagScheme::new(60, 0).is_err());
-        assert!(TagScheme::new(30, 28).is_err());
-        assert!(TagScheme::new(31, 29).is_ok());
-    }
-
-    #[test]
     fn device_tag_roundtrip() {
-        let s = TagScheme::default();
+        let s = TagScheme;
         let t = s.device_tag(12345, 678);
         assert_eq!(s.msg_type(t), Some(MsgType::Device));
         assert_eq!(s.src_pe(t), 12345);
@@ -168,14 +117,16 @@ mod tests {
 
     #[test]
     fn counter_wraps_within_field() {
-        let s = TagScheme::new(56, 4).unwrap();
-        let t = s.device_tag(1, 16 + 3); // wraps mod 16
+        let s = TagScheme;
+        let t = s.device_tag(1, (1 << 28) + 3); // wraps mod 2^28
         assert_eq!(s.cnt(t), 3);
+        assert_eq!(s.src_pe(t), 1);
+        assert_eq!(t, s.device_tag(1, 3));
     }
 
     #[test]
     fn host_probe_matches_host_only() {
-        let s = TagScheme::default();
+        let s = TagScheme;
         let (want, mask) = s.host_probe();
         let host = s.host_tag(7);
         let dev = s.device_tag(7, 1);
@@ -184,15 +135,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rebalance")]
+    #[should_panic(expected = "32-bit PE field")]
     fn pe_overflow_panics() {
-        let s = TagScheme::new(4, 56).unwrap();
-        s.device_tag(16, 0);
+        TagScheme.device_tag(1 << 32, 0);
     }
 
     #[test]
     fn distinct_senders_and_counters_distinct_tags() {
-        let s = TagScheme::default();
+        let s = TagScheme;
         let mut seen = std::collections::HashSet::new();
         for pe in 0..8 {
             for cnt in 0..8 {

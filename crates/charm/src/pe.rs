@@ -46,14 +46,6 @@ pub struct ChareRef {
 const SYS_COLLECTION: u16 = u16::MAX;
 const SYS_EXIT: EpId = 0;
 const SYS_REDUCE: EpId = 1;
-/// Carries a packed (PUPed) chare to its new PE.
-const SYS_MIGRATE: EpId = 2;
-/// Location update: (col, index, new_pe).
-const SYS_LOCATION: EpId = 3;
-/// Quiescence-detection wave: root asks every PE for its counters.
-const SYS_QD_PING: EpId = 4;
-/// Quiescence-detection reply: (wave, created, processed).
-const SYS_QD_REPLY: EpId = 5;
 /// Broadcast marker index: deliver to every local element.
 const BCAST_INDEX: u64 = u64::MAX;
 
@@ -137,19 +129,11 @@ impl RedMgr {
 
 struct CollectionData {
     map: Rc<dyn Fn(u64) -> usize>,
-    num_elements: u64,
     eps: Vec<Rc<EpEntry>>,
     local_indices: Vec<u64>,
     /// For the reduction tree: which PEs' subtrees contain elements.
     subtree_elems: Rc<Vec<u64>>,
     red: RedMgr,
-    /// Deserializer for migrated chares (PUP unpacking). Collections
-    /// without a factory cannot receive migrations.
-    #[allow(clippy::type_complexity)]
-    factory: Option<Box<dyn Fn(&[u8]) -> Box<dyn Any>>>,
-    /// Known element locations overriding the home map (updated by
-    /// migrations this PE learns about).
-    location: IdMap<u64, usize>,
 }
 
 struct PendingDevice {
@@ -165,26 +149,14 @@ pub struct Pe {
     pub n_pes: usize,
     /// Machine-layer tag scheme.
     pub scheme: TagScheme,
-    /// The PE tree reductions climb. Defaults to the historical binary
-    /// tree; [`Pe::set_reduction_tree`] swaps in a topology-aware one.
-    red_tree: Rc<Tree>,
+    /// The PE tree reductions climb (binary).
+    red_tree: Tree,
     device_cnt: u64,
     collections: Vec<CollectionData>,
     chares: IdMap<(u16, u64), Box<dyn Any>>,
     local_q: VecDeque<Envelope>,
     pending_device: Vec<PendingDevice>,
-    /// Receives posted *before* their metadata arrived, keyed by full
-    /// machine-layer tag (user-provided tag path, §VI improvement).
-    pre_posted: IdMap<u64, Trigger>,
     exit: bool,
-    /// Messages dispatched (diagnostics).
-    pub msgs_processed: u64,
-    /// Quiescence-detection counters: user-level envelopes created and
-    /// processed by this PE (QD's own control traffic is excluded).
-    qd_created: u64,
-    qd_processed: u64,
-    /// Root-side state of an active quiescence detection.
-    qd: Option<QdState>,
     /// Per-chare communication-error handlers ([`Pe::set_error_handler`]).
     error_handlers: IdMap<(u16, u64), Rc<ErrorFn>>,
     /// PE-wide fallback error handler.
@@ -219,34 +191,20 @@ fn stamp_ctx(w: &mut rucx_ucp::Machine, sctx: u64) {
     }
 }
 
-struct QdState {
-    wave: u64,
-    replies: usize,
-    created: u64,
-    processed: u64,
-    prev: Option<(u64, u64)>,
-    target: (ChareRef, EpId),
-}
-
 impl Pe {
     /// Create the runtime for one PE. Call inside the PE's process body.
     pub fn new(index: usize, n_pes: usize) -> Self {
         Pe {
             index,
             n_pes,
-            scheme: TagScheme::default(),
-            red_tree: Rc::new(Tree::binary(n_pes)),
+            scheme: TagScheme,
+            red_tree: Tree::binary(n_pes),
             device_cnt: 0,
             collections: Vec::new(),
             chares: IdMap::default(),
             local_q: VecDeque::new(),
             pending_device: Vec::new(),
-            pre_posted: IdMap::default(),
             exit: false,
-            msgs_processed: 0,
-            qd_created: 0,
-            qd_processed: 0,
-            qd: None,
             error_handlers: IdMap::default(),
             default_error_handler: None,
             current_chare: None,
@@ -255,19 +213,6 @@ impl Pe {
     }
 
     // ---- Registration -------------------------------------------------
-
-    /// Replace the reduction spanning tree (e.g. with
-    /// [`Tree::topology`], which keeps contributions on NVLink until one
-    /// leader per node crosses the network). Must be called identically on
-    /// every PE, before any collection is registered.
-    pub fn set_reduction_tree(&mut self, tree: Tree) {
-        assert_eq!(tree.len(), self.n_pes, "tree must span every PE");
-        assert!(
-            self.collections.is_empty(),
-            "set the reduction tree before registering collections"
-        );
-        self.red_tree = Rc::new(tree);
-    }
 
     /// Register a chare collection with `num_elements` elements and an
     /// index→PE placement map. Must be called identically on every PE
@@ -292,22 +237,12 @@ impl Pe {
         let id = Collection(self.collections.len() as u16);
         self.collections.push(CollectionData {
             map,
-            num_elements,
             eps: Vec::new(),
             local_indices,
             subtree_elems: Rc::new(subtree),
             red: RedMgr::new(),
-            factory: None,
-            location: IdMap::default(),
         });
         id
-    }
-
-    /// Register the deserializer used to reconstruct chares of `col` that
-    /// migrate to this PE (the PUP "unpacking" side). Must be registered
-    /// identically on every PE before any migration.
-    pub fn set_factory(&mut self, col: Collection, f: impl Fn(&[u8]) -> Box<dyn Any> + 'static) {
-        self.collections[col.0 as usize].factory = Some(Box::new(f));
     }
 
     /// Register the next entry method of `col`; returns its id. Must be
@@ -347,26 +282,9 @@ impl Pe {
         &self.collections[col.0 as usize].local_indices
     }
 
-    /// Number of elements in a collection.
-    pub fn num_elements(&self, col: Collection) -> u64 {
-        self.collections[col.0 as usize].num_elements
-    }
-
-    /// The element's *home* PE per the placement map (never changes).
+    /// The element's PE per the placement map (chares never move).
     pub fn home_pe(&self, col: Collection, index: u64) -> usize {
         (self.collections[col.0 as usize].map)(index)
-    }
-
-    /// Best-known current location of an element: this PE's location cache,
-    /// falling back to the home map. Stale entries are corrected by
-    /// forwarding (messages reaching a PE that no longer owns the chare are
-    /// re-routed by the owner-of-record chain).
-    pub fn route_pe(&self, col: Collection, index: u64) -> usize {
-        let c = &self.collections[col.0 as usize];
-        c.location
-            .get(&index)
-            .copied()
-            .unwrap_or_else(|| (c.map)(index))
     }
 
     /// Typed access to a local chare (for driver-style code such as AMPI
@@ -405,92 +323,6 @@ impl Pe {
         r
     }
 
-    /// Migrate a local chare to `dest_pe`: the chare is packed with `pup`,
-    /// removed locally, shipped in a system message (its serialized state
-    /// travels as envelope payload), and reconstructed on `dest_pe` with
-    /// the collection's registered factory. The home PE is notified so
-    /// future senders using the home map reach the new location; messages
-    /// already in flight to this PE are forwarded.
-    ///
-    /// Restrictions (as documented, not enforced): no device transfers or
-    /// reduction contributions may be in flight for the migrating chare.
-    pub fn migrate<T: 'static>(
-        &mut self,
-        ctx: &mut MCtx,
-        col: Collection,
-        index: u64,
-        dest_pe: usize,
-        pup: impl Fn(&T) -> Vec<u8>,
-    ) {
-        assert!(dest_pe < self.n_pes);
-        if dest_pe == self.index {
-            return;
-        }
-        let chare = self.chares.remove(&(col.0, index)).expect(
-            "migrating a chare not on this PE (from inside its own entry \
-             method, use migrate_packed)",
-        );
-        let data = pup(chare.downcast_ref::<T>().expect("chare type mismatch"));
-        self.migrate_packed(ctx, col, index, dest_pe, data);
-    }
-
-    /// Migration entry point for a chare migrating *itself* from within one
-    /// of its entry methods (it is detached from the chare table during
-    /// execution, so the handler packs its own state and hands the bytes
-    /// here; the scheduler drops the detached instance afterwards).
-    pub fn migrate_packed(
-        &mut self,
-        ctx: &mut MCtx,
-        col: Collection,
-        index: u64,
-        dest_pe: usize,
-        data: Vec<u8>,
-    ) {
-        assert!(dest_pe < self.n_pes);
-        if dest_pe == self.index {
-            return;
-        }
-        self.chares.remove(&(col.0, index)); // no-op when self-migrating
-        let c = &mut self.collections[col.0 as usize];
-        c.local_indices.retain(|&i| i != index);
-        c.location.insert(index, dest_pe);
-        self.msgs_processed += 1;
-        // Ship the packed chare.
-        let mut params = Vec::with_capacity(20 + data.len());
-        crate::wire::marshal::put_u64(&mut params, col.0 as u64);
-        crate::wire::marshal::put_u64(&mut params, index);
-        crate::wire::marshal::put_bytes(&mut params, &data);
-        let env = Envelope {
-            collection: SYS_COLLECTION,
-            index: 0,
-            ep: SYS_MIGRATE,
-            src_pe: self.index as u32,
-            params,
-            phantom_payload: 0,
-            device: vec![],
-        };
-        self.post_envelope(ctx, dest_pe, env);
-        // Tell the home PE (senders falling back to the home map route
-        // through it and get forwarded).
-        let home = self.home_pe(col, index);
-        if home != dest_pe && home != self.index {
-            let mut params = Vec::with_capacity(24);
-            crate::wire::marshal::put_u64(&mut params, col.0 as u64);
-            crate::wire::marshal::put_u64(&mut params, index);
-            crate::wire::marshal::put_u64(&mut params, dest_pe as u64);
-            let env = Envelope {
-                collection: SYS_COLLECTION,
-                index: 0,
-                ep: SYS_LOCATION,
-                src_pe: self.index as u32,
-                params,
-                phantom_payload: 0,
-                device: vec![],
-            };
-            self.post_envelope(ctx, home, env);
-        }
-    }
-
     // ---- Sending ------------------------------------------------------
 
     /// Invoke entry method `ep` on chare `to` with marshalled `params`,
@@ -506,24 +338,7 @@ impl Pe {
         phantom: u64,
         device_bufs: Vec<MemRef>,
     ) {
-        self.send_ext(ctx, to, ep, params, phantom, device_bufs, false);
-    }
-
-    /// Like [`Pe::send`] but optionally returning one trigger per device
-    /// buffer, fired when the machine layer completes the corresponding GPU
-    /// send (used by AMPI to implement send-completion semantics).
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_ext(
-        &mut self,
-        ctx: &mut MCtx,
-        to: ChareRef,
-        ep: EpId,
-        params: Vec<u8>,
-        phantom: u64,
-        device_bufs: Vec<MemRef>,
-        want_triggers: bool,
-    ) -> Vec<Trigger> {
-        let dst_pe = self.route_pe(to.col, to.index);
+        let dst_pe = self.home_pe(to.col, to.index);
         let ndev = device_bufs.len();
         // CPU cost: runtime send path + payload packing + per-device
         // metadata handling + the UCP calls themselves.
@@ -535,47 +350,24 @@ impl Pe {
         // 1) Send GPU buffers through the machine layer (LrtsSendDevice),
         //    generating one device tag each (Fig. 6 steps 1-4).
         let mut metas = Vec::with_capacity(ndev);
-        let mut triggers = Vec::new();
         let src_pe = self.index;
         let sctx = self.send_ctx_stamp();
         for buf in device_bufs {
             let tag = self.scheme.device_tag(src_pe, self.device_cnt);
             self.device_cnt += 1;
-            metas.push(DeviceMeta {
-                tag,
-                size: buf.len,
-                user_tagged: false,
-            });
-            let trig = ctx.with_world(move |w, s| {
+            metas.push(DeviceMeta { tag, size: buf.len });
+            ctx.with_world(move |w, s| {
                 stamp_ctx(w, sctx);
-                if want_triggers {
-                    let t = s.new_trigger();
-                    tag_send_nb(
-                        w,
-                        s,
-                        src_pe,
-                        dst_pe,
-                        SendBuf::Mem(buf),
-                        tag,
-                        Completion::Trigger(t),
-                    );
-                    Some(t)
-                } else {
-                    tag_send_nb(
-                        w,
-                        s,
-                        src_pe,
-                        dst_pe,
-                        SendBuf::Mem(buf),
-                        tag,
-                        Completion::None,
-                    );
-                    None
-                }
+                tag_send_nb(
+                    w,
+                    s,
+                    src_pe,
+                    dst_pe,
+                    SendBuf::Mem(buf),
+                    tag,
+                    Completion::None,
+                );
             });
-            if let Some(t) = trig {
-                triggers.push(t);
-            }
         }
 
         // 2) Pack metadata with host-side data and send the envelope
@@ -590,14 +382,10 @@ impl Pe {
             device: metas,
         };
         self.post_envelope(ctx, dst_pe, env);
-        triggers
     }
 
     /// Route an envelope to `dst_pe` (loopback for self-sends).
     fn post_envelope(&mut self, ctx: &mut MCtx, dst_pe: usize, env: Envelope) {
-        if env.collection != SYS_COLLECTION || !matches!(env.ep, SYS_QD_PING | SYS_QD_REPLY) {
-            self.qd_created += 1;
-        }
         if dst_pe == self.index {
             self.local_q.push_back(env);
         } else {
@@ -690,70 +478,6 @@ impl Pe {
                 device: vec![],
             };
             self.post_envelope(ctx, pe, env);
-        }
-    }
-
-    // ---- Quiescence detection ------------------------------------------
-
-    /// Start quiescence detection ("CkStartQD"): when no user-level message
-    /// is in flight or unprocessed anywhere, invoke `ep` on chare `target`.
-    /// Must be called on PE 0 (the detection root). Uses the classic
-    /// two-identical-waves counter algorithm.
-    pub fn start_quiescence(&mut self, ctx: &mut MCtx, target: ChareRef, ep: EpId) {
-        assert_eq!(self.index, 0, "quiescence detection is rooted at PE 0");
-        assert!(self.qd.is_none(), "quiescence detection already active");
-        self.qd = Some(QdState {
-            wave: 0,
-            replies: 0,
-            created: 0,
-            processed: 0,
-            prev: None,
-            target: (target, ep),
-        });
-        self.qd_wave(ctx);
-    }
-
-    fn qd_wave(&mut self, ctx: &mut MCtx) {
-        let st = self.qd.as_mut().expect("qd active");
-        st.wave += 1;
-        st.replies = 0;
-        st.created = 0;
-        st.processed = 0;
-        let wave = st.wave;
-        let mut params = Vec::with_capacity(8);
-        crate::wire::marshal::put_u64(&mut params, wave);
-        for pe in 0..self.n_pes {
-            let env = Envelope {
-                collection: SYS_COLLECTION,
-                index: 0,
-                ep: SYS_QD_PING,
-                src_pe: self.index as u32,
-                params: params.clone(),
-                phantom_payload: 0,
-                device: vec![],
-            };
-            self.post_envelope(ctx, pe, env);
-        }
-    }
-
-    fn qd_on_reply(&mut self, ctx: &mut MCtx, created: u64, processed: u64) {
-        let n_pes = self.n_pes;
-        let st = self.qd.as_mut().expect("qd reply without detection");
-        st.replies += 1;
-        st.created += created;
-        st.processed += processed;
-        if st.replies < n_pes {
-            return;
-        }
-        let totals = (st.created, st.processed);
-        let quiescent = totals.0 == totals.1 && st.prev == Some(totals);
-        st.prev = Some(totals);
-        if quiescent {
-            let (target, ep) = st.target;
-            self.qd = None;
-            self.send(ctx, target, ep, vec![], 0, vec![]);
-        } else {
-            self.qd_wave(ctx);
         }
     }
 
@@ -948,70 +672,6 @@ impl Pe {
         (tag, trig)
     }
 
-    /// Pre-post the receive for a device transfer that will arrive under a
-    /// *user-provided* tag (both endpoints derive the machine-layer tag
-    /// independently). Eliminates the paper's noted delay of posting the
-    /// receive only after the metadata message arrives: the data transfer
-    /// can start the moment the sender's RTS lands.
-    pub fn pre_post_device(&mut self, ctx: &mut MCtx, user_tag: u64, buf: MemRef) {
-        let tag = self.scheme.user_device_tag(user_tag);
-        let t = self.ml_recv_device(ctx, tag, buf);
-        let prev = self.pre_posted.insert(tag, t);
-        assert!(prev.is_none(), "user tag {user_tag} already pre-posted");
-    }
-
-    /// Like [`Pe::send`], but each device buffer travels under a
-    /// user-provided tag the receiver may have pre-posted (§VI).
-    pub fn send_user_tagged(
-        &mut self,
-        ctx: &mut MCtx,
-        to: ChareRef,
-        ep: EpId,
-        params: Vec<u8>,
-        device_bufs: Vec<(MemRef, u64)>,
-    ) {
-        let dst_pe = self.route_pe(to.col, to.index);
-        let ndev = device_bufs.len();
-        let cost = SEND_OVERHEAD
-            + pack_cost(params.len() as u64)
-            + ndev as u64 * (DEVICE_META_OVERHEAD + CPU_CALL)
-            + CPU_CALL;
-        ctx.advance(cost);
-        let src_pe = self.index;
-        let mut metas = Vec::with_capacity(ndev);
-        let sctx = self.send_ctx_stamp();
-        for (buf, user_tag) in device_bufs {
-            let tag = self.scheme.user_device_tag(user_tag);
-            metas.push(DeviceMeta {
-                tag,
-                size: buf.len,
-                user_tagged: true,
-            });
-            ctx.with_world(move |w, s| {
-                stamp_ctx(w, sctx);
-                tag_send_nb(
-                    w,
-                    s,
-                    src_pe,
-                    dst_pe,
-                    SendBuf::Mem(buf),
-                    tag,
-                    Completion::None,
-                );
-            });
-        }
-        let env = Envelope {
-            collection: to.col.0,
-            index: to.index,
-            ep,
-            src_pe: src_pe as u32,
-            params,
-            phantom_payload: 0,
-            device: metas,
-        };
-        self.post_envelope(ctx, dst_pe, env);
-    }
-
     /// `LrtsRecvDevice`: post the receive for an announced device transfer;
     /// returns a trigger fired when the data is in `dst`.
     pub fn ml_recv_device(&mut self, ctx: &mut MCtx, tag: u64, dst: MemRef) -> Trigger {
@@ -1163,7 +823,6 @@ impl Pe {
     /// Dispatch one envelope: system handling, post entry methods for
     /// device buffers, or direct execution.
     fn dispatch(&mut self, ctx: &mut MCtx, env: Envelope) {
-        self.msgs_processed += 1;
         {
             // One instant per delivered envelope: id packs (collection, ep)
             // so a trace viewer can tell entry methods apart; arg = sender.
@@ -1171,9 +830,6 @@ impl Pe {
             let id = ((env.collection as u64) << 16) | env.ep as u64;
             let src = env.src_pe as u64;
             ctx.with_world(move |_, s| s.trace_instant(metrics::TRACE_SCHED_DELIVER, me, id, src));
-        }
-        if env.collection != SYS_COLLECTION || !matches!(env.ep, SYS_QD_PING | SYS_QD_REPLY) {
-            self.qd_processed += 1;
         }
         let unpack = pack_cost(env.params.len() as u64 + env.phantom_payload);
         ctx.advance(RECV_OVERHEAD + unpack);
@@ -1184,23 +840,6 @@ impl Pe {
         }
         if env.device.is_empty() {
             self.exec_envelope(ctx, env);
-            return;
-        }
-        // Fast path: every incoming buffer was pre-posted under a user
-        // tag — no post entry method needed, and the transfers have been
-        // in flight since the sender's RTS arrived.
-        if !env.device.is_empty()
-            && env
-                .device
-                .iter()
-                .all(|m| m.user_tagged && self.pre_posted.contains_key(&m.tag))
-        {
-            let triggers: Vec<Trigger> = env
-                .device
-                .iter()
-                .map(|m| self.pre_posted.remove(&m.tag).expect("pre-posted"))
-                .collect();
-            self.pending_device.push(PendingDevice { env, triggers });
             return;
         }
         // Post entry method: obtain destination GPU buffers, then post the
@@ -1274,18 +913,6 @@ impl Pe {
             for i in indices {
                 self.exec_one(ctx, (env.collection, i), &entry, &msg);
             }
-        } else if !self.chares.contains_key(&(env.collection, env.index)) {
-            // The chare migrated away (or was never here): forward.
-            let env = Envelope {
-                collection: env.collection,
-                index: env.index,
-                ep: env.ep,
-                src_pe: msg.src_pe as u32,
-                params: msg.params,
-                phantom_payload: msg.phantom_payload,
-                device: env.device,
-            };
-            self.forward(ctx, env);
         } else {
             self.exec_one(ctx, (env.collection, env.index), &entry, &msg);
         }
@@ -1299,29 +926,7 @@ impl Pe {
         let prev = self.current_chare.replace(key);
         (entry.exec)(chare.as_mut(), msg, self, ctx);
         self.current_chare = prev;
-        // The entry method may have migrated the chare away; only reinsert
-        // if it is still ours.
-        if self.collections[key.0 as usize]
-            .location
-            .get(&key.1)
-            .is_none_or(|&pe| pe == self.index)
-        {
-            self.chares.insert(key, chare);
-        }
-    }
-
-    /// A message reached a PE that no longer (or never) hosted the chare:
-    /// forward it along the best-known route (home-based location protocol).
-    fn forward(&mut self, ctx: &mut MCtx, env: Envelope) {
-        let col = Collection(env.collection);
-        let next = self.route_pe(col, env.index);
-        assert_ne!(
-            next, self.index,
-            "no route for chare ({}, {}) from PE {}",
-            env.collection, env.index, self.index
-        );
-        self.msgs_processed += 1;
-        self.post_envelope(ctx, next, env);
+        self.chares.insert(key, chare);
     }
 
     fn handle_sys(&mut self, ctx: &mut MCtx, env: Envelope) {
@@ -1335,62 +940,6 @@ impl Pe {
                 let value = r.f64();
                 let count = r.u64();
                 self.reduce_merge(ctx, col, seq, op, value, count, 1, None, false);
-            }
-            SYS_QD_PING => {
-                let mut r = crate::wire::marshal::Reader(&env.params);
-                let wave = r.u64();
-                let mut params = Vec::with_capacity(24);
-                crate::wire::marshal::put_u64(&mut params, wave);
-                crate::wire::marshal::put_u64(&mut params, self.qd_created);
-                // Envelopes whose GPU payloads are still in flight are not
-                // done: report them as unprocessed so quiescence cannot be
-                // declared across a pending device transfer.
-                crate::wire::marshal::put_u64(
-                    &mut params,
-                    self.qd_processed
-                        .saturating_sub(self.pending_device.len() as u64),
-                );
-                let reply = Envelope {
-                    collection: SYS_COLLECTION,
-                    index: 0,
-                    ep: SYS_QD_REPLY,
-                    src_pe: self.index as u32,
-                    params,
-                    phantom_payload: 0,
-                    device: vec![],
-                };
-                self.post_envelope(ctx, env.src_pe as usize, reply);
-            }
-            SYS_QD_REPLY => {
-                let mut r = crate::wire::marshal::Reader(&env.params);
-                let _wave = r.u64();
-                let created = r.u64();
-                let processed = r.u64();
-                self.qd_on_reply(ctx, created, processed);
-            }
-            SYS_MIGRATE => {
-                let mut r = crate::wire::marshal::Reader(&env.params);
-                let col = Collection(r.u64() as u16);
-                let index = r.u64();
-                let data = r.bytes().to_vec();
-                let c = &mut self.collections[col.0 as usize];
-                let chare = (c
-                    .factory
-                    .as_ref()
-                    .expect("migration target collection has no factory"))(
-                    &data
-                );
-                c.local_indices.push(index);
-                c.local_indices.sort_unstable();
-                c.location.insert(index, self.index);
-                self.chares.insert((col.0, index), chare);
-            }
-            SYS_LOCATION => {
-                let mut r = crate::wire::marshal::Reader(&env.params);
-                let col = Collection(r.u64() as u16);
-                let index = r.u64();
-                let pe = r.u64() as usize;
-                self.collections[col.0 as usize].location.insert(index, pe);
             }
             other => panic!("unknown system entry {other}"),
         }

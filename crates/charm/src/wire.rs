@@ -14,14 +14,10 @@ use rucx_compat::buf::{Buf, BufMut};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceMeta {
     /// Machine-layer tag the sender used for the GPU data
-    /// (`UCX_MSG_TAG_DEVICE` or `UserDevice` type).
+    /// (`UCX_MSG_TAG_DEVICE` type).
     pub tag: u64,
     /// Payload size in bytes.
     pub size: u64,
-    /// The sender used a user-provided tag, so the receiver may have
-    /// pre-posted the receive (§VI improvement); if it has not, the
-    /// receive is posted on metadata arrival as usual.
-    pub user_tagged: bool,
 }
 
 /// A decoded Charm++ message envelope.
@@ -55,6 +51,8 @@ impl Envelope {
         ENVELOPE_HEADER
             + self.params.len() as u64
             + self.phantom_payload
+            // Modelled metadata per device buffer: a calibration value,
+            // not the 16-byte record `encode` writes.
             + self.device.len() as u64 * 17
     }
 
@@ -70,7 +68,6 @@ impl Envelope {
         for d in &self.device {
             b.put_u64(d.tag);
             b.put_u64(d.size);
-            b.put_u8(d.user_tagged as u8);
         }
         b.put_u32(self.params.len() as u32);
         b.put_slice(&self.params);
@@ -88,19 +85,14 @@ impl Envelope {
         let src_pe = buf.get_u32();
         let phantom_payload = buf.get_u64();
         let ndev = buf.get_u16() as usize;
-        if buf.remaining() < ndev * 17 + 4 {
+        if buf.remaining() < ndev * 16 + 4 {
             return None;
         }
         let mut device = Vec::with_capacity(ndev);
         for _ in 0..ndev {
             let tag = buf.get_u64();
             let size = buf.get_u64();
-            let user_tagged = buf.get_u8() != 0;
-            device.push(DeviceMeta {
-                tag,
-                size,
-                user_tagged,
-            });
+            device.push(DeviceMeta { tag, size });
         }
         let plen = buf.get_u32() as usize;
         if buf.remaining() < plen {
@@ -198,12 +190,10 @@ mod tests {
                 DeviceMeta {
                     tag: 0xDEAD,
                     size: 4096,
-                    user_tagged: false,
                 },
                 DeviceMeta {
                     tag: 0xBEEF,
                     size: 8192,
-                    user_tagged: true,
                 },
             ],
         }

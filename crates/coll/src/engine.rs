@@ -3,13 +3,12 @@
 //! Pure integer-nanosecond estimates, no floating-point accumulation in
 //! the decision path beyond the shared `transfer_time` helper, so the
 //! choice is a deterministic function of (message size, rank placement,
-//! machine parameters, observed RTT). It consults:
+//! machine parameters) and never of the traffic a run has seen — a fault
+//! spec, which arms acks, cannot change it. It consults:
 //!
 //! - `Topology::{same_node, node_of}` — how many nodes the group spans and
 //!   how many ranks share each node/NIC;
-//! - the PR-6 protocol engine's per-endpoint RTT EWMA when it has one for
-//!   a representative cross-node pair (measured reality beats the static
-//!   alpha once traffic has flowed);
+//! - the fabric's `PIPE_LATENCY` as the inter-node alpha;
 //! - GPU/NIC bandwidth parameters for the wire terms and the HBM-bound
 //!   combine-kernel term.
 
@@ -88,25 +87,12 @@ impl Estimator {
         }
         let nodes = per_node_counts.iter().filter(|&&c| c > 0).count();
         let per_node = per_node_counts.iter().copied().max().unwrap_or(1);
-        // Static inter-node alpha: injection + switch transit; replaced by
-        // half the best measured RTT across any participating cross-node
-        // pair once the protocol engine has observed one. Probing only
-        // (0, peer) here used to miss fresh samples whenever rank 0 had no
-        // cross-node traffic (e.g. a sub-communicator without rank 0).
-        let alpha_inter = if nodes > 1 {
-            w.ucp
-                .engine
-                .cross_node_rtt(&w.topo, n)
-                .map(|rtt| rtt / 2)
-                .unwrap_or(PIPE_LATENCY)
-        } else {
-            PIPE_LATENCY
-        };
         Estimator {
             n,
             nodes,
             per_node,
-            alpha_inter,
+            // Injection + switch transit.
+            alpha_inter: PIPE_LATENCY,
         }
     }
 
@@ -241,7 +227,8 @@ pub fn select_bcast(ctx: &mut MCtx, n: usize, size: u64) -> Algo {
 mod tests {
     use super::*;
     use rucx_fabric::Topology;
-    use rucx_ucp::{build_sim, MachineConfig};
+    use rucx_sim::RunOutcome;
+    use rucx_ucp::{blocking, build_sim, MachineConfig, SendBuf, MASK_FULL};
 
     #[test]
     fn small_messages_pick_recursive_doubling() {
@@ -284,29 +271,43 @@ mod tests {
         assert_eq!(choose_bcast(w, 12, 4 << 20), Algo::Hierarchical);
     }
 
-    /// Regression: the estimator used to probe only the endpoint pair
-    /// `(0, peer)`, so observed RTT from other participating pairs was
-    /// ignored whenever rank 0 had no cross-node traffic. Any cross-node
-    /// pair inside the communicator must refresh the inter-node alpha.
+    /// Regression: the inter-node alpha used to be half the ack RTT the
+    /// reliability layer observed, and acks flow only under a fault spec —
+    /// so loading one could change the chosen algorithm. After lossy
+    /// cross-node traffic every choice must equal a clean machine's.
     #[test]
-    fn estimator_uses_rtt_from_rank0_less_pairs() {
-        let mut sim = build_sim(Topology::summit(2), MachineConfig::default());
-        let w = sim.world_mut();
-        let static_alpha = Estimator::of(w, 12).alpha_inter;
-        // A fresh cross-node sample on (2, 8) — ranks on node 0 and node 1,
-        // neither of them rank 0 — and nothing at all on (0, *).
-        let rtt = 4 * static_alpha + 10_000;
-        w.ucp.engine.observe_rtt((2, 8), rtt);
-        assert_eq!(
-            Estimator::of(w, 12).alpha_inter,
-            rtt / 2,
-            "observed RTT from a non-rank-0 pair must be picked up"
-        );
-        // A pair outside the communicator must not leak in.
-        assert_eq!(Estimator::of(w, 8).alpha_inter, static_alpha);
-        // Same-node samples never count as inter-node alpha.
-        w.ucp.engine.observe_rtt((1, 3), 50);
-        assert_eq!(Estimator::of(w, 12).alpha_inter, rtt / 2);
+    fn fault_spec_does_not_move_algorithm_choice() {
+        let cfg = MachineConfig {
+            fault: Some(rucx_fault::FaultSpec::parse("seed=7,drop=0.05").unwrap()),
+            ..MachineConfig::default()
+        };
+        let mut sim = build_sim(Topology::summit(2), cfg);
+        for i in 0..24u64 {
+            let (src, dst) = {
+                let pool = &mut sim.world_mut().gpu.pool;
+                (
+                    pool.alloc_host(0, 4096, true, false),
+                    pool.alloc_host(1, 4096, true, false),
+                )
+            };
+            let (a, b) = ((i % 6) as usize, 6 + (i % 6) as usize);
+            sim.spawn("snd", 0, move |ctx| {
+                blocking::send(ctx, a, b, SendBuf::Mem(src), i)
+            });
+            sim.spawn("rcv", 0, move |ctx| {
+                blocking::recv(ctx, b, dst, i, MASK_FULL);
+            });
+        }
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert!(sim.metrics().get("ucp.acked") > 0, "acks must have flowed");
+
+        let clean = build_sim(Topology::summit(2), MachineConfig::default());
+        let (w, c) = (sim.world(), clean.world());
+        assert_eq!(Estimator::of(w, 12).alpha_inter, PIPE_LATENCY);
+        for size in (3..=24).map(|k| 1u64 << k) {
+            assert_eq!(choose_allreduce(w, 12, size), choose_allreduce(c, 12, size));
+            assert_eq!(choose_bcast(w, 12, size), choose_bcast(c, 12, size));
+        }
     }
 
     #[test]

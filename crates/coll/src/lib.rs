@@ -15,8 +15,7 @@
 //! schedule (intra-node phase over NVLink/X-Bus, one leader per node over
 //! the inter-node links, then an intra-node broadcast). Dispatch picks per
 //! (message size, topology placement) via [`engine`]'s integer cost model,
-//! which consults the machine's [`rucx_fabric::Topology`] and the
-//! protocol engine's per-endpoint RTT state.
+//! which consults the machine's [`rucx_fabric::Topology`].
 
 pub mod algo;
 pub mod engine;

@@ -16,14 +16,9 @@
 //!    when the peers sit on different sockets), with per-chunk completion
 //!    events merged through a shared countdown so the finalizer runs
 //!    exactly once, at the completion of the slowest leg.
-//! 3. **Observed RTT.** A per-endpoint EWMA of reliability-ack round trips
-//!    (first transmissions only, per Karn's rule) that `reliable.rs` feeds
-//!    and the collective cost model in `rucx-coll` reads. It informs no
-//!    protocol decision in this crate.
 
 use std::sync::Arc;
 
-use rucx_compat::idmap::IdMap;
 use rucx_compat::sync::Mutex;
 use rucx_fabric::net::RAILS_PER_NODE;
 use rucx_fabric::{net_transfer, WireKind};
@@ -95,49 +90,6 @@ pub(crate) fn gpu_direct_ok(
         return false;
     }
     true
-}
-
-// ---------------------------------------------------------------------------
-// Per-endpoint observed RTT
-// ---------------------------------------------------------------------------
-
-/// Per-(sender, receiver) EWMA (α = 1/8) of clean ack round trips in ns,
-/// Karn-filtered. Keyed lookups plus one order-independent minimum — map
-/// order cannot leak into the schedule.
-#[derive(Default)]
-pub struct ProtocolEngine {
-    rtt: IdMap<(u32, u32), u64>,
-}
-
-impl ProtocolEngine {
-    /// Feed one clean (first-transmission) ack round trip for `key`.
-    /// Public so model layers (and their tests) can prime it with
-    /// out-of-band measurements.
-    pub fn observe_rtt(&mut self, key: (u32, u32), rtt: u64) {
-        // The first sample seeds the EWMA (the update below is then a no-op).
-        let ewma = self.rtt.entry(key).or_insert(rtt);
-        *ewma = *ewma + (rtt.max(*ewma) - *ewma) / 8 - ewma.saturating_sub(rtt) / 8;
-    }
-
-    /// Karn-filtered RTT EWMA for an endpoint; `None` before any sample.
-    pub fn rtt(&self, key: (u32, u32)) -> Option<u64> {
-        self.rtt.get(&key).copied()
-    }
-
-    /// Best observed RTT EWMA across *cross-node* endpoint pairs whose both
-    /// ends are communicator participants (`rank < n`). Collective cost
-    /// estimators use this so any participating pair's traffic — not just
-    /// rank 0's — refreshes the inter-node alpha. Taking the minimum over a
-    /// map iteration is order-independent, so determinism holds.
-    pub fn cross_node_rtt(&self, topo: &rucx_fabric::Topology, n: usize) -> Option<u64> {
-        self.rtt
-            .iter()
-            .filter(|&(&(a, b), _)| {
-                (a as usize) < n && (b as usize) < n && !topo.same_node(a as usize, b as usize)
-            })
-            .map(|(_, &ewma)| ewma)
-            .min()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -591,24 +543,5 @@ mod tests {
             });
             sim.run();
         }
-    }
-
-    #[test]
-    fn rtt_ewma_is_karn_fed_and_converges() {
-        let mut e = ProtocolEngine::default();
-        let key = (0, 6);
-        assert_eq!(e.rtt(key), None);
-        e.observe_rtt(key, 8_000);
-        assert_eq!(e.rtt(key), Some(8_000));
-        for _ in 0..64 {
-            e.observe_rtt(key, 16_000);
-        }
-        let r = e.rtt(key).unwrap();
-        assert!(r > 14_000 && r <= 16_000, "r={r}");
-        for _ in 0..64 {
-            e.observe_rtt(key, 4_000);
-        }
-        let r = e.rtt(key).unwrap();
-        assert!(r >= 4_000 && r < 6_000, "r={r}");
     }
 }

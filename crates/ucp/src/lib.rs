@@ -23,7 +23,7 @@ pub mod tag;
 pub mod worker;
 
 pub use config::UcpConfig;
-pub use engine::{ProtocolEngine, Stripe};
+pub use engine::Stripe;
 pub use error::{Protocol, UcpError};
 pub use health::{EpState, HealthState};
 pub use machine::{build_sim, MCtx, MSim, Machine, MachineConfig, UcpSubsystem};

@@ -53,9 +53,6 @@ pub struct UcpSubsystem {
     /// directed pair, parked envelopes, keepalive probe loops). Driven by
     /// the reliability layer, so likewise inert on clean runs.
     pub health: crate::health::HealthState,
-    /// Per-endpoint Karn-filtered RTT, fed by the reliability layer and
-    /// read by collective cost estimators.
-    pub engine: crate::engine::ProtocolEngine,
     /// Model-layer context register: set immediately before a send (only
     /// when faults are enabled) and consumed by the reliability layer into
     /// the tracked envelope, so give-up errors can be routed back to e.g.
@@ -186,7 +183,6 @@ pub fn build_sim(topo: Topology, cfg: MachineConfig) -> MSim {
         staging,
         reliable,
         health: crate::health::HealthState::default(),
-        engine: crate::engine::ProtocolEngine::default(),
         send_ctx: 0,
         reg,
     };

@@ -47,14 +47,6 @@ pub const RNDV_MULTIPATH: Metric = Metric::counter("ucp.rndv.multipath");
 /// Chunks issued across all legs of striped multi-path transfers.
 pub const MULTIPATH_CHUNKS: Metric = Metric::counter("ucp.multipath_chunks");
 
-// ---- Protocol engine -----------------------------------------------------
-
-/// Clean RTT observations fed to the engine (first-transmission acks only).
-pub const RTT_SAMPLE: Metric = Metric::counter("ucp.rtt_sample");
-/// Acks excluded from RTT estimation by Karn's rule (the envelope had been
-/// retransmitted, so the sample would be ambiguous).
-pub const RTT_SKIPPED: Metric = Metric::counter("ucp.rtt_skipped");
-
 // ---- Reliability protocol (active only under a loaded fault spec) --------
 
 /// Retransmissions of tracked envelopes.

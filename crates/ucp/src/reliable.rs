@@ -64,13 +64,9 @@ pub(crate) struct PendingSend {
     pub seq: u64,
     /// Transmissions so far (1 = original only).
     pub attempts: u32,
-    /// When the *original* transmission hit the wire. Only acks of
-    /// never-retransmitted envelopes yield RTT samples (Karn's rule), so
-    /// this never needs re-stamping.
-    pub sent_at: Time,
-    /// When the envelope's very first transmission hit the wire — unlike
-    /// `sent_at` this survives a health-layer park/release cycle, so the
-    /// `elapsed` stamped on a give-up error measures the whole ordeal.
+    /// When the envelope's very first transmission hit the wire; it
+    /// survives a health-layer park/release cycle, so the `elapsed` stamped
+    /// on a give-up error measures the whole ordeal.
     pub first_sent: Time,
     /// Times the health layer has parked this envelope on a Dead endpoint
     /// (bounded by [`crate::config::HEAL_RETRIES`]).
@@ -228,7 +224,6 @@ fn enqueue(
             wire_size,
             seq,
             attempts: 1,
-            sent_at: 0,
             first_sent: 0,
             parks: 0,
             body,
@@ -249,9 +244,6 @@ pub(crate) fn transmit(w: &mut Machine, s: &mut MSched, id: u64) {
     let Some(p) = w.ucp.reliable.inflight.get_mut(&id) else {
         return; // acked between scheduling and execution
     };
-    if p.attempts == 1 {
-        p.sent_at = now;
-    }
     if p.first_sent == 0 {
         p.first_sent = now;
     }
@@ -380,17 +372,6 @@ fn send_ack(w: &mut Machine, s: &mut MSched, from: usize, to: usize, id: u64) {
     lossy_transfer(w, s, from, to, ACK_SIZE, id, move |w, s| {
         if let Some(p) = w.ucp.reliable.inflight.remove(&id) {
             s.count(m::ACKED);
-            if p.attempts == 1 {
-                // Clean sample: the ack unambiguously answers the original
-                // transmission.
-                s.count(m::RTT_SAMPLE);
-                let rtt = s.now().saturating_sub(p.sent_at);
-                w.ucp.engine.observe_rtt((p.src as u32, p.dst as u32), rtt);
-            } else {
-                // Karn's rule: a retransmitted envelope's ack could answer
-                // any attempt — never feed it to the estimator.
-                s.count(m::RTT_SKIPPED);
-            }
             crate::health::note_alive(w, s, p.src, p.dst);
         }
     });

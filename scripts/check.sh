@@ -164,8 +164,9 @@ CalendarQueue OracleQueue SchedulerBackend QueueImpl with_backend RUCX_SCHED_BAC
 ShardedEngine EnvelopePool EnvelopeLease Outbox RouteHook ShardPlan shard_plan run_sharded ShardedOpts ShardedRun merge_chrome_json next_event_time RUCX_SHARDS --shards compat::channel|19|one engine, one Jacobi, no sweep-driver thread farms
 GpuParams NetParams CharmParams AmpiParams OmpiParams PyParams launch_with build_sim_with device_mem am_register am_send_nb deliver_am_wire spawn_process SimRng BENCH_engine|20|a value with one setting is a pub const; UcpConfig keeps the eight fields two callers set differently
 DurationStats MetricKind Metric::gauge pub.counters: recv_host_any_deadline drain_one_recover|22|one counter sink in the Scheduler, one drain path with an optional deadline, DESIGN §9
+migrate_packed set_factory start_quiescence SYS_QD_ pre_post_device send_user_tagged user_device_tag UserDevice TagScheme::new set_reduction_tree send_ext ProtocolEngine observe_rtt cross_node_rtt rtt_sample|28|code no workload runs goes; the collective cost model prices alpha_inter at PIPE_LATENCY, never from acks, DESIGN §13
 TABLE
-echo "ok: no deleted engine, queue, params struct, sink or twin path is back"
+echo "ok: no deleted engine, queue, params struct, sink, twin path or caller-less extension is back"
 
 # ---------------------------------------------------------------------------
 # Formatting gate.

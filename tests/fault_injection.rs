@@ -106,9 +106,11 @@ fn chaos_run_has_zero_unsurfaced_losses() {
     }
 }
 
-/// Satellite: the RTT estimator under a lossy wire. Karn's rule must keep
-/// retransmitted envelopes out of the estimate: the sample / skipped
-/// counters exactly partition the acks.
+/// Mixed eager, RTS and ATS envelopes under a 5 % drop: every loss is
+/// retransmitted, nothing gives up, and the tracking table drains. The name
+/// stayed when the ack-RTT estimator whose Karn filtering this also checked
+/// was deleted (RTOs use the static wire estimate), because the tier-1
+/// test list names it.
 #[test]
 fn chaos_rtt_is_karn_disciplined() {
     let mut spec = FaultSpec::canned_one_percent_drop();
@@ -121,7 +123,7 @@ fn chaos_rtt_is_karn_disciplined() {
         let m = sim.world_mut();
         for i in 0..n {
             // Mixed sizes straddling the eager threshold, so eager, RTS
-            // and ATS envelopes all feed the estimator.
+            // and ATS envelopes are all tracked.
             let size = [512u64, 8 * 1024, 256 * 1024][i as usize % 3];
             let src = m.gpu.pool.alloc_host(0, size, true, true);
             m.gpu.pool.write(src, &pattern(size, i as u8)).unwrap();
@@ -141,19 +143,10 @@ fn chaos_rtt_is_karn_disciplined() {
     assert_eq!(sim.run(), RunOutcome::Completed);
 
     let m = sim.world();
-    let acked = sim.metrics().get("ucp.acked");
-    let sampled = sim.metrics().get("ucp.rtt_sample");
-    let skipped = sim.metrics().get("ucp.rtt_skipped");
     assert!(
         sim.metrics().get("ucp.retry") > 0,
         "5% drop over {n} messages must retransmit"
     );
-    assert_eq!(sampled + skipped, acked, "every ack is sampled xor skipped");
-    assert!(
-        skipped > 0,
-        "retransmitted envelopes must be excluded (Karn)"
-    );
-    assert!(sampled > 0, "clean acks must still feed the estimator");
     assert_eq!(sim.metrics().get("ucp.unreachable"), 0);
     assert_eq!(m.ucp.inflight_tracked(), 0, "tracked sends must drain");
 }
