@@ -12,13 +12,11 @@
 //! The non-SMP configuration of the paper is reproduced: one rank per PE
 //! per GPU (virtualization = 1).
 
-pub mod coll;
 pub mod metrics;
 pub mod mpi;
 pub mod msg;
 pub mod rank;
 
-pub use coll::MpiOp;
 pub use mpi::{MpiRank, Request};
 pub use msg::{
     AmpiMsg, AmpiPayload, Status, ANY_SOURCE, ANY_TAG, MPI_ERR_OTHER, MPI_ERR_TRUNCATE, MPI_SUCCESS,
@@ -272,7 +270,7 @@ mod tests {
         assert_eq!(
             sim.metrics().get("ampi.reorder.held"),
             1,
-            "the small envelope waits in the stash for the large one"
+            "the small envelope waits in the window for the large one"
         );
     }
 

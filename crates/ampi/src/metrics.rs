@@ -5,7 +5,8 @@
 use rucx_sim::Metric;
 
 /// Envelopes that arrived ahead of an earlier one from the same source and
-/// waited in the reorder stash (the non-overtaking rule at work).
+/// were held in the rank's receive window (the non-overtaking rule at
+/// work).
 pub const REORDER_HELD: Metric = Metric::counter("ampi.reorder.held");
 
 /// Instant: an in-order envelope found no posted receive and was queued as

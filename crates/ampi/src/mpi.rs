@@ -4,9 +4,10 @@
 //! CUDA-aware MPI implementation (§III-C).
 
 use rucx_charm::{ChareRef, Collection, EpId, Msg, Pe};
-use rucx_compat::idmap::{IdMap, IdSet};
+use rucx_compat::idmap::IdSet;
 use rucx_gpu::MemRef;
 use rucx_sim::sched::Trigger;
+use rucx_ucp::order::{Arrival, SendSeq};
 use rucx_ucp::MCtx;
 
 use crate::metrics;
@@ -37,9 +38,9 @@ pub struct MpiRank {
     next_slot: u64,
     /// Software cache of addresses known to be on the GPU (§III-C1).
     gpu_cache: IdSet<u64>,
-    /// Next send-sequence number per destination rank (stamped into every
-    /// outgoing message so the receiver can restore send order).
-    send_seq: IdMap<usize, u64>,
+    /// Per destination rank: the sequence number stamped into every
+    /// outgoing message so the receiver can restore send order.
+    send_order: SendSeq<usize>,
 }
 
 impl MpiRank {
@@ -103,7 +104,7 @@ impl MpiRank {
             ep_barrier,
             next_slot: 1,
             gpu_cache: IdSet::default(),
-            send_seq: IdMap::default(),
+            send_order: SendSeq::default(),
         }
     }
 
@@ -174,16 +175,10 @@ impl MpiRank {
                 trig,
             )
         };
-        let seq = {
-            let c = self.send_seq.entry(dst).or_insert(0);
-            let seq = *c;
-            *c += 1;
-            seq
-        };
         let m = AmpiMsg {
             src_rank: self.rank as u32,
             tag,
-            seq,
+            seq: self.send_order.next(dst),
             payload,
         };
         let col = self.col;
@@ -392,7 +387,7 @@ impl MpiRank {
             ctx,
             col,
             elem,
-            rucx_charm::RedOp::Barrier,
+            rucx_coll::ReduceOp::Sum,
             0.0,
             rucx_charm::RedTarget::Broadcast(col, ep),
         );
@@ -427,37 +422,32 @@ fn deliver_inline(ctx: &mut MCtx, buf: MemRef, bytes: Option<Vec<u8>>, size: u64
 /// while a later small envelope arrives eagerly and is dispatched first.
 /// MPI's non-overtaking rule is restored here with the sender-stamped
 /// sequence number: an envelope from source `s` is matched only when every
-/// earlier envelope from `s` has been matched; early arrivals wait in the
-/// reorder stash.
+/// earlier envelope from `s` has been matched; early arrivals are held in
+/// the rank's receive window.
 fn handle_ampi_msg(st: &mut RankState, msg: &Msg, pe: &mut Pe, ctx: &mut MCtx) {
     ctx.advance(RECV_OVERHEAD);
     let am = AmpiMsg::decode(&msg.params);
     let src = am.src_rank;
-    let expected = *st.next_recv_seq.get(&src).unwrap_or(&0);
-    if am.seq != expected {
-        debug_assert!(am.seq > expected, "duplicate AMPI envelope");
-        ctx.with_world(|_, s| s.count(metrics::REORDER_HELD));
-        st.reorder_stash.push(am);
-        return;
+    match st.recv_order.arrive(src, am.seq, am) {
+        Arrival::Deliver(am) => accept_msg(st, am, pe, ctx),
+        Arrival::Held => {
+            ctx.with_world(|_, s| s.count(metrics::REORDER_HELD));
+            return;
+        }
+        Arrival::Duplicate => {
+            debug_assert!(false, "duplicate AMPI envelope");
+            return;
+        }
     }
-    accept_msg(st, am, pe, ctx);
-    // The gap closed: release consecutively-sequenced stashed envelopes.
-    let mut next = expected + 1;
-    while let Some(i) = st
-        .reorder_stash
-        .iter()
-        .position(|m| m.src_rank == src && m.seq == next)
-    {
-        let held = st.reorder_stash.swap_remove(i);
+    // The gap closed: release the consecutively-sequenced held envelopes.
+    while let Some(held) = st.recv_order.release(&src) {
         accept_msg(st, held, pe, ctx);
-        next += 1;
     }
 }
 
 /// Match one in-order message against the posted queue (or park it as
 /// unexpected).
 fn accept_msg(st: &mut RankState, am: AmpiMsg, pe: &mut Pe, ctx: &mut MCtx) {
-    *st.next_recv_seq.entry(am.src_rank).or_insert(0) = am.seq + 1;
     match st.match_posted(&am) {
         Some(i) => {
             let p = st.posted.remove(i);

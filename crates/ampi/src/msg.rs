@@ -7,7 +7,7 @@
 //! `LrtsSendDevice`. Note the machine-layer tag is distinct from the MPI
 //! tag, exactly as the paper describes.
 
-use rucx_charm::marshal::{self, Reader};
+use rucx_compat::buf::{Buf, BufMut};
 
 /// MPI wildcard source.
 pub const ANY_SOURCE: i32 = -1;
@@ -65,25 +65,25 @@ impl AmpiMsg {
             AmpiPayload::ZeroCopy { .. } => 0,
         };
         let mut b = Vec::with_capacity(4 + 8 + 8 + 1 + 16 + inline);
-        marshal::put_u32(&mut b, self.src_rank);
-        marshal::put_i64(&mut b, self.tag as i64);
-        marshal::put_u64(&mut b, self.seq);
+        b.put_u32(self.src_rank);
+        b.put_i64(self.tag as i64);
+        b.put_u64(self.seq);
         match &self.payload {
             AmpiPayload::Inline { bytes, size } => {
-                marshal::put_u8(&mut b, 0);
-                marshal::put_u64(&mut b, *size);
+                b.put_u8(0);
+                b.put_u64(*size);
                 match bytes {
                     Some(d) => {
-                        marshal::put_u8(&mut b, 1);
-                        marshal::put_bytes(&mut b, d);
+                        b.put_u8(1);
+                        b.put_bytes(d);
                     }
-                    None => marshal::put_u8(&mut b, 0),
+                    None => b.put_u8(0),
                 }
             }
             AmpiPayload::ZeroCopy { ml_tag, size } => {
-                marshal::put_u8(&mut b, 1);
-                marshal::put_u64(&mut b, *ml_tag);
-                marshal::put_u64(&mut b, *size);
+                b.put_u8(1);
+                b.put_u64(*ml_tag);
+                b.put_u64(*size);
             }
         }
         b
@@ -91,22 +91,22 @@ impl AmpiMsg {
 
     /// Deserialize from entry-method parameter bytes.
     pub fn decode(params: &[u8]) -> AmpiMsg {
-        let mut r = Reader(params);
-        let src_rank = r.u32();
-        let tag = r.i64() as i32;
-        let seq = r.u64();
-        let payload = match r.u8() {
+        let mut r: &[u8] = params;
+        let src_rank = r.get_u32();
+        let tag = r.get_i64() as i32;
+        let seq = r.get_u64();
+        let payload = match r.get_u8() {
             0 => {
-                let size = r.u64();
-                let bytes = match r.u8() {
-                    1 => Some(r.bytes().to_vec()),
+                let size = r.get_u64();
+                let bytes = match r.get_u8() {
+                    1 => Some(r.get_bytes().to_vec()),
                     _ => None,
                 };
                 AmpiPayload::Inline { bytes, size }
             }
             1 => AmpiPayload::ZeroCopy {
-                ml_tag: r.u64(),
-                size: r.u64(),
+                ml_tag: r.get_u64(),
+                size: r.get_u64(),
             },
             k => panic!("bad AMPI payload kind {k}"),
         };

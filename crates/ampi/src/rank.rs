@@ -7,6 +7,7 @@ use rucx_compat::idmap::IdMap;
 use rucx_gpu::MemRef;
 use rucx_sim::sched::Trigger;
 use rucx_sim::time::{transfer_time, us, Duration};
+use rucx_ucp::order::RecvWindow;
 
 use crate::msg::{recv_matches, AmpiMsg, Status, MPI_ERR_TRUNCATE, MPI_SUCCESS};
 
@@ -59,12 +60,11 @@ pub struct RankState {
     pub posted: Vec<PostedRecv>,
     pub slots: IdMap<u64, SlotState>,
     pub barrier_epoch: u64,
-    /// Next expected send-sequence number per source rank.
-    pub next_recv_seq: IdMap<u32, u64>,
-    /// Envelopes that arrived ahead of an earlier, still-in-flight envelope
-    /// from the same source (the machine layer completes large rendezvous
-    /// envelopes out of order); released once the gap closes.
-    pub reorder_stash: Vec<AmpiMsg>,
+    /// Per source rank: envelopes that arrived ahead of an earlier,
+    /// still-in-flight envelope from the same source (the machine layer
+    /// completes large rendezvous envelopes out of order), held until the
+    /// gap closes.
+    pub recv_order: RecvWindow<u32, AmpiMsg>,
     /// Asynchronous communication failures from the UCP reliability layer
     /// (routed here by the PE's default error handler); drained into
     /// `MPI_ERR_OTHER` statuses by `MPI_Wait`.

@@ -26,8 +26,9 @@ pub mod pe;
 pub mod wire;
 
 pub use mltags::{MsgType, TagScheme, MSG_BITS};
-pub use pe::{ChareRef, Collection, EpEntry, EpId, ExecFn, Msg, Pe, PostFn, RedOp, RedTarget};
-pub use wire::{marshal, DeviceMeta, Envelope};
+pub use pe::{ChareRef, Collection, EpEntry, EpId, ExecFn, Msg, Pe, PostFn, RedTarget};
+pub use rucx_coll::ReduceOp;
+pub use wire::{DeviceMeta, Envelope};
 
 use rucx_ucp::{MCtx, MSim};
 
@@ -52,7 +53,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pe::{Msg, Pe, RedOp, RedTarget};
+    use pe::{Msg, Pe, RedTarget};
+    use rucx_compat::buf::{Buf, BufMut};
     use rucx_fabric::Topology;
     use rucx_gpu::{DeviceId, MemRef};
     use rucx_sim::time::us;
@@ -83,8 +85,8 @@ mod tests {
             Box::new(move |chare, msg: &Msg, _pe, _ctx| {
                 let c = chare.downcast_mut::<Counter>().unwrap();
                 c.hits += 1;
-                let mut r = marshal::Reader(&msg.params);
-                c.last = r.u64();
+                let mut r: &[u8] = &msg.params;
+                c.last = r.get_u64();
                 shared2.fetch_add(1, Ordering::SeqCst);
             }),
         );
@@ -126,7 +128,7 @@ mod tests {
             let (col, ep_host, _) = register_counter(pe, hits2.clone());
             if pe.index == 0 {
                 let mut params = Vec::new();
-                marshal::put_u64(&mut params, 777);
+                params.put_u64(777);
                 pe.send(ctx, ChareRef { col, index: 3 }, ep_host, params, 0, vec![]);
                 // Give the receiver time to process, then exit everyone.
                 ctx.advance(us(50.0));
@@ -206,7 +208,7 @@ mod tests {
             let (col, ep_host, _) = register_counter(pe, hits2.clone());
             if pe.index == 0 {
                 let mut params = Vec::new();
-                marshal::put_u64(&mut params, 5);
+                params.put_u64(5);
                 pe.broadcast(ctx, col, ep_host, params);
                 ctx.advance(us(200.0));
                 pe.exit_all(ctx);
@@ -230,9 +232,9 @@ mod tests {
                 col,
                 None,
                 Box::new(move |_chare, msg: &Msg, pe, ctx| {
-                    let mut r = marshal::Reader(&msg.params);
-                    let sum = r.f64();
-                    let count = r.u64();
+                    let mut r: &[u8] = &msg.params;
+                    let sum = r.get_f64();
+                    let count = r.get_u64();
                     assert_eq!(count, pe.n_pes as u64);
                     result3.store(sum as u64, Ordering::SeqCst);
                     pe.exit_all(ctx);
@@ -248,7 +250,7 @@ mod tests {
                 ctx,
                 col,
                 pe.index as u64,
-                RedOp::Sum,
+                ReduceOp::Sum,
                 me,
                 RedTarget::Chare(ChareRef { col, index: 0 }, ep_done),
             );
@@ -268,7 +270,7 @@ mod tests {
             let (col, ep_host, _) = register_counter(pe, hits2.clone());
             if pe.index == 2 {
                 let mut params = Vec::new();
-                marshal::put_u64(&mut params, 9);
+                params.put_u64(9);
                 pe.send(ctx, ChareRef { col, index: 2 }, ep_host, params, 0, vec![]);
                 ctx.advance(us(20.0));
                 pe.exit_all(ctx);
@@ -289,7 +291,7 @@ mod tests {
             let (col, ep_host, _) = register_counter(pe, hits2.clone());
             if pe.index == 0 {
                 let mut params = Vec::new();
-                marshal::put_u64(&mut params, 1);
+                params.put_u64(1);
                 // Inter-node destination with 1 MiB of phantom host payload.
                 pe.send(
                     ctx,

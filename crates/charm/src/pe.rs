@@ -11,11 +11,13 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use rucx_coll::Tree;
+use rucx_coll::{ReduceOp, Tree};
+use rucx_compat::buf::{Buf, BufMut};
 use rucx_compat::idmap::IdMap;
 use rucx_gpu::MemRef;
 use rucx_sim::sched::Trigger;
 use rucx_ucp::config::CPU_CALL;
+use rucx_ucp::order::SendSeq;
 use rucx_ucp::{
     probe_pop, rndv_fetch, tag_recv_nb, tag_send_nb, Completion, FetchDst, MCtx, PoppedMsg,
     RecvCompletion, SendBuf, UcpError,
@@ -83,16 +85,6 @@ pub struct EpEntry {
     pub exec: ExecFn,
 }
 
-/// Reduction operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RedOp {
-    Sum,
-    Min,
-    Max,
-    /// No value; pure synchronization.
-    Barrier,
-}
-
 /// Where a reduction result is delivered (as a regular entry-method
 /// invocation with the result marshalled as one `f64`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,20 +103,13 @@ struct RedEntry {
     target: Option<RedTarget>,
 }
 
+#[derive(Default)]
 struct RedMgr {
     entries: IdMap<u64, RedEntry>,
-    /// Per-element next sequence number (each element contributes once per
-    /// reduction, in the same order everywhere).
-    elem_seq: IdMap<u64, u64>,
-}
-
-impl RedMgr {
-    fn new() -> Self {
-        RedMgr {
-            entries: IdMap::default(),
-            elem_seq: IdMap::default(),
-        }
-    }
+    /// Per element: the sequence number of its next contribution (each
+    /// element contributes once per reduction, in the same order
+    /// everywhere).
+    elem_seq: SendSeq<u64>,
 }
 
 struct CollectionData {
@@ -240,7 +225,7 @@ impl Pe {
             eps: Vec::new(),
             local_indices,
             subtree_elems: Rc::new(subtree),
-            red: RedMgr::new(),
+            red: RedMgr::default(),
         });
         id
     }
@@ -486,24 +471,18 @@ impl Pe {
     /// Contribute element `elem`'s value to its next reduction of `col`.
     /// Every element must contribute exactly once per reduction, in the
     /// same reduction order everywhere; when complete, the result is
-    /// delivered to `target`.
+    /// delivered to `target`. A barrier contributes `ReduceOp::Sum` of 0.
     pub fn contribute(
         &mut self,
         ctx: &mut MCtx,
         col: Collection,
         elem: u64,
-        op: RedOp,
+        op: ReduceOp,
         value: f64,
         target: RedTarget,
     ) {
         // Element `elem`'s k-th contribution belongs to sequence k.
-        let seq = {
-            let c = &mut self.collections[col.0 as usize];
-            let counter = c.red.elem_seq.entry(elem).or_insert(0);
-            let seq = *counter;
-            *counter += 1;
-            seq
-        };
+        let seq = self.collections[col.0 as usize].red.elem_seq.next(elem);
         self.reduce_merge(ctx, col, seq, op, value, 1, 0, Some(target), true);
     }
 
@@ -515,7 +494,7 @@ impl Pe {
         ctx: &mut MCtx,
         col: Collection,
         seq: u64,
-        op: RedOp,
+        op: ReduceOp,
         value: f64,
         count: u64,
         from_children: usize,
@@ -528,7 +507,7 @@ impl Pe {
             let entry = c.red.entries.entry(seq).or_insert(RedEntry {
                 local_got: 0,
                 children_got: 0,
-                acc: identity(op),
+                acc: op.identity(),
                 count: 0,
                 target: None,
             });
@@ -540,7 +519,7 @@ impl Pe {
             if target.is_some() {
                 entry.target = target;
             }
-            entry.acc = combine(op, entry.acc, value);
+            entry.acc = op.apply(entry.acc, value);
             entry.count += count;
             // Children of this PE in the reduction tree that have elements.
             let expected_children = self
@@ -560,14 +539,11 @@ impl Pe {
         if let Some(parent) = self.red_tree.parent(self.index) {
             // Forward to the parent PE in the reduction tree.
             let mut params = Vec::new();
-            {
-                use crate::wire::marshal::*;
-                put_u64(&mut params, col.0 as u64);
-                put_u64(&mut params, seq);
-                put_u64(&mut params, op_code(op));
-                put_f64(&mut params, acc);
-                put_u64(&mut params, total);
-            }
+            params.put_u64(col.0 as u64);
+            params.put_u64(seq);
+            params.put_u64(op_code(op));
+            params.put_f64(acc);
+            params.put_u64(total);
             let env = Envelope {
                 collection: SYS_COLLECTION,
                 index: 0,
@@ -582,8 +558,8 @@ impl Pe {
             // Root: deliver.
             let t = target.expect("reduction completed at root without a target");
             let mut params = Vec::new();
-            crate::wire::marshal::put_f64(&mut params, acc);
-            crate::wire::marshal::put_u64(&mut params, total);
+            params.put_f64(acc);
+            params.put_u64(total);
             match t {
                 RedTarget::Broadcast(c2, ep) => self.broadcast(ctx, c2, ep, params),
                 RedTarget::Chare(cr, ep) => self.send(ctx, cr, ep, params, 0, vec![]),
@@ -933,12 +909,12 @@ impl Pe {
         match env.ep {
             SYS_EXIT => self.exit = true,
             SYS_REDUCE => {
-                let mut r = crate::wire::marshal::Reader(&env.params);
-                let col = Collection(r.u64() as u16);
-                let seq = r.u64();
-                let op = op_from(r.u64());
-                let value = r.f64();
-                let count = r.u64();
+                let mut r: &[u8] = &env.params;
+                let col = Collection(r.get_u64() as u16);
+                let seq = r.get_u64();
+                let op = op_from(r.get_u64());
+                let value = r.get_f64();
+                let count = r.get_u64();
                 self.reduce_merge(ctx, col, seq, op, value, count, 1, None, false);
             }
             other => panic!("unknown system entry {other}"),
@@ -946,37 +922,20 @@ impl Pe {
     }
 }
 
-fn identity(op: RedOp) -> f64 {
+/// The reduction message carries its operator as one `u64`.
+fn op_code(op: ReduceOp) -> u64 {
     match op {
-        RedOp::Sum | RedOp::Barrier => 0.0,
-        RedOp::Min => f64::INFINITY,
-        RedOp::Max => f64::NEG_INFINITY,
+        ReduceOp::Sum => 0,
+        ReduceOp::Min => 1,
+        ReduceOp::Max => 2,
     }
 }
 
-fn combine(op: RedOp, a: f64, b: f64) -> f64 {
-    match op {
-        RedOp::Sum | RedOp::Barrier => a + b,
-        RedOp::Min => a.min(b),
-        RedOp::Max => a.max(b),
-    }
-}
-
-fn op_code(op: RedOp) -> u64 {
-    match op {
-        RedOp::Sum => 0,
-        RedOp::Min => 1,
-        RedOp::Max => 2,
-        RedOp::Barrier => 3,
-    }
-}
-
-fn op_from(v: u64) -> RedOp {
+fn op_from(v: u64) -> ReduceOp {
     match v {
-        0 => RedOp::Sum,
-        1 => RedOp::Min,
-        2 => RedOp::Max,
-        3 => RedOp::Barrier,
+        0 => ReduceOp::Sum,
+        1 => ReduceOp::Min,
+        2 => ReduceOp::Max,
         _ => panic!("bad reduction op code {v}"),
     }
 }
@@ -986,11 +945,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn red_identities() {
-        assert_eq!(identity(RedOp::Sum), 0.0);
-        assert_eq!(combine(RedOp::Min, identity(RedOp::Min), 5.0), 5.0);
-        assert_eq!(combine(RedOp::Max, identity(RedOp::Max), -5.0), -5.0);
-        for op in [RedOp::Sum, RedOp::Min, RedOp::Max, RedOp::Barrier] {
+    fn op_codes_roundtrip() {
+        for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
             assert_eq!(op_from(op_code(op)), op);
         }
     }

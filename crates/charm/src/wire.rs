@@ -111,69 +111,6 @@ impl Envelope {
     }
 }
 
-/// Tiny helpers for marshalling entry-method parameters.
-pub mod marshal {
-    use rucx_compat::buf::{Buf, BufMut};
-
-    /// Append a `u64` parameter.
-    pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-        buf.put_u64(v);
-    }
-
-    /// Append a `u32` parameter.
-    pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-        buf.put_u32(v);
-    }
-
-    /// Append a `u8` parameter.
-    pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-        buf.put_u8(v);
-    }
-
-    /// Append an `i64` parameter.
-    pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
-        buf.put_i64(v);
-    }
-
-    /// Append an `f64` parameter.
-    pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-        buf.put_f64(v);
-    }
-
-    /// Append a length-prefixed byte slice.
-    pub fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
-        buf.put_u32(v.len() as u32);
-        buf.put_slice(v);
-    }
-
-    /// Cursor for reading parameters back.
-    pub struct Reader<'a>(pub &'a [u8]);
-
-    impl<'a> Reader<'a> {
-        pub fn u64(&mut self) -> u64 {
-            self.0.get_u64()
-        }
-        pub fn u32(&mut self) -> u32 {
-            self.0.get_u32()
-        }
-        pub fn u8(&mut self) -> u8 {
-            self.0.get_u8()
-        }
-        pub fn i64(&mut self) -> i64 {
-            self.0.get_i64()
-        }
-        pub fn f64(&mut self) -> f64 {
-            self.0.get_f64()
-        }
-        pub fn bytes(&mut self) -> &'a [u8] {
-            let n = self.0.get_u32() as usize;
-            let (head, rest) = self.0.split_at(n);
-            self.0 = rest;
-            head
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,17 +170,5 @@ mod tests {
     fn wire_size_accounts_for_all_parts() {
         let e = sample();
         assert_eq!(e.wire_size(), ENVELOPE_HEADER + 5 + (1 << 20) + 2 * 17);
-    }
-
-    #[test]
-    fn marshal_roundtrip() {
-        let mut buf = Vec::new();
-        marshal::put_u64(&mut buf, 99);
-        marshal::put_f64(&mut buf, 2.5);
-        marshal::put_bytes(&mut buf, b"hello");
-        let mut r = marshal::Reader(&buf);
-        assert_eq!(r.u64(), 99);
-        assert_eq!(r.f64(), 2.5);
-        assert_eq!(r.bytes(), b"hello");
     }
 }

@@ -2,7 +2,8 @@
 //! the envelope wire format, on the in-repo harness
 //! ([`rucx_compat::check`]).
 
-use rucx_charm::{marshal, DeviceMeta, Envelope, MsgType, TagScheme};
+use rucx_charm::{DeviceMeta, Envelope, MsgType, TagScheme};
+use rucx_compat::buf::{Buf, BufMut};
 use rucx_compat::check::check;
 
 /// Any PE and counter roundtrip (type, PE, counter) exactly.
@@ -76,7 +77,7 @@ fn envelope_decode_never_panics() {
     });
 }
 
-/// Marshal helpers roundtrip arbitrary sequences.
+/// Entry-method parameters written with `BufMut` read back with `Buf`.
 #[test]
 fn marshal_roundtrip() {
     check("marshal_roundtrip", |g| {
@@ -87,19 +88,19 @@ fn marshal_roundtrip() {
         let e = g.any_u8();
         let blob = g.bytes(0..64);
         let mut buf = Vec::new();
-        marshal::put_u64(&mut buf, a);
-        marshal::put_f64(&mut buf, b);
-        marshal::put_u32(&mut buf, c);
-        marshal::put_i64(&mut buf, d);
-        marshal::put_u8(&mut buf, e);
-        marshal::put_bytes(&mut buf, &blob);
-        let mut r = marshal::Reader(&buf);
-        assert_eq!(r.u64(), a);
-        let rb = r.f64();
+        buf.put_u64(a);
+        buf.put_f64(b);
+        buf.put_u32(c);
+        buf.put_i64(d);
+        buf.put_u8(e);
+        buf.put_bytes(&blob);
+        let mut r: &[u8] = &buf;
+        assert_eq!(r.get_u64(), a);
+        let rb = r.get_f64();
         assert!(rb == b || (rb.is_nan() && b.is_nan()));
-        assert_eq!(r.u32(), c);
-        assert_eq!(r.i64(), d);
-        assert_eq!(r.u8(), e);
-        assert_eq!(r.bytes(), &blob[..]);
+        assert_eq!(r.get_u32(), c);
+        assert_eq!(r.get_i64(), d);
+        assert_eq!(r.get_u8(), e);
+        assert_eq!(r.get_bytes(), &blob[..]);
     });
 }

@@ -21,13 +21,15 @@ pub mod coll;
 pub mod metrics;
 pub use coll::ReduceOp;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use rucx_charm::{marshal, ChareRef, Collection, EpId, Msg, Pe};
+use rucx_charm::{ChareRef, Collection, EpId, Msg, Pe};
+use rucx_compat::buf::{Buf, BufMut};
 use rucx_compat::idmap::IdMap;
 use rucx_gpu::device::{COPY_LAUNCH, SYNC_OVERHEAD};
 use rucx_gpu::{copy_async, stream_sync_trigger, MemRef, StreamId};
 use rucx_sim::time::{transfer_time, us, Duration, Time};
+use rucx_ucp::order::{Arrival, RecvWindow, SendSeq};
 use rucx_ucp::{MCtx, MSim, UcpError};
 
 // Calibration constants of the Python/Cython layers.
@@ -94,40 +96,19 @@ fn py_exception(err: &UcpError) -> PyExceptionRecord {
     }
 }
 
-/// Per-peer channel delivery state. Charm4py channels are ordered even
-/// though the underlying runtime's message delivery is not: each message
-/// carries a per-pair sequence number, and arrivals the network reordered
-/// are stashed until their turn (the real Channel class does the same
-/// buffering with its internal seqnum).
-#[derive(Default)]
-struct PeerInbox {
-    next_seq: u64,
-    ready: VecDeque<ChanPayload>,
-    stashed: BTreeMap<u64, ChanPayload>,
-}
-
-impl PeerInbox {
-    /// Returns whether the message arrived out of turn and was stashed.
-    fn deliver(&mut self, seq: u64, payload: ChanPayload) -> bool {
-        let held = seq != self.next_seq;
-        if held {
-            self.stashed.insert(seq, payload);
-        } else {
-            self.next_seq += 1;
-            self.ready.push_back(payload);
-            while let Some(p) = self.stashed.remove(&self.next_seq) {
-                self.next_seq += 1;
-                self.ready.push_back(p);
-            }
-        }
-        held
-    }
-}
-
-/// The chare behind one Charm4py process: per-peer channel inboxes,
+/// The chare behind one Charm4py process: per-peer channel state,
 /// registered methods, and fulfilled futures.
+///
+/// Charm4py channels are ordered even though the underlying runtime's
+/// message delivery is not: each message carries a per-peer sequence
+/// number, and arrivals that overtook an earlier one are held until their
+/// turn (the real Channel class does the same buffering with its internal
+/// seqnum).
 struct ChanState {
-    inbox: IdMap<u32, PeerInbox>,
+    /// Per peer: in-order messages ready for `recv`.
+    inbox: IdMap<u32, VecDeque<ChanPayload>>,
+    recv_order: RecvWindow<u32, ChanPayload>,
+    send_order: SendSeq<usize>,
     barrier_epoch: u64,
     methods: IdMap<u16, PyMethod>,
     futures: IdMap<u64, Option<Vec<u8>>>,
@@ -137,6 +118,54 @@ struct ChanState {
     /// Where a remote invocation ships its result (registered after the
     /// invoke entry method that needs it, hence carried here).
     ep_fulfil: EpId,
+}
+
+impl ChanState {
+    /// Sort one channel message from `src` into its peer's ready queue, or
+    /// hold it until the messages sent before it arrive. Returns whether it
+    /// was held.
+    fn deliver(&mut self, src: u32, seq: u64, payload: ChanPayload) -> bool {
+        match self.recv_order.arrive(src, seq, payload) {
+            Arrival::Deliver(p) => {
+                let q = self.inbox.entry(src).or_default();
+                q.push_back(p);
+                while let Some(p) = self.recv_order.release(&src) {
+                    q.push_back(p);
+                }
+                false
+            }
+            Arrival::Held => true,
+            Arrival::Duplicate => {
+                debug_assert!(false, "duplicate channel message from {src}");
+                false
+            }
+        }
+    }
+
+    fn ready(&self, peer: usize) -> bool {
+        self.inbox
+            .get(&(peer as u32))
+            .is_some_and(|q| !q.is_empty())
+    }
+
+    fn pop(&mut self, peer: usize) -> Option<ChanPayload> {
+        self.inbox.get_mut(&(peer as u32))?.pop_front()
+    }
+
+    /// Queue `err` as a Python exception record. A timed-out peer is
+    /// forgotten on both sides of its channel: its ready and held messages
+    /// go (it never completes the sequence a held message waits on, and a
+    /// dead endpoint must not pin payload memory for the run's lifetime),
+    /// and a later reconnection starts a fresh in-order stream.
+    fn raise(&mut self, err: &UcpError) {
+        let rec = py_exception(err);
+        if let Some(p) = rec.peer {
+            self.inbox.remove(&(p as u32));
+            self.recv_order.forget(&(p as u32));
+            self.send_order.forget(&p);
+        }
+        self.exceptions.push_back(rec);
+    }
 }
 
 /// A channel endpoint (paired with `peer`'s endpoint back to us).
@@ -155,8 +184,6 @@ pub struct PyProc {
     ep_barrier: EpId,
     ep_invoke: EpId,
     next_future: u64,
-    /// Next per-peer channel sequence number on the send side.
-    chan_seq: IdMap<usize, u64>,
 }
 
 /// A Charm4py future: redeem with [`PyProc::future_get`] (the coroutine
@@ -172,45 +199,45 @@ fn encode_chan(src: u32, seq: u64, payload: &ChanPayload) -> Vec<u8> {
         ChanPayload::ZeroCopy { .. } => 0,
     };
     let mut b = Vec::with_capacity(4 + 8 + 1 + 16 + inline);
-    marshal::put_u32(&mut b, src);
-    marshal::put_u64(&mut b, seq);
+    b.put_u32(src);
+    b.put_u64(seq);
     match payload {
         ChanPayload::Inline { bytes, size } => {
-            marshal::put_u8(&mut b, 0);
-            marshal::put_u64(&mut b, *size);
+            b.put_u8(0);
+            b.put_u64(*size);
             match bytes {
                 Some(d) => {
-                    marshal::put_u8(&mut b, 1);
-                    marshal::put_bytes(&mut b, d);
+                    b.put_u8(1);
+                    b.put_bytes(d);
                 }
-                None => marshal::put_u8(&mut b, 0),
+                None => b.put_u8(0),
             }
         }
         ChanPayload::ZeroCopy { ml_tag, size } => {
-            marshal::put_u8(&mut b, 1);
-            marshal::put_u64(&mut b, *ml_tag);
-            marshal::put_u64(&mut b, *size);
+            b.put_u8(1);
+            b.put_u64(*ml_tag);
+            b.put_u64(*size);
         }
     }
     b
 }
 
 fn decode_chan(params: &[u8]) -> (u32, u64, ChanPayload) {
-    let mut r = marshal::Reader(params);
-    let src = r.u32();
-    let seq = r.u64();
-    let payload = match r.u8() {
+    let mut r: &[u8] = params;
+    let src = r.get_u32();
+    let seq = r.get_u64();
+    let payload = match r.get_u8() {
         0 => {
-            let size = r.u64();
-            let bytes = match r.u8() {
-                1 => Some(r.bytes().to_vec()),
+            let size = r.get_u64();
+            let bytes = match r.get_u8() {
+                1 => Some(r.get_bytes().to_vec()),
                 _ => None,
             };
             ChanPayload::Inline { bytes, size }
         }
         1 => ChanPayload::ZeroCopy {
-            ml_tag: r.u64(),
-            size: r.u64(),
+            ml_tag: r.get_u64(),
+            size: r.get_u64(),
         },
         k => panic!("bad channel payload kind {k}"),
     };
@@ -229,7 +256,7 @@ impl PyProc {
             Box::new(|chare, msg: &Msg, _pe, ctx| {
                 let st = chare.downcast_mut::<ChanState>().expect("chan state");
                 let (src, seq, payload) = decode_chan(&msg.params);
-                if st.inbox.entry(src).or_default().deliver(seq, payload) {
+                if st.deliver(src, seq, payload) {
                     ctx.with_world(|_, s| s.count(metrics::REORDER_HELD));
                 }
             }),
@@ -249,11 +276,11 @@ impl PyProc {
             None,
             Box::new(move |chare, msg: &Msg, pe, ctx| {
                 let st = chare.downcast_mut::<ChanState>().expect("chan state");
-                let mut r = marshal::Reader(&msg.params);
-                let method = r.u64() as u16;
-                let fut = r.u64();
-                let reply_to = r.u64();
-                let args = r.bytes().to_vec();
+                let mut r: &[u8] = &msg.params;
+                let method = r.get_u64() as u16;
+                let fut = r.get_u64();
+                let reply_to = r.get_u64();
+                let args = r.get_bytes().to_vec();
                 let m = st
                     .methods
                     .get_mut(&method)
@@ -261,13 +288,13 @@ impl PyProc {
                 let result = m(&args);
                 if fut != 0 {
                     let mut p = Vec::new();
-                    marshal::put_u64(&mut p, fut);
+                    p.put_u64(fut);
                     match &result {
                         Some(bytes) => {
-                            marshal::put_u8(&mut p, 1);
-                            marshal::put_bytes(&mut p, bytes);
+                            p.put_u8(1);
+                            p.put_bytes(bytes);
                         }
-                        None => marshal::put_u8(&mut p, 0),
+                        None => p.put_u8(0),
                     }
                     let ep_fulfil = st.ep_fulfil;
                     pe.send(
@@ -290,10 +317,10 @@ impl PyProc {
             None,
             Box::new(|chare, msg: &Msg, _pe, _ctx| {
                 let st = chare.downcast_mut::<ChanState>().expect("chan state");
-                let mut r = marshal::Reader(&msg.params);
-                let fut = r.u64();
-                let bytes = match r.u8() {
-                    1 => Some(r.bytes().to_vec()),
+                let mut r: &[u8] = &msg.params;
+                let fut = r.get_u64();
+                let bytes = match r.get_u8() {
+                    1 => Some(r.get_bytes().to_vec()),
                     _ => None,
                 };
                 st.futures.insert(fut, bytes);
@@ -304,6 +331,8 @@ impl PyProc {
             rank as u64,
             Box::new(ChanState {
                 inbox: IdMap::default(),
+                recv_order: RecvWindow::default(),
+                send_order: SendSeq::default(),
                 barrier_epoch: 0,
                 methods: IdMap::default(),
                 futures: IdMap::default(),
@@ -315,17 +344,7 @@ impl PyProc {
         // `take_exception` (as Charm4py would raise into the coroutine).
         let idx = rank as u64;
         pe.set_default_error_handler(Box::new(move |err, pe, _ctx| {
-            let rec = py_exception(err);
-            let st = pe.chare_mut::<ChanState>(col, idx);
-            // A timed-out peer never completes the in-order sequence its
-            // stashed reorderings wait on: drop its whole inbox so a dead
-            // endpoint cannot pin payload memory for the run's lifetime.
-            if rec.exc_type == "TimeoutError" {
-                if let Some(p) = rec.peer {
-                    st.inbox.remove(&(p as u32));
-                }
-            }
-            st.exceptions.push_back(rec);
+            pe.chare_mut::<ChanState>(col, idx).raise(err);
         }));
         PyProc {
             pe,
@@ -336,25 +355,18 @@ impl PyProc {
             ep_barrier,
             ep_invoke,
             next_future: 1,
-            chan_seq: IdMap::default(),
         }
     }
 
-    fn next_chan_seq(&mut self, peer: usize) -> u64 {
-        let s = self.chan_seq.entry(peer).or_insert(0);
-        let v = *s;
-        *s += 1;
-        v
+    fn state(&mut self) -> &mut ChanState {
+        let (col, idx) = (self.col, self.rank as u64);
+        self.pe.chare_mut::<ChanState>(col, idx)
     }
 
     /// Register a remotely-invocable method (a Python method of this
     /// process's chare).
     pub fn register_method(&mut self, id: u16, m: PyMethod) {
-        let (col, idx) = (self.col, self.rank as u64);
-        self.pe
-            .chare_mut::<ChanState>(col, idx)
-            .methods
-            .insert(id, m);
+        self.state().methods.insert(id, m);
     }
 
     /// Asynchronously invoke method `id` on `target`'s chare
@@ -395,10 +407,10 @@ impl PyProc {
         let dur = PY_SEND + pickle_cost(args.len() as u64);
         self.py_overhead(ctx, dur, 0);
         let mut p = Vec::new();
-        marshal::put_u64(&mut p, id as u64);
-        marshal::put_u64(&mut p, fut);
-        marshal::put_u64(&mut p, self.rank as u64);
-        marshal::put_bytes(&mut p, &args);
+        p.put_u64(id as u64);
+        p.put_u64(fut);
+        p.put_u64(self.rank as u64);
+        p.put_bytes(&args);
         let (col, ep) = (self.col, self.ep_invoke);
         self.pe.send(
             ctx,
@@ -422,8 +434,7 @@ impl PyProc {
                 .contains_key(&fut.0)
         });
         self.py_overhead(ctx, PY_WAKE, 2);
-        self.pe
-            .chare_mut::<ChanState>(col, idx)
+        self.state()
             .futures
             .remove(&fut.0)
             .expect("future fulfilled")
@@ -434,34 +445,10 @@ impl PyProc {
     /// in the same event as a completion is not missed.
     pub fn take_exception(&mut self, ctx: &mut MCtx) -> Option<PyExceptionRecord> {
         let me = self.rank;
-        let (col, idx) = (self.col, self.rank as u64);
         while let Some(e) = ctx.with_world(move |w, _| w.ucp.take_worker_error(me)) {
-            self.pe
-                .chare_mut::<ChanState>(col, idx)
-                .exceptions
-                .push_back(py_exception(&e));
+            self.state().raise(&e);
         }
-        let rec = self
-            .pe
-            .chare_mut::<ChanState>(col, idx)
-            .exceptions
-            .pop_front();
-        // Release everything still tied to a dead peer: stashed/ready
-        // arrivals (for errors drained above, which bypassed the default
-        // handler) and the sender-side sequence counter, so a later
-        // reconnection starts a fresh in-order stream.
-        if let Some(r) = &rec {
-            if r.exc_type == "TimeoutError" {
-                if let Some(p) = r.peer {
-                    self.pe
-                        .chare_mut::<ChanState>(col, idx)
-                        .inbox
-                        .remove(&(p as u32));
-                    self.chan_seq.remove(&p);
-                }
-            }
-        }
-        rec
+        self.state().exceptions.pop_front()
     }
 
     /// Suspend until a communication exception is raised (used after a
@@ -502,7 +489,7 @@ impl PyProc {
             ml_tag,
             size: buf.len,
         };
-        let seq = self.next_chan_seq(ch.peer);
+        let seq = self.state().send_order.next(ch.peer);
         let bytes = encode_chan(self.rank as u32, seq, &payload);
         let (col, ep) = (self.col, self.ep_chan);
         self.pe.send(
@@ -538,7 +525,7 @@ impl PyProc {
         // Unmaterialized payloads still occupy `size` bytes on the wire.
         let phantom = if bytes.is_none() { size } else { 0 };
         let payload = ChanPayload::Inline { bytes, size };
-        let seq = self.next_chan_seq(ch.peer);
+        let seq = self.state().send_order.next(ch.peer);
         let bytes = encode_chan(self.rank as u32, seq, &payload);
         let (col, ep) = (self.col, self.ep_chan);
         self.pe.send(
@@ -631,17 +618,10 @@ impl PyProc {
         let (col, idx) = (self.col, self.rank as u64);
         self.pe.pump_until(ctx, |pe, ctx| {
             let st = pe.chare_mut::<ChanState>(col, idx);
-            peers.iter().any(|&p| {
-                st.inbox
-                    .get(&(p as u32))
-                    .is_some_and(|q| !q.ready.is_empty())
-            }) || deadline.is_some_and(|dl| ctx.now() >= dl)
+            peers.iter().any(|&p| st.ready(p)) || deadline.is_some_and(|dl| ctx.now() >= dl)
         });
-        let st = self.pe.chare_mut::<ChanState>(col, idx);
-        let hit = peers.iter().find_map(|&p| {
-            let payload = st.inbox.get_mut(&(p as u32))?.ready.pop_front()?;
-            Some((p, payload))
-        });
+        let st = self.state();
+        let hit = peers.iter().find_map(|&p| Some((p, st.pop(p)?)));
         match hit {
             Some((peer, ChanPayload::Inline { bytes, size })) => {
                 let dur = pickle_cost(size) + PY_WAKE;
@@ -662,31 +642,21 @@ impl PyProc {
     fn pop_inbox(&mut self, ctx: &mut MCtx, peer: usize) -> ChanPayload {
         let (col, idx) = (self.col, self.rank as u64);
         self.pe.pump_until(ctx, move |pe, _| {
-            pe.chare_mut::<ChanState>(col, idx)
-                .inbox
-                .get(&(peer as u32))
-                .is_some_and(|q| !q.ready.is_empty())
+            pe.chare_mut::<ChanState>(col, idx).ready(peer)
         });
-        self.pe
-            .chare_mut::<ChanState>(col, idx)
-            .inbox
-            .get_mut(&(peer as u32))
-            .unwrap()
-            .ready
-            .pop_front()
-            .unwrap()
+        self.state().pop(peer).expect("ready channel message")
     }
 
     /// Global barrier (via a Charm++ reduction, as `charm.barrier()`).
     pub fn barrier(&mut self, ctx: &mut MCtx) {
         let (col, idx) = (self.col, self.rank as u64);
-        let old = self.pe.chare_mut::<ChanState>(col, idx).barrier_epoch;
+        let old = self.state().barrier_epoch;
         let ep = self.ep_barrier;
         self.pe.contribute(
             ctx,
             col,
             idx,
-            rucx_charm::RedOp::Barrier,
+            ReduceOp::Sum,
             0.0,
             rucx_charm::RedTarget::Broadcast(col, ep),
         );
@@ -930,12 +900,12 @@ mod tests {
         );
     }
 
-    /// Regression: a peer that times out used to leave its out-of-order
-    /// stash (`PeerInbox::stashed`) and the sender-side `chan_seq` entry in
-    /// place forever, pinning payload memory for the simulation's lifetime.
-    /// Surfacing the TimeoutError must drain both.
+    /// Regression: a peer that times out used to leave its held
+    /// out-of-order arrivals and the sender-side sequence counter in place
+    /// forever, pinning payload memory for the simulation's lifetime.
+    /// Surfacing the TimeoutError must forget the peer on both sides.
     #[test]
-    fn peer_timeout_drains_stash_and_chan_seq() {
+    fn peer_timeout_forgets_the_peer() {
         let mut spec = rucx_fault::FaultSpec::default();
         spec.partitions.push(rucx_fault::PartitionWindow {
             from: 0,
@@ -959,42 +929,67 @@ mod tests {
             }
             let ch = py.channel(6); // other node, fully partitioned
             py.send(ctx, ch, a);
-            assert!(py.chan_seq.contains_key(&6));
-            // Model the reordering race the stash exists for: seq 1 from
+            // Model the reordering race the window exists for: seq 1 from
             // the dying peer arrives while seq 0 is lost with the
-            // partition, so the payload parks in the stash with no
-            // predecessor ever coming.
-            let (col, idx) = (py.col, 0u64);
-            py.pe
-                .chare_mut::<ChanState>(col, idx)
-                .inbox
-                .entry(6)
-                .or_default()
-                .deliver(
-                    1,
-                    ChanPayload::Inline {
-                        bytes: Some(vec![7u8; 4096]),
-                        size: 4096,
-                    },
-                );
+            // partition, so the payload is held with no predecessor ever
+            // coming.
+            let payload = ChanPayload::Inline {
+                bytes: Some(vec![7u8; 4096]),
+                size: 4096,
+            };
+            assert!(py.state().deliver(6, 1, payload), "seq 1 must be held");
             let exc = py.wait_exception(ctx);
             assert_eq!(exc.exc_type, "TimeoutError");
             assert_eq!(exc.peer, Some(6));
-            let st = py.pe.chare_mut::<ChanState>(col, idx);
-            assert!(
-                !st.inbox.contains_key(&6),
-                "dead peer's stash must be drained"
-            );
-            assert!(
-                !py.chan_seq.contains_key(&6),
-                "sender chan_seq must be released"
-            );
+            let st = py.state();
+            assert_eq!(st.recv_order.held(), 0, "dead peer's holds must go");
+            assert!(!st.inbox.contains_key(&6));
             // A reconnected peer starts a fresh in-order stream.
-            assert_eq!(py.next_chan_seq(6), 0);
+            assert_eq!(st.send_order.next(6), 0, "send counter must restart");
             *checked2.lock() = true;
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
         assert!(*checked.lock());
+    }
+
+    /// Mirror of AMPI's `large_then_small_from_same_source_stay_ordered`:
+    /// a 32 KiB host object makes the envelope exceed the host eager
+    /// threshold, so it travels rendezvous and `Pe` re-injects it only
+    /// when its fetch completes — after the next (8 B, eager) envelope has
+    /// been dispatched. The channel's window holds the small one, on one
+    /// node with no fault spec: this hold is not UCP endpoint order.
+    #[test]
+    fn large_then_small_host_objects_stay_ordered() {
+        let mut sim = sim(1);
+        let got = Arc::new(rucx_compat::sync::Mutex::new(Vec::new()));
+        let got2 = got.clone();
+        launch(&mut sim, move |py, ctx| match py.rank() {
+            0 => {
+                let ch = py.channel(1);
+                py.send_host(ctx, ch, vec![0xAB; 32 * 1024]);
+                py.send_host(ctx, ch, vec![0xCD; 8]);
+            }
+            1 => {
+                ctx.advance(us(300.0));
+                let ch = py.channel(0);
+                for _ in 0..2 {
+                    let obj = py.recv_host(ctx, ch).expect("materialized object");
+                    got2.lock().push(obj);
+                }
+            }
+            _ => {}
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!(
+            *got.lock(),
+            vec![vec![0xAB; 32 * 1024], vec![0xCD; 8]],
+            "send order violated"
+        );
+        assert_eq!(
+            sim.metrics().get("charm4py.reorder.held"),
+            1,
+            "the small object waits in the window for the large one"
+        );
     }
 
     #[test]

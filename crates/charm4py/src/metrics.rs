@@ -5,7 +5,7 @@
 use rucx_sim::Metric;
 
 /// Channel messages that arrived ahead of an earlier one from the same
-/// peer and waited in the channel's stash.
+/// peer and were held in the channel's receive window.
 pub const REORDER_HELD: Metric = Metric::counter("charm4py.reorder.held");
 
 /// Span: interpreter/Cython overhead charged to a call (`id` = call site,

@@ -28,6 +28,11 @@ pub trait BufMut {
     fn put_f64(&mut self, v: f64) {
         self.put_slice(&v.to_be_bytes());
     }
+    /// A `u32` length prefix, then the bytes.
+    fn put_bytes(&mut self, v: &[u8]) {
+        self.put_u32(v.len() as u32);
+        self.put_slice(v);
+    }
 }
 
 impl BufMut for Vec<u8> {
@@ -63,6 +68,11 @@ pub trait Buf {
     fn get_f64(&mut self) -> f64 {
         f64::from_be_bytes(self.take_bytes(8).try_into().unwrap())
     }
+    /// Read what [`BufMut::put_bytes`] wrote.
+    fn get_bytes(&mut self) -> &[u8] {
+        let n = self.get_u32() as usize;
+        self.take_bytes(n)
+    }
 }
 
 impl Buf for &[u8] {
@@ -90,6 +100,7 @@ mod tests {
         b.put_u64(0x0123_4567_89AB_CDEF);
         b.put_i64(-42);
         b.put_f64(2.5);
+        b.put_bytes(b"hello");
         b.put_slice(b"xyz");
         let mut r: &[u8] = &b;
         assert_eq!(r.get_u8(), 0xAB);
@@ -98,6 +109,7 @@ mod tests {
         assert_eq!(r.get_u64(), 0x0123_4567_89AB_CDEF);
         assert_eq!(r.get_i64(), -42);
         assert_eq!(r.get_f64(), 2.5);
+        assert_eq!(r.get_bytes(), b"hello");
         assert_eq!(r.take_bytes(3), b"xyz");
         assert_eq!(r.remaining(), 0);
     }
@@ -106,7 +118,8 @@ mod tests {
     fn big_endian_on_the_wire() {
         let mut b: Vec<u8> = Vec::new();
         b.put_u16(0x0102);
-        assert_eq!(b, vec![1, 2]);
+        b.put_bytes(&[9, 8]);
+        assert_eq!(b, vec![1, 2, 0, 0, 0, 2, 9, 8]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! dependencies** so that `cargo build --release --offline && cargo test -q
 //! --offline` succeeds on any checkout, with no network. Everything the
 //! crates used to take from `parking_lot`, `crossbeam`, `rand`, `proptest`,
-//! `criterion`, `bytes`, and `serde` lives here instead, as small,
+//! `bytes`, and `serde` lives here instead, as small,
 //! deterministic, in-repo implementations:
 //!
 //! - [`sync`] — poison-free [`sync::Mutex`] / [`sync::RwLock`] /
@@ -20,8 +20,6 @@
 //! - [`check`] — a minimal property-testing harness: seeded case
 //!   generation, configurable case count, failing-seed reporting and exact
 //!   reproduction (no shrinking).
-//! - [`timer`] — a criterion-free micro-benchmark runner: warmup + N
-//!   timed iterations, median/p99 reporting, JSON output.
 //! - [`buf`] — `Buf`/`BufMut` byte-order helpers for wire formats.
 //! - [`json`] — a [`json::ToJson`] trait plus impls for the result types
 //!   benchmarks serialize.
@@ -32,8 +30,7 @@
 //! Determinism is a design constraint, not an accident: the PRNG is
 //! explicitly seeded everywhere, the property harness derives each case
 //! from `(suite seed, case index)`, and nothing in this crate consults
-//! wall-clock time except [`timer`] (which measures the simulator itself,
-//! never simulated results).
+//! wall-clock time.
 
 pub mod buf;
 pub mod check;
@@ -42,4 +39,3 @@ pub mod json;
 pub mod rendezvous;
 pub mod rng;
 pub mod sync;
-pub mod timer;

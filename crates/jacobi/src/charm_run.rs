@@ -5,7 +5,8 @@
 
 use std::sync::Arc;
 
-use rucx_charm::{launch, marshal, ChareRef, Collection, EpId, Msg, Pe, RedOp, RedTarget};
+use rucx_charm::{launch, ChareRef, Collection, EpId, Msg, Pe, RedTarget, ReduceOp};
+use rucx_compat::buf::{Buf, BufMut};
 use rucx_gpu::MemRef;
 use rucx_osu::cuda;
 use rucx_sim::time::{as_ms, Time};
@@ -81,7 +82,7 @@ impl JacobiChare {
                 ctx,
                 col,
                 elem,
-                RedOp::Max,
+                ReduceOp::Max,
                 comm_ms,
                 RedTarget::Chare(root, ep_comm),
             );
@@ -89,7 +90,7 @@ impl JacobiChare {
                 ctx,
                 col,
                 elem,
-                RedOp::Max,
+                ReduceOp::Max,
                 overall_ms,
                 RedTarget::Chare(root, ep_overall),
             );
@@ -126,8 +127,8 @@ impl JacobiChare {
             let fb = self.block.face_bytes(dir);
             cuda::kernel_sync(ctx, pack_cost(fb), stream);
             let mut params = Vec::with_capacity(12);
-            marshal::put_u8(&mut params, dir as u8);
-            marshal::put_u32(&mut params, self.iter);
+            params.put_u8(dir as u8);
+            params.put_u32(self.iter);
             let to = ChareRef { col, index: nbr };
             match self.mode {
                 Mode::Device => {
@@ -150,9 +151,9 @@ impl JacobiChare {
     }
 
     fn on_halo(&mut self, msg: &Msg, pe: &mut Pe, ctx: &mut MCtx) {
-        let mut r = marshal::Reader(&msg.params);
-        let dir = r.u8() as usize;
-        let msg_iter = r.u32();
+        let mut r: &[u8] = &msg.params;
+        let dir = r.get_u8() as usize;
+        let msg_iter = r.get_u32();
         let od = opposite(dir);
         let fb = self.block.face_bytes(od);
         let stream = Self::stream_of(pe, ctx);
@@ -240,8 +241,8 @@ pub fn run_charm_on(
             col,
             Some(Box::new(|chare, msg| {
                 let c = chare.downcast_mut::<JacobiChare>().unwrap();
-                let mut r = marshal::Reader(&msg.params);
-                let dir = r.u8() as usize;
+                let mut r: &[u8] = &msg.params;
+                let dir = r.get_u8() as usize;
                 vec![c.drecv[opposite(dir)].unwrap()]
             })),
             Box::new(|chare, msg: &Msg, pe, ctx| {
@@ -254,8 +255,8 @@ pub fn run_charm_on(
             None,
             Box::new(|chare, msg: &Msg, pe, ctx| {
                 let c = chare.downcast_mut::<JacobiChare>().unwrap();
-                let mut r = marshal::Reader(&msg.params);
-                let v = r.f64();
+                let mut r: &[u8] = &msg.params;
+                let v = r.get_f64();
                 if let Some(done) = c.on_report(0, v) {
                     *c.result.lock() = done;
                     pe.exit_all(ctx);
@@ -267,8 +268,8 @@ pub fn run_charm_on(
             None,
             Box::new(|chare, msg: &Msg, pe, ctx| {
                 let c = chare.downcast_mut::<JacobiChare>().unwrap();
-                let mut r = marshal::Reader(&msg.params);
-                let v = r.f64();
+                let mut r: &[u8] = &msg.params;
+                let v = r.get_f64();
                 if let Some(done) = c.on_report(1, v) {
                     *c.result.lock() = done;
                     pe.exit_all(ctx);

@@ -152,7 +152,8 @@ fn openmpi_halo_exchange_moves_correct_bytes() {
 
 #[test]
 fn charm_halo_exchange_moves_correct_bytes() {
-    use rucx_charm::{launch, marshal, ChareRef, Msg};
+    use rucx_charm::{launch, ChareRef, Msg};
+    use rucx_compat::buf::{Buf, BufMut};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     struct HaloChare {
@@ -173,8 +174,8 @@ fn charm_halo_exchange_moves_correct_bytes() {
                 col,
                 Some(Box::new(|chare, msg| {
                     let c = chare.downcast_mut::<HaloChare>().unwrap();
-                    let mut r = marshal::Reader(&msg.params);
-                    let dir = r.u8() as usize;
+                    let mut r: &[u8] = &msg.params;
+                    let dir = r.get_u8() as usize;
                     vec![c.recv[opposite(dir)].unwrap()]
                 })),
                 Box::new(move |_c, _msg: &Msg, pe, ctx| {
@@ -196,7 +197,7 @@ fn charm_halo_exchange_moves_correct_bytes() {
                 for dir in 0..6 {
                     if let Some(nbr) = b.neighbors[dir] {
                         let mut p = Vec::new();
-                        marshal::put_u8(&mut p, dir as u8);
+                        p.put_u8(dir as u8);
                         pe.send(
                             ctx,
                             ChareRef { col, index: nbr },

@@ -193,7 +193,9 @@ mod tests {
 
     #[test]
     fn bcast_ampi() {
-        run_bcast(crate::mpi_like::AmpiFactory, 5);
+        for root in [5usize, 7] {
+            run_bcast(crate::mpi_like::AmpiFactory, root);
+        }
     }
 
     fn run_allreduce<F: RankFactory>(factory: F, nodes: usize, op: CollOp, algo: Option<Algo>) {
@@ -246,6 +248,11 @@ mod tests {
     #[test]
     fn allreduce_sum_ampi() {
         run_allreduce(crate::mpi_like::AmpiFactory, 1, CollOp::Sum, None);
+    }
+
+    #[test]
+    fn allreduce_min_ampi_nonpow2() {
+        run_allreduce(crate::mpi_like::AmpiFactory, 2, CollOp::Min, None);
     }
 
     #[test]

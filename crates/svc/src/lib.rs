@@ -25,8 +25,8 @@
 
 use std::sync::Arc;
 
-use rucx_charm::marshal;
 use rucx_charm4py::{launch, PyProc};
+use rucx_compat::buf::{Buf, BufMut};
 use rucx_compat::idmap::{IdMap, IdSet};
 use rucx_compat::rng::{splitmix64, Rng};
 use rucx_compat::sync::Mutex;
@@ -74,41 +74,41 @@ fn encode(msg: &SvcMsg) -> Vec<u8> {
     let mut b = Vec::with_capacity(MAX_MSG_BYTES);
     match msg {
         SvcMsg::Scatter { client, size } => {
-            marshal::put_u8(&mut b, MSG_SCATTER);
-            marshal::put_u64(&mut b, *client);
-            marshal::put_u64(&mut b, *size);
+            b.put_u8(MSG_SCATTER);
+            b.put_u64(*client);
+            b.put_u64(*size);
         }
         SvcMsg::Submit { client, task, arg } => {
-            marshal::put_u8(&mut b, MSG_SUBMIT);
-            marshal::put_u64(&mut b, *client);
-            marshal::put_u64(&mut b, *task);
-            marshal::put_u64(&mut b, *arg);
+            b.put_u8(MSG_SUBMIT);
+            b.put_u64(*client);
+            b.put_u64(*task);
+            b.put_u64(*arg);
         }
         SvcMsg::Result { task, checksum } => {
-            marshal::put_u8(&mut b, MSG_RESULT);
-            marshal::put_u64(&mut b, *task);
-            marshal::put_u64(&mut b, *checksum);
+            b.put_u8(MSG_RESULT);
+            b.put_u64(*task);
+            b.put_u64(*checksum);
         }
-        SvcMsg::Done => marshal::put_u8(&mut b, MSG_DONE),
+        SvcMsg::Done => b.put_u8(MSG_DONE),
     }
     b
 }
 
 fn decode(bytes: &[u8]) -> SvcMsg {
-    let mut r = marshal::Reader(bytes);
-    match r.u8() {
+    let mut r: &[u8] = bytes;
+    match r.get_u8() {
         MSG_SCATTER => SvcMsg::Scatter {
-            client: r.u64(),
-            size: r.u64(),
+            client: r.get_u64(),
+            size: r.get_u64(),
         },
         MSG_SUBMIT => SvcMsg::Submit {
-            client: r.u64(),
-            task: r.u64(),
-            arg: r.u64(),
+            client: r.get_u64(),
+            task: r.get_u64(),
+            arg: r.get_u64(),
         },
         MSG_RESULT => SvcMsg::Result {
-            task: r.u64(),
-            checksum: r.u64(),
+            task: r.get_u64(),
+            checksum: r.get_u64(),
         },
         MSG_DONE => SvcMsg::Done,
         k => panic!("bad svc message kind {k}"),
@@ -534,11 +534,8 @@ pub struct LoadResult {
     pub ep_hit: u64,
     pub ep_miss: u64,
     pub premapped_hit: u64,
-    /// Recovery activity (all zero on a clean run with recovery disarmed).
-    pub resubmits: u64,
-    pub task_timeouts: u64,
-    pub breaker_opens: u64,
-    pub dup_results: u64,
+    /// Tasks abandoned by the recovery machinery (zero on a clean run); the
+    /// rest of its activity is `svc.*` in `metrics`.
     pub tasks_failed: u64,
     pub ucp_retry: u64,
     /// Every counter of the run, all layers (scenario attribution and the
@@ -673,10 +670,6 @@ pub fn run_load(cfg: &LoadCfg) -> LoadResult {
         ep_hit: sim.metrics().get("ucp.ep.hit"),
         ep_miss: sim.metrics().get("ucp.ep.miss"),
         premapped_hit: sim.metrics().get("gpu.pool.premapped_hit"),
-        resubmits: sim.metrics().get("svc.resubmit"),
-        task_timeouts: sim.metrics().get("svc.task_timeout"),
-        breaker_opens: sim.metrics().get("svc.breaker_open"),
-        dup_results: sim.metrics().get("svc.dup_result"),
         tasks_failed: sim.metrics().get("svc.task_failed"),
         ucp_retry: sim.metrics().get("ucp.retry"),
         metrics: sim.metrics().clone(),
@@ -962,8 +955,9 @@ mod tests {
         let again = run_load(&chaos_cfg);
         assert_eq!(chaos.results, again.results);
         assert_eq!(chaos.wall_us, again.wall_us);
-        assert_eq!(chaos.resubmits, again.resubmits);
-        assert_eq!(chaos.task_timeouts, again.task_timeouts);
+        for name in ["svc.resubmit", "svc.task_timeout"] {
+            assert_eq!(chaos.metrics.get(name), again.metrics.get(name), "{name}");
+        }
     }
 
     /// Satellite chaos property: a worker crash mid-run is survived by
@@ -992,13 +986,11 @@ mod tests {
         );
         assert_eq!(crashed.digest, clean.digest);
         assert_eq!(crashed.tasks_failed, 0);
+        let resubmits = crashed.metrics.get("svc.resubmit");
+        assert!(resubmits > 0, "a worker crash must force resubmissions");
+        assert!(crashed.metrics.get("svc.task_timeout") >= resubmits);
         assert!(
-            crashed.resubmits > 0,
-            "a worker crash must force resubmissions"
-        );
-        assert!(crashed.task_timeouts >= crashed.resubmits);
-        assert!(
-            crashed.breaker_opens >= 1,
+            crashed.metrics.get("svc.breaker_open") >= 1,
             "the dead worker's breaker opens"
         );
         assert!(crashed.p99_us.is_finite() && crashed.p99_us > 0.0);
@@ -1007,7 +999,7 @@ mod tests {
         let again = run_load(&crashed_cfg);
         assert_eq!(crashed.results, again.results);
         assert_eq!(crashed.wall_us, again.wall_us);
-        assert_eq!(crashed.resubmits, again.resubmits);
+        assert_eq!(resubmits, again.metrics.get("svc.resubmit"));
     }
 
     /// The recovery path with no deadline *is* the blocking path: a clean
@@ -1021,16 +1013,14 @@ mod tests {
             ..small(true, 3)
         });
         for r in [&blocking, &armed] {
-            assert_eq!(
-                (
-                    r.resubmits,
-                    r.task_timeouts,
-                    r.breaker_opens,
-                    r.dup_results,
-                    r.tasks_failed
-                ),
-                (0, 0, 0, 0, 0)
-            );
+            let svc = [
+                "svc.resubmit",
+                "svc.task_timeout",
+                "svc.breaker_open",
+                "svc.dup_result",
+            ]
+            .map(|n| r.metrics.get(n));
+            assert_eq!((svc, r.tasks_failed), ([0; 4], 0));
             let ucp = ["ucp.retry", "ucp.reroute", "ucp.giveup"].map(|n| r.metrics.get(n));
             assert_eq!(ucp, [0, 0, 0]);
             assert!(r.trace_events.is_empty());

@@ -23,8 +23,8 @@
 //!
 //! Exactly-once in-order across partition-heal falls out of parking: a
 //! parked envelope keeps its sequence number, the receiver's per-(src,dst)
-//! delivery window ([`crate::reliable`]'s `SeqSeen`) keeps suppressing
-//! duplicates and stashing ahead-of-gap arrivals, so no resynchronization
+//! delivery window ([`crate::order::RecvWindow`]) keeps suppressing
+//! duplicates and holding ahead-of-gap arrivals, so no resynchronization
 //! handshake is needed when the link returns.
 //!
 //! Everything here runs only under a loaded fault spec (the only way a

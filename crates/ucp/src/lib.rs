@@ -16,6 +16,7 @@ pub mod error;
 pub mod health;
 pub mod machine;
 pub mod metrics;
+pub mod order;
 pub mod proto;
 pub mod reg;
 pub(crate) mod reliable;

@@ -28,8 +28,6 @@
 //! dedicated [`Rng`] stream derived from the fault-spec seed, so a chaos
 //! run replays byte-identically.
 
-use std::collections::BTreeMap;
-
 use rucx_compat::idmap::IdMap;
 use rucx_compat::rng::Rng;
 use rucx_fabric::{net_transfer, wire_time, WireKind};
@@ -41,6 +39,7 @@ use crate::engine::ports;
 use crate::error::UcpError;
 use crate::machine::Machine;
 use crate::metrics as m;
+use crate::order::{Arrival, RecvWindow, SendSeq};
 use crate::proto::{complete, deliver};
 use crate::tag::Tag;
 use crate::worker::{ArrivedBody, ArrivedMsg, Completion, MSched};
@@ -77,38 +76,6 @@ pub(crate) struct PendingSend {
     pub ctx: u64,
 }
 
-/// Receiver-side delivery state for one directed (src, dst) pair: the
-/// contiguous delivered prefix plus envelopes that arrived ahead of it.
-/// UCX endpoints are non-overtaking — two same-tag sends from one rank
-/// must match posted receives in send order — so an envelope the fabric
-/// reordered (a delay fault overtaken by a later send) is stashed until
-/// the gap below it fills, and duplicates are suppressed by sequence
-/// number. Memory stays proportional to reordering depth.
-#[derive(Default)]
-struct SeqSeen {
-    upto: u64,
-    ahead: BTreeMap<u64, (Tag, TrackedBody)>,
-}
-
-impl SeqSeen {
-    /// Record the arrival of `seq` (sequences start at 1). `None` for a
-    /// duplicate; otherwise the now-contiguous run of envelopes due for
-    /// delivery in sequence order (empty when `seq` arrived ahead of a
-    /// gap and must wait).
-    fn arrive(&mut self, seq: u64, tag: Tag, body: TrackedBody) -> Option<Vec<(Tag, TrackedBody)>> {
-        if seq <= self.upto || self.ahead.contains_key(&seq) {
-            return None; // duplicate
-        }
-        self.ahead.insert(seq, (tag, body));
-        let mut due = Vec::new();
-        while let Some(e) = self.ahead.remove(&(self.upto + 1)) {
-            self.upto += 1;
-            due.push(e);
-        }
-        Some(due)
-    }
-}
-
 /// Machine-wide reliability state. Every map is keyed, never iterated, so
 /// `HashMap` ordering cannot leak into the schedule.
 pub(crate) struct ReliableState {
@@ -116,8 +83,12 @@ pub(crate) struct ReliableState {
     /// it does not correlate with the injection lottery.
     rng: Rng,
     next_id: u64,
-    next_seq: IdMap<(u32, u32), u64>,
-    seen: IdMap<(u32, u32), SeqSeen>,
+    /// Per directed (src, dst) pair: UCX endpoints are non-overtaking, so
+    /// an envelope the fabric reordered (a delay fault overtaken by a later
+    /// send, a retransmission) waits for the gap below it, and a duplicate
+    /// is suppressed by its sequence number.
+    send_seq: SendSeq<(u32, u32)>,
+    recv: RecvWindow<(u32, u32), (Tag, TrackedBody)>,
     inflight: IdMap<u64, PendingSend>,
     /// Rendezvous-sender completions parked until the tracked ATS arrives.
     ats_table: IdMap<u64, Completion>,
@@ -128,8 +99,8 @@ impl ReliableState {
         ReliableState {
             rng: Rng::new(seed ^ 0x9E37_79B9_7F4A_7C15),
             next_id: 1,
-            next_seq: IdMap::default(),
-            seen: IdMap::default(),
+            send_seq: SendSeq::default(),
+            recv: RecvWindow::default(),
             inflight: IdMap::default(),
             ats_table: IdMap::default(),
         }
@@ -212,9 +183,7 @@ fn enqueue(
     let r = &mut w.ucp.reliable;
     let id = r.next_id;
     r.next_id += 1;
-    let seq_slot = r.next_seq.entry((src as u32, dst as u32)).or_insert(1);
-    let seq = *seq_slot;
-    *seq_slot += 1;
+    let seq = r.send_seq.next((src as u32, dst as u32));
     r.inflight.insert(
         id,
         PendingSend {
@@ -323,7 +292,7 @@ fn rto_for(w: &mut Machine, wire_size: u64, attempt: u32) -> Duration {
 /// A tracked envelope reached `dst`: always (re-)ack — the sender may be
 /// retransmitting because a previous ack was lost — then deliver exactly
 /// once per sequence number and in sequence order (non-overtaking, as on
-/// a real UCX endpoint). An envelope ahead of a gap waits in the stash;
+/// a real UCX endpoint). An envelope ahead of a gap waits in the window;
 /// if the gap's envelope ultimately gives up at the sender, its
 /// successors stay undelivered and the wedge is attributed to the typed
 /// give-up error, never to silent reordering.
@@ -338,22 +307,20 @@ fn arrive(
     body: TrackedBody,
 ) {
     send_ack(w, s, dst, src, id);
-    let Some(due) = w
-        .ucp
-        .reliable
-        .seen
-        .entry((src as u32, dst as u32))
-        .or_default()
-        .arrive(seq, tag, body)
-    else {
-        s.count(m::DUP_DROP);
-        return;
+    let key = (src as u32, dst as u32);
+    let first = match w.ucp.reliable.recv.arrive(key, seq, (tag, body)) {
+        Arrival::Deliver(e) => e,
+        Arrival::Duplicate => {
+            s.count(m::DUP_DROP);
+            return;
+        }
+        Arrival::Held => {
+            s.count(m::REORDER_HELD);
+            return;
+        }
     };
-    if due.is_empty() {
-        // Ahead of a gap: held back until the envelopes below it arrive.
-        s.count(m::REORDER_HELD);
-    }
-    for (tag, body) in due {
+    let mut next = Some(first);
+    while let Some((tag, body)) = next {
         match body {
             TrackedBody::Tagged(b) => deliver(w, s, dst, ArrivedMsg { tag, src, body: b }),
             TrackedBody::Ats { rts_id } => {
@@ -362,6 +329,7 @@ fn arrive(
                 }
             }
         }
+        next = w.ucp.reliable.recv.release(&key);
     }
 }
 

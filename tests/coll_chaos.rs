@@ -86,7 +86,8 @@ fn run_allreduce(
     match front {
         Frontend::Ampi => rucx::ampi::launch(sim, move |mpi, ctx| {
             let me = mpi.rank();
-            rucx::coll::allreduce_with(mpi, ctx, b[me], s[me], ReduceOp::Sum, algo);
+            let n = b.len();
+            rucx::osu::coll::allreduce_with(mpi, ctx, b[me], s[me], ReduceOp::Sum, n, algo);
         }),
         Frontend::Ompi => rucx::ompi::launch(sim, move |mpi, ctx| {
             let me = mpi.rank();

@@ -11,6 +11,9 @@
 //!    corrupt) against random message schedules, under a virtual-time
 //!    watchdog — no hang, no silent loss, ever. Failing cases replay with
 //!    `RUCX_PROP_SEED` (printed on failure).
+//!
+//! Plus the other side of the coin: with no fault injected, the machinery
+//! is inert.
 
 use rucx::fabric::Topology;
 use rucx::fault::FaultSpec;
@@ -29,6 +32,56 @@ fn chaos_machine(spec: FaultSpec) -> MachineConfig {
     let mut cfg = MachineConfig::default();
     cfg.fault = Some(spec);
     cfg
+}
+
+/// 16 inter-node eager sends 0 → 6: the virtual end time, `ucp.retry`,
+/// `ucp.dup_drop` and the fault state's injection count.
+fn eager_burst(fault: Option<FaultSpec>) -> (u64, [u64; 3]) {
+    let mut sim = build_sim(
+        Topology::summit(2),
+        MachineConfig {
+            fault,
+            ..MachineConfig::default()
+        },
+    );
+    let a = sim.world_mut().gpu.pool.alloc_host(0, 4096, true, true);
+    let b = sim.world_mut().gpu.pool.alloc_host(1, 4096, true, true);
+    sim.spawn("s", 0, move |ctx| {
+        for tag in 0..16 {
+            blocking::send(ctx, 0, 6, SendBuf::Mem(a), tag);
+        }
+    });
+    sim.spawn("r", 0, move |ctx| {
+        for tag in 0..16 {
+            blocking::recv(ctx, 6, b, tag, MASK_FULL);
+        }
+    });
+    assert_eq!(sim.run(), RunOutcome::Completed);
+    let m = sim.metrics();
+    let quiet = [
+        m.get("ucp.retry"),
+        m.get("ucp.dup_drop"),
+        sim.world().faults.injected(),
+    ];
+    (sim.scheduler().now(), quiet)
+}
+
+/// No spec loaded, or an all-zero one that arms the reliability protocol
+/// without injecting anything: each run twice ends at the same virtual
+/// time, with no retransmission, no duplicate suppression and no injection.
+/// (What the fault hook costs in host time is the frozen benchmark's
+/// `ucp.reliable_extra_ns_per_msg` rung.)
+#[test]
+fn fault_machinery_is_inert_when_nothing_is_injected() {
+    for fault in [None, Some(FaultSpec::default())] {
+        let (end, quiet) = eager_burst(fault.clone());
+        assert_eq!(
+            end,
+            eager_burst(fault.clone()).0,
+            "{fault:?}: not deterministic"
+        );
+        assert_eq!(quiet, [0, 0, 0], "{fault:?}: retry, dup_drop, injected");
+    }
 }
 
 /// OSU latency under the canned CI spec: the whole benchmark path (AMPI and

@@ -1,13 +1,14 @@
-//! ROADMAP item 4, "Ordering ×3 — measure before deleting".
+//! DESIGN §9, "Ordering ×3, one implementation".
 //!
 //! Three layers can hold a message back until an earlier one has been
-//! delivered: AMPI's per-source `seq` + reorder stash, Charm4py's channel
-//! `seq` + stash, and (under a fault spec, between nodes) UCP's reliable
-//! in-order window. Each counts its holds (`*.reorder.held`). This runs the
-//! real drivers clean and under the canned 1 % drop and prints the three
-//! counts per cell — the table in DESIGN §9 is its output
-//! (`cargo test --test ordering -- --nocapture`). It asserts only what is
-//! structural; which layer stays is decided there, not by a threshold here.
+//! delivered: AMPI per source rank, Charm4py per channel peer, and (under
+//! a fault spec, between nodes) UCP's reliability protocol per endpoint.
+//! All three use `rucx::ucp::order`; each counts its own holds
+//! (`*.reorder.held`). This runs the real drivers clean and under the
+//! canned 1 % drop and prints the three counts per cell — the table in
+//! DESIGN §9 is its output (`cargo test --test ordering -- --nocapture`).
+//! It asserts only what is structural; why each layer stays is written
+//! there, not decided by a threshold here.
 
 use rucx::fabric::Topology;
 use rucx::fault::FaultSpec;
