@@ -18,9 +18,7 @@ pub mod msg;
 pub mod rank;
 
 pub use mpi::{MpiRank, Request};
-pub use msg::{
-    AmpiMsg, AmpiPayload, Status, ANY_SOURCE, ANY_TAG, MPI_ERR_OTHER, MPI_ERR_TRUNCATE, MPI_SUCCESS,
-};
+pub use msg::{AmpiMsg, Status, ANY_SOURCE, ANY_TAG, MPI_ERR_OTHER, MPI_ERR_TRUNCATE, MPI_SUCCESS};
 pub use rank::RankState;
 
 use rucx_ucp::{MCtx, MSim};

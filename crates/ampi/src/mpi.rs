@@ -3,7 +3,7 @@
 //! device buffers can be passed to `send`/`recv` directly, like any
 //! CUDA-aware MPI implementation (§III-C).
 
-use rucx_charm::{ChareRef, Collection, EpId, Msg, Pe};
+use rucx_charm::{ChareRef, Collection, EpId, Msg, Payload, Pe};
 use rucx_compat::idmap::IdSet;
 use rucx_gpu::MemRef;
 use rucx_sim::sched::Trigger;
@@ -11,7 +11,7 @@ use rucx_ucp::order::{Arrival, SendSeq};
 use rucx_ucp::MCtx;
 
 use crate::metrics;
-use crate::msg::{AmpiMsg, AmpiPayload, Status};
+use crate::msg::{AmpiMsg, Status};
 use crate::rank::{
     copy_cost, status_into, status_of, PostedRecv, RankState, SlotState, CACHE_HIT, CACHE_MISS,
     INLINE_MAX, RECV_OVERHEAD, SEND_OVERHEAD,
@@ -157,7 +157,7 @@ impl MpiRank {
                     .then(|| w.gpu.pool.read(buf).expect("inline read"))
             });
             (
-                AmpiPayload::Inline {
+                Payload::Inline {
                     bytes,
                     size: buf.len,
                 },
@@ -168,7 +168,7 @@ impl MpiRank {
             // machine layer, ML tag stored in the metadata (Fig. 7).
             let (ml_tag, trig) = self.pe.ml_send_device(ctx, dst, buf, true);
             (
-                AmpiPayload::ZeroCopy {
+                Payload::ZeroCopy {
                     ml_tag,
                     size: buf.len,
                 },
@@ -218,20 +218,8 @@ impl MpiRank {
         };
         match matched {
             Some(msg) => {
-                let status = status_into(&msg, &buf);
-                match msg.payload {
-                    AmpiPayload::Inline { bytes, size } => {
-                        deliver_inline(ctx, buf, bytes, size);
-                        self.state().slots.insert(slot, SlotState::Done { status });
-                    }
-                    AmpiPayload::ZeroCopy { ml_tag, size } => {
-                        let n = size.min(buf.len);
-                        let trigger = self.pe.ml_recv_device(ctx, ml_tag, buf.slice(0, n));
-                        self.state()
-                            .slots
-                            .insert(slot, SlotState::Matched { trigger, status });
-                    }
-                }
+                let state = deliver(&mut self.pe, ctx, msg, buf);
+                self.state().slots.insert(slot, state);
             }
             None => {
                 let st = self.state();
@@ -260,10 +248,7 @@ impl MpiRank {
     /// `src`/`tag` identify the failing *operation's* endpoint when known
     /// from the error, else wildcards.
     pub fn take_comm_error(&mut self, ctx: &mut MCtx) -> Option<Status> {
-        let me = self.rank;
-        while let Some(e) = ctx.with_world(move |w, _| w.ucp.take_worker_error(me)) {
-            self.state().comm_errors.push_back(e);
-        }
+        self.pe.drain_errors(ctx);
         let err = self.state().comm_errors.pop_front()?;
         let (src, tag) = match &err {
             rucx_ucp::UcpError::EndpointTimeout { dst, .. } => (*dst as i32, crate::msg::ANY_TAG),
@@ -287,9 +272,7 @@ impl MpiRank {
         match req {
             Request::Send(None) => self.take_comm_error(ctx),
             Request::Send(Some(t)) => {
-                self.pe
-                    .pump_until(ctx, move |_, ctx| ctx.with_world_ref(|_, s| s.fired(t)));
-                ctx.with_world(move |_, s| s.recycle_trigger(t));
+                self.pe.wait_trigger(ctx, t);
                 self.take_comm_error(ctx)
             }
             Request::Recv(slot) => {
@@ -307,10 +290,7 @@ impl MpiRank {
                     SlotState::Pending => unreachable!(),
                     SlotState::Done { status } => status,
                     SlotState::Matched { trigger, status } => {
-                        self.pe.pump_until(ctx, move |_, ctx| {
-                            ctx.with_world_ref(|_, s| s.fired(trigger))
-                        });
-                        ctx.with_world(move |_, s| s.recycle_trigger(trigger));
+                        self.pe.wait_trigger(ctx, trigger);
                         status
                     }
                 };
@@ -398,20 +378,19 @@ impl MpiRank {
     }
 }
 
-/// Copy an inline payload into the receive buffer.
-fn deliver_inline(ctx: &mut MCtx, buf: MemRef, bytes: Option<Vec<u8>>, size: u64) {
-    ctx.advance(copy_cost(size));
-    if let Some(b) = bytes {
-        let n = (buf.len as usize).min(b.len());
-        ctx.with_world(move |w, _| {
-            w.gpu
-                .pool
-                // Invariant: posted-receive buffers stay owned by the rank
-                // until the matching wait, and the slice is clamped to the
-                // buffer length, so the write cannot fail.
-                .write(buf.slice(0, n as u64), &b[..n])
-                .expect("inline deliver")
-        });
+/// Deliver a matched message into its receive buffer: an inline payload
+/// is copied now (at `copy_cost`), a zero-copy one has its machine-layer
+/// receive posted — only now that the metadata has arrived (the delay the
+/// paper discusses in §III and plans to eliminate). Both clamp to `buf`;
+/// the status carries the truncation.
+fn deliver(pe: &mut Pe, ctx: &mut MCtx, am: AmpiMsg, buf: MemRef) -> SlotState {
+    let status = status_into(&am, &buf);
+    if let Payload::Inline { size, .. } = am.payload {
+        ctx.advance(copy_cost(size));
+    }
+    match pe.deliver_payload(ctx, am.payload, buf) {
+        Some(trigger) => SlotState::Matched { trigger, status },
+        None => SlotState::Done { status },
     }
 }
 
@@ -451,23 +430,8 @@ fn accept_msg(st: &mut RankState, am: AmpiMsg, pe: &mut Pe, ctx: &mut MCtx) {
     match st.match_posted(&am) {
         Some(i) => {
             let p = st.posted.remove(i);
-            let status = status_into(&am, &p.buf);
-            match am.payload {
-                AmpiPayload::Inline { bytes, size } => {
-                    deliver_inline(ctx, p.buf, bytes, size);
-                    st.slots.insert(p.slot, SlotState::Done { status });
-                }
-                AmpiPayload::ZeroCopy { ml_tag, size } => {
-                    // The receive for the GPU data can only be posted now
-                    // that the metadata has arrived (the delay the paper
-                    // discusses in §III and plans to eliminate). Clamp to
-                    // the posted buffer; `status` carries the truncation.
-                    let n = size.min(p.buf.len);
-                    let trigger = pe.ml_recv_device(ctx, ml_tag, p.buf.slice(0, n));
-                    st.slots
-                        .insert(p.slot, SlotState::Matched { trigger, status });
-                }
-            }
+            let state = deliver(pe, ctx, am, p.buf);
+            st.slots.insert(p.slot, state);
         }
         None => {
             let (me, seq, size) = (pe.index as u32, am.seq, am.payload.size());

@@ -7,6 +7,7 @@
 //! `LrtsSendDevice`. Note the machine-layer tag is distinct from the MPI
 //! tag, exactly as the paper describes.
 
+use rucx_charm::Payload;
 use rucx_compat::buf::{Buf, BufMut};
 
 /// MPI wildcard source.
@@ -23,25 +24,6 @@ pub const MPI_ERR_TRUNCATE: i32 = 15;
 /// be completed.
 pub const MPI_ERR_OTHER: i32 = 16;
 
-/// How the payload travels.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AmpiPayload {
-    /// Packed in the message (eager path for small host buffers). `bytes`
-    /// is `None` when the source buffer was phantom.
-    Inline { bytes: Option<Vec<u8>>, size: u64 },
-    /// Sent separately through the machine layer under `ml_tag`
-    /// (Zero Copy API: large host buffers and all device buffers).
-    ZeroCopy { ml_tag: u64, size: u64 },
-}
-
-impl AmpiPayload {
-    pub fn size(&self) -> u64 {
-        match self {
-            AmpiPayload::Inline { size, .. } | AmpiPayload::ZeroCopy { size, .. } => *size,
-        }
-    }
-}
-
 /// A decoded AMPI message (the metadata that rides in the Charm++ message).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AmpiMsg {
@@ -52,69 +34,29 @@ pub struct AmpiMsg {
     /// one; the receiver uses this to restore MPI's non-overtaking order
     /// before matching.
     pub seq: u64,
-    pub payload: AmpiPayload,
+    pub payload: Payload,
 }
 
 impl AmpiMsg {
-    /// Serialize into entry-method parameter bytes.
+    /// Serialize into entry-method parameter bytes: `src, tag, seq`, then
+    /// the payload.
     pub fn encode(&self) -> Vec<u8> {
-        // src + tag + seq + kind, then two `u64`s (zero-copy) or size +
-        // presence byte + length prefix (13 bytes) and the inline bytes.
-        let inline = match &self.payload {
-            AmpiPayload::Inline { bytes, .. } => bytes.as_ref().map_or(0, Vec::len),
-            AmpiPayload::ZeroCopy { .. } => 0,
-        };
-        let mut b = Vec::with_capacity(4 + 8 + 8 + 1 + 16 + inline);
-        b.put_u32(self.src_rank);
-        b.put_i64(self.tag as i64);
-        b.put_u64(self.seq);
-        match &self.payload {
-            AmpiPayload::Inline { bytes, size } => {
-                b.put_u8(0);
-                b.put_u64(*size);
-                match bytes {
-                    Some(d) => {
-                        b.put_u8(1);
-                        b.put_bytes(d);
-                    }
-                    None => b.put_u8(0),
-                }
-            }
-            AmpiPayload::ZeroCopy { ml_tag, size } => {
-                b.put_u8(1);
-                b.put_u64(*ml_tag);
-                b.put_u64(*size);
-            }
-        }
-        b
+        let (src, tag, seq) = (self.src_rank, self.tag, self.seq);
+        self.payload.encode(4 + 8 + 8, |b| {
+            b.put_u32(src);
+            b.put_i64(tag as i64);
+            b.put_u64(seq);
+        })
     }
 
     /// Deserialize from entry-method parameter bytes.
     pub fn decode(params: &[u8]) -> AmpiMsg {
         let mut r: &[u8] = params;
-        let src_rank = r.get_u32();
-        let tag = r.get_i64() as i32;
-        let seq = r.get_u64();
-        let payload = match r.get_u8() {
-            0 => {
-                let size = r.get_u64();
-                let bytes = match r.get_u8() {
-                    1 => Some(r.get_bytes().to_vec()),
-                    _ => None,
-                };
-                AmpiPayload::Inline { bytes, size }
-            }
-            1 => AmpiPayload::ZeroCopy {
-                ml_tag: r.get_u64(),
-                size: r.get_u64(),
-            },
-            k => panic!("bad AMPI payload kind {k}"),
-        };
         AmpiMsg {
-            src_rank,
-            tag,
-            seq,
-            payload,
+            src_rank: r.get_u32(),
+            tag: r.get_i64() as i32,
+            seq: r.get_u64(),
+            payload: Payload::decode(&mut r),
         }
     }
 }
@@ -143,54 +85,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn inline_roundtrip() {
-        let m = AmpiMsg {
-            src_rank: 3,
-            tag: 42,
-            seq: 17,
-            payload: AmpiPayload::Inline {
-                bytes: Some(vec![1, 2, 3]),
-                size: 3,
-            },
-        };
-        assert_eq!(AmpiMsg::decode(&m.encode()), m);
-    }
-
-    #[test]
-    fn phantom_inline_roundtrip() {
-        let m = AmpiMsg {
-            src_rank: 0,
-            tag: -5,
-            seq: 0,
-            payload: AmpiPayload::Inline {
-                bytes: None,
-                size: 4096,
-            },
-        };
-        assert_eq!(AmpiMsg::decode(&m.encode()), m);
-    }
-
-    #[test]
-    fn zerocopy_roundtrip() {
-        let m = AmpiMsg {
-            src_rank: 1535,
-            tag: i32::MAX,
-            seq: u64::MAX,
-            payload: AmpiPayload::ZeroCopy {
-                ml_tag: 0x2FFF_FFFF_0000_0001,
-                size: 4 << 20,
-            },
-        };
-        assert_eq!(AmpiMsg::decode(&m.encode()), m);
-    }
-
-    #[test]
     fn wildcard_matching() {
         let m = AmpiMsg {
             src_rank: 2,
             tag: 7,
             seq: 0,
-            payload: AmpiPayload::Inline {
+            payload: Payload::Inline {
                 bytes: None,
                 size: 0,
             },

@@ -120,12 +120,11 @@ mod tests {
     use crate::msg::{ANY_SOURCE, ANY_TAG};
 
     fn msg(src: u32, tag: i32) -> AmpiMsg {
-        use crate::msg::AmpiPayload;
         AmpiMsg {
             src_rank: src,
             tag,
             seq: 0,
-            payload: AmpiPayload::Inline {
+            payload: rucx_charm::Payload::Inline {
                 bytes: None,
                 size: 8,
             },

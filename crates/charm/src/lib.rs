@@ -18,6 +18,9 @@
 //!   [`Pe::send`] and envelope dispatch.
 //! - Converse scheduler + message queue → [`Pe::run`]/[`Pe::try_step`]
 //!   pumping the UCP worker.
+//! - AMPI / Charm4py metadata messages (§III-C, §III-D) → one
+//!   [`wire::Payload`] in the entry-method parameters, delivered into the
+//!   user's buffer by [`Pe::deliver_payload`].
 
 pub mod metrics;
 pub mod mltags;
@@ -28,7 +31,7 @@ pub mod wire;
 pub use mltags::{MsgType, TagScheme, MSG_BITS};
 pub use pe::{ChareRef, Collection, EpEntry, EpId, ExecFn, Msg, Pe, PostFn, RedTarget};
 pub use rucx_coll::ReduceOp;
-pub use wire::{DeviceMeta, Envelope};
+pub use wire::{DeviceMeta, Envelope, Payload};
 
 use rucx_ucp::{MCtx, MSim};
 
@@ -383,11 +386,10 @@ mod tests {
     }
 
     #[test]
-    fn chare_error_handler_receives_endpoint_timeout() {
+    fn pe_error_handler_receives_endpoint_timeout() {
         // Permanent inter-node partition with a tiny retry budget: a device
         // send issued from inside a chare's entry method fails, and the
-        // typed error is routed back to *that chare's* error handler via
-        // the send-context stamp.
+        // typed error reaches the PE-wide error handler.
         let mut spec = rucx_fault::FaultSpec::default();
         spec.partitions.push(rucx_fault::PartitionWindow {
             from: 0,
@@ -430,11 +432,9 @@ mod tests {
                 return; // only PE 0 participates; no global scheduler needed
             }
             let e3 = errs2.clone();
-            pe.set_error_handler(
-                col,
-                0,
-                Box::new(move |_chare, err, _pe, _ctx| e3.lock().push(err.clone())),
-            );
+            pe.set_default_error_handler(Box::new(move |err, _pe, _ctx| {
+                e3.lock().push(err.clone())
+            }));
             // Local loopback delivery runs the kick inside entry context.
             pe.send(ctx, ChareRef { col, index: 0 }, ep_kick, vec![], 0, vec![]);
             let e4 = errs2.clone();

@@ -28,7 +28,7 @@ use crate::mltags::TagScheme;
 use crate::params::{
     pack_cost, DEVICE_META_OVERHEAD, IDLE_POLL, POST_OVERHEAD, RECV_OVERHEAD, SEND_OVERHEAD,
 };
-use crate::wire::{DeviceMeta, Envelope};
+use crate::wire::{DeviceMeta, Envelope, Payload};
 
 /// Identifier of a chare collection (array) registered on a PE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,12 +71,10 @@ pub struct Msg {
 pub type PostFn = Box<dyn Fn(&mut dyn Any, &Msg) -> Vec<MemRef>>;
 /// Regular entry method.
 pub type ExecFn = Box<dyn Fn(&mut dyn Any, &Msg, &mut Pe, &mut MCtx)>;
-/// Per-chare communication-error handler: invoked on the chare whose send
-/// the reliability layer gave up on (routed via the send-context stamp).
-pub type ErrorFn = Box<dyn Fn(&mut dyn Any, &UcpError, &mut Pe, &mut MCtx)>;
-/// PE-wide fallback error handler (no owning chare identified, or the chare
-/// has no handler of its own). Blocking layers built on [`Pe`] (AMPI,
-/// Charm4py) install one to map errors onto their own semantics.
+/// PE-wide communication-error handler: every asynchronous error the
+/// machine layer reports to this PE goes through it. Blocking layers built
+/// on [`Pe`] (AMPI, Charm4py) install one to map errors onto their own
+/// semantics.
 pub type DefaultErrorFn = Box<dyn Fn(&UcpError, &mut Pe, &mut MCtx)>;
 
 /// One registered entry method.
@@ -142,38 +140,11 @@ pub struct Pe {
     local_q: VecDeque<Envelope>,
     pending_device: Vec<PendingDevice>,
     exit: bool,
-    /// Per-chare communication-error handlers ([`Pe::set_error_handler`]).
-    error_handlers: IdMap<(u16, u64), Rc<ErrorFn>>,
-    /// PE-wide fallback error handler.
+    /// PE-wide error handler ([`Pe::set_default_error_handler`]).
     default_error_handler: Option<Rc<DefaultErrorFn>>,
-    /// Chare whose entry method is currently executing (stamped into
-    /// tracked sends so give-up errors route back to it).
-    current_chare: Option<(u16, u64)>,
     /// Errors no handler claimed — kept (not dropped) so drivers and tests
     /// can still observe them.
     pub unhandled_errors: Vec<UcpError>,
-}
-
-/// Send-context encoding: (collection + 1) in the top 16 bits, chare index
-/// below. 0 stays "unset"; indices are assumed < 2^48 (enforced nowhere —
-/// a wrapped index merely mis-routes the error to the default handler).
-fn encode_chare_ctx(key: (u16, u64)) -> u64 {
-    ((key.0 as u64 + 1) << 48) | (key.1 & ((1u64 << 48) - 1))
-}
-
-fn decode_chare_ctx(ctx: u64) -> Option<(u16, u64)> {
-    if ctx == 0 {
-        return None;
-    }
-    Some((((ctx >> 48) - 1) as u16, ctx & ((1u64 << 48) - 1)))
-}
-
-/// Stamp the send context for the next tracked send. No-op on clean runs
-/// (the register is only consulted when faults are enabled).
-fn stamp_ctx(w: &mut rucx_ucp::Machine, sctx: u64) {
-    if sctx != 0 && w.faults.enabled() {
-        w.ucp.set_send_ctx(sctx);
-    }
 }
 
 impl Pe {
@@ -190,9 +161,7 @@ impl Pe {
             local_q: VecDeque::new(),
             pending_device: Vec::new(),
             exit: false,
-            error_handlers: IdMap::default(),
             default_error_handler: None,
-            current_chare: None,
             unhandled_errors: Vec::new(),
         }
     }
@@ -250,14 +219,7 @@ impl Pe {
         self.chares.insert((col.0, index), chare);
     }
 
-    /// Register a communication-error handler for one local chare: when a
-    /// send issued from its entry methods is abandoned by the reliability
-    /// layer, the handler runs with the chare, like an entry method would.
-    pub fn set_error_handler(&mut self, col: Collection, index: u64, f: ErrorFn) {
-        self.error_handlers.insert((col.0, index), Rc::new(f));
-    }
-
-    /// Register the PE-wide fallback communication-error handler.
+    /// Register the PE-wide communication-error handler.
     pub fn set_default_error_handler(&mut self, f: DefaultErrorFn) {
         self.default_error_handler = Some(Rc::new(f));
     }
@@ -297,13 +259,11 @@ impl Pe {
             .chares
             .remove(&key)
             .expect("chare not present on this PE");
-        let prev = self.current_chare.replace(key);
         let r = f(
             chare.downcast_mut::<T>().expect("chare type mismatch"),
             self,
             ctx,
         );
-        self.current_chare = prev;
         self.chares.insert(key, chare);
         r
     }
@@ -336,13 +296,11 @@ impl Pe {
         //    generating one device tag each (Fig. 6 steps 1-4).
         let mut metas = Vec::with_capacity(ndev);
         let src_pe = self.index;
-        let sctx = self.send_ctx_stamp();
         for buf in device_bufs {
             let tag = self.scheme.device_tag(src_pe, self.device_cnt);
             self.device_cnt += 1;
             metas.push(DeviceMeta { tag, size: buf.len });
             ctx.with_world(move |w, s| {
-                stamp_ctx(w, sctx);
                 tag_send_nb(
                     w,
                     s,
@@ -378,9 +336,7 @@ impl Pe {
             let tag = self.scheme.host_tag(src_pe);
             let wire = env.wire_size();
             let bytes = env.encode();
-            let sctx = self.send_ctx_stamp();
             ctx.with_world(move |w, s| {
-                stamp_ctx(w, sctx);
                 tag_send_nb(
                     w,
                     s,
@@ -617,9 +573,7 @@ impl Pe {
         self.device_cnt += 1;
         let src_pe = self.index;
         ctx.advance(DEVICE_META_OVERHEAD + CPU_CALL);
-        let sctx = self.send_ctx_stamp();
         let trig = ctx.with_world(move |w, s| {
-            stamp_ctx(w, sctx);
             if want_trigger {
                 let t = s.new_trigger();
                 tag_send_nb(
@@ -668,27 +622,57 @@ impl Pe {
         })
     }
 
-    /// Send-context stamp for sends issued right now: the executing chare,
-    /// or 0 outside entry methods (driver/blocking-layer code).
-    fn send_ctx_stamp(&self) -> u64 {
-        self.current_chare.map_or(0, encode_chare_ctx)
-    }
-
-    /// Route an asynchronous communication error: per-chare handler when the
-    /// send was stamped and the chare is local, else the PE-wide default,
-    /// else keep it visible in `unhandled_errors`.
-    fn deliver_error(&mut self, ctx: &mut MCtx, err: UcpError) {
-        if let Some(key) = decode_chare_ctx(err.ctx()) {
-            if let Some(h) = self.error_handlers.get(&key).cloned() {
-                if let Some(mut chare) = self.chares.remove(&key) {
-                    let prev = self.current_chare.replace(key);
-                    h(chare.as_mut(), &err, self, ctx);
-                    self.current_chare = prev;
-                    self.chares.insert(key, chare);
-                    return;
+    /// Deliver an announced [`Payload`] into `buf`, clamped to its length:
+    /// an inline payload's fitting prefix is written now (`None`); a zero
+    /// copy one posts `LrtsRecvDevice` and returns its trigger (wait with
+    /// [`Pe::wait_trigger`]). Costs above the machine layer stay with the
+    /// caller.
+    pub fn deliver_payload(
+        &mut self,
+        ctx: &mut MCtx,
+        payload: Payload,
+        buf: MemRef,
+    ) -> Option<Trigger> {
+        match payload {
+            Payload::Inline { bytes, .. } => {
+                if let Some(b) = bytes {
+                    let n = (buf.len as usize).min(b.len());
+                    ctx.with_world(move |w, _| {
+                        w.gpu
+                            .pool
+                            // Invariant: the caller owns the receive buffer
+                            // until the delivery completes, and the slice is
+                            // clamped to its length, so the write cannot fail.
+                            .write(buf.slice(0, n as u64), &b[..n])
+                            .expect("inline deliver")
+                    });
                 }
+                None
+            }
+            Payload::ZeroCopy { ml_tag, size } => {
+                Some(self.ml_recv_device(ctx, ml_tag, buf.slice(0, size.min(buf.len))))
             }
         }
+    }
+
+    /// Pump the scheduler until trigger `t` fires, then recycle it.
+    pub fn wait_trigger(&mut self, ctx: &mut MCtx, t: Trigger) {
+        self.pump_until(ctx, move |_, ctx| ctx.with_world_ref(|_, s| s.fired(t)));
+        ctx.with_world(move |_, s| s.recycle_trigger(t));
+    }
+
+    /// Route every asynchronous error still queued at this PE's worker
+    /// (the scheduler may not have stepped since it was recorded).
+    pub fn drain_errors(&mut self, ctx: &mut MCtx) {
+        let me = self.index;
+        while let Some(err) = ctx.with_world(move |w, _| w.ucp.take_worker_error(me)) {
+            self.deliver_error(ctx, err);
+        }
+    }
+
+    /// Route an asynchronous communication error to the PE-wide handler,
+    /// else keep it visible in `unhandled_errors`.
+    fn deliver_error(&mut self, ctx: &mut MCtx, err: UcpError) {
         if let Some(h) = self.default_error_handler.clone() {
             h(&err, self, ctx);
             return;
@@ -899,9 +883,7 @@ impl Pe {
             .chares
             .remove(&key)
             .unwrap_or_else(|| panic!("chare ({}, {}) not on PE {}", key.0, key.1, self.index));
-        let prev = self.current_chare.replace(key);
         (entry.exec)(chare.as_mut(), msg, self, ctx);
-        self.current_chare = prev;
         self.chares.insert(key, chare);
     }
 

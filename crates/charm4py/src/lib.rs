@@ -23,7 +23,7 @@ pub use coll::ReduceOp;
 
 use std::collections::VecDeque;
 
-use rucx_charm::{ChareRef, Collection, EpId, Msg, Pe};
+use rucx_charm::{ChareRef, Collection, EpId, Msg, Payload, Pe};
 use rucx_compat::buf::{Buf, BufMut};
 use rucx_compat::idmap::IdMap;
 use rucx_gpu::device::{COPY_LAUNCH, SYNC_OVERHEAD};
@@ -60,16 +60,6 @@ pub fn buffer_cost(size: u64) -> Duration {
     transfer_time(size, PY_BUFFER_GBPS)
 }
 
-/// A channel message as delivered to the receiving chare.
-enum ChanPayload {
-    Inline { bytes: Option<Vec<u8>>, size: u64 },
-    ZeroCopy { ml_tag: u64, size: u64 },
-}
-
-/// A remote-invocable method: receives pickled args, returns an optional
-/// pickled result (fulfilling the caller's future).
-pub type PyMethod = Box<dyn FnMut(&[u8]) -> Option<Vec<u8>>>;
-
 /// A Python-style exception raised by the communication layer (what the
 /// real Charm4py would surface as a raised exception in the coroutine).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,8 +86,7 @@ fn py_exception(err: &UcpError) -> PyExceptionRecord {
     }
 }
 
-/// The chare behind one Charm4py process: per-peer channel state,
-/// registered methods, and fulfilled futures.
+/// The chare behind one Charm4py process: per-peer channel state.
 ///
 /// Charm4py channels are ordered even though the underlying runtime's
 /// message delivery is not: each message carries a per-peer sequence
@@ -106,25 +95,20 @@ fn py_exception(err: &UcpError) -> PyExceptionRecord {
 /// seqnum).
 struct ChanState {
     /// Per peer: in-order messages ready for `recv`.
-    inbox: IdMap<u32, VecDeque<ChanPayload>>,
-    recv_order: RecvWindow<u32, ChanPayload>,
+    inbox: IdMap<u32, VecDeque<Payload>>,
+    recv_order: RecvWindow<u32, Payload>,
     send_order: SendSeq<usize>,
     barrier_epoch: u64,
-    methods: IdMap<u16, PyMethod>,
-    futures: IdMap<u64, Option<Vec<u8>>>,
     /// Communication failures mapped into Python exceptions, awaiting
     /// [`PyProc::take_exception`].
     exceptions: VecDeque<PyExceptionRecord>,
-    /// Where a remote invocation ships its result (registered after the
-    /// invoke entry method that needs it, hence carried here).
-    ep_fulfil: EpId,
 }
 
 impl ChanState {
     /// Sort one channel message from `src` into its peer's ready queue, or
     /// hold it until the messages sent before it arrive. Returns whether it
     /// was held.
-    fn deliver(&mut self, src: u32, seq: u64, payload: ChanPayload) -> bool {
+    fn deliver(&mut self, src: u32, seq: u64, payload: Payload) -> bool {
         match self.recv_order.arrive(src, seq, payload) {
             Arrival::Deliver(p) => {
                 let q = self.inbox.entry(src).or_default();
@@ -148,7 +132,7 @@ impl ChanState {
             .is_some_and(|q| !q.is_empty())
     }
 
-    fn pop(&mut self, peer: usize) -> Option<ChanPayload> {
+    fn pop(&mut self, peer: usize) -> Option<Payload> {
         self.inbox.get_mut(&(peer as u32))?.pop_front()
     }
 
@@ -182,66 +166,6 @@ pub struct PyProc {
     col: Collection,
     ep_chan: EpId,
     ep_barrier: EpId,
-    ep_invoke: EpId,
-    next_future: u64,
-}
-
-/// A Charm4py future: redeem with [`PyProc::future_get`] (the coroutine
-/// suspends until the remote invocation's result arrives).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PyFuture(u64);
-
-fn encode_chan(src: u32, seq: u64, payload: &ChanPayload) -> Vec<u8> {
-    // src + seq + kind, then two `u64`s (zero-copy) or size + presence
-    // byte + length prefix (13 bytes) and the inline bytes.
-    let inline = match payload {
-        ChanPayload::Inline { bytes, .. } => bytes.as_ref().map_or(0, Vec::len),
-        ChanPayload::ZeroCopy { .. } => 0,
-    };
-    let mut b = Vec::with_capacity(4 + 8 + 1 + 16 + inline);
-    b.put_u32(src);
-    b.put_u64(seq);
-    match payload {
-        ChanPayload::Inline { bytes, size } => {
-            b.put_u8(0);
-            b.put_u64(*size);
-            match bytes {
-                Some(d) => {
-                    b.put_u8(1);
-                    b.put_bytes(d);
-                }
-                None => b.put_u8(0),
-            }
-        }
-        ChanPayload::ZeroCopy { ml_tag, size } => {
-            b.put_u8(1);
-            b.put_u64(*ml_tag);
-            b.put_u64(*size);
-        }
-    }
-    b
-}
-
-fn decode_chan(params: &[u8]) -> (u32, u64, ChanPayload) {
-    let mut r: &[u8] = params;
-    let src = r.get_u32();
-    let seq = r.get_u64();
-    let payload = match r.get_u8() {
-        0 => {
-            let size = r.get_u64();
-            let bytes = match r.get_u8() {
-                1 => Some(r.get_bytes().to_vec()),
-                _ => None,
-            };
-            ChanPayload::Inline { bytes, size }
-        }
-        1 => ChanPayload::ZeroCopy {
-            ml_tag: r.get_u64(),
-            size: r.get_u64(),
-        },
-        k => panic!("bad channel payload kind {k}"),
-    };
-    (src, seq, payload)
 }
 
 impl PyProc {
@@ -255,8 +179,9 @@ impl PyProc {
             None,
             Box::new(|chare, msg: &Msg, _pe, ctx| {
                 let st = chare.downcast_mut::<ChanState>().expect("chan state");
-                let (src, seq, payload) = decode_chan(&msg.params);
-                if st.deliver(src, seq, payload) {
+                let mut r: &[u8] = &msg.params;
+                let (src, seq) = (r.get_u32(), r.get_u64());
+                if st.deliver(src, seq, Payload::decode(&mut r)) {
                     ctx.with_world(|_, s| s.count(metrics::REORDER_HELD));
                 }
             }),
@@ -269,63 +194,6 @@ impl PyProc {
                 st.barrier_epoch += 1;
             }),
         );
-        // Remote entry-method invocation: run the registered method, then
-        // (if the caller attached a future) ship the pickled result back.
-        let ep_invoke = pe.register_ep(
-            col,
-            None,
-            Box::new(move |chare, msg: &Msg, pe, ctx| {
-                let st = chare.downcast_mut::<ChanState>().expect("chan state");
-                let mut r: &[u8] = &msg.params;
-                let method = r.get_u64() as u16;
-                let fut = r.get_u64();
-                let reply_to = r.get_u64();
-                let args = r.get_bytes().to_vec();
-                let m = st
-                    .methods
-                    .get_mut(&method)
-                    .unwrap_or_else(|| panic!("method {method} not registered"));
-                let result = m(&args);
-                if fut != 0 {
-                    let mut p = Vec::new();
-                    p.put_u64(fut);
-                    match &result {
-                        Some(bytes) => {
-                            p.put_u8(1);
-                            p.put_bytes(bytes);
-                        }
-                        None => p.put_u8(0),
-                    }
-                    let ep_fulfil = st.ep_fulfil;
-                    pe.send(
-                        ctx,
-                        ChareRef {
-                            col,
-                            index: reply_to,
-                        },
-                        ep_fulfil,
-                        p,
-                        0,
-                        vec![],
-                    );
-                }
-            }),
-        );
-        // Future fulfilment: wakes whoever suspended on `PyFuture::get`.
-        let ep_fulfil = pe.register_ep(
-            col,
-            None,
-            Box::new(|chare, msg: &Msg, _pe, _ctx| {
-                let st = chare.downcast_mut::<ChanState>().expect("chan state");
-                let mut r: &[u8] = &msg.params;
-                let fut = r.get_u64();
-                let bytes = match r.get_u8() {
-                    1 => Some(r.get_bytes().to_vec()),
-                    _ => None,
-                };
-                st.futures.insert(fut, bytes);
-            }),
-        );
         pe.insert_chare(
             col,
             rank as u64,
@@ -334,10 +202,7 @@ impl PyProc {
                 recv_order: RecvWindow::default(),
                 send_order: SendSeq::default(),
                 barrier_epoch: 0,
-                methods: IdMap::default(),
-                futures: IdMap::default(),
                 exceptions: VecDeque::new(),
-                ep_fulfil,
             }),
         );
         // Reliability give-ups become Python exception records awaiting
@@ -353,41 +218,12 @@ impl PyProc {
             col,
             ep_chan,
             ep_barrier,
-            ep_invoke,
-            next_future: 1,
         }
     }
 
     fn state(&mut self) -> &mut ChanState {
         let (col, idx) = (self.col, self.rank as u64);
         self.pe.chare_mut::<ChanState>(col, idx)
-    }
-
-    /// Register a remotely-invocable method (a Python method of this
-    /// process's chare).
-    pub fn register_method(&mut self, id: u16, m: PyMethod) {
-        self.state().methods.insert(id, m);
-    }
-
-    /// Asynchronously invoke method `id` on `target`'s chare
-    /// (`proxy.method(args)` in Charm4py) — fire-and-forget.
-    pub fn invoke(&mut self, ctx: &mut MCtx, target: usize, id: u16, args: Vec<u8>) {
-        self.invoke_inner(ctx, target, id, args, 0);
-    }
-
-    /// Invoke with a future for the return value
-    /// (`proxy.method(args, ret=True)` in Charm4py).
-    pub fn invoke_future(
-        &mut self,
-        ctx: &mut MCtx,
-        target: usize,
-        id: u16,
-        args: Vec<u8>,
-    ) -> PyFuture {
-        let fut = self.next_future;
-        self.next_future += 1;
-        self.invoke_inner(ctx, target, id, args, fut);
-        PyFuture(fut)
     }
 
     /// Advance by a Python/Cython overhead and attribute it in the trace
@@ -403,51 +239,11 @@ impl PyProc {
         ctx.advance(dur);
     }
 
-    fn invoke_inner(&mut self, ctx: &mut MCtx, target: usize, id: u16, args: Vec<u8>, fut: u64) {
-        let dur = PY_SEND + pickle_cost(args.len() as u64);
-        self.py_overhead(ctx, dur, 0);
-        let mut p = Vec::new();
-        p.put_u64(id as u64);
-        p.put_u64(fut);
-        p.put_u64(self.rank as u64);
-        p.put_bytes(&args);
-        let (col, ep) = (self.col, self.ep_invoke);
-        self.pe.send(
-            ctx,
-            ChareRef {
-                col,
-                index: target as u64,
-            },
-            ep,
-            p,
-            0,
-            vec![],
-        );
-    }
-
-    /// Suspend until the future is fulfilled; returns the pickled result.
-    pub fn future_get(&mut self, ctx: &mut MCtx, fut: PyFuture) -> Option<Vec<u8>> {
-        let (col, idx) = (self.col, self.rank as u64);
-        self.pe.pump_until(ctx, move |pe, _| {
-            pe.chare_mut::<ChanState>(col, idx)
-                .futures
-                .contains_key(&fut.0)
-        });
-        self.py_overhead(ctx, PY_WAKE, 2);
-        self.state()
-            .futures
-            .remove(&fut.0)
-            .expect("future fulfilled")
-    }
-
     /// Pop one pending communication exception (non-blocking). Drains
     /// errors still sitting at the UCP worker first, so a failure surfaced
     /// in the same event as a completion is not missed.
     pub fn take_exception(&mut self, ctx: &mut MCtx) -> Option<PyExceptionRecord> {
-        let me = self.rank;
-        while let Some(e) = ctx.with_world(move |w, _| w.ucp.take_worker_error(me)) {
-            self.state().raise(&e);
-        }
+        self.pe.drain_errors(ctx);
         self.state().exceptions.pop_front()
     }
 
@@ -485,24 +281,11 @@ impl PyProc {
         let dur = PY_SEND + buffer_cost(buf.len);
         self.py_overhead(ctx, dur, 0);
         let (ml_tag, _trig) = self.pe.ml_send_device(ctx, ch.peer, buf, false);
-        let payload = ChanPayload::ZeroCopy {
+        let payload = Payload::ZeroCopy {
             ml_tag,
             size: buf.len,
         };
-        let seq = self.state().send_order.next(ch.peer);
-        let bytes = encode_chan(self.rank as u32, seq, &payload);
-        let (col, ep) = (self.col, self.ep_chan);
-        self.pe.send(
-            ctx,
-            ChareRef {
-                col,
-                index: ch.peer as u64,
-            },
-            ep,
-            bytes,
-            0,
-            vec![],
-        );
+        self.send_chan(ctx, ch, payload, 0);
     }
 
     /// `channel.send(host_obj)` — pickle a host object into the message.
@@ -524,9 +307,18 @@ impl PyProc {
         self.py_overhead(ctx, dur, 0);
         // Unmaterialized payloads still occupy `size` bytes on the wire.
         let phantom = if bytes.is_none() { size } else { 0 };
-        let payload = ChanPayload::Inline { bytes, size };
+        self.send_chan(ctx, ch, Payload::Inline { bytes, size }, phantom);
+    }
+
+    /// Stamp the channel's next sequence number and send `payload` to the
+    /// peer's chare (`src, seq`, then the payload).
+    fn send_chan(&mut self, ctx: &mut MCtx, ch: Channel, payload: Payload, phantom: u64) {
         let seq = self.state().send_order.next(ch.peer);
-        let bytes = encode_chan(self.rank as u32, seq, &payload);
+        let src = self.rank as u32;
+        let bytes = payload.encode(4 + 8, |b| {
+            b.put_u32(src);
+            b.put_u64(seq);
+        });
         let (col, ep) = (self.col, self.ep_chan);
         self.pe.send(
             ctx,
@@ -543,48 +335,32 @@ impl PyProc {
 
     /// `channel.recv(d_buf, size)` — suspend until the message arrives,
     /// post the device receive, and resume when the data lands. Returns the
-    /// received size.
+    /// size sent; only the prefix that fits in `buf` is delivered.
     pub fn recv(&mut self, ctx: &mut MCtx, ch: Channel, buf: MemRef) -> u64 {
         self.py_overhead(ctx, PY_RECV, 1);
         let payload = self.pop_inbox(ctx, ch.peer);
+        let size = payload.size();
         match payload {
-            ChanPayload::ZeroCopy { ml_tag, size } => {
-                self.py_overhead(ctx, buffer_cost(size), 1);
-                let trigger = self.pe.ml_recv_device(ctx, ml_tag, buf.slice(0, size));
-                self.pe.pump_until(ctx, move |_, ctx| {
-                    ctx.with_world_ref(|_, s| s.fired(trigger))
-                });
-                ctx.with_world(move |_, s| s.recycle_trigger(trigger));
-                self.py_overhead(ctx, PY_WAKE, 2);
-                size
-            }
-            ChanPayload::Inline { bytes, size } => {
-                let dur = pickle_cost(size) + PY_WAKE;
-                self.py_overhead(ctx, dur, 2);
-                if let Some(b) = bytes {
-                    let n = (buf.len as usize).min(b.len());
-                    ctx.with_world(move |w, _| {
-                        w.gpu
-                            .pool
-                            .write(buf.slice(0, n as u64), &b[..n])
-                            .expect("inline channel deliver")
-                    });
-                }
-                size
-            }
+            Payload::ZeroCopy { .. } => self.py_overhead(ctx, buffer_cost(size), 1),
+            Payload::Inline { .. } => self.py_overhead(ctx, pickle_cost(size) + PY_WAKE, 2),
         }
+        if let Some(t) = self.pe.deliver_payload(ctx, payload, buf) {
+            self.pe.wait_trigger(ctx, t);
+            self.py_overhead(ctx, PY_WAKE, 2);
+        }
+        size
     }
 
     /// `channel.recv()` of a pickled host object.
     pub fn recv_host(&mut self, ctx: &mut MCtx, ch: Channel) -> Option<Vec<u8>> {
         self.py_overhead(ctx, PY_RECV, 1);
         match self.pop_inbox(ctx, ch.peer) {
-            ChanPayload::Inline { bytes, size } => {
+            Payload::Inline { bytes, size } => {
                 let dur = pickle_cost(size) + PY_WAKE;
                 self.py_overhead(ctx, dur, 2);
                 bytes
             }
-            ChanPayload::ZeroCopy { .. } => {
+            Payload::ZeroCopy { .. } => {
                 panic!("recv_host on a channel carrying a GPU buffer")
             }
         }
@@ -623,12 +399,12 @@ impl PyProc {
         let st = self.state();
         let hit = peers.iter().find_map(|&p| Some((p, st.pop(p)?)));
         match hit {
-            Some((peer, ChanPayload::Inline { bytes, size })) => {
+            Some((peer, Payload::Inline { bytes, size })) => {
                 let dur = pickle_cost(size) + PY_WAKE;
                 self.py_overhead(ctx, dur, 2);
                 Some((peer, bytes))
             }
-            Some((_, ChanPayload::ZeroCopy { .. })) => {
+            Some((_, Payload::ZeroCopy { .. })) => {
                 panic!("recv_host_any on a channel carrying a GPU buffer")
             }
             None => {
@@ -639,7 +415,7 @@ impl PyProc {
         }
     }
 
-    fn pop_inbox(&mut self, ctx: &mut MCtx, peer: usize) -> ChanPayload {
+    fn pop_inbox(&mut self, ctx: &mut MCtx, peer: usize) -> Payload {
         let (col, idx) = (self.col, self.rank as u64);
         self.pe.pump_until(ctx, move |pe, _| {
             pe.chare_mut::<ChanState>(col, idx).ready(peer)
@@ -753,6 +529,38 @@ mod tests {
         assert_eq!(sim.run(), RunOutcome::Completed);
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data);
         assert_eq!(sim.metrics().get("ucp.rndv.ipc"), 1);
+    }
+
+    /// An 8 KiB device message into a 4 KiB device buffer: the receive is
+    /// clamped to the buffer (it used to panic slicing past its end), the
+    /// first 4 KiB land, and `recv` still reports the size sent.
+    #[test]
+    fn device_recv_into_short_buffer_truncates() {
+        let mut sim = sim(1);
+        let a = sim
+            .world_mut()
+            .gpu
+            .pool
+            .alloc_device(DeviceId(0), 8192, true)
+            .unwrap();
+        let b = sim
+            .world_mut()
+            .gpu
+            .pool
+            .alloc_device(DeviceId(1), 4096, true)
+            .unwrap();
+        let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
+        sim.world_mut().gpu.pool.write(a, &data).unwrap();
+        let got = Arc::new(rucx_compat::sync::Mutex::new(0u64));
+        let got2 = got.clone();
+        launch(&mut sim, move |py, ctx| match py.rank() {
+            0 => py.send(ctx, py.channel(1), a),
+            1 => *got2.lock() = py.recv(ctx, py.channel(0), b),
+            _ => {}
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!(*got.lock(), 8192);
+        assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data[..4096]);
     }
 
     #[test]
@@ -933,7 +741,7 @@ mod tests {
             // the dying peer arrives while seq 0 is lost with the
             // partition, so the payload is held with no predecessor ever
             // coming.
-            let payload = ChanPayload::Inline {
+            let payload = Payload::Inline {
                 bytes: Some(vec![7u8; 4096]),
                 size: 4096,
             };

@@ -7,9 +7,9 @@
 //! `bytes`, and `serde` lives here instead, as small,
 //! deterministic, in-repo implementations:
 //!
-//! - [`sync`] — poison-free [`sync::Mutex`] / [`sync::RwLock`] /
-//!   [`sync::Condvar`] wrappers over `std::sync` with the `parking_lot` API
-//!   shape (no `.unwrap()` plumbing at call sites).
+//! - [`sync`] — poison-free [`sync::Mutex`] / [`sync::Condvar`] wrappers
+//!   over `std::sync` with the `parking_lot` API shape (no `.unwrap()`
+//!   plumbing at call sites).
 //! - [`rendezvous`] — a one-slot, spin-then-park handoff cell for strictly
 //!   alternating handshakes between two OS threads. Not on the simulator's
 //!   path (its processes are coroutines on one thread); kept as the subject

@@ -194,19 +194,6 @@ impl<T> RendezvousReceiver<T> {
             s.receiver_parked = false;
         }
     }
-
-    /// Non-blocking take.
-    pub fn try_recv(&self) -> Option<T> {
-        if self.shared.hint.load(Ordering::Acquire) == HINT_EMPTY {
-            return None;
-        }
-        let mut s = self.shared.slot.lock();
-        let v = s.value.take();
-        if v.is_some() {
-            self.shared.hint.store(HINT_EMPTY, Ordering::Release);
-        }
-        v
-    }
 }
 
 impl<T> Drop for RendezvousReceiver<T> {
@@ -226,7 +213,6 @@ mod tests {
         let (tx, rx) = rendezvous();
         tx.send(7u32).unwrap();
         assert_eq!(rx.recv(), Ok(7));
-        assert!(rx.try_recv().is_none());
     }
 
     #[test]

@@ -97,14 +97,6 @@ impl Rng {
         self.gen_range(range.start as u64..range.end as u64) as usize
     }
 
-    /// Uniform `i64` in `[lo, hi)`.
-    #[inline]
-    pub fn gen_range_i64(&mut self, range: std::ops::Range<i64>) -> i64 {
-        assert!(range.start < range.end, "empty range {range:?}");
-        let span = range.end.wrapping_sub(range.start) as u64;
-        range.start.wrapping_add(self.next_below(span) as i64)
-    }
-
     /// Uniform f64 in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn gen_f64(&mut self) -> f64 {
@@ -183,15 +175,6 @@ mod tests {
             seen[r.gen_range(5..15) as usize - 5] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn gen_range_i64_spans_negative() {
-        let mut r = Rng::new(4);
-        for _ in 0..100 {
-            let v = r.gen_range_i64(-10..10);
-            assert!((-10..10).contains(&v));
-        }
     }
 
     #[test]

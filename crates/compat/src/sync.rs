@@ -92,76 +92,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// Reader-writer lock, `parking_lot`-shaped: [`RwLock::read`] /
-/// [`RwLock::write`] return guards directly.
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            inner: self.inner.read().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            inner: self.inner.write().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
 /// Condition variable paired with [`Mutex`]. Unlike `std`, `wait` takes the
 /// guard by `&mut` (the `parking_lot` shape), so waiting in a loop does not
 /// fight the borrow checker over guard re-binding.
@@ -239,17 +169,5 @@ mod tests {
         // parking_lot semantics: the lock is usable afterwards, no unwrap.
         *m.lock() += 1;
         assert_eq!(*m.lock(), 1);
-    }
-
-    #[test]
-    fn rwlock_shared_and_exclusive() {
-        let l = RwLock::new(vec![1, 2, 3]);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(a.len() + b.len(), 6);
-        }
-        l.write().push(4);
-        assert_eq!(l.read().len(), 4);
     }
 }

@@ -22,23 +22,9 @@ pub enum MemKind {
 }
 
 impl MemKind {
-    /// True for either kind of host memory.
-    pub fn is_host(self) -> bool {
-        matches!(self, MemKind::Host { .. } | MemKind::HostPinned { .. })
-    }
-
     /// True for device memory.
     pub fn is_device(self) -> bool {
         matches!(self, MemKind::Device(_))
-    }
-
-    /// Node this memory is physically attached to (requires a topology
-    /// lookup for device memory, so the caller provides it).
-    pub fn host_node(self) -> Option<usize> {
-        match self {
-            MemKind::Host { node } | MemKind::HostPinned { node } => Some(node),
-            MemKind::Device(_) => None,
-        }
     }
 }
 
@@ -476,9 +462,7 @@ mod tests {
         let hp = p.alloc_host(0, 8, true, false);
         assert_eq!(p.kind(d.id).unwrap(), MemKind::Device(DeviceId(1)));
         assert!(p.kind(d.id).unwrap().is_device());
-        assert!(p.kind(h.id).unwrap().is_host());
         assert_eq!(p.kind(hp.id).unwrap(), MemKind::HostPinned { node: 0 });
-        assert_eq!(p.kind(h.id).unwrap().host_node(), Some(0));
-        assert_eq!(p.kind(d.id).unwrap().host_node(), None);
+        assert_eq!(p.kind(h.id).unwrap(), MemKind::Host { node: 0 });
     }
 }

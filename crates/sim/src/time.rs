@@ -31,12 +31,6 @@ pub const fn ms(v: f64) -> Duration {
     (v * MILLI as f64).round() as Duration
 }
 
-/// Convert a duration in (possibly fractional) seconds to virtual time.
-#[inline]
-pub fn secs(v: f64) -> Duration {
-    (v * SEC as f64).round() as Duration
-}
-
 /// Express a virtual duration in fractional microseconds.
 #[inline]
 pub fn as_us(t: Duration) -> f64 {
@@ -79,20 +73,6 @@ pub fn bandwidth_mbps(bytes: u64, elapsed: Duration) -> f64 {
     bytes as f64 / elapsed as f64 * 1_000.0
 }
 
-/// Pretty-print a duration with an adaptive unit (for traces and harness
-/// output).
-pub fn fmt_dur(t: Duration) -> String {
-    if t < 10 * MICRO {
-        format!("{:.3}us", as_us(t))
-    } else if t < 10 * MILLI {
-        format!("{:.2}us", as_us(t))
-    } else if t < 10 * SEC {
-        format!("{:.3}ms", as_ms(t))
-    } else {
-        format!("{:.3}s", as_secs(t))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,7 +81,6 @@ mod tests {
     fn unit_conversions_roundtrip() {
         assert_eq!(us(1.0), 1_000);
         assert_eq!(ms(1.0), 1_000_000);
-        assert_eq!(secs(1.0), 1_000_000_000);
         assert_eq!(us(0.5), 500);
         assert!((as_us(1_500) - 1.5).abs() < 1e-12);
         assert!((as_ms(2_500_000) - 2.5).abs() < 1e-12);
@@ -129,13 +108,5 @@ mod tests {
     #[test]
     fn zero_elapsed_bandwidth_is_infinite() {
         assert!(bandwidth_mbps(10, 0).is_infinite());
-    }
-
-    #[test]
-    fn fmt_dur_units() {
-        assert!(fmt_dur(500).contains("us"));
-        assert!(fmt_dur(5 * MILLI).contains("us") || fmt_dur(5 * MILLI).contains("ms"));
-        assert!(fmt_dur(100 * MILLI).contains("ms"));
-        assert!(fmt_dur(20 * SEC).ends_with('s'));
     }
 }

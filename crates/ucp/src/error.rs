@@ -7,7 +7,7 @@
 //! - as asynchronous per-worker error records ([`crate::Worker::take_error`])
 //!   when the reliability layer gives up on an envelope, which the
 //!   programming-model layers map onto their own semantics (AMPI status
-//!   codes, Charm++ per-chare error handlers, Charm4py exception records).
+//!   codes, the Charm++ PE-wide error handler, Charm4py exception records).
 
 use crate::tag::Tag;
 
@@ -52,9 +52,6 @@ pub enum UcpError {
         /// give-up, so the scenario matrix can attribute abandoned
         /// transfers to wall time instead of opaque attempt counts.
         elapsed: rucx_sim::time::Duration,
-        /// Opaque model-layer context stamped at send time (e.g. the
-        /// Charm++ chare the send belonged to); 0 when unset.
-        ctx: u64,
     },
     /// A rendezvous fetch referenced an RTS id that is not (or no longer)
     /// announced — fetched twice, never announced, or already failed.
@@ -63,17 +60,6 @@ pub enum UcpError {
     /// knew — e.g. freed before the operation was posted. The operation
     /// completes immediately with nothing sent.
     InvalidHandle { op: &'static str, proc: usize },
-}
-
-impl UcpError {
-    /// The model-layer send context attached to the failing operation
-    /// (0 when none was stamped).
-    pub fn ctx(&self) -> u64 {
-        match self {
-            UcpError::EndpointTimeout { ctx, .. } => *ctx,
-            _ => 0,
-        }
-    }
 }
 
 impl std::fmt::Display for UcpError {
@@ -96,7 +82,6 @@ impl std::fmt::Display for UcpError {
                 tag,
                 attempts,
                 elapsed,
-                ..
             } => write!(
                 f,
                 "endpoint timeout: {src} -> {dst} tag {tag:#x} gave up after {attempts} attempts \

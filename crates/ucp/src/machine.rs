@@ -53,11 +53,6 @@ pub struct UcpSubsystem {
     /// directed pair, parked envelopes, keepalive probe loops). Driven by
     /// the reliability layer, so likewise inert on clean runs.
     pub health: crate::health::HealthState,
-    /// Model-layer context register: set immediately before a send (only
-    /// when faults are enabled) and consumed by the reliability layer into
-    /// the tracked envelope, so give-up errors can be routed back to e.g.
-    /// the owning chare. 0 means unset.
-    pub(crate) send_ctx: u64,
     /// Endpoint-wireup and memory-registration caches; consulted on the
     /// comm paths only when [`UcpConfig::reg_model`] is set.
     pub reg: crate::reg::RegCache,
@@ -88,13 +83,6 @@ impl UcpSubsystem {
     /// (reliability give-ups, failed fetches). `None` on clean runs.
     pub fn take_worker_error(&mut self, p: usize) -> Option<crate::error::UcpError> {
         self.workers[p].take_error()
-    }
-
-    /// Stamp the model-layer context for the next tracked send (routes
-    /// reliability give-up errors; see [`crate::UcpError::ctx`]). A no-op
-    /// burden-wise on clean runs — call only when faults are enabled.
-    pub fn set_send_ctx(&mut self, ctx: u64) {
-        self.send_ctx = ctx;
     }
 }
 
@@ -183,7 +171,6 @@ pub fn build_sim(topo: Topology, cfg: MachineConfig) -> MSim {
         staging,
         reliable,
         health: crate::health::HealthState::default(),
-        send_ctx: 0,
         reg,
     };
 

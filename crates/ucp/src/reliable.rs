@@ -71,9 +71,6 @@ pub(crate) struct PendingSend {
     /// (bounded by [`crate::config::HEAL_RETRIES`]).
     pub parks: u32,
     pub body: TrackedBody,
-    /// Model-layer context stamped at send time (routes give-up errors to
-    /// e.g. the owning chare); 0 when unset.
-    pub ctx: u64,
 }
 
 /// Machine-wide reliability state. Every map is keyed, never iterated, so
@@ -139,7 +136,6 @@ pub(crate) fn send_tracked(
     tag: Tag,
     body: ArrivedBody,
 ) {
-    let ctx = std::mem::take(&mut w.ucp.send_ctx);
     enqueue(
         w,
         s,
@@ -149,7 +145,6 @@ pub(crate) fn send_tracked(
         local_delay,
         tag,
         TrackedBody::Tagged(body),
-        ctx,
     );
 }
 
@@ -165,7 +160,7 @@ pub(crate) fn send_tracked_ats(
 ) {
     let size = ACK_SIZE.max(ATS_SIZE);
     w.ucp.reliable.ats_table.insert(rts_id, sender_done);
-    enqueue(w, s, src, dst, size, 0, 0, TrackedBody::Ats { rts_id }, 0);
+    enqueue(w, s, src, dst, size, 0, 0, TrackedBody::Ats { rts_id });
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -178,7 +173,6 @@ fn enqueue(
     local_delay: Duration,
     tag: Tag,
     body: TrackedBody,
-    ctx: u64,
 ) {
     let r = &mut w.ucp.reliable;
     let id = r.next_id;
@@ -196,7 +190,6 @@ fn enqueue(
             first_sent: 0,
             parks: 0,
             body,
-            ctx,
         },
     );
     if local_delay == 0 {
@@ -391,7 +384,6 @@ pub(crate) fn give_up(w: &mut Machine, s: &mut MSched, id: u64) {
         tag: p.tag,
         attempts: p.attempts,
         elapsed: s.now().saturating_sub(p.first_sent),
-        ctx: p.ctx,
     };
     match &p.body {
         TrackedBody::Tagged(ArrivedBody::Rts { rts_id, .. }) => {
