@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use rucx_compat::json::{JsonObject, ToJson};
-use rucx_sim::trace::{TraceEvent, TraceSink};
+use rucx_sim::trace::TraceSink;
 
 /// Stack layer an event name is attributed to (by its prefix before the
 /// first `.`). Unknown prefixes land in `"Other"` rather than being
@@ -48,20 +48,15 @@ pub struct Attribution {
 }
 
 impl Attribution {
-    /// Charge every event in the iterator to its layer.
-    pub fn from_events<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> Self {
+    /// Charge every event in a sink's current buffer to its layer.
+    pub fn from_sink(sink: &TraceSink) -> Self {
         let mut a = Attribution::default();
-        for ev in events {
+        for ev in sink.events() {
             let t = a.layers.entry(layer_of(ev.name)).or_default();
             t.busy_ns += ev.dur();
             t.events += 1;
         }
         a
-    }
-
-    /// Build from a sink's current buffer.
-    pub fn from_sink(sink: &TraceSink) -> Self {
-        Self::from_events(sink.events())
     }
 
     /// Total attributed span time across all layers (ns).

@@ -350,7 +350,7 @@ fn allreduce_cell(scenario: &'static str, quick: bool) -> Cell {
 /// `partition` the UCP park+probe layer heals the endpoints well inside
 /// the task deadline, shielding the service layer from resubmissions.
 fn svc_cell(scenario: &'static str, quick: bool) -> Cell {
-    use rucx_svc::{run_load, LoadCfg};
+    use rucx_svc::{machine_config, run_load_on, LoadCfg};
 
     let cfg = LoadCfg {
         clients: if quick { 12 } else { 24 },
@@ -360,20 +360,21 @@ fn svc_cell(scenario: &'static str, quick: bool) -> Cell {
         seed: 5,
         fault: spec_for(scenario),
         deadline_us: 2_500.0,
-        trace: true,
-        // RPC-style tight retransmission budget: a partitioned endpoint
-        // exhausts it and engages park+probe instead of backing off for
-        // longer than any task deadline.
-        ucp_max_retries: Some(3),
         ..LoadCfg::default()
     };
-    let r = run_load(&cfg);
+    let mut machine = machine_config(&cfg);
+    // RPC-style tight retransmission budget: a partitioned endpoint
+    // exhausts it and engages park+probe instead of backing off for longer
+    // than any task deadline.
+    machine.ucp.max_retries = 3;
+    let mut sim = build_sim(Topology::summit(2), machine);
+    sim.scheduler().trace.enable(0);
+    let r = run_load_on(&mut sim, &cfg);
     assert_eq!(
         r.tasks_failed, 0,
         "svc_load abandoned tasks under `{scenario}`"
     );
-    let attr = Attribution::from_events(r.trace_events.iter());
-    let recovery = RecoveryCounts::from_counters(&r.metrics);
+    let (attr, recovery) = harvest(&sim);
     Cell {
         scenario,
         workload: "svc_load",

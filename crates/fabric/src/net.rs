@@ -262,6 +262,22 @@ mod tests {
     }
 
     #[test]
+    fn dual_rail_nic_carries_two_transfers_at_once() {
+        // Node 0's two rails each carry one 4 MiB transfer to node 1 in
+        // parallel; on one rail the second waits for the first.
+        let mut sim = Simulation::new(sys(2));
+        let size = 4u64 << 20;
+        sim.scheduler().schedule_at(0, move |w, s| {
+            let rail0 = net_transfer(w, s, (0, 0), (1, 0), size, WireKind::Host, |_, _| {});
+            let rail1 = net_transfer(w, s, (0, 1), (1, 1), size, WireKind::Host, |_, _| {});
+            assert_eq!(rail0, rail1);
+            let again = net_transfer(w, s, (0, 0), (1, 0), size, WireKind::Host, |_, _| {});
+            assert_eq!(again, rail0 + transfer_time(size, NIC_GBPS));
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+    }
+
+    #[test]
     fn disjoint_pairs_do_not_contend() {
         let mut sim = Simulation::new(sys(4));
         let size = 4u64 << 20;

@@ -13,6 +13,16 @@
 //! - [`ops`] — `copy_async` / `kernel_async` / `stream_sync_trigger`, the
 //!   simulation equivalents of `cudaMemcpyAsync`, kernel launch, and
 //!   `cudaStreamSynchronize`.
+//!
+//! One contention rule: every piece of GPU work — a user copy or kernel,
+//! and the communication layer's CUDA-IPC fetches, pipeline staging chunks
+//! and striped legs — books its stream and link ports through
+//! [`GpuSubsystem::book`]. Work starts when the stream and all its ports
+//! are free and holds them until it ends; the X-Bus, shared by all of a
+//! node's cross-socket flows, is held per flow for its bytes at the
+//! aggregate rate. A new shared resource (say, a per-socket staging
+//! engine) is one more [`PortRef`] variant, booked where the work that
+//! uses it is booked.
 
 pub mod device;
 pub mod mem;
@@ -22,8 +32,8 @@ pub mod subsystem;
 
 pub use device::{CopyPath, Device, DeviceId, KernelCost};
 pub use mem::{MemError, MemId, MemKind, MemPool, MemRef};
-pub use ops::{copy_async, kernel_async, resolve_path, stream_sync_trigger};
-pub use subsystem::{GpuSubsystem, HasGpu, StreamId};
+pub use ops::{copy_async, copy_ports, kernel_async, resolve_path, stream_sync_trigger};
+pub use subsystem::{GpuSubsystem, HasGpu, PortRef, StreamId};
 
 #[cfg(test)]
 mod tests {
@@ -201,6 +211,34 @@ mod tests {
             assert_eq!(ctx.now(), 0);
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
+    }
+
+    /// A 1 MiB copy from device `a` to `b` on `a`'s default stream, then a
+    /// CUDA-IPC booking from `c` to `d` on a stream of its own for the
+    /// copy's wire time plus 2 µs, both at t = 0: when each ends.
+    fn copy_then_ipc(a: u32, b: u32, c: u32, d: u32) -> (u64, u64) {
+        Simulation::new(summit_node()).with_parts(|g, s| {
+            let x = g.pool.alloc_device(DeviceId(a), 1 << 20, false).unwrap();
+            let y = g.pool.alloc_device(DeviceId(b), 1 << 20, false).unwrap();
+            let stream = g.create_stream(DeviceId(d));
+            let copy = copy_async(g, s, x, y, StreamId(a), None);
+            let (src, dst) = (MemKind::Device(DeviceId(c)), MemKind::Device(DeviceId(d)));
+            let path = resolve_path(g, src, dst);
+            let dur = device::wire_time(path, 1 << 20) + 2_000;
+            let ports = copy_ports(g, src, dst, path);
+            (copy, g.book(Some(stream), ports, s.now(), dur, 1 << 20))
+        })
+    }
+
+    #[test]
+    fn copies_and_ipc_bookings_contend_by_one_rule() {
+        // 1 MiB: NVLink wire 1 100 + 23 831 ns, X-Bus wire 1 100 + 37 449 ns,
+        // X-Bus aggregate hold 20 165 ns. Same device pair: the IPC booking
+        // starts when the copy frees device 0's egress and 1's ingress.
+        assert_eq!(copy_then_ipc(0, 1, 0, 1), (24_931, 24_931 + 26_931));
+        // Disjoint cross-socket pairs share only node 0's X-Bus: the second
+        // starts once the first's aggregate share has passed, not at its end.
+        assert_eq!(copy_then_ipc(0, 4, 1, 5), (38_549, 20_165 + 40_549));
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The GPU subsystem: devices, streams, link-port occupancy, memory pool.
+//! The GPU subsystem: devices, streams, link-port occupancy, memory pool,
+//! and [`GpuSubsystem::book`], the one rule by which work contends for them.
 
-use rucx_sim::time::Time;
+use rucx_sim::time::{transfer_time, Duration, Time};
 
-use crate::device::{Device, DeviceId, DEVICE_MEM};
+use crate::device::{Device, DeviceId, DEVICE_MEM, XBUS_AGGREGATE_GBPS};
 use crate::mem::MemPool;
-use crate::ops::PortRef;
 
 /// Identifier of a stream (FIFO work queue) on some device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,29 +103,57 @@ impl GpuSubsystem {
         self.streams[s.0 as usize].busy_until
     }
 
-    pub(crate) fn set_stream_busy(&mut self, s: StreamId, t: Time) {
-        self.streams[s.0 as usize].busy_until = t;
-    }
-
-    pub(crate) fn egress_busy(&self, d: DeviceId) -> Time {
-        self.egress_busy[d.index()]
-    }
-
-    pub(crate) fn ingress_busy(&self, d: DeviceId) -> Time {
-        self.ingress_busy[d.index()]
-    }
-
-    pub(crate) fn xbus_busy(&self, node: usize) -> Time {
-        self.xbus_busy[node]
-    }
-
-    pub(crate) fn set_port_busy(&mut self, p: PortRef, t: Time) {
+    fn port_busy(&mut self, p: PortRef) -> &mut Time {
         match p {
-            PortRef::Egress(d) => self.egress_busy[d.index()] = t,
-            PortRef::Ingress(d) => self.ingress_busy[d.index()] = t,
-            PortRef::XBus(n) => self.xbus_busy[n] = t,
+            PortRef::Egress(d) => &mut self.egress_busy[d.index()],
+            PortRef::Ingress(d) => &mut self.ingress_busy[d.index()],
+            PortRef::XBus(n) => &mut self.xbus_busy[n],
         }
     }
+
+    /// Book `dur` of work that moves `bytes` over `ports`, driven by
+    /// `stream` (if any); returns its end. The one contention rule of the
+    /// GPU model: the work starts at `ready` or when the stream and every
+    /// port are free, whichever is last, and holds them until it ends —
+    /// except the X-Bus, a shared aggregate resource that each flow holds
+    /// only for `bytes` at the aggregate rate although the flow itself
+    /// runs at the (lower) per-flow rate. A new shared resource is one
+    /// more [`PortRef`].
+    pub fn book(
+        &mut self,
+        stream: Option<StreamId>,
+        ports: impl IntoIterator<Item = PortRef> + Clone,
+        ready: Time,
+        dur: Duration,
+        bytes: u64,
+    ) -> Time {
+        let mut start = stream.map_or(ready, |s| ready.max(self.stream_busy(s)));
+        for p in ports.clone() {
+            start = start.max(*self.port_busy(p));
+        }
+        let end = start + dur;
+        if let Some(s) = stream {
+            self.streams[s.0 as usize].busy_until = end;
+        }
+        for p in ports {
+            *self.port_busy(p) = match p {
+                PortRef::XBus(_) => start + transfer_time(bytes, XBUS_AGGREGATE_GBPS),
+                _ => end,
+            };
+        }
+        end
+    }
+}
+
+/// A link port a booking holds (see [`GpuSubsystem::book`]).
+#[derive(Debug, Clone, Copy)]
+pub enum PortRef {
+    /// A device's outbound side.
+    Egress(DeviceId),
+    /// A device's inbound side.
+    Ingress(DeviceId),
+    /// A node's inter-socket bus.
+    XBus(usize),
 }
 
 /// World types that contain a GPU subsystem. Model code is generic over this

@@ -1,8 +1,6 @@
-//! Additional OSU-suite benchmarks beyond the paper's two: bi-directional
-//! bandwidth (`osu_bibw`) and multi-pair aggregate bandwidth
-//! (`osu_mbw_mr`-style). The paper evaluates uni-directional curves; these
-//! extend the harness to the rest of the suite's point-to-point coverage
-//! and expose full-duplex and multi-rail behaviour of the fabric model.
+//! An OSU-suite benchmark beyond the paper's two: bi-directional bandwidth
+//! (`osu_bibw`). The paper evaluates uni-directional curves; this one
+//! exposes the full-duplex behaviour of the fabric model.
 
 use std::sync::Arc;
 
@@ -62,60 +60,6 @@ pub fn mpi_bibw_point<F: RankFactory>(
     r
 }
 
-/// Multi-pair bandwidth: `pairs` disjoint sender/receiver pairs drive the
-/// fabric simultaneously (senders on node 0, receivers on node 1 for the
-/// inter-node variant — exercising both NIC rails). Aggregate MB/s.
-pub fn mpi_mbw_point<F: RankFactory>(cfg: &OsuConfig, size: u64, pairs: usize, factory: F) -> f64 {
-    assert!(pairs <= 6, "one pair per GPU pair");
-    let mut s = setup(&cfg.machine, size);
-    let d = Arc::new(s.d.clone());
-    let ack = Arc::new(s.ack.clone());
-    let result = Arc::new(rucx_compat::sync::Mutex::new(0.0f64));
-    let result2 = result.clone();
-    let (iters, warmup, window) = (cfg.bw_iters, cfg.bw_warmup, cfg.bw_window);
-
-    factory.launch(&mut s.sim, move |mpi, ctx| {
-        let me = mpi.rank();
-        // Senders: ranks 0..pairs (node 0); receivers: 6..6+pairs (node 1).
-        let is_sender = me < pairs;
-        let is_receiver = (6..6 + pairs).contains(&me);
-        if !is_sender && !is_receiver {
-            return;
-        }
-        let other = if is_sender { me + 6 } else { me - 6 };
-        let my_d = d[me].slice(0, size);
-        let my_ack = ack[me].slice(0, 4);
-        let mut t0 = 0;
-        for i in 0..(warmup + iters) {
-            if i == warmup {
-                t0 = ctx.now();
-            }
-            if is_sender {
-                let mut reqs = Vec::with_capacity(window as usize);
-                for w in 0..window {
-                    reqs.push(mpi.isend(ctx, my_d, other, w as i32));
-                }
-                mpi.waitall(ctx, reqs);
-                mpi.recv(ctx, my_ack, other as i32 as usize, 99);
-            } else {
-                let mut reqs = Vec::with_capacity(window as usize);
-                for w in 0..window {
-                    reqs.push(mpi.irecv(ctx, my_d, other as i32 as usize, w as i32));
-                }
-                mpi.waitall(ctx, reqs);
-                mpi.send(ctx, my_ack, other, 99);
-            }
-        }
-        if me == 0 {
-            let bytes = pairs as u64 * size * window as u64 * iters as u64;
-            *result2.lock() = bandwidth_mbps(bytes, ctx.now() - t0);
-        }
-    });
-    assert_eq!(s.sim.run(), RunOutcome::Completed, "mbw deadlocked");
-    let r = *result.lock();
-    r
-}
-
 /// Bi-directional bandwidth series for one model.
 pub fn bibw_series<F: RankFactory + Copy>(
     cfg: &OsuConfig,
@@ -157,20 +101,6 @@ mod tests {
         assert!(
             bi > uni_v * 1.4,
             "bibw {bi:.0} should exceed unidirectional {uni_v:.0} by well over 1.4x"
-        );
-    }
-
-    #[test]
-    fn multi_pair_uses_both_rails() {
-        // 1 pair is capped by one rail; 6 pairs (3 per socket) drive both
-        // rails and must exceed a single rail's rate.
-        let c = cfg();
-        let one = mpi_mbw_point(&c, 1 << 20, 1, OmpiFactory);
-        let six = mpi_mbw_point(&c, 1 << 20, 6, OmpiFactory);
-        assert!(one < 12_500.0, "single pair capped by one rail: {one:.0}");
-        assert!(
-            six > one * 1.5,
-            "six pairs {six:.0} should beat one pair {one:.0} via dual rails"
         );
     }
 

@@ -9,8 +9,9 @@
 //! the UCP endpoint/registration caches ([`rucx_ucp::RegCache`]).
 //!
 //! The crate is a library so the benchmark binary (`examples/svc_bench.rs`)
-//! and the determinism/leak tests share one driver: [`run_load`] builds a
-//! two-node Summit-like simulation, multiplexes `LoadCfg::clients` logical
+//! and the determinism/leak tests share one driver: [`run_load_on`] takes a
+//! two-node Summit-like simulation (the caller builds it, [`run_load`]
+//! builds one from [`machine_config`]), multiplexes `LoadCfg::clients` logical
 //! clients over the first 8 ranks (4 ranks serve as workers), runs the
 //! scatter/submit/gather protocol with the registration model enabled, and
 //! returns throughput, exact latency percentiles, every task's checksum,
@@ -34,8 +35,8 @@ use rucx_fabric::Topology;
 use rucx_fault::FaultSpec;
 use rucx_gpu::MemRef;
 use rucx_sim::time::{as_us, us, Duration, Time};
-use rucx_sim::{Counters, RunOutcome, TraceEvent};
-use rucx_ucp::{build_sim, reg_invalidate, MCtx, MachineConfig};
+use rucx_sim::RunOutcome;
+use rucx_ucp::{build_sim, reg_invalidate, MCtx, MSim, MachineConfig};
 
 pub mod metrics;
 
@@ -486,14 +487,6 @@ pub struct LoadCfg {
     /// fall after the scatter phase completes, or the in-flight zero-copy
     /// scatter would hold the client's buffer past teardown.
     pub fail_worker: Option<(usize, f64)>,
-    /// Record a structured trace and return it in [`LoadResult`] (for
-    /// per-layer attribution by the scenario matrix).
-    pub trace: bool,
-    /// Override the UCP retransmission budget (`None` = machine default).
-    /// Latency-sensitive RPC traffic uses a tight budget so a dead
-    /// endpoint engages the park+probe health layer instead of minutes of
-    /// exponential backoff.
-    pub ucp_max_retries: Option<u32>,
 }
 
 impl Default for LoadCfg {
@@ -509,8 +502,6 @@ impl Default for LoadCfg {
             fault: None,
             deadline_us: 0.0,
             fail_worker: None,
-            trace: false,
-            ucp_max_retries: None,
         }
     }
 }
@@ -535,14 +526,9 @@ pub struct LoadResult {
     pub ep_miss: u64,
     pub premapped_hit: u64,
     /// Tasks abandoned by the recovery machinery (zero on a clean run); the
-    /// rest of its activity is `svc.*` in `metrics`.
+    /// rest of its activity is the `svc.*` counters of the simulation.
     pub tasks_failed: u64,
     pub ucp_retry: u64,
-    /// Every counter of the run, all layers (scenario attribution and the
-    /// ordering table read theirs from here).
-    pub metrics: Counters,
-    /// Structured trace (empty unless [`LoadCfg::trace`] was set).
-    pub trace_events: Vec<TraceEvent>,
 }
 
 fn percentile(sorted: &[Time], q: f64) -> f64 {
@@ -574,24 +560,32 @@ fn task_arg(seed: u64, client: u64, task: u64) -> u64 {
     splitmix64(&mut s)
 }
 
-/// Run one full scatter/submit/gather load on a two-node Summit-like
-/// cluster with the registration cost model enabled, and assert the
-/// registration-leak invariants at shutdown.
-pub fn run_load(cfg: &LoadCfg) -> LoadResult {
-    let topo = Topology::summit(2);
-    assert_eq!(topo.procs(), CLIENT_RANKS + WORKER_RANKS);
-    let workers: Vec<usize> = (CLIENT_RANKS..CLIENT_RANKS + WORKER_RANKS).collect();
+/// The machine a load runs on (with [`Topology::summit`]`(2)`): the
+/// registration cost model on, registration caching as `cfg.cache` says,
+/// and `cfg.fault` armed.
+pub fn machine_config(cfg: &LoadCfg) -> MachineConfig {
     let mut machine = MachineConfig::default();
     machine.ucp.reg_model = true;
     machine.ucp.reg_cache = cfg.cache;
     machine.fault = cfg.fault.clone();
-    if let Some(r) = cfg.ucp_max_retries {
-        machine.ucp.max_retries = r;
-    }
-    let mut sim = build_sim(topo, machine);
-    if cfg.trace {
-        sim.scheduler().trace.enable(0);
-    }
+    machine
+}
+
+/// Run one full scatter/submit/gather load on a two-node Summit-like
+/// cluster built from [`machine_config`]; see [`run_load_on`].
+pub fn run_load(cfg: &LoadCfg) -> LoadResult {
+    let mut sim = build_sim(Topology::summit(2), machine_config(cfg));
+    run_load_on(&mut sim, cfg)
+}
+
+/// Run one load on `sim`, a fresh two-node Summit-like simulation the
+/// caller built (from [`machine_config`], plus whatever the caller adds:
+/// tracing, a tighter UCP retry budget), and assert the registration-leak
+/// invariants at shutdown. Every counter and trace event of the run stays
+/// in `sim`.
+pub fn run_load_on(sim: &mut MSim, cfg: &LoadCfg) -> LoadResult {
+    assert_eq!(sim.world().topo.procs(), CLIENT_RANKS + WORKER_RANKS);
+    let workers: Vec<usize> = (CLIENT_RANKS..CLIENT_RANKS + WORKER_RANKS).collect();
 
     // Per-rank gathered output: (rank, results, latencies, finish time).
     type RankOut = (usize, Vec<(u64, u64)>, Vec<(u64, Time)>, Time);
@@ -600,7 +594,7 @@ pub fn run_load(cfg: &LoadCfg) -> LoadResult {
     let cfg2 = cfg.clone();
     let workers2 = workers.clone();
 
-    launch(&mut sim, move |py, ctx| {
+    launch(sim, move |py, ctx| {
         let rank = py.rank();
         if rank < CLIENT_RANKS {
             client_body(py, ctx, &cfg2, &workers2, &out2);
@@ -610,7 +604,6 @@ pub fn run_load(cfg: &LoadCfg) -> LoadResult {
     });
     assert_eq!(sim.run(), RunOutcome::Completed, "svc load deadlocked");
 
-    let trace_events: Vec<TraceEvent> = sim.scheduler_ref().trace.events().copied().collect();
     let w = sim.world();
     let reg_miss = sim.metrics().get("ucp.reg.miss");
     let reg_evict = sim.metrics().get("ucp.reg.evict");
@@ -672,8 +665,6 @@ pub fn run_load(cfg: &LoadCfg) -> LoadResult {
         premapped_hit: sim.metrics().get("gpu.pool.premapped_hit"),
         tasks_failed: sim.metrics().get("svc.task_failed"),
         ucp_retry: sim.metrics().get("ucp.retry"),
-        metrics: sim.metrics().clone(),
-        trace_events,
     }
 }
 
@@ -806,6 +797,12 @@ fn worker_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One load on a simulation the test keeps, to read its counters.
+    fn run_held(cfg: &LoadCfg) -> (LoadResult, MSim) {
+        let mut sim = build_sim(Topology::summit(2), machine_config(cfg));
+        (run_load_on(&mut sim, cfg), sim)
+    }
 
     fn small(cache: bool, seed: u64) -> LoadCfg {
         LoadCfg {
@@ -940,7 +937,7 @@ mod tests {
             deadline_us: 2_500.0,
             ..base.clone()
         };
-        let chaos = run_load(&chaos_cfg);
+        let (chaos, chaos_sim) = run_held(&chaos_cfg);
         // run_load's RunOutcome assert is the no-hang gate; here pin down
         // the exactly-once contract: the clean result set has one entry
         // per task, so equality rules out both loss and double-counting.
@@ -952,11 +949,12 @@ mod tests {
         assert_eq!(chaos.digest, clean.digest);
         assert_eq!(chaos.tasks_failed, 0, "no task may be abandoned");
         // Determinism of the chaos run itself.
-        let again = run_load(&chaos_cfg);
+        let (again, again_sim) = run_held(&chaos_cfg);
         assert_eq!(chaos.results, again.results);
         assert_eq!(chaos.wall_us, again.wall_us);
         for name in ["svc.resubmit", "svc.task_timeout"] {
-            assert_eq!(chaos.metrics.get(name), again.metrics.get(name), "{name}");
+            let (a, b) = (chaos_sim.metrics(), again_sim.metrics());
+            assert_eq!(a.get(name), b.get(name), "{name}");
         }
     }
 
@@ -979,27 +977,27 @@ mod tests {
             fail_worker: Some((1, 400.0)),
             ..base.clone()
         };
-        let crashed = run_load(&crashed_cfg);
+        let (crashed, sim) = run_held(&crashed_cfg);
         assert_eq!(
             crashed.results, clean.results,
             "worker crash corrupted or duplicated results"
         );
         assert_eq!(crashed.digest, clean.digest);
         assert_eq!(crashed.tasks_failed, 0);
-        let resubmits = crashed.metrics.get("svc.resubmit");
+        let resubmits = sim.metrics().get("svc.resubmit");
         assert!(resubmits > 0, "a worker crash must force resubmissions");
-        assert!(crashed.metrics.get("svc.task_timeout") >= resubmits);
+        assert!(sim.metrics().get("svc.task_timeout") >= resubmits);
         assert!(
-            crashed.metrics.get("svc.breaker_open") >= 1,
+            sim.metrics().get("svc.breaker_open") >= 1,
             "the dead worker's breaker opens"
         );
         assert!(crashed.p99_us.is_finite() && crashed.p99_us > 0.0);
         // Recovery costs latency but not correctness.
         assert!(crashed.p99_us >= clean.p99_us);
-        let again = run_load(&crashed_cfg);
+        let (again, again_sim) = run_held(&crashed_cfg);
         assert_eq!(crashed.results, again.results);
         assert_eq!(crashed.wall_us, again.wall_us);
-        assert_eq!(resubmits, again.metrics.get("svc.resubmit"));
+        assert_eq!(resubmits, again_sim.metrics().get("svc.resubmit"));
     }
 
     /// The recovery path with no deadline *is* the blocking path: a clean
@@ -1007,23 +1005,22 @@ mod tests {
     /// reports zero recovery activity on every counter.
     #[test]
     fn clean_run_ignores_the_deadline_and_has_zero_recovery_counters() {
-        let blocking = run_load(&small(true, 3));
-        let armed = run_load(&LoadCfg {
+        let (blocking, blocking_sim) = run_held(&small(true, 3));
+        let (armed, armed_sim) = run_held(&LoadCfg {
             deadline_us: 1e9,
             ..small(true, 3)
         });
-        for r in [&blocking, &armed] {
+        for (r, sim) in [(&blocking, &blocking_sim), (&armed, &armed_sim)] {
             let svc = [
                 "svc.resubmit",
                 "svc.task_timeout",
                 "svc.breaker_open",
                 "svc.dup_result",
             ]
-            .map(|n| r.metrics.get(n));
+            .map(|n| sim.metrics().get(n));
             assert_eq!((svc, r.tasks_failed), ([0; 4], 0));
-            let ucp = ["ucp.retry", "ucp.reroute", "ucp.giveup"].map(|n| r.metrics.get(n));
+            let ucp = ["ucp.retry", "ucp.reroute", "ucp.giveup"].map(|n| sim.metrics().get(n));
             assert_eq!(ucp, [0, 0, 0]);
-            assert!(r.trace_events.is_empty());
         }
         assert_eq!(blocking.digest, armed.digest);
         assert_eq!(blocking.results, armed.results);

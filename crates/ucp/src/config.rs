@@ -38,19 +38,19 @@ pub struct UcpConfig {
     pub multipath_min: u64,
     /// Model per-(src,dst) endpoint wireup and per-buffer memory
     /// registration costs. The MPI4Dask/distributed-ucxx deployments `svc`
-    /// reproduces pay these for real, so `svc::run_load` turns it on; the
+    /// reproduces pay these for real, so `svc::machine_config` turns it on; the
     /// paper's OSU and Jacobi runs leave it off.
     pub reg_model: bool,
     /// Cache endpoint wireups and buffer registrations (LRU over
     /// [`REG_CACHE_BYTES`]). When false every touch pays the mapping cost
-    /// again — `svc::run_load` sets it from `LoadCfg::cache`, the "cache
+    /// again — `svc::machine_config` sets it from `LoadCfg::cache`, the "cache
     /// off" baseline of `svc_bench`.
     pub reg_cache: bool,
     /// Retransmissions after the original before the endpoint is declared
     /// unreachable and the operation fails with a typed error.
-    /// `svc::run_load` sets it from `LoadCfg::ucp_max_retries`, which
-    /// `bench::scenario` lowers to 3 so a partitioned endpoint parks and
-    /// probes within a task deadline.
+    /// `bench::scenario`'s `svc_load` cell lowers it to 3 so a partitioned
+    /// endpoint parks and probes within a task deadline; the fault tests
+    /// that exhaust it on purpose use 2.
     pub max_retries: u32,
 }
 

@@ -23,9 +23,10 @@ use rucx_compat::sync::Mutex;
 use rucx_fabric::net::RAILS_PER_NODE;
 use rucx_fabric::{net_transfer, WireKind};
 use rucx_fault::metrics as fm;
-use rucx_gpu::device::{wire_time, CPU_GPU_GBPS, NVLINK_GBPS, XBUS_GBPS};
-use rucx_gpu::{CopyPath, DeviceId, MemKind};
-use rucx_sim::time::{Duration, Time};
+use rucx_gpu::device::wire_time;
+use rucx_gpu::ops::StripedLeg;
+use rucx_gpu::{copy_ports, resolve_path, CopyPath, DeviceId, MemKind, PortRef};
+use rucx_sim::time::Time;
 
 use crate::config::{EAGER_THRESH_HOST, IPC_SYNC};
 use crate::error::Protocol;
@@ -33,10 +34,6 @@ use crate::machine::Machine;
 use crate::metrics as m;
 use crate::proto::shm_occupy;
 use crate::worker::MSched;
-
-/// One leg of a striped transfer (re-exported from the GPU layer, which
-/// accounts the concurrent link occupancy).
-pub type Stripe = rucx_gpu::ops::StripedLeg;
 
 /// NIC rail a process uses by default: its CPU socket (Summit: dual-rail,
 /// one port per socket).
@@ -124,36 +121,29 @@ pub(crate) fn plan_send(
     }
 }
 
-/// Striped legs for an intra-node device-to-device fetch, or empty when the
-/// transfer should ride a single path. Byte shares are proportional to the
-/// legs' bandwidths so both finish together; cross-socket pairs pair the
-/// X-Bus with a pinned-host bounce (which pays the CPU-GPU link twice).
-fn plan_stripes(w: &Machine, sd: DeviceId, dd: DeviceId, size: u64) -> Vec<Stripe> {
-    // A stripe needs at least one byte per leg.
-    if size < w.ucp.config.multipath_min.max(2) || sd == dd {
-        return Vec::new();
-    }
-    let same_socket = w.gpu.device(sd).socket == w.gpu.device(dd).socket;
-    let (pa, ga, pb, gb) = if same_socket {
-        (CopyPath::NvLink, NVLINK_GBPS, CopyPath::XBus, XBUS_GBPS)
-    } else {
-        // The bounce moves every byte twice over the CPU-GPU link, so its
-        // effective rate is half that link.
-        (
-            CopyPath::XBus,
-            XBUS_GBPS,
-            CopyPath::HostPinnedLink,
-            CPU_GPU_GBPS / 2.0,
-        )
+/// Striped legs for an intra-node device-to-device fetch whose single path
+/// would be `path`, or `None` when the transfer should ride that path.
+/// Byte shares are proportional to the legs' effective rates so both finish
+/// together; cross-socket pairs pair the X-Bus with a pinned-host bounce.
+fn plan_stripes(w: &Machine, path: CopyPath, size: u64) -> Option<[StripedLeg; 2]> {
+    let (pa, pb) = match path {
+        CopyPath::NvLink => (CopyPath::NvLink, CopyPath::XBus),
+        CopyPath::XBus => (CopyPath::XBus, CopyPath::HostPinnedLink),
+        _ => return None,
     };
+    // A stripe needs at least one byte per leg.
+    if size < w.ucp.config.multipath_min.max(2) {
+        return None;
+    }
+    let (ga, gb) = (StripedLeg::gbps(pa), StripedLeg::gbps(pb));
     let a = ((size as f64 * ga / (ga + gb)) as u64).clamp(1, size - 1);
-    vec![
-        Stripe { path: pa, bytes: a },
-        Stripe {
+    Some([
+        StripedLeg { path: pa, bytes: a },
+        StripedLeg {
             path: pb,
             bytes: size - a,
         },
-    ]
+    ])
 }
 
 // ---------------------------------------------------------------------------
@@ -179,25 +169,22 @@ pub(crate) fn fetch_intra<F>(
     match (src_kind, dst_kind) {
         (MemKind::Device(sd), MemKind::Device(dd)) => {
             if gpu_direct_ok(w, s, sd, src_proc, size) && gpu_direct_ok(w, s, dd, recv_proc, size) {
-                let stripes = plan_stripes(w, sd, dd, size);
-                if !stripes.is_empty() {
-                    fetch_intra_striped(w, s, sd, dd, recv_proc, stripes, finalize);
+                let path = resolve_path(&w.gpu, src_kind, dst_kind);
+                if let Some(legs) = plan_stripes(w, path, size) {
+                    fetch_intra_striped(w, s, sd, dd, recv_proc, legs, finalize);
                     return;
                 }
                 // CUDA IPC: receiver-driven peer-to-peer DMA on the
                 // receiver's UCX-internal stream, contending on device
                 // ports / X-Bus.
                 s.count(m::RNDV_IPC);
+                if let Some(metric) = rucx_gpu::metrics::transfer_path(path) {
+                    s.count(metric);
+                }
                 let stream = w.ucp.ucx_streams[recv_proc];
-                let path = if sd == dd {
-                    CopyPath::OnDevice
-                } else if w.gpu.device(sd).socket == w.gpu.device(dd).socket {
-                    CopyPath::NvLink
-                } else {
-                    CopyPath::XBus
-                };
+                let ports = copy_ports(&w.gpu, src_kind, dst_kind, path);
                 let dur = IPC_SYNC + wire_time(path, size);
-                let end = rucx_gpu::ops::occupy_transfer(w, s, sd, dd, stream, dur, size);
+                let end = w.gpu.book(Some(stream), ports, s.now(), dur, size);
                 s.schedule_at(end, finalize);
             } else {
                 // The peer mapping needs both copy engines; a failed one
@@ -229,13 +216,13 @@ fn fetch_intra_striped<F>(
     sd: DeviceId,
     dd: DeviceId,
     recv_proc: usize,
-    stripes: Vec<Stripe>,
+    legs: [StripedLeg; 2],
     finalize: F,
 ) where
     F: FnOnce(&mut Machine, &mut MSched) + Send + 'static,
 {
     s.count(m::RNDV_MULTIPATH);
-    for leg in &stripes {
+    for leg in &legs {
         if leg.path == CopyPath::HostPinnedLink {
             // The degraded secondary leg stages through pinned host memory.
             s.count(rucx_gpu::metrics::PATH_HOST_STAGED);
@@ -243,28 +230,15 @@ fn fetch_intra_striped<F>(
     }
     let chunk = w.ucp.config.pipeline_chunk.max(1);
     let stream = w.ucp.ucx_streams[recv_proc];
-    // Leg durations mirror `occupy_striped`'s accounting (the bounce leg
-    // pays the CPU-GPU link twice).
-    let durs: Vec<Duration> = stripes
-        .iter()
-        .map(|leg| {
-            let t = wire_time(leg.path, leg.bytes);
-            if leg.path == CopyPath::HostPinnedLink {
-                2 * t
-            } else {
-                t
-            }
-        })
-        .collect();
-    let (starts, _end) = rucx_gpu::ops::occupy_striped(w, s, sd, dd, stream, IPC_SYNC, &stripes);
+    let spans = rucx_gpu::ops::occupy_striped(w, s, sd, dd, stream, IPC_SYNC, legs);
 
     let mut events: Vec<(Time, u64)> = Vec::new();
-    for (li, leg) in stripes.iter().enumerate() {
+    for (leg, (start, end)) in legs.iter().zip(spans) {
         let n = leg.bytes.div_ceil(chunk).max(1);
         for j in 1..=n {
             // Interpolated completion of the j-th chunk; the last chunk
             // lands exactly at the leg's end.
-            let t = starts[li] + durs[li] * j / n;
+            let t = start + (end - start) * j / n;
             let len = (j * leg.bytes / n) - ((j - 1) * leg.bytes / n);
             events.push((t, len));
         }
@@ -356,32 +330,20 @@ pub(crate) fn fetch_inter<F>(
                 pipeline_fetch(w, s, src_proc, recv_proc, size, finalize);
             }
         }
-        (MemKind::Device(_), _) => {
-            // D2H on the sender, then RDMA.
-            let leg = wire_time(CopyPath::HostPinnedLink, size);
-            s.count(m::RNDV_STAGED_INTER);
-            s.count(rucx_gpu::metrics::PATH_HOST_STAGED);
-            s.schedule_in(leg, move |w, s| {
-                let _ = net_transfer(w, s, src_port, dst_port, size, WireKind::Host, finalize);
-            });
-        }
-        (_, MemKind::Device(_)) => {
-            // RDMA, then H2D on the receiver.
+        (MemKind::Device(_), _) | (_, MemKind::Device(_)) => {
+            // One CPU-GPU leg: D2H on the sender before the RDMA, or H2D on
+            // the receiver after it.
             s.count(m::RNDV_STAGED_INTER);
             s.count(rucx_gpu::metrics::PATH_HOST_STAGED);
             let leg = wire_time(CopyPath::HostPinnedLink, size);
-            net_transfer(
-                w,
-                s,
-                src_port,
-                dst_port,
-                size,
-                WireKind::Host,
-                move |w, s| {
-                    let _ = w;
-                    s.schedule_in(leg, finalize);
-                },
-            );
+            if src_kind.is_device() {
+                s.schedule_in(leg, move |w, s| {
+                    net_transfer(w, s, src_port, dst_port, size, WireKind::Host, finalize);
+                });
+            } else {
+                let h2d = move |_: &mut Machine, s: &mut MSched| s.schedule_in(leg, finalize);
+                net_transfer(w, s, src_port, dst_port, size, WireKind::Host, h2d);
+            }
         }
         _ => {
             // Zero-copy RDMA get.
@@ -434,9 +396,9 @@ fn pipeline_fetch<F>(
     for i in 0..nchunks {
         let len = chunk.min(size - i * chunk);
         // Sender-side D2H staging (serializes on the sender's UCX stream).
-        let path = CopyPath::HostPinnedLink;
-        let dur = wire_time(path, len);
-        let d2h_end = rucx_gpu::ops::occupy_egress(w, s, src_dev, src_stream, dur);
+        let dur = wire_time(CopyPath::HostPinnedLink, len);
+        let egress = [PortRef::Egress(src_dev)];
+        let d2h_end = w.gpu.book(Some(src_stream), egress, s.now(), dur, len);
         // The sender-side D2H staging window of this chunk.
         s.trace_span(
             m::TRACE_PIPELINE_CHUNK,
@@ -460,7 +422,8 @@ fn pipeline_fetch<F>(
             };
             net_transfer(w, s, sp, dp, len, WireKind::Host, move |w, s| {
                 let h2d_dur = wire_time(CopyPath::HostPinnedLink, len);
-                let h2d_end = rucx_gpu::ops::occupy_ingress(w, s, dst_dev, dst_stream, h2d_dur);
+                let ingress = [PortRef::Ingress(dst_dev)];
+                let h2d_end = w.gpu.book(Some(dst_stream), ingress, s.now(), h2d_dur, len);
                 s.schedule_at(h2d_end, landed);
             });
         });
@@ -473,13 +436,18 @@ mod tests {
     use crate::machine::{build_sim, MachineConfig};
     use rucx_fabric::Topology;
 
+    /// The stripe plan for a fetch from device `a` to device `b`.
+    fn stripes(w: &Machine, a: u32, b: u32, size: u64) -> Option<[StripedLeg; 2]> {
+        let (a, b) = (MemKind::Device(DeviceId(a)), MemKind::Device(DeviceId(b)));
+        plan_stripes(w, resolve_path(&w.gpu, a, b), size)
+    }
+
     #[test]
     fn stripes_split_proportionally_and_cover_the_bytes() {
         let sim = build_sim(Topology::summit(1), MachineConfig::default());
         let w = sim.world();
         let size = 16u64 << 20;
-        let legs = plan_stripes(w, DeviceId(0), DeviceId(1), size);
-        assert_eq!(legs.len(), 2);
+        let legs = stripes(w, 0, 1, size).unwrap();
         assert_eq!(legs[0].path, CopyPath::NvLink);
         assert_eq!(legs[1].path, CopyPath::XBus);
         assert_eq!(legs[0].bytes + legs[1].bytes, size);
@@ -487,14 +455,14 @@ mod tests {
         assert!(legs[0].bytes > legs[1].bytes);
 
         // Cross-socket: X-Bus plus the pinned-host bounce.
-        let legs = plan_stripes(w, DeviceId(0), DeviceId(4), size);
+        let legs = stripes(w, 0, 4, size).unwrap();
         assert_eq!(legs[0].path, CopyPath::XBus);
         assert_eq!(legs[1].path, CopyPath::HostPinnedLink);
         assert_eq!(legs[0].bytes + legs[1].bytes, size);
 
         // Below the floor or on-device: single path.
-        assert!(plan_stripes(w, DeviceId(0), DeviceId(1), 1 << 20).is_empty());
-        assert!(plan_stripes(w, DeviceId(0), DeviceId(0), size).is_empty());
+        assert!(stripes(w, 0, 1, 1 << 20).is_none());
+        assert!(stripes(w, 0, 0, size).is_none());
     }
 
     #[test]
@@ -504,11 +472,10 @@ mod tests {
         let sim = build_sim(Topology::summit(1), cfg);
         let w = sim.world();
         for size in [0u64, 1] {
-            assert!(plan_stripes(w, DeviceId(0), DeviceId(1), size).is_empty());
+            assert!(stripes(w, 0, 1, size).is_none());
         }
         for size in [2u64, 3] {
-            let legs = plan_stripes(w, DeviceId(0), DeviceId(1), size);
-            assert_eq!(legs.len(), 2, "size={size}");
+            let legs = stripes(w, 0, 1, size).unwrap();
             assert!(legs.iter().all(|l| l.bytes >= 1), "size={size}");
             assert_eq!(legs[0].bytes + legs[1].bytes, size);
         }

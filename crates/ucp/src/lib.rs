@@ -24,7 +24,6 @@ pub mod tag;
 pub mod worker;
 
 pub use config::UcpConfig;
-pub use engine::Stripe;
 pub use error::{Protocol, UcpError};
 pub use health::{EpState, HealthState};
 pub use machine::{build_sim, MCtx, MSim, Machine, MachineConfig, UcpSubsystem};
@@ -733,7 +732,7 @@ mod tests {
         let mut sim = sim2nodes();
         let fired = std::sync::Arc::new(rucx_compat::sync::Mutex::new(None));
         let fired2 = fired.clone();
-        let err = crate::machine::with_parts(&mut sim, |w, s| {
+        let err = sim.with_parts(|w, s| {
             rndv_fetch(
                 w,
                 s,

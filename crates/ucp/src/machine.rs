@@ -6,7 +6,6 @@ use rucx_compat::idmap::IdMap;
 use rucx_fabric::{HasNet, NetSubsystem, Topology};
 use rucx_fault::{FaultSpec, FaultState};
 use rucx_gpu::{GpuSubsystem, HasGpu, MemRef, StreamId};
-use rucx_sim::sched::Scheduler;
 use rucx_sim::time::Time;
 use rucx_sim::{ProcCtx, Simulation};
 
@@ -187,18 +186,6 @@ pub fn build_sim(topo: Topology, cfg: MachineConfig) -> MSim {
     let workers = notifies.into_iter().map(Worker::new).collect();
     sim.world_mut().ucp.workers = workers;
     sim
-}
-
-/// Convenience: run `f` with both the scheduler and world halves of a
-/// simulation-side borrow (used by setup code, not model code).
-///
-/// The driver owns the execution core between runs, so this is a direct
-/// call — no event scheduling, no boxing, no `'static` bound.
-pub fn with_parts<R>(
-    sim: &mut MSim,
-    f: impl FnOnce(&mut Machine, &mut Scheduler<Machine>) -> R,
-) -> R {
-    sim.with_parts(f)
 }
 
 #[cfg(test)]

@@ -548,9 +548,9 @@ fn process_match(
         }
         ArrivedBody::Rts { rts_id, .. } => {
             // A missing RTS entry (e.g. the reliability layer already gave
-            // up on it) is surfaced by start_fetch as a completed-with-error
+            // up on it) is surfaced by rndv_fetch as a completed-with-error
             // receive plus a worker error record; nothing further to do.
-            let _ = start_fetch(
+            let _ = rndv_fetch(
                 w,
                 s,
                 dst_proc,
@@ -643,26 +643,16 @@ pub fn inject_local(
     );
 }
 
-/// Fetch the data of a rendezvous previously surfaced by [`probe_pop`].
+/// Fetch the data of a rendezvous into `dst`: one surfaced by
+/// [`probe_pop`], or one that matched a posted receive. The rendezvous data
+/// path; runs on the receiver (`recv_proc`).
 ///
 /// An unknown `rts_id` (fetched twice, never announced, or already retired
 /// by the reliability layer giving up on its RTS) returns a typed error.
 /// `done` still completes — immediately, with a zero-size [`RecvInfo`] —
-/// so no waiter hangs, and the error is also queued at `proc`'s worker.
+/// so no waiter hangs, and the error is also queued at `recv_proc`'s
+/// worker.
 pub fn rndv_fetch(
-    w: &mut Machine,
-    s: &mut MSched,
-    proc: usize,
-    tag: Tag,
-    rts_id: u64,
-    dst: FetchDst,
-    done: RecvCompletion,
-) -> Result<(), UcpError> {
-    start_fetch(w, s, proc, tag, rts_id, dst, done)
-}
-
-/// The rendezvous data path. Runs on the receiver (`recv_proc`).
-fn start_fetch(
     w: &mut Machine,
     s: &mut MSched,
     recv_proc: usize,

@@ -167,6 +167,7 @@ DurationStats MetricKind Metric::gauge pub.counters: recv_host_any_deadline drai
 migrate_packed set_factory start_quiescence SYS_QD_ pre_post_device send_user_tagged user_device_tag UserDevice TagScheme::new set_reduction_tree send_ext ProtocolEngine observe_rtt cross_node_rtt rtt_sample|28|code no workload runs goes; the collective cost model prices alpha_inter at PIPE_LATENCY, never from acks, DESIGN §13
 SeqSeen PeerInbox reorder_stash next_chan_seq MpiOp RedOp marshal:: compat::timer fault_overhead RUCX_BENCH_ITERS|31|one sequence-and-reorder type (rucx_ucp::order), one reduction operator, one byte codec, one AMPI path into the collective engine, DESIGN §9
 set_send_ctx send_ctx_stamp stamp_ctx encode_chare_ctx current_chare error_handlers ChanPayload AmpiPayload encode_chan decode_chan invoke_future future_get PyFuture PyMethod register_method gen_range_i64 fmt_dur RwLock|32|one Zero Copy payload, one error route, and code no workload runs goes
+occupy_transfer occupy_egress occupy_ingress mpi_mbw_point ucp_max_retries trace_events LoadResult::metrics start_fetch machine::with_parts Attribution::from_events|33|one GPU contention rule (GpuSubsystem::book), the caller owns the svc simulation, and pass-throughs go, DESIGN §12
 TABLE
 echo "ok: no deleted engine, queue, params struct, sink, twin path or caller-less extension is back"
 

@@ -18,7 +18,7 @@ use rucx::osu::latency::mpi_latency_point;
 use rucx::osu::mpi_like::AmpiFactory;
 use rucx::osu::{self, py_osu, Mode, OsuConfig, Placement};
 use rucx::sim::Counters;
-use rucx::svc::{run_load, LoadCfg};
+use rucx::svc::{self, LoadCfg};
 use rucx::ucp::{build_sim, MachineConfig};
 
 /// `[ampi, charm4py, ucp]` holds.
@@ -33,7 +33,7 @@ fn add(total: &mut Held, c: &Counters) {
 
 /// One table cell: `py` picks Charm4py over AMPI, `fault` the wire. Every
 /// driver runs on a simulation this test built, so the counts are read off
-/// it afterwards (`svc` builds its own and returns them in `LoadResult`).
+/// it afterwards.
 /// "osu latency" / "osu bandwidth" sweep `OsuConfig::quick`'s sizes over
 /// both placements and D + H; "jacobi 2n" is 2-node weak scaling, D + H;
 /// "svc" is a small scatter/submit/gather load over Charm4py channels.
@@ -45,15 +45,17 @@ fn cell(workload: &str, py: bool, fault: Option<FaultSpec>) -> Held {
     let mut held = [0; 3];
     match workload {
         "svc" => {
-            let r = run_load(&LoadCfg {
+            let cfg = LoadCfg {
                 clients: 24,
                 tasks_per_client: 5,
                 data_size: 1024,
                 window: 8,
                 fault,
                 ..LoadCfg::default()
-            });
-            add(&mut held, &r.metrics);
+            };
+            let sim = &mut build_sim(Topology::summit(2), svc::machine_config(&cfg));
+            svc::run_load_on(sim, &cfg);
+            add(&mut held, sim.metrics());
         }
         "jacobi 2n" => {
             for mode in [jacobi::Mode::Device, jacobi::Mode::HostStaging] {
