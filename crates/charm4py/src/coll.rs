@@ -11,7 +11,7 @@
 //! keeps Charm4py's collectives measurably above AMPI/OpenMPI at small
 //! sizes.
 
-use rucx_coll::CollComm;
+use rucx_coll::{Algo, CollComm};
 use rucx_gpu::MemRef;
 use rucx_ucp::MCtx;
 
@@ -65,40 +65,29 @@ impl CollComm for ChanComm<'_> {
 }
 
 impl PyProc {
-    /// `charm.allreduce` of a device-resident `f64` array over channels;
-    /// the engine picks the schedule per (size, placement). `scratch` must
-    /// be a same-size buffer on the same device.
-    pub fn allreduce(&mut self, ctx: &mut MCtx, buf: MemRef, scratch: MemRef, op: ReduceOp) {
-        rucx_coll::allreduce(&mut ChanComm { p: self }, ctx, buf, scratch, op)
-    }
-
-    /// Allreduce with a forced algorithm (benchmarks, ablations).
-    pub fn allreduce_with(
+    /// `charm.allreduce` of a device-resident `f64` array over channels.
+    /// `scratch` must be a same-size buffer on the same device; `algo:
+    /// None` lets the engine pick the schedule per (size, placement).
+    pub fn allreduce(
         &mut self,
         ctx: &mut MCtx,
         buf: MemRef,
         scratch: MemRef,
         op: ReduceOp,
-        algo: rucx_coll::Algo,
+        algo: Option<Algo>,
     ) {
-        rucx_coll::allreduce_with(&mut ChanComm { p: self }, ctx, buf, scratch, op, algo)
+        rucx_coll::allreduce(&mut ChanComm { p: self }, ctx, buf, scratch, op, algo)
     }
 
     /// Broadcast of a device buffer from `root` over channels.
-    pub fn bcast(&mut self, ctx: &mut MCtx, buf: MemRef, root: usize) {
-        rucx_coll::bcast(&mut ChanComm { p: self }, ctx, buf, root)
-    }
-
-    /// Broadcast with a forced algorithm (benchmarks, ablations).
-    pub fn bcast_with(&mut self, ctx: &mut MCtx, buf: MemRef, root: usize, algo: rucx_coll::Algo) {
-        rucx_coll::bcast_with(&mut ChanComm { p: self }, ctx, buf, root, algo)
+    pub fn bcast(&mut self, ctx: &mut MCtx, buf: MemRef, root: usize, algo: Option<Algo>) {
+        rucx_coll::bcast(&mut ChanComm { p: self }, ctx, buf, root, algo)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rucx_coll::Algo;
     use rucx_fabric::Topology;
     use rucx_sim::RunOutcome;
     use rucx_ucp::{build_sim, MachineConfig};
@@ -134,11 +123,8 @@ mod tests {
         let scratch2 = Arc::new(scratch);
         crate::launch(&mut sim, move |py, ctx| {
             let me = py.rank();
-            match algo {
-                Some(a) => py.allreduce_with(ctx, bufs2[me], scratch2[me], ReduceOp::Sum, a),
-                None => py.allreduce(ctx, bufs2[me], scratch2[me], ReduceOp::Sum),
-            }
-            py.bcast(ctx, bufs2[me], 3);
+            py.allreduce(ctx, bufs2[me], scratch2[me], ReduceOp::Sum, algo);
+            py.bcast(ctx, bufs2[me], 3, None);
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
         let expected: Vec<f64> = (0..elems)

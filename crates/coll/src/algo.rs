@@ -71,7 +71,7 @@ fn bcast_among<C: CollComm>(
 }
 
 /// Flat binomial-tree broadcast from global rank `root`.
-pub fn bcast_binomial<C: CollComm>(c: &mut C, ctx: &mut MCtx, buf: MemRef, root: usize) {
+pub(crate) fn bcast_binomial<C: CollComm>(c: &mut C, ctx: &mut MCtx, buf: MemRef, root: usize) {
     let members: Vec<usize> = (0..c.nranks()).collect();
     bcast_among(c, ctx, buf, &members, root, TAG_BCAST)
 }
@@ -79,7 +79,7 @@ pub fn bcast_binomial<C: CollComm>(c: &mut C, ctx: &mut MCtx, buf: MemRef, root:
 /// Hierarchical broadcast: the root hands the payload to its node leader,
 /// leaders relay it across nodes (binomial over leaders), then each leader
 /// broadcasts within its node over NVLink/X-Bus.
-pub fn bcast_hier<C: CollComm>(c: &mut C, ctx: &mut MCtx, buf: MemRef, root: usize) {
+pub(crate) fn bcast_hier<C: CollComm>(c: &mut C, ctx: &mut MCtx, buf: MemRef, root: usize) {
     let n = c.nranks();
     let me = c.rank();
     let groups = node_groups(ctx, n);
@@ -167,7 +167,7 @@ fn rd_among<C: CollComm>(
 }
 
 /// Flat recursive-doubling allreduce over all ranks.
-pub fn allreduce_rd<C: CollComm>(
+pub(crate) fn allreduce_rd<C: CollComm>(
     c: &mut C,
     ctx: &mut MCtx,
     buf: MemRef,
@@ -192,7 +192,7 @@ fn ring_seg(len: u64, n: u64, s: u64) -> (u64, u64) {
 /// Ring allreduce: bandwidth-optimal reduce-scatter + allgather over
 /// 8-byte-aligned segments. Requires at least one element per rank
 /// (the dispatcher degrades smaller payloads to recursive doubling).
-pub fn allreduce_ring<C: CollComm>(
+pub(crate) fn allreduce_ring<C: CollComm>(
     c: &mut C,
     ctx: &mut MCtx,
     buf: MemRef,
@@ -248,7 +248,7 @@ pub fn allreduce_ring<C: CollComm>(
 /// Hierarchical NVLink-aware allreduce: gather+reduce to one leader per
 /// node over the intra-node links, recursive doubling among leaders over
 /// the inter-node links, then an intra-node broadcast of the result.
-pub fn allreduce_hier<C: CollComm>(
+pub(crate) fn allreduce_hier<C: CollComm>(
     c: &mut C,
     ctx: &mut MCtx,
     buf: MemRef,
@@ -285,93 +285,4 @@ pub fn allreduce_hier<C: CollComm>(
     }
     // Phase 3: fan the result back out over NVLink/X-Bus.
     bcast_among(c, ctx, buf, &group, 0, TAG_HIER_BCAST)
-}
-
-/// Rooted binomial-tree reduce; the result lands in `buf` on `root`.
-pub fn reduce_binomial<C: CollComm>(
-    c: &mut C,
-    ctx: &mut MCtx,
-    buf: MemRef,
-    scratch: MemRef,
-    op: ReduceOp,
-    root: usize,
-) {
-    assert_eq!(buf.len, scratch.len, "scratch must match buffer size");
-    assert_eq!(buf.len % 8, 0, "f64 payload");
-    let n = c.nranks();
-    if n <= 1 {
-        return;
-    }
-    let me = c.rank();
-    let stream = stream_of(ctx, me);
-    let vrank = (me + n - root) % n;
-    let mut mask = 1usize;
-    while mask < n {
-        if vrank & mask == 0 {
-            let vchild = vrank | mask;
-            if vchild < n {
-                let child = (vchild + root) % n;
-                c.recv(ctx, scratch, child, TAG_REDUCE);
-                combine(ctx, buf, scratch, op, stream);
-            }
-        } else {
-            let parent = (vrank - mask + root) % n;
-            send_counted(c, ctx, buf, parent, TAG_REDUCE);
-            break;
-        }
-        mask <<= 1;
-    }
-}
-
-/// Dissemination barrier over small token buffers.
-pub fn barrier_dissemination<C: CollComm>(
-    c: &mut C,
-    ctx: &mut MCtx,
-    token: MemRef,
-    scratch: MemRef,
-) {
-    let n = c.nranks();
-    let me = c.rank();
-    let mut mask = 1usize;
-    while mask < n {
-        let to = (me + mask) % n;
-        let from = (me + n - mask) % n;
-        sendrecv_counted(c, ctx, token, to, TAG_BARRIER, scratch, from, TAG_BARRIER);
-        mask <<= 1;
-    }
-}
-
-/// Pairwise-exchange all-to-all over `nranks` equal contiguous blocks.
-pub fn alltoall_pairwise<C: CollComm>(c: &mut C, ctx: &mut MCtx, sbuf: MemRef, rbuf: MemRef) {
-    let n = c.nranks() as u64;
-    assert_eq!(sbuf.len, rbuf.len, "alltoall buffer mismatch");
-    assert_eq!(sbuf.len % n, 0, "payload must split into nranks blocks");
-    let me = c.rank() as u64;
-    let block = sbuf.len / n;
-    // Own block: a local device copy.
-    let stream = stream_of(ctx, me as usize);
-    let (src, dst) = (sbuf.slice(me * block, block), rbuf.slice(me * block, block));
-    ctx.advance(rucx_gpu::device::COPY_LAUNCH);
-    let t = ctx.with_world(move |w, s| {
-        let t = s.new_trigger();
-        rucx_gpu::copy_async(w, s, src, dst, stream, Some(t));
-        t
-    });
-    ctx.wait(t);
-    ctx.with_world(move |_, s| s.recycle_trigger(t));
-    // Pairwise exchange, skewed so every step is a perfect matching.
-    for k in 1..n {
-        let dst_rank = ((me + k) % n) as usize;
-        let src_rank = ((me + n - k) % n) as usize;
-        sendrecv_counted(
-            c,
-            ctx,
-            sbuf.slice(dst_rank as u64 * block, block),
-            dst_rank,
-            TAG_ALLTOALL,
-            rbuf.slice(src_rank as u64 * block, block),
-            src_rank,
-            TAG_ALLTOALL,
-        );
-    }
 }

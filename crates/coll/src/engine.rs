@@ -16,12 +16,12 @@ use rucx_fabric::net::{NIC_GBPS, PIPE_LATENCY, RAILS_PER_NODE};
 use rucx_gpu::device::{COPY_LAUNCH, DMA_SETUP, KERNEL_LAUNCH, NVLINK_GBPS, SYNC_OVERHEAD};
 use rucx_gpu::KernelCost;
 use rucx_sim::time::{transfer_time, us};
-use rucx_ucp::{MCtx, Machine};
+use rucx_ucp::Machine;
 
 /// A collective schedule family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algo {
-    /// Binomial tree (broadcast / rooted reduce).
+    /// Binomial tree (broadcast).
     Tree,
     /// Recursive doubling (latency-optimal butterfly).
     RecursiveDoubling,
@@ -212,15 +212,6 @@ pub fn choose_bcast(w: &Machine, n: usize, size: u64) -> Algo {
     } else {
         Algo::Tree
     }
-}
-
-/// Selection entry points used by the dispatchers (read-only world access).
-pub fn select_allreduce(ctx: &mut MCtx, n: usize, size: u64) -> Algo {
-    ctx.with_world_ref(|w, _| choose_allreduce(w, n, size))
-}
-
-pub fn select_bcast(ctx: &mut MCtx, n: usize, size: u64) -> Algo {
-    ctx.with_world_ref(|w, _| choose_bcast(w, n, size))
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! collective communication of GPU data (the paper's §VI follow-on). Every
 //! programming model routes its collectives through here:
 //!
-//! - AMPI `MPI_Allreduce` / `MPI_Bcast` ([`rucx-ampi`]) and the OSU generic
-//!   `P2p` collectives ([`rucx-osu`]) are thin [`CollComm`] adapters;
+//! - AMPI and OpenMPI come in through one [`CollComm`] adapter over their
+//!   shared point-to-point surface, `rucx_osu::coll::P2pComm`;
 //! - Charm++ section reductions take their tree from [`schedule::Tree`];
 //! - Charm4py `allreduce` / `bcast` run over its channels, so Python
 //!   pickle/buffer-protocol costs apply per hop.
@@ -17,7 +17,7 @@
 //! (message size, topology placement) via [`engine`]'s integer cost model,
 //! which consults the machine's [`rucx_fabric::Topology`].
 
-pub mod algo;
+mod algo;
 pub mod engine;
 pub mod metrics;
 pub mod op;
@@ -57,55 +57,44 @@ pub trait CollComm {
     );
 }
 
-/// Broadcast `buf` from `root` to every rank, algorithm chosen by the
-/// engine.
-pub fn bcast<C: CollComm>(c: &mut C, ctx: &mut MCtx, buf: MemRef, root: usize) {
-    let a = engine::select_bcast(ctx, c.nranks(), buf.len);
-    bcast_with(c, ctx, buf, root, a)
-}
-
-/// Broadcast with a forced algorithm (benchmarks, ablations).
-pub fn bcast_with<C: CollComm>(c: &mut C, ctx: &mut MCtx, buf: MemRef, root: usize, a: Algo) {
-    let a = match a {
-        Algo::Hierarchical => Algo::Hierarchical,
-        _ => Algo::Tree,
-    };
-    record_algo(ctx, a);
-    match a {
-        Algo::Hierarchical => algo::bcast_hier(c, ctx, buf, root),
-        _ => algo::bcast_binomial(c, ctx, buf, root),
+/// Broadcast `buf` from `root` to every rank. `algo: None` lets the
+/// engine choose; a forced algorithm other than `Hierarchical` runs as the
+/// binomial tree.
+pub fn bcast<C: CollComm>(c: &mut C, ctx: &mut MCtx, buf: MemRef, root: usize, algo: Option<Algo>) {
+    let n = c.nranks();
+    match algo.unwrap_or_else(|| ctx.with_world_ref(|w, _| engine::choose_bcast(w, n, buf.len))) {
+        Algo::Hierarchical => {
+            record_algo(ctx, Algo::Hierarchical);
+            algo::bcast_hier(c, ctx, buf, root)
+        }
+        _ => {
+            record_algo(ctx, Algo::Tree);
+            algo::bcast_binomial(c, ctx, buf, root)
+        }
     }
 }
 
-/// Allreduce of an `f64` payload, algorithm chosen by the engine.
-/// `scratch` must be a same-size buffer on the same device.
+/// Allreduce of an `f64` payload. `scratch` must be a same-size buffer on
+/// the same device. `algo: None` lets the engine choose; a forced `Ring`
+/// with fewer elements than ranks, and a forced `Tree`, run as recursive
+/// doubling.
 pub fn allreduce<C: CollComm>(
     c: &mut C,
     ctx: &mut MCtx,
     buf: MemRef,
     scratch: MemRef,
     op: ReduceOp,
-) {
-    let a = engine::select_allreduce(ctx, c.nranks(), buf.len);
-    allreduce_with(c, ctx, buf, scratch, op, a)
-}
-
-/// Allreduce with a forced algorithm (benchmarks, ablations).
-pub fn allreduce_with<C: CollComm>(
-    c: &mut C,
-    ctx: &mut MCtx,
-    buf: MemRef,
-    scratch: MemRef,
-    op: ReduceOp,
-    a: Algo,
+    algo: Option<Algo>,
 ) {
     assert_eq!(buf.len, scratch.len, "scratch must match buffer size");
     assert_eq!(buf.len % 8, 0, "f64 payload");
-    // A ring needs at least one element per rank; degrade to doubling.
-    let a = match a {
-        Algo::Ring if buf.len / 8 < c.nranks() as u64 => Algo::RecursiveDoubling,
+    let n = c.nranks();
+    let a = match algo
+        .unwrap_or_else(|| ctx.with_world_ref(|w, _| engine::choose_allreduce(w, n, buf.len)))
+    {
+        Algo::Ring if buf.len / 8 < n as u64 => Algo::RecursiveDoubling,
         Algo::Tree => Algo::RecursiveDoubling,
-        other => other,
+        a => a,
     };
     record_algo(ctx, a);
     match a {
@@ -113,36 +102,6 @@ pub fn allreduce_with<C: CollComm>(
         Algo::Hierarchical => algo::allreduce_hier(c, ctx, buf, scratch, op),
         _ => algo::allreduce_rd(c, ctx, buf, scratch, op),
     }
-}
-
-/// Rooted reduce of an `f64` payload along a binomial tree; the result
-/// lands in `buf` on `root` (other ranks' buffers are clobbered with
-/// partial reductions, as in MPI implementations' in-place tree reduce).
-pub fn reduce<C: CollComm>(
-    c: &mut C,
-    ctx: &mut MCtx,
-    buf: MemRef,
-    scratch: MemRef,
-    op: ReduceOp,
-    root: usize,
-) {
-    record_algo(ctx, Algo::Tree);
-    algo::reduce_binomial(c, ctx, buf, scratch, op, root)
-}
-
-/// Dissemination barrier. `token` and `scratch` are small (≥1 byte)
-/// buffers used as round tokens.
-pub fn barrier<C: CollComm>(c: &mut C, ctx: &mut MCtx, token: MemRef, scratch: MemRef) {
-    record_algo(ctx, Algo::RecursiveDoubling);
-    algo::barrier_dissemination(c, ctx, token, scratch)
-}
-
-/// Pairwise-exchange all-to-all: `sbuf`/`rbuf` hold `nranks` equal
-/// contiguous blocks; block `i` of `sbuf` lands in block `rank` of rank
-/// `i`'s `rbuf`.
-pub fn alltoall<C: CollComm>(c: &mut C, ctx: &mut MCtx, sbuf: MemRef, rbuf: MemRef) {
-    record_algo(ctx, Algo::Ring);
-    algo::alltoall_pairwise(c, ctx, sbuf, rbuf)
 }
 
 fn record_algo(ctx: &mut MCtx, a: Algo) {

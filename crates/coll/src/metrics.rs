@@ -6,7 +6,7 @@ use rucx_sim::Metric;
 
 use crate::Algo;
 
-/// Collectives dispatched onto a tree schedule (binomial bcast/reduce).
+/// Collectives dispatched onto a tree schedule (binomial bcast).
 pub const ALGO_TREE: Metric = Metric::counter("coll.algo.tree");
 /// Collectives dispatched onto recursive doubling.
 pub const ALGO_RD: Metric = Metric::counter("coll.algo.rd");

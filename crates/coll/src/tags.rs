@@ -29,12 +29,6 @@ pub const TAG_RING_AG: i32 = COLL_TAG_BASE + 5;
 pub const TAG_HIER_GATHER: i32 = COLL_TAG_BASE + 6;
 /// Hierarchical intra-node result broadcast from the node leader.
 pub const TAG_HIER_BCAST: i32 = COLL_TAG_BASE + 7;
-/// Rooted reduce tree edges.
-pub const TAG_REDUCE: i32 = COLL_TAG_BASE + 8;
-/// Dissemination barrier rounds.
-pub const TAG_BARRIER: i32 = COLL_TAG_BASE + 9;
-/// All-to-all pairwise exchange.
-pub const TAG_ALLTOALL: i32 = COLL_TAG_BASE + 10;
 
 #[cfg(test)]
 mod tests {
@@ -51,9 +45,6 @@ mod tests {
             TAG_RING_AG,
             TAG_HIER_GATHER,
             TAG_HIER_BCAST,
-            TAG_REDUCE,
-            TAG_BARRIER,
-            TAG_ALLTOALL,
         ];
         for (i, a) in tags.iter().enumerate() {
             assert!(*a >= COLL_TAG_BASE, "tag below the reserved space");

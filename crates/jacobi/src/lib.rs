@@ -18,30 +18,12 @@ pub mod py_run;
 
 pub use config::{JacobiConfig, JacobiResult, JacobiStall, Mode};
 pub use decomp::{decompose, Block, BlockGrid, Domain};
+/// Which model runs the proxy app (the OSU benchmarks' model enum).
+pub use rucx_osu::Model as JacobiModel;
 
 use rucx_fabric::Topology;
 use rucx_osu::mpi_like::{AmpiFactory, OmpiFactory};
 use rucx_ucp::build_sim;
-
-/// Which model runs the proxy app.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JacobiModel {
-    Charm,
-    Ampi,
-    Ompi,
-    Charm4py,
-}
-
-impl JacobiModel {
-    pub fn label(self) -> &'static str {
-        match self {
-            JacobiModel::Charm => "Charm++",
-            JacobiModel::Ampi => "AMPI",
-            JacobiModel::Ompi => "OpenMPI",
-            JacobiModel::Charm4py => "Charm4py",
-        }
-    }
-}
 
 /// Run one Jacobi3D configuration; `Err` when the run stalls (a lossy
 /// `cfg.machine.fault` spec made the reliability layer give up on a halo

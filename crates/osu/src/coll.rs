@@ -1,22 +1,12 @@
-//! Collective communication of GPU data, translated to point-to-point
-//! calls — the paper's §VI future-work item ("supporting collective
-//! communication of GPU data, using this work as the basis to translate
-//! collective communication primitives to point-to-point calls").
-//!
-//! The algorithms and their selection live in the shared topology-aware
-//! engine ([`rucx_coll`]); this module adapts the generic
-//! [`crate::mpi_like::P2p`] surface to [`CollComm`], so the same schedules
-//! run on AMPI and OpenMPI. GPU payloads ride the GPU-aware point-to-point
-//! path per hop.
+//! Collectives of GPU data as point-to-point calls (the paper's §VI
+//! future work): the shared engine ([`rucx_coll`]) owns algorithms and
+//! their selection, and [`P2pComm`] adapts the generic [`P2p`] surface to
+//! its [`CollComm`], so the same schedules run on AMPI and OpenMPI.
 
+use crate::mpi_like::P2p;
 use rucx_coll::CollComm;
 use rucx_gpu::{DeviceId, MemRef};
 use rucx_ucp::MCtx;
-
-use crate::mpi_like::P2p;
-
-/// Tag space reserved for collectives (distinct from user point-to-point).
-pub const COLL_TAG_BASE: i32 = rucx_coll::tags::COLL_TAG_BASE;
 
 /// Element-wise reduction operator for collectives over `f64` payloads.
 pub use rucx_coll::ReduceOp as CollOp;
@@ -37,19 +27,15 @@ impl<M: P2p> CollComm for P2pComm<'_, M> {
     fn rank(&self) -> usize {
         self.mpi.rank()
     }
-
     fn nranks(&self) -> usize {
         self.nranks
     }
-
     fn send(&mut self, ctx: &mut MCtx, buf: MemRef, dst: usize, tag: i32) {
         self.mpi.send(ctx, buf, dst, tag)
     }
-
     fn recv(&mut self, ctx: &mut MCtx, buf: MemRef, src: usize, tag: i32) {
         self.mpi.recv(ctx, buf, src, tag)
     }
-
     fn sendrecv(
         &mut self,
         ctx: &mut MCtx,
@@ -60,39 +46,15 @@ impl<M: P2p> CollComm for P2pComm<'_, M> {
         src: usize,
         rtag: i32,
     ) {
-        // Nonblocking both ways so a symmetric exchange cannot deadlock on
-        // models whose blocking send is rendezvous-gated (AMPI).
+        // Nonblocking both ways: AMPI's blocking send is rendezvous-gated.
         let r = self.mpi.irecv(ctx, rbuf, src, rtag);
         let s = self.mpi.isend(ctx, sbuf, dst, stag);
         self.mpi.waitall(ctx, vec![r, s]);
     }
 }
 
-/// Broadcast of `buf` from `root` to all ranks; the engine picks the
-/// schedule (binomial tree or hierarchical) per size and placement.
-pub fn bcast<M: P2p>(mpi: &mut M, ctx: &mut MCtx, buf: MemRef, root: usize, nranks: usize) {
-    rucx_coll::bcast(&mut P2pComm::new(mpi, nranks), ctx, buf, root)
-}
-
-/// Broadcast with a forced algorithm (benchmarks, ablations).
-#[allow(clippy::too_many_arguments)]
-pub fn bcast_with<M: P2p>(
-    mpi: &mut M,
-    ctx: &mut MCtx,
-    buf: MemRef,
-    root: usize,
-    nranks: usize,
-    algo: rucx_coll::Algo,
-) {
-    rucx_coll::bcast_with(&mut P2pComm::new(mpi, nranks), ctx, buf, root, algo)
-}
-
-/// Allreduce over `f64` GPU buffers; the engine picks the schedule
-/// (recursive doubling, ring, or hierarchical) per size and placement.
-///
-/// `scratch` is a device buffer of the same size used to receive partner
-/// contributions. `device` is retained for API stability; the engine
-/// derives each rank's stream from the topology.
+/// `rucx_coll::allreduce(&mut P2pComm::new(mpi, nranks), .., None)` for the
+/// frozen benchmark and `rucx-bench`, which do not depend on `rucx-coll`.
 #[allow(clippy::too_many_arguments)]
 pub fn allreduce<M: P2p>(
     mpi: &mut M,
@@ -101,31 +63,16 @@ pub fn allreduce<M: P2p>(
     scratch: MemRef,
     op: CollOp,
     nranks: usize,
-    device: DeviceId,
+    _: DeviceId,
 ) {
-    let _ = device;
-    rucx_coll::allreduce(&mut P2pComm::new(mpi, nranks), ctx, buf, scratch, op)
-}
-
-/// Allreduce with a forced algorithm (benchmarks, ablations).
-#[allow(clippy::too_many_arguments)]
-pub fn allreduce_with<M: P2p>(
-    mpi: &mut M,
-    ctx: &mut MCtx,
-    buf: MemRef,
-    scratch: MemRef,
-    op: CollOp,
-    nranks: usize,
-    algo: rucx_coll::Algo,
-) {
-    rucx_coll::allreduce_with(&mut P2pComm::new(mpi, nranks), ctx, buf, scratch, op, algo)
+    rucx_coll::allreduce(&mut P2pComm::new(mpi, nranks), ctx, buf, scratch, op, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mpi_like::RankFactory;
-    use rucx_coll::Algo;
+    use rucx_coll::{metrics, Algo};
     use rucx_fabric::Topology;
     use rucx_sim::RunOutcome;
     use rucx_ucp::{build_sim, MSim, MachineConfig};
@@ -176,7 +123,8 @@ mod tests {
         let bufs2 = Arc::new(bufs.clone());
         let n = 12;
         factory.launch(&mut sim, move |mpi, ctx| {
-            bcast(mpi, ctx, bufs2[mpi.rank()], root, n);
+            let me = mpi.rank();
+            rucx_coll::bcast(&mut P2pComm::new(mpi, n), ctx, bufs2[me], root, None);
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
         for b in &bufs {
@@ -210,13 +158,8 @@ mod tests {
         let scratch2 = Arc::new(scratch);
         factory.launch(&mut sim, move |mpi, ctx| {
             let me = mpi.rank();
-            match algo {
-                Some(a) => allreduce_with(mpi, ctx, bufs2[me], scratch2[me], op, n, a),
-                None => {
-                    let dev = ctx.with_world_ref(|w, _| w.topo.device_of(me));
-                    allreduce(mpi, ctx, bufs2[me], scratch2[me], op, n, dev)
-                }
-            }
+            let c = &mut P2pComm::new(mpi, n);
+            rucx_coll::allreduce(c, ctx, bufs2[me], scratch2[me], op, algo);
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
         let expected: Vec<f64> = (0..12)
@@ -285,5 +228,55 @@ mod tests {
             CollOp::Sum,
             Some(Algo::Hierarchical),
         );
+    }
+
+    /// A forced algorithm the payload cannot carry falls back inside the
+    /// engine, and the dispatch counter names the schedule that ran.
+    #[test]
+    fn forced_ring_falls_back_and_auto_counts_its_choice() {
+        // 4 elements on 12 ranks: too few for one ring segment per rank.
+        let (mut sim, bufs, scratch) = setup(2, 32);
+        for (r, b) in bufs.iter().enumerate() {
+            write_f64s(&mut sim, *b, &[r as f64; 4]);
+        }
+        let (bufs2, scratch2) = (Arc::new(bufs.clone()), Arc::new(scratch));
+        crate::mpi_like::OmpiFactory.launch(&mut sim, move |mpi, ctx| {
+            let me = mpi.rank();
+            let c = &mut P2pComm::new(mpi, 12);
+            rucx_coll::allreduce(
+                c,
+                ctx,
+                bufs2[me],
+                scratch2[me],
+                CollOp::Sum,
+                Some(Algo::Ring),
+            );
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        for b in &bufs {
+            assert_eq!(read_f64s(&sim, *b), vec![66.0; 4]);
+        }
+        assert_eq!(sim.metrics().get(metrics::ALGO_RD.name), 12);
+        assert_eq!(sim.metrics().get(metrics::ALGO_RING.name), 0);
+
+        let size = 1 << 20;
+        let (mut sim, bufs, scratch) = setup(2, size);
+        let chosen = rucx_coll::engine::choose_allreduce(sim.world(), 12, size);
+        let (bufs, scratch) = (Arc::new(bufs), Arc::new(scratch));
+        crate::mpi_like::OmpiFactory.launch(&mut sim, move |mpi, ctx| {
+            let me = mpi.rank();
+            let dev = ctx.with_world_ref(|w, _| w.topo.device_of(me));
+            allreduce(mpi, ctx, bufs[me], scratch[me], CollOp::Sum, 12, dev);
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        for a in [
+            Algo::Tree,
+            Algo::RecursiveDoubling,
+            Algo::Ring,
+            Algo::Hierarchical,
+        ] {
+            let want = if a == chosen { 12 } else { 0 };
+            assert_eq!(sim.metrics().get(metrics::algo(a).name), want, "{a:?}");
+        }
     }
 }

@@ -18,7 +18,7 @@ use rucx_sim::time::as_us;
 use rucx_sim::RunOutcome;
 use rucx_ucp::{build_sim, MSim, MachineConfig};
 
-use crate::coll::{self, CollOp};
+use crate::coll::{CollOp, P2pComm};
 use crate::mpi_like::{P2p, RankFactory};
 use crate::{Model, OsuConfig, Series};
 
@@ -34,6 +34,14 @@ impl CollKind {
         match self {
             CollKind::Allreduce => "allreduce",
             CollKind::Bcast => "bcast",
+        }
+    }
+
+    /// The algorithms this collective has a schedule for.
+    pub fn algos(self) -> &'static [Algo] {
+        match self {
+            CollKind::Allreduce => &[Algo::RecursiveDoubling, Algo::Ring, Algo::Hierarchical],
+            CollKind::Bcast => &[Algo::Tree, Algo::Hierarchical],
         }
     }
 }
@@ -109,17 +117,10 @@ fn run_one<M: P2p>(
     scr: MemRef,
     n: usize,
 ) {
-    match (kind, algo) {
-        (CollKind::Allreduce, Some(a)) => {
-            coll::allreduce_with(mpi, ctx, buf, scr, CollOp::Sum, n, a)
-        }
-        (CollKind::Allreduce, None) => {
-            let me = mpi.rank();
-            let dev = ctx.with_world_ref(|w, _| w.topo.device_of(me));
-            coll::allreduce(mpi, ctx, buf, scr, CollOp::Sum, n, dev)
-        }
-        (CollKind::Bcast, Some(a)) => coll::bcast_with(mpi, ctx, buf, 0, n, a),
-        (CollKind::Bcast, None) => coll::bcast(mpi, ctx, buf, 0, n),
+    let c = &mut P2pComm::new(mpi, n);
+    match kind {
+        CollKind::Allreduce => rucx_coll::allreduce(c, ctx, buf, scr, CollOp::Sum, algo),
+        CollKind::Bcast => rucx_coll::bcast(c, ctx, buf, 0, algo),
     }
 }
 
@@ -140,15 +141,9 @@ fn py_coll_point(cfg: &OsuConfig, size: u64, kind: CollKind, algo: Option<Algo>)
                 py.barrier(ctx);
                 t0 = ctx.now();
             }
-            match (kind, algo) {
-                (CollKind::Allreduce, Some(a)) => {
-                    py.allreduce_with(ctx, buf, scr, rucx_charm4py::ReduceOp::Sum, a)
-                }
-                (CollKind::Allreduce, None) => {
-                    py.allreduce(ctx, buf, scr, rucx_charm4py::ReduceOp::Sum)
-                }
-                (CollKind::Bcast, Some(a)) => py.bcast_with(ctx, buf, 0, a),
-                (CollKind::Bcast, None) => py.bcast(ctx, buf, 0),
+            match kind {
+                CollKind::Allreduce => py.allreduce(ctx, buf, scr, CollOp::Sum, algo),
+                CollKind::Bcast => py.bcast(ctx, buf, 0, algo),
             }
             py.barrier(ctx);
         }
@@ -162,8 +157,18 @@ fn py_coll_point(cfg: &OsuConfig, size: u64, kind: CollKind, algo: Option<Algo>)
 }
 
 /// Latency-vs-size sweep for one model/collective/algorithm. Sizes are
-/// rounded up to one `f64` (the engine's payload unit).
+/// rounded up to one `f64` (the engine's payload unit). Panics on a forced
+/// algorithm that is not in `kind.algos()`.
 pub fn coll_latency(cfg: &OsuConfig, model: Model, kind: CollKind, algo: Option<Algo>) -> Series {
+    if let Some(a) = algo.filter(|a| !kind.algos().contains(a)) {
+        let names: Vec<&str> = kind.algos().iter().map(|a| a.label()).collect();
+        panic!(
+            "{} has no {} schedule (algorithms: {})",
+            kind.label(),
+            a.label(),
+            names.join("|")
+        );
+    }
     let sizes: Vec<u64> = cfg
         .sizes
         .iter()
@@ -237,6 +242,14 @@ mod tests {
         let mut cfg = OsuConfig::quick();
         cfg.sizes = vec![8, 4096, 1 << 20];
         coll_latency(&cfg, Model::Charm, CollKind::Allreduce, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "bcast has no ring schedule (algorithms: tree|hier)")]
+    fn a_forced_algorithm_the_collective_lacks_is_refused() {
+        let mut cfg = OsuConfig::quick();
+        cfg.sizes = vec![4096];
+        coll_latency(&cfg, Model::Ampi, CollKind::Bcast, Some(Algo::Ring));
     }
 
     #[test]

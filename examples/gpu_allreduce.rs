@@ -5,7 +5,8 @@
 //!
 //! Run: `cargo run --release --example gpu_allreduce`
 
-use rucx::osu::coll::{allreduce, bcast, CollOp};
+use rucx::coll::{allreduce, bcast};
+use rucx::osu::coll::{CollOp, P2pComm};
 use rucx::prelude::*;
 use std::sync::Arc;
 
@@ -43,12 +44,12 @@ fn main() {
 
     rucx::ompi::launch(&mut sim, move |mpi, ctx| {
         let me = mpi.rank();
-        let dev = ctx.with_world(move |w, _| w.topo.device_of(me));
         // Allreduce(sum): every GPU ends with sum(0..n) in every element.
-        allreduce(mpi, ctx, bufs2[me], scratch2[me], CollOp::Sum, n, dev);
+        let c = &mut P2pComm::new(mpi, n);
+        allreduce(c, ctx, bufs2[me], scratch2[me], CollOp::Sum, None);
         mpi.barrier(ctx);
         // Broadcast from rank 3 overwrites everyone.
-        bcast(mpi, ctx, bufs2[me], 3, n);
+        bcast(&mut P2pComm::new(mpi, n), ctx, bufs2[me], 3, None);
         if me == 0 {
             *done2.lock() = ctx.now();
         }

@@ -21,8 +21,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: osu_cli <latency|bw|bibw|coll> [--model charm|ampi|openmpi|charm4py] \
          [--mode d|h] [--place intra|inter] [--coll allreduce|bcast] \
-         [--algo auto|tree|rd|ring|hier] [--no-gdrcopy] [--quick] [--fault-spec SPEC] \
-         [--json]"
+         [--algo auto|rd|ring|hier (allreduce), auto|tree|hier (bcast)] [--no-gdrcopy] \
+         [--quick] [--fault-spec SPEC] [--json]"
     );
     std::process::exit(2)
 }
@@ -113,6 +113,9 @@ fn main() {
             if model == Model::Charm {
                 eprintln!("coll supports --model ampi|openmpi|charm4py");
                 std::process::exit(2);
+            }
+            if algo.is_some_and(|a| !coll_kind.algos().contains(&a)) {
+                usage();
             }
             coll_latency(&cfg, model, coll_kind, algo)
         }

@@ -14,9 +14,10 @@
 
 use std::sync::Arc;
 
-use rucx::coll::Algo;
+use rucx::coll::{allreduce, Algo};
 use rucx::fault::FaultSpec;
-use rucx::osu::coll::{allreduce, allreduce_with, CollOp};
+use rucx::osu::coll::{CollOp, P2pComm};
+use rucx::osu::coll_bench::CollKind;
 use rucx::osu::mpi_like::{AmpiFactory, OmpiFactory, P2p, RankFactory};
 use rucx::osu::Series;
 use rucx::prelude::*;
@@ -103,14 +104,8 @@ fn train_step<M: P2p>(
             ctx.wait(t);
             ctx.with_world(move |_, s| s.recycle_trigger(t));
             let off = k as u64 * bucket;
-            run_allreduce(
-                mpi,
-                ctx,
-                grads.slice(off, bucket),
-                scratch.slice(off, bucket),
-                cfg,
-                n,
-            );
+            let (g, s) = (grads.slice(off, bucket), scratch.slice(off, bucket));
+            allreduce(&mut P2pComm::new(mpi, n), ctx, g, s, CollOp::Sum, cfg.algo);
         }
     } else {
         // Synchronous baseline: full backward, then one fat allreduce.
@@ -130,25 +125,14 @@ fn train_step<M: P2p>(
         });
         ctx.wait(t);
         ctx.with_world(move |_, s| s.recycle_trigger(t));
-        run_allreduce(mpi, ctx, grads, scratch, cfg, n);
-    }
-}
-
-fn run_allreduce<M: P2p>(
-    mpi: &mut M,
-    ctx: &mut MCtx,
-    buf: MemRef,
-    scratch: MemRef,
-    cfg: &TrainConfig,
-    n: usize,
-) {
-    match cfg.algo {
-        Some(a) => allreduce_with(mpi, ctx, buf, scratch, CollOp::Sum, n, a),
-        None => {
-            let me = mpi.rank();
-            let dev = ctx.with_world_ref(|w, _| w.topo.device_of(me));
-            allreduce(mpi, ctx, buf, scratch, CollOp::Sum, n, dev)
-        }
+        allreduce(
+            &mut P2pComm::new(mpi, n),
+            ctx,
+            grads,
+            scratch,
+            CollOp::Sum,
+            cfg.algo,
+        );
     }
 }
 
@@ -249,7 +233,11 @@ fn main() {
             "--algo" => {
                 cfg.algo = match it.next().map(|s| s.as_str()) {
                     Some("auto") => None,
-                    Some(name) => Some(Algo::parse(name).unwrap_or_else(|| usage())),
+                    Some(name) => Some(
+                        Algo::parse(name)
+                            .filter(|a| CollKind::Allreduce.algos().contains(a))
+                            .unwrap_or_else(|| usage()),
+                    ),
                     None => usage(),
                 }
             }

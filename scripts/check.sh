@@ -168,6 +168,7 @@ migrate_packed set_factory start_quiescence SYS_QD_ pre_post_device send_user_ta
 SeqSeen PeerInbox reorder_stash next_chan_seq MpiOp RedOp marshal:: compat::timer fault_overhead RUCX_BENCH_ITERS|31|one sequence-and-reorder type (rucx_ucp::order), one reduction operator, one byte codec, one AMPI path into the collective engine, DESIGN §9
 set_send_ctx send_ctx_stamp stamp_ctx encode_chare_ctx current_chare error_handlers ChanPayload AmpiPayload encode_chan decode_chan invoke_future future_get PyFuture PyMethod register_method gen_range_i64 fmt_dur RwLock|32|one Zero Copy payload, one error route, and code no workload runs goes
 occupy_transfer occupy_egress occupy_ingress mpi_mbw_point ucp_max_retries trace_events LoadResult::metrics start_fetch machine::with_parts Attribution::from_events|33|one GPU contention rule (GpuSubsystem::book), the caller owns the svc simulation, and pass-throughs go, DESIGN §12
+bcast_with allreduce_with select_allreduce select_bcast reduce_binomial barrier_dissemination alltoall_pairwise TAG_REDUCE TAG_BARRIER TAG_ALLTOALL|34|one entry per collective taking Option<Algo>, and code no workload runs goes, DESIGN §13
 TABLE
 echo "ok: no deleted engine, queue, params struct, sink, twin path or caller-less extension is back"
 

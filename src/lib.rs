@@ -13,7 +13,7 @@
 //! | Cluster fabric (topology, EDR InfiniBand model) | [`fabric`] |
 //! | Deterministic fault injection (drop/dup/delay/corrupt, partitions, GPU failures) | [`fault`] |
 //! | UCX-style UCP layer (tag matching, eager/rendezvous, GPU transports, reliability) | [`ucp`] |
-//! | Topology-aware collective engine (allreduce/bcast/reduce/barrier/alltoall) | [`coll`] |
+//! | Topology-aware collective engine (allreduce/bcast) | [`coll`] |
 //! | Charm++ runtime + GPU-aware UCX machine layer | [`charm`] |
 //! | Adaptive MPI on Charm++ | [`ampi`] |
 //! | OpenMPI-style baseline directly on UCP | [`ompi`] |

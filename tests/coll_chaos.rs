@@ -16,6 +16,7 @@ use rucx::coll::{Algo, ReduceOp};
 use rucx::fabric::Topology;
 use rucx::fault::FaultSpec;
 use rucx::gpu::MemRef;
+use rucx::osu::coll::P2pComm;
 use rucx::sim::time::us;
 use rucx::sim::RunOutcome;
 use rucx::ucp::{build_sim, MSim, MachineConfig};
@@ -87,16 +88,18 @@ fn run_allreduce(
         Frontend::Ampi => rucx::ampi::launch(sim, move |mpi, ctx| {
             let me = mpi.rank();
             let n = b.len();
-            rucx::osu::coll::allreduce_with(mpi, ctx, b[me], s[me], ReduceOp::Sum, n, algo);
+            let c = &mut P2pComm::new(mpi, n);
+            rucx::coll::allreduce(c, ctx, b[me], s[me], ReduceOp::Sum, Some(algo));
         }),
         Frontend::Ompi => rucx::ompi::launch(sim, move |mpi, ctx| {
             let me = mpi.rank();
             let n = b.len();
-            rucx::osu::coll::allreduce_with(mpi, ctx, b[me], s[me], ReduceOp::Sum, n, algo);
+            let c = &mut P2pComm::new(mpi, n);
+            rucx::coll::allreduce(c, ctx, b[me], s[me], ReduceOp::Sum, Some(algo));
         }),
         Frontend::Charm4py => rucx::charm4py::launch(sim, move |py, ctx| {
             let me = py.rank();
-            py.allreduce_with(ctx, b[me], s[me], ReduceOp::Sum, algo);
+            py.allreduce(ctx, b[me], s[me], ReduceOp::Sum, Some(algo));
         }),
     }
     // 10 virtual seconds dwarfs any retry schedule; hitting the watchdog
