@@ -174,21 +174,39 @@ pub fn run_cell(scenario: &'static str, workload: &'static str, quick: bool) -> 
     }
 }
 
-/// Two-node Summit slice with the scenario's faults armed and the trace
-/// sink recording from t=0.
-fn traced_sim(scenario: &str) -> MSim {
-    let mut machine = MachineConfig::default();
-    machine.fault = spec_for(scenario);
+/// The default machine with the scenario's faults armed.
+fn machine(scenario: &str) -> MachineConfig {
+    MachineConfig {
+        fault: spec_for(scenario),
+        ..MachineConfig::default()
+    }
+}
+
+/// Two-node Summit slice of `machine` with the trace sink recording from
+/// t=0.
+fn traced_sim(machine: MachineConfig) -> MSim {
     let mut sim = build_sim(Topology::summit(2), machine);
     sim.scheduler().trace.enable(0);
     sim
 }
 
-fn harvest(sim: &MSim) -> (Attribution, RecoveryCounts) {
-    (
-        Attribution::from_sink(&sim.scheduler_ref().trace),
-        RecoveryCounts::from_counters(sim.metrics()),
-    )
+/// A finished cell: its headline plus what the run's trace and counters
+/// say about where the time went and which mechanism recovered.
+fn cell(
+    scenario: &'static str,
+    workload: &'static str,
+    headline: f64,
+    headline_unit: &'static str,
+    sim: &MSim,
+) -> Cell {
+    Cell {
+        scenario,
+        workload,
+        headline,
+        headline_unit,
+        attr: Attribution::from_sink(&sim.scheduler_ref().trace),
+        recovery: RecoveryCounts::from_counters(sim.metrics()),
+    }
 }
 
 fn alloc_dev(sim: &mut MSim, dev: u32, size: u64) -> MemRef {
@@ -207,7 +225,7 @@ fn alloc_dev(sim: &mut MSim, dev: u32, size: u64) -> MemRef {
 fn osu_cell(scenario: &'static str, quick: bool) -> Cell {
     const PEER: usize = 6;
     let iters = if quick { 5u64 } else { 20 };
-    let mut sim = traced_sim(scenario);
+    let mut sim = traced_sim(machine(scenario));
     let a = alloc_dev(&mut sim, 0, 4 << 10);
     let b = alloc_dev(&mut sim, PEER as u32, 4 << 10);
     let big_a = alloc_dev(&mut sim, 0, 4 << 20);
@@ -249,16 +267,8 @@ fn osu_cell(scenario: &'static str, quick: bool) -> Cell {
         RunOutcome::Completed,
         "osu_latency hung under `{scenario}`"
     );
-    let (attr, recovery) = harvest(&sim);
     let headline = *result.lock();
-    Cell {
-        scenario,
-        workload: "osu_latency",
-        headline,
-        headline_unit: "us/half-rt",
-        attr,
-        recovery,
-    }
+    cell(scenario, "osu_latency", headline, "us/half-rt", &sim)
 }
 
 /// Jacobi3D on Charm++ chares, device halos, two nodes. Headline is the
@@ -275,73 +285,34 @@ fn jacobi_cell(scenario: &'static str, quick: bool) -> Cell {
     };
     cfg.iters = if quick { 2 } else { 4 };
     cfg.warmup = 1;
-    let mut sim = traced_sim(scenario);
+    let mut sim = traced_sim(machine(scenario));
     let r = run_charm_on(&mut sim, &cfg)
         .unwrap_or_else(|s| panic!("jacobi cell under {scenario}: {s}"));
-    let (attr, recovery) = harvest(&sim);
-    Cell {
+    cell(
         scenario,
-        workload: "jacobi3d",
-        headline: r.overall_ms * 1_000.0,
-        headline_unit: "us/iter",
-        attr,
-        recovery,
-    }
+        "jacobi3d",
+        r.overall_ms * 1_000.0,
+        "us/iter",
+        &sim,
+    )
 }
 
 /// 64 KiB device allreduce over all 12 ranks (AMPI, engine-chosen
-/// algorithm), barrier-separated like the OSU collective benchmark.
+/// algorithm): the OSU collective benchmark's point, barrier-separated.
 /// Headline is the per-iteration latency on rank 0.
 fn allreduce_cell(scenario: &'static str, quick: bool) -> Cell {
-    use rucx_osu::coll::{self, CollOp};
-    use rucx_osu::mpi_like::{AmpiFactory, RankFactory};
+    use rucx_osu::coll_bench::{coll_point, coll_setup, CollKind};
+    use rucx_osu::{Model, OsuConfig};
 
-    let size = 64u64 << 10;
-    let (iters, warmup) = if quick { (2u32, 1u32) } else { (4, 1) };
-    let mut sim = traced_sim(scenario);
-    let topo = sim.world().topo.clone();
-    let n = topo.procs();
-    let mut bufs = Vec::new();
-    let mut scratch = Vec::new();
-    for p in 0..n {
-        bufs.push(alloc_dev(&mut sim, topo.device_of(p).0, size));
-        scratch.push(alloc_dev(&mut sim, topo.device_of(p).0, size));
-    }
-    let (bufs, scratch) = (Arc::new(bufs), Arc::new(scratch));
-    let result = Arc::new(Mutex::new(0.0f64));
-    let result2 = result.clone();
-    AmpiFactory.launch(&mut sim, move |mpi, ctx| {
-        let me = mpi.rank();
-        let (buf, scr) = (bufs[me], scratch[me]);
-        let dev = ctx.with_world_ref(|w, _| w.topo.device_of(me));
-        let mut t0 = 0;
-        for i in 0..(warmup + iters) {
-            if i == warmup {
-                mpi.barrier(ctx);
-                t0 = ctx.now();
-            }
-            coll::allreduce(mpi, ctx, buf, scr, CollOp::Sum, n, dev);
-            mpi.barrier(ctx);
-        }
-        if me == 0 {
-            *result2.lock() = as_us(ctx.now() - t0) / iters as f64;
-        }
-    });
-    assert_eq!(
-        sim.run(),
-        RunOutcome::Completed,
-        "allreduce hung under `{scenario}`"
-    );
-    let (attr, recovery) = harvest(&sim);
-    let headline = *result.lock();
-    Cell {
-        scenario,
-        workload: "allreduce",
-        headline,
-        headline_unit: "us/iter",
-        attr,
-        recovery,
-    }
+    let cfg = OsuConfig {
+        lat_iters: if quick { 2 } else { 4 },
+        lat_warmup: 1,
+        ..OsuConfig::quick()
+    };
+    let s = &mut coll_setup(&machine(scenario), 64 << 10);
+    s.sim.scheduler().trace.enable(0);
+    let headline = coll_point(s, &cfg, Model::Ampi, CollKind::Allreduce, None);
+    cell(scenario, "allreduce", headline, "us/iter", &s.sim)
 }
 
 /// Many-client scatter/submit/gather load with the recovery layer armed
@@ -367,22 +338,13 @@ fn svc_cell(scenario: &'static str, quick: bool) -> Cell {
     // exhausts it and engages park+probe instead of backing off for longer
     // than any task deadline.
     machine.ucp.max_retries = 3;
-    let mut sim = build_sim(Topology::summit(2), machine);
-    sim.scheduler().trace.enable(0);
+    let mut sim = traced_sim(machine);
     let r = run_load_on(&mut sim, &cfg);
     assert_eq!(
         r.tasks_failed, 0,
         "svc_load abandoned tasks under `{scenario}`"
     );
-    let (attr, recovery) = harvest(&sim);
-    Cell {
-        scenario,
-        workload: "svc_load",
-        headline: r.p99_us,
-        headline_unit: "us p99",
-        attr,
-        recovery,
-    }
+    cell(scenario, "svc_load", r.p99_us, "us p99", &sim)
 }
 
 #[cfg(test)]

@@ -15,12 +15,11 @@ use rucx_coll::Algo;
 use rucx_fabric::Topology;
 use rucx_gpu::MemRef;
 use rucx_sim::time::as_us;
-use rucx_sim::RunOutcome;
 use rucx_ucp::{build_sim, MSim, MachineConfig};
 
 use crate::coll::{CollOp, P2pComm};
-use crate::mpi_like::{P2p, RankFactory};
-use crate::{Model, OsuConfig, Series};
+use crate::mpi_like::{AmpiFactory, OmpiFactory, P2p, RankFactory};
+use crate::{run, Model, OsuConfig, Series};
 
 /// Which collective to time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,114 +45,109 @@ impl CollKind {
     }
 }
 
-/// Per-process phantom device buffer + scratch on a 2-node Summit slice.
-fn coll_setup(machine: &MachineConfig, size: u64) -> (MSim, Vec<MemRef>, Vec<MemRef>) {
+/// One collective point's simulation: a 2-node Summit slice with a phantom
+/// device buffer and a device scratch buffer per process.
+pub struct CollSetup {
+    pub sim: MSim,
+    bufs: Arc<Vec<(MemRef, MemRef)>>,
+}
+
+/// Build the simulation and buffers for one collective point of `size`
+/// bytes.
+pub fn coll_setup(machine: &MachineConfig, size: u64) -> CollSetup {
     let topo = Topology::summit(2);
     let mut sim = build_sim(topo.clone(), machine.clone());
-    let mut bufs = Vec::new();
-    let mut scratch = Vec::new();
-    {
-        let m = sim.world_mut();
-        for p in 0..topo.procs() {
-            bufs.push(
-                m.gpu
-                    .pool
-                    .alloc_device(topo.device_of(p), size, false)
-                    .expect("device alloc"),
-            );
-            scratch.push(
-                m.gpu
-                    .pool
-                    .alloc_device(topo.device_of(p), size, false)
-                    .expect("device alloc"),
-            );
-        }
+    let pool = &mut sim.world_mut().gpu.pool;
+    let mut alloc = |p| {
+        pool.alloc_device(topo.device_of(p), size, false)
+            .expect("device alloc")
+    };
+    // Buffer, then scratch, process by process.
+    let bufs = Arc::new((0..topo.procs()).map(|p| (alloc(p), alloc(p))).collect());
+    CollSetup { sim, bufs }
+}
+
+/// One latency measurement (µs per collective + barrier round on rank 0,
+/// over `cfg.lat_iters` rounds after `cfg.lat_warmup`) on a fresh
+/// [`coll_setup`]: the caller keeps the simulation, and can read its
+/// counters or trace after. Panics on Charm++.
+pub fn coll_point(
+    s: &mut CollSetup,
+    cfg: &OsuConfig,
+    model: Model,
+    kind: CollKind,
+    algo: Option<Algo>,
+) -> f64 {
+    match model {
+        Model::Ampi => mpi_coll_point(s, cfg, kind, algo, AmpiFactory),
+        Model::Ompi => mpi_coll_point(s, cfg, kind, algo, OmpiFactory),
+        Model::Charm4py => py_coll_point(s, cfg, kind, algo),
+        Model::Charm => panic!(
+            "collective benchmark supports AMPI/OpenMPI/Charm4py \
+             (Charm++ reductions are scalar contributions)"
+        ),
     }
-    (sim, bufs, scratch)
 }
 
 fn mpi_coll_point<F: RankFactory>(
+    s: &mut CollSetup,
     cfg: &OsuConfig,
-    size: u64,
     kind: CollKind,
     algo: Option<Algo>,
     factory: F,
 ) -> f64 {
-    let (mut sim, bufs, scratch) = coll_setup(&cfg.machine, size);
-    let n = bufs.len();
-    let (bufs, scratch) = (Arc::new(bufs), Arc::new(scratch));
-    let result = Arc::new(rucx_compat::sync::Mutex::new(0.0f64));
-    let result2 = result.clone();
+    let (bufs, n) = (s.bufs.clone(), s.bufs.len());
     let (iters, warmup) = (cfg.lat_iters, cfg.lat_warmup);
-
-    factory.launch(&mut sim, move |mpi, ctx| {
-        let me = mpi.rank();
-        let buf = bufs[me];
-        let scr = scratch[me];
-        let mut t0 = 0;
-        for i in 0..(warmup + iters) {
-            if i == warmup {
+    run(&mut s.sim, "collective", |sim, report| {
+        factory.launch(sim, move |mpi, ctx| {
+            let me = mpi.rank();
+            let (buf, scr) = bufs[me];
+            let mut t0 = 0;
+            for i in 0..(warmup + iters) {
+                if i == warmup {
+                    mpi.barrier(ctx);
+                    t0 = ctx.now();
+                }
+                let c = &mut P2pComm::new(mpi, n);
+                match kind {
+                    CollKind::Allreduce => {
+                        rucx_coll::allreduce(c, ctx, buf, scr, CollOp::Sum, algo)
+                    }
+                    CollKind::Bcast => rucx_coll::bcast(c, ctx, buf, 0, algo),
+                }
                 mpi.barrier(ctx);
-                t0 = ctx.now();
             }
-            run_one(mpi, ctx, kind, algo, buf, scr, n);
-            mpi.barrier(ctx);
-        }
-        if me == 0 {
-            *result2.lock() = as_us(ctx.now() - t0) / iters as f64;
-        }
-    });
-    assert_eq!(sim.run(), RunOutcome::Completed, "collective deadlocked");
-    let r = *result.lock();
-    r
+            if me == 0 {
+                *report.lock() = as_us(ctx.now() - t0) / iters as f64;
+            }
+        })
+    })
 }
 
-fn run_one<M: P2p>(
-    mpi: &mut M,
-    ctx: &mut rucx_ucp::MCtx,
-    kind: CollKind,
-    algo: Option<Algo>,
-    buf: MemRef,
-    scr: MemRef,
-    n: usize,
-) {
-    let c = &mut P2pComm::new(mpi, n);
-    match kind {
-        CollKind::Allreduce => rucx_coll::allreduce(c, ctx, buf, scr, CollOp::Sum, algo),
-        CollKind::Bcast => rucx_coll::bcast(c, ctx, buf, 0, algo),
-    }
-}
-
-fn py_coll_point(cfg: &OsuConfig, size: u64, kind: CollKind, algo: Option<Algo>) -> f64 {
-    let (mut sim, bufs, scratch) = coll_setup(&cfg.machine, size);
-    let (bufs, scratch) = (Arc::new(bufs), Arc::new(scratch));
-    let result = Arc::new(rucx_compat::sync::Mutex::new(0.0f64));
-    let result2 = result.clone();
+fn py_coll_point(s: &mut CollSetup, cfg: &OsuConfig, kind: CollKind, algo: Option<Algo>) -> f64 {
+    let bufs = s.bufs.clone();
     let (iters, warmup) = (cfg.lat_iters, cfg.lat_warmup);
-
-    rucx_charm4py::launch(&mut sim, move |py, ctx| {
-        let me = py.rank();
-        let buf = bufs[me];
-        let scr = scratch[me];
-        let mut t0 = 0;
-        for i in 0..(warmup + iters) {
-            if i == warmup {
+    run(&mut s.sim, "collective", |sim, report| {
+        rucx_charm4py::launch(sim, move |py, ctx| {
+            let me = py.rank();
+            let (buf, scr) = bufs[me];
+            let mut t0 = 0;
+            for i in 0..(warmup + iters) {
+                if i == warmup {
+                    py.barrier(ctx);
+                    t0 = ctx.now();
+                }
+                match kind {
+                    CollKind::Allreduce => py.allreduce(ctx, buf, scr, CollOp::Sum, algo),
+                    CollKind::Bcast => py.bcast(ctx, buf, 0, algo),
+                }
                 py.barrier(ctx);
-                t0 = ctx.now();
             }
-            match kind {
-                CollKind::Allreduce => py.allreduce(ctx, buf, scr, CollOp::Sum, algo),
-                CollKind::Bcast => py.bcast(ctx, buf, 0, algo),
+            if me == 0 {
+                *report.lock() = as_us(ctx.now() - t0) / iters as f64;
             }
-            py.barrier(ctx);
-        }
-        if me == 0 {
-            *result2.lock() = as_us(ctx.now() - t0) / iters as f64;
-        }
-    });
-    assert_eq!(sim.run(), RunOutcome::Completed, "collective deadlocked");
-    let r = *result.lock();
-    r
+        })
+    })
 }
 
 /// Latency-vs-size sweep for one model/collective/algorithm. Sizes are
@@ -174,14 +168,8 @@ pub fn coll_latency(cfg: &OsuConfig, model: Model, kind: CollKind, algo: Option<
         .iter()
         .map(|&raw| raw.max(8).next_multiple_of(8))
         .collect();
-    let points = crate::sweep::sweep(&sizes, |size| match model {
-        Model::Ampi => mpi_coll_point(cfg, size, kind, algo, crate::mpi_like::AmpiFactory),
-        Model::Ompi => mpi_coll_point(cfg, size, kind, algo, crate::mpi_like::OmpiFactory),
-        Model::Charm4py => py_coll_point(cfg, size, kind, algo),
-        Model::Charm => panic!(
-            "collective benchmark supports AMPI/OpenMPI/Charm4py \
-             (Charm++ reductions are scalar contributions)"
-        ),
+    let points = crate::sweep::sweep(&sizes, |size| {
+        coll_point(&mut coll_setup(&cfg.machine, size), cfg, model, kind, algo)
     });
     Series {
         label: format!(

@@ -15,7 +15,7 @@
 use rucx::coll::Algo;
 use rucx::fault::FaultSpec;
 use rucx::osu::coll_bench::{coll_latency, CollKind};
-use rucx::osu::{bandwidth, bibw, latency, mpi_like, Mode, Model, OsuConfig, Placement, Series};
+use rucx::osu::{series, Bench, Mode, Model, OsuConfig, Placement, Series};
 
 fn usage() -> ! {
     eprintln!(
@@ -99,16 +99,6 @@ fn main() {
     }
 
     let series: Series = match bench.as_str() {
-        "latency" => latency(&cfg, model, mode, place),
-        "bw" => bandwidth(&cfg, model, mode, place),
-        "bibw" => match model {
-            Model::Ampi => bibw::bibw_series(&cfg, "AMPI", place, mpi_like::AmpiFactory),
-            Model::Ompi => bibw::bibw_series(&cfg, "OpenMPI", place, mpi_like::OmpiFactory),
-            _ => {
-                eprintln!("bibw supports --model ampi|openmpi");
-                std::process::exit(2);
-            }
-        },
         "coll" => {
             if model == Model::Charm {
                 eprintln!("coll supports --model ampi|openmpi|charm4py");
@@ -119,7 +109,19 @@ fn main() {
             }
             coll_latency(&cfg, model, coll_kind, algo)
         }
-        _ => usage(),
+        name => {
+            let bench = match name {
+                "latency" => Bench::Latency,
+                "bw" => Bench::Bandwidth,
+                "bibw" => Bench::BiBandwidth,
+                _ => usage(),
+            };
+            if !bench.supports(model, mode) {
+                eprintln!("bibw supports --model ampi|openmpi with --mode d");
+                std::process::exit(2);
+            }
+            series(&cfg, bench, model, mode, place)
+        }
     };
 
     if json {

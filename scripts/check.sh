@@ -169,6 +169,7 @@ SeqSeen PeerInbox reorder_stash next_chan_seq MpiOp RedOp marshal:: compat::time
 set_send_ctx send_ctx_stamp stamp_ctx encode_chare_ctx current_chare error_handlers ChanPayload AmpiPayload encode_chan decode_chan invoke_future future_get PyFuture PyMethod register_method gen_range_i64 fmt_dur RwLock|32|one Zero Copy payload, one error route, and code no workload runs goes
 occupy_transfer occupy_egress occupy_ingress mpi_mbw_point ucp_max_retries trace_events LoadResult::metrics start_fetch machine::with_parts Attribution::from_events|33|one GPU contention rule (GpuSubsystem::book), the caller owns the svc simulation, and pass-throughs go, DESIGN §12
 bcast_with allreduce_with select_allreduce select_bcast reduce_binomial barrier_dissemination alltoall_pairwise TAG_REDUCE TAG_BARRIER TAG_ALLTOALL|34|one entry per collective taking Option<Algo>, and code no workload runs goes, DESIGN §13
+mpi_latency_point mpi_bw_point mpi_bibw_point bibw_series charm_osu py_osu latency_point bandwidth_point run_one|35|one way to run an OSU point (osu::point over one run harness), DESIGN §7
 TABLE
 echo "ok: no deleted engine, queue, params struct, sink, twin path or caller-less extension is back"
 
@@ -221,6 +222,7 @@ while read -r driver args; do
     out[$driver]=$a
 done <<'TABLE'
 osu_cli coll --quick --json
+osu_cli bibw --quick --json
 train_proxy --quick --json
 svc_bench --quick --json
 scenario_matrix --quick --json

@@ -77,39 +77,43 @@ fn osu_latency_is_byte_identical_across_runs() {
     assert_eq!(a.to_json(), b.to_json());
 
     // One more input: a sweep runs its points concurrently, one simulation
-    // per point on every core. Each entry point's `Series` must equal, bit
-    // for bit, the same points run one at a time on this thread.
-    use rucx::osu::coll_bench::{coll_latency, CollKind};
-    use rucx::osu::{bandwidth, charm_osu, mpi_like::OmpiFactory, setup};
+    // per point on every core. Every (bench, model, mode) `point` supports
+    // must give a `Series` equal, bit for bit, to the same points run one
+    // at a time on this thread; so must the collective sweep.
+    use rucx::osu::coll_bench::{coll_latency, coll_point, coll_setup, CollKind};
+    use rucx::osu::{point, series, setup, Bench};
     let mut cfg = OsuConfig::quick();
-    cfg.sizes = vec![8, 1024, 4096, 65536, 1 << 20];
-    let (mode, place) = (Mode::Device, Placement::InterNode);
+    cfg.sizes = vec![8, 1 << 20];
+    let place = Placement::InterNode;
     let one_at_a_time = |point: &dyn Fn(u64) -> f64| -> Vec<(u64, u64)> {
         let sizes = cfg.sizes.iter();
         sizes.map(|&size| (size, point(size).to_bits())).collect()
     };
+    let mut triples = 0;
+    for bench in [Bench::Latency, Bench::Bandwidth, Bench::BiBandwidth] {
+        for model in [Model::Charm, Model::Ampi, Model::Ompi, Model::Charm4py] {
+            for mode in [Mode::Device, Mode::HostStaging] {
+                if !bench.supports(model, mode) {
+                    continue;
+                }
+                triples += 1;
+                assert_eq!(
+                    bits(&series(&cfg, bench, model, mode, place)),
+                    one_at_a_time(&|size| {
+                        let s = &mut setup(&cfg.machine, size);
+                        point(s, &cfg, bench, model, mode, place)
+                    }),
+                    "{bench:?} {model:?} {mode:?}"
+                );
+            }
+        }
+    }
+    assert_eq!(triples, 18, "8 latency + 8 bandwidth + 2 bi-bandwidth");
+    let (model, kind) = (Model::Ampi, CollKind::Allreduce);
     assert_eq!(
-        bits(&latency(&cfg, Model::Charm, mode, place)),
+        bits(&coll_latency(&cfg, model, kind, None)),
         one_at_a_time(&|size| {
-            charm_osu::latency_point(&mut setup(&cfg.machine, size), &cfg, place, mode)
-        })
-    );
-    assert_eq!(
-        bits(&bandwidth(&cfg, Model::Ompi, mode, place)),
-        one_at_a_time(&|size| {
-            let s = &mut setup(&cfg.machine, size);
-            bandwidth::mpi_bw_point(s, &cfg, place, mode, OmpiFactory)
-        })
-    );
-    let allreduce = |cfg: &OsuConfig| coll_latency(cfg, Model::Ampi, CollKind::Allreduce, None);
-    assert_eq!(
-        bits(&allreduce(&cfg)),
-        one_at_a_time(&|size| {
-            let one = OsuConfig {
-                sizes: vec![size],
-                ..cfg.clone()
-            };
-            allreduce(&one).points[0].1
+            coll_point(&mut coll_setup(&cfg.machine, size), &cfg, model, kind, None)
         })
     );
 }

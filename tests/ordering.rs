@@ -13,10 +13,8 @@
 use rucx::fabric::Topology;
 use rucx::fault::FaultSpec;
 use rucx::jacobi::{self, JacobiConfig};
-use rucx::osu::bandwidth::mpi_bw_point;
-use rucx::osu::latency::mpi_latency_point;
 use rucx::osu::mpi_like::AmpiFactory;
-use rucx::osu::{self, py_osu, Mode, OsuConfig, Placement};
+use rucx::osu::{self, Bench, Mode, Model, OsuConfig, Placement};
 use rucx::sim::Counters;
 use rucx::svc::{self, LoadCfg};
 use rucx::ucp::{build_sim, MachineConfig};
@@ -72,7 +70,11 @@ fn cell(workload: &str, py: bool, fault: Option<FaultSpec>) -> Held {
             }
         }
         _ => {
-            let bw = workload == "osu bandwidth";
+            let bench = match workload {
+                "osu bandwidth" => Bench::Bandwidth,
+                _ => Bench::Latency,
+            };
+            let model = if py { Model::Charm4py } else { Model::Ampi };
             let cfg = OsuConfig {
                 machine,
                 ..OsuConfig::quick()
@@ -81,12 +83,7 @@ fn cell(workload: &str, py: bool, fault: Option<FaultSpec>) -> Held {
                 for mode in [Mode::Device, Mode::HostStaging] {
                     for &size in &cfg.sizes {
                         let s = &mut osu::setup(&cfg.machine, size);
-                        match (py, bw) {
-                            (true, true) => py_osu::bandwidth_point(s, &cfg, place, mode),
-                            (true, false) => py_osu::latency_point(s, &cfg, place, mode),
-                            (false, true) => mpi_bw_point(s, &cfg, place, mode, AmpiFactory),
-                            (false, false) => mpi_latency_point(s, &cfg, place, mode, AmpiFactory),
-                        };
+                        osu::point(s, &cfg, bench, model, mode, place);
                         add(&mut held, s.sim.metrics());
                     }
                 }
