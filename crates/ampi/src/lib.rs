@@ -44,7 +44,6 @@ mod tests {
     use rucx_fabric::Topology;
     use rucx_gpu::{DeviceId, MemRef};
     use rucx_sim::time::{as_us, us};
-    use rucx_sim::RunOutcome;
     use rucx_ucp::{build_sim, MSim, MachineConfig};
     use std::sync::Arc;
 
@@ -80,7 +79,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), vec![7u8; 64]);
         // No zero-copy rendezvous should have happened for the payload.
         assert_eq!(sim.metrics().get("ucp.rndv.ipc"), 0);
@@ -101,7 +100,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data);
         // CMA path for the intra-node host zero-copy payload.
         assert!(sim.metrics().get("ucp.rndv.cma") >= 1);
@@ -123,7 +122,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data);
         assert_eq!(sim.metrics().get("ucp.rndv.pipeline"), 1);
     }
@@ -152,7 +151,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(sim.world().gpu.pool.read(b1).unwrap(), vec![1u8; 32]);
         assert_eq!(sim.world().gpu.pool.read(b2).unwrap(), vec![2u8; 32]);
     }
@@ -178,7 +177,7 @@ mod tests {
                 assert_eq!(seen.len(), 3);
             }
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
     }
 
     #[test]
@@ -220,7 +219,7 @@ mod tests {
             }
             mpi.waitall(ctx, &reqs);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(sim.metrics().get("ucp.rndv.ipc"), 2 * window as u64);
     }
 
@@ -263,7 +262,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(sim.world().gpu.pool.read(rb2).unwrap()[..8], [0xCD; 8]);
         assert_eq!(
             sim.metrics().get("ampi.reorder.held"),
@@ -288,7 +287,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         // The prefix that fit was delivered intact.
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data[..32]);
     }
@@ -308,7 +307,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         // The UCP layer saw (and counted) the same truncation.
         assert_eq!(sim.metrics().get("ucp.truncated"), 1);
     }
@@ -326,7 +325,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
     }
 
     #[test]
@@ -351,7 +350,7 @@ mod tests {
                 }
             }
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
     }
 
     #[test]
@@ -365,7 +364,7 @@ mod tests {
             mpi.barrier(ctx);
             reached2.lock().push((mpi.rank(), ctx.now()));
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         let v = reached.lock();
         assert_eq!(v.len(), 6);
         let latest_entry = us(50.0); // slowest rank enters at 50us
@@ -397,7 +396,7 @@ mod tests {
                 *got2.lock() = mpi.wait(ctx, req);
             }
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         let st = got.lock().take().expect("failed send must yield a status");
         assert_eq!(st.error, MPI_ERR_OTHER);
         assert_eq!(st.src, 6, "status names the unreachable peer");
@@ -437,7 +436,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(sim.world().gpu.pool.read(rb_small).unwrap(), vec![0x5A; 64]);
         assert_eq!(sim.world().gpu.pool.read(rb_big).unwrap(), data);
         assert!(sim.metrics().get("fault.drop") > 0);
@@ -459,7 +458,7 @@ mod tests {
                 *got2.lock() = mpi.wait(ctx, req);
             }
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         let st = got.lock().take().expect("bad-handle send yields a status");
         assert_eq!(st.error, MPI_ERR_OTHER);
         assert_eq!(st.size, 0);
@@ -492,7 +491,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         let lat = *out.lock();
         assert!(
             lat > us(5.0) && lat < us(16.0),

@@ -7,7 +7,6 @@ use rucx_ampi::{launch, ANY_SOURCE, ANY_TAG};
 use rucx_fabric::Topology;
 use rucx_gpu::{DeviceId, MemRef};
 use rucx_sim::time::us;
-use rucx_sim::RunOutcome;
 use rucx_ucp::{build_sim, MSim, MachineConfig};
 
 fn sim(nodes: usize) -> MSim {
@@ -53,7 +52,7 @@ fn sendrecv_ring_shift() {
         assert_eq!(st.src as usize, (me + n - 1) % n);
         assert_eq!(st.size, sb[me].len);
     });
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    rucx_ucp::finish(&mut sim).unwrap();
     for (r, b) in rbufs.iter().enumerate() {
         let left = (r + 5) % 6;
         assert_eq!(
@@ -88,6 +87,6 @@ fn probe_then_recv() {
         }
         _ => {}
     });
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    rucx_ucp::finish(&mut sim).unwrap();
     assert_eq!(sim.world().gpu.pool.read(b).unwrap(), vec![3u8; 64]);
 }

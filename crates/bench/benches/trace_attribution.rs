@@ -13,7 +13,6 @@ use rucx_bench::attr::Attribution;
 use rucx_bench::{fmt_size, print_table, write_json, write_text};
 use rucx_fabric::Topology;
 use rucx_gpu::DeviceId;
-use rucx_sim::RunOutcome;
 use rucx_ucp::{build_sim, MSim, MachineConfig};
 
 const ITERS: u64 = 10;
@@ -67,7 +66,7 @@ fn ampi_pingpong(size: u64) -> (String, Attribution) {
         }
         _ => {}
     });
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    rucx_ucp::finish(&mut sim).unwrap();
     harvest(&mut sim)
 }
 
@@ -89,7 +88,7 @@ fn charm4py_pingpong(size: u64) -> (String, Attribution) {
             }
         }
     });
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    rucx_ucp::finish(&mut sim).unwrap();
     harvest(&mut sim)
 }
 

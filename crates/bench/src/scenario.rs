@@ -10,14 +10,11 @@
 //! reroute, host-staged fallback, or service-layer resubmission). Cells
 //! are fully independent simulations.
 
-use std::sync::Arc;
-
-use rucx_compat::sync::Mutex;
 use rucx_fabric::Topology;
 use rucx_fault::FaultSpec;
 use rucx_gpu::{DeviceId, MemRef};
 use rucx_sim::time::{as_us, us};
-use rucx_sim::{Counters, RunOutcome};
+use rucx_sim::Counters;
 use rucx_ucp::{build_sim, MSim, MachineConfig};
 
 use crate::attr::Attribution;
@@ -230,44 +227,39 @@ fn osu_cell(scenario: &'static str, quick: bool) -> Cell {
     let b = alloc_dev(&mut sim, PEER as u32, 4 << 10);
     let big_a = alloc_dev(&mut sim, 0, 4 << 20);
     let big_b = alloc_dev(&mut sim, PEER as u32, 4 << 20);
-    let result = Arc::new(Mutex::new(0.0f64));
-    let result2 = result.clone();
-    rucx_ampi::launch(&mut sim, move |mpi, ctx| match mpi.rank() {
-        0 => {
-            let t0 = ctx.now();
-            for i in 0..iters {
-                mpi.send(ctx, a, PEER, i as i32);
-                mpi.recv(ctx, a, PEER as i32, i as i32);
+    let headline = rucx_ucp::run(&mut sim, |sim, result| {
+        rucx_ampi::launch(sim, move |mpi, ctx| match mpi.rank() {
+            0 => {
+                let t0 = ctx.now();
+                for i in 0..iters {
+                    mpi.send(ctx, a, PEER, i as i32);
+                    mpi.recv(ctx, a, PEER as i32, i as i32);
+                }
+                *result.lock() = as_us(ctx.now() - t0) / iters as f64 / 2.0;
+                // Sit out the early fault window (GPU copy-engine failure at
+                // 250 µs, degrade/partition onset at 150 µs) so the post-fault
+                // exchanges provably start on the degraded machine: the small
+                // eager GDRCopy send demotes to host staging when the copy
+                // engine is down, the pipelined bulk transfer reroutes its
+                // chunks when a rail is degraded.
+                ctx.advance(us(300.0));
+                mpi.send(ctx, a, PEER, 10_000);
+                mpi.recv(ctx, a, PEER as i32, 10_000);
+                mpi.send(ctx, big_a, PEER, 9_999);
             }
-            *result2.lock() = as_us(ctx.now() - t0) / iters as f64 / 2.0;
-            // Sit out the early fault window (GPU copy-engine failure at
-            // 250 µs, degrade/partition onset at 150 µs) so the post-fault
-            // exchanges provably start on the degraded machine: the small
-            // eager GDRCopy send demotes to host staging when the copy
-            // engine is down, the pipelined bulk transfer reroutes its
-            // chunks when a rail is degraded.
-            ctx.advance(us(300.0));
-            mpi.send(ctx, a, PEER, 10_000);
-            mpi.recv(ctx, a, PEER as i32, 10_000);
-            mpi.send(ctx, big_a, PEER, 9_999);
-        }
-        r if r == PEER => {
-            for i in 0..iters {
-                mpi.recv(ctx, b, 0, i as i32);
-                mpi.send(ctx, b, 0, i as i32);
+            r if r == PEER => {
+                for i in 0..iters {
+                    mpi.recv(ctx, b, 0, i as i32);
+                    mpi.send(ctx, b, 0, i as i32);
+                }
+                mpi.recv(ctx, b, 0, 10_000);
+                mpi.send(ctx, b, 0, 10_000);
+                mpi.recv(ctx, big_b, 0, 9_999);
             }
-            mpi.recv(ctx, b, 0, 10_000);
-            mpi.send(ctx, b, 0, 10_000);
-            mpi.recv(ctx, big_b, 0, 9_999);
-        }
-        _ => {}
-    });
-    assert_eq!(
-        sim.run(),
-        RunOutcome::Completed,
-        "osu_latency hung under `{scenario}`"
-    );
-    let headline = *result.lock();
+            _ => {}
+        })
+    })
+    .unwrap_or_else(|e| panic!("osu_latency under `{scenario}`: {e}"));
     cell(scenario, "osu_latency", headline, "us/half-rt", &sim)
 }
 

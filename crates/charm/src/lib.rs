@@ -61,7 +61,6 @@ mod tests {
     use rucx_fabric::Topology;
     use rucx_gpu::{DeviceId, MemRef};
     use rucx_sim::time::us;
-    use rucx_sim::RunOutcome;
     use rucx_ucp::{build_sim, MachineConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -144,7 +143,7 @@ mod tests {
                 assert_eq!(c.last, 777);
             }
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
     }
 
@@ -194,7 +193,7 @@ mod tests {
                 assert_eq!(c.last, size);
             }
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 100);
         assert_eq!(sim.world().gpu.pool.read(dst).unwrap(), data);
         // The GPU payload must have used the device path (rendezvous IPC),
@@ -218,7 +217,7 @@ mod tests {
             }
             pe.run(ctx);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 12);
     }
 
@@ -259,7 +258,7 @@ mod tests {
             );
             pe.run(ctx);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         // sum 0..12 = 66
         assert_eq!(result.load(Ordering::SeqCst), 66);
     }
@@ -280,7 +279,7 @@ mod tests {
             }
             pe.run(ctx);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
     }
 
@@ -309,7 +308,7 @@ mod tests {
             }
             pe.run(ctx);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert!(sim.metrics().get("ucp.rndv") >= 1);
     }
@@ -373,7 +372,7 @@ mod tests {
             }
             pe.run(ctx);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert_eq!(
             sim.world().gpu.pool.read(dst1).unwrap(),
@@ -440,7 +439,7 @@ mod tests {
             let e4 = errs2.clone();
             pe.pump_until(ctx, move |_, _| !e4.lock().is_empty());
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         let got = errs.lock();
         assert!(!got.is_empty());
         for e in got.iter() {

@@ -89,7 +89,6 @@ impl PyProc {
 mod tests {
     use super::*;
     use rucx_fabric::Topology;
-    use rucx_sim::RunOutcome;
     use rucx_ucp::{build_sim, MachineConfig};
     use std::sync::Arc;
 
@@ -126,7 +125,7 @@ mod tests {
             py.allreduce(ctx, bufs2[me], scratch2[me], ReduceOp::Sum, algo);
             py.bcast(ctx, bufs2[me], 3, None);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         let expected: Vec<f64> = (0..elems)
             .map(|i| (0..n).map(|r| (r * 100 + i) as f64).sum())
             .collect();

@@ -488,7 +488,6 @@ mod tests {
     use rucx_fabric::Topology;
     use rucx_gpu::DeviceId;
     use rucx_sim::time::as_us;
-    use rucx_sim::RunOutcome;
     use rucx_ucp::{build_sim, MachineConfig};
     use std::sync::Arc;
 
@@ -526,7 +525,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data);
         assert_eq!(sim.metrics().get("ucp.rndv.ipc"), 1);
     }
@@ -558,7 +557,7 @@ mod tests {
             1 => *got2.lock() = py.recv(ctx, py.channel(0), b),
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(*got.lock(), 8192);
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data[..4096]);
     }
@@ -597,7 +596,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(*done.lock(), (true, true));
     }
 
@@ -617,7 +616,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(got.lock().take(), Some(vec![1, 2, 3, 4]));
     }
 
@@ -660,7 +659,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         let lat = *out.lock();
         assert!(
             lat > us(12.0) && lat < us(35.0),
@@ -698,7 +697,7 @@ mod tests {
                 *got2.lock() = Some(py.wait_exception(ctx));
             }
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         let exc = got.lock().take().expect("exception raised");
         assert_eq!(exc.exc_type, "TimeoutError");
         assert!(
@@ -756,7 +755,7 @@ mod tests {
             assert_eq!(st.send_order.next(6), 0, "send counter must restart");
             *checked2.lock() = true;
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert!(*checked.lock());
     }
 
@@ -787,7 +786,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(
             *got.lock(),
             vec![vec![0xAB; 32 * 1024], vec![0xCD; 8]],
@@ -810,7 +809,7 @@ mod tests {
             py.barrier(ctx);
             t2.lock().push(ctx.now());
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         let v = times.lock();
         assert_eq!(v.len(), 6);
         for &t in v.iter() {
@@ -846,7 +845,7 @@ mod tests {
             py.cuda_stream_sync(ctx, stream);
             *e2.lock() = ctx.now() - t0;
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(sim.world().gpu.pool.read(h).unwrap(), vec![0xAB; 1 << 20]);
         // 1 MiB D2H ≈ 25us + launch/sync/python ≈ 35us total.
         let t = *elapsed.lock();

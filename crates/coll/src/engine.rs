@@ -218,7 +218,6 @@ pub fn choose_bcast(w: &Machine, n: usize, size: u64) -> Algo {
 mod tests {
     use super::*;
     use rucx_fabric::Topology;
-    use rucx_sim::RunOutcome;
     use rucx_ucp::{blocking, build_sim, MachineConfig, SendBuf, MASK_FULL};
 
     #[test]
@@ -289,7 +288,7 @@ mod tests {
                 blocking::recv(ctx, b, dst, i, MASK_FULL);
             });
         }
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert!(sim.metrics().get("ucp.acked") > 0, "acks must have flowed");
 
         let clean = build_sim(Topology::summit(2), MachineConfig::default());

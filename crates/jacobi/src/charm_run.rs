@@ -10,12 +10,10 @@ use rucx_compat::buf::{Buf, BufMut};
 use rucx_gpu::MemRef;
 use rucx_osu::cuda;
 use rucx_sim::time::{as_ms, Time};
-use rucx_ucp::MCtx;
+use rucx_ucp::{MCtx, ResultCell};
 
 use crate::bufs::alloc_mapped;
-use crate::config::{
-    drain, pack_cost, stencil_cost, JacobiConfig, JacobiResult, JacobiStall, Mode,
-};
+use crate::config::{pack_cost, stencil_cost, JacobiConfig, JacobiResult, Mode};
 use crate::decomp::{decompose, opposite, Block};
 
 struct JacobiChare {
@@ -41,7 +39,7 @@ struct JacobiChare {
     /// Root only: reduction results received so far.
     reports: Vec<f64>,
     ids: Ids,
-    result: Arc<rucx_compat::sync::Mutex<JacobiResult>>,
+    result: ResultCell<JacobiResult>,
 }
 
 /// The collection and the entry methods the chares send to.
@@ -218,7 +216,7 @@ impl JacobiChare {
 pub fn run_charm_on(
     sim: &mut rucx_ucp::MSim,
     cfg: &JacobiConfig,
-) -> Result<JacobiResult, JacobiStall> {
+) -> Result<JacobiResult, rucx_ucp::RunError> {
     assert_eq!(
         sim.world().topo.procs(),
         cfg.ranks(),
@@ -228,105 +226,101 @@ pub fn run_charm_on(
     let n_elems = cfg.ranks() as u64 * odf;
     let grid = decompose(cfg.domain, n_elems);
     let bufs = Arc::new(alloc_mapped(sim, cfg.domain, grid, |b| (b / odf) as usize));
-    let result = Arc::new(rucx_compat::sync::Mutex::new(JacobiResult {
-        overall_ms: 0.0,
-        comm_ms: 0.0,
-    }));
-    let result2 = result.clone();
     let (iters, warmup, mode) = (cfg.iters, cfg.warmup, cfg.mode);
 
-    launch(sim, move |pe, ctx| {
-        let col = pe.register_collection(n_elems, move |i| (i / odf) as usize);
-        let ep_halo = pe.register_ep(
-            col,
-            Some(Box::new(|chare, msg| {
-                let c = chare.downcast_mut::<JacobiChare>().unwrap();
-                let mut r: &[u8] = &msg.params;
-                let dir = r.get_u8() as usize;
-                vec![c.drecv[opposite(dir)].unwrap()]
-            })),
-            Box::new(|chare, msg: &Msg, pe, ctx| {
-                let c = chare.downcast_mut::<JacobiChare>().unwrap();
-                c.on_halo(msg, pe, ctx);
-            }),
-        );
-        let ep_comm = pe.register_ep(
-            col,
-            None,
-            Box::new(|chare, msg: &Msg, pe, ctx| {
-                let c = chare.downcast_mut::<JacobiChare>().unwrap();
-                let mut r: &[u8] = &msg.params;
-                let v = r.get_f64();
-                if let Some(done) = c.on_report(0, v) {
-                    *c.result.lock() = done;
-                    pe.exit_all(ctx);
-                }
-            }),
-        );
-        let ep_overall = pe.register_ep(
-            col,
-            None,
-            Box::new(|chare, msg: &Msg, pe, ctx| {
-                let c = chare.downcast_mut::<JacobiChare>().unwrap();
-                let mut r: &[u8] = &msg.params;
-                let v = r.get_f64();
-                if let Some(done) = c.on_report(1, v) {
-                    *c.result.lock() = done;
-                    pe.exit_all(ctx);
-                }
-            }),
-        );
-        let ep_kdone = pe.register_ep(
-            col,
-            None,
-            Box::new(|chare, _msg: &Msg, pe, ctx| {
-                let c = chare.downcast_mut::<JacobiChare>().unwrap();
-                c.after_compute(pe, ctx);
-            }),
-        );
-        let ids = Ids {
-            col,
-            ep_halo,
-            ep_comm,
-            ep_overall,
-            ep_kdone,
-        };
-
-        let local: Vec<u64> = pe.local_indices(col).to_vec();
-        for &i in &local {
-            let b = &bufs[i as usize];
-            pe.insert_chare(
+    rucx_ucp::run(sim, |sim, result| {
+        launch(sim, move |pe, ctx| {
+            let col = pe.register_collection(n_elems, move |i| (i / odf) as usize);
+            let ep_halo = pe.register_ep(
                 col,
-                i,
-                Box::new(JacobiChare {
-                    block: b.block.clone(),
-                    dsend: b.dsend,
-                    drecv: b.drecv,
-                    hsend: b.hsend,
-                    hrecv: b.hrecv,
-                    mode,
-                    iters,
-                    warmup,
-                    iter: 0,
-                    computing: false,
-                    received_cur: 0,
-                    received_next: 0,
-                    expected: b.block.neighbor_count(),
-                    comm_ns: 0,
-                    tc: 0,
-                    t0: 0,
-                    reports: Vec::new(),
-                    ids,
-                    result: result2.clone(),
+                Some(Box::new(|chare, msg| {
+                    let c = chare.downcast_mut::<JacobiChare>().unwrap();
+                    let mut r: &[u8] = &msg.params;
+                    let dir = r.get_u8() as usize;
+                    vec![c.drecv[opposite(dir)].unwrap()]
+                })),
+                Box::new(|chare, msg: &Msg, pe, ctx| {
+                    let c = chare.downcast_mut::<JacobiChare>().unwrap();
+                    c.on_halo(msg, pe, ctx);
                 }),
             );
-        }
-        for &i in &local {
-            pe.with_chare::<JacobiChare, _>(ctx, col, i, |c, pe, ctx| {
-                c.start_iter(pe, ctx);
-            });
-        }
-        pe.run(ctx);
-    });
-    drain(sim, &result)
+            let ep_comm = pe.register_ep(
+                col,
+                None,
+                Box::new(|chare, msg: &Msg, pe, ctx| {
+                    let c = chare.downcast_mut::<JacobiChare>().unwrap();
+                    let mut r: &[u8] = &msg.params;
+                    let v = r.get_f64();
+                    if let Some(done) = c.on_report(0, v) {
+                        *c.result.lock() = done;
+                        pe.exit_all(ctx);
+                    }
+                }),
+            );
+            let ep_overall = pe.register_ep(
+                col,
+                None,
+                Box::new(|chare, msg: &Msg, pe, ctx| {
+                    let c = chare.downcast_mut::<JacobiChare>().unwrap();
+                    let mut r: &[u8] = &msg.params;
+                    let v = r.get_f64();
+                    if let Some(done) = c.on_report(1, v) {
+                        *c.result.lock() = done;
+                        pe.exit_all(ctx);
+                    }
+                }),
+            );
+            let ep_kdone = pe.register_ep(
+                col,
+                None,
+                Box::new(|chare, _msg: &Msg, pe, ctx| {
+                    let c = chare.downcast_mut::<JacobiChare>().unwrap();
+                    c.after_compute(pe, ctx);
+                }),
+            );
+            let ids = Ids {
+                col,
+                ep_halo,
+                ep_comm,
+                ep_overall,
+                ep_kdone,
+            };
+
+            let local: Vec<u64> = pe.local_indices(col).to_vec();
+            for &i in &local {
+                let b = &bufs[i as usize];
+                pe.insert_chare(
+                    col,
+                    i,
+                    Box::new(JacobiChare {
+                        block: b.block.clone(),
+                        dsend: b.dsend,
+                        drecv: b.drecv,
+                        hsend: b.hsend,
+                        hrecv: b.hrecv,
+                        mode,
+                        iters,
+                        warmup,
+                        iter: 0,
+                        computing: false,
+                        received_cur: 0,
+                        received_next: 0,
+                        expected: b.block.neighbor_count(),
+                        comm_ns: 0,
+                        tc: 0,
+                        t0: 0,
+                        reports: Vec::new(),
+                        ids,
+                        result: result.clone(),
+                    }),
+                );
+            }
+            for &i in &local {
+                pe.with_chare::<JacobiChare, _>(ctx, col, i, |c, pe, ctx| {
+                    c.start_iter(pe, ctx);
+                });
+            }
+            pe.run(ctx);
+        })
+    })
 }

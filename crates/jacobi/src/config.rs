@@ -3,8 +3,6 @@
 use rucx_compat::json::{JsonObject, ToJson};
 use rucx_gpu::KernelCost;
 use rucx_sim::time::us;
-use rucx_sim::RunOutcome;
-use rucx_ucp::metrics::UNREACHABLE;
 
 use crate::decomp::Block;
 
@@ -70,47 +68,10 @@ impl JacobiConfig {
 }
 
 /// Per-iteration timings, maxed over ranks (ms).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct JacobiResult {
     pub overall_ms: f64,
     pub comm_ms: f64,
-}
-
-/// A run that did not drain: the event queue emptied with ranks still
-/// parked, which only a lossy fault spec can cause.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JacobiStall {
-    /// `(process name, blocked-on)` for every rank still parked.
-    pub blocked: Vec<(String, String)>,
-    /// Sends the reliability layer gave up on (`ucp.unreachable`).
-    pub unreachable: u64,
-}
-
-impl std::fmt::Display for JacobiStall {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "stalled, {} give-up(s), {} rank(s) blocked",
-            self.unreachable,
-            self.blocked.len()
-        )
-    }
-}
-
-/// Run a launched Jacobi simulation to the end and read the timings rank 0
-/// left in `result`.
-pub(crate) fn drain(
-    sim: &mut rucx_ucp::MSim,
-    result: &rucx_compat::sync::Mutex<JacobiResult>,
-) -> Result<JacobiResult, JacobiStall> {
-    match sim.run() {
-        RunOutcome::Completed => Ok(*result.lock()),
-        RunOutcome::Deadlock(blocked) => Err(JacobiStall {
-            blocked,
-            unreachable: sim.metrics().get(UNREACHABLE.name),
-        }),
-        other => panic!("jacobi run ended with {other:?}"),
-    }
 }
 
 impl ToJson for JacobiResult {

@@ -16,19 +16,19 @@ pub mod decomp;
 pub mod mpi_run;
 pub mod py_run;
 
-pub use config::{JacobiConfig, JacobiResult, JacobiStall, Mode};
+pub use config::{JacobiConfig, JacobiResult, Mode};
 pub use decomp::{decompose, Block, BlockGrid, Domain};
 /// Which model runs the proxy app (the OSU benchmarks' model enum).
 pub use rucx_osu::Model as JacobiModel;
 
 use rucx_fabric::Topology;
 use rucx_osu::mpi_like::{AmpiFactory, OmpiFactory};
-use rucx_ucp::build_sim;
+use rucx_ucp::{build_sim, RunError};
 
 /// Run one Jacobi3D configuration; `Err` when the run stalls (a lossy
 /// `cfg.machine.fault` spec made the reliability layer give up on a halo
-/// and the ranks waiting for it never finish).
-pub fn try_run(model: JacobiModel, cfg: &JacobiConfig) -> Result<JacobiResult, JacobiStall> {
+/// and the ranks waiting for it never finish) or leaks ([`RunError`]).
+pub fn try_run(model: JacobiModel, cfg: &JacobiConfig) -> Result<JacobiResult, RunError> {
     let sim = &mut build_sim(Topology::summit(cfg.nodes), cfg.machine.clone());
     match model {
         JacobiModel::Charm => charm_run::run_charm_on(sim, cfg),
@@ -38,10 +38,9 @@ pub fn try_run(model: JacobiModel, cfg: &JacobiConfig) -> Result<JacobiResult, J
     }
 }
 
-/// [`try_run`] for configurations that must drain: panics on a stall.
+/// [`try_run`] for configurations that must drain: one panic line on error.
 pub fn run(model: JacobiModel, cfg: &JacobiConfig) -> JacobiResult {
-    try_run(model, cfg)
-        .unwrap_or_else(|s| panic!("jacobi ({}) did not drain: {s:?}", model.label()))
+    try_run(model, cfg).unwrap_or_else(|e| panic!("jacobi ({}) did not drain: {e}", model.label()))
 }
 
 #[cfg(test)]
@@ -145,10 +144,17 @@ mod tests {
         ] {
             let first = try_run(model, &cfg);
             assert_eq!(first, try_run(model, &cfg), "{model:?} must replay");
-            if let Err(stall) = first {
-                assert!(stall.unreachable > 0, "{model:?}: {stall:?}");
-                assert!(!stall.blocked.is_empty(), "{model:?}: {stall:?}");
-                stalls += 1;
+            match first {
+                Ok(_) => {}
+                Err(RunError::Stalled {
+                    blocked,
+                    unreachable,
+                }) => {
+                    assert!(unreachable > 0, "{model:?}: {unreachable} give-ups");
+                    assert!(!blocked.is_empty(), "{model:?}: nothing blocked");
+                    stalls += 1;
+                }
+                Err(e) => panic!("{model:?}: {e}"),
             }
         }
         assert!(stalls > 0, "60 % drop must strand at least one model");

@@ -279,7 +279,6 @@ mod tests {
     use rucx_fabric::Topology;
     use rucx_gpu::DeviceId;
     use rucx_sim::time::as_us;
-    use rucx_sim::RunOutcome;
     use rucx_ucp::{build_sim, MachineConfig};
     use std::sync::Arc;
 
@@ -340,7 +339,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         let lat = *out.lock();
         assert!(
             lat > rucx_sim::time::us(1.5) && lat < rucx_sim::time::us(5.0),
@@ -360,7 +359,7 @@ mod tests {
             mpi.barrier(ctx);
             t2.lock().push(ctx.now());
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         let v = times.lock();
         assert_eq!(v.len(), 12);
         let slowest_entry = rucx_sim::time::us(7.0 * 11.0);
@@ -413,7 +412,7 @@ mod tests {
                 mpi.send(ctx, sb[r], 0, r as i32);
             }
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
     }
 
     #[test]
@@ -449,7 +448,7 @@ mod tests {
             }
             mpi.waitall(ctx, reqs);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         assert_eq!(sim.metrics().get("ucp.rndv.pipeline"), 2 * window as u64);
     }
 
@@ -476,7 +475,7 @@ mod tests {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         // Only the buffer-sized prefix was delivered.
         let got = sim.world().gpu.pool.read(small).unwrap();
         assert_eq!(got, vec![0xCD; 32]);

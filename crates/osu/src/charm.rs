@@ -5,9 +5,9 @@
 
 use rucx_charm::{launch, ChareRef, Msg, Pe};
 use rucx_sim::time::{as_us, bandwidth_mbps, Time};
-use rucx_ucp::MCtx;
+use rucx_ucp::{MCtx, ResultCell};
 
-use crate::{run, BenchSetup, Mode, OsuConfig, Placement, Report, Side};
+use crate::{run, BenchSetup, Mode, OsuConfig, Placement, Side};
 
 struct LatChare {
     side: Side,
@@ -20,7 +20,7 @@ struct LatChare {
     warmup: u32,
     count: u32,
     t0: Time,
-    report: Report,
+    report: ResultCell<f64>,
 }
 
 impl LatChare {
@@ -111,7 +111,7 @@ struct BwChare {
     iter: u32,
     recvd: u32,
     t0: Time,
-    report: Report,
+    report: ResultCell<f64>,
 }
 
 impl BwChare {

@@ -74,7 +74,6 @@ mod tests {
     use crate::mpi_like::RankFactory;
     use rucx_coll::{metrics, Algo};
     use rucx_fabric::Topology;
-    use rucx_sim::RunOutcome;
     use rucx_ucp::{build_sim, MSim, MachineConfig};
     use std::sync::Arc;
 
@@ -126,7 +125,7 @@ mod tests {
             let me = mpi.rank();
             rucx_coll::bcast(&mut P2pComm::new(mpi, n), ctx, bufs2[me], root, None);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         for b in &bufs {
             assert_eq!(read_f64s(&sim, *b), vec![1.5; 8]);
         }
@@ -161,7 +160,7 @@ mod tests {
             let c = &mut P2pComm::new(mpi, n);
             rucx_coll::allreduce(c, ctx, bufs2[me], scratch2[me], op, algo);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         let expected: Vec<f64> = (0..12)
             .map(|i| {
                 let vals = (0..n).map(|r| (r * 10 + i) as f64);
@@ -252,7 +251,7 @@ mod tests {
                 Some(Algo::Ring),
             );
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         for b in &bufs {
             assert_eq!(read_f64s(&sim, *b), vec![66.0; 4]);
         }
@@ -268,7 +267,7 @@ mod tests {
             let dev = ctx.with_world_ref(|w, _| w.topo.device_of(me));
             allreduce(mpi, ctx, bufs[me], scratch[me], CollOp::Sum, 12, dev);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         for a in [
             Algo::Tree,
             Algo::RecursiveDoubling,

@@ -31,12 +31,10 @@ use std::sync::Arc;
 
 use mpi_like::{AmpiFactory, OmpiFactory};
 use rucx_compat::json::{JsonObject, ToJson};
-use rucx_compat::sync::Mutex;
 use rucx_fabric::Topology;
 use rucx_gpu::{MemRef, StreamId};
 use rucx_sim::time::Time;
-use rucx_sim::RunOutcome;
-use rucx_ucp::{build_sim, MCtx, MSim, MachineConfig};
+use rucx_ucp::{build_sim, MCtx, MSim, MachineConfig, ResultCell};
 
 /// Which programming model to benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -320,23 +318,15 @@ pub fn setup(machine: &MachineConfig, size: u64) -> BenchSetup {
     BenchSetup { sim, size, sides }
 }
 
-/// Where a body's rank 0 reports its number.
-pub(crate) type Report = Arc<Mutex<f64>>;
-
-/// The run harness under every point: `launch` starts a body on `sim`,
-/// handing it the [`Report`] its rank 0 writes; the simulation runs to
-/// completion (a hang panics with "`what` deadlocked"), must leave no
-/// rendezvous or tracked send in flight, and the reported number is
-/// returned.
-pub(crate) fn run(sim: &mut MSim, what: &str, launch: impl FnOnce(&mut MSim, Report)) -> f64 {
-    let report = Arc::new(Mutex::new(0.0));
-    launch(sim, report.clone());
-    assert_eq!(sim.run(), RunOutcome::Completed, "{what} deadlocked");
-    let ucp = &sim.world().ucp;
-    debug_assert_eq!(ucp.inflight_rndv(), 0, "{what} leaked rendezvous state");
-    debug_assert_eq!(ucp.inflight_tracked(), 0, "{what} leaked tracked sends");
-    let v = *report.lock();
-    v
+/// The run harness under every point: [`rucx_ucp::run`] hands `launch`
+/// the cell its rank 0 reports into, and a run that stalls or leaks panics
+/// with one line naming `what`.
+pub(crate) fn run(
+    sim: &mut MSim,
+    what: &str,
+    launch: impl FnOnce(&mut MSim, ResultCell<f64>),
+) -> f64 {
+    rucx_ucp::run(sim, launch).unwrap_or_else(|e| panic!("{what}: {e}"))
 }
 
 /// `warmup` untimed rounds, then `iters` timed ones: the virtual time the

@@ -15,28 +15,24 @@
 //! clients over the first 8 ranks (4 ranks serve as workers), runs the
 //! scatter/submit/gather protocol with the registration model enabled, and
 //! returns throughput, exact latency percentiles, every task's checksum,
-//! and the cache counters — then asserts the registration-leak invariant
-//! (`ucp.reg.miss - ucp.reg.evict == live mappings == 0` at shutdown, all
-//! pre-mapped pool allocations returned).
+//! and the cache counters. The run ends through [`rucx_ucp::finish`], whose
+//! audit holds the registration identity (`ucp.reg.miss == ucp.reg.evict +
+//! live mappings`, and no mapping on a freed buffer).
 //!
 //! Task results are pure functions of task content ([`task_checksum`]), so
 //! a cache-on and a cache-off run must produce byte-identical result sets
 //! — only the timing may differ. That is the correctness contract the
 //! property tests pin down.
 
-use std::sync::Arc;
-
 use rucx_charm4py::{launch, PyProc};
 use rucx_compat::buf::{Buf, BufMut};
 use rucx_compat::idmap::{IdMap, IdSet};
 use rucx_compat::rng::{splitmix64, Rng};
-use rucx_compat::sync::Mutex;
 use rucx_fabric::Topology;
 use rucx_fault::FaultSpec;
 use rucx_gpu::MemRef;
 use rucx_sim::time::{as_us, us, Duration, Time};
-use rucx_sim::RunOutcome;
-use rucx_ucp::{build_sim, reg_invalidate, MCtx, MSim, MachineConfig};
+use rucx_ucp::{build_sim, reg_invalidate, MCtx, MSim, MachineConfig, ResultCell};
 
 pub mod metrics;
 
@@ -580,53 +576,24 @@ pub fn run_load(cfg: &LoadCfg) -> LoadResult {
 
 /// Run one load on `sim`, a fresh two-node Summit-like simulation the
 /// caller built (from [`machine_config`], plus whatever the caller adds:
-/// tracing, a tighter UCP retry budget), and assert the registration-leak
-/// invariants at shutdown. Every counter and trace event of the run stays
-/// in `sim`.
+/// tracing, a tighter UCP retry budget); panics with one line if the run
+/// stalls or [`rucx_ucp::audit`] finds a leak. Every counter and trace
+/// event of the run stays in `sim`.
 pub fn run_load_on(sim: &mut MSim, cfg: &LoadCfg) -> LoadResult {
     assert_eq!(sim.world().topo.procs(), CLIENT_RANKS + WORKER_RANKS);
     let workers: Vec<usize> = (CLIENT_RANKS..CLIENT_RANKS + WORKER_RANKS).collect();
-
-    // Per-rank gathered output: (rank, results, latencies, finish time).
-    type RankOut = (usize, Vec<(u64, u64)>, Vec<(u64, Time)>, Time);
-    let out: Arc<Mutex<Vec<RankOut>>> = Arc::new(Mutex::new(Vec::new()));
-    let out2 = out.clone();
     let cfg2 = cfg.clone();
-    let workers2 = workers.clone();
-
-    launch(sim, move |py, ctx| {
-        let rank = py.rank();
-        if rank < CLIENT_RANKS {
-            client_body(py, ctx, &cfg2, &workers2, &out2);
-        } else {
-            worker_body(py, ctx, &cfg2);
-        }
+    let run = rucx_ucp::run(sim, |sim, out: RankSink| {
+        launch(sim, move |py, ctx| {
+            let rank = py.rank();
+            if rank < CLIENT_RANKS {
+                client_body(py, ctx, &cfg2, &workers, &out);
+            } else {
+                worker_body(py, ctx, &cfg2);
+            }
+        })
     });
-    assert_eq!(sim.run(), RunOutcome::Completed, "svc load deadlocked");
-
-    let w = sim.world();
-    let reg_miss = sim.metrics().get("ucp.reg.miss");
-    let reg_evict = sim.metrics().get("ucp.reg.evict");
-    // The leak gate: every mapping paid for was either evicted or is still
-    // live, and at shutdown (all buffers freed) nothing is live — and all
-    // pre-mapped pool allocations were returned.
-    assert_eq!(
-        reg_miss - reg_evict,
-        w.ucp.reg.live_mappings() as u64,
-        "registration accounting leak"
-    );
-    assert_eq!(
-        w.ucp.reg.live_mappings(),
-        0,
-        "registrations leaked past shutdown"
-    );
-    assert_eq!(
-        w.gpu.pool.premapped_live(),
-        0,
-        "pre-mapped pool allocations leaked"
-    );
-
-    let mut ranks = out.lock().clone();
+    let mut ranks = run.unwrap_or_else(|e| panic!("svc load: {e}"));
     ranks.sort_by_key(|r| r.0);
     let mut results = Vec::new();
     let mut lats = Vec::new();
@@ -658,8 +625,8 @@ pub fn run_load_on(sim: &mut MSim, cfg: &LoadCfg) -> LoadResult {
         results,
         digest,
         reg_hit: sim.metrics().get("ucp.reg.hit"),
-        reg_miss,
-        reg_evict,
+        reg_miss: sim.metrics().get("ucp.reg.miss"),
+        reg_evict: sim.metrics().get("ucp.reg.evict"),
         ep_hit: sim.metrics().get("ucp.ep.hit"),
         ep_miss: sim.metrics().get("ucp.ep.miss"),
         premapped_hit: sim.metrics().get("gpu.pool.premapped_hit"),
@@ -668,7 +635,8 @@ pub fn run_load_on(sim: &mut MSim, cfg: &LoadCfg) -> LoadResult {
     }
 }
 
-type RankSink = Arc<Mutex<Vec<(usize, Vec<(u64, u64)>, Vec<(u64, Time)>, Time)>>>;
+/// Per-rank gathered output: (rank, results, latencies, finish time).
+type RankSink = ResultCell<Vec<(usize, Vec<(u64, u64)>, Vec<(u64, Time)>, Time)>>;
 
 fn client_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg, workers: &[usize], out: &RankSink) {
     let rank = py.rank();
@@ -798,10 +766,17 @@ fn worker_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg) {
 mod tests {
     use super::*;
 
-    /// One load on a simulation the test keeps, to read its counters.
+    /// One load on a simulation the test keeps, to read its counters. At
+    /// shutdown every buffer is freed: no registration may stay mapped and
+    /// every pre-mapped pool allocation must be returned (the audit behind
+    /// `run_load_on` holds the accounting identity itself).
     fn run_held(cfg: &LoadCfg) -> (LoadResult, MSim) {
         let mut sim = build_sim(Topology::summit(2), machine_config(cfg));
-        (run_load_on(&mut sim, cfg), sim)
+        let r = run_load_on(&mut sim, cfg);
+        let w = sim.world();
+        assert_eq!(w.ucp.reg.live_mappings(), 0, "registrations leaked");
+        assert_eq!(w.gpu.pool.premapped_live(), 0, "pre-mapped pool leaked");
+        (r, sim)
     }
 
     fn small(cache: bool, seed: u64) -> LoadCfg {
@@ -820,8 +795,8 @@ mod tests {
     #[test]
     fn cache_on_and_off_compute_identical_results() {
         for seed in [7, 1234] {
-            let on = run_load(&small(true, seed));
-            let off = run_load(&small(false, seed));
+            let on = run_held(&small(true, seed)).0;
+            let off = run_held(&small(false, seed)).0;
             assert_eq!(on.tasks, 24 * 5);
             assert_eq!(
                 on.results, off.results,
@@ -851,8 +826,8 @@ mod tests {
 
     #[test]
     fn seeded_runs_are_reproducible() {
-        let a = run_load(&small(true, 42));
-        let b = run_load(&small(true, 42));
+        let a = run_held(&small(true, 42)).0;
+        let b = run_held(&small(true, 42)).0;
         assert_eq!(a.results, b.results);
         assert_eq!(a.wall_us, b.wall_us);
         assert_eq!(a.p50_us, b.p50_us);
@@ -931,14 +906,14 @@ mod tests {
             seed: 5,
             ..LoadCfg::default()
         };
-        let clean = run_load(&base);
+        let clean = run_held(&base).0;
         let chaos_cfg = LoadCfg {
             fault: Some(FaultSpec::parse("scenario=partition").unwrap()),
             deadline_us: 2_500.0,
             ..base.clone()
         };
         let (chaos, chaos_sim) = run_held(&chaos_cfg);
-        // run_load's RunOutcome assert is the no-hang gate; here pin down
+        // run_load_on's `finish` is the no-hang and leak gate; here pin down
         // the exactly-once contract: the clean result set has one entry
         // per task, so equality rules out both loss and double-counting.
         assert_eq!(clean.tasks, 16 * 4);
@@ -971,7 +946,7 @@ mod tests {
             seed: 5,
             ..LoadCfg::default()
         };
-        let clean = run_load(&base);
+        let clean = run_held(&base).0;
         let crashed_cfg = LoadCfg {
             deadline_us: 800.0,
             fail_worker: Some((1, 400.0)),
@@ -1035,37 +1010,36 @@ mod tests {
     #[test]
     fn a_result_for_no_pending_task_is_absorbed_without_a_deadline() {
         let mut sim = build_sim(Topology::summit(1), MachineConfig::default());
-        let gathered = Arc::new(Mutex::new(Vec::new()));
-        let out = gathered.clone();
-        launch(&mut sim, move |py, ctx| match py.rank() {
-            0 => {
-                let mut fe = Frontend::new(vec![1]);
-                fe.submit(
-                    py,
-                    ctx,
-                    DataRef {
-                        worker: 1,
-                        client: 0,
-                    },
-                    7,
-                    0,
-                    42,
-                );
-                fe.gather_all(py, ctx);
-                *out.lock() = fe.results;
-            }
-            1 => {
-                let ch = py.channel(0);
-                for task in [5, 7] {
-                    let msg = SvcMsg::Result { task, checksum: 42 };
-                    py.send_host(ctx, ch, encode(&msg));
+        let gathered = rucx_ucp::run(&mut sim, |sim, out| {
+            launch(sim, move |py, ctx| match py.rank() {
+                0 => {
+                    let mut fe = Frontend::new(vec![1]);
+                    fe.submit(
+                        py,
+                        ctx,
+                        DataRef {
+                            worker: 1,
+                            client: 0,
+                        },
+                        7,
+                        0,
+                        42,
+                    );
+                    fe.gather_all(py, ctx);
+                    *out.lock() = fe.results;
                 }
-                py.recv_host(ctx, ch);
-            }
-            _ => {}
+                1 => {
+                    let ch = py.channel(0);
+                    for task in [5, 7] {
+                        let msg = SvcMsg::Result { task, checksum: 42 };
+                        py.send_host(ctx, ch, encode(&msg));
+                    }
+                    py.recv_host(ctx, ch);
+                }
+                _ => {}
+            })
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(*gathered.lock(), vec![(7, 42)]);
+        assert_eq!(gathered.unwrap(), vec![(7, 42)]);
         assert_eq!(sim.metrics().get("svc.dup_result"), 1);
     }
 

@@ -508,7 +508,7 @@ mod tests {
                     assert_eq!(got, want, "gdrcopy={gdrcopy} {kind:?} size={size}");
                 }
             });
-            sim.run();
+            crate::finish(&mut sim).unwrap();
         }
     }
 }

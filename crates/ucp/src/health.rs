@@ -104,11 +104,9 @@ impl HealthState {
             .map_or(EpState::Healthy, |e| e.state)
     }
 
-    /// Envelopes currently parked on the (src, dst) endpoint.
-    pub fn parked(&self, src: usize, dst: usize) -> usize {
-        self.eps
-            .get(&(src as u32, dst as u32))
-            .map_or(0, |e| e.parked.len())
+    /// Envelopes currently parked, over all endpoints.
+    pub fn parked(&self) -> usize {
+        self.eps.values().map(|e| e.parked.len()).sum()
     }
 }
 
@@ -149,7 +147,7 @@ pub(crate) fn note_alive(w: &mut Machine, s: &mut MSched, src: usize, dst: usize
             // Release in park order (= sequence order) with a fresh attempt
             // budget; ids acked while parked are no-ops inside `transmit`.
             for id in parked {
-                if let Some(p) = w.ucp.reliable.inflight_mut(id) {
+                if let Some(p) = w.ucp.reliable.inflight.get_mut(&id) {
                     p.attempts = 1;
                 }
                 reliable::transmit(w, s, id);
@@ -162,7 +160,7 @@ pub(crate) fn note_alive(w: &mut Machine, s: &mut MSched, src: usize, dst: usize
 /// the health layer parked it (caller must not give up); `false` sends the
 /// caller to the hard give-up path.
 pub(crate) fn try_park(w: &mut Machine, s: &mut MSched, id: u64) -> bool {
-    let Some(p) = w.ucp.reliable.inflight_mut(id) else {
+    let Some(p) = w.ucp.reliable.inflight.get_mut(&id) else {
         return false;
     };
     if p.parks >= HEAL_RETRIES {

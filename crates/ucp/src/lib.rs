@@ -26,7 +26,10 @@ pub mod worker;
 pub use config::UcpConfig;
 pub use error::{Protocol, UcpError};
 pub use health::{EpState, HealthState};
-pub use machine::{build_sim, MCtx, MSim, Machine, MachineConfig, UcpSubsystem};
+pub use machine::{
+    audit, build_sim, finish, run, Leak, MCtx, MSim, Machine, MachineConfig, ResultCell, RunError,
+    UcpSubsystem,
+};
 pub use proto::{
     inject_local, probe_pop, reg_invalidate, rndv_fetch, tag_recv_nb, tag_send_nb, FetchDst,
     PoppedMsg, SendBuf,
@@ -96,7 +99,6 @@ mod tests {
     use rucx_fabric::Topology;
     use rucx_gpu::DeviceId;
     use rucx_sim::time::{as_us, us};
-    use rucx_sim::RunOutcome;
 
     fn sim2nodes() -> MSim {
         build_sim(Topology::summit(2), MachineConfig::default())
@@ -134,7 +136,7 @@ mod tests {
             assert_eq!(info.tag, 42);
             *done2.lock() = ctx.now();
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(sim).unwrap();
         let t = *done_at.lock();
         t
     }
@@ -167,7 +169,6 @@ mod tests {
         assert_eq!(sim.metrics().get("ucp.rndv.rdma"), 1);
         // 1 MiB at 12.2 GB/s ≈ 86 us + control.
         assert!(t > us(80.0) && t < us(120.0), "latency {}us", as_us(t));
-        assert_eq!(sim.world().ucp.inflight_rndv(), 0);
     }
 
     /// Regression: freeing the send-side buffer while its rendezvous is in
@@ -193,7 +194,7 @@ mod tests {
             let info = blocking::recv(ctx, 6, b, 7, MASK_FULL);
             assert_eq!(info.size, 0, "failed rendezvous must deliver nothing");
         });
-        assert_eq!(sim.run(), RunOutcome::Completed, "no hang, no panic");
+        finish(&mut sim).unwrap_or_else(|e| panic!("no hang, no panic: {e}"));
         assert!(sim.metrics().get("ucp.bad_handle") >= 1);
         let w = sim.world_mut();
         for p in [0usize, 6] {
@@ -228,7 +229,7 @@ mod tests {
                 blocking::recv(ctx, 1, b, 9, MASK_FULL);
             }
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         let d = durs.lock().clone();
         assert!(
             d[0] >= d[1] + config::EP_SETUP,
@@ -270,7 +271,7 @@ mod tests {
         sim.spawn("receiver", 0, move |ctx| {
             blocking::recv(ctx, 1, b, 5, MASK_FULL);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         assert_eq!(sim.metrics().get("ucp.reg.miss"), 0);
         assert_eq!(sim.metrics().get("ucp.reg.hit"), 2);
         assert_eq!(sim.metrics().get("gpu.pool.premapped_hit"), 2);
@@ -354,7 +355,7 @@ mod tests {
             let info = blocking::recv(ctx, 1, b, 9, MASK_FULL);
             assert_eq!(info.size, 64);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), vec![0xEE; 64]);
     }
 
@@ -400,7 +401,7 @@ mod tests {
                 }
             }
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         let (bytes, tag, src) = got.lock().take().unwrap();
         assert_eq!(bytes, Some(vec![1, 2, 3, 4]));
         assert_eq!(tag, 0xABCD);
@@ -459,9 +460,8 @@ mod tests {
                 }
             }
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         assert_eq!(got.lock().take().unwrap(), big);
-        assert_eq!(sim.world().ucp.inflight_rndv(), 0);
     }
 
     #[test]
@@ -480,7 +480,7 @@ mod tests {
             assert_eq!(info.size, 64);
             assert!(info.truncated, "eager overflow must not silently succeed");
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data[..32]);
         assert_eq!(sim.metrics().get("ucp.truncated"), 1);
     }
@@ -501,7 +501,7 @@ mod tests {
             assert_eq!(info.size, size);
             assert!(info.truncated, "rndv overflow must not silently succeed");
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         assert_eq!(
             sim.world().gpu.pool.read(b).unwrap(),
             data[..size as usize / 2]
@@ -527,7 +527,7 @@ mod tests {
             assert_eq!(info.size, size);
             assert!(info.truncated);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         assert_eq!(sim.metrics().get("ucp.rndv.pipeline"), 1);
         assert_eq!(sim.metrics().get("ucp.truncated"), 1);
     }
@@ -545,7 +545,7 @@ mod tests {
             let info = blocking::recv(ctx, 1, b, 3, MASK_FULL);
             assert!(!info.truncated);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         assert_eq!(sim.metrics().get("ucp.truncated"), 0);
     }
 
@@ -571,7 +571,7 @@ mod tests {
                 assert_eq!(info.size, send);
                 assert_eq!(info.truncated, send > recv);
             });
-            assert_eq!(sim.run(), RunOutcome::Completed);
+            finish(&mut sim).unwrap();
             let n = send.min(recv) as usize;
             assert_eq!(
                 sim.world().gpu.pool.read(b).unwrap()[..n],
@@ -606,7 +606,7 @@ mod tests {
             let ia = blocking::recv(ctx, 1, b1, kind_a, mask);
             assert_eq!(ia.tag, kind_a | 7);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         assert_eq!(sim.world().gpu.pool.read(b1).unwrap(), vec![1; 8]);
         assert_eq!(sim.world().gpu.pool.read(b2).unwrap(), vec![2; 8]);
     }
@@ -627,7 +627,7 @@ mod tests {
         sim.spawn("sender", us(20.0), move |ctx| {
             blocking::send(ctx, 0, 1, SendBuf::Mem(a), 77);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         assert_eq!(sim.world().gpu.pool.read(b).unwrap(), data);
     }
 
@@ -649,7 +649,7 @@ mod tests {
             blocking::recv(ctx, 1, b, 1, MASK_FULL);
             *rd.lock() = ctx.now();
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         let (s_t, r_t) = (*send_done.lock(), *recv_done.lock());
         assert!(
             s_t > r_t,
@@ -792,7 +792,7 @@ mod tests {
                 assert!(!info.truncated);
             }
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         let m = sim.world();
         for (i, (b, data)) in dsts.iter().enumerate() {
             assert_eq!(&m.gpu.pool.read(*b).unwrap(), data, "message {i} corrupted");
@@ -802,8 +802,6 @@ mod tests {
         assert!(drops > 0, "seeded spec must actually drop");
         assert!(retries > 0, "drops must be recovered by retries");
         assert_eq!(sim.metrics().get("ucp.unreachable"), 0);
-        assert_eq!(m.ucp.inflight_tracked(), 0, "tracked envelopes leaked");
-        assert_eq!(m.ucp.inflight_rndv(), 0);
         assert_eq!(n_msgs, n_eager + 1);
     }
 
@@ -836,7 +834,7 @@ mod tests {
                 blocking::recv(ctx, 6, b, i as u64, MASK_FULL);
             }
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         let m = sim.world();
         for (i, (_, b, data)) in bufs.iter().enumerate() {
             assert_eq!(&m.gpu.pool.read(*b).unwrap(), data, "message {i}");
@@ -846,7 +844,6 @@ mod tests {
             sim.metrics().get("ucp.dup_drop") > 0,
             "duplicated envelopes must be sequence-suppressed"
         );
-        assert_eq!(m.ucp.inflight_tracked(), 0);
     }
 
     #[test]
@@ -868,11 +865,9 @@ mod tests {
         sim.spawn("sender", 0, move |ctx| {
             blocking::send(ctx, 0, 6, SendBuf::Mem(a), 1);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         assert!(sim.metrics().get("ucp.unreachable") >= 1);
         let m = sim.world_mut();
-        assert_eq!(m.ucp.inflight_rndv(), 0, "failed rendezvous must retire");
-        assert_eq!(m.ucp.inflight_tracked(), 0);
         match m.ucp.worker_mut(0).take_error() {
             Some(UcpError::EndpointTimeout {
                 src: 0,
@@ -930,7 +925,7 @@ mod tests {
                 order2.lock().push(i);
             }
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         let m = sim.world();
         for (i, (_, b, data)) in bufs.iter().enumerate() {
             assert_eq!(&m.gpu.pool.read(*b).unwrap(), data, "message {i}");
@@ -947,7 +942,6 @@ mod tests {
         assert!(sim.metrics().get("ucp.ep.healed") >= 1);
         assert!(sim.metrics().get("ucp.probe") >= 1);
         assert!(sim.metrics().get("ucp.probe_ack") >= 1);
-        assert_eq!(m.ucp.inflight_tracked(), 0);
         assert_eq!(m.ucp.health.state(0, 6), EpState::Healthy);
     }
 
@@ -970,7 +964,7 @@ mod tests {
         sim.spawn("receiver", 0, move |ctx| {
             blocking::recv(ctx, 6, b, 1, MASK_FULL);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         let m = sim.world();
         assert_eq!(m.gpu.pool.read(b).unwrap(), data);
         assert_eq!(sim.metrics().get("ucp.unreachable"), 0);
@@ -1004,7 +998,7 @@ mod tests {
             sim.spawn("receiver", 0, move |ctx| {
                 blocking::recv(ctx, 6, b, 1, MASK_FULL);
             });
-            assert_eq!(sim.run(), RunOutcome::Completed);
+            finish(&mut sim).unwrap();
             assert!(sim.metrics().get("ucp.pipeline_chunks") >= 2);
             sim.metrics().get("ucp.reroute")
         };
@@ -1030,7 +1024,7 @@ mod tests {
         sim.spawn("receiver", 0, move |ctx| {
             blocking::recv(ctx, 1, b, 2, MASK_FULL);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         let m = sim.world();
         assert_eq!(m.gpu.pool.read(b).unwrap(), data);
         assert_eq!(sim.metrics().get("ucp.eager"), 0, "eager GDRCopy refused");
@@ -1078,7 +1072,7 @@ mod tests {
                 }
                 *end2.lock() = ctx.now();
             });
-            assert_eq!(sim.run(), RunOutcome::Completed);
+            finish(&mut sim).unwrap();
             let m = sim.world();
             let end_at = *end.lock();
             (
@@ -1107,7 +1101,7 @@ mod tests {
             // Completes immediately with nothing sent — no panic, no hang.
             blocking::send(ctx, 0, 6, SendBuf::Mem(a), 1);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         assert_eq!(sim.metrics().get("ucp.bad_handle"), 1);
         let m = sim.world_mut();
         match m.ucp.take_worker_error(0) {
@@ -1139,7 +1133,7 @@ mod tests {
             blocking::recv(ctx, 1, b_r, 1, MASK_FULL);
             blocking::send(ctx, 1, 0, SendBuf::Mem(b_s), 2);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        finish(&mut sim).unwrap();
         let rtt = *rtt.lock();
         assert!(rtt > us(1.0) && rtt < us(6.0), "rtt {}us", as_us(rtt));
     }

@@ -165,6 +165,11 @@ impl RegCache {
         self.regs.len()
     }
 
+    /// Ids of the buffers with a cached registration.
+    pub(crate) fn buffers(&self) -> impl Iterator<Item = u64> + '_ {
+        self.regs.keys().copied()
+    }
+
     /// Mapped bytes currently cached.
     pub fn live_bytes(&self) -> u64 {
         self.reg_bytes

@@ -85,10 +85,10 @@ pub(crate) struct ReliableState {
     /// send, a retransmission) waits for the gap below it, and a duplicate
     /// is suppressed by its sequence number.
     send_seq: SendSeq<(u32, u32)>,
-    recv: RecvWindow<(u32, u32), (Tag, TrackedBody)>,
-    inflight: IdMap<u64, PendingSend>,
+    pub(crate) recv: RecvWindow<(u32, u32), (Tag, TrackedBody)>,
+    pub(crate) inflight: IdMap<u64, PendingSend>,
     /// Rendezvous-sender completions parked until the tracked ATS arrives.
-    ats_table: IdMap<u64, Completion>,
+    pub(crate) ats_table: IdMap<u64, Completion>,
 }
 
 impl ReliableState {
@@ -101,17 +101,6 @@ impl ReliableState {
             inflight: IdMap::default(),
             ats_table: IdMap::default(),
         }
-    }
-
-    /// Tracked envelopes not yet acknowledged or abandoned. Zero at the end
-    /// of every run that recovered all faults (leak check for chaos tests).
-    pub(crate) fn inflight_tracked(&self) -> usize {
-        self.inflight.len() + self.ats_table.len()
-    }
-
-    /// Mutable access to one tracked envelope (health-layer park/release).
-    pub(crate) fn inflight_mut(&mut self, id: u64) -> Option<&mut PendingSend> {
-        self.inflight.get_mut(&id)
     }
 }
 
@@ -418,7 +407,6 @@ mod tests {
     use rucx_fabric::Topology;
     use rucx_fault::FaultSpec;
     use rucx_sim::time::us;
-    use rucx_sim::RunOutcome;
 
     use super::*;
     use crate::machine::{build_sim, MSim, MachineConfig};
@@ -445,7 +433,7 @@ mod tests {
                 seen2.lock().push(s.now())
             });
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        crate::finish(&mut sim).unwrap();
         let seen = seen.lock().clone();
         (seen, sim)
     }

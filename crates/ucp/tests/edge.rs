@@ -3,7 +3,6 @@
 
 use rucx_fabric::Topology;
 use rucx_gpu::{DeviceId, MemRef};
-use rucx_sim::RunOutcome;
 use rucx_ucp::{blocking, build_sim, MSim, MachineConfig, SendBuf, MASK_FULL};
 
 fn sim1() -> MSim {
@@ -29,7 +28,7 @@ fn zero_size_message_completes() {
         let info = blocking::recv(ctx, 1, b.slice(0, 0), 1, MASK_FULL);
         assert_eq!(info.size, 0);
     });
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    rucx_ucp::finish(&mut sim).unwrap();
 }
 
 #[test]
@@ -56,7 +55,7 @@ fn self_send_works() {
         });
         ctx.wait(done);
     });
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    rucx_ucp::finish(&mut sim).unwrap();
     assert_eq!(sim.world().gpu.pool.read(b).unwrap(), vec![0x42; 64]);
 }
 
@@ -85,7 +84,7 @@ fn eager_threshold_boundary_is_inclusive() {
         sim.spawn("r", 0, move |ctx| {
             blocking::recv(ctx, 1, b, 4, MASK_FULL);
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx_ucp::finish(&mut sim).unwrap();
         let eager = sim.metrics().get("ucp.eager");
         if expect_eager {
             assert_eq!(eager, 1, "size {size} must be eager");
@@ -115,7 +114,7 @@ fn rndv_truncates_into_smaller_buffer() {
         let info = blocking::recv(ctx, 1, b, 2, MASK_FULL);
         assert_eq!(info.size, big, "status reports the wire size");
     });
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    rucx_ucp::finish(&mut sim).unwrap();
     assert_eq!(
         sim.world().gpu.pool.read(b).unwrap(),
         data[..small as usize].to_vec()
@@ -140,7 +139,7 @@ fn trigger_recycling_survives_churn() {
             assert_eq!(info.tag, i);
         }
     });
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    rucx_ucp::finish(&mut sim).unwrap();
 }
 
 #[test]
@@ -169,5 +168,5 @@ fn wildcard_recv_takes_oldest_arrival() {
         let got = ctx.with_world_ref(|w, _| w.gpu.pool.read(dst).unwrap());
         assert_eq!(got, vec![1u8; 8]);
     });
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    rucx_ucp::finish(&mut sim).unwrap();
 }

@@ -104,7 +104,7 @@ fn main() {
         pe.run(ctx);
     });
 
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    finish(&mut sim).unwrap_or_else(|e| panic!("halo exchange: {e}"));
 
     // Verify every chare got its left neighbor's pattern.
     for i in 0..n {

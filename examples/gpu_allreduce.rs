@@ -54,7 +54,7 @@ fn main() {
             *done2.lock() = ctx.now();
         }
     });
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    finish(&mut sim).unwrap_or_else(|e| panic!("allreduce: {e}"));
 
     let expected = (0..n).sum::<usize>() as f64;
     for (p, b) in bufs.iter().enumerate() {

@@ -4,8 +4,8 @@
 //! Run: `cargo run --release --example quickstart`
 
 use rucx::prelude::*;
+use rucx::ucp::run;
 use rucx::{ampi, charm4py, ompi};
-use std::sync::Arc;
 
 const SIZE: u64 = 1 << 20; // 1 MiB
 
@@ -43,69 +43,69 @@ fn main() {
 
     // --- OpenMPI-style: CUDA-aware MPI directly over UCX ---------------
     let (mut sim, a, b) = fresh();
-    let rtt = Arc::new(shared_mutex());
-    let rtt2 = rtt.clone();
-    ompi::launch(&mut sim, move |mpi, ctx| match mpi.rank() {
-        0 => {
-            let t0 = ctx.now();
-            mpi.send(ctx, a, 1, 0);
-            mpi.recv(ctx, a, 1, 1);
-            *rtt2.lock() = ctx.now() - t0;
-        }
-        1 => {
-            mpi.recv(ctx, b, 0, 0);
-            mpi.send(ctx, b, 0, 1);
-        }
-        _ => {}
-    });
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    let rtt = run(&mut sim, |sim, rtt| {
+        ompi::launch(sim, move |mpi, ctx| match mpi.rank() {
+            0 => {
+                let t0 = ctx.now();
+                mpi.send(ctx, a, 1, 0);
+                mpi.recv(ctx, a, 1, 1);
+                *rtt.lock() = ctx.now() - t0;
+            }
+            1 => {
+                mpi.recv(ctx, b, 0, 0);
+                mpi.send(ctx, b, 0, 1);
+            }
+            _ => {}
+        })
+    })
+    .unwrap_or_else(|e| panic!("OpenMPI ping-pong: {e}"));
     assert_eq!(
         sim.world().gpu.pool.read(b).unwrap(),
         vec![7u8; SIZE as usize]
     );
-    report("OpenMPI", *rtt.lock());
+    report("OpenMPI", rtt);
 
     // --- AMPI: MPI on the Charm++ runtime -------------------------------
     let (mut sim, a, b) = fresh();
-    let rtt = Arc::new(shared_mutex());
-    let rtt2 = rtt.clone();
-    ampi::launch(&mut sim, move |mpi, ctx| match mpi.rank() {
-        0 => {
-            let t0 = ctx.now();
-            mpi.send(ctx, a, 1, 0);
-            mpi.recv(ctx, a, 1, 1);
-            *rtt2.lock() = ctx.now() - t0;
-        }
-        1 => {
-            mpi.recv(ctx, b, 0, 0);
-            mpi.send(ctx, b, 0, 1);
-        }
-        _ => {}
-    });
-    assert_eq!(sim.run(), RunOutcome::Completed);
-    report("AMPI", *rtt.lock());
+    let rtt = run(&mut sim, |sim, rtt| {
+        ampi::launch(sim, move |mpi, ctx| match mpi.rank() {
+            0 => {
+                let t0 = ctx.now();
+                mpi.send(ctx, a, 1, 0);
+                mpi.recv(ctx, a, 1, 1);
+                *rtt.lock() = ctx.now() - t0;
+            }
+            1 => {
+                mpi.recv(ctx, b, 0, 0);
+                mpi.send(ctx, b, 0, 1);
+            }
+            _ => {}
+        })
+    })
+    .unwrap_or_else(|e| panic!("AMPI ping-pong: {e}"));
+    report("AMPI", rtt);
 
     // --- Charm4py: channels ---------------------------------------------
     let (mut sim, a, b) = fresh();
-    let rtt = Arc::new(shared_mutex());
-    let rtt2 = rtt.clone();
-    charm4py::launch(&mut sim, move |py, ctx| match py.rank() {
-        0 => {
-            let ch = py.channel(1);
-            let t0 = ctx.now();
-            py.send(ctx, ch, a);
-            py.recv(ctx, ch, a);
-            *rtt2.lock() = ctx.now() - t0;
-        }
-        1 => {
-            let ch = py.channel(0);
-            py.recv(ctx, ch, b);
-            py.send(ctx, ch, b);
-        }
-        _ => {}
-    });
-    assert_eq!(sim.run(), RunOutcome::Completed);
-    report("Charm4py", *rtt.lock());
+    let rtt = run(&mut sim, |sim, rtt| {
+        charm4py::launch(sim, move |py, ctx| match py.rank() {
+            0 => {
+                let ch = py.channel(1);
+                let t0 = ctx.now();
+                py.send(ctx, ch, a);
+                py.recv(ctx, ch, a);
+                *rtt.lock() = ctx.now() - t0;
+            }
+            1 => {
+                let ch = py.channel(0);
+                py.recv(ctx, ch, b);
+                py.send(ctx, ch, b);
+            }
+            _ => {}
+        })
+    })
+    .unwrap_or_else(|e| panic!("Charm4py ping-pong: {e}"));
+    report("Charm4py", rtt);
 
     // --- Charm++: via the OSU latency benchmark driver -------------------
     let mut cfg = rucx::osu::OsuConfig::quick();
@@ -136,8 +136,4 @@ fn main() {
         "Charm++-H",
         s.at(SIZE).unwrap()
     );
-}
-
-fn shared_mutex() -> rucx_compat::sync::Mutex<u64> {
-    rucx_compat::sync::Mutex::new(0)
 }

@@ -160,32 +160,30 @@ fn step_time<F: RankFactory>(cfg: &TrainConfig, size: u64, factory: F) -> f64 {
         }
     }
     let (grads, scratch) = (Arc::new(grads), Arc::new(scratch));
-    let result = Arc::new(rucx::compat::sync::Mutex::new(0.0f64));
-    let result2 = result.clone();
     let cfg2 = cfg.clone();
 
-    factory.launch(&mut sim, move |mpi, ctx| {
-        let me = mpi.rank();
-        let n = grads.len();
-        let compute = ctx.with_world(move |w, _| {
-            let dev = w.topo.device_of(me);
-            w.gpu.create_stream(dev)
-        });
-        let mut t0 = 0;
-        for i in 0..(cfg2.warmup + cfg2.steps) {
-            if i == cfg2.warmup {
-                mpi.barrier(ctx);
-                t0 = ctx.now();
+    let step = rucx::ucp::run(&mut sim, |sim, result| {
+        factory.launch(sim, move |mpi, ctx| {
+            let me = mpi.rank();
+            let n = grads.len();
+            let compute = ctx.with_world(move |w, _| {
+                let dev = w.topo.device_of(me);
+                w.gpu.create_stream(dev)
+            });
+            let mut t0 = 0;
+            for i in 0..(cfg2.warmup + cfg2.steps) {
+                if i == cfg2.warmup {
+                    mpi.barrier(ctx);
+                    t0 = ctx.now();
+                }
+                train_step(mpi, ctx, grads[me], scratch[me], compute, &cfg2, n);
             }
-            train_step(mpi, ctx, grads[me], scratch[me], compute, &cfg2, n);
-        }
-        if me == 0 {
-            *result2.lock() = as_us(ctx.now() - t0) / cfg2.steps as f64;
-        }
+            if me == 0 {
+                *result.lock() = as_us(ctx.now() - t0) / cfg2.steps as f64;
+            }
+        })
     });
-    assert_eq!(sim.run(), RunOutcome::Completed, "training step deadlocked");
-    let r = *result.lock();
-    r
+    step.unwrap_or_else(|e| panic!("training step: {e}"))
 }
 
 /// The sweep over `cfg.sizes` (ascending), each rounded to a whole number

@@ -95,6 +95,29 @@ gate "panic!/unreachable!/.expect(/.unwrap() on a UCP communication path (use Uc
 echo "ok: crates/ucp surfaces errors as values"
 
 # ---------------------------------------------------------------------------
+# Gate: one way a simulation ends.
+#
+# Every machine simulation ends through `rucx_ucp::finish`, which runs it to
+# the end, turns a stall into a `RunError` and audits the protocol state the
+# run left behind (DESIGN §3, "How a run ends"). The only other ends are
+# `finish` itself and the three watchdog tests, which bound virtual time
+# with `run_until` and call `rucx_ucp::audit` after it. (crates/sim,
+# crates/gpu and crates/fabric run their own worlds below UCP.)
+# ---------------------------------------------------------------------------
+echo "== one-way-a-run-ends gate =="
+bad=$(awk '
+    $0 ~ /^[[:space:]]*\/\// { next }
+    match($0, /fn [a-z_0-9]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
+    /\.run\(\)|run_until\(/ {
+        at = FILENAME ":" cur
+        if (at !~ /^(crates\/ucp\/src\/machine\.rs:finish|tests\/coll_chaos\.rs:run_allreduce|tests\/fault_injection\.rs:(chaos_property_no_silent_loss_no_hang|chaos_scales_to_1536_endpoints))$/)
+            print FILENAME ":" FNR ": " $0
+    }
+' $(find crates/{ucp,charm,ampi,ompi,charm4py,coll,osu,jacobi,svc,bench} tests src -name '*.rs') examples/*.rs)
+gate "a simulation run outside rucx_ucp::finish (end it with finish, or audit after a watchdog):" "$bad"
+echo "ok: every simulation ends through rucx_ucp::finish or an audited watchdog"
+
+# ---------------------------------------------------------------------------
 # Gate: one process representation, one home for unsafe code.
 #
 # Simulated processes are coroutines on the caller's thread (DESIGN §3).
@@ -170,6 +193,7 @@ set_send_ctx send_ctx_stamp stamp_ctx encode_chare_ctx current_chare error_handl
 occupy_transfer occupy_egress occupy_ingress mpi_mbw_point ucp_max_retries trace_events LoadResult::metrics start_fetch machine::with_parts Attribution::from_events|33|one GPU contention rule (GpuSubsystem::book), the caller owns the svc simulation, and pass-throughs go, DESIGN §12
 bcast_with allreduce_with select_allreduce select_bcast reduce_binomial barrier_dissemination alltoall_pairwise TAG_REDUCE TAG_BARRIER TAG_ALLTOALL|34|one entry per collective taking Option<Algo>, and code no workload runs goes, DESIGN §13
 mpi_latency_point mpi_bw_point mpi_bibw_point bibw_series charm_osu py_osu latency_point bandwidth_point run_one|35|one way to run an OSU point (osu::point over one run harness), DESIGN §7
+JacobiStall inflight_rndv inflight_tracked|37|one way a simulation ends (rucx_ucp::finish audits every run), DESIGN §3
 TABLE
 echo "ok: no deleted engine, queue, params struct, sink, twin path or caller-less extension is back"
 
@@ -240,10 +264,13 @@ echo "ok: models agree byte-for-byte; no silent wrong sums under faults"
 
 # ---------------------------------------------------------------------------
 # Service layer: the rucx-svc suite must hold: cache-on and cache-off runs
-# compute identical task results, cache-on wins at small-task scale, and
-# every load run's shutdown asserts the registration-leak invariant
-# (`ucp.reg.miss - ucp.reg.evict` equals live mappings, which is zero once
-# every buffer is freed, and all pre-mapped pool allocations are returned).
+# compute identical task results, and cache-on wins at small-task scale.
+# Every load run ends through `rucx_ucp::finish`, whose audit holds the
+# registration accounting identity (`ucp.reg.miss == ucp.reg.evict + live
+# mappings`, no mapping on a freed buffer) in every build profile; the
+# suite's own runs also check that nothing stays mapped and every
+# pre-mapped pool allocation is returned at shutdown. Run in release, the
+# profile the benchmark runs in.
 # ---------------------------------------------------------------------------
 echo "== service layer: cache-on/off conformance + registration-leak asserts =="
 cargo test -q --offline --release -p rucx-svc

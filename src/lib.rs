@@ -46,7 +46,8 @@
 //!     }
 //!     _ => {}
 //! });
-//! assert_eq!(sim.run(), RunOutcome::Completed);
+//! // Run to the end and audit what the run left behind (nothing may).
+//! finish(&mut sim).unwrap_or_else(|e| panic!("{e}"));
 //! assert_eq!(sim.world().gpu.pool.read(dst).unwrap(), vec![42u8; 1 << 20]);
 //! ```
 
@@ -71,6 +72,6 @@ pub mod prelude {
     pub use rucx_fabric::Topology;
     pub use rucx_gpu::{DeviceId, KernelCost, MemKind, MemRef};
     pub use rucx_sim::time::{as_ms, as_us, ms, us};
-    pub use rucx_sim::{ProcId, RunOutcome, Simulation};
-    pub use rucx_ucp::{build_sim, MCtx, MSim, Machine, MachineConfig, UcpConfig};
+    pub use rucx_sim::{ProcId, Simulation};
+    pub use rucx_ucp::{build_sim, finish, MCtx, MSim, Machine, MachineConfig, UcpConfig};
 }

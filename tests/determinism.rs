@@ -163,7 +163,6 @@ fn jacobi_figures_slice_json_is_byte_identical() {
 fn trace_output_is_byte_identical_across_runs() {
     use rucx::fabric::Topology;
     use rucx::gpu::DeviceId;
-    use rucx::sim::RunOutcome;
     use rucx::ucp::{build_sim, MachineConfig};
 
     let traced_run = || {
@@ -198,7 +197,7 @@ fn trace_output_is_byte_identical_across_runs() {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx::ucp::finish(&mut sim).unwrap();
         let json = sim.scheduler().trace.to_chrome_json();
         assert!(!sim.scheduler().trace.is_empty(), "trace recorded events");
         json
@@ -250,7 +249,6 @@ fn chaos_osu_run_is_byte_identical() {
 fn chaos_trace_is_byte_identical() {
     use rucx::fabric::Topology;
     use rucx::fault::FaultSpec;
-    use rucx::sim::RunOutcome;
     use rucx::ucp::{blocking, build_sim, MachineConfig, SendBuf, MASK_FULL};
 
     let traced_run = || {
@@ -279,7 +277,7 @@ fn chaos_trace_is_byte_identical() {
                 blocking::recv(ctx, 6, d, tag, MASK_FULL);
             });
         }
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx::ucp::finish(&mut sim).unwrap();
         assert!(
             sim.metrics().get("fault.drop") > 0 || sim.metrics().get("fault.delay") > 0,
             "spec must inject something for this test to mean anything"
@@ -325,7 +323,6 @@ fn config_changes_actually_change_results() {
 fn multipath_chunk_trace_is_byte_identical_across_runs() {
     use rucx::fabric::Topology;
     use rucx::gpu::DeviceId;
-    use rucx::sim::RunOutcome;
     use rucx::ucp::{blocking, build_sim, MachineConfig, SendBuf, MASK_FULL};
 
     let traced_run = || {
@@ -361,7 +358,7 @@ fn multipath_chunk_trace_is_byte_identical_across_runs() {
                 blocking::recv(ctx, dp, dst, tag, MASK_FULL);
             });
         }
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx::ucp::finish(&mut sim).unwrap();
         let c = sim.metrics();
         assert_eq!(
             c.get("ucp.rndv.multipath"),

@@ -19,7 +19,7 @@ use rucx::fabric::Topology;
 use rucx::fault::FaultSpec;
 use rucx::sim::time::us;
 use rucx::sim::RunOutcome;
-use rucx::ucp::{blocking, build_sim, MachineConfig, SendBuf, MASK_FULL};
+use rucx::ucp::{audit, blocking, build_sim, finish, MachineConfig, SendBuf, MASK_FULL};
 
 /// Deterministic payload for size `size`, distinguishable per message.
 fn pattern(size: u64, salt: u8) -> Vec<u8> {
@@ -56,7 +56,7 @@ fn eager_burst(fault: Option<FaultSpec>) -> (u64, [u64; 3]) {
             blocking::recv(ctx, 6, b, tag, MASK_FULL);
         }
     });
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    finish(&mut sim).unwrap();
     let m = sim.metrics();
     let quiet = [
         m.get("ucp.retry"),
@@ -138,7 +138,7 @@ fn chaos_run_has_zero_unsurfaced_losses() {
             blocking::recv(ctx, 6, d, tag, MASK_FULL);
         });
     }
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    finish(&mut sim).unwrap();
 
     let m = sim.world();
     let drops = sim.metrics().get("fault.drop");
@@ -149,7 +149,6 @@ fn chaos_run_has_zero_unsurfaced_losses() {
     );
     assert!(retries > 0, "drops must be recovered by retransmission");
     assert_eq!(sim.metrics().get("ucp.unreachable"), 0);
-    assert_eq!(m.ucp.inflight_tracked(), 0, "tracked sends must drain");
     for (i, d) in dsts.iter().enumerate() {
         assert_eq!(
             m.gpu.pool.read(*d).unwrap(),
@@ -193,15 +192,13 @@ fn chaos_rtt_is_karn_disciplined() {
             blocking::recv(ctx, 6, d, tag, MASK_FULL);
         });
     }
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    finish(&mut sim).unwrap();
 
-    let m = sim.world();
     assert!(
         sim.metrics().get("ucp.retry") > 0,
         "5% drop over {n} messages must retransmit"
     );
     assert_eq!(sim.metrics().get("ucp.unreachable"), 0);
-    assert_eq!(m.ucp.inflight_tracked(), 0, "tracked sends must drain");
 }
 
 /// 64 seeded cases of randomized adversity. Invariants, per case:
@@ -255,7 +252,7 @@ fn chaos_property_no_silent_loss_no_hang() {
         let outcome = sim.run_until(us(10_000_000.0));
         let unreachable = sim.metrics().get("ucp.unreachable");
         match &outcome {
-            RunOutcome::Completed => {}
+            RunOutcome::Completed => assert_eq!(audit(&sim), Ok(()), "case {:#x}", g.case_seed),
             RunOutcome::Deadlock(_) if unreachable > 0 => {}
             other => panic!(
                 "case seed {:#x}: outcome {other:?} with {unreachable} give-ups",
@@ -277,7 +274,6 @@ fn chaos_property_no_silent_loss_no_hang() {
         }
         if unreachable == 0 {
             assert!(matches!(outcome, RunOutcome::Completed));
-            assert_eq!(m.ucp.inflight_tracked(), 0, "tracked sends leaked");
             for (i, (d, size)) in dsts.iter().enumerate() {
                 assert_eq!(
                     m.gpu.pool.read(*d).unwrap(),
@@ -347,6 +343,7 @@ fn chaos_scales_to_1536_endpoints() {
         RunOutcome::Completed,
         "1536-endpoint chaos run hung"
     );
+    assert_eq!(audit(&sim), Ok(()));
     let m = sim.world();
     assert!(
         sim.metrics().get("fault.drop") > 0,
@@ -358,7 +355,6 @@ fn chaos_scales_to_1536_endpoints() {
     // One ack per delivery at minimum: per-pair ack state exists for every
     // one of the 1536 endpoints.
     assert!(sim.metrics().get("ucp.acked") >= procs as u64);
-    assert_eq!(m.ucp.inflight_tracked(), 0, "tracked sends must drain");
     for (p, d) in dsts.iter().enumerate() {
         assert_eq!(
             m.gpu.pool.read(*d).unwrap(),

@@ -75,7 +75,7 @@ fn charm_multi_buffer_inter_node_integrity() {
         }
         pe.run(ctx);
     });
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    rucx::ucp::finish(&mut sim).unwrap();
     for (i, &sz) in sizes.iter().enumerate() {
         assert_eq!(
             sim.world().gpu.pool.read(dsts_check[i]).unwrap(),
@@ -127,7 +127,7 @@ fn ampi_ring_all_ranks_large_cluster() {
         mpi.wait(ctx, r);
         mpi.barrier(ctx);
     });
-    assert_eq!(sim.run(), RunOutcome::Completed);
+    rucx::ucp::finish(&mut sim).unwrap();
     for p in 0..n {
         let prev = (p + n - 1) % n;
         assert_eq!(
@@ -187,7 +187,7 @@ fn gdrcopy_toggle_changes_protocol_choice() {
             }
             _ => {}
         });
-        assert_eq!(sim.run(), RunOutcome::Completed);
+        rucx::ucp::finish(&mut sim).unwrap();
         let eager = sim.metrics().get("ucp.eager");
         if expect_eager {
             assert!(eager >= 1, "expected eager path with GDRCopy");
