@@ -1,14 +1,14 @@
 //! Regenerates Figures 14–16: Jacobi3D weak and strong scaling (overall and
 //! communication time per iteration) for Charm++, AMPI (+OpenMPI
-//! reference), and Charm4py.
+//! reference), and Charm4py, at the paper's node counts (weak 1–256,
+//! strong 8–256) and `JacobiConfig`'s iteration counts; then scores them
+//! (the Jacobi3D half of `SCORECARD.md`, written to `scorecard_jacobi.md`).
 //!
-//! Run with `cargo bench --bench jacobi_figures`. Node sweep goes to 256
-//! like the paper; set `RUCX_MAX_NODES` (e.g. 32) for a faster pass.
+//! Run with `cargo bench --bench jacobi_figures`.
 
-use rucx_bench::{print_table, strong_nodes, weak_nodes, write_json};
-use rucx_jacobi::{run, JacobiConfig, JacobiModel, JacobiResult, Mode};
-
-type SweepRow = (usize, JacobiResult, JacobiResult); // (nodes, H, D)
+use rucx_bench::scorecard::{render, Figures, SweepRow};
+use rucx_bench::{print_table, write_json, write_text, STRONG_NODES, WEAK_NODES};
+use rucx_jacobi::{run, JacobiConfig, JacobiModel, Mode};
 
 fn sweep(
     model: JacobiModel,
@@ -18,16 +18,11 @@ fn sweep(
     nodes
         .iter()
         .map(|&n| {
-            let mut ch = make(n, Mode::HostStaging);
-            let mut cd = make(n, Mode::Device);
-            ch.iters = 4;
-            ch.warmup = 1;
-            cd.iters = 4;
-            cd.warmup = 1;
-            ch.machine.fault = rucx_bench::fault_spec_from_env();
-            cd.machine.fault = rucx_bench::fault_spec_from_env();
-            let h = run(model, &ch);
-            let d = run(model, &cd);
+            let [h, d] = [Mode::HostStaging, Mode::Device].map(|mode| {
+                let mut cfg = make(n, mode);
+                cfg.machine.fault = rucx_bench::fault_spec_from_env();
+                run(model, &cfg)
+            });
             eprintln!(
                 "  {} {n} nodes: H overall {:.2}ms comm {:.2}ms | D overall {:.2}ms comm {:.2}ms",
                 model.label(),
@@ -74,65 +69,42 @@ fn print_sweep(name: &str, title: &str, rows: &[SweepRow]) {
     write_json(name, &json);
 }
 
+/// Figure 14 Charm++, Figure 15 AMPI with OpenMPI as its reference,
+/// Figure 16 Charm4py: (figure, model, file name).
+const MODELS: [(u8, JacobiModel, &str); 4] = [
+    (14, JacobiModel::Charm, "charm"),
+    (15, JacobiModel::Ampi, "ampi"),
+    (15, JacobiModel::Ompi, "openmpi"),
+    (16, JacobiModel::Charm4py, "charm4py"),
+];
+
+/// One scaling study of every model: `sub` is the figure's panel pair.
+fn study(
+    scaling: &str,
+    sub: &str,
+    nodes: &[usize],
+    make: fn(usize, Mode) -> JacobiConfig,
+) -> Vec<(JacobiModel, Vec<SweepRow>)> {
+    let study = MODELS.map(|(fig, model, name)| {
+        let rows = sweep(model, nodes, make);
+        let title = format!(
+            "Figure {fig}{sub}: {} Jacobi3D {scaling} scaling (ms/iter)",
+            model.label()
+        );
+        print_sweep(&format!("fig{fig}_{scaling}_{name}"), &title, &rows);
+        (model, rows)
+    });
+    study.into()
+}
+
 fn main() {
-    let weak = weak_nodes();
-    let strong = strong_nodes();
-    println!(
-        "rucx Jacobi3D figures: weak {:?}, strong {:?} (RUCX_MAX_NODES to shrink)",
-        weak, strong
-    );
-
-    // Figure 14: Charm++.
-    let w = sweep(JacobiModel::Charm, &weak, JacobiConfig::weak);
-    print_sweep(
-        "fig14_weak_charm",
-        "Figure 14ab: Charm++ Jacobi3D weak scaling (ms/iter)",
-        &w,
-    );
-    let s = sweep(JacobiModel::Charm, &strong, JacobiConfig::strong);
-    print_sweep(
-        "fig14_strong_charm",
-        "Figure 14cd: Charm++ Jacobi3D strong scaling (ms/iter)",
-        &s,
-    );
-
-    // Figure 15: AMPI with OpenMPI reference.
-    let w = sweep(JacobiModel::Ampi, &weak, JacobiConfig::weak);
-    print_sweep(
-        "fig15_weak_ampi",
-        "Figure 15ab: AMPI Jacobi3D weak scaling (ms/iter)",
-        &w,
-    );
-    let wr = sweep(JacobiModel::Ompi, &weak, JacobiConfig::weak);
-    print_sweep(
-        "fig15_weak_openmpi",
-        "Figure 15ab (reference): OpenMPI weak scaling (ms/iter)",
-        &wr,
-    );
-    let s = sweep(JacobiModel::Ampi, &strong, JacobiConfig::strong);
-    print_sweep(
-        "fig15_strong_ampi",
-        "Figure 15cd: AMPI Jacobi3D strong scaling (ms/iter)",
-        &s,
-    );
-    let sr = sweep(JacobiModel::Ompi, &strong, JacobiConfig::strong);
-    print_sweep(
-        "fig15_strong_openmpi",
-        "Figure 15cd (reference): OpenMPI strong scaling (ms/iter)",
-        &sr,
-    );
-
-    // Figure 16: Charm4py.
-    let w = sweep(JacobiModel::Charm4py, &weak, JacobiConfig::weak);
-    print_sweep(
-        "fig16_weak_charm4py",
-        "Figure 16ab: Charm4py Jacobi3D weak scaling (ms/iter)",
-        &w,
-    );
-    let s = sweep(JacobiModel::Charm4py, &strong, JacobiConfig::strong);
-    print_sweep(
-        "fig16_strong_charm4py",
-        "Figure 16cd: Charm4py Jacobi3D strong scaling (ms/iter)",
-        &s,
-    );
+    println!("rucx Jacobi3D figures: weak {WEAK_NODES:?}, strong {STRONG_NODES:?}");
+    let weak = study("weak", "ab", &WEAK_NODES, JacobiConfig::weak);
+    let strong = study("strong", "cd", &STRONG_NODES, JacobiConfig::strong);
+    let scorecard = render(&Figures::Jacobi {
+        weak: &weak,
+        strong: &strong,
+    });
+    print!("{scorecard}");
+    write_text("scorecard_jacobi.md", &scorecard);
 }

@@ -1,25 +1,20 @@
-//! Regenerates Figures 10–13 and Table I of the paper: OSU-adapted latency
-//! and bandwidth microbenchmarks for Charm++, AMPI (+OpenMPI reference),
-//! and Charm4py, host-staging (-H) vs GPU-direct (-D), intra- and
-//! inter-node.
+//! Regenerates Figures 10–13 of the paper: OSU-adapted latency and
+//! bandwidth microbenchmarks for Charm++, AMPI (+OpenMPI reference), and
+//! Charm4py, host-staging (-H) vs GPU-direct (-D), intra- and inter-node;
+//! then scores Table I and the figures' anchors (the OSU half of
+//! `SCORECARD.md`, written to `scorecard_osu.md`).
 //!
 //! Run with `cargo bench --bench microbench_figures`.
 
-use rucx_bench::{fault_spec_from_env, fmt_size, print_table, write_json};
-use rucx_osu::{bandwidth, latency, ratio, ratio_range, Mode, Model, OsuConfig, Placement, Series};
+use rucx_bench::scorecard::{render, Figures, Panels};
+use rucx_bench::{fault_spec_from_env, fmt_size, print_table, write_json, write_text};
+use rucx_osu::{bandwidth, latency, Mode, Model, OsuConfig, Placement, Series};
 
-struct FigureData {
-    /// (model, H-series, D-series), in subfigure order.
-    panels: Vec<(Model, Series, Series)>,
-}
+type Metric = fn(&OsuConfig, Model, Mode, Placement) -> Series;
 
-fn collect(
-    cfg: &OsuConfig,
-    metric: fn(&OsuConfig, Model, Mode, Placement) -> Series,
-    place: Placement,
-) -> FigureData {
+fn collect(cfg: &OsuConfig, metric: Metric, place: Placement) -> Panels {
     let models = [Model::Charm, Model::Ampi, Model::Ompi, Model::Charm4py];
-    let panels = models
+    models
         .iter()
         .map(|&m| {
             (
@@ -28,23 +23,23 @@ fn collect(
                 metric(cfg, m, Mode::Device, place),
             )
         })
-        .collect();
-    FigureData { panels }
+        .collect()
 }
 
-fn print_figure(name: &str, title: &str, data: &FigureData, unit: &str) {
+fn print_figure(name: &str, title: &str, panels: &Panels) {
+    let unit = panels[0].1.unit;
     let mut header: Vec<String> = vec!["size".into()];
-    for (m, _, _) in &data.panels {
+    for (m, _, _) in panels {
         header.push(format!("{}-H", m.label()));
         header.push(format!("{}-D", m.label()));
     }
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let sizes: Vec<u64> = data.panels[0].1.points.iter().map(|(s, _)| *s).collect();
+    let sizes: Vec<u64> = panels[0].1.points.iter().map(|(s, _)| *s).collect();
     let rows: Vec<Vec<String>> = sizes
         .iter()
         .map(|&s| {
             let mut row = vec![fmt_size(s)];
-            for (_, h, d) in &data.panels {
+            for (_, h, d) in panels {
                 row.push(format!("{:.2}", h.at(s).unwrap()));
                 row.push(format!("{:.2}", d.at(s).unwrap()));
             }
@@ -52,7 +47,7 @@ fn print_figure(name: &str, title: &str, data: &FigureData, unit: &str) {
         })
         .collect();
     print_table(&format!("{title} ({unit})"), &header_refs, &rows);
-    let json: Vec<&Series> = data.panels.iter().flat_map(|(_, h, d)| [h, d]).collect();
+    let json: Vec<&Series> = panels.iter().flat_map(|(_, h, d)| [h, d]).collect();
     write_json(name, &json);
 }
 
@@ -64,74 +59,21 @@ fn main() {
         cfg.sizes.len()
     );
 
-    let fig10 = collect(&cfg, latency, Placement::IntraNode);
-    print_figure(
-        "fig10_latency_intra",
-        "Figure 10: intra-node one-way latency",
-        &fig10,
-        "us",
-    );
+    use Placement::{InterNode as Inter, IntraNode as Intra};
+    #[rustfmt::skip]
+    let figures = [
+        ("fig10_latency_intra", "Figure 10: intra-node one-way latency", latency as Metric, Intra),
+        ("fig11_latency_inter", "Figure 11: inter-node one-way latency", latency, Inter),
+        ("fig12_bandwidth_intra", "Figure 12: intra-node bandwidth", bandwidth, Intra),
+        ("fig13_bandwidth_inter", "Figure 13: inter-node bandwidth", bandwidth, Inter),
+    ];
+    let figures = figures.map(|(name, title, metric, place)| {
+        let panels = collect(&cfg, metric, place);
+        print_figure(name, title, &panels);
+        panels
+    });
 
-    let fig11 = collect(&cfg, latency, Placement::InterNode);
-    print_figure(
-        "fig11_latency_inter",
-        "Figure 11: inter-node one-way latency",
-        &fig11,
-        "us",
-    );
-
-    let fig12 = collect(&cfg, bandwidth, Placement::IntraNode);
-    print_figure(
-        "fig12_bandwidth_intra",
-        "Figure 12: intra-node bandwidth",
-        &fig12,
-        "MB/s",
-    );
-
-    let fig13 = collect(&cfg, bandwidth, Placement::InterNode);
-    print_figure(
-        "fig13_bandwidth_inter",
-        "Figure 13: inter-node bandwidth",
-        &fig13,
-        "MB/s",
-    );
-
-    // ---- Table I ------------------------------------------------------
-    // Latency improvement = H/D per size (min-max range), plus the eager
-    // row (representative small message on the eager path).
-    let eager_size = 512u64;
-    let mut rows = Vec::new();
-    for (metric_name, intra, inter, invert) in [
-        ("Latency", &fig10, &fig11, false),
-        ("Bandwidth", &fig12, &fig13, true),
-    ] {
-        for (i, place_data) in [intra, inter].iter().enumerate() {
-            let place = if i == 0 { "intra-node" } else { "inter-node" };
-            for (m, h, d) in &place_data.panels {
-                if *m == Model::Ompi {
-                    continue; // Table I covers the three Charm-family models.
-                }
-                let r = if invert { ratio(d, h) } else { ratio(h, d) };
-                let (lo, hi) = ratio_range(&r);
-                let eager = r
-                    .iter()
-                    .find(|(s, _)| *s == eager_size)
-                    .map(|(_, v)| *v)
-                    .unwrap_or(f64::NAN);
-                rows.push(vec![
-                    metric_name.to_string(),
-                    place.to_string(),
-                    m.label().to_string(),
-                    format!("{lo:.1}x - {hi:.1}x"),
-                    format!("{eager:.1}x"),
-                ]);
-            }
-        }
-    }
-    print_table(
-        "Table I: improvement with GPU-aware communication",
-        &["metric", "placement", "model", "range", "eager(512B)"],
-        &rows,
-    );
-    write_json("table1_improvements", &rows);
+    let scorecard = render(&Figures::Osu(&figures));
+    print!("{scorecard}");
+    write_text("scorecard_osu.md", &scorecard);
 }

@@ -1,5 +1,5 @@
-//! Shared harness utilities: table printing, JSON result emission, and
-//! environment-based scaling knobs.
+//! Shared harness utilities: table printing, JSON result emission, the
+//! paper's node sweeps and the scorecard.
 
 use std::fs;
 use std::path::PathBuf;
@@ -8,6 +8,7 @@ use rucx_compat::json::ToJson;
 
 pub mod attr;
 pub mod scenario;
+pub mod scorecard;
 
 /// Directory benchmark results are written to (JSON, one file per figure).
 pub fn out_dir() -> PathBuf {
@@ -59,39 +60,11 @@ pub fn fault_spec_from_env() -> Option<rucx_fault::FaultSpec> {
     }
 }
 
-/// Largest node count for the Jacobi3D scaling sweeps (paper: 256).
-/// Override with `RUCX_MAX_NODES` to trade fidelity for wall-clock time.
-pub fn max_nodes() -> usize {
-    std::env::var("RUCX_MAX_NODES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256)
-}
+/// Weak-scaling node counts, as in the paper: 1, 2, 4, … 256.
+pub const WEAK_NODES: [usize; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 
-/// Weak-scaling node counts: 1, 2, 4, … up to [`max_nodes`].
-pub fn weak_nodes() -> Vec<usize> {
-    let mut v = vec![];
-    let mut n = 1;
-    while n <= max_nodes() {
-        v.push(n);
-        n *= 2;
-    }
-    v
-}
-
-/// Strong-scaling node counts: 8, 16, … up to [`max_nodes`] (paper: 8–256).
-pub fn strong_nodes() -> Vec<usize> {
-    let mut v = vec![];
-    let mut n = 8;
-    while n <= max_nodes() {
-        v.push(n);
-        n *= 2;
-    }
-    if v.is_empty() {
-        v.push(max_nodes().max(1));
-    }
-    v
-}
+/// Strong-scaling node counts, as in the paper: 8, 16, … 256.
+pub const STRONG_NODES: [usize; 6] = [8, 16, 32, 64, 128, 256];
 
 /// Pretty-print one table: a header row plus formatted data rows.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
@@ -142,15 +115,5 @@ mod tests {
         assert_eq!(fmt_size(512), "512");
         assert_eq!(fmt_size(1024), "1K");
         assert_eq!(fmt_size(4 << 20), "4M");
-    }
-
-    #[test]
-    fn node_sweeps_are_powers_of_two() {
-        for n in weak_nodes() {
-            assert!(n.is_power_of_two());
-        }
-        for n in strong_nodes() {
-            assert!(n >= 8 || strong_nodes().len() == 1);
-        }
     }
 }

@@ -58,7 +58,6 @@ fn main() {
     ] {
         let [h, d] = [("H", Mode::HostStaging), ("D", Mode::Device)].map(|(tag, mode)| {
             let mut cfg = JacobiConfig::weak(nodes, mode);
-            cfg.iters = 3;
             cfg.machine.fault = fault.clone();
             try_run(model, &cfg)
                 .inspect_err(|s| eprintln!("  [{} {tag}: {s}]", model.label()))

@@ -194,6 +194,7 @@ occupy_transfer occupy_egress occupy_ingress mpi_mbw_point ucp_max_retries trace
 bcast_with allreduce_with select_allreduce select_bcast reduce_binomial barrier_dissemination alltoall_pairwise TAG_REDUCE TAG_BARRIER TAG_ALLTOALL|34|one entry per collective taking Option<Algo>, and code no workload runs goes, DESIGN §13
 mpi_latency_point mpi_bw_point mpi_bibw_point bibw_series charm_osu py_osu latency_point bandwidth_point run_one|35|one way to run an OSU point (osu::point over one run harness), DESIGN §7
 JacobiStall inflight_rndv inflight_tracked|37|one way a simulation ends (rucx_ucp::finish audits every run), DESIGN §3
+table1_improvements RUCX_MAX_NODES max_nodes|41|one scorecard (SCORECARD.md) at the paper's one sweep size, DESIGN §4
 TABLE
 echo "ok: no deleted engine, queue, params struct, sink, twin path or caller-less extension is back"
 
@@ -216,17 +217,23 @@ echo "== cargo test -q --offline --workspace (all crates) =="
 cargo test -q --offline --workspace
 
 # ---------------------------------------------------------------------------
-# Figures 14-16 come from one place: the real stack under `jacobi_figures`.
-# The sweep must run end to end and write all eight figure files (capped at
-# 32 nodes for CI wall-clock; unset RUCX_MAX_NODES for the paper-scale
-# 256-node curves, ~17 s).
+# The scorecard: every paper number the repository claims, with the value
+# the simulator gives for it (crates/bench/src/scorecard.rs). The two figure
+# benches render it from the figures they compute, Figures 14-16 from the
+# paper's full 1-256-node sweep on the real stack (~25 s). All eight Jacobi
+# figure files must be written, and the rendered scorecard must equal the
+# committed SCORECARD.md (regenerate it only for a change that moves a
+# number on purpose, and say why).
 # ---------------------------------------------------------------------------
-echo "== jacobi figures smoke (RUCX_MAX_NODES=32) =="
-rm -f target/rucx-results/fig1[4-6]_*.json
-RUCX_MAX_NODES=32 cargo bench -q --offline -p rucx-bench --bench jacobi_figures >/dev/null
+echo "== scorecard: figure benches vs SCORECARD.md =="
+rm -f target/rucx-results/fig1[4-6]_*.json target/rucx-results/scorecard_*.md
+cargo bench -q --offline -p rucx-bench --bench microbench_figures >/dev/null
+cargo bench -q --offline -p rucx-bench --bench jacobi_figures >/dev/null
 n=$(find target/rucx-results -name 'fig1[4-6]_*.json' -size +0c | wc -l)
 [ "$n" -eq 8 ] || { echo "FAIL: jacobi_figures wrote $n of 8 figure files"; exit 1; }
-echo "ok: weak/strong sweep of all four models runs end to end on the real stack"
+cat target/rucx-results/scorecard_{osu,jacobi}.md | diff -u SCORECARD.md - \
+    || { echo "FAIL: the rendered scorecard differs from SCORECARD.md"; exit 1; }
+echo "ok: weak/strong sweep of all four models runs end to end; scorecard unchanged"
 
 # ---------------------------------------------------------------------------
 # Sweep drivers: every point of every driver is an independent seeded
@@ -340,11 +347,18 @@ echo "ok: 24-cell matrix deterministic; clean path pays zero recovery"
 # scripts/golden_virt_digests.txt once and says why.
 # ---------------------------------------------------------------------------
 echo "== frozen benchmark package builds, runs, and matches the golden digests =="
-cargo run --release --offline --quiet --manifest-path examples/benchmark/Cargo.toml -- \
-    --workload all --seed 1 --passes 3 \
-    | awk '/^== / { w = $2 } /virt_digest/ { print w, $NF }' \
+out=$(cargo run --release --offline --quiet --manifest-path examples/benchmark/Cargo.toml -- \
+    --workload all --seed 1 --passes 3)
+awk '/^== / { w = $2 } /virt_digest/ { print w, $NF }' <<<"$out" \
     | diff -u scripts/golden_virt_digests.txt - \
     || { echo "FAIL: virt_digests differ from scripts/golden_virt_digests.txt"; exit 1; }
-echo "ok: examples/benchmark builds against the facade; all six virt_digests match"
+# Its two paper_err_pct are means over scorecard rows: they must agree.
+for w in osu_figures jacobi_8n; do
+    pct=$(awk -v w="$w" '/^== / { cur = $2 } cur == w && $1 == "paper_err_pct" { printf "%.1f", $2 }' <<<"$out")
+    echo "  $w paper_err_pct $pct %"
+    grep -qF "**\`$w\` paper_err_pct: $pct %**" SCORECARD.md \
+        || { echo "FAIL: $w paper_err_pct $pct % is not SCORECARD.md's"; exit 1; }
+done
+echo "ok: examples/benchmark builds against the facade; all six virt_digests match; paper_err_pct equals the scorecard's"
 
 echo "ALL CHECKS PASSED"
