@@ -3,25 +3,21 @@
 //! through `nocopydevice` entry methods (GPU-direct) or packed host
 //! payloads (host-staging).
 
+use std::any::Any;
 use std::sync::Arc;
 
-use rucx_charm::{launch, ChareRef, Collection, EpId, Msg, Pe, RedTarget, ReduceOp};
+use rucx_charm::{launch, ChareRef, Collection, EpId, ExecFn, Msg, Pe, RedTarget, ReduceOp};
 use rucx_compat::buf::{Buf, BufMut};
-use rucx_gpu::MemRef;
 use rucx_osu::cuda;
 use rucx_sim::time::{as_ms, Time};
 use rucx_ucp::{MCtx, ResultCell};
 
-use crate::bufs::alloc_mapped;
+use crate::bufs::{alloc, RankBufs};
 use crate::config::{pack_cost, stencil_cost, JacobiConfig, JacobiResult, Mode};
-use crate::decomp::{decompose, opposite, Block};
+use crate::decomp::opposite;
 
 struct JacobiChare {
-    block: Block,
-    dsend: [Option<MemRef>; 6],
-    drecv: [Option<MemRef>; 6],
-    hsend: [Option<MemRef>; 6],
-    hrecv: [Option<MemRef>; 6],
+    rank: RankBufs,
     mode: Mode,
     iters: u32,
     warmup: u32,
@@ -32,12 +28,11 @@ struct JacobiChare {
     computing: bool,
     received_cur: usize,
     received_next: usize,
-    expected: usize,
     comm_ns: u64,
     tc: Time,
     t0: Time,
-    /// Root only: reduction results received so far.
-    reports: Vec<f64>,
+    /// Root only: the reduced comm and overall times received so far.
+    reports: [Option<f64>; 2],
     ids: Ids,
     result: ResultCell<JacobiResult>,
 }
@@ -52,12 +47,17 @@ struct Ids {
     ep_kdone: EpId,
 }
 
-impl JacobiChare {
-    fn stream_of(pe: &Pe, ctx: &mut MCtx) -> rucx_gpu::StreamId {
-        let me = pe.index;
-        ctx.with_world_ref(|w, _| w.gpu.default_stream(w.topo.device_of(me)))
-    }
+/// Every element of the Jacobi collection is a [`JacobiChare`].
+fn this(chare: &mut dyn Any) -> &mut JacobiChare {
+    chare.downcast_mut().expect("a Jacobi collection element")
+}
 
+/// An entry method of the Jacobi collection.
+fn entry(f: impl Fn(&mut JacobiChare, &Msg, &mut Pe, &mut MCtx) + 'static) -> ExecFn {
+    Box::new(move |chare, msg, pe, ctx| f(this(chare), msg, pe, ctx))
+}
+
+impl JacobiChare {
     fn start_iter(&mut self, pe: &mut Pe, ctx: &mut MCtx) {
         let Ids {
             col,
@@ -70,28 +70,16 @@ impl JacobiChare {
             self.comm_ns = 0;
             self.t0 = ctx.now();
         }
+        let me = self.rank.block.index;
         if self.iter == self.warmup + self.iters {
             // Done: reduce max comm time and max overall time to chare 0.
             let comm_ms = as_ms(self.comm_ns) / self.iters as f64;
             let overall_ms = as_ms(ctx.now() - self.t0) / self.iters as f64;
             let root = ChareRef { col, index: 0 };
-            let elem = self.block.index;
-            pe.contribute(
-                ctx,
-                col,
-                elem,
-                ReduceOp::Max,
-                comm_ms,
-                RedTarget::Chare(root, ep_comm),
-            );
-            pe.contribute(
-                ctx,
-                col,
-                elem,
-                ReduceOp::Max,
-                overall_ms,
-                RedTarget::Chare(root, ep_overall),
-            );
+            for (value, ep) in [(comm_ms, ep_comm), (overall_ms, ep_overall)] {
+                let to = RedTarget::Chare(root, ep);
+                pe.contribute(ctx, col, me, ReduceOp::Max, value, to);
+            }
             return;
         }
         self.iter += 1;
@@ -104,11 +92,10 @@ impl JacobiChare {
         // compute-done entry method fires when the kernel completes, so
         // other chares on this PE can progress meanwhile (the
         // computation-communication-overlap mechanism).
-        let stream = Self::stream_of(pe, ctx);
-        let cost = stencil_cost(&self.block);
+        let stream = self.rank.stream;
+        let cost = stencil_cost(&self.rank.block);
         ctx.advance(rucx_gpu::device::KERNEL_LAUNCH);
         let end = ctx.with_world(move |w, s| rucx_gpu::kernel_async(w, s, stream, cost, None));
-        let me = self.block.index;
         pe.send_local_at(ctx, ChareRef { col, index: me }, ep_kdone, vec![], end);
     }
 
@@ -117,33 +104,21 @@ impl JacobiChare {
         let Ids { col, ep_halo, .. } = self.ids;
         self.computing = false;
         self.tc = ctx.now();
-        let stream = Self::stream_of(pe, ctx);
-        for dir in 0..6 {
-            let Some(nbr) = self.block.neighbors[dir] else {
-                continue;
-            };
-            let fb = self.block.face_bytes(dir);
-            cuda::kernel_sync(ctx, pack_cost(fb), stream);
+        for f in &self.rank.faces {
+            cuda::kernel_sync(ctx, pack_cost(f.bytes()), self.rank.stream);
             let mut params = Vec::with_capacity(12);
-            params.put_u8(dir as u8);
+            params.put_u8(f.dir as u8);
             params.put_u32(self.iter);
-            let to = ChareRef { col, index: nbr };
-            match self.mode {
-                Mode::Device => {
-                    pe.send(ctx, to, ep_halo, params, 0, vec![self.dsend[dir].unwrap()]);
-                }
-                Mode::HostStaging => {
-                    cuda::copy_sync(
-                        ctx,
-                        self.dsend[dir].unwrap(),
-                        self.hsend[dir].unwrap(),
-                        stream,
-                    );
-                    pe.send(ctx, to, ep_halo, params, fb, vec![]);
-                }
-            }
+            let to = ChareRef { col, index: f.nbr };
+            f.send.stage_out(ctx, self.mode);
+            // `-H` packs the staged host data into the message.
+            let (packed, device) = match self.mode {
+                Mode::Device => (0, vec![f.send.d]),
+                Mode::HostStaging => (f.bytes(), vec![]),
+            };
+            pe.send(ctx, to, ep_halo, params, packed, device);
         }
-        if self.received_cur == self.expected {
+        if self.received_cur == self.rank.faces.len() {
             self.finish_comm(pe, ctx);
         }
     }
@@ -152,21 +127,12 @@ impl JacobiChare {
         let mut r: &[u8] = &msg.params;
         let dir = r.get_u8() as usize;
         let msg_iter = r.get_u32();
-        let od = opposite(dir);
-        let fb = self.block.face_bytes(od);
-        let stream = Self::stream_of(pe, ctx);
-        if self.mode == Mode::HostStaging {
-            cuda::copy_sync(
-                ctx,
-                self.hrecv[od].unwrap(),
-                self.drecv[od].unwrap(),
-                stream,
-            );
-        }
-        cuda::kernel_sync(ctx, pack_cost(fb), stream);
+        let f = *self.rank.face(opposite(dir));
+        f.recv.stage_in(ctx, self.mode);
+        cuda::kernel_sync(ctx, pack_cost(f.bytes()), self.rank.stream);
         if msg_iter == self.iter {
             self.received_cur += 1;
-            if !self.computing && self.received_cur == self.expected {
+            if !self.computing && self.received_cur == self.rank.faces.len() {
                 self.finish_comm(pe, ctx);
             }
         } else if msg_iter == self.iter + 1 {
@@ -174,7 +140,7 @@ impl JacobiChare {
         } else {
             panic!(
                 "chare {} at iter {} got halo for iter {msg_iter}",
-                self.block.index, self.iter
+                self.rank.block.index, self.iter
             );
         }
     }
@@ -184,22 +150,6 @@ impl JacobiChare {
             self.comm_ns += ctx.now() - self.tc;
         }
         self.start_iter(pe, ctx);
-    }
-
-    fn on_report(&mut self, which: usize, value: f64) -> Option<JacobiResult> {
-        // which: 0 = comm, 1 = overall. Root collects both.
-        if self.reports.is_empty() {
-            self.reports = vec![f64::NAN, f64::NAN];
-        }
-        self.reports[which] = value;
-        if self.reports.iter().all(|v| !v.is_nan()) {
-            Some(JacobiResult {
-                comm_ms: self.reports[0],
-                overall_ms: self.reports[1],
-            })
-        } else {
-            None
-        }
     }
 }
 
@@ -217,15 +167,9 @@ pub fn run_charm_on(
     sim: &mut rucx_ucp::MSim,
     cfg: &JacobiConfig,
 ) -> Result<JacobiResult, rucx_ucp::RunError> {
-    assert_eq!(
-        sim.world().topo.procs(),
-        cfg.ranks(),
-        "simulation topology does not match the Jacobi configuration"
-    );
     let odf = cfg.overdecomp.max(1) as u64;
-    let n_elems = cfg.ranks() as u64 * odf;
-    let grid = decompose(cfg.domain, n_elems);
-    let bufs = Arc::new(alloc_mapped(sim, cfg.domain, grid, |b| (b / odf) as usize));
+    let bufs = Arc::new(alloc(sim, cfg, odf));
+    let n_elems = bufs.len() as u64;
     let (iters, warmup, mode) = (cfg.iters, cfg.warmup, cfg.mode);
 
     rucx_ucp::run(sim, |sim, result| {
@@ -234,50 +178,30 @@ pub fn run_charm_on(
             let ep_halo = pe.register_ep(
                 col,
                 Some(Box::new(|chare, msg| {
-                    let c = chare.downcast_mut::<JacobiChare>().unwrap();
                     let mut r: &[u8] = &msg.params;
                     let dir = r.get_u8() as usize;
-                    vec![c.drecv[opposite(dir)].unwrap()]
+                    vec![this(chare).rank.face(opposite(dir)).recv.d]
                 })),
-                Box::new(|chare, msg: &Msg, pe, ctx| {
-                    let c = chare.downcast_mut::<JacobiChare>().unwrap();
-                    c.on_halo(msg, pe, ctx);
-                }),
+                entry(|c, msg, pe, ctx| c.on_halo(msg, pe, ctx)),
             );
-            let ep_comm = pe.register_ep(
-                col,
-                None,
-                Box::new(|chare, msg: &Msg, pe, ctx| {
-                    let c = chare.downcast_mut::<JacobiChare>().unwrap();
+            // Chare 0 receives both reductions and ends the run once it has both.
+            let report = |which: usize| {
+                entry(move |c, msg, pe, ctx| {
                     let mut r: &[u8] = &msg.params;
-                    let v = r.get_f64();
-                    if let Some(done) = c.on_report(0, v) {
-                        *c.result.lock() = done;
+                    c.reports[which] = Some(r.get_f64());
+                    if let [Some(comm_ms), Some(overall_ms)] = c.reports {
+                        *c.result.lock() = JacobiResult {
+                            overall_ms,
+                            comm_ms,
+                        };
                         pe.exit_all(ctx);
                     }
-                }),
-            );
-            let ep_overall = pe.register_ep(
-                col,
-                None,
-                Box::new(|chare, msg: &Msg, pe, ctx| {
-                    let c = chare.downcast_mut::<JacobiChare>().unwrap();
-                    let mut r: &[u8] = &msg.params;
-                    let v = r.get_f64();
-                    if let Some(done) = c.on_report(1, v) {
-                        *c.result.lock() = done;
-                        pe.exit_all(ctx);
-                    }
-                }),
-            );
-            let ep_kdone = pe.register_ep(
-                col,
-                None,
-                Box::new(|chare, _msg: &Msg, pe, ctx| {
-                    let c = chare.downcast_mut::<JacobiChare>().unwrap();
-                    c.after_compute(pe, ctx);
-                }),
-            );
+                })
+            };
+            let ep_comm = pe.register_ep(col, None, report(0));
+            let ep_overall = pe.register_ep(col, None, report(1));
+            let ep_kdone =
+                pe.register_ep(col, None, entry(|c, _, pe, ctx| c.after_compute(pe, ctx)));
             let ids = Ids {
                 col,
                 ep_halo,
@@ -288,32 +212,23 @@ pub fn run_charm_on(
 
             let local: Vec<u64> = pe.local_indices(col).to_vec();
             for &i in &local {
-                let b = &bufs[i as usize];
-                pe.insert_chare(
-                    col,
-                    i,
-                    Box::new(JacobiChare {
-                        block: b.block.clone(),
-                        dsend: b.dsend,
-                        drecv: b.drecv,
-                        hsend: b.hsend,
-                        hrecv: b.hrecv,
-                        mode,
-                        iters,
-                        warmup,
-                        iter: 0,
-                        computing: false,
-                        received_cur: 0,
-                        received_next: 0,
-                        expected: b.block.neighbor_count(),
-                        comm_ns: 0,
-                        tc: 0,
-                        t0: 0,
-                        reports: Vec::new(),
-                        ids,
-                        result: result.clone(),
-                    }),
-                );
+                let chare = JacobiChare {
+                    rank: bufs[i as usize].clone(),
+                    mode,
+                    iters,
+                    warmup,
+                    iter: 0,
+                    computing: false,
+                    received_cur: 0,
+                    received_next: 0,
+                    comm_ns: 0,
+                    tc: 0,
+                    t0: 0,
+                    reports: [None; 2],
+                    ids,
+                    result: result.clone(),
+                };
+                pe.insert_chare(col, i, Box::new(chare));
             }
             for &i in &local {
                 pe.with_chare::<JacobiChare, _>(ctx, col, i, |c, pe, ctx| {

@@ -2,7 +2,7 @@
 
 use rucx_compat::json::{JsonObject, ToJson};
 use rucx_gpu::KernelCost;
-use rucx_sim::time::us;
+use rucx_sim::time::{as_ms, us, Time};
 
 use crate::decomp::Block;
 
@@ -72,6 +72,15 @@ impl JacobiConfig {
 pub struct JacobiResult {
     pub overall_ms: f64,
     pub comm_ms: f64,
+}
+
+impl JacobiResult {
+    /// Fold one rank's timed totals over `iters` iterations into the run's
+    /// result: per-iteration milliseconds, maxed over ranks.
+    pub(crate) fn max_merge(&mut self, comm: Time, overall: Time, iters: u32) {
+        self.comm_ms = self.comm_ms.max(as_ms(comm) / iters as f64);
+        self.overall_ms = self.overall_ms.max(as_ms(overall) / iters as f64);
+    }
 }
 
 impl ToJson for JacobiResult {

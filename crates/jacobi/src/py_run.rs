@@ -3,13 +3,12 @@
 
 use std::sync::Arc;
 
-use rucx_charm4py::{launch, PY_CUDA_CALL};
-use rucx_osu::cuda;
-use rucx_sim::time::as_ms;
+use rucx_charm4py::{launch, Channel, PY_CUDA_CALL};
+use rucx_osu::{cuda, py as osu_py};
+use rucx_ucp::ResultCell;
 
-use crate::bufs::alloc_all;
-use crate::config::{pack_cost, stencil_cost, JacobiConfig, JacobiResult, Mode};
-use crate::decomp::decompose;
+use crate::bufs::{alloc, RankBufs};
+use crate::config::{pack_cost, stencil_cost, JacobiConfig, JacobiResult};
 
 /// Run Jacobi3D on Charm4py against a freshly built simulation of
 /// `cfg.nodes` Summit-like nodes (the caller keeps it, and can read its
@@ -18,23 +17,21 @@ pub fn run_charm4py_on(
     sim: &mut rucx_ucp::MSim,
     cfg: &JacobiConfig,
 ) -> Result<JacobiResult, rucx_ucp::RunError> {
-    let grid = decompose(cfg.domain, cfg.ranks() as u64);
-    let bufs = Arc::new(alloc_all(sim, cfg.domain, grid));
+    let bufs = Arc::new(alloc(sim, cfg, 1));
     let (iters, warmup, mode) = (cfg.iters, cfg.warmup, cfg.mode);
-    let ranks = cfg.ranks();
 
-    rucx_ucp::run(sim, |sim, result| {
+    rucx_ucp::run(sim, |sim, result: ResultCell<JacobiResult>| {
         launch(sim, move |py, ctx| {
-            let me = py.rank();
-            let b = &bufs[me];
-            let dev = ctx.with_world_ref(|w, _| w.topo.device_of(me));
-            let stream = ctx.with_world_ref(|w, _| w.gpu.default_stream(dev));
-            let stencil = stencil_cost(&b.block);
+            let RankBufs {
+                block,
+                stream,
+                faces,
+            } = &bufs[py.rank()];
+            let stencil = stencil_cost(block);
 
-            // One channel per neighbor.
-            let channels: Vec<(usize, rucx_charm4py::Channel)> = (0..6)
-                .filter_map(|dir| b.block.neighbors[dir].map(|nbr| (dir, py.channel(nbr as usize))))
-                .collect();
+            // One channel per neighbor. The channel to the neighbor in
+            // `dir` delivers the halo covering our `dir` face.
+            let channels: Vec<Channel> = faces.iter().map(|f| py.channel(f.nbr as usize)).collect();
 
             py.barrier(ctx);
             let mut comm_ns = 0u64;
@@ -47,68 +44,27 @@ pub fn run_charm4py_on(
                 }
                 // Compute: kernel launched from Python.
                 ctx.advance(PY_CUDA_CALL);
-                cuda::kernel_sync(ctx, stencil, stream);
+                cuda::kernel_sync(ctx, stencil, *stream);
                 let tc = ctx.now();
                 // Send all halos (asynchronous channel sends).
-                for &(dir, ch) in &channels {
-                    let fb = b.block.face_bytes(dir);
+                for (f, &ch) in faces.iter().zip(&channels) {
                     ctx.advance(PY_CUDA_CALL);
-                    cuda::kernel_sync(ctx, pack_cost(fb), stream);
-                    match mode {
-                        Mode::Device => py.send(ctx, ch, b.dsend[dir].unwrap()),
-                        Mode::HostStaging => {
-                            py.cuda_copy(ctx, b.dsend[dir].unwrap(), b.hsend[dir].unwrap(), stream);
-                            py.cuda_stream_sync(ctx, stream);
-                            py.send_host_payload(ctx, ch, None, fb);
-                        }
-                    }
+                    cuda::kernel_sync(ctx, pack_cost(f.bytes()), *stream);
+                    osu_py::stage_out(py, ctx, f.send, mode);
+                    osu_py::send(py, ctx, ch, f.send, mode);
                 }
-                // Receive all halos (suspending per channel). The channel to
-                // the neighbor in `dir` delivers the halo covering our `dir`
-                // face.
-                for &(dir, ch) in &channels {
-                    let fb = b.block.face_bytes(dir);
-                    match mode {
-                        Mode::Device => {
-                            py.recv(ctx, ch, b.drecv[dir].unwrap());
-                        }
-                        Mode::HostStaging => {
-                            py.recv(ctx, ch, b.hrecv[dir].unwrap());
-                            py.cuda_copy(ctx, b.hrecv[dir].unwrap(), b.drecv[dir].unwrap(), stream);
-                            py.cuda_stream_sync(ctx, stream);
-                        }
-                    }
+                // Receive all halos (suspending per channel).
+                for (f, &ch) in faces.iter().zip(&channels) {
+                    py.recv(ctx, ch, f.recv.buf(mode));
+                    osu_py::stage_in(py, ctx, f.recv, mode);
                     ctx.advance(PY_CUDA_CALL);
-                    cuda::kernel_sync(ctx, pack_cost(fb), stream);
+                    cuda::kernel_sync(ctx, pack_cost(f.bytes()), *stream);
                 }
                 if i >= warmup {
                     comm_ns += ctx.now() - tc;
                 }
             }
-            let overall_ns = ctx.now() - t0;
-
-            // Collect results at rank 0 over dedicated channels.
-            if me == 0 {
-                let (mut max_comm, mut max_overall) = (comm_ns, overall_ns);
-                for r in 1..ranks {
-                    let ch = py.channel(r);
-                    let bytes = py.recv_host(ctx, ch).expect("result bytes");
-                    let c = u64::from_be_bytes(bytes[0..8].try_into().unwrap());
-                    let o = u64::from_be_bytes(bytes[8..16].try_into().unwrap());
-                    max_comm = max_comm.max(c);
-                    max_overall = max_overall.max(o);
-                }
-                *result.lock() = JacobiResult {
-                    overall_ms: as_ms(max_overall) / iters as f64,
-                    comm_ms: as_ms(max_comm) / iters as f64,
-                };
-            } else {
-                let ch = py.channel(0);
-                let mut payload = Vec::with_capacity(16);
-                payload.extend_from_slice(&comm_ns.to_be_bytes());
-                payload.extend_from_slice(&overall_ns.to_be_bytes());
-                py.send_host(ctx, ch, payload);
-            }
+            result.lock().max_merge(comm_ns, ctx.now() - t0, iters);
         })
     })
 }

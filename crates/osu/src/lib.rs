@@ -11,12 +11,13 @@
 //! [`series`] sweeps it over the configured sizes and labels the curve
 //! ([`latency`] and [`bandwidth`] are its two fixed-benchmark spellings).
 //! Under `point` sits one private body per (model, benchmark) and one run
-//! harness: it launches the body, runs the simulation to completion,
-//! checks (in debug builds) that no rendezvous or tracked send is left in
-//! flight, and returns the number rank 0 reported. Every point of a series
-//! is its own simulation; a sweep runs them on every core (`sweep.rs`) and
-//! returns them in size order, bit-identical to running them one at a
-//! time. The collective benchmark ([`coll_bench`]) uses the same harness.
+//! harness: it launches the body, runs the simulation to completion
+//! through [`rucx_ucp::finish`], which audits in every build profile that
+//! no rendezvous or tracked send is left in flight, and returns the number
+//! rank 0 reported. Every point of a series is its own simulation; a sweep
+//! runs them on every core (`sweep.rs`) and returns them in size order,
+//! bit-identical to running them one at a time. The collective benchmark
+//! ([`coll_bench`]) uses the same harness.
 
 mod charm;
 pub mod coll;
@@ -24,7 +25,7 @@ pub mod coll_bench;
 pub mod cuda;
 mod mpi;
 pub mod mpi_like;
-mod py;
+pub mod py;
 mod sweep;
 
 use std::sync::Arc;
@@ -255,39 +256,41 @@ pub struct BenchSetup {
     pub sim: MSim,
     /// The message size the buffers were allocated for.
     pub size: u64,
+    /// Per process: its buffers cut to the message size.
     sides: Arc<Vec<Side>>,
+    /// Per process: the 4-byte reply the bandwidth bodies acknowledge with.
+    acks: Arc<Vec<MemRef>>,
 }
 
-/// One process's side of a point-to-point body: its buffers cut to the
-/// message size (the ack to 4 bytes) and its device's default stream,
-/// which the `-H` staging legs of MPI and Charm++ copy on.
-#[derive(Clone, Copy)]
-pub(crate) struct Side {
+/// A staged buffer: device memory, its host mirror and the device's
+/// default stream, which the `-H` staging legs of MPI and Charm++ copy on.
+/// OSU's sides and each Jacobi halo face (send and receive) are one each.
+#[derive(Debug, Clone, Copy)]
+pub struct Side {
     pub d: MemRef,
     pub h: MemRef,
-    pub ack: MemRef,
     pub stream: StreamId,
 }
 
 impl Side {
     /// The buffer a `mode` body communicates from: device memory for
-    /// `-D`, the pinned host copy for `-H`.
-    pub(crate) fn buf(&self, mode: Mode) -> MemRef {
+    /// `-D`, the host copy for `-H`.
+    pub fn buf(&self, mode: Mode) -> MemRef {
         match mode {
             Mode::Device => self.d,
             Mode::HostStaging => self.h,
         }
     }
 
-    /// `-H` only: stage the device buffer out to pinned host memory.
-    pub(crate) fn stage_out(&self, ctx: &mut MCtx, mode: Mode) {
+    /// `-H` only: stage the device buffer out to host memory.
+    pub fn stage_out(&self, ctx: &mut MCtx, mode: Mode) {
         if mode == Mode::HostStaging {
             cuda::copy_sync(ctx, self.d, self.h, self.stream);
         }
     }
 
-    /// `-H` only: stage pinned host memory back into the device buffer.
-    pub(crate) fn stage_in(&self, ctx: &mut MCtx, mode: Mode) {
+    /// `-H` only: stage host memory back into the device buffer.
+    pub fn stage_in(&self, ctx: &mut MCtx, mode: Mode) {
         if mode == Mode::HostStaging {
             cuda::copy_sync(ctx, self.h, self.d, self.stream);
         }
@@ -307,15 +310,20 @@ pub fn setup(machine: &MachineConfig, size: u64) -> BenchSetup {
             .expect("device alloc");
         let h = gpu.pool.alloc_host(node, size.max(1), true, false);
         let ack = gpu.pool.alloc_host(node, 8, true, false);
-        Side {
+        let side = Side {
             d: d.slice(0, size),
             h: h.slice(0, size),
-            ack: ack.slice(0, 4),
             stream: gpu.default_stream(dev),
-        }
+        };
+        (side, ack.slice(0, 4))
     };
-    let sides = Arc::new((0..topo.procs()).map(side).collect());
-    BenchSetup { sim, size, sides }
+    let (sides, acks): (Vec<_>, Vec<_>) = (0..topo.procs()).map(side).unzip();
+    BenchSetup {
+        sim,
+        size,
+        sides: Arc::new(sides),
+        acks: Arc::new(acks),
+    }
 }
 
 /// The run harness under every point: [`rucx_ucp::run`] hands `launch`

@@ -62,7 +62,7 @@ pub(crate) fn bandwidth<F: RankFactory>(
     mode: Mode,
     factory: F,
 ) -> f64 {
-    let (sides, size) = (s.sides.clone(), s.size);
+    let (sides, acks, size) = (s.sides.clone(), s.acks.clone(), s.size);
     let (iters, warmup, window) = (cfg.bw_iters, cfg.bw_warmup, cfg.bw_window);
     run(&mut s.sim, "bw bench", |sim, report| {
         factory.launch(sim, move |mpi, ctx| {
@@ -70,7 +70,7 @@ pub(crate) fn bandwidth<F: RankFactory>(
             let Some(other) = place.partner(me) else {
                 return;
             };
-            let (my, buf) = (sides[me], sides[me].buf(mode));
+            let (my, buf, ack) = (sides[me], sides[me].buf(mode), acks[me]);
             let elapsed = timed(ctx, warmup, iters, |ctx| {
                 let mut reqs = Vec::with_capacity(window as usize);
                 if me == 0 {
@@ -80,7 +80,7 @@ pub(crate) fn bandwidth<F: RankFactory>(
                         reqs.push(mpi.isend(ctx, buf, other, w as i32));
                     }
                     mpi.waitall(ctx, reqs);
-                    mpi.recv(ctx, my.ack, other, 99);
+                    mpi.recv(ctx, ack, other, 99);
                 } else {
                     // Receiver: window of non-blocking receives, then ack.
                     for w in 0..window {
@@ -90,7 +90,7 @@ pub(crate) fn bandwidth<F: RankFactory>(
                     for _ in 0..window {
                         my.stage_in(ctx, mode);
                     }
-                    mpi.send(ctx, my.ack, other, 99);
+                    mpi.send(ctx, ack, other, 99);
                 }
             });
             if me == 0 {

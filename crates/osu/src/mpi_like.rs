@@ -13,8 +13,6 @@ pub trait P2p {
     fn rank(&self) -> usize;
     fn send(&mut self, ctx: &mut MCtx, buf: MemRef, dst: usize, tag: i32);
     fn recv(&mut self, ctx: &mut MCtx, buf: MemRef, src: usize, tag: i32);
-    /// Receive from any source with the given tag.
-    fn recv_any(&mut self, ctx: &mut MCtx, buf: MemRef, tag: i32);
     fn isend(&mut self, ctx: &mut MCtx, buf: MemRef, dst: usize, tag: i32) -> Self::Req;
     fn irecv(&mut self, ctx: &mut MCtx, buf: MemRef, src: usize, tag: i32) -> Self::Req;
     fn waitall(&mut self, ctx: &mut MCtx, reqs: Vec<Self::Req>);
@@ -31,9 +29,6 @@ impl P2p for MpiRank {
     }
     fn recv(&mut self, ctx: &mut MCtx, buf: MemRef, src: usize, tag: i32) {
         MpiRank::recv(self, ctx, buf, src as i32, tag);
-    }
-    fn recv_any(&mut self, ctx: &mut MCtx, buf: MemRef, tag: i32) {
-        MpiRank::recv(self, ctx, buf, rucx_ampi::ANY_SOURCE, tag);
     }
     fn isend(&mut self, ctx: &mut MCtx, buf: MemRef, dst: usize, tag: i32) -> Self::Req {
         MpiRank::isend(self, ctx, buf, dst, tag)
@@ -59,9 +54,6 @@ impl P2p for OmpiRank {
     }
     fn recv(&mut self, ctx: &mut MCtx, buf: MemRef, src: usize, tag: i32) {
         OmpiRank::recv(self, ctx, buf, src as i32, tag);
-    }
-    fn recv_any(&mut self, ctx: &mut MCtx, buf: MemRef, tag: i32) {
-        OmpiRank::recv(self, ctx, buf, rucx_ompi::ANY_SOURCE, tag);
     }
     fn isend(&mut self, ctx: &mut MCtx, buf: MemRef, dst: usize, tag: i32) -> Self::Req {
         OmpiRank::isend(self, ctx, buf, dst, tag)

@@ -1,5 +1,7 @@
 //! The Charm4py bodies: channel-based ping-pong and windowed bandwidth,
-//! with the GPU-direct and host-staging code paths of Fig. 8.
+//! with the GPU-direct and host-staging code paths of Fig. 8. Their three
+//! per-[`Side`] steps are public: Jacobi3D's Charm4py runner sends its
+//! halo faces through them.
 
 use rucx_charm4py::{launch, Channel, PyProc};
 use rucx_sim::time::{as_us, bandwidth_mbps};
@@ -9,7 +11,7 @@ use crate::{run, timed, BenchSetup, Mode, OsuConfig, Placement, Side};
 
 /// One message: `-D` hands the channel the device buffer (Fig. 8 bottom
 /// half), `-H` the staged host object.
-fn send(py: &mut PyProc, ctx: &mut MCtx, ch: Channel, my: Side, mode: Mode) {
+pub fn send(py: &mut PyProc, ctx: &mut MCtx, ch: Channel, my: Side, mode: Mode) {
     match mode {
         Mode::Device => py.send(ctx, ch, my.d),
         Mode::HostStaging => py.send_host_payload(ctx, ch, None, my.h.len),
@@ -18,7 +20,7 @@ fn send(py: &mut PyProc, ctx: &mut MCtx, ch: Channel, my: Side, mode: Mode) {
 
 /// `-H` only, Fig. 8 top half: stage the device buffer out to host memory
 /// with a CUDA copy and a stream synchronize, each a call from Python.
-fn stage_out(py: &mut PyProc, ctx: &mut MCtx, my: Side, mode: Mode) {
+pub fn stage_out(py: &mut PyProc, ctx: &mut MCtx, my: Side, mode: Mode) {
     if mode == Mode::HostStaging {
         py.cuda_copy(ctx, my.d, my.h, my.stream);
         py.cuda_stream_sync(ctx, my.stream);
@@ -26,7 +28,7 @@ fn stage_out(py: &mut PyProc, ctx: &mut MCtx, my: Side, mode: Mode) {
 }
 
 /// `-H` only: stage received host memory back into the device buffer.
-fn stage_in(py: &mut PyProc, ctx: &mut MCtx, my: Side, mode: Mode) {
+pub fn stage_in(py: &mut PyProc, ctx: &mut MCtx, my: Side, mode: Mode) {
     if mode == Mode::HostStaging {
         py.cuda_copy(ctx, my.h, my.d, my.stream);
         py.cuda_stream_sync(ctx, my.stream);

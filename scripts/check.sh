@@ -195,6 +195,7 @@ bcast_with allreduce_with select_allreduce select_bcast reduce_binomial barrier_
 mpi_latency_point mpi_bw_point mpi_bibw_point bibw_series charm_osu py_osu latency_point bandwidth_point run_one|35|one way to run an OSU point (osu::point over one run harness), DESIGN §7
 JacobiStall inflight_rndv inflight_tracked|37|one way a simulation ends (rucx_ucp::finish audits every run), DESIGN §3
 table1_improvements RUCX_MAX_NODES max_nodes|41|one scorecard (SCORECARD.md) at the paper's one sweep size, DESIGN §4
+alloc_mapped alloc_all recv_any dsend hsend hrecv grid_mem|44|one Jacobi rank: a list of halo faces, each side an osu::Side, and results max-merged into the run's ResultCell, DESIGN §3
 TABLE
 echo "ok: no deleted engine, queue, params struct, sink, twin path or caller-less extension is back"
 
