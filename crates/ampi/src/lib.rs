@@ -18,8 +18,7 @@ pub mod msg;
 pub mod rank;
 
 pub use mpi::{MpiRank, Request};
-pub use msg::{AmpiMsg, Status, ANY_SOURCE, ANY_TAG, MPI_ERR_OTHER, MPI_ERR_TRUNCATE, MPI_SUCCESS};
-pub use rank::RankState;
+pub use msg::{Status, ANY_SOURCE, ANY_TAG, MPI_ERR_OTHER, MPI_ERR_TRUNCATE, MPI_SUCCESS};
 
 use rucx_ucp::{MCtx, MSim};
 
@@ -28,14 +27,7 @@ pub fn launch<F>(sim: &mut MSim, body: F)
 where
     F: Fn(&mut MpiRank, &mut MCtx) + Send + Sync + Clone + 'static,
 {
-    let n = sim.world().topo.procs();
-    for p in 0..n {
-        let body = body.clone();
-        sim.spawn(format!("rank{p}"), 0, move |ctx| {
-            let mut rank = MpiRank::create(p, n);
-            body(&mut rank, ctx);
-        });
-    }
+    rucx_charm::rank::launch(sim, "rank", MpiRank::open, body);
 }
 
 #[cfg(test)]

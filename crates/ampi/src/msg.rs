@@ -7,8 +7,7 @@
 //! `LrtsSendDevice`. Note the machine-layer tag is distinct from the MPI
 //! tag, exactly as the paper describes.
 
-use rucx_charm::Payload;
-use rucx_compat::buf::{Buf, BufMut};
+use rucx_charm::rank::Arrived;
 
 /// MPI wildcard source.
 pub const ANY_SOURCE: i32 = -1;
@@ -24,47 +23,15 @@ pub const MPI_ERR_TRUNCATE: i32 = 15;
 /// be completed.
 pub const MPI_ERR_OTHER: i32 = 16;
 
-/// A decoded AMPI message (the metadata that rides in the Charm++ message).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AmpiMsg {
-    pub src_rank: u32,
-    pub tag: i32,
-    /// Per-(sender, receiver) send sequence number. The machine layer may
-    /// complete a large (rendezvous) envelope *after* a later small (eager)
-    /// one; the receiver uses this to restore MPI's non-overtaking order
-    /// before matching.
-    pub seq: u64,
-    pub payload: Payload,
-}
-
-impl AmpiMsg {
-    /// Serialize into entry-method parameter bytes: `src, tag, seq`, then
-    /// the payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let (src, tag, seq) = (self.src_rank, self.tag, self.seq);
-        self.payload.encode(4 + 8 + 8, |b| {
-            b.put_u32(src);
-            b.put_i64(tag as i64);
-            b.put_u64(seq);
-        })
-    }
-
-    /// Deserialize from entry-method parameter bytes.
-    pub fn decode(params: &[u8]) -> AmpiMsg {
-        let mut r: &[u8] = params;
-        AmpiMsg {
-            src_rank: r.get_u32(),
-            tag: r.get_i64() as i32,
-            seq: r.get_u64(),
-            payload: Payload::decode(&mut r),
-        }
-    }
-}
+/// An AMPI message as it is matched: the metadata that rode in the
+/// Charm++ message, delivered in send order by the rank shell (MPI's
+/// non-overtaking rule). Its header is the MPI tag.
+pub type AmpiMsg = Arrived<i32>;
 
 /// MPI receive matching: wildcards per the MPI standard.
 pub fn recv_matches(want_src: i32, want_tag: i32, msg: &AmpiMsg) -> bool {
-    (want_src == ANY_SOURCE || want_src as u32 == msg.src_rank)
-        && (want_tag == ANY_TAG || want_tag == msg.tag)
+    (want_src == ANY_SOURCE || want_src as u32 == msg.src)
+        && (want_tag == ANY_TAG || want_tag == msg.header)
 }
 
 /// Completion status of a receive.
@@ -83,12 +50,13 @@ pub struct Status {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rucx_charm::Payload;
 
     #[test]
     fn wildcard_matching() {
         let m = AmpiMsg {
-            src_rank: 2,
-            tag: 7,
+            src: 2,
+            header: 7,
             seq: 0,
             payload: Payload::Inline {
                 bytes: None,

@@ -7,7 +7,6 @@ use rucx_compat::idmap::IdMap;
 use rucx_gpu::MemRef;
 use rucx_sim::sched::Trigger;
 use rucx_sim::time::{transfer_time, us, Duration};
-use rucx_ucp::order::RecvWindow;
 
 use crate::msg::{recv_matches, AmpiMsg, Status, MPI_ERR_TRUNCATE, MPI_SUCCESS};
 
@@ -42,31 +41,23 @@ pub struct PostedRecv {
     pub buf: MemRef,
 }
 
-/// Lifecycle of a receive request.
+/// A receive matched to its message: the data is in the buffer, or in
+/// flight under `trigger`.
 #[derive(Debug, Clone, Copy)]
-pub enum SlotState {
-    /// No matching message yet.
-    Pending,
-    /// Metadata matched; data in flight under `trigger`.
-    Matched { trigger: Trigger, status: Status },
-    /// Data complete.
-    Done { status: Status },
+pub struct Matched {
+    pub status: Status,
+    pub trigger: Option<Trigger>,
 }
 
-/// The chare backing one AMPI rank.
+/// The layer state behind one AMPI rank (in the rank shell's state chare).
 #[derive(Default)]
 pub struct RankState {
     pub unexpected: VecDeque<AmpiMsg>,
     pub posted: Vec<PostedRecv>,
-    pub slots: IdMap<u64, SlotState>,
-    pub barrier_epoch: u64,
-    /// Per source rank: envelopes that arrived ahead of an earlier,
-    /// still-in-flight envelope from the same source (the machine layer
-    /// completes large rendezvous envelopes out of order), held until the
-    /// gap closes.
-    pub recv_order: RecvWindow<u32, AmpiMsg>,
+    /// Receive requests by slot: `None` until matched.
+    pub slots: IdMap<u64, Option<Matched>>,
     /// Asynchronous communication failures from the UCP reliability layer
-    /// (routed here by the PE's default error handler); drained into
+    /// (routed here by the shell's error route); drained into
     /// `MPI_ERR_OTHER` statuses by `MPI_Wait`.
     pub comm_errors: VecDeque<rucx_ucp::UcpError>,
 }
@@ -87,9 +78,16 @@ impl RankState {
             .position(|m| recv_matches(src, tag, m))
     }
 
-    /// Queue depths `(posted, unexpected)` for tests/diagnostics.
-    pub fn depths(&self) -> (usize, usize) {
-        (self.posted.len(), self.unexpected.len())
+    /// Remove and return the first unexpected message matching `(src, tag)`.
+    pub fn take_unexpected(&mut self, src: i32, tag: i32) -> Option<AmpiMsg> {
+        let i = self.match_unexpected(src, tag)?;
+        self.unexpected.remove(i)
+    }
+
+    /// The status of the first unexpected message matching `(src, tag)`.
+    pub fn probe(&self, src: i32, tag: i32) -> Option<Status> {
+        let i = self.match_unexpected(src, tag)?;
+        Some(status_of(&self.unexpected[i]))
     }
 }
 
@@ -97,8 +95,8 @@ impl RankState {
 /// known: always `MPI_SUCCESS`.
 pub fn status_of(msg: &AmpiMsg) -> Status {
     Status {
-        src: msg.src_rank as i32,
-        tag: msg.tag,
+        src: msg.src as i32,
+        tag: msg.header,
         size: msg.payload.size(),
         error: MPI_SUCCESS,
     }
@@ -121,8 +119,8 @@ mod tests {
 
     fn msg(src: u32, tag: i32) -> AmpiMsg {
         AmpiMsg {
-            src_rank: src,
-            tag,
+            src,
+            header: tag,
             seq: 0,
             payload: rucx_charm::Payload::Inline {
                 bytes: None,

@@ -83,7 +83,8 @@ fn multipath_ablation() {
 /// while another's halos are in flight — at the cost of more cut surface
 /// and more per-message overhead.
 fn overdecomposition_ablation() {
-    use rucx_jacobi::{run, JacobiConfig, JacobiModel};
+    use rucx_fabric::Topology;
+    use rucx_jacobi::{charm_run::run_charm_on, JacobiConfig};
     let mut rows = Vec::new();
     for (label, make) in [
         (
@@ -97,8 +98,8 @@ fn overdecomposition_ablation() {
             let mut cfg = make(nodes, rucx_jacobi::Mode::Device);
             cfg.iters = 4;
             cfg.warmup = 1;
-            cfg.overdecomp = odf;
-            let r = run(JacobiModel::Charm, &cfg);
+            let sim = &mut rucx_ucp::build_sim(Topology::summit(nodes), cfg.machine.clone());
+            let r = run_charm_on(sim, &cfg, odf).expect("overdecomposed Jacobi3D drains");
             rows.push(vec![
                 label.to_string(),
                 odf.to_string(),

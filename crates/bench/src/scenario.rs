@@ -278,7 +278,7 @@ fn jacobi_cell(scenario: &'static str, quick: bool) -> Cell {
     cfg.iters = if quick { 2 } else { 4 };
     cfg.warmup = 1;
     let mut sim = traced_sim(machine(scenario));
-    let r = run_charm_on(&mut sim, &cfg)
+    let r = run_charm_on(&mut sim, &cfg, 1)
         .unwrap_or_else(|s| panic!("jacobi cell under {scenario}: {s}"));
     cell(
         scenario,

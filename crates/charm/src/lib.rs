@@ -21,11 +21,15 @@
 //! - AMPI / Charm4py metadata messages (§III-C, §III-D) → one
 //!   [`wire::Payload`] in the entry-method parameters, delivered into the
 //!   user's buffer by [`Pe::deliver_payload`].
+//! - An AMPI rank / a Charm4py process on its PE → one [`rank::Rank`]
+//!   shell: state chare, ordered message and barrier entry methods, error
+//!   route.
 
 pub mod metrics;
 pub mod mltags;
 pub mod params;
 pub mod pe;
+pub mod rank;
 pub mod wire;
 
 pub use mltags::{MsgType, TagScheme, MSG_BITS};
@@ -43,14 +47,7 @@ pub fn launch<F>(sim: &mut MSim, body: F)
 where
     F: Fn(&mut Pe, &mut MCtx) + Send + Sync + Clone + 'static,
 {
-    let n = sim.world().topo.procs();
-    for pe in 0..n {
-        let body = body.clone();
-        sim.spawn(format!("pe{pe}"), 0, move |ctx| {
-            let mut rt = Pe::new(pe, n);
-            body(&mut rt, ctx);
-        });
-    }
+    rank::spmd(sim, "pe", move |pe, n, ctx| body(&mut Pe::new(pe, n), ctx));
 }
 
 #[cfg(test)]
@@ -437,7 +434,7 @@ mod tests {
             // Local loopback delivery runs the kick inside entry context.
             pe.send(ctx, ChareRef { col, index: 0 }, ep_kick, vec![], 0, vec![]);
             let e4 = errs2.clone();
-            pe.pump_until(ctx, move |_, _| !e4.lock().is_empty());
+            pe.pump_for(ctx, move |_, _| (!e4.lock().is_empty()).then_some(()));
         });
         rucx_ucp::finish(&mut sim).unwrap();
         let got = errs.lock();

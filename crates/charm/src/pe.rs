@@ -234,8 +234,8 @@ impl Pe {
         (self.collections[col.0 as usize].map)(index)
     }
 
-    /// Typed access to a local chare (for driver-style code such as AMPI
-    /// rank bodies living between scheduler pumps).
+    /// Typed access to a local chare (for driver-style code such as the
+    /// rank shell's state chare, between scheduler pumps).
     pub fn chare_mut<T: 'static>(&mut self, col: Collection, index: u64) -> &mut T {
         self.chares
             .get_mut(&(col.0, index))
@@ -254,16 +254,18 @@ impl Pe {
         index: u64,
         f: impl FnOnce(&mut T, &mut Pe, &mut MCtx) -> R,
     ) -> R {
-        let key = (col.0, index);
+        self.detached((col.0, index), |chare, pe| {
+            f(chare.downcast_mut().expect("chare type mismatch"), pe, ctx)
+        })
+    }
+
+    /// Run `f` with chare `key` out of the table, so that it can use the PE.
+    fn detached<R>(&mut self, key: (u16, u64), f: impl FnOnce(&mut dyn Any, &mut Pe) -> R) -> R {
         let mut chare = self
             .chares
             .remove(&key)
-            .expect("chare not present on this PE");
-        let r = f(
-            chare.downcast_mut::<T>().expect("chare type mismatch"),
-            self,
-            ctx,
-        );
+            .unwrap_or_else(|| panic!("chare ({}, {}) not on PE {}", key.0, key.1, self.index));
+        let r = f(chare.as_mut(), self);
         self.chares.insert(key, chare);
         r
     }
@@ -297,34 +299,42 @@ impl Pe {
         let mut metas = Vec::with_capacity(ndev);
         let src_pe = self.index;
         for buf in device_bufs {
-            let tag = self.scheme.device_tag(src_pe, self.device_cnt);
-            self.device_cnt += 1;
+            let tag = self.next_device_tag();
             metas.push(DeviceMeta { tag, size: buf.len });
+            let done = Completion::None;
             ctx.with_world(move |w, s| {
-                tag_send_nb(
-                    w,
-                    s,
-                    src_pe,
-                    dst_pe,
-                    SendBuf::Mem(buf),
-                    tag,
-                    Completion::None,
-                );
+                tag_send_nb(w, s, src_pe, dst_pe, SendBuf::Mem(buf), tag, done);
             });
         }
 
         // 2) Pack metadata with host-side data and send the envelope
         //    (Fig. 6 step 5).
         let env = Envelope {
-            collection: to.col.0,
-            index: to.index,
-            ep,
-            src_pe: src_pe as u32,
-            params,
             phantom_payload: phantom,
             device: metas,
+            ..self.host_envelope(to.col.0, to.index, ep, params)
         };
         self.post_envelope(ctx, dst_pe, env);
+    }
+
+    /// A fresh machine-layer tag for a device buffer sent from this PE.
+    fn next_device_tag(&mut self) -> u64 {
+        let cnt = self.device_cnt;
+        self.device_cnt += 1;
+        self.scheme.device_tag(self.index, cnt)
+    }
+
+    /// An envelope from this PE with host-side `params` only.
+    fn host_envelope(&self, collection: u16, index: u64, ep: EpId, params: Vec<u8>) -> Envelope {
+        Envelope {
+            collection,
+            index,
+            ep,
+            src_pe: self.index as u32,
+            params,
+            phantom_payload: 0,
+            device: vec![],
+        }
     }
 
     /// Route an envelope to `dst_pe` (loopback for self-sends).
@@ -334,22 +344,10 @@ impl Pe {
         } else {
             let src_pe = self.index;
             let tag = self.scheme.host_tag(src_pe);
-            let wire = env.wire_size();
-            let bytes = env.encode();
-            ctx.with_world(move |w, s| {
-                tag_send_nb(
-                    w,
-                    s,
-                    src_pe,
-                    dst_pe,
-                    SendBuf::Inline {
-                        bytes,
-                        wire_size: wire,
-                    },
-                    tag,
-                    Completion::None,
-                );
-            });
+            let (wire_size, bytes) = (env.wire_size(), env.encode());
+            let buf = SendBuf::Inline { bytes, wire_size };
+            let done = Completion::None;
+            ctx.with_world(move |w, s| tag_send_nb(w, s, src_pe, dst_pe, buf, tag, done));
         }
     }
 
@@ -368,15 +366,7 @@ impl Pe {
         fire_at: rucx_sim::time::Time,
     ) {
         debug_assert_eq!(self.home_pe(to.col, to.index), self.index);
-        let env = Envelope {
-            collection: to.col.0,
-            index: to.index,
-            ep,
-            src_pe: self.index as u32,
-            params,
-            phantom_payload: 0,
-            device: vec![],
-        };
+        let env = self.host_envelope(to.col.0, to.index, ep, params);
         let me = self.index;
         let tag = self.scheme.host_tag(me);
         let bytes = env.encode();
@@ -393,15 +383,7 @@ impl Pe {
         let cost = SEND_OVERHEAD;
         ctx.advance(cost);
         for pe in 0..self.n_pes {
-            let env = Envelope {
-                collection: col.0,
-                index: BCAST_INDEX,
-                ep,
-                src_pe: self.index as u32,
-                params: params.clone(),
-                phantom_payload: 0,
-                device: vec![],
-            };
+            let env = self.host_envelope(col.0, BCAST_INDEX, ep, params.clone());
             self.post_envelope(ctx, pe, env);
         }
     }
@@ -409,15 +391,7 @@ impl Pe {
     /// Raise the exit flag on every PE ("CkExit").
     pub fn exit_all(&mut self, ctx: &mut MCtx) {
         for pe in 0..self.n_pes {
-            let env = Envelope {
-                collection: SYS_COLLECTION,
-                index: 0,
-                ep: SYS_EXIT,
-                src_pe: self.index as u32,
-                params: vec![],
-                phantom_payload: 0,
-                device: vec![],
-            };
+            let env = self.host_envelope(SYS_COLLECTION, 0, SYS_EXIT, vec![]);
             self.post_envelope(ctx, pe, env);
         }
     }
@@ -487,11 +461,8 @@ impl Pe {
         if !done {
             return;
         }
-        let target = {
-            let c = &mut self.collections[col.0 as usize];
-            let e = c.red.entries.remove(&seq).expect("reduction entry");
-            e.target
-        };
+        let entries = &mut self.collections[col.0 as usize].red.entries;
+        let target = entries.remove(&seq).and_then(|e| e.target);
         if let Some(parent) = self.red_tree.parent(self.index) {
             // Forward to the parent PE in the reduction tree.
             let mut params = Vec::new();
@@ -500,15 +471,7 @@ impl Pe {
             params.put_u64(op_code(op));
             params.put_f64(acc);
             params.put_u64(total);
-            let env = Envelope {
-                collection: SYS_COLLECTION,
-                index: 0,
-                ep: SYS_REDUCE,
-                src_pe: self.index as u32,
-                params,
-                phantom_payload: 0,
-                device: vec![],
-            };
+            let env = self.host_envelope(SYS_COLLECTION, 0, SYS_REDUCE, params);
             self.post_envelope(ctx, parent, env);
         } else {
             // Root: deliver.
@@ -534,23 +497,24 @@ impl Pe {
         }
     }
 
-    /// Pump the scheduler until `pred` holds (used by blocking layers: AMPI
-    /// ranks, Charm4py coroutines). Processes messages while waiting; the
-    /// predicate may consult the world (e.g. check trigger state).
-    pub fn pump_until(
+    /// Pump the scheduler until `f` yields a value, and return it (used by
+    /// blocking layers: AMPI ranks, Charm4py coroutines). Processes
+    /// messages while waiting; `f` may consult the world (e.g. check
+    /// trigger state) and takes what it waited for in the same call.
+    pub fn pump_for<T>(
         &mut self,
         ctx: &mut MCtx,
-        mut pred: impl FnMut(&mut Self, &mut MCtx) -> bool,
-    ) {
+        mut f: impl FnMut(&mut Self, &mut MCtx) -> Option<T>,
+    ) -> T {
         loop {
-            if pred(self, ctx) {
-                return;
+            if let Some(t) = f(self, ctx) {
+                return t;
             }
             if !self.try_step(ctx) {
-                // Re-check after the failed step: the predicate may depend
-                // on world state that try_step's processing changed.
-                if pred(self, ctx) {
-                    return;
+                // Re-check after the failed step: `f` may depend on world
+                // state that try_step's processing changed.
+                if let Some(t) = f(self, ctx) {
+                    return t;
                 }
                 self.wait_for_work(ctx);
             }
@@ -569,35 +533,14 @@ impl Pe {
         buf: MemRef,
         want_trigger: bool,
     ) -> (u64, Option<Trigger>) {
-        let tag = self.scheme.device_tag(self.index, self.device_cnt);
-        self.device_cnt += 1;
+        let tag = self.next_device_tag();
         let src_pe = self.index;
         ctx.advance(DEVICE_META_OVERHEAD + CPU_CALL);
         let trig = ctx.with_world(move |w, s| {
-            if want_trigger {
-                let t = s.new_trigger();
-                tag_send_nb(
-                    w,
-                    s,
-                    src_pe,
-                    dst_pe,
-                    SendBuf::Mem(buf),
-                    tag,
-                    Completion::Trigger(t),
-                );
-                Some(t)
-            } else {
-                tag_send_nb(
-                    w,
-                    s,
-                    src_pe,
-                    dst_pe,
-                    SendBuf::Mem(buf),
-                    tag,
-                    Completion::None,
-                );
-                None
-            }
+            let t = want_trigger.then(|| s.new_trigger());
+            let done = t.map_or(Completion::None, Completion::Trigger);
+            tag_send_nb(w, s, src_pe, dst_pe, SendBuf::Mem(buf), tag, done);
+            t
         });
         (tag, trig)
     }
@@ -657,7 +600,9 @@ impl Pe {
 
     /// Pump the scheduler until trigger `t` fires, then recycle it.
     pub fn wait_trigger(&mut self, ctx: &mut MCtx, t: Trigger) {
-        self.pump_until(ctx, move |_, ctx| ctx.with_world_ref(|_, s| s.fired(t)));
+        self.pump_for(ctx, move |_, ctx| {
+            ctx.with_world_ref(|_, s| s.fired(t)).then_some(())
+        });
         ctx.with_world(move |_, s| s.recycle_trigger(t));
     }
 
@@ -693,14 +638,9 @@ impl Pe {
         }
         // 1) Device-complete entry methods ready to run?
         if let Some(i) = self.find_ready_pending(ctx) {
-            let p = self.pending_device.swap_remove(i);
-            let triggers = p.triggers.clone();
-            ctx.with_world(move |_, s| {
-                for t in triggers {
-                    s.recycle_trigger(t);
-                }
-            });
-            self.exec_envelope(ctx, p.env);
+            let PendingDevice { env, triggers } = self.pending_device.swap_remove(i);
+            ctx.with_world(move |_, s| triggers.into_iter().for_each(|t| s.recycle_trigger(t)));
+            self.exec_envelope(ctx, env);
             return true;
         }
         // 2) Local (same-PE) messages.
@@ -818,12 +758,7 @@ impl Pe {
             device_sizes: env.device.iter().map(|d| d.size).collect(),
             phantom_payload: env.phantom_payload,
         };
-        let mut chare = self
-            .chares
-            .remove(&key)
-            .unwrap_or_else(|| panic!("chare ({}, {}) not on PE {}", key.0, key.1, self.index));
-        let bufs = post(chare.as_mut(), &msg);
-        self.chares.insert(key, chare);
+        let bufs = self.detached(key, |chare, _| post(chare, &msg));
         assert_eq!(
             bufs.len(),
             env.device.len(),
@@ -831,8 +766,7 @@ impl Pe {
         );
         let me = self.index;
         ctx.advance(CPU_CALL * env.device.len() as u64);
-        let metas: Vec<DeviceMeta> = env.device.clone();
-        let pairs: Vec<(DeviceMeta, MemRef)> = metas.into_iter().zip(bufs).collect();
+        let pairs: Vec<(DeviceMeta, MemRef)> = env.device.iter().copied().zip(bufs).collect();
         let triggers = ctx.with_world(move |w, s| {
             let mut ts = Vec::with_capacity(pairs.len());
             for (meta, buf) in pairs {
@@ -879,12 +813,7 @@ impl Pe {
     }
 
     fn exec_one(&mut self, ctx: &mut MCtx, key: (u16, u64), entry: &Rc<EpEntry>, msg: &Msg) {
-        let mut chare = self
-            .chares
-            .remove(&key)
-            .unwrap_or_else(|| panic!("chare ({}, {}) not on PE {}", key.0, key.1, self.index));
-        (entry.exec)(chare.as_mut(), msg, self, ctx);
-        self.chares.insert(key, chare);
+        self.detached(key, |chare, pe| (entry.exec)(chare, msg, pe, ctx));
     }
 
     fn handle_sys(&mut self, ctx: &mut MCtx, env: Envelope) {

@@ -23,13 +23,13 @@ pub use coll::ReduceOp;
 
 use std::collections::VecDeque;
 
-use rucx_charm::{ChareRef, Collection, EpId, Msg, Payload, Pe};
-use rucx_compat::buf::{Buf, BufMut};
+use rucx_charm::rank::{Arrived, Layer, Rank};
+use rucx_charm::{Payload, Pe};
 use rucx_compat::idmap::IdMap;
 use rucx_gpu::device::{COPY_LAUNCH, SYNC_OVERHEAD};
 use rucx_gpu::{copy_async, stream_sync_trigger, MemRef, StreamId};
 use rucx_sim::time::{transfer_time, us, Duration, Time};
-use rucx_ucp::order::{Arrival, RecvWindow, SendSeq};
+use rucx_sim::Metric;
 use rucx_ucp::{MCtx, MSim, UcpError};
 
 // Calibration constants of the Python/Cython layers.
@@ -74,81 +74,75 @@ pub struct PyExceptionRecord {
     pub peer: Option<usize>,
 }
 
-fn py_exception(err: &UcpError) -> PyExceptionRecord {
-    let (exc_type, peer) = match err {
-        UcpError::EndpointTimeout { dst, .. } => ("TimeoutError", Some(*dst)),
-        _ => ("RuntimeError", None),
-    };
-    PyExceptionRecord {
-        exc_type,
-        message: err.to_string(),
-        peer,
-    }
-}
-
-/// The chare behind one Charm4py process: per-peer channel state.
+/// The layer state behind one Charm4py process (in the rank shell's state
+/// chare): per-peer ready queues and raised exceptions.
 ///
 /// Charm4py channels are ordered even though the underlying runtime's
-/// message delivery is not: each message carries a per-peer sequence
-/// number, and arrivals that overtook an earlier one are held until their
-/// turn (the real Channel class does the same buffering with its internal
-/// seqnum).
-struct ChanState {
+/// message delivery is not: the rank shell stamps each message with a
+/// per-peer sequence number and holds arrivals that overtook an earlier one
+/// until their turn (the real Channel class does the same buffering with
+/// its internal seqnum).
+#[derive(Default)]
+struct PyState {
     /// Per peer: in-order messages ready for `recv`.
     inbox: IdMap<u32, VecDeque<Payload>>,
-    recv_order: RecvWindow<u32, Payload>,
-    send_order: SendSeq<usize>,
-    barrier_epoch: u64,
     /// Communication failures mapped into Python exceptions, awaiting
     /// [`PyProc::take_exception`].
     exceptions: VecDeque<PyExceptionRecord>,
 }
 
-impl ChanState {
-    /// Sort one channel message from `src` into its peer's ready queue, or
-    /// hold it until the messages sent before it arrive. Returns whether it
-    /// was held.
-    fn deliver(&mut self, src: u32, seq: u64, payload: Payload) -> bool {
-        match self.recv_order.arrive(src, seq, payload) {
-            Arrival::Deliver(p) => {
-                let q = self.inbox.entry(src).or_default();
-                q.push_back(p);
-                while let Some(p) = self.recv_order.release(&src) {
-                    q.push_back(p);
-                }
-                false
-            }
-            Arrival::Held => true,
-            Arrival::Duplicate => {
-                debug_assert!(false, "duplicate channel message from {src}");
-                false
-            }
-        }
-    }
-
-    fn ready(&self, peer: usize) -> bool {
-        self.inbox
-            .get(&(peer as u32))
-            .is_some_and(|q| !q.is_empty())
-    }
-
+impl PyState {
     fn pop(&mut self, peer: usize) -> Option<Payload> {
         self.inbox.get_mut(&(peer as u32))?.pop_front()
     }
 
-    /// Queue `err` as a Python exception record. A timed-out peer is
-    /// forgotten on both sides of its channel: its ready and held messages
-    /// go (it never completes the sequence a held message waits on, and a
-    /// dead endpoint must not pin payload memory for the run's lifetime),
-    /// and a later reconnection starts a fresh in-order stream.
-    fn raise(&mut self, err: &UcpError) {
-        let rec = py_exception(err);
-        if let Some(p) = rec.peer {
-            self.inbox.remove(&(p as u32));
-            self.recv_order.forget(&(p as u32));
-            self.send_order.forget(&p);
+    /// The next message from `peer` for a host receive: a pickled object
+    /// is taken off the channel; a GPU buffer stays queued for `recv`, and
+    /// only a copy of its descriptor is returned.
+    fn take_host(&mut self, peer: usize) -> Option<Payload> {
+        let q = self.inbox.get_mut(&(peer as u32))?;
+        match q.front()? {
+            Payload::ZeroCopy { .. } => q.front().cloned(),
+            Payload::Inline { .. } => q.pop_front(),
         }
+    }
+}
+
+impl Layer for PyState {
+    type Header = ();
+    const HEADER_LEN: usize = 0;
+    const HELD: Metric = metrics::REORDER_HELD;
+    const ARRIVAL: Duration = 0;
+
+    fn put_header(_: &(), _: &mut Vec<u8>) {}
+    fn get_header(_: &mut &[u8]) {}
+
+    fn accept(&mut self, m: Arrived<()>, _: &mut Pe, _: &mut MCtx) {
+        self.inbox.entry(m.src).or_default().push_back(m.payload);
+    }
+
+    /// Queue `err` as a Python exception record. A timed-out peer is
+    /// forgotten on both sides of its channel: its ready messages go here
+    /// and the shell drops its held ones (it never completes the sequence
+    /// a held message waits on, and a dead endpoint must not pin payload
+    /// memory for the run's lifetime), so a later reconnection starts a
+    /// fresh in-order stream.
+    fn error(&mut self, err: &UcpError) -> Option<usize> {
+        let (exc_type, peer) = match err {
+            UcpError::EndpointTimeout { dst, .. } => ("TimeoutError", Some(*dst)),
+            _ => ("RuntimeError", None),
+        };
+        if let Some(p) = peer {
+            self.inbox.remove(&(p as u32));
+        }
+        let message = err.to_string();
+        let rec = PyExceptionRecord {
+            exc_type,
+            message,
+            peer,
+        };
         self.exceptions.push_back(rec);
+        peer
     }
 }
 
@@ -158,81 +152,25 @@ pub struct Channel {
     pub peer: usize,
 }
 
-/// One Charm4py process: owns its PE and exposes the channels API.
+/// One Charm4py process: the Charm++ rank shell plus the channels API.
 pub struct PyProc {
-    pub pe: Pe,
-    rank: usize,
-    nranks: usize,
-    col: Collection,
-    ep_chan: EpId,
-    ep_barrier: EpId,
+    shell: Rank<PyState>,
+}
+
+impl AsMut<Rank<PyState>> for PyProc {
+    fn as_mut(&mut self) -> &mut Rank<PyState> {
+        &mut self.shell
+    }
 }
 
 impl PyProc {
-    /// Build the Charm4py runtime on one PE.
-    pub fn create(rank: usize, nranks: usize) -> Self {
-        let mut pe = Pe::new(rank, nranks);
-        let n = nranks as u64;
-        let col = pe.register_collection(n, move |i| i as usize);
-        let ep_chan = pe.register_ep(
-            col,
-            None,
-            Box::new(|chare, msg: &Msg, _pe, ctx| {
-                let st = chare.downcast_mut::<ChanState>().expect("chan state");
-                let mut r: &[u8] = &msg.params;
-                let (src, seq) = (r.get_u32(), r.get_u64());
-                if st.deliver(src, seq, Payload::decode(&mut r)) {
-                    ctx.with_world(|_, s| s.count(metrics::REORDER_HELD));
-                }
-            }),
-        );
-        let ep_barrier = pe.register_ep(
-            col,
-            None,
-            Box::new(|chare, _msg, _pe, _ctx| {
-                let st = chare.downcast_mut::<ChanState>().expect("chan state");
-                st.barrier_epoch += 1;
-            }),
-        );
-        pe.insert_chare(
-            col,
-            rank as u64,
-            Box::new(ChanState {
-                inbox: IdMap::default(),
-                recv_order: RecvWindow::default(),
-                send_order: SendSeq::default(),
-                barrier_epoch: 0,
-                exceptions: VecDeque::new(),
-            }),
-        );
-        // Reliability give-ups become Python exception records awaiting
-        // `take_exception` (as Charm4py would raise into the coroutine).
-        let idx = rank as u64;
-        pe.set_default_error_handler(Box::new(move |err, pe, _ctx| {
-            pe.chare_mut::<ChanState>(col, idx).raise(err);
-        }));
-        PyProc {
-            pe,
-            rank,
-            nranks,
-            col,
-            ep_chan,
-            ep_barrier,
-        }
-    }
-
-    fn state(&mut self) -> &mut ChanState {
-        let (col, idx) = (self.col, self.rank as u64);
-        self.pe.chare_mut::<ChanState>(col, idx)
-    }
-
     /// Advance by a Python/Cython overhead and attribute it in the trace
     /// as a `charm4py.call_overhead` span. `site` distinguishes the call
     /// site: 0 = send path, 1 = recv path, 2 = coroutine wake, 3 = CUDA
     /// call; `arg` carries the duration so the attribution table can sum
     /// spans without re-deriving them.
     fn py_overhead(&self, ctx: &mut MCtx, dur: Duration, site: u64) {
-        let me = self.rank as u32;
+        let me = self.rank() as u32;
         ctx.with_world(move |_, s| {
             s.trace_span_in(metrics::TRACE_CALL_OVERHEAD, dur, me, site, dur)
         });
@@ -243,30 +181,25 @@ impl PyProc {
     /// errors still sitting at the UCP worker first, so a failure surfaced
     /// in the same event as a completion is not missed.
     pub fn take_exception(&mut self, ctx: &mut MCtx) -> Option<PyExceptionRecord> {
-        self.pe.drain_errors(ctx);
-        self.state().exceptions.pop_front()
+        self.shell.pe.drain_errors(ctx);
+        self.shell.state().exceptions.pop_front()
     }
 
     /// Suspend until a communication exception is raised (used after a
     /// send that is expected to fail; pairs with `take_exception` for
     /// polling-style use).
     pub fn wait_exception(&mut self, ctx: &mut MCtx) -> PyExceptionRecord {
-        let (col, idx) = (self.col, self.rank as u64);
-        let me = self.rank;
-        self.pe.pump_until(ctx, move |pe, ctx| {
-            !pe.chare_mut::<ChanState>(col, idx).exceptions.is_empty()
-                || ctx.with_world_ref(|w, _| w.ucp.worker(me).has_errors())
-        });
+        let rec = self.shell.pump_for(ctx, |st, _| st.exceptions.pop_front());
         self.py_overhead(ctx, PY_WAKE, 2);
-        self.take_exception(ctx).expect("exception present")
+        rec
     }
 
     pub fn rank(&self) -> usize {
-        self.rank
+        self.shell.pe.index
     }
 
     pub fn size(&self) -> usize {
-        self.nranks
+        self.shell.pe.n_pes
     }
 
     /// Establish a channel to `peer` (channels are lightweight; creation is
@@ -280,12 +213,12 @@ impl PyProc {
     pub fn send(&mut self, ctx: &mut MCtx, ch: Channel, buf: MemRef) {
         let dur = PY_SEND + buffer_cost(buf.len);
         self.py_overhead(ctx, dur, 0);
-        let (ml_tag, _trig) = self.pe.ml_send_device(ctx, ch.peer, buf, false);
+        let (ml_tag, _trig) = self.shell.pe.ml_send_device(ctx, ch.peer, buf, false);
         let payload = Payload::ZeroCopy {
             ml_tag,
             size: buf.len,
         };
-        self.send_chan(ctx, ch, payload, 0);
+        self.shell.send(ctx, ch.peer, (), payload, 0);
     }
 
     /// `channel.send(host_obj)` — pickle a host object into the message.
@@ -307,30 +240,8 @@ impl PyProc {
         self.py_overhead(ctx, dur, 0);
         // Unmaterialized payloads still occupy `size` bytes on the wire.
         let phantom = if bytes.is_none() { size } else { 0 };
-        self.send_chan(ctx, ch, Payload::Inline { bytes, size }, phantom);
-    }
-
-    /// Stamp the channel's next sequence number and send `payload` to the
-    /// peer's chare (`src, seq`, then the payload).
-    fn send_chan(&mut self, ctx: &mut MCtx, ch: Channel, payload: Payload, phantom: u64) {
-        let seq = self.state().send_order.next(ch.peer);
-        let src = self.rank as u32;
-        let bytes = payload.encode(4 + 8, |b| {
-            b.put_u32(src);
-            b.put_u64(seq);
-        });
-        let (col, ep) = (self.col, self.ep_chan);
-        self.pe.send(
-            ctx,
-            ChareRef {
-                col,
-                index: ch.peer as u64,
-            },
-            ep,
-            bytes,
-            phantom,
-            vec![],
-        );
+        let payload = Payload::Inline { bytes, size };
+        self.shell.send(ctx, ch.peer, (), payload, phantom);
     }
 
     /// `channel.recv(d_buf, size)` — suspend until the message arrives,
@@ -338,37 +249,33 @@ impl PyProc {
     /// size sent; only the prefix that fits in `buf` is delivered.
     pub fn recv(&mut self, ctx: &mut MCtx, ch: Channel, buf: MemRef) -> u64 {
         self.py_overhead(ctx, PY_RECV, 1);
-        let payload = self.pop_inbox(ctx, ch.peer);
+        let payload = self.shell.pump_for(ctx, |st, _| st.pop(ch.peer));
         let size = payload.size();
         match payload {
             Payload::ZeroCopy { .. } => self.py_overhead(ctx, buffer_cost(size), 1),
             Payload::Inline { .. } => self.py_overhead(ctx, pickle_cost(size) + PY_WAKE, 2),
         }
-        if let Some(t) = self.pe.deliver_payload(ctx, payload, buf) {
-            self.pe.wait_trigger(ctx, t);
+        if let Some(t) = self.shell.pe.deliver_payload(ctx, payload, buf) {
+            self.shell.pe.wait_trigger(ctx, t);
             self.py_overhead(ctx, PY_WAKE, 2);
         }
         size
     }
 
-    /// `channel.recv()` of a pickled host object.
+    /// `channel.recv()` of a pickled host object. A GPU buffer at the head
+    /// of the channel is not taken: it raises a `TypeError` record (see
+    /// [`PyProc::take_exception`]) and stays queued for [`PyProc::recv`].
     pub fn recv_host(&mut self, ctx: &mut MCtx, ch: Channel) -> Option<Vec<u8>> {
         self.py_overhead(ctx, PY_RECV, 1);
-        match self.pop_inbox(ctx, ch.peer) {
-            Payload::Inline { bytes, size } => {
-                let dur = pickle_cost(size) + PY_WAKE;
-                self.py_overhead(ctx, dur, 2);
-                bytes
-            }
-            Payload::ZeroCopy { .. } => {
-                panic!("recv_host on a channel carrying a GPU buffer")
-            }
-        }
+        let got = self.shell.pump_for(ctx, |st, _| st.take_host(ch.peer));
+        self.host_object(ctx, ch.peer, got)
     }
 
     /// `charm.iwait`-style select: suspend until any of `peers` has a
     /// ready pickled host object and return `Some((peer, bytes))`. Ties
-    /// are broken by `peers` order, so the choice is deterministic.
+    /// are broken by `peers` order, so the choice is deterministic. A GPU
+    /// buffer at the head of the chosen channel is handled as in
+    /// [`PyProc::recv_host`].
     ///
     /// With a `deadline` the wait is bounded: `None` is returned once it
     /// passes with nothing ready. A wakeup is scheduled at the deadline so
@@ -384,61 +291,49 @@ impl PyProc {
         deadline: Option<Time>,
     ) -> Option<(usize, Option<Vec<u8>>)> {
         self.py_overhead(ctx, PY_RECV, 1);
-        let me = self.rank;
+        let me = self.rank();
         if let Some(dl) = deadline.filter(|&dl| ctx.now() < dl) {
             ctx.with_world(move |w, s| {
                 let n = w.ucp.worker(me).notify;
                 s.schedule_at(dl, move |_, s| s.notify(n));
             });
         }
-        let (col, idx) = (self.col, self.rank as u64);
-        self.pe.pump_until(ctx, |pe, ctx| {
-            let st = pe.chare_mut::<ChanState>(col, idx);
-            peers.iter().any(|&p| st.ready(p)) || deadline.is_some_and(|dl| ctx.now() >= dl)
+        let hit = self.shell.pump_for(ctx, |st, ctx| {
+            let hit = peers.iter().find_map(|&p| Some((p, st.take_host(p)?)));
+            (hit.is_some() || deadline.is_some_and(|dl| ctx.now() >= dl)).then_some(hit)
         });
-        let st = self.state();
-        let hit = peers.iter().find_map(|&p| Some((p, st.pop(p)?)));
-        match hit {
-            Some((peer, Payload::Inline { bytes, size })) => {
-                let dur = pickle_cost(size) + PY_WAKE;
-                self.py_overhead(ctx, dur, 2);
-                Some((peer, bytes))
+        let Some((peer, got)) = hit else {
+            // Deadline expired with every scanned inbox empty.
+            self.py_overhead(ctx, PY_WAKE, 2);
+            return None;
+        };
+        Some((peer, self.host_object(ctx, peer, got)))
+    }
+
+    /// Unpickle what `take_host` found on `peer`'s channel, or raise the
+    /// `TypeError` for a GPU buffer.
+    fn host_object(&mut self, ctx: &mut MCtx, peer: usize, got: Payload) -> Option<Vec<u8>> {
+        match got {
+            Payload::Inline { bytes, size } => {
+                self.py_overhead(ctx, pickle_cost(size) + PY_WAKE, 2);
+                bytes
             }
-            Some((_, Payload::ZeroCopy { .. })) => {
-                panic!("recv_host_any on a channel carrying a GPU buffer")
-            }
-            None => {
-                // Deadline expired with every scanned inbox empty.
+            Payload::ZeroCopy { .. } => {
                 self.py_overhead(ctx, PY_WAKE, 2);
+                let rec = PyExceptionRecord {
+                    exc_type: "TypeError",
+                    message: format!("channel from {peer} carries a GPU buffer: recv into one"),
+                    peer: None,
+                };
+                self.shell.state().exceptions.push_back(rec);
                 None
             }
         }
     }
 
-    fn pop_inbox(&mut self, ctx: &mut MCtx, peer: usize) -> Payload {
-        let (col, idx) = (self.col, self.rank as u64);
-        self.pe.pump_until(ctx, move |pe, _| {
-            pe.chare_mut::<ChanState>(col, idx).ready(peer)
-        });
-        self.state().pop(peer).expect("ready channel message")
-    }
-
     /// Global barrier (via a Charm++ reduction, as `charm.barrier()`).
     pub fn barrier(&mut self, ctx: &mut MCtx) {
-        let (col, idx) = (self.col, self.rank as u64);
-        let old = self.state().barrier_epoch;
-        let ep = self.ep_barrier;
-        self.pe.contribute(
-            ctx,
-            col,
-            idx,
-            ReduceOp::Sum,
-            0.0,
-            rucx_charm::RedTarget::Broadcast(col, ep),
-        );
-        self.pe.pump_until(ctx, move |pe, _| {
-            pe.chare_mut::<ChanState>(col, idx).barrier_epoch > old
-        });
+        self.shell.barrier(ctx);
     }
 
     // ---- Host-staging helpers (Fig. 8, `not gpu_direct`) --------------
@@ -460,11 +355,6 @@ impl PyProc {
         ctx.with_world(move |_, s| s.recycle_trigger(t));
         ctx.advance(SYNC_OVERHEAD);
     }
-
-    /// Virtual time in seconds (`time.perf_counter()`).
-    pub fn time(&self, ctx: &MCtx) -> f64 {
-        rucx_sim::time::as_secs(ctx.now())
-    }
 }
 
 /// SPMD launch: one Charm4py process per simulated process.
@@ -472,19 +362,13 @@ pub fn launch<F>(sim: &mut MSim, body: F)
 where
     F: Fn(&mut PyProc, &mut MCtx) + Send + Sync + Clone + 'static,
 {
-    let n = sim.world().topo.procs();
-    for p in 0..n {
-        let body = body.clone();
-        sim.spawn(format!("py{p}"), 0, move |ctx| {
-            let mut proc = PyProc::create(p, n);
-            body(&mut proc, ctx);
-        });
-    }
+    rucx_charm::rank::launch(sim, "py", |shell| PyProc { shell }, body);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rucx_compat::buf::BufMut;
     use rucx_fabric::Topology;
     use rucx_gpu::DeviceId;
     use rucx_sim::time::as_us;
@@ -710,7 +594,8 @@ mod tests {
     /// Regression: a peer that times out used to leave its held
     /// out-of-order arrivals and the sender-side sequence counter in place
     /// forever, pinning payload memory for the simulation's lifetime.
-    /// Surfacing the TimeoutError must forget the peer on both sides.
+    /// Surfacing the TimeoutError must forget the peer on both sides (the
+    /// restart at sequence number 0 is pinned by the rank shell's tests).
     #[test]
     fn peer_timeout_forgets_the_peer() {
         let mut spec = rucx_fault::FaultSpec::default();
@@ -739,20 +624,26 @@ mod tests {
             // Model the reordering race the window exists for: seq 1 from
             // the dying peer arrives while seq 0 is lost with the
             // partition, so the payload is held with no predecessor ever
-            // coming.
+            // coming. It is injected as a loopback envelope in the rank
+            // shell's wire format: `(src, seq)`, no header, the payload.
             let payload = Payload::Inline {
                 bytes: Some(vec![7u8; 4096]),
                 size: 4096,
             };
-            assert!(py.state().deliver(6, 1, payload), "seq 1 must be held");
+            let params = payload.encode(12, |b| {
+                b.put_u32(6);
+                b.put_u64(1);
+            });
+            let (col, index) = (rucx_charm::Collection(0), 0);
+            let me = rucx_charm::ChareRef { col, index };
+            py.shell.pe.send(ctx, me, 0, params, 0, vec![]);
+            py.shell.pe.try_step(ctx);
+            assert_eq!(py.shell.held(), 1, "seq 1 must be held");
             let exc = py.wait_exception(ctx);
             assert_eq!(exc.exc_type, "TimeoutError");
             assert_eq!(exc.peer, Some(6));
-            let st = py.state();
-            assert_eq!(st.recv_order.held(), 0, "dead peer's holds must go");
-            assert!(!st.inbox.contains_key(&6));
-            // A reconnected peer starts a fresh in-order stream.
-            assert_eq!(st.send_order.next(6), 0, "send counter must restart");
+            assert_eq!(py.shell.held(), 0, "dead peer's holds must go");
+            assert!(!py.shell.state().inbox.contains_key(&6));
             *checked2.lock() = true;
         });
         rucx_ucp::finish(&mut sim).unwrap();

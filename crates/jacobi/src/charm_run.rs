@@ -159,15 +159,18 @@ impl JacobiChare {
 /// arms fault injection and the trace sink on it first and harvests
 /// counters and trace afterwards.
 ///
-/// With `cfg.overdecomp > 1`, each PE hosts that many chares (consecutive
-/// blocks), letting the message-driven scheduler overlap one chare's halo
-/// wait with another's stencil compute — the paper's planned
-/// computation-communication-overlap extension.
+/// `odf` chares per PE (overdecomposition; only this runner has chares, so
+/// it is an argument, not a config field): the paper runs 1, and with
+/// `odf > 1` each PE hosts that many consecutive blocks, letting the
+/// message-driven scheduler overlap one chare's halo wait with another's
+/// stencil compute — the paper's planned computation-communication-overlap
+/// extension.
 pub fn run_charm_on(
     sim: &mut rucx_ucp::MSim,
     cfg: &JacobiConfig,
+    odf: u32,
 ) -> Result<JacobiResult, rucx_ucp::RunError> {
-    let odf = cfg.overdecomp.max(1) as u64;
+    let odf = odf.max(1) as u64;
     let bufs = Arc::new(alloc(sim, cfg, odf));
     let n_elems = bufs.len() as u64;
     let (iters, warmup, mode) = (cfg.iters, cfg.warmup, cfg.mode);

@@ -21,11 +21,6 @@ pub struct JacobiConfig {
     /// Unmeasured warmup iterations.
     pub warmup: u32,
     pub mode: Mode,
-    /// Overdecomposition factor for the Charm++ variant: chares per PE.
-    /// The paper runs 1 (no overdecomposition) and names
-    /// computation-communication overlap via overdecomposition as future
-    /// work; factors > 1 reproduce that extension.
-    pub overdecomp: u32,
     pub machine: rucx_ucp::MachineConfig,
 }
 
@@ -39,7 +34,6 @@ impl JacobiConfig {
             iters: 5,
             warmup: 1,
             mode,
-            overdecomp: 1,
             machine: rucx_ucp::MachineConfig::default(),
         }
     }
@@ -56,7 +50,6 @@ impl JacobiConfig {
             iters: 5,
             warmup: 1,
             mode,
-            overdecomp: 1,
             machine: rucx_ucp::MachineConfig::default(),
         }
     }

@@ -31,7 +31,7 @@ use rucx_ucp::{build_sim, RunError};
 pub fn try_run(model: JacobiModel, cfg: &JacobiConfig) -> Result<JacobiResult, RunError> {
     let sim = &mut build_sim(Topology::summit(cfg.nodes), cfg.machine.clone());
     match model {
-        JacobiModel::Charm => charm_run::run_charm_on(sim, cfg),
+        JacobiModel::Charm => charm_run::run_charm_on(sim, cfg, 1),
         JacobiModel::Ampi => mpi_run::run_mpi_on(sim, cfg, AmpiFactory),
         JacobiModel::Ompi => mpi_run::run_mpi_on(sim, cfg, OmpiFactory),
         JacobiModel::Charm4py => py_run::run_charm4py_on(sim, cfg),
@@ -114,13 +114,11 @@ mod tests {
         // 4 chares per PE: the run must complete, produce sane timings, and
         // not catastrophically regress overall time (overlap offsets most
         // of the extra surface).
-        let mut c1 = quick(1, Mode::Device);
-        let mut c4 = quick(1, Mode::Device);
-        c4.overdecomp = 4;
-        c1.iters = 2;
-        c4.iters = 2;
-        let r1 = run(JacobiModel::Charm, &c1);
-        let r4 = run(JacobiModel::Charm, &c4);
+        let mut cfg = quick(1, Mode::Device);
+        cfg.iters = 2;
+        let r1 = run(JacobiModel::Charm, &cfg);
+        let sim = &mut build_sim(Topology::summit(1), cfg.machine.clone());
+        let r4 = charm_run::run_charm_on(sim, &cfg, 4).unwrap();
         assert!(r4.comm_ms > 0.0 && r4.overall_ms > 0.0);
         assert!(
             r4.overall_ms < r1.overall_ms * 1.5,

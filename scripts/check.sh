@@ -82,17 +82,18 @@ gate "metric name declared twice (one namespace: the two would merge):" "$bad"
 echo "ok: names come from the per-crate registries, each declared once"
 
 # ---------------------------------------------------------------------------
-# Gate: no panics on the UCP communication paths.
+# Gate: no panics on the communication paths.
 #
 # The fault-injection subsystem makes "impossible" wire states reachable;
-# crates/ucp must surface them as typed `UcpError`s, never `panic!` /
+# crates/ucp surfaces them as typed `UcpError`s, and AMPI and Charm4py as
+# `MPI_ERR_OTHER` statuses and exception records, never `panic!` /
 # `unreachable!` / `.expect(` / `.unwrap()`. Test modules (everything from
 # `#[cfg(test)]` down) and comments are exempt.
 # ---------------------------------------------------------------------------
-echo "== ucp panic-free gate =="
-gate "panic!/unreachable!/.expect(/.unwrap() on a UCP communication path (use UcpError):" \
-    "$(nontest 'panic!|unreachable!|\.expect\(|\.unwrap\(\)' crates/ucp/src/*.rs)"
-echo "ok: crates/ucp surfaces errors as values"
+echo "== panic-free gate: ucp, ampi, charm4py =="
+gate "panic!/unreachable!/.expect(/.unwrap() on a communication path (return a typed outcome):" \
+    "$(nontest 'panic!|unreachable!|\.expect\(|\.unwrap\(\)' crates/{ucp,ampi,charm4py}/src/*.rs)"
+echo "ok: crates/ucp, crates/ampi and crates/charm4py surface errors as values"
 
 # ---------------------------------------------------------------------------
 # Gate: one way a simulation ends.
@@ -196,6 +197,7 @@ mpi_latency_point mpi_bw_point mpi_bibw_point bibw_series charm_osu py_osu laten
 JacobiStall inflight_rndv inflight_tracked|37|one way a simulation ends (rucx_ucp::finish audits every run), DESIGN §3
 table1_improvements RUCX_MAX_NODES max_nodes|41|one scorecard (SCORECARD.md) at the paper's one sweep size, DESIGN §4
 alloc_mapped alloc_all recv_any dsend hsend hrecv grid_mem|44|one Jacobi rank: a list of halo faces, each side an osu::Side, and results max-merged into the run's ResultCell, DESIGN §3
+ChanState handle_ampi_msg send_chan barrier_epoch SlotState pop_inbox MpiRank::create PyProc::create|46|one rank on a PE: AMPI and Charm4py share the rank shell (rucx_charm::rank), DESIGN §9
 TABLE
 echo "ok: no deleted engine, queue, params struct, sink, twin path or caller-less extension is back"
 

@@ -3,6 +3,7 @@
 //! property that makes simulation results citable and regressions
 //! detectable.
 
+use rucx::fabric::Topology;
 use rucx::jacobi::{run, JacobiConfig, JacobiModel, Mode};
 
 fn jacobi_fingerprint(model: JacobiModel) -> (u64, u64) {
@@ -34,8 +35,8 @@ fn overdecomposed_run_is_reproducible() {
         let mut cfg = JacobiConfig::weak(1, Mode::Device);
         cfg.iters = 2;
         cfg.warmup = 1;
-        cfg.overdecomp = 4;
-        let r = run(JacobiModel::Charm, &cfg);
+        let sim = &mut rucx::ucp::build_sim(Topology::summit(1), cfg.machine.clone());
+        let r = rucx::jacobi::charm_run::run_charm_on(sim, &cfg, 4).unwrap();
         (r.overall_ms.to_bits(), r.comm_ms.to_bits())
     };
     assert_eq!(once(), once());

@@ -4,11 +4,14 @@
 //! delivered: AMPI per source rank, Charm4py per channel peer, and (under
 //! a fault spec, between nodes) UCP's reliability protocol per endpoint.
 //! All three use `rucx::ucp::order`; each counts its own holds
-//! (`*.reorder.held`). This runs the real drivers clean and under the
-//! canned 1 % drop and prints the three counts per cell — the table in
-//! DESIGN §9 is its output (`cargo test --test ordering -- --nocapture`).
-//! It asserts only what is structural; why each layer stays is written
-//! there, not decided by a threshold here.
+//! (`*.reorder.held`). The AMPI and Charm4py windows are two instances of
+//! one rank shell (`rucx::charm::rank`), which also counts what a window
+//! still holds when its rank's body returns (`charm.rank.held_at_exit`).
+//! This runs the real drivers clean and under the canned 1 % drop and
+//! prints the four counts per cell — the table in DESIGN §9 is its output
+//! (`cargo test --test ordering -- --nocapture`). It asserts only what is
+//! structural; why each layer stays is written there, not decided by a
+//! threshold here.
 
 use rucx::fabric::Topology;
 use rucx::fault::FaultSpec;
@@ -19,14 +22,16 @@ use rucx::sim::Counters;
 use rucx::svc::{self, LoadCfg};
 use rucx::ucp::{build_sim, MachineConfig};
 
-/// `[ampi, charm4py, ucp]` holds.
-type Held = [u64; 3];
+/// `[ampi, charm4py, ucp]` holds (`a/c/u`), then what the rank windows
+/// still held at exit.
+type Held = [u64; 4];
 
 fn add(total: &mut Held, c: &Counters) {
     let layers = ["ampi", "charm4py", "ucp"];
     for (t, layer) in total.iter_mut().zip(layers) {
         *t += c.get(&format!("{layer}.reorder.held"));
     }
+    total[3] += c.get("charm.rank.held_at_exit");
 }
 
 /// One table cell: `py` picks Charm4py over AMPI, `fault` the wire. Every
@@ -40,7 +45,7 @@ fn cell(workload: &str, py: bool, fault: Option<FaultSpec>) -> Held {
         fault: fault.clone(),
         ..MachineConfig::default()
     };
-    let mut held = [0; 3];
+    let mut held = [0; 4];
     match workload {
         "svc" => {
             let cfg = LoadCfg {
@@ -97,7 +102,7 @@ fn cell(workload: &str, py: bool, fault: Option<FaultSpec>) -> Held {
 fn ordering_layers_hold_counts() {
     let drop = FaultSpec::parse("seed=7,drop=0.01").expect("spec");
     let mut ucp_under_drops = 0;
-    println!("| workload | model | clean ampi/charm4py/ucp | drop=0.01 ampi/charm4py/ucp |");
+    println!("| workload | model | clean a/c/u/exit | drop=0.01 a/c/u/exit |");
     println!("|---|---|---|---|");
     for (workload, py) in [
         ("osu latency", false),
@@ -117,6 +122,8 @@ fn ordering_layers_hold_counts() {
             clean[2], 0,
             "{workload} ({model}): UCP held a clean message"
         );
+        // A clean run leaves no rank window holding anything at exit.
+        assert_eq!(clean[3], 0, "{workload} ({model}): held at exit");
         // A layer counts only its own traffic.
         let foreign = usize::from(!py);
         assert_eq!(clean[foreign] + lossy[foreign], 0, "{workload} ({model})");
