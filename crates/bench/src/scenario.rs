@@ -331,7 +331,8 @@ fn svc_cell(scenario: &'static str, quick: bool) -> Cell {
     // than any task deadline.
     machine.ucp.max_retries = 3;
     let mut sim = traced_sim(machine);
-    let r = run_load_on(&mut sim, &cfg);
+    let r =
+        run_load_on(&mut sim, &cfg).unwrap_or_else(|e| panic!("svc_load under `{scenario}`: {e}"));
     assert_eq!(
         r.tasks_failed, 0,
         "svc_load abandoned tasks under `{scenario}`"

@@ -260,6 +260,45 @@ mod tests {
         assert_eq!(result.load(Ordering::SeqCst), 66);
     }
 
+    /// Reductions climb the binary heap over PEs (0; 1 2; 3 4 5 6). With
+    /// elements on PEs 0-3 only, PE 2's subtree and PE 4 hold none: PE 1
+    /// waits for PE 3 alone, PE 0 for PE 1 and its own elements, and the
+    /// reduction completes with every element counted once.
+    #[test]
+    fn reduction_skips_subtrees_without_elements() {
+        let topo = Topology {
+            nodes: 1,
+            gpus_per_node: 7,
+            gpus_per_socket: 7,
+        };
+        let mut sim = build_sim(topo, MachineConfig::default());
+        let got = Arc::new(rucx_compat::sync::Mutex::new(None));
+        let got2 = got.clone();
+        launch(&mut sim, move |pe, ctx| {
+            let col = pe.register_collection(8, |i| i as usize % 4);
+            let got3 = got2.clone();
+            let ep_done = pe.register_ep(
+                col,
+                None,
+                Box::new(move |_chare, msg: &Msg, pe, ctx| {
+                    let mut r: &[u8] = &msg.params;
+                    *got3.lock() = Some((r.get_f64(), r.get_u64()));
+                    pe.exit_all(ctx);
+                }),
+            );
+            struct Unit;
+            let target = RedTarget::Chare(ChareRef { col, index: 0 }, ep_done);
+            for i in pe.local_indices(col).to_vec() {
+                pe.insert_chare(col, i, Box::new(Unit));
+                pe.contribute(ctx, col, i, ReduceOp::Sum, i as f64, target);
+            }
+            pe.run(ctx);
+        });
+        rucx_ucp::finish(&mut sim).unwrap();
+        // Elements 0..8 contribute their index: 28, from 8 contributions.
+        assert_eq!(*got.lock(), Some((28.0, 8)));
+    }
+
     #[test]
     fn self_send_via_local_queue() {
         let mut sim = sim(1);

@@ -11,7 +11,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use rucx_coll::{ReduceOp, Tree};
+use rucx_coll::ReduceOp;
 use rucx_compat::buf::{Buf, BufMut};
 use rucx_compat::idmap::IdMap;
 use rucx_gpu::MemRef;
@@ -114,8 +114,9 @@ struct CollectionData {
     map: Rc<dyn Fn(u64) -> usize>,
     eps: Vec<Rc<EpEntry>>,
     local_indices: Vec<u64>,
-    /// For the reduction tree: which PEs' subtrees contain elements.
-    subtree_elems: Rc<Vec<u64>>,
+    /// This PE's children in the reduction tree whose subtrees hold
+    /// elements: the contributions a reduction waits for besides its own.
+    red_children: usize,
     red: RedMgr,
 }
 
@@ -132,8 +133,6 @@ pub struct Pe {
     pub n_pes: usize,
     /// Machine-layer tag scheme.
     pub scheme: TagScheme,
-    /// The PE tree reductions climb (binary).
-    red_tree: Tree,
     device_cnt: u64,
     collections: Vec<CollectionData>,
     chares: IdMap<(u16, u64), Box<dyn Any>>,
@@ -154,7 +153,6 @@ impl Pe {
             index,
             n_pes,
             scheme: TagScheme,
-            red_tree: Tree::binary(n_pes),
             device_cnt: 0,
             collections: Vec::new(),
             chares: IdMap::default(),
@@ -177,23 +175,25 @@ impl Pe {
         map: impl Fn(u64) -> usize + 'static,
     ) -> Collection {
         let map: Rc<dyn Fn(u64) -> usize> = Rc::new(map);
-        // Elements per PE, then per-subtree totals along the reduction tree.
-        let mut per_pe = vec![0u64; self.n_pes];
+        // One walk of the placement: this PE's elements, and which of its
+        // two reduction-tree children head a subtree that holds any.
+        let mut local_indices = Vec::new();
+        let mut children = [false; 2];
         for i in 0..num_elements {
             let pe = map(i);
             assert!(pe < self.n_pes, "map({i}) = {pe} out of range");
-            per_pe[pe] += 1;
+            if pe == self.index {
+                local_indices.push(i);
+            } else if let Some(c) = heap_child_toward(self.index, pe) {
+                children[c] = true;
+            }
         }
-        let subtree = self.red_tree.subtree_weights(&per_pe);
-        let local_indices: Vec<u64> = (0..num_elements)
-            .filter(|&i| map(i) == self.index)
-            .collect();
         let id = Collection(self.collections.len() as u16);
         self.collections.push(CollectionData {
             map,
             eps: Vec::new(),
             local_indices,
-            subtree_elems: Rc::new(subtree),
+            red_children: children.iter().filter(|&&c| c).count(),
             red: RedMgr::default(),
         });
         id
@@ -451,11 +451,7 @@ impl Pe {
             }
             entry.acc = op.apply(entry.acc, value);
             entry.count += count;
-            // Children of this PE in the reduction tree that have elements.
-            let expected_children = self
-                .red_tree
-                .expected_children(self.index, &c.subtree_elems);
-            let done = entry.local_got == n_local && entry.children_got == expected_children;
+            let done = entry.local_got == n_local && entry.children_got == c.red_children;
             (done, entry.acc, entry.count)
         };
         if !done {
@@ -463,7 +459,7 @@ impl Pe {
         }
         let entries = &mut self.collections[col.0 as usize].red.entries;
         let target = entries.remove(&seq).and_then(|e| e.target);
-        if let Some(parent) = self.red_tree.parent(self.index) {
+        if let Some(parent) = self.index.checked_sub(1).map(|p| p / 2) {
             // Forward to the parent PE in the reduction tree.
             let mut params = Vec::new();
             params.put_u64(col.0 as u64);
@@ -833,6 +829,16 @@ impl Pe {
     }
 }
 
+/// Reductions climb the binary heap over PEs: PE `p`'s parent is
+/// `(p - 1) / 2`. Which child of `pe` (0 for `2 pe + 1`, 1 for `2 pe + 2`)
+/// heads the subtree that holds PE `q`, if either does. In 1-based labels a
+/// subtree's members are the labels that start with its root's bits.
+fn heap_child_toward(pe: usize, q: usize) -> Option<usize> {
+    let (label, left) = (q + 1, 2 * (pe + 1));
+    let shift = label.ilog2().checked_sub(left.ilog2())?;
+    (label >> shift).checked_sub(left).filter(|&c| c < 2)
+}
+
 /// The reduction message carries its operator as one `u64`.
 fn op_code(op: ReduceOp) -> u64 {
     match op {
@@ -854,6 +860,20 @@ fn op_from(v: u64) -> ReduceOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn heap_child_toward_matches_a_climb_to_the_root() {
+        for pe in 0..40 {
+            for q in 0..200 {
+                let mut climb = q;
+                while climb > 2 * pe + 2 {
+                    climb = (climb - 1) / 2;
+                }
+                let want = [2 * pe + 1, 2 * pe + 2].iter().position(|&c| c == climb);
+                assert_eq!(heap_child_toward(pe, q), want, "pe {pe}, q {q}");
+            }
+        }
+    }
 
     #[test]
     fn op_codes_roundtrip() {

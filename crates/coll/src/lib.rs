@@ -6,7 +6,7 @@
 //!
 //! - AMPI and OpenMPI come in through one [`CollComm`] adapter over their
 //!   shared point-to-point surface, `rucx_osu::coll::P2pComm`;
-//! - Charm++ section reductions take their tree from [`schedule::Tree`];
+//! - Charm++ section reductions climb the binary heap over PEs;
 //! - Charm4py `allreduce` / `bcast` run over its channels, so Python
 //!   pickle/buffer-protocol costs apply per hop.
 //!

@@ -1,14 +1,12 @@
 //! Reduction/broadcast tree schedules.
 //!
-//! A [`Tree`] is an explicit parent/children table over participants
-//! `0..n`, with node 0 as the root. The Charm++ runtime's section
-//! reductions route contributions along one of these (historically a
-//! hardcoded `parent = (p - 1) / 2` scattered through `pe.rs`); the
-//! hierarchical collective algorithms use the topology-aware variant.
+//! A [`Tree`] is an explicit parent table over participants `0..n`, with
+//! node 0 as the root, built topology-aware: one cross-node edge per node.
+//! (The Charm++ runtime's reductions climb the plain binary heap, whose
+//! parent is `(p - 1) / 2`; a PE computes that step itself.)
 //!
-//! Invariant: `parent(p) < p` for every non-root `p`. Both constructors
-//! guarantee it, which keeps subtree accumulation a single reverse sweep
-//! and, for the Charm++ runtime, keeps message flow acyclic.
+//! Invariant: `parent(p) < p` for every non-root `p`, which keeps message
+//! flow acyclic.
 
 use rucx_fabric::Topology;
 
@@ -16,35 +14,9 @@ use rucx_fabric::Topology;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tree {
     parent: Vec<Option<usize>>,
-    children: Vec<Vec<usize>>,
 }
 
 impl Tree {
-    fn from_parents(parent: Vec<Option<usize>>) -> Tree {
-        let n = parent.len();
-        let mut children = vec![Vec::new(); n];
-        for p in 0..n {
-            if let Some(q) = parent[p] {
-                assert!(q < p, "tree parent must precede child ({q} !< {p})");
-                children[q].push(p);
-            } else {
-                assert_eq!(p, 0, "only participant 0 may be the root");
-            }
-        }
-        Tree { parent, children }
-    }
-
-    /// The classic complete binary tree: `parent(p) = (p - 1) / 2`. This is
-    /// the Charm++ runtime's historical default; keeping it the default
-    /// preserves byte-identical reduction traffic.
-    pub fn binary(n: usize) -> Tree {
-        assert!(n > 0, "empty tree");
-        let parent = (0..n)
-            .map(|p| if p == 0 { None } else { Some((p - 1) / 2) })
-            .collect();
-        Tree::from_parents(parent)
-    }
-
     /// Topology-aware tree: within each node, participants form a binary
     /// tree rooted at the node leader (lowest participant on the node);
     /// node leaders form a binary tree over nodes. Cross-node edges carry
@@ -75,7 +47,7 @@ impl Tree {
                 parent[p] = Some(g[(l - 1) / 2]);
             }
         }
-        Tree::from_parents(parent)
+        Tree { parent }
     }
 
     /// Number of participants.
@@ -91,61 +63,11 @@ impl Tree {
     pub fn parent(&self, p: usize) -> Option<usize> {
         self.parent[p]
     }
-
-    /// Children of `p`.
-    pub fn children(&self, p: usize) -> &[usize] {
-        &self.children[p]
-    }
-
-    /// Per-participant subtree totals of `weight` (e.g. chare elements per
-    /// PE): `out[p]` sums `weight` over `p`'s whole subtree. Single reverse
-    /// sweep, valid because parents precede children.
-    pub fn subtree_weights(&self, weight: &[u64]) -> Vec<u64> {
-        assert_eq!(weight.len(), self.len());
-        let mut sub = weight.to_vec();
-        for p in (1..self.len()).rev() {
-            // Invariant: non-root participants always have a parent.
-            let q = self.parent[p].expect("non-root without parent");
-            sub[q] += sub[p];
-        }
-        sub
-    }
-
-    /// Number of children of `p` whose subtrees have nonzero weight (only
-    /// those will send contributions up the tree).
-    pub fn expected_children(&self, p: usize, subtree: &[u64]) -> usize {
-        self.children[p].iter().filter(|&&c| subtree[c] > 0).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn binary_matches_historical_charm_tree() {
-        let t = Tree::binary(7);
-        for p in 1..7 {
-            assert_eq!(t.parent(p), Some((p - 1) / 2));
-        }
-        assert_eq!(t.parent(0), None);
-        assert_eq!(t.children(0), &[1, 2]);
-        assert_eq!(t.children(1), &[3, 4]);
-    }
-
-    #[test]
-    fn expected_children_skips_empty_subtrees() {
-        // 7 PEs, elements only on PEs 0..3.
-        //        0
-        //      1   2
-        //     3 4 5 6
-        let t = Tree::binary(7);
-        let per_pe = [1u64, 1, 1, 1, 0, 0, 0];
-        let sub = t.subtree_weights(&per_pe);
-        assert_eq!(t.expected_children(0, &sub), 2); // both subtrees have elems
-        assert_eq!(t.expected_children(1, &sub), 1); // only child 3
-        assert_eq!(t.expected_children(2, &sub), 0); // 5,6 empty
-    }
 
     #[test]
     fn topology_tree_crosses_nodes_once_per_node() {
@@ -156,6 +78,7 @@ mod tests {
             .filter(|&p| !topo.same_node(p, t.parent(p).unwrap()))
             .collect();
         assert_eq!(cross, vec![6]);
+        assert!((1..12).all(|p| t.parent(p).is_some_and(|q| q < p)));
         // All members hang under their node leader's subtree.
         for p in [1, 2, 3, 4, 5] {
             let mut q = p;
@@ -167,14 +90,5 @@ mod tests {
         for p in [7, 8, 9, 10, 11] {
             assert!(topo.same_node(p, t.parent(p).unwrap()));
         }
-    }
-
-    #[test]
-    fn subtree_weights_total_at_root() {
-        let topo = Topology::summit(4);
-        let t = Tree::topology(&topo, 24);
-        let w = vec![2u64; 24];
-        let sub = t.subtree_weights(&w);
-        assert_eq!(sub[0], 48);
     }
 }

@@ -184,10 +184,16 @@ impl OmpiRank {
         }
     }
 
-    /// `MPI_Recv` (blocking).
+    /// `MPI_Recv` (blocking). A request that completes without a status
+    /// yields the empty one, as `MPI_Wait` does on an inactive request.
     pub fn recv(&mut self, ctx: &mut MCtx, buf: MemRef, src: i32, tag: i32) -> Status {
         let r = self.irecv(ctx, buf, src, tag);
-        self.wait(ctx, r).expect("recv produces a status")
+        self.wait(ctx, r).unwrap_or(Status {
+            src: ANY_SOURCE,
+            tag: ANY_TAG,
+            size: 0,
+            error: MPI_SUCCESS,
+        })
     }
 
     /// `MPI_Wait`. No scheduler pumping is needed: everything below is
@@ -208,14 +214,13 @@ impl OmpiRank {
     }
 
     fn scratch(&mut self, ctx: &mut MCtx) -> MemRef {
-        if self.scratch.is_none() {
-            let me = self.rank;
-            self.scratch = Some(ctx.with_world(move |w, _| {
+        let me = self.rank;
+        *self.scratch.get_or_insert_with(|| {
+            ctx.with_world(move |w, _| {
                 let node = w.topo.node_of(me);
                 w.gpu.pool.alloc_host(node, 8, true, false)
-            }));
-        }
-        self.scratch.unwrap()
+            })
+        })
     }
 
     /// `MPI_Barrier`: dissemination algorithm (works for any rank count).

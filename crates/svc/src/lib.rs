@@ -2,37 +2,32 @@
 //!
 //! MPI4Dask-style futures frontend over the Charm4py channel layer: clients
 //! `scatter` a dataset to a worker, `submit` many small tasks against it,
-//! and `gather` the results. This is the workload shape the paper's UCX
-//! layer meets in Dask/UCX-Py deployments — thousands of clients, each
-//! task tiny, so per-message fixed costs (endpoint wireup, memory
-//! registration) dominate end-to-end latency unless they are amortized by
-//! the UCP endpoint/registration caches ([`rucx_ucp::RegCache`]).
+//! and `gather` the results. Thousands of clients with tiny tasks make
+//! per-message fixed costs (endpoint wireup, memory registration) dominate
+//! unless the UCP endpoint/registration caches ([`rucx_ucp::RegCache`])
+//! amortize them.
 //!
-//! The crate is a library so the benchmark binary (`examples/svc_bench.rs`)
-//! and the determinism/leak tests share one driver: [`run_load_on`] takes a
-//! two-node Summit-like simulation (the caller builds it, [`run_load`]
-//! builds one from [`machine_config`]), multiplexes `LoadCfg::clients` logical
-//! clients over the first 8 ranks (4 ranks serve as workers), runs the
-//! scatter/submit/gather protocol with the registration model enabled, and
-//! returns throughput, exact latency percentiles, every task's checksum,
-//! and the cache counters. The run ends through [`rucx_ucp::finish`], whose
-//! audit holds the registration identity (`ucp.reg.miss == ucp.reg.evict +
-//! live mappings`, and no mapping on a freed buffer).
+//! [`run_load_on`] runs one load on a two-node Summit-like simulation the
+//! caller built ([`run_load`] builds one from [`machine_config`]):
+//! `LoadCfg::clients` logical clients over the first [`CLIENT_RANKS`]
+//! ranks, [`WORKER_RANKS`] workers. It returns throughput, exact latency
+//! percentiles, every task's checksum and the cache counters, or the one
+//! [`SvcError`] that ended the run. The run ends through
+//! [`rucx_ucp::finish`], whose audit holds the registration identity.
 //!
 //! Task results are pure functions of task content ([`task_checksum`]), so
-//! a cache-on and a cache-off run must produce byte-identical result sets
-//! — only the timing may differ. That is the correctness contract the
-//! property tests pin down.
+//! cache-on and cache-off runs produce byte-identical result sets; only
+//! the timing differs.
 
-use rucx_charm4py::{launch, PyProc};
+use rucx_charm4py::{launch, PyExceptionRecord, PyProc};
 use rucx_compat::buf::{Buf, BufMut};
 use rucx_compat::idmap::{IdMap, IdSet};
 use rucx_compat::rng::{splitmix64, Rng};
 use rucx_fabric::Topology;
 use rucx_fault::FaultSpec;
-use rucx_gpu::MemRef;
+use rucx_gpu::{MemError, MemRef};
 use rucx_sim::time::{as_us, us, Duration, Time};
-use rucx_ucp::{build_sim, reg_invalidate, MCtx, MSim, MachineConfig, ResultCell};
+use rucx_ucp::{build_sim, reg_invalidate, MCtx, MSim, MachineConfig, ResultCell, RunError};
 
 pub mod metrics;
 
@@ -51,64 +46,115 @@ const MSG_SUBMIT: u8 = 2;
 const MSG_RESULT: u8 = 3;
 const MSG_DONE: u8 = 4;
 
-/// One service-layer wire message (pickled into a channel host object).
-enum SvcMsg {
+/// A client -> worker request, pickled into a channel host object.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ToWorker {
     /// Dataset announcement; the payload follows as a zero-copy channel
     /// send on the same (ordered) channel.
     Scatter { client: u64, size: u64 },
     /// Run one task against a previously scattered dataset.
     Submit { client: u64, task: u64, arg: u64 },
-    /// A task result (worker -> client).
-    Result { task: u64, checksum: u64 },
     /// This client rank is finished with every worker.
     Done,
 }
 
-/// Bytes in the largest encoding (`Submit`: a kind byte and three `u64`s).
-const MAX_MSG_BYTES: usize = 1 + 3 * 8;
+/// A worker -> client task result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ToClient {
+    task: u64,
+    checksum: u64,
+}
 
-fn encode(msg: &SvcMsg) -> Vec<u8> {
-    let mut b = Vec::with_capacity(MAX_MSG_BYTES);
-    match msg {
-        SvcMsg::Scatter { client, size } => {
-            b.put_u8(MSG_SCATTER);
-            b.put_u64(*client);
-            b.put_u64(*size);
-        }
-        SvcMsg::Submit { client, task, arg } => {
-            b.put_u8(MSG_SUBMIT);
-            b.put_u64(*client);
-            b.put_u64(*task);
-            b.put_u64(*arg);
-        }
-        SvcMsg::Result { task, checksum } => {
-            b.put_u8(MSG_RESULT);
-            b.put_u64(*task);
-            b.put_u64(*checksum);
-        }
-        SvcMsg::Done => b.put_u8(MSG_DONE),
+/// A kind byte, then `words` big-endian. The length is the wire size the
+/// channel prices (Scatter 17 B, Submit 25 B, Result 17 B, Done 1 B).
+fn pack(kind: u8, words: &[u64]) -> Vec<u8> {
+    let mut b = Vec::with_capacity(1 + 8 * words.len());
+    b.put_u8(kind);
+    for &w in words {
+        b.put_u64(w);
     }
     b
 }
 
-fn decode(bytes: &[u8]) -> SvcMsg {
-    let mut r: &[u8] = bytes;
-    match r.get_u8() {
-        MSG_SCATTER => SvcMsg::Scatter {
-            client: r.get_u64(),
-            size: r.get_u64(),
-        },
-        MSG_SUBMIT => SvcMsg::Submit {
-            client: r.get_u64(),
-            task: r.get_u64(),
-            arg: r.get_u64(),
-        },
-        MSG_RESULT => SvcMsg::Result {
-            task: r.get_u64(),
-            checksum: r.get_u64(),
-        },
-        MSG_DONE => SvcMsg::Done,
-        k => panic!("bad svc message kind {k}"),
+/// The `N` words of a `kind` message, if `bytes` is exactly one.
+fn unpack<const N: usize>(bytes: &[u8], kind: u8) -> Option<[u64; N]> {
+    let (&k, mut r) = bytes.split_first()?;
+    (k == kind && r.len() == 8 * N).then(|| std::array::from_fn(|_| r.get_u64()))
+}
+
+impl ToWorker {
+    fn encode(self) -> Vec<u8> {
+        match self {
+            ToWorker::Scatter { client, size } => pack(MSG_SCATTER, &[client, size]),
+            ToWorker::Submit { client, task, arg } => pack(MSG_SUBMIT, &[client, task, arg]),
+            ToWorker::Done => pack(MSG_DONE, &[]),
+        }
+    }
+
+    fn decode(bytes: &[u8]) -> Option<ToWorker> {
+        if let Some([client, size]) = unpack(bytes, MSG_SCATTER) {
+            Some(ToWorker::Scatter { client, size })
+        } else if let Some([client, task, arg]) = unpack(bytes, MSG_SUBMIT) {
+            Some(ToWorker::Submit { client, task, arg })
+        } else {
+            unpack(bytes, MSG_DONE).map(|[]| ToWorker::Done)
+        }
+    }
+}
+
+impl ToClient {
+    fn encode(self) -> Vec<u8> {
+        pack(MSG_RESULT, &[self.task, self.checksum])
+    }
+
+    fn decode(bytes: &[u8]) -> Option<ToClient> {
+        unpack(bytes, MSG_RESULT).map(|[task, checksum]| ToClient { task, checksum })
+    }
+}
+
+/// Why a load run failed. A rank that meets one of these ends its body
+/// with it; the first one recorded wins over the stall it then causes in
+/// the other ranks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SvcError {
+    /// `rank` took a host object from `peer` that is no message of its
+    /// direction: a GPU buffer, an unmaterialized payload, or bytes that do
+    /// not decode.
+    BadMessage { rank: usize, peer: usize },
+    /// A communication exception other than a worker's `TimeoutError`.
+    Exception(PyExceptionRecord),
+    /// `worker` answered `task` with `got`; the client expected `expected`.
+    WrongChecksum {
+        task: u64,
+        worker: usize,
+        got: u64,
+        expected: u64,
+    },
+    /// `worker` holds no dataset for `client`: a `Submit` came before its
+    /// scatter, or the scatter payload was not the size it announced.
+    NoDataset { worker: usize, client: u64 },
+    /// A pool operation failed.
+    Mem(MemError),
+    /// The simulation has `procs` processes, not `CLIENT_RANKS + WORKER_RANKS`.
+    WrongSize { procs: usize },
+    /// The run ended badly with no rank error recorded: a stall or a leak.
+    Run(RunError),
+}
+
+/// The variant as `Debug` prints it, except that a run error prints as its
+/// own message.
+impl std::fmt::Display for SvcError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SvcError::Run(e) => write!(f, "{e}"),
+            other => write!(f, "{other:?}"),
+        }
+    }
+}
+
+impl From<MemError> for SvcError {
+    fn from(e: MemError) -> Self {
+        SvcError::Mem(e)
     }
 }
 
@@ -154,13 +200,6 @@ fn checksum_lanes<const L: usize>(client: u64, tasks: [(u64, u64); L], data: &[u
     h
 }
 
-/// A scattered dataset held by a worker, addressable by later submits.
-#[derive(Debug, Clone, Copy)]
-pub struct DataRef {
-    pub worker: usize,
-    pub client: u64,
-}
-
 struct Pending {
     expected: u64,
     /// First-submission time — preserved across resubmissions so latency
@@ -174,98 +213,83 @@ struct Pending {
     resubmits: u32,
 }
 
-/// Client-side futures frontend (the `distributed.Client` analogue):
-/// scatter a dataset once, submit many tasks against it, gather results.
-/// One frontend serves every logical client multiplexed on its rank.
-///
-/// With [`Frontend::deadline`] set ([`LoadCfg`]'s `deadline_us`), the
-/// frontend survives worker failure: tasks that miss their deadline are
-/// resubmitted to a surviving worker (re-scattering the dataset on
-/// demand), each worker carries a circuit breaker that opens after
-/// [`BREAKER_THRESHOLD`] consecutive timeouts (or immediately on a UCP
-/// endpoint give-up), and a late result for an already-gathered task is
-/// counted as a duplicate — never twice. Results stay byte-identical to a
-/// clean run because [`task_checksum`] is content-pure: any worker
-/// computes the same answer. Without a deadline the same drain path simply
-/// never times out: it is the blocking wait.
-pub struct Frontend {
+/// A worker's consecutive timeouts (reset by any result) and whether its
+/// circuit breaker is open. It never closes again: an endpoint give-up
+/// leaves the receiver's delivery window expecting the abandoned sequence
+/// number, so any later send to that worker would be held forever.
+#[derive(Default)]
+struct Breaker {
+    timeouts: u32,
+    open: bool,
+}
+
+/// Client-side futures frontend (the `distributed.Client` analogue), one
+/// per client rank. With a deadline ([`LoadCfg`]'s `deadline_us`) it
+/// survives worker failure: an overdue task is resubmitted to a surviving
+/// worker (re-scattering the dataset on demand), a worker's [`Breaker`]
+/// opens after [`BREAKER_THRESHOLD`] consecutive timeouts or on a UCP
+/// endpoint give-up, and a late result for a gathered task is counted as a
+/// duplicate, never twice. Any worker computes the same content-pure
+/// checksum, so results match a clean run. Without a deadline the same
+/// drain path is the blocking wait.
+#[derive(Default)]
+struct Frontend {
     workers: Vec<usize>,
-    pending: IdMap<u64, Pending>,
     /// Per-task deadline; `None` waits for every result indefinitely.
-    pub deadline: Option<Duration>,
-    /// Consecutive timeout count per worker (reset by any result).
-    fail_count: IdMap<usize, u32>,
-    /// Workers with an open breaker. Never reused: an endpoint give-up
-    /// tears down the ordered channel's sequence state, so a fresh send to
-    /// the same peer would desynchronize delivery.
-    tripped: IdSet<usize>,
+    deadline: Option<Duration>,
+    pending: IdMap<u64, Pending>,
+    breakers: IdMap<usize, Breaker>,
     /// `(client, worker)` pairs that hold the client's dataset.
     placed: IdSet<(u64, usize)>,
     /// Scatter buffer per client, for on-demand re-scatter at resubmission.
     bufs: IdMap<u64, MemRef>,
     /// `(task id, checksum)` for every gathered task.
-    pub results: Vec<(u64, u64)>,
-    /// `(task id, submit-to-result latency)` for every gathered task.
-    pub latencies: Vec<(u64, Time)>,
-    /// Tasks abandoned after [`MAX_RESUBMIT`] or with no eligible worker.
-    pub failed: Vec<u64>,
+    results: Vec<(u64, u64)>,
+    /// Submit-to-result latency of every gathered task.
+    latencies: Vec<Time>,
 }
 
 impl Frontend {
-    pub fn new(workers: Vec<usize>) -> Self {
+    fn new(workers: Vec<usize>, deadline: Option<Duration>) -> Self {
         Frontend {
             workers,
-            pending: IdMap::default(),
-            deadline: None,
-            fail_count: IdMap::default(),
-            tripped: IdSet::default(),
-            placed: IdSet::default(),
-            bufs: IdMap::default(),
-            results: Vec::new(),
-            latencies: Vec::new(),
-            failed: Vec::new(),
+            deadline,
+            ..Frontend::default()
         }
     }
 
     /// `client.scatter(data)`: announce the dataset inline, then ship the
     /// bytes zero-copy from `buf` (the channel is ordered, so the worker
-    /// pairs them up). The buffer must stay allocated until [`run_load`]'s
+    /// pairs them up). The buffer must stay allocated until the client's
     /// teardown — freeing it mid-flight is exactly the bug the UCP layer
-    /// now surfaces as `InvalidHandle` instead of a panic.
-    pub fn scatter(
+    /// surfaces as `InvalidHandle` instead of a panic.
+    fn scatter(
         &mut self,
         py: &mut PyProc,
         ctx: &mut MCtx,
         worker: usize,
         client: u64,
         buf: MemRef,
-    ) -> DataRef {
+    ) {
         let ch = py.channel(worker);
-        py.send_host(
-            ctx,
-            ch,
-            encode(&SvcMsg::Scatter {
-                client,
-                size: buf.len,
-            }),
-        );
+        let size = buf.len;
+        py.send_host(ctx, ch, ToWorker::Scatter { client, size }.encode());
         py.send(ctx, ch, buf);
         self.placed.insert((client, worker));
         self.bufs.insert(client, buf);
-        DataRef { worker, client }
     }
 
-    /// `client.submit(fn, data, arg)`: fire one task at the dataset's
-    /// worker; the result arrives asynchronously via [`Frontend::drain_one`].
-    /// `expected` is the checksum the task must produce (the client can
-    /// compute it locally — the task is pure).
-    pub fn submit(
+    /// `client.submit(fn, data, arg)`: fire one task at `worker`, which
+    /// holds `client`'s dataset; the result arrives asynchronously via
+    /// [`Frontend::drain_one`]. `expected` is the checksum the task must
+    /// produce (the client can compute it locally — the task is pure).
+    fn submit(
         &mut self,
         py: &mut PyProc,
         ctx: &mut MCtx,
-        data: DataRef,
-        task: u64,
-        arg: u64,
+        worker: usize,
+        client: u64,
+        (task, arg): (u64, u64),
         expected: u64,
     ) {
         let now = ctx.now();
@@ -274,168 +298,133 @@ impl Frontend {
             Pending {
                 expected,
                 submitted: now,
-                client: data.client,
+                client,
                 arg,
-                worker: data.worker,
-                deadline: self.deadline_from(now),
+                worker,
+                deadline: self.deadline.map_or(Time::MAX, |d| now + d),
                 resubmits: 0,
             },
         );
-        let ch = py.channel(data.worker);
-        py.send_host(
-            ctx,
-            ch,
-            encode(&SvcMsg::Submit {
-                client: data.client,
-                task,
-                arg,
-            }),
-        );
-    }
-
-    pub fn outstanding(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The deadline of a task (re)submitted at `now`.
-    fn deadline_from(&self, now: Time) -> Time {
-        self.deadline.map_or(Time::MAX, |d| now + d)
+        let ch = py.channel(worker);
+        py.send_host(ctx, ch, ToWorker::Submit { client, task, arg }.encode());
     }
 
     /// One drain step: surface endpoint give-ups, then wait for a result
-    /// from any worker — with [`Frontend::deadline`] set, only until the
-    /// earliest outstanding deadline. Every call either gathers a result
-    /// (recording its latency and verifying the checksum against the
-    /// client-side expectation), absorbs a duplicate, or expires at least
-    /// one overdue task — so `gather_all` terminates even with every
-    /// worker dead (tasks drain into `failed` once [`MAX_RESUBMIT`] and
-    /// the eligible-worker pool are exhausted).
-    pub fn drain_one(&mut self, py: &mut PyProc, ctx: &mut MCtx) {
-        self.reap_exceptions(py, ctx);
+    /// from any worker, with a deadline only until the earliest outstanding
+    /// one. Every call gathers a result (checking its checksum), absorbs a
+    /// duplicate, expires an overdue task or fails, so `gather_all` ends
+    /// even with every worker dead.
+    fn drain_one(&mut self, py: &mut PyProc, ctx: &mut MCtx) -> Result<(), SvcError> {
+        self.reap_exceptions(py, ctx)?;
         if self.pending.is_empty() {
-            return;
+            return Ok(());
         }
         let dl = self
             .deadline
             .and_then(|_| self.pending.values().map(|p| p.deadline).min());
         let Some((peer, bytes)) = py.recv_host_any(ctx, &self.workers, dl) else {
-            return self.expire_overdue(py, ctx);
+            self.expire_overdue(py, ctx);
+            return Ok(());
         };
-        match decode(&bytes.expect("svc result payload")) {
-            SvcMsg::Result { task, checksum } => match self.pending.remove(&task) {
-                Some(p) => {
-                    assert_eq!(
-                        checksum, p.expected,
-                        "task {task} computed a wrong checksum"
-                    );
-                    self.fail_count.insert(peer, 0);
-                    self.results.push((task, checksum));
-                    self.latencies.push((task, ctx.now() - p.submitted));
-                }
-                // A result for a task that is no longer pending (the
-                // original worker answered after the task was resubmitted
-                // and gathered): absorb, never count twice.
-                None => ctx.with_world(|_, s| s.count(metrics::DUP_RESULT)),
-            },
-            _ => panic!("unexpected message on client rank"),
+        let rank = py.rank();
+        let ToClient { task, checksum } = bytes
+            .as_deref()
+            .and_then(ToClient::decode)
+            .ok_or(SvcError::BadMessage { rank, peer })?;
+        // A result for a task that is no longer pending (the original
+        // worker answered after the task was resubmitted and gathered):
+        // absorb, never count twice.
+        let Some(p) = self.pending.remove(&task) else {
+            ctx.with_world(|_, s| s.count(metrics::DUP_RESULT));
+            return Ok(());
+        };
+        if checksum != p.expected {
+            return Err(SvcError::WrongChecksum {
+                task,
+                worker: peer,
+                got: checksum,
+                expected: p.expected,
+            });
         }
+        self.breakers.entry(peer).or_default().timeouts = 0;
+        self.results.push((task, checksum));
+        self.latencies.push(ctx.now() - p.submitted);
+        Ok(())
     }
 
     /// Map queued communication exceptions onto worker breakers. A UCP
     /// endpoint give-up toward a worker trips its breaker immediately —
     /// `take_exception` already tore down the channel state for that peer,
     /// so it must never be sent to again. Tasks outstanding on it drain
-    /// through their own deadlines.
-    fn reap_exceptions(&mut self, py: &mut PyProc, ctx: &mut MCtx) {
+    /// through their own deadlines. Any other exception is an error.
+    fn reap_exceptions(&mut self, py: &mut PyProc, ctx: &mut MCtx) -> Result<(), SvcError> {
         while let Some(rec) = py.take_exception(ctx) {
-            match (rec.exc_type, rec.peer) {
-                ("TimeoutError", Some(p)) if self.workers.contains(&p) => self.trip(ctx, p),
-                _ => panic!(
-                    "unrecoverable svc exception: {} ({})",
-                    rec.exc_type, rec.message
-                ),
+            match rec.peer {
+                Some(p) if rec.exc_type == "TimeoutError" && self.workers.contains(&p) => {
+                    self.trip(ctx, p)
+                }
+                _ => return Err(SvcError::Exception(rec)),
             }
         }
+        Ok(())
     }
 
     fn trip(&mut self, ctx: &mut MCtx, worker: usize) {
-        if self.tripped.insert(worker) {
+        let b = self.breakers.entry(worker).or_default();
+        if !b.open {
+            b.open = true;
             ctx.with_world(|_, s| s.count(metrics::BREAKER_OPEN));
         }
     }
 
-    /// Expire every task past its deadline (in task-id order, for
-    /// determinism): charge the worker's breaker and resubmit or fail.
+    /// Take every task past its deadline out of `pending` and, in task-id
+    /// order (for determinism), charge its worker's breaker and resubmit or
+    /// fail it.
     fn expire_overdue(&mut self, py: &mut PyProc, ctx: &mut MCtx) {
         let now = ctx.now();
-        let mut due: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(&t, _)| t)
-            .collect();
-        due.sort_unstable();
-        for task in due {
+        let mut due: Vec<(u64, Pending)> =
+            self.pending.extract_if(|_, p| p.deadline <= now).collect();
+        due.sort_unstable_by_key(|&(task, _)| task);
+        for (task, p) in due {
             ctx.with_world(|_, s| s.count(metrics::TASK_TIMEOUT));
-            let worker = self.pending[&task].worker;
-            let failures = {
-                let n = self.fail_count.entry(worker).or_insert(0);
-                *n += 1;
-                *n
-            };
-            if failures >= BREAKER_THRESHOLD {
-                self.trip(ctx, worker);
+            let b = self.breakers.entry(p.worker).or_default();
+            b.timeouts += 1;
+            if b.timeouts >= BREAKER_THRESHOLD {
+                self.trip(ctx, p.worker);
             }
-            self.requeue(py, ctx, task);
+            self.requeue(py, ctx, task, p);
         }
     }
 
     /// Resubmit a timed-out task to a surviving worker (re-scattering the
     /// dataset if that worker has never seen it), or declare it failed.
     /// The target choice is a pure function of `(task, resubmits)` and the
-    /// breaker set, so runs are deterministic.
-    fn requeue(&mut self, py: &mut PyProc, ctx: &mut MCtx, task: u64) {
-        let p = self.pending.remove(&task).expect("requeue of unknown task");
+    /// breakers, so runs are deterministic.
+    fn requeue(&mut self, py: &mut PyProc, ctx: &mut MCtx, task: u64, p: Pending) {
         // Prefer any live worker other than the one that just timed out;
         // fall back to the timed-out worker only if it is the sole
         // survivor (it may merely be slow, not dead).
-        let mut eligible: Vec<usize> = self
-            .workers
-            .iter()
-            .copied()
-            .filter(|w| !self.tripped.contains(w) && *w != p.worker)
-            .collect();
+        let open = |w: &usize| self.breakers.get(w).is_some_and(|b| b.open);
+        let live: Vec<usize> = self.workers.iter().copied().filter(|w| !open(w)).collect();
+        let mut eligible: Vec<usize> = live.iter().copied().filter(|&w| w != p.worker).collect();
         if eligible.is_empty() {
-            eligible = self
-                .workers
-                .iter()
-                .copied()
-                .filter(|w| !self.tripped.contains(w))
-                .collect();
+            eligible = live;
         }
         if p.resubmits >= MAX_RESUBMIT || eligible.is_empty() {
             ctx.with_world(|_, s| s.count(metrics::TASK_FAILED));
-            self.failed.push(task);
             return;
         }
         let mut s = task ^ u64::from(p.resubmits + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let pick = eligible[(splitmix64(&mut s) % eligible.len() as u64) as usize];
-        if !self.placed.contains(&(p.client, pick)) {
-            let buf = self.bufs[&p.client];
+        let buf = self.bufs.get(&p.client).copied();
+        if let Some(buf) = buf.filter(|_| !self.placed.contains(&(p.client, pick))) {
             self.scatter(py, ctx, pick, p.client, buf);
         }
         ctx.with_world(|_, s| s.count(metrics::RESUBMIT));
         let ch = py.channel(pick);
-        py.send_host(
-            ctx,
-            ch,
-            encode(&SvcMsg::Submit {
-                client: p.client,
-                task,
-                arg: p.arg,
-            }),
-        );
-        let deadline = self.deadline_from(ctx.now());
+        let (client, arg) = (p.client, p.arg);
+        py.send_host(ctx, ch, ToWorker::Submit { client, task, arg }.encode());
+        let deadline = self.deadline.map_or(Time::MAX, |d| ctx.now() + d);
         self.pending.insert(
             task,
             Pending {
@@ -448,10 +437,11 @@ impl Frontend {
     }
 
     /// `client.gather(futures)`: wait for every outstanding task.
-    pub fn gather_all(&mut self, py: &mut PyProc, ctx: &mut MCtx) {
+    fn gather_all(&mut self, py: &mut PyProc, ctx: &mut MCtx) -> Result<(), SvcError> {
         while !self.pending.is_empty() {
-            self.drain_one(py, ctx);
+            self.drain_one(py, ctx)?;
         }
+        Ok(())
     }
 }
 
@@ -568,51 +558,52 @@ pub fn machine_config(cfg: &LoadCfg) -> MachineConfig {
 }
 
 /// Run one full scatter/submit/gather load on a two-node Summit-like
-/// cluster built from [`machine_config`]; see [`run_load_on`].
+/// cluster built from [`machine_config`]; see [`run_load_on`]. Panics with
+/// the [`SvcError`] as one line.
 pub fn run_load(cfg: &LoadCfg) -> LoadResult {
     let mut sim = build_sim(Topology::summit(2), machine_config(cfg));
-    run_load_on(&mut sim, cfg)
+    run_load_on(&mut sim, cfg).unwrap_or_else(|e| panic!("svc load: {e}"))
 }
 
-/// Run one load on `sim`, a fresh two-node Summit-like simulation the
-/// caller built (from [`machine_config`], plus whatever the caller adds:
-/// tracing, a tighter UCP retry budget); panics with one line if the run
-/// stalls or [`rucx_ucp::audit`] finds a leak. Every counter and trace
-/// event of the run stays in `sim`.
-pub fn run_load_on(sim: &mut MSim, cfg: &LoadCfg) -> LoadResult {
-    assert_eq!(sim.world().topo.procs(), CLIENT_RANKS + WORKER_RANKS);
-    let workers: Vec<usize> = (CLIENT_RANKS..CLIENT_RANKS + WORKER_RANKS).collect();
-    let cfg2 = cfg.clone();
-    let run = rucx_ucp::run(sim, |sim, out: RankSink| {
-        launch(sim, move |py, ctx| {
-            let rank = py.rank();
-            if rank < CLIENT_RANKS {
-                client_body(py, ctx, &cfg2, &workers, &out);
-            } else {
-                worker_body(py, ctx, &cfg2);
-            }
-        })
-    });
-    let mut ranks = run.unwrap_or_else(|e| panic!("svc load: {e}"));
-    ranks.sort_by_key(|r| r.0);
-    let mut results = Vec::new();
-    let mut lats = Vec::new();
-    let mut finish: Time = 0;
-    for (_, res, lat, end) in ranks {
-        results.extend(res);
-        lats.extend(lat.into_iter().map(|(_, d)| d));
-        finish = finish.max(end);
+/// Run one load on `sim`, a fresh two-node simulation the caller built
+/// from [`machine_config`] (plus tracing or a tighter retry budget); its
+/// counters and trace stay in `sim`. The first error a rank records wins
+/// over the stall it causes; with none, a stall or a leak is
+/// [`SvcError::Run`].
+pub fn run_load_on(sim: &mut MSim, cfg: &LoadCfg) -> Result<LoadResult, SvcError> {
+    let procs = sim.world().topo.procs();
+    if procs != CLIENT_RANKS + WORKER_RANKS {
+        return Err(SvcError::WrongSize { procs });
     }
-    results.sort_by_key(|&(task, _)| task);
-    lats.sort_unstable();
-    let tasks = results.len() as u64;
+    let cfg = cfg.clone();
+    let out = Sink::default();
+    let cell = out.clone();
+    launch(sim, move |py, ctx| {
+        let body = if py.rank() < CLIENT_RANKS {
+            client_body(py, ctx, &cfg, &cell)
+        } else {
+            worker_body(py, ctx, &cfg)
+        };
+        if let Err(e) = body {
+            cell.lock().error.get_or_insert(e);
+        }
+    });
+    let run = rucx_ucp::finish(sim);
+    let mut g = std::mem::take(&mut *out.lock());
+    if let Some(e) = g.error {
+        return Err(e);
+    }
+    run.map_err(SvcError::Run)?;
+    g.results.sort_by_key(|&(task, _)| task);
+    g.lats.sort_unstable();
+    let tasks = g.results.len() as u64;
     let mut digest = 0u64;
-    for &(task, ck) in &results {
+    for &(task, ck) in &g.results {
         let mut s = task ^ ck.rotate_left(23);
         digest ^= splitmix64(&mut s);
     }
-    let wall_us = as_us(finish);
-    LoadResult {
+    let wall_us = as_us(g.end);
+    Ok(LoadResult {
         tasks,
         wall_us,
         tasks_per_sec: if wall_us > 0.0 {
@@ -620,9 +611,9 @@ pub fn run_load_on(sim: &mut MSim, cfg: &LoadCfg) -> LoadResult {
         } else {
             0.0
         },
-        p50_us: percentile(&lats, 0.50),
-        p99_us: percentile(&lats, 0.99),
-        results,
+        p50_us: percentile(&g.lats, 0.50),
+        p99_us: percentile(&g.lats, 0.99),
+        results: g.results,
         digest,
         reg_hit: sim.metrics().get("ucp.reg.hit"),
         reg_miss: sim.metrics().get("ucp.reg.miss"),
@@ -632,20 +623,26 @@ pub fn run_load_on(sim: &mut MSim, cfg: &LoadCfg) -> LoadResult {
         premapped_hit: sim.metrics().get("gpu.pool.premapped_hit"),
         tasks_failed: sim.metrics().get("svc.task_failed"),
         ucp_retry: sim.metrics().get("ucp.retry"),
-    }
+    })
 }
 
-/// Per-rank gathered output: (rank, results, latencies, finish time).
-type RankSink = ResultCell<Vec<(usize, Vec<(u64, u64)>, Vec<(u64, Time)>, Time)>>;
+/// What the ranks of a load report: every gathered `(task, checksum)` and
+/// latency, the last client's end time, and the first error a rank met.
+#[derive(Default)]
+struct Gathered {
+    results: Vec<(u64, u64)>,
+    lats: Vec<Time>,
+    end: Time,
+    error: Option<SvcError>,
+}
+type Sink = ResultCell<Gathered>;
 
-fn client_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg, workers: &[usize], out: &RankSink) {
+fn client_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg, out: &Sink) -> Result<(), SvcError> {
     let rank = py.rank();
+    let workers: Vec<usize> = (CLIENT_RANKS..CLIENT_RANKS + WORKER_RANKS).collect();
     let node = ctx.with_world_ref(move |w, _| w.topo.node_of(rank));
-    let mine: Vec<u64> = (0..cfg.clients as u64)
-        .filter(|c| (*c as usize) % CLIENT_RANKS == rank)
-        .collect();
-    let mut fe = Frontend::new(workers.to_vec());
-    fe.deadline = (cfg.deadline_us > 0.0).then(|| us(cfg.deadline_us));
+    let deadline = (cfg.deadline_us > 0.0).then(|| us(cfg.deadline_us));
+    let mut fe = Frontend::new(workers.clone(), deadline);
 
     // Scatter phase: every logical client ships its dataset to its worker.
     // One send buffer per client — the payload must stay valid until the
@@ -653,118 +650,122 @@ fn client_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg, workers: &[usize]
     // client knows all its tasks now, so it computes their expected
     // checksums here, four at a time (`task_checksums`).
     let per_client = cfg.tasks_per_client as u64;
-    let mut bufs = Vec::with_capacity(mine.len());
-    // Per client: its dataset's handle, its `(task, arg)`s, their checksums.
-    let mut plans = Vec::with_capacity(mine.len());
-    for &c in &mine {
+    // Per client: its worker, its id, its `(task, arg)`s, their checksums.
+    let mut plans = Vec::new();
+    for c in (0..cfg.clients as u64).filter(|c| (*c as usize) % CLIENT_RANKS == rank) {
         let data = client_data(cfg.seed, c, cfg.data_size);
-        let size = cfg.data_size;
         let buf = ctx.with_world(|w, _| {
-            let b = w.gpu.pool.alloc_host(node, size, true, true);
-            w.gpu.pool.write(b, &data).expect("stage scatter payload");
-            b
-        });
-        let worker = client_worker(cfg.seed, c, workers);
-        let data_ref = fe.scatter(py, ctx, worker, c, buf);
-        bufs.push(buf);
+            let b = w.gpu.pool.alloc_host(node, cfg.data_size, true, true);
+            w.gpu.pool.write(b, &data).map(|()| b)
+        })?;
+        let worker = client_worker(cfg.seed, c, &workers);
+        fe.scatter(py, ctx, worker, c, buf);
         let tasks: Vec<(u64, u64)> = (0..per_client)
             .map(|t| (c * per_client + t, task_arg(cfg.seed, c, t)))
             .collect();
         let expected = task_checksums(c, &tasks, &data);
-        plans.push((data_ref, tasks, expected));
+        plans.push((worker, c, tasks, expected));
     }
 
     // Submit phase: round-robin across this rank's clients so their task
     // streams interleave (many concurrent clients per rank), windowed so
     // the rank never floods the workers.
     for t in 0..cfg.tasks_per_client {
-        for (data_ref, tasks, expected) in &plans {
-            let (task, arg) = tasks[t];
-            while fe.outstanding() >= cfg.window {
-                fe.drain_one(py, ctx);
+        for (worker, client, tasks, expected) in &plans {
+            while fe.pending.len() >= cfg.window {
+                fe.drain_one(py, ctx)?;
             }
-            fe.submit(py, ctx, *data_ref, task, arg, expected[t]);
+            fe.submit(py, ctx, *worker, *client, tasks[t], expected[t]);
         }
     }
-    fe.gather_all(py, ctx);
+    fe.gather_all(py, ctx)?;
 
     // Shut the workers down (every client rank signals every worker), then
-    // return the scatter buffers: the registration must not outlive the
-    // allocation, so each free invalidates its cached mapping first.
-    for &w in workers {
+    // return the scatter buffers in client order.
+    for &w in &workers {
         let ch = py.channel(w);
-        py.send_host(ctx, ch, encode(&SvcMsg::Done));
+        py.send_host(ctx, ch, ToWorker::Done.encode());
     }
-    for buf in bufs {
-        ctx.with_world(move |w, s| {
-            reg_invalidate(w, s, buf.id);
-            w.gpu.pool.free(buf.id).expect("free scatter buffer");
-        });
+    let mut bufs: Vec<(u64, MemRef)> = fe.bufs.drain().collect();
+    bufs.sort_unstable_by_key(|&(client, _)| client);
+    for (_, buf) in bufs {
+        release(ctx, buf)?;
     }
-    out.lock().push((rank, fe.results, fe.latencies, ctx.now()));
+    let mut g = out.lock();
+    g.results.extend(fe.results);
+    g.lats.extend(fe.latencies);
+    g.end = g.end.max(ctx.now());
+    Ok(())
 }
 
-fn worker_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg) {
-    let rank = py.rank();
-    let node = ctx.with_world_ref(move |w, _| w.topo.node_of(rank));
+fn worker_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg) -> Result<(), SvcError> {
+    let worker = py.rank();
+    let node = ctx.with_world_ref(move |w, _| w.topo.node_of(worker));
     let clients: Vec<usize> = (0..CLIENT_RANKS).collect();
     // One long-lived, pool-backed receive staging buffer. With caching on
     // it is pre-mapped (the pool-allocator pattern: pay the mapping once
     // at setup), so every zero-copy receive into it is a registration hit.
-    let size = cfg.data_size;
-    let cache = cfg.cache;
-    let staging = ctx.with_world(move |w, _| {
-        let b = w.gpu.pool.alloc_host(node, size, true, true);
-        if cache {
-            w.gpu.pool.set_premapped(b.id).expect("premap staging");
+    let staging = ctx.with_world(|w, _| {
+        let b = w.gpu.pool.alloc_host(node, cfg.data_size, true, true);
+        if cfg.cache {
+            w.gpu.pool.set_premapped(b.id)?;
         }
-        b
-    });
+        Ok::<_, MemError>(b)
+    })?;
     let compute = us(cfg.compute_us);
     // Simulated crash: this worker stops serving at `kill_at` (the Python
     // loop exits; the UCP layer below keeps acking, as a host whose
     // process died but whose NIC is alive would).
-    let kill_at: Option<Time> = match cfg.fail_worker {
-        Some((wi, at)) if CLIENT_RANKS + wi == rank => Some(us(at)),
-        _ => None,
-    };
+    let kill_at = cfg
+        .fail_worker
+        .filter(|&(wi, _)| CLIENT_RANKS + wi == worker)
+        .map(|(_, at)| us(at));
     let mut datasets: IdMap<u64, Vec<u8>> = IdMap::default();
     let mut done = 0usize;
     while done < CLIENT_RANKS {
         let Some((peer, bytes)) = py.recv_host_any(ctx, &clients, kill_at) else {
             break;
         };
-        match decode(&bytes.expect("svc control payload")) {
-            SvcMsg::Scatter { client, size } => {
+        let request = bytes.as_deref().and_then(ToWorker::decode);
+        match request.ok_or(SvcError::BadMessage { rank: worker, peer })? {
+            ToWorker::Scatter { client, size } => {
                 // The zero-copy payload is the next message on this
                 // (ordered) channel.
                 let got = py.recv(ctx, py.channel(peer), staging);
-                assert_eq!(got, size, "scatter payload size mismatch");
-                let data = ctx
-                    .with_world(move |w, _| w.gpu.pool.read(staging.slice(0, size)))
-                    .expect("read scattered dataset");
+                if got != size || size > staging.len {
+                    return Err(SvcError::NoDataset { worker, client });
+                }
+                let data = ctx.with_world(move |w, _| w.gpu.pool.read(staging.slice(0, size)))?;
                 datasets.insert(client, data);
             }
-            SvcMsg::Submit { client, task, arg } => {
+            ToWorker::Submit { client, task, arg } => {
                 ctx.advance(compute);
-                let data = datasets.get(&client).expect("submit before scatter");
+                let data = datasets
+                    .get(&client)
+                    .ok_or(SvcError::NoDataset { worker, client })?;
                 let checksum = task_checksum(client, task, arg, data);
                 let ch = py.channel(peer);
-                py.send_host(ctx, ch, encode(&SvcMsg::Result { task, checksum }));
+                py.send_host(ctx, ch, ToClient { task, checksum }.encode());
             }
-            SvcMsg::Done => done += 1,
-            SvcMsg::Result { .. } => panic!("unexpected result on worker rank"),
+            ToWorker::Done => done += 1,
         }
     }
+    release(ctx, staging)
+}
+
+/// Free `buf`, invalidating its cached registration first: a mapping must
+/// not outlive its allocation.
+fn release(ctx: &mut MCtx, buf: MemRef) -> Result<(), SvcError> {
     ctx.with_world(move |w, s| {
-        reg_invalidate(w, s, staging.id);
-        w.gpu.pool.free(staging.id).expect("free staging buffer");
-    });
+        reg_invalidate(w, s, buf.id);
+        Ok(w.gpu.pool.free(buf.id)?)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rucx_gpu::DeviceId;
 
     /// One load on a simulation the test keeps, to read its counters. At
     /// shutdown every buffer is freed: no registration may stay mapped and
@@ -772,7 +773,7 @@ mod tests {
     /// `run_load_on` holds the accounting identity itself).
     fn run_held(cfg: &LoadCfg) -> (LoadResult, MSim) {
         let mut sim = build_sim(Topology::summit(2), machine_config(cfg));
-        let r = run_load_on(&mut sim, cfg);
+        let r = run_load_on(&mut sim, cfg).unwrap_or_else(|e| panic!("{e}"));
         let w = sim.world();
         assert_eq!(w.ucp.reg.live_mappings(), 0, "registrations leaked");
         assert_eq!(w.gpu.pool.premapped_live(), 0, "pre-mapped pool leaked");
@@ -842,55 +843,36 @@ mod tests {
     }
 
     #[test]
-    fn wire_roundtrip() {
-        for msg in [
-            SvcMsg::Scatter {
+    fn wire_roundtrip_keeps_lengths_and_rejects_the_other_direction() {
+        let requests = [
+            ToWorker::Scatter {
                 client: 9,
                 size: 4096,
             },
-            SvcMsg::Submit {
+            ToWorker::Submit {
                 client: 9,
                 task: 1234,
                 arg: u64::MAX,
             },
-            SvcMsg::Result {
-                task: 1234,
-                checksum: 0xdead_beef,
-            },
-            SvcMsg::Done,
-        ] {
-            let enc = encode(&msg);
-            match (msg, decode(&enc)) {
-                (
-                    SvcMsg::Scatter { client: a, size: b },
-                    SvcMsg::Scatter { client: c, size: d },
-                ) => assert_eq!((a, b), (c, d)),
-                (
-                    SvcMsg::Submit {
-                        client: a,
-                        task: b,
-                        arg: c,
-                    },
-                    SvcMsg::Submit {
-                        client: d,
-                        task: e,
-                        arg: f,
-                    },
-                ) => assert_eq!((a, b, c), (d, e, f)),
-                (
-                    SvcMsg::Result {
-                        task: a,
-                        checksum: b,
-                    },
-                    SvcMsg::Result {
-                        task: c,
-                        checksum: d,
-                    },
-                ) => assert_eq!((a, b), (c, d)),
-                (SvcMsg::Done, SvcMsg::Done) => {}
-                _ => panic!("roundtrip changed the message kind"),
-            }
+            ToWorker::Done,
+        ];
+        for (msg, len) in requests.into_iter().zip([17, 25, 1]) {
+            let enc = msg.encode();
+            assert_eq!(enc.len(), len, "{msg:?}");
+            assert_eq!(ToWorker::decode(&enc), Some(msg));
+            assert_eq!(ToClient::decode(&enc), None, "{msg:?}");
+            assert_eq!(ToWorker::decode(&enc[..len - 1]), None, "{msg:?}");
         }
+        let result = ToClient {
+            task: 1234,
+            checksum: 0xdead_beef,
+        };
+        let enc = result.encode();
+        assert_eq!(enc.len(), 17);
+        assert_eq!(ToClient::decode(&enc), Some(result));
+        assert_eq!(ToWorker::decode(&enc), None);
+        assert_eq!(ToClient::decode(&enc[..16]), None);
+        assert_eq!(ToClient::decode(&[]), None);
     }
 
     /// Satellite chaos property: under an inter-node partition that heals,
@@ -1005,42 +987,82 @@ mod tests {
         );
     }
 
-    /// Without a deadline too, a result for a task that is not pending is
-    /// absorbed and counted, and the pending task is still gathered.
-    #[test]
-    fn a_result_for_no_pending_task_is_absorbed_without_a_deadline() {
+    /// A frontend on rank 0 submits task 7 (expected checksum 42) to a
+    /// hand-written worker on rank 1, which takes the submit and then runs
+    /// `reply`. Returns what `gather_all` returned. A GPU buffer the
+    /// frontend refused stays queued on its channel (with a `TypeError`
+    /// record); rank 0 takes it off so that the run still ends clean.
+    fn gather_from(reply: fn(&mut PyProc, &mut MCtx)) -> (Result<Vec<(u64, u64)>, SvcError>, MSim) {
         let mut sim = build_sim(Topology::summit(1), MachineConfig::default());
         let gathered = rucx_ucp::run(&mut sim, |sim, out| {
             launch(sim, move |py, ctx| match py.rank() {
                 0 => {
-                    let mut fe = Frontend::new(vec![1]);
-                    fe.submit(
-                        py,
-                        ctx,
-                        DataRef {
-                            worker: 1,
-                            client: 0,
-                        },
-                        7,
-                        0,
-                        42,
-                    );
-                    fe.gather_all(py, ctx);
-                    *out.lock() = fe.results;
+                    let mut fe = Frontend::new(vec![1], None);
+                    fe.submit(py, ctx, 1, 0, (7, 0), 42);
+                    let got = fe.gather_all(py, ctx).map(|()| fe.results);
+                    if py.take_exception(ctx).is_some() {
+                        let buf = ctx.with_world(|w, _| w.gpu.pool.alloc_host(0, 64, true, false));
+                        py.recv(ctx, py.channel(1), buf);
+                    }
+                    *out.lock() = Some(got);
                 }
                 1 => {
-                    let ch = py.channel(0);
-                    for task in [5, 7] {
-                        let msg = SvcMsg::Result { task, checksum: 42 };
-                        py.send_host(ctx, ch, encode(&msg));
-                    }
-                    py.recv_host(ctx, ch);
+                    py.recv_host(ctx, py.channel(0));
+                    reply(py, ctx);
                 }
                 _ => {}
             })
         });
-        assert_eq!(gathered.unwrap(), vec![(7, 42)]);
+        (gathered.unwrap().unwrap(), sim)
+    }
+
+    /// Without a deadline too, a result for a task that is not pending is
+    /// absorbed and counted, and the pending task is still gathered.
+    #[test]
+    fn a_result_for_no_pending_task_is_absorbed_without_a_deadline() {
+        let (gathered, sim) = gather_from(|py, ctx| {
+            for task in [5, 7] {
+                let msg = ToClient { task, checksum: 42 };
+                py.send_host(ctx, py.channel(0), msg.encode());
+            }
+        });
+        assert_eq!(gathered, Ok(vec![(7, 42)]));
         assert_eq!(sim.metrics().get("svc.dup_result"), 1);
+    }
+
+    /// A worker that answers with the wrong checksum, or with a GPU buffer
+    /// where a result belongs, makes `gather_all` return the matching
+    /// error instead of panicking.
+    #[test]
+    fn a_wrong_checksum_or_a_gpu_buffer_is_an_svc_error() {
+        let (wrong, _) = gather_from(|py, ctx| {
+            let msg = ToClient {
+                task: 7,
+                checksum: 41,
+            };
+            py.send_host(ctx, py.channel(0), msg.encode());
+        });
+        let want = SvcError::WrongChecksum {
+            task: 7,
+            worker: 1,
+            got: 41,
+            expected: 42,
+        };
+        assert_eq!(wrong, Err(want));
+        let (gpu, _) = gather_from(|py, ctx| {
+            let buf =
+                ctx.with_world(|w, _| w.gpu.pool.alloc_device(DeviceId(1), 64, false).unwrap());
+            py.send(ctx, py.channel(0), buf);
+        });
+        assert_eq!(gpu, Err(SvcError::BadMessage { rank: 0, peer: 1 }));
+    }
+
+    #[test]
+    fn a_simulation_of_the_wrong_size_is_an_svc_error() {
+        let cfg = small(true, 1);
+        let mut sim = build_sim(Topology::summit(1), machine_config(&cfg));
+        let got = run_load_on(&mut sim, &cfg).err();
+        assert_eq!(got, Some(SvcError::WrongSize { procs: 6 }));
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn cell(workload: &str, py: bool, fault: Option<FaultSpec>) -> Held {
                 ..LoadCfg::default()
             };
             let sim = &mut build_sim(Topology::summit(2), svc::machine_config(&cfg));
-            svc::run_load_on(sim, &cfg);
+            svc::run_load_on(sim, &cfg).unwrap_or_else(|e| panic!("svc: {e}"));
             add(&mut held, sim.metrics());
         }
         "jacobi 2n" => {
