@@ -110,11 +110,6 @@ impl OmpiRank {
         self.nranks
     }
 
-    /// `MPI_Wtime` in virtual seconds.
-    pub fn wtime(&self, ctx: &MCtx) -> f64 {
-        rucx_sim::time::as_secs(ctx.now())
-    }
-
     /// `MPI_Isend`.
     pub fn isend(&mut self, ctx: &mut MCtx, buf: MemRef, dst: usize, tag: i32) -> Request {
         ctx.advance(SEND_OVERHEAD + CPU_CALL);

@@ -3,16 +3,18 @@
 //! their CPU-side costs, as plain (non-Python) runtime calls.
 
 use rucx_gpu::device::{COPY_LAUNCH, KERNEL_LAUNCH, SYNC_OVERHEAD};
-use rucx_gpu::{copy_async, stream_sync_trigger, MemRef, StreamId};
+use rucx_gpu::{copy_async, MemRef, StreamId};
 use rucx_ucp::MCtx;
 
 /// Issue an async copy and wait for it (memcpy + stream synchronize),
 /// charging the CPU-side launch and sync costs.
 pub fn copy_sync(ctx: &mut MCtx, src: MemRef, dst: MemRef, stream: StreamId) {
     ctx.advance(COPY_LAUNCH);
+    // The copy is the last work on `stream`, so its completion is the sync.
     let t = ctx.with_world(move |w, s| {
-        copy_async(w, s, src, dst, stream, None);
-        stream_sync_trigger(w, s, stream)
+        let done = s.new_trigger();
+        copy_async(w, s, src, dst, stream, Some(done));
+        done
     });
     ctx.wait(t);
     ctx.with_world(move |_, s| s.recycle_trigger(t));

@@ -1,7 +1,7 @@
 //! Integration tests: the microbenchmarks must reproduce the qualitative
 //! shapes of the paper's Figures 10–13 (who wins, and roughly by how much).
 
-use rucx_osu::{bandwidth, latency, Mode, Model, OsuConfig, Placement};
+use rucx_osu::{bandwidth, default_sizes, latency, Mode, Model, OsuConfig, Placement};
 
 fn cfg() -> OsuConfig {
     OsuConfig::quick()
@@ -9,11 +9,16 @@ fn cfg() -> OsuConfig {
 
 #[test]
 fn gpu_direct_beats_host_staging_everywhere() {
-    let cfg = cfg();
+    // The paper's whole 1 B – 4 MiB sweep, at the quick iteration counts.
+    let cfg = OsuConfig {
+        sizes: default_sizes(),
+        ..cfg()
+    };
     for model in [Model::Charm, Model::Ampi, Model::Ompi, Model::Charm4py] {
         for place in [Placement::IntraNode, Placement::InterNode] {
             let d = latency(&cfg, model, Mode::Device, place);
             let h = latency(&cfg, model, Mode::HostStaging, place);
+            assert_eq!(d.points.len(), cfg.sizes.len(), "every size runs");
             for (size, lat_d) in &d.points {
                 let lat_h = h.at(*size).unwrap();
                 assert!(

@@ -204,12 +204,12 @@ pub(crate) fn fetch_intra<F>(
     }
 }
 
-/// The striped multi-path fetch: occupy all legs concurrently, then emit
-/// per-leg chunk-completion events and merge them through a shared
-/// countdown — the finalizer runs exactly once, when the last chunk of the
-/// slowest leg lands. Chunk times are a deterministic interpolation of each
-/// leg's own duration, so the completion order is a pure function of the
-/// plan (the property the determinism suite pins across runs).
+/// The striped multi-path fetch: occupy all legs concurrently, record each
+/// chunk's completion as a trace instant at its own time, and run the
+/// finalizer once, when the slowest leg ends. Chunk times are a
+/// deterministic interpolation of each leg's own duration, so the
+/// completion trace is a pure function of the plan (the property the
+/// determinism suite pins across runs).
 fn fetch_intra_striped<F>(
     w: &mut Machine,
     s: &mut MSched,
@@ -232,7 +232,7 @@ fn fetch_intra_striped<F>(
     let stream = w.ucp.ucx_streams[recv_proc];
     let spans = rucx_gpu::ops::occupy_striped(w, s, sd, dd, stream, IPC_SYNC, legs);
 
-    let mut events: Vec<(Time, u64)> = Vec::new();
+    let mut idx = 0;
     for (leg, (start, end)) in legs.iter().zip(spans) {
         let n = leg.bytes.div_ceil(chunk).max(1);
         for j in 1..=n {
@@ -240,42 +240,30 @@ fn fetch_intra_striped<F>(
             // lands exactly at the leg's end.
             let t = start + (end - start) * j / n;
             let len = (j * leg.bytes / n) - ((j - 1) * leg.bytes / n);
-            events.push((t, len));
+            s.trace
+                .instant(m::TRACE_MP_CHUNK, t, recv_proc as u32, idx, len);
+            idx += 1;
         }
     }
-    s.count_n(m::MULTIPATH_CHUNKS, events.len() as u64);
-
-    let landed = last_of(events.len() as u64, finalize);
-    for (i, (t, len)) in events.into_iter().enumerate() {
-        let landed = landed.clone();
-        let idx = i as u64;
-        s.schedule_at(t, move |w, s| {
-            s.trace_instant(m::TRACE_MP_CHUNK, recv_proc as u32, idx, len);
-            landed(w, s);
-        });
-    }
+    s.count_n(m::MULTIPATH_CHUNKS, idx);
+    s.schedule_at(spans[0].1.max(spans[1].1), finalize);
 }
 
-/// A countdown over `n` chunk completions: each of them calls a clone of
-/// the returned closure, and the `n`-th call runs `finalize` — exactly
-/// once. Event closures must be `Send`, hence `Arc` and a lock, not `Rc`.
-fn last_of<F>(n: u64, finalize: F) -> impl Fn(&mut Machine, &mut MSched) + Clone + Send + 'static
-where
-    F: FnOnce(&mut Machine, &mut MSched) + Send + 'static,
-{
+/// A countdown over `n` calls: the `n`-th call to a clone of the returned
+/// closure hands back `finalize`, every other call `None`. Event closures
+/// must be `Send`, hence `Arc` and a lock, not `Rc`.
+fn last_of<F: Send + 'static>(
+    n: u64,
+    finalize: F,
+) -> impl Fn() -> Option<F> + Clone + Send + 'static {
     let state = Arc::new(Mutex::new((n, Some(finalize))));
-    move |w, s| {
-        let last = {
-            let mut st = state.lock();
-            st.0 -= 1;
-            if st.0 == 0 {
-                st.1.take()
-            } else {
-                None
-            }
-        };
-        if let Some(f) = last {
-            f(w, s);
+    move || {
+        let mut st = state.lock();
+        st.0 -= 1;
+        if st.0 == 0 {
+            st.1.take()
+        } else {
+            None
         }
     }
 }
@@ -424,7 +412,11 @@ fn pipeline_fetch<F>(
                 let h2d_dur = wire_time(CopyPath::HostPinnedLink, len);
                 let ingress = [PortRef::Ingress(dst_dev)];
                 let h2d_end = w.gpu.book(Some(dst_stream), ingress, s.now(), h2d_dur, len);
-                s.schedule_at(h2d_end, landed);
+                // H2D bookings serialise on the receiver's stream, so the
+                // chunk that arrives last also lands last.
+                if let Some(finalize) = landed() {
+                    s.schedule_at(h2d_end, finalize);
+                }
             });
         });
     }

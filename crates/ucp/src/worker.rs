@@ -106,11 +106,6 @@ impl Worker {
         self.errors.pop_front()
     }
 
-    /// Whether asynchronous errors are pending.
-    pub fn has_errors(&self) -> bool {
-        !self.errors.is_empty()
-    }
-
     /// Find (without removing) the first unexpected message matching
     /// `(tag, mask)` in arrival order.
     pub(crate) fn find_unexpected(&self, tag: Tag, mask: TagMask) -> Option<usize> {

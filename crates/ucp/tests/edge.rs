@@ -1,5 +1,9 @@
 //! Edge cases of the UCP layer: zero-size messages, self-sends, threshold
-//! boundaries, truncation, and trigger recycling under churn.
+//! boundaries, truncation, trigger recycling under churn, and the events a
+//! pipelined rendezvous queues.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use rucx_fabric::Topology;
 use rucx_gpu::{DeviceId, MemRef};
@@ -169,4 +173,35 @@ fn wildcard_recv_takes_oldest_arrival() {
         assert_eq!(got, vec![1u8; 8]);
     });
     rucx_ucp::finish(&mut sim).unwrap();
+}
+
+/// A 6 MiB inter-node device rendezvous rides the pipelined host-staging
+/// path in 12 chunks (512 KiB each). The receive lands when the last chunk's
+/// H2D copy ends, and the run queues no event that decides nothing: a chunk
+/// completion that only counted down would leave the time alone and raise
+/// the event count.
+#[test]
+fn pipelined_rendezvous_queues_only_deciding_events() {
+    let mut sim = build_sim(Topology::summit(2), MachineConfig::default());
+    let size = 6u64 << 20;
+    let pool = &mut sim.world_mut().gpu.pool;
+    let a = pool.alloc_device(DeviceId(0), size, false).unwrap();
+    let b = pool.alloc_device(DeviceId(6), size, false).unwrap();
+    let landed = Arc::new(AtomicU64::new(0));
+    let at = landed.clone();
+    sim.spawn("s", 0, move |ctx| {
+        blocking::send(ctx, 0, 6, SendBuf::Mem(a), 3);
+    });
+    sim.spawn("r", 0, move |ctx| {
+        blocking::recv(ctx, 6, b, 3, MASK_FULL);
+        at.store(ctx.now(), Ordering::Relaxed);
+    });
+    rucx_ucp::finish(&mut sim).unwrap();
+    assert_eq!(sim.metrics().get("ucp.pipeline_chunks"), 12);
+    let landed = landed.load(Ordering::Relaxed);
+    let events = sim.scheduler_ref().events_executed();
+    // 545.509 us in 32 events; a queued completion per chunk would land
+    // at the same instant in 43.
+    assert_eq!(landed, 545_509);
+    assert_eq!(events, 32);
 }

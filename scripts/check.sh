@@ -211,6 +211,7 @@ table1_improvements RUCX_MAX_NODES max_nodes|41|one scorecard (SCORECARD.md) at 
 alloc_mapped alloc_all recv_any dsend hsend hrecv grid_mem|44|one Jacobi rank: a list of halo faces, each side an osu::Side, and results max-merged into the run's ResultCell, DESIGN §3
 ChanState handle_ampi_msg send_chan barrier_epoch SlotState pop_inbox MpiRank::create PyProc::create|46|one rank on a PE: AMPI and Charm4py share the rank shell (rucx_charm::rank), DESIGN §9
 SvcMsg DataRef MAX_MSG_BYTES red_tree subtree_elems subtree_weights expected_children Tree::binary|50|one way svc fails: direction-typed messages, a private frontend and one SvcError; a PE keeps only its own reduction step, DESIGN §14
+has_errors fn.wtime|54|one event per completion, and API no caller uses goes (Worker::has_errors, OmpiRank::wtime), DESIGN §11
 TABLE
 echo "ok: no deleted engine, queue, params struct, sink, twin path or caller-less extension is back"
 

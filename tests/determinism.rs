@@ -366,8 +366,12 @@ fn multipath_chunk_trace_is_byte_identical_across_runs() {
             pairs.len() as u64,
             "every transfer must take the striped path"
         );
-        assert!(c.get("ucp.multipath_chunks") > 0);
-        sim.scheduler().trace.to_chrome_json()
+        let chunks = c.get("ucp.multipath_chunks");
+        assert!(chunks > 0);
+        let trace = &sim.scheduler_ref().trace;
+        let traced = trace.events().filter(|e| e.name == "ucp.mp.chunk").count();
+        assert_eq!(traced as u64, chunks, "one ucp.mp.chunk instant per chunk");
+        trace.to_chrome_json()
     };
     let a = traced_run();
     assert!(a.contains("ucp.mp.chunk"), "chunk completions traced");
