@@ -86,6 +86,9 @@ pub struct PyExceptionRecord {
 struct PyState {
     /// Per peer: in-order messages ready for `recv`.
     inbox: IdMap<u32, VecDeque<Payload>>,
+    /// Messages queued in `inbox`, over every peer. A select that finds it
+    /// zero returns without looking any peer up.
+    ready: usize,
     /// Communication failures mapped into Python exceptions, awaiting
     /// [`PyProc::take_exception`].
     exceptions: VecDeque<PyExceptionRecord>,
@@ -93,17 +96,28 @@ struct PyState {
 
 impl PyState {
     fn pop(&mut self, peer: usize) -> Option<Payload> {
-        self.inbox.get_mut(&(peer as u32))?.pop_front()
+        if self.ready == 0 {
+            return None;
+        }
+        let got = self.inbox.get_mut(&(peer as u32))?.pop_front()?;
+        self.ready -= 1;
+        Some(got)
     }
 
     /// The next message from `peer` for a host receive: a pickled object
     /// is taken off the channel; a GPU buffer stays queued for `recv`, and
     /// only a copy of its descriptor is returned.
     fn take_host(&mut self, peer: usize) -> Option<Payload> {
+        if self.ready == 0 {
+            return None;
+        }
         let q = self.inbox.get_mut(&(peer as u32))?;
         match q.front()? {
             Payload::ZeroCopy { .. } => q.front().cloned(),
-            Payload::Inline { .. } => q.pop_front(),
+            Payload::Inline { .. } => {
+                self.ready -= 1;
+                q.pop_front()
+            }
         }
     }
 }
@@ -119,6 +133,7 @@ impl Layer for PyState {
 
     fn accept(&mut self, m: Arrived<()>, _: &mut Pe, _: &mut MCtx) {
         self.inbox.entry(m.src).or_default().push_back(m.payload);
+        self.ready += 1;
     }
 
     /// Queue `err` as a Python exception record. A timed-out peer is
@@ -132,8 +147,8 @@ impl Layer for PyState {
             UcpError::EndpointTimeout { dst, .. } => ("TimeoutError", Some(*dst)),
             _ => ("RuntimeError", None),
         };
-        if let Some(p) = peer {
-            self.inbox.remove(&(p as u32));
+        if let Some(dropped) = peer.and_then(|p| self.inbox.remove(&(p as u32))) {
+            self.ready -= dropped.len();
         }
         let message = err.to_string();
         let rec = PyExceptionRecord {
@@ -621,29 +636,46 @@ mod tests {
             }
             let ch = py.channel(6); // other node, fully partitioned
             py.send(ctx, ch, a);
-            // Model the reordering race the window exists for: seq 1 from
-            // the dying peer arrives while seq 0 is lost with the
-            // partition, so the payload is held with no predecessor ever
-            // coming. It is injected as a loopback envelope in the rank
-            // shell's wire format: `(src, seq)`, no header, the payload.
-            let payload = Payload::Inline {
-                bytes: Some(vec![7u8; 4096]),
-                size: 4096,
+            // Model the reordering race the window exists for: seq 0 from
+            // the dying peer is ready, seq 2 arrives while seq 1 is lost
+            // with the partition, so seq 2 is held with no predecessor
+            // ever coming. Ranks 1 and 2 each have one object ready. All
+            // are injected as loopback envelopes in the rank shell's wire
+            // format: `(src, seq)`, no header, the payload.
+            let inject = |py: &mut PyProc, ctx: &mut MCtx, src: u32, seq: u64| {
+                let payload = Payload::Inline {
+                    bytes: Some(vec![src as u8; 4096]),
+                    size: 4096,
+                };
+                let params = payload.encode(12, |b| {
+                    b.put_u32(src);
+                    b.put_u64(seq);
+                });
+                let (col, index) = (rucx_charm::Collection(0), 0);
+                let me = rucx_charm::ChareRef { col, index };
+                py.shell.pe.send(ctx, me, 0, params, 0, vec![]);
+                py.shell.pe.try_step(ctx);
             };
-            let params = payload.encode(12, |b| {
-                b.put_u32(6);
-                b.put_u64(1);
-            });
-            let (col, index) = (rucx_charm::Collection(0), 0);
-            let me = rucx_charm::ChareRef { col, index };
-            py.shell.pe.send(ctx, me, 0, params, 0, vec![]);
-            py.shell.pe.try_step(ctx);
-            assert_eq!(py.shell.held(), 1, "seq 1 must be held");
+            for (src, seq) in [(6, 0), (6, 2), (1, 0), (2, 0)] {
+                inject(py, ctx, src, seq);
+            }
+            assert_eq!(py.shell.held(), 1, "seq 2 must be held");
+            assert_eq!(py.shell.state().ready, 3);
             let exc = py.wait_exception(ctx);
             assert_eq!(exc.exc_type, "TimeoutError");
             assert_eq!(exc.peer, Some(6));
             assert_eq!(py.shell.held(), 0, "dead peer's holds must go");
-            assert!(!py.shell.state().inbox.contains_key(&6));
+            let st = py.shell.state();
+            assert!(!st.inbox.contains_key(&6));
+            // The ready count lost exactly the dropped inbox, and the
+            // survivors' objects are still there to select.
+            assert_eq!(st.ready, st.inbox.values().map(VecDeque::len).sum());
+            assert_eq!(st.ready, 2);
+            for src in [1, 2] {
+                let hit = py.recv_host_any(ctx, &[6, 1, 2], None);
+                assert_eq!(hit, Some((src, Some(vec![src as u8; 4096]))));
+            }
+            assert_eq!(py.shell.state().ready, 0);
             *checked2.lock() = true;
         });
         rucx_ucp::finish(&mut sim).unwrap();

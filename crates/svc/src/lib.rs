@@ -17,7 +17,11 @@
 //!
 //! Task results are pure functions of task content ([`task_checksum`]), so
 //! cache-on and cache-off runs produce byte-identical result sets; only
-//! the timing differs.
+//! the timing differs. A dataset is hashed once per side
+//! ([`dataset_digest`]): by the client when it scatters it, and by the
+//! worker over the bytes that landed in its staging buffer. Every task
+//! result mixes that digest with the task's client, id and argument, so a
+//! task costs O(1) host work on both sides.
 
 use rucx_charm4py::{launch, PyExceptionRecord, PyProc};
 use rucx_compat::buf::{Buf, BufMut};
@@ -158,46 +162,30 @@ impl From<MemError> for SvcError {
     }
 }
 
-/// The result of one task: a pure function of the task's content (client,
-/// task id, argument, scattered dataset) — independent of scheduling,
-/// caching, and timing, which is what makes cache-on/cache-off runs
-/// comparable byte-for-byte.
-pub fn task_checksum(client: u64, task: u64, arg: u64, data: &[u8]) -> u64 {
-    let [h] = checksum_lanes(client, [(task, arg)], data);
-    h
-}
-
-/// [`task_checksum`] of every `(task, arg)` in `tasks` against one client's
-/// dataset, in order. Four tasks go through the hash together, so a client
-/// that knows its tasks up front pays about one chain's latency for four.
-fn task_checksums(client: u64, tasks: &[(u64, u64)], data: &[u8]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(tasks.len());
-    let mut quads = tasks.chunks_exact(4);
-    for q in &mut quads {
-        out.extend(checksum_lanes(client, [q[0], q[1], q[2], q[3]], data));
-    }
-    for &t in quads.remainder() {
-        out.push(task_checksum(client, t.0, t.1, data));
-    }
-    out
-}
-
-/// The one hash loop: `L` independent `(task, arg)` chains over the same
-/// data words, in lock-step. Each word costs a chain two dependent
-/// multiplies; running `L` chains side by side overlaps their latencies.
-fn checksum_lanes<const L: usize>(client: u64, tasks: [(u64, u64); L], data: &[u8]) -> [u64; L] {
-    let seed = client.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17);
-    let mut h = tasks.map(|(task, arg)| seed.wrapping_add(task).rotate_left(13).wrapping_add(arg));
+/// The digest of one dataset: a serial splitmix64 chain over its 8-byte
+/// little-endian words (the last one zero-padded), seeded by its length.
+/// Each step is a bijection in both the running hash and the word, so a
+/// change within any one word always changes the digest.
+pub fn dataset_digest(data: &[u8]) -> u64 {
+    let mut h = (data.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     for chunk in data.chunks(8) {
         let mut word = [0u8; 8];
         word[..chunk.len()].copy_from_slice(chunk);
-        let word = u64::from_le_bytes(word);
-        for h in &mut h {
-            *h ^= word;
-            *h = splitmix64(h);
-        }
+        h ^= u64::from_le_bytes(word);
+        h = splitmix64(&mut h);
     }
     h
+}
+
+/// The result of one task: a pure function of the task's content (client,
+/// task id, argument, and the [`dataset_digest`] of the scattered dataset)
+/// — independent of scheduling, caching, and timing, which is what makes
+/// cache-on/cache-off runs comparable byte-for-byte. The inputs enter one
+/// splitmix64 step each, so a change to any one of them changes the result.
+pub fn task_checksum(digest: u64, client: u64, task: u64, arg: u64) -> u64 {
+    [client, task, arg]
+        .into_iter()
+        .fold(digest, |h, w| splitmix64(&mut (h ^ w)))
 }
 
 struct Pending {
@@ -578,11 +566,12 @@ pub fn run_load_on(sim: &mut MSim, cfg: &LoadCfg) -> Result<LoadResult, SvcError
     let cfg = cfg.clone();
     let out = Sink::default();
     let cell = out.clone();
+    let clients: Vec<usize> = (0..CLIENT_RANKS).collect();
     launch(sim, move |py, ctx| {
         let body = if py.rank() < CLIENT_RANKS {
             client_body(py, ctx, &cfg, &cell)
         } else {
-            worker_body(py, ctx, &cfg)
+            worker_body(py, ctx, &cfg, &clients)
         };
         if let Err(e) = body {
             cell.lock().error.get_or_insert(e);
@@ -647,10 +636,10 @@ fn client_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg, out: &Sink) -> Re
     // Scatter phase: every logical client ships its dataset to its worker.
     // One send buffer per client — the payload must stay valid until the
     // transfer lands, and the spread of buffers exercises the LRU. The
-    // client knows all its tasks now, so it computes their expected
-    // checksums here, four at a time (`task_checksums`).
+    // client keeps only its dataset's digest: every expected checksum
+    // derives from it.
     let per_client = cfg.tasks_per_client as u64;
-    // Per client: its worker, its id, its `(task, arg)`s, their checksums.
+    // Per client: its worker, its id, its dataset's digest.
     let mut plans = Vec::new();
     for c in (0..cfg.clients as u64).filter(|c| (*c as usize) % CLIENT_RANKS == rank) {
         let data = client_data(cfg.seed, c, cfg.data_size);
@@ -660,22 +649,20 @@ fn client_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg, out: &Sink) -> Re
         })?;
         let worker = client_worker(cfg.seed, c, &workers);
         fe.scatter(py, ctx, worker, c, buf);
-        let tasks: Vec<(u64, u64)> = (0..per_client)
-            .map(|t| (c * per_client + t, task_arg(cfg.seed, c, t)))
-            .collect();
-        let expected = task_checksums(c, &tasks, &data);
-        plans.push((worker, c, tasks, expected));
+        plans.push((worker, c, dataset_digest(&data)));
     }
 
     // Submit phase: round-robin across this rank's clients so their task
     // streams interleave (many concurrent clients per rank), windowed so
     // the rank never floods the workers.
-    for t in 0..cfg.tasks_per_client {
-        for (worker, client, tasks, expected) in &plans {
+    for t in 0..per_client {
+        for &(worker, client, digest) in &plans {
             while fe.pending.len() >= cfg.window {
                 fe.drain_one(py, ctx)?;
             }
-            fe.submit(py, ctx, *worker, *client, tasks[t], expected[t]);
+            let (task, arg) = (client * per_client + t, task_arg(cfg.seed, client, t));
+            let expected = task_checksum(digest, client, task, arg);
+            fe.submit(py, ctx, worker, client, (task, arg), expected);
         }
     }
     fe.gather_all(py, ctx)?;
@@ -698,10 +685,15 @@ fn client_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg, out: &Sink) -> Re
     Ok(())
 }
 
-fn worker_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg) -> Result<(), SvcError> {
+/// Serve the client ranks `clients` until each has sent `Done`.
+fn worker_body(
+    py: &mut PyProc,
+    ctx: &mut MCtx,
+    cfg: &LoadCfg,
+    clients: &[usize],
+) -> Result<(), SvcError> {
     let worker = py.rank();
     let node = ctx.with_world_ref(move |w, _| w.topo.node_of(worker));
-    let clients: Vec<usize> = (0..CLIENT_RANKS).collect();
     // One long-lived, pool-backed receive staging buffer. With caching on
     // it is pre-mapped (the pool-allocator pattern: pay the mapping once
     // at setup), so every zero-copy receive into it is a registration hit.
@@ -720,10 +712,11 @@ fn worker_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg) -> Result<(), Svc
         .fail_worker
         .filter(|&(wi, _)| CLIENT_RANKS + wi == worker)
         .map(|(_, at)| us(at));
-    let mut datasets: IdMap<u64, Vec<u8>> = IdMap::default();
+    // Per client: the digest of the dataset bytes this worker received.
+    let mut digests: IdMap<u64, u64> = IdMap::default();
     let mut done = 0usize;
-    while done < CLIENT_RANKS {
-        let Some((peer, bytes)) = py.recv_host_any(ctx, &clients, kill_at) else {
+    while done < clients.len() {
+        let Some((peer, bytes)) = py.recv_host_any(ctx, clients, kill_at) else {
             break;
         };
         let request = bytes.as_deref().and_then(ToWorker::decode);
@@ -736,14 +729,14 @@ fn worker_body(py: &mut PyProc, ctx: &mut MCtx, cfg: &LoadCfg) -> Result<(), Svc
                     return Err(SvcError::NoDataset { worker, client });
                 }
                 let data = ctx.with_world(move |w, _| w.gpu.pool.read(staging.slice(0, size)))?;
-                datasets.insert(client, data);
+                digests.insert(client, dataset_digest(&data));
             }
             ToWorker::Submit { client, task, arg } => {
                 ctx.advance(compute);
-                let data = datasets
+                let &digest = digests
                     .get(&client)
                     .ok_or(SvcError::NoDataset { worker, client })?;
-                let checksum = task_checksum(client, task, arg, data);
+                let checksum = task_checksum(digest, client, task, arg);
                 let ch = py.channel(peer);
                 py.send_host(ctx, ch, ToClient { task, checksum }.encode());
             }
@@ -837,9 +830,18 @@ mod tests {
             (a.reg_hit, a.reg_miss, a.reg_evict, a.ep_hit, a.ep_miss),
             (b.reg_hit, b.reg_miss, b.reg_evict, b.ep_hit, b.ep_miss)
         );
-        // Pinned, so a checksum that drifts fails here and not only in the
-        // benchmark's golden digests.
-        assert_eq!(a.digest, 0x28e9_f366_2591_cc77);
+        // Pinned, so a drift fails here and not only in the benchmark's
+        // golden digests. The virtual outputs are the simulation's; the
+        // digest also pins the checksum function.
+        assert_eq!(
+            (a.wall_us, a.p50_us, a.p99_us),
+            (1152.966, 404.903, 812.425)
+        );
+        assert_eq!(
+            (a.reg_hit, a.reg_miss, a.reg_evict, a.ep_hit, a.ep_miss),
+            (24, 24, 24, 291, 53)
+        );
+        assert_eq!(a.digest, 0xdf9d_b1bf_4753_a31f);
     }
 
     #[test]
@@ -1065,34 +1067,80 @@ mod tests {
         assert_eq!(got, Some(SvcError::WrongSize { procs: 6 }));
     }
 
+    /// A worker that received a dataset one byte off the client's answers
+    /// with a checksum the frontend refuses: the worker hashes the bytes
+    /// that landed in its staging buffer, not the client's.
+    #[test]
+    fn a_dataset_one_byte_off_is_a_wrong_checksum() {
+        let cfg = LoadCfg {
+            data_size: 2049,
+            ..LoadCfg::default()
+        };
+        let (client, task, arg) = (3, 48, 11);
+        let data = client_data(cfg.seed, client, cfg.data_size);
+        let mut sent = data.clone();
+        sent[1000] ^= 1;
+        let checksum = |d: &[u8]| task_checksum(dataset_digest(d), client, task, arg);
+        let (got, expected) = (checksum(&sent), checksum(&data));
+        let mut sim = build_sim(Topology::summit(1), machine_config(&cfg));
+        let gathered = rucx_ucp::run(&mut sim, |sim, out| {
+            launch(sim, move |py, ctx| match py.rank() {
+                0 => {
+                    let buf = ctx.with_world(|w, _| {
+                        let b = w.gpu.pool.alloc_host(0, cfg.data_size, true, true);
+                        w.gpu.pool.write(b, &sent).map(|()| b)
+                    });
+                    let buf = buf.unwrap();
+                    let mut fe = Frontend::new(vec![1], None);
+                    fe.scatter(py, ctx, 1, client, buf);
+                    fe.submit(py, ctx, 1, client, (task, arg), expected);
+                    *out.lock() = Some(fe.gather_all(py, ctx));
+                    py.send_host(ctx, py.channel(1), ToWorker::Done.encode());
+                    release(ctx, buf).unwrap();
+                }
+                1 => worker_body(py, ctx, &cfg, &[0]).unwrap(),
+                _ => {}
+            })
+        });
+        let want = SvcError::WrongChecksum {
+            task,
+            worker: 1,
+            got,
+            expected,
+        };
+        assert_eq!(gathered.unwrap(), Some(Err(want)));
+    }
+
+    /// Every input of a task's result matters: its client, task id and
+    /// argument, and every bit of its dataset.
     #[test]
     fn checksum_is_content_pure() {
-        let data = client_data(3, 17, 512);
-        let a = task_checksum(17, 99, 0xabcd, &data);
-        let b = task_checksum(17, 99, 0xabcd, &data);
-        assert_eq!(a, b);
-        assert_ne!(a, task_checksum(17, 100, 0xabcd, &data));
-        assert_ne!(a, task_checksum(18, 99, 0xabcd, &data));
-        assert_ne!(a, task_checksum(17, 99, 0xabce, &data));
-        // The values themselves are part of every result digest.
-        assert_eq!(a, 0xa8cf_03fd_1978_29b1);
-        assert_eq!(
-            task_checksum(5, 7, 11, &client_data(1, 5, 2049)),
-            0xc26e_5a26_dbf5_17be
-        );
-        // Each lane of the four-lane form is the one-lane checksum, across
-        // word-boundary lengths and every remainder of tasks mod 4.
         let data = client_data(9, 4, 2049);
-        for len in [0, 1, 7, 8, 9, 2047, 2048, 2049] {
-            let data = &data[..len];
-            for n in 1..=9u64 {
-                let tasks: Vec<(u64, u64)> = (0..n).map(|t| (100 + t, t * 0x1234_5678)).collect();
-                let one: Vec<u64> = tasks
-                    .iter()
-                    .map(|&(task, arg)| task_checksum(4, task, arg, data))
-                    .collect();
-                assert_eq!(task_checksums(4, &tasks, data), one, "len {len}, {n} tasks");
+        let digest = dataset_digest(&data);
+        let a = task_checksum(digest, 4, 99, 0xabcd);
+        assert_ne!(a, task_checksum(digest, 5, 99, 0xabcd));
+        assert_ne!(a, task_checksum(digest, 4, 100, 0xabcd));
+        assert_ne!(a, task_checksum(digest, 4, 99, 0xabce));
+        assert_ne!(digest, dataset_digest(&data[..2048]));
+        let mut flipped = data.clone();
+        for i in 0..data.len() {
+            for bit in 0..8 {
+                flipped[i] ^= 1 << bit;
+                let b = task_checksum(dataset_digest(&flipped), 4, 99, 0xabcd);
+                assert_ne!(a, b, "byte {i} bit {bit}");
+                flipped[i] = data[i];
             }
         }
+        // The values themselves are part of every result digest.
+        let data = client_data(3, 17, 512);
+        assert_eq!(
+            task_checksum(dataset_digest(&data), 17, 99, 0xabcd),
+            0x95fc_f962_a620_4b71
+        );
+        let data = client_data(1, 5, 2049);
+        assert_eq!(
+            task_checksum(dataset_digest(&data), 5, 7, 11),
+            0xa7a8_0da9_e015_c126
+        );
     }
 }
